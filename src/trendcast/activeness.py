@@ -10,7 +10,7 @@ from __future__ import annotations
 
 import json
 import math
-from dataclasses import dataclass
+from dataclasses import dataclass, fields
 from typing import Mapping
 
 from .core import Trend
@@ -53,8 +53,17 @@ def save_params(path: str, params: ActivenessParams, prox_config: ProximityConfi
 def load_params(path: str) -> tuple[ActivenessParams, ProximityConfig]:
     with open(path, encoding="utf-8") as fh:
         data = json.load(fh)
-    prox_config = ProximityConfig.from_dict(data.pop("proximity"))
-    return ActivenessParams(**data), prox_config
+    prox_data = data.pop("proximity")
+    _reject_unknown_keys(path, data, ActivenessParams, "")
+    _reject_unknown_keys(path, prox_data, ProximityConfig, "proximity.")
+    return ActivenessParams(**data), ProximityConfig.from_dict(prox_data)
+
+
+def _reject_unknown_keys(path: str, data: dict, cls: type, prefix: str) -> None:
+    unknown = sorted(set(data) - {f.name for f in fields(cls)})
+    if unknown:
+        names = ", ".join(repr(prefix + key) for key in unknown)
+        raise ValueError(f"{path}: unknown parameter key {names}")
 
 
 def _decay(dt: float, tau: float) -> float:

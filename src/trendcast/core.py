@@ -8,6 +8,7 @@ file boundaries.
 from __future__ import annotations
 
 import io
+import math
 from dataclasses import dataclass, field
 
 import numpy as np
@@ -95,9 +96,6 @@ class Graph:
             np.cumsum(indptr, out=indptr)
             self._in_indptr, self._in_indices = indptr, src[order]
         return self._in_indices[self._in_indptr[node] : self._in_indptr[node + 1]]
-
-    def out_degree(self, node: int) -> int:
-        return int(self.indptr[node + 1] - self.indptr[node])
 
     @property
     def edge_count(self) -> int:
@@ -207,7 +205,8 @@ def load_trend(path: str, graph: Graph) -> Trend:
     """Read a tab-separated action file: one ``node<TAB>timestamp`` per line.
 
     Same comment and blank-line rules as edge files. Unknown labels and
-    non-numeric timestamps are rejected with the offending line number.
+    non-numeric or non-finite timestamps are rejected with the offending
+    line number.
     """
     nodes: list[int] = []
     times: list[float] = []
@@ -227,6 +226,8 @@ def load_trend(path: str, graph: Graph) -> Trend:
                 t = float(parts[1])
             except ValueError:
                 raise ParseError(f"{path}:{lineno}: bad timestamp {parts[1]!r}") from None
+            if not math.isfinite(t):
+                raise ParseError(f"{path}:{lineno}: non-finite timestamp {parts[1]!r}")
             nodes.append(node)
             times.append(t)
     return Trend(np.asarray(nodes, dtype=np.int64), np.asarray(times, dtype=np.float64))

@@ -11,7 +11,6 @@ from __future__ import annotations
 import hashlib
 import json
 import math
-import threading
 from collections import deque
 from dataclasses import dataclass, field
 
@@ -149,16 +148,14 @@ def graph_fingerprint(graph: Graph) -> str:
 class ProximityMap:
     """Lazy per-source row cache over a graph and kernel config.
 
-    Rows are computed on first demand and memoized; insertion is serialized
-    so concurrent readers see consistent rows. A map loaded from a cache file
-    without a graph is detached: it only serves the rows it holds.
+    Rows are computed on first demand and memoized. A map loaded from a cache
+    file without a graph is detached: it only serves the rows it holds.
     """
 
     graph: Graph | None
     config: ProximityConfig
     _rows: dict[int, dict[int, float]] = field(default_factory=dict, repr=False)
     _row_sums: dict[int, float] = field(default_factory=dict, repr=False)
-    _lock: threading.Lock = field(default_factory=threading.Lock, repr=False)
 
     def row(self, source: int) -> dict[int, float]:
         cached = self._rows.get(source)
@@ -166,20 +163,14 @@ class ProximityMap:
             return cached
         if self.graph is None:
             raise MissingRowError(f"row for node {source} not present in detached proximity map")
-        computed = _compute_row(self.graph, source, self.config)
-        with self._lock:
-            return self._rows.setdefault(source, computed)
+        computed = self._rows[source] = _compute_row(self.graph, source, self.config)
+        return computed
 
     def row_sum(self, source: int) -> float:
         cached = self._row_sums.get(source)
         if cached is None:
-            cached = float(sum(self.row(source).values()))
-            with self._lock:
-                self._row_sums.setdefault(source, cached)
+            cached = self._row_sums[source] = float(sum(self.row(source).values()))
         return cached
-
-    def score(self, source: int, target: int) -> float:
-        return self.row(source).get(target, 0.0)
 
     def fingerprint(self) -> dict:
         data = self.config.to_dict()

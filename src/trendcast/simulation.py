@@ -1,15 +1,17 @@
-"""Forward simulation of activeness as superposed decaying Poisson streams.
+"""Forward simulation of activeness by its Poisson cluster representation.
 
-Every observed action and every simulated event contributes, per reachable
-node, one stream with rate A * exp(-(t - anchor)/tau). A stream's total
-remaining mass is finite, so next-event times sample exactly by inverting the
-integrated rate, with no thinning and no discretization. A run merges all
-live streams through a priority queue holding one pending event per stream.
+The model is linear: every action adds alpha * prox(u, .) to the node rates
+and the boost decays as exp(-(t - t_i)/tau). A run is therefore a cluster
+process. The observed prefix leaves one stream per node with rate
+A * exp(-(t - t_start)/tau), and every realized event (v, t) starts one
+offspring stream of total rate alpha * row_sum(v) * exp(-(s - t)/tau) whose
+events land on row targets drawn in proportion to prox(v, .). A stream's
+total remaining mass is finite, so event times sample exactly by inverting
+the integrated rate, with no thinning and no discretization.
 """
 
 from __future__ import annotations
 
-import heapq
 import io
 import math
 from dataclasses import dataclass
@@ -18,10 +20,11 @@ import numpy as np
 
 from .core import AggregateSeries, IntervalGrid, Trend, longest_run_above
 from .proximity import ProximityMap
-from .activeness import ActivenessParams
+from .activeness import ActivenessParams, _decay
 
-# spawn_key name spaces for derived generators; run streams use 2-tuples
-# (run_index, stream_id), so 1-tuples here can never collide with them.
+# spawn_key name spaces for derived generators: run r draws from key (r,),
+# auxiliary generators (seed picking here, jitter in the CLI, cascade runs in
+# baselines) use keys from 2**61 up, so the two never meet.
 _SEED_PICK_KEY = 2**61
 
 _CSV_HEADER = "interval_index,t_min,t_max,intensity_mean,intensity_cv,coverage_mean,coverage_cv"
@@ -81,14 +84,8 @@ def sample_next(stream: DecayingStream, after: float, u: float) -> float | None:
     return stream.anchor - stream.tau * math.log(inner)
 
 
-def _stream_rng(seed: int, run_index: int, stream_id: int) -> np.random.Generator:
-    # Counter-derived generator per stream: a run's realization does not
-    # depend on processing order, and parallel runs stay deterministic.
-    return np.random.default_rng(np.random.SeedSequence(seed, spawn_key=(run_index, stream_id)))
-
-
 def derived_rng(seed: int, key: int) -> np.random.Generator:
-    """Named auxiliary generator (seed picking, jitter) off the same root seed."""
+    """Generator for spawn key ``key`` off the root seed (runs, seed picking, jitter)."""
     return np.random.default_rng(np.random.SeedSequence(seed, spawn_key=(key,)))
 
 
@@ -102,26 +99,24 @@ def init_streams(
 ) -> list[DecayingStream]:
     """Streams carrying the observed prefix past t_start.
 
-    One stream per (observed action, reachable node) holding the action's
-    decayed influence at t_start, plus one residual stream per graph node.
-    Streams whose total mass falls below ``mass_floor`` are dropped.
+    One stream per node, anchored at t_start with decay tau. Its coefficient
+    sums every prefix action's decayed influence alpha * prox(u, v) *
+    exp(-(t_start - t_i)/tau) and the residual rate. Streams whose total mass
+    falls below ``mass_floor`` are dropped.
     """
     tau = params.tau
-    streams: list[DecayingStream] = []
+    weights: dict[int, float] = {}
     for u, t_i in trend.prefix(t_start):
-        decay = math.exp(-(t_start - t_i) / tau) if (t_start - t_i) / tau <= 700.0 else 0.0
-        scale = params.alpha * decay
-        if scale <= 0.0:
+        weights[u] = weights.get(u, 0.0) + _decay(t_start - t_i, tau)
+    coeff = np.full(node_count, params.epsilon * _decay(t_start - params.t0, tau))
+    for u, w in weights.items():
+        if w == 0.0:
             continue
-        for v, score in prox.row(u).items():
-            coeff = scale * score
-            if coeff * tau >= mass_floor:
-                streams.append(DecayingStream(v, coeff, t_start, tau))
-    residual = params.epsilon * math.exp(-(t_start - params.t0) / tau)
-    if residual * tau >= mass_floor:
-        for v in range(node_count):
-            streams.append(DecayingStream(v, residual, t_start, tau))
-    return streams
+        row = prox.row(u)
+        targets = np.fromiter(row.keys(), dtype=np.int64, count=len(row))
+        coeff[targets] += params.alpha * w * np.fromiter(row.values(), dtype=np.float64, count=len(row))
+    keep = np.flatnonzero((coeff > 0.0) & (coeff * tau >= mass_floor))
+    return [DecayingStream(v, c, t_start, tau) for v, c in zip(keep.tolist(), coeff[keep].tolist())]
 
 
 @dataclass(frozen=True)
@@ -142,49 +137,57 @@ def simulate(
     config: SimConfig,
     run_index: int = 0,
 ) -> tuple[Trend, RunStats]:
-    """One run: realize all streams on [t_start, t_end), spawning per event.
+    """One run: realize all streams on [t_start, t_end), then every offspring.
 
-    Each realized event (v, t) adds, for every node reachable from v, a new
-    stream with coefficient alpha * prox(v, .) anchored at t. Runs past
-    ``config.max_events`` abort with ExplosionError.
+    Each realized event (v, t) starts one offspring stream with coefficient
+    alpha * row_sum(v) anchored at t; each of its events lands on a target
+    of v's row drawn in proportion to score. Runs past ``config.max_events``
+    abort with ExplosionError.
     """
-    heap: list[tuple[float, int, DecayingStream, np.random.Generator, bool]] = []
-    next_id = 0
+    if not 0 <= run_index < _SEED_PICK_KEY:
+        raise ValueError("run_index must lie in [0, 2**61)")
+    rng = derived_rng(config.seed, run_index)
+    nodes: list[int] = []
+    times: list[float] = []
 
-    def admit(stream: DecayingStream, after: float, is_child: bool) -> None:
-        nonlocal next_id
-        rng = _stream_rng(config.seed, run_index, next_id)
-        next_id += 1
-        t = sample_next(stream, after, rng.random())
-        if t is not None and t < config.t_end:
-            heapq.heappush(heap, (t, next_id - 1, stream, rng, is_child))
+    def realize(stream: DecayingStream) -> int:
+        # Appends the stream's event times before t_end; returns their count.
+        start = len(times)
+        t = sample_next(stream, stream.anchor, rng.random())
+        while t is not None and t < config.t_end:
+            if len(times) >= config.max_events:
+                raise ExplosionError(
+                    f"run {run_index} exceeded {config.max_events} events; "
+                    "check subcriticality of alpha * tau * row sums"
+                )
+            times.append(t)
+            t = sample_next(stream, t, rng.random())
+        return len(times) - start
 
     for stream in streams:
-        admit(stream, stream.anchor, False)
-
-    ev_nodes: list[int] = []
-    ev_times: list[float] = []
-    child_events = 0
+        nodes.extend([stream.node] * realize(stream))
+    initial = len(nodes)
     tau = params.tau
-    while heap:
-        t, sid, stream, rng, is_child = heapq.heappop(heap)
-        if len(ev_nodes) >= config.max_events:
-            raise ExplosionError(
-                f"run {run_index} exceeded {config.max_events} events; "
-                "check subcriticality of alpha * tau * row sums"
-            )
-        ev_nodes.append(stream.node)
-        ev_times.append(t)
-        child_events += is_child
-        for v, score in prox.row(stream.node).items():
-            coeff = params.alpha * score
-            if coeff * tau >= config.mass_floor:
-                admit(DecayingStream(v, coeff, t, tau), t, True)
-        t_next = sample_next(stream, t, rng.random())
-        if t_next is not None and t_next < config.t_end:
-            heapq.heappush(heap, (t_next, sid, stream, rng, is_child))
-    trend = Trend(np.asarray(ev_nodes, dtype=np.int64), np.asarray(ev_times, dtype=np.float64))
-    return trend, RunStats(len(ev_nodes), child_events)
+    marks: dict[int, tuple[np.ndarray, np.ndarray]] = {}
+    i = 0
+    while i < len(nodes):
+        v, t = nodes[i], times[i]
+        i += 1
+        coeff = params.alpha * prox.row_sum(v)
+        if coeff * tau < config.mass_floor:
+            continue
+        k = realize(DecayingStream(v, coeff, t, tau))
+        if not k:
+            continue
+        if v not in marks:
+            row = prox.row(v)
+            cum = np.cumsum(np.fromiter(row.values(), dtype=np.float64, count=len(row)))
+            marks[v] = (np.fromiter(row.keys(), dtype=np.int64, count=len(row)), cum)
+        targets, cum = marks[v]
+        picks = np.searchsorted(cum, rng.random(k) * cum[-1], side="right")
+        nodes.extend(targets[np.minimum(picks, len(targets) - 1)].tolist())
+    trend = Trend(np.asarray(nodes, dtype=np.int64), np.asarray(times, dtype=np.float64))
+    return trend, RunStats(len(nodes), len(nodes) - initial)
 
 
 @dataclass
@@ -209,7 +212,7 @@ class PredictionReport:
             for i in range(self.grid.count):
                 t_min, t_max = self.grid.bounds(i)
                 fh.write(
-                    f"{i},{t_min:.10g},{t_max:.10g},"
+                    f"{i},{t_min!r},{t_max!r},"
                     f"{_fmt(self.intensity_mean[i])},{_fmt(self.intensity_cv[i])},"
                     f"{_fmt(self.coverage_mean[i])},{_fmt(self.coverage_cv[i])}\n"
                 )

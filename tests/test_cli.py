@@ -262,6 +262,35 @@ def test_missing_input_file_exits_1(tmp_path, capsys):
     assert "absent.tsv" in capsys.readouterr().err
 
 
+def test_non_finite_timestamp_exits_1(tiny_files, tmp_path, capsys):
+    graph, _ = tiny_files
+    actions = tmp_path / "nan.tsv"
+    actions.write_text("a\t1.0\nb\tnan\nc\t0.5\n", encoding="utf-8")
+    code = main([
+        "aggregate", "--graph", str(graph), "--actions", str(actions),
+        "--grid", "0:1:3", "--out", str(tmp_path / "agg.csv"),
+    ])
+    assert code == 1
+    assert "nan.tsv:2" in capsys.readouterr().err
+
+
+@pytest.mark.parametrize("nested", [False, True])
+def test_predict_rejects_unknown_params_key(pipeline, tmp_path, capsys, nested):
+    d, graph, actions, params = pipeline
+    data = json.loads(params.read_text(encoding="utf-8"))
+    (data["proximity"] if nested else data)["bogus"] = 1
+    bad = tmp_path / "bad.json"
+    bad.write_text(json.dumps(data), encoding="utf-8")
+    code = main([
+        "predict", "--graph", str(graph), "--actions", str(actions),
+        "--t-star", "8.0", "--grid", "8:1:4", "--model", "da",
+        "--params", str(bad), "--seed", "3", "--out", str(tmp_path / "pred.csv"),
+    ])
+    assert code == 1
+    err = capsys.readouterr().err
+    assert "bad.json" in err and "bogus" in err
+
+
 def test_bad_flag_value_exits_1(capsys):
     with pytest.raises(SystemExit) as exc:
         main(["predict", "--model", "nova"])

@@ -171,6 +171,14 @@ def test_load_trend_rejects_bad_timestamp(tmp_path, toy_graph):
         load_trend(str(path), toy_graph)
 
 
+@pytest.mark.parametrize("stamp", ["nan", "inf", "-inf"])
+def test_load_trend_rejects_non_finite_timestamp(tmp_path, toy_graph, stamp):
+    path = tmp_path / "t.tsv"
+    path.write_text(f"v1\t1.0\nv2\t{stamp}\nv1\t0.5\n")
+    with pytest.raises(ParseError, match="t.tsv:2"):
+        load_trend(str(path), toy_graph)
+
+
 def test_trend_roundtrip(tmp_path, toy_graph, toy_trend):
     path = tmp_path / "t.tsv"
     write_trend(str(path), toy_trend, toy_graph)

@@ -2,10 +2,11 @@ import math
 
 import numpy as np
 import pytest
-from scipy import stats
+from scipy import linalg, stats
 
 from trendcast.activeness import ActivenessModel, ActivenessParams
 from trendcast.core import Graph, IntervalGrid, Trend
+from trendcast.evaluation import evaluate_prediction
 from trendcast.proximity import ProximityConfig, ProximityMap
 from trendcast.simulation import (
     DecayingStream,
@@ -17,6 +18,7 @@ from trendcast.simulation import (
     predict,
     sample_next,
     simulate,
+    summarize_runs,
 )
 
 from oracles import random_instance, time_step_self_excited_counts
@@ -159,6 +161,28 @@ def test_single_node_counts_match_time_step_oracle():
     assert counts.mean() == pytest.approx(oracle.mean(), abs=3.5 * math.hypot(sim_sem, oracle_sem))
 
 
+def test_per_node_counts_match_linear_mean_on_a_path():
+    alpha, tau, t_end, runs = 0.4, 1.0, 3.0, 4_000
+    graph = Graph.from_edges([(0, 1), (1, 2)], 3, directed=True)
+    prox = ProximityMap(graph, ProximityConfig(kind="sp", b=1.0))
+    params = ActivenessParams(alpha, tau, epsilon=0.0, t0=0.0)
+    trend = Trend(np.asarray([0]), np.asarray([0.0]))
+    config = SimConfig(t_start=0.0, t_end=t_end, runs=runs, seed=31)
+    streams = init_streams(trend, prox, params, 0.0, graph.node_count)
+    counts = np.asarray([
+        np.bincount(simulate(streams, prox, params, config, run_index=r)[0].nodes, minlength=3)
+        for r in range(runs)
+    ])
+    # Each event at u adds alpha * K[u] to the rates, so the expected
+    # decayed-influence vector x solves x' = A x with A = alpha K^T - I/tau,
+    # and the expected rate alpha K^T x integrates to A^-1 (e^{AT} - I) alpha K[0].
+    kernel = np.asarray([[prox.row(u).get(v, 0.0) for v in range(3)] for u in range(3)])
+    a = alpha * kernel.T - np.eye(3) / tau
+    expected = np.linalg.solve(a, (linalg.expm(a * t_end) - np.eye(3)) @ (alpha * kernel[0]))
+    sem = counts.std(axis=0, ddof=1) / math.sqrt(runs)
+    assert np.all(np.abs(counts.mean(axis=0) - expected) < 3.5 * sem)
+
+
 def test_branching_ratio_stays_subcritical():
     graph, prox, trend = random_instance(seed=12, max_nodes=30, max_actions=10)
     max_row = max(prox.row_sum(v) for v in range(graph.node_count))
@@ -219,6 +243,18 @@ def test_prediction_csv_roundtrip(tmp_path):
     assert back.grid == report.grid
     np.testing.assert_allclose(back.intensity_mean, report.intensity_mean, rtol=1e-9)
     assert back.duration_covering_fraction == pytest.approx(report.duration_covering_fraction)
+
+
+def test_prediction_csv_keeps_grid_bounds_exact(tmp_path):
+    t_start = 2007.123456789
+    grid = IntervalGrid(t_start, 1.0, 2)
+    report = summarize_runs(grid, [np.zeros(2)], [np.zeros(2)], theta=0.0, measure="coverage")
+    path = tmp_path / "pred.csv"
+    report.write_csv(str(path))
+    back = PredictionReport.read_csv(str(path))
+    assert back.grid == grid
+    truth = Trend(np.asarray([0]), np.asarray([t_start + 1e-7]))
+    assert evaluate_prediction(back, truth, 0.0).truth_intensity.tolist() == [1, 0]
 
 
 def test_predict_outputs_identical_bytes_for_same_seed(tmp_path):
