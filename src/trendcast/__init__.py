@@ -7,7 +7,7 @@ from an observed prefix, simulates the fitted process forward, and scores
 forecasts of intensity, coverage, and duration against cascade baselines.
 """
 
-from .activeness import ActivenessModel, ActivenessParams, load_params, save_params
+from .activeness import ActivenessParams, load_params, save_params
 from .baselines import BaselineParams, fit_baseline, fit_mult_factor, intensity_from_coverage, simulate_baseline
 from .core import (
     AggregateSeries,

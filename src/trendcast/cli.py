@@ -14,6 +14,7 @@ import math
 import os
 import sys
 import time
+import warnings
 
 from . import baselines, evaluation, learning, simulation
 from .activeness import ActivenessParams, load_params, save_params
@@ -110,7 +111,11 @@ def cmd_learn(args: argparse.Namespace) -> int:
         tolerance=args.tolerance,
         multistart=args.multistart,
     )
-    result = learning.fit(trend, prox, args.t_star, config, epsilon=args.epsilon)
+    with warnings.catch_warnings(record=True) as caught:
+        warnings.simplefilter("always")
+        result = learning.fit(trend, prox, args.t_star, config, epsilon=args.epsilon)
+    for warning in caught:
+        print(f"warning: {warning.message}", file=sys.stderr)
     prefix = trend.prefix(args.t_star)
     t0 = args.t0 if args.t0 is not None else float(prefix.times[0])
     params = ActivenessParams(result.alpha, result.tau, args.epsilon, t0)

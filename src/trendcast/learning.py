@@ -9,8 +9,9 @@ restarted over geometric subranges to dodge local maxima.
 from __future__ import annotations
 
 import math
-from bisect import bisect_right
+import warnings
 from dataclasses import dataclass
+from itertools import chain
 
 import numpy as np
 
@@ -56,38 +57,152 @@ class LearnResult:
     evaluations: int
 
 
+def _ragged(counts: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
+    """Group index and position within the group of every item of ragged groups."""
+    group = np.repeat(np.arange(len(counts)), counts)
+    within = np.arange(len(group)) - np.repeat(np.cumsum(counts) - counts, counts)
+    return group, within
+
+
+def _restricted_rows(prox: ProximityMap, acting: np.ndarray) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
+    """The acting nodes' rows cut down to acting targets, in CSR form.
+
+    Returns (row_start, target, score): row k spans row_start[k]:row_start[k+1]
+    and its targets are indices into ``acting``. One flat gather over all
+    rows, then a node -> acting-index array drops the other targets.
+    """
+    rows = [prox.row(u) for u in acting.tolist()]
+    lengths = np.fromiter(map(len, rows), dtype=np.int64, count=len(rows))
+    total = int(lengths.sum())
+    targets = np.fromiter(chain.from_iterable(rows), dtype=np.int64, count=total)
+    scores = np.fromiter(chain.from_iterable(map(dict.values, rows)), dtype=np.float64, count=total)
+    lookup = np.full(max(int(targets.max(initial=0)), int(acting.max(initial=0))) + 1, -1)
+    lookup[acting] = np.arange(len(acting))
+    target = lookup[targets]
+    keep = target >= 0
+    source = np.repeat(np.arange(len(acting)), lengths)[keep]
+    row_start = np.searchsorted(source, np.arange(len(acting) + 1))
+    return row_start, target[keep], scores[keep]
+
+
+def _later_in_block(
+    entry_key: np.ndarray, feeder: np.ndarray, action_key: np.ndarray, keys: int
+) -> tuple[np.ndarray, np.ndarray]:
+    """Pair each row entry with the later actions of its feeder's block at its target.
+
+    Entries and actions are keyed by (block, acting node) in [0, keys).
+    Returns the entry index and the action index of every such pair.
+    """
+    by_key = np.argsort(action_key, kind="stable")
+    count = np.bincount(action_key, minlength=keys)
+    first = np.cumsum(count) - count
+    count = count[entry_key]
+    inside = np.flatnonzero(count)
+    which, k = _ragged(count[inside])
+    inside = inside[which]
+    action = by_key[first[entry_key[inside]] + k]
+    after = action > feeder[inside]
+    return inside[after], action[after]
+
+
 class _InfluenceTable:
     """Tau-independent precomputation for repeated likelihood evaluations.
 
-    Flattens every (earlier action j, later action i) pair with nonzero
-    proximity into parallel arrays, so each tau evaluation is a handful of
-    vectorized passes instead of a pairwise loop.
+    The prefix is cut into consecutive blocks of B = ceil(sqrt(n)) actions.
+    Earlier blocks reach a later action through one aggregate per (block c,
+    acting node a), a slot:
+
+        U_c[a] = sum over j in c of prox(u_j, a) * exp(-(T_c - t_j) / tau),
+
+    with T_c the last time in block c; action i at node a reads it back as
+    exp(-(t_i - T_c) / tau) * U_c[a]. Every exponent is <= 0, so nothing can
+    overflow. A slot exists only if some j in c reaches a and a acts in a
+    later block. Pairs inside one block, and the pairs of a slot with a
+    single feeding or a single reading action (where the slot would cost
+    more than its pairs), are kept as explicit (dt, score) entries. Memory
+    grows with the restricted row entries of the actions plus n * B, not
+    with the number of action pairs.
     """
 
     def __init__(self, prefix: Trend, prox: ProximityMap, t_star: float) -> None:
-        nodes = prefix.nodes.tolist()
-        times = prefix.times.tolist()
-        self.n = len(nodes)
-        by_node: dict[int, list[int]] = {}
-        for i, u in enumerate(nodes):
-            by_node.setdefault(u, []).append(i)
-        pair_dt: list[float] = []
-        pair_weight: list[float] = []
-        pair_target: list[int] = []
-        for j, (u, t_j) in enumerate(zip(nodes, times)):
-            for v, score in prox.row(u).items():
-                targets = by_node.get(v)
-                if not targets:
-                    continue
-                for i in targets[bisect_right(targets, j) :]:
-                    pair_dt.append(times[i] - t_j)
-                    pair_weight.append(score)
-                    pair_target.append(i)
-        self.pair_dt = np.asarray(pair_dt, dtype=np.float64)
-        self.pair_weight = np.asarray(pair_weight, dtype=np.float64)
-        self.pair_target = np.asarray(pair_target, dtype=np.int64)
-        self.elapsed = t_star - prefix.times
-        self.row_sums = np.asarray([prox.row_sum(u) for u in nodes], dtype=np.float64)
+        nodes, times = prefix.nodes, prefix.times
+        n = self.n = len(nodes)
+        self.elapsed = t_star - times
+        acting, act = np.unique(nodes, return_inverse=True)
+        m = len(acting)
+        self.row_sums = np.asarray([prox.row_sum(u) for u in acting.tolist()], dtype=np.float64)[act]
+        row_start, tgt, score = _restricted_rows(prox, acting)
+
+        size = math.isqrt(max(n - 1, 0)) + 1
+        block = np.arange(n) // size
+        blocks = -(-n // size)
+        block_end = times[np.minimum(np.arange(1, blocks + 1) * size, n) - 1]
+
+        # Every action's restricted row entries, keyed by (its block, target).
+        feeder, entry = _ragged(row_start[act + 1] - row_start[act])
+        entry += row_start[act[feeder]]
+        key = block[feeder] * m + tgt[entry]
+
+        # Pairs inside one block.
+        at, later_action = _later_in_block(key, feeder, block * m + act, blocks * m)
+        pair_j, pair_i, pair_score = [feeder[at]], [later_action], [score[entry[at]]]
+
+        # Slot feeds: the entries at nodes that act in a later block.
+        last_block = np.zeros(m, dtype=np.int64)
+        np.maximum.at(last_block, act, block)
+        later = last_block[tgt[entry]] > block[feeder]
+        feeder, entry, key = feeder[later], entry[later], key[later]
+        used = np.zeros(blocks * m, dtype=bool)
+        used[key] = True
+        slot_id = np.cumsum(used) - 1
+        slots = int(used.sum())
+        slot = slot_id[key]
+        # Slot reads: every action reads its own node's slot in each earlier block.
+        reader, earlier = _ragged(block)
+        key = earlier * m + act[reader]
+        exists = used[key]
+        reader, earlier, read_slot = reader[exists], earlier[exists], slot_id[key[exists]]
+
+        # A slot with one feed or one read is cheaper as its explicit pairs.
+        feeds = np.bincount(slot, minlength=slots)
+        reads = np.bincount(read_slot, minlength=slots)
+        only_feed = np.zeros(slots, dtype=np.int64)
+        only_feed[slot] = np.arange(len(slot))
+        only_read = np.zeros(slots, dtype=np.int64)
+        only_read[read_slot] = np.arange(len(read_slot))
+        one_feed = feeds[read_slot] == 1
+        at = only_feed[read_slot[one_feed]]
+        pair_j.append(feeder[at])
+        pair_i.append(reader[one_feed])
+        pair_score.append(score[entry[at]])
+        at = np.flatnonzero((reads[slot] == 1) & (feeds[slot] > 1))
+        pair_j.append(feeder[at])
+        pair_i.append(reader[only_read[slot[at]]])
+        pair_score.append(score[entry[at]])
+
+        shared = (feeds > 1) & (reads > 1)
+        renumber = np.cumsum(shared) - 1
+        self._slots = int(shared.sum())
+        at = np.flatnonzero(shared[slot])
+        feeder, self._feed_slot, self._feed_score = feeder[at], renumber[slot[at]], score[entry[at]]
+        feed_count = np.bincount(feeder, minlength=n)
+        feeding = np.flatnonzero(feed_count)
+        self._feed_count = feed_count[feeding]
+        at = np.flatnonzero(shared[read_slot])
+        reader, earlier, self._read_slot = reader[at], earlier[at], renumber[read_slot[at]]
+
+        pair_j, pair_i = np.concatenate(pair_j), np.concatenate(pair_i)
+        self._pair_score = np.concatenate(pair_score)
+        self._feeders = len(feeding)
+        self._target = np.concatenate([pair_i, reader])
+        # Negated elapsed times: [feeder to its block end | pairs | slot reads].
+        self._neg_dt = np.concatenate(
+            [
+                times[feeding] - block_end[block[feeding]],
+                times[pair_j] - times[pair_i],
+                block_end[earlier] - times[reader],
+            ]
+        )
 
     def total_integral(self, tau: float) -> float:
         """Stacked all-nodes influence integral up to t_star."""
@@ -100,11 +215,18 @@ class _InfluenceTable:
         never feeds its own influence term, and among equal timestamps only
         earlier list positions count.
         """
-        h = np.zeros(self.n)
-        if self.pair_dt.size:
-            contrib = self.pair_weight * np.exp(-self.pair_dt / tau)
-            h = np.bincount(self.pair_target, weights=contrib, minlength=self.n)
-        return h
+        decay = np.exp(self._neg_dt / tau)
+        feeders, pairs = self._feeders, len(self._pair_score)
+        terms = decay[feeders:]
+        terms[:pairs] *= self._pair_score
+        if self._slots:
+            slots = np.bincount(
+                self._feed_slot,
+                weights=self._feed_score * np.repeat(decay[:feeders], self._feed_count),
+                minlength=self._slots,
+            )
+            terms[pairs:] *= slots[self._read_slot]
+        return np.bincount(self._target, weights=terms, minlength=self.n)
 
     def evaluate(self, tau: float, alpha: float | None, epsilon: float) -> tuple[float, float]:
         """Log-likelihood at (alpha, tau); alpha of None means the closed-form value.
@@ -202,13 +324,15 @@ def fit(
 
     Golden-section search on log tau within each of ``multistart`` geometric
     subranges of the bracket; the best profile value wins, ties going to the
-    smaller tau. Deterministic: equal inputs give identical results.
+    smaller tau. Deterministic: equal inputs give identical results. Warns
+    when tau_hat lies within the stopping width of either end of the
+    bracket, where the maximum may lie outside it.
     """
     config = config or LearnConfig()
     prefix = trend.prefix(t_star)
     if len(prefix) < 2:
         raise DegeneratePrefixError("need at least two actions to fit")
-    table = _InfluenceTable(prefix, prox, t_star)
+    table = _table(trend, prox, t_star)
     if config.tau_range is not None:
         lo, hi = config.tau_range
     else:
@@ -232,5 +356,11 @@ def fit(
         if best_f is None or fx > best_f:
             best_x, best_f = x, fx
     tau_hat = math.exp(best_x)
+    if min(best_x - math.log(lo), math.log(hi) - best_x) <= config.tolerance:
+        warnings.warn(
+            f"tau_hat={tau_hat:.6g} lies on the edge of the tau search range "
+            f"[{lo:.6g}, {hi:.6g}]; the likelihood may peak outside it",
+            stacklevel=2,
+        )
     value, alpha_hat = table.evaluate(tau_hat, None, epsilon)
     return LearnResult(alpha_hat, tau_hat, value, evaluations)

@@ -5,17 +5,17 @@ import numpy as np
 import pytest
 from scipy.integrate import quad
 
-from trendcast.activeness import (
-    ActivenessModel,
-    ActivenessParams,
-    load_params,
-    save_params,
-    total_integrated_influence,
-)
+from trendcast.activeness import ActivenessParams, load_params, save_params
 from trendcast.core import Graph, Trend
 from trendcast.proximity import ProximityConfig, ProximityMap
 
-from oracles import decayed_influence_at, naive_total_integral, random_instance
+from oracles import (
+    ActivenessModel,
+    decayed_influence_at,
+    naive_total_integral,
+    random_instance,
+    total_integrated_influence,
+)
 
 
 def single_node_model(alpha=1.0, tau=1.0, epsilon=0.0, action_time=0.0):

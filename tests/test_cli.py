@@ -65,6 +65,16 @@ def test_learn_writes_params_and_report(pipeline, capsys):
     assert len(report) == 2
 
 
+def test_learn_warns_on_stderr_when_tau_lands_on_the_bracket_edge(pipeline, tmp_path, capsys):
+    d, graph, actions, params = pipeline
+    out = tmp_path / "edge.json"
+    assert main([
+        "learn", "--graph", str(graph), "--actions", str(actions),
+        "--t-star", "8.0", "--tau-range", "100:110", "--out", str(out),
+    ]) == 0
+    assert "warning: tau_hat=100 lies on the edge of the tau search range" in capsys.readouterr().err
+
+
 def test_predict_da_is_reproducible(pipeline, tmp_path):
     d, graph, actions, params = pipeline
     argv = [

@@ -1,21 +1,31 @@
 import math
+import warnings
 
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 from scipy.optimize import minimize_scalar
 
-from trendcast.core import Trend
+from trendcast.core import Graph, Trend
 from trendcast.learning import (
     DegeneratePrefixError,
     LearnConfig,
     _golden_max,
+    _table,
     estimate_alpha,
     fit,
     log_likelihood,
 )
 from trendcast.proximity import ProximityConfig, ProximityMap
 
-from oracles import naive_log_likelihood, naive_total_integral, random_instance
+from oracles import (
+    PairTable,
+    naive_influences,
+    naive_log_likelihood,
+    naive_total_integral,
+    random_instance,
+)
 
 _INVPHI = (math.sqrt(5.0) - 1.0) / 2.0
 
@@ -142,3 +152,79 @@ def test_learn_config_validation():
         LearnConfig(multistart=0)
     with pytest.raises(ValueError):
         LearnConfig(tau_range=(2.0, 1.0))
+
+
+# Timestamps on a 0.25 grid in [0, 10]: ties are common, and every positive
+# gap is at least 0.25, so tau below 0.25 / 750 underflows every term whose
+# actions are not tied. Above TAU_NORMAL_MIN every term exp(-dt/tau) * score
+# stays a normal float (dt/tau <= 200, scores >= 1e-12); in between lies the
+# subnormal band, where any reordering of the sum moves the surviving bits.
+TIME_STEP = 0.25
+TAU_NORMAL_MIN = 0.05
+
+
+@st.composite
+def likelihood_cases(draw):
+    node_count = draw(st.integers(1, 8))
+    pairs = [(u, v) for u in range(node_count) for v in range(u + 1, node_count)]
+    edges = draw(st.lists(st.sampled_from(pairs), unique=True)) if pairs else []
+    if draw(st.booleans()):
+        config = ProximityConfig(kind="sp", b=draw(st.floats(0.3, 4.0)))
+    else:
+        config = ProximityConfig(kind="rw", p=draw(st.floats(0.1, 0.9)))
+    prox = ProximityMap(Graph.from_edges(edges, node_count), config)
+    # Sizes around the block size B = ceil(sqrt(n)): n = 1, 2 (n = B),
+    # 3 (n = B + 1), full square prefixes k*k and one action past them.
+    n = draw(
+        st.one_of(
+            st.integers(1, 5),
+            st.integers(2, 7).flatmap(lambda k: st.sampled_from([k * k, k * k + 1])),
+            st.integers(6, 60),
+        )
+    )
+    nodes = draw(st.lists(st.integers(0, node_count - 1), min_size=n, max_size=n))
+    steps = sorted(draw(st.lists(st.integers(0, 40), min_size=n, max_size=n)))
+    size = math.isqrt(n - 1) + 1
+    if n > size and draw(st.booleans()):
+        steps[size] = steps[size - 1]  # tie across the first block boundary
+    times = np.asarray(steps, dtype=np.float64) * TIME_STEP
+    if draw(st.booleans()):
+        tau = draw(st.floats(TAU_NORMAL_MIN, 20.0))
+    else:
+        tau = TIME_STEP / draw(st.floats(750.0, 1e6))
+    alpha = draw(st.floats(0.05, 5.0))
+    return prox, Trend(np.asarray(nodes), times), tau, alpha
+
+
+@settings(derandomize=True, database=None, deadline=None, max_examples=150)
+@given(likelihood_cases())
+def test_block_table_matches_pairwise_references(case):
+    prox, trend, tau, alpha = case
+    t_star = 10.5
+    shipped = _table(trend, prox, t_star).influences(tau)
+    for reference in (
+        np.asarray(naive_influences(trend, prox, tau)),
+        PairTable(trend, prox, t_star).influences(tau),
+    ):
+        assert np.array_equal(shipped == 0.0, reference == 0.0)
+        nonzero = reference != 0.0
+        rel = np.abs(shipped[nonzero] - reference[nonzero]) / reference[nonzero]
+        assert np.all(rel <= 1e-9)
+    node_count = prox.graph.node_count
+    value = log_likelihood(trend, prox, tau, alpha, t_star)
+    for reference in (
+        naive_log_likelihood(trend, prox, tau, alpha, t_star, node_count),
+        PairTable(trend, prox, t_star).evaluate(tau, alpha, 1e-9)[0],
+    ):
+        assert abs(value - reference) <= 1e-9 * abs(reference)
+
+
+def test_fit_warns_when_tau_lands_on_the_bracket_edge():
+    graph, prox, trend = random_instance(seed=17, max_nodes=60, max_actions=60)
+    t_star = float(trend.times[-1])
+    with warnings.catch_warnings():
+        warnings.simplefilter("error")
+        wide = fit(trend, prox, t_star, LearnConfig(tau_range=(1e-2, 1e2)))
+    with pytest.warns(UserWarning, match="edge of the tau search range"):
+        narrow = fit(trend, prox, t_star, LearnConfig(tau_range=(10 * wide.tau, 11 * wide.tau)))
+    assert narrow.tau == pytest.approx(10 * wide.tau, rel=1e-5)

@@ -4,7 +4,7 @@ import numpy as np
 import pytest
 from scipy import linalg, stats
 
-from trendcast.activeness import ActivenessModel, ActivenessParams
+from trendcast.activeness import ActivenessParams
 from trendcast.core import Graph, IntervalGrid, Trend
 from trendcast.evaluation import evaluate_prediction
 from trendcast.proximity import ProximityConfig, ProximityMap
@@ -21,7 +21,7 @@ from trendcast.simulation import (
     summarize_runs,
 )
 
-from oracles import random_instance, time_step_self_excited_counts
+from oracles import ActivenessModel, random_instance, time_step_self_excited_counts
 
 
 def single_node_setup(alpha: float, tau: float, epsilon: float = 0.0):
