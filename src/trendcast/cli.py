@@ -348,7 +348,8 @@ def build_parser() -> argparse.ArgumentParser:
     p.add_argument("--horizon", type=float, required=True)
     p.add_argument("--n-seeds", type=int, default=5)
     p.add_argument("--allow-supercritical", action="store_true",
-                   help="generate even when alpha*tau*max_row_sum >= 1")
+                   help="generate even when alpha*tau*max_row_sum >= 1 (checked against "
+                        "a max-degree cap on the row sums; exact rows only near 1)")
     p.add_argument("--max-events", type=int, default=10_000_000)
     p.add_argument("--seed", type=int, default=None)
     p.add_argument("--out", required=True, help="action file output path")

@@ -63,16 +63,16 @@ class Graph:
             arr = np.asarray(edges, dtype=np.int64)
             if arr.min() < 0 or arr.max() >= node_count:
                 raise ValueError("edge endpoint out of range")
-            if not directed:
-                arr = np.vstack([arr, arr[:, ::-1]])
-            arr = np.unique(arr, axis=0)
             src, dst = arr[:, 0], arr[:, 1]
+            if not directed:
+                src, dst = np.concatenate([src, dst]), np.concatenate([dst, src])
+            # One sorted, deduplicated key per edge orders edges by (src, dst).
+            src, dst = np.divmod(np.unique(src * node_count + dst), node_count)
         else:
             src = dst = np.empty(0, dtype=np.int64)
         indptr = np.zeros(node_count + 1, dtype=np.int64)
-        np.add.at(indptr, src + 1, 1)
-        np.cumsum(indptr, out=indptr)
-        return cls(node_count, directed, labels, indptr, dst.copy())
+        np.cumsum(np.bincount(src, minlength=node_count), out=indptr[1:])
+        return cls(node_count, directed, labels, indptr, dst)
 
     def index_of(self, label: str) -> int:
         try:

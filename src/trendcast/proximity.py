@@ -28,10 +28,6 @@ class ConvergenceError(RuntimeError):
     """Random-walk fixed point failed to converge within the iteration cap."""
 
 
-class MissingRowError(LookupError):
-    """Row requested from a detached map that does not hold it."""
-
-
 @dataclass(frozen=True)
 class ProximityConfig:
     """Kernel selection and numeric knobs.
@@ -148,11 +144,10 @@ def graph_fingerprint(graph: Graph) -> str:
 class ProximityMap:
     """Lazy per-source row cache over a graph and kernel config.
 
-    Rows are computed on first demand and memoized. A map loaded from a cache
-    file without a graph is detached: it only serves the rows it holds.
+    Rows are computed on first demand and memoized.
     """
 
-    graph: Graph | None
+    graph: Graph
     config: ProximityConfig
     _rows: dict[int, dict[int, float]] = field(default_factory=dict, repr=False)
     _row_sums: dict[int, float] = field(default_factory=dict, repr=False)
@@ -161,8 +156,6 @@ class ProximityMap:
         cached = self._rows.get(source)
         if cached is not None:
             return cached
-        if self.graph is None:
-            raise MissingRowError(f"row for node {source} not present in detached proximity map")
         computed = self._rows[source] = _compute_row(self.graph, source, self.config)
         return computed
 
@@ -172,11 +165,36 @@ class ProximityMap:
             cached = self._row_sums[source] = float(sum(self.row(source).values()))
         return cached
 
+    def row_sum_cap(self) -> float:
+        """Upper bound on every row sum from the kernel and the max degree; builds no row.
+
+        Random-walk rows are probability vectors, so the cap is 1. A
+        shortest-path row holds its source at 1 and each node at hop d at
+        exp(-b*d). With max out-degree D, at most D*(D-1)**(d-1) nodes lie
+        at hop d (D**d when directed), and at most N - 1 besides the source;
+        filling the nearest hops first gives the largest sum the kernel
+        allows. The loop stops at the floor depth or once N - 1 nodes are
+        placed, so it runs at most min(depth, N) times.
+        """
+        if self.config.kind == "random_walk":
+            return 1.0
+        graph = self.graph
+        degree = int(np.diff(graph.indptr).max(initial=0))
+        growth = degree if graph.directed else degree - 1
+        total, left, reach, hops = 1.0, graph.node_count - 1, degree, 0
+        while left > 0 and reach > 0:
+            hops += 1
+            weight = math.exp(-self.config.b * hops)
+            if weight < self.config.floor:
+                break
+            placed = min(left, reach)
+            total += weight * placed
+            left -= placed
+            reach = min(reach * growth, graph.node_count)
+        return total
+
     def fingerprint(self) -> dict:
-        data = self.config.to_dict()
-        if self.graph is not None:
-            data["graph"] = graph_fingerprint(self.graph)
-        return data
+        return {**self.config.to_dict(), "graph": graph_fingerprint(self.graph)}
 
     def save_cache(self, path: str) -> None:
         """Persist computed rows as JSON lines behind a fingerprint header."""
@@ -197,7 +215,7 @@ class ProximityMap:
     def load_cache(
         cls,
         path: str,
-        graph: Graph | None = None,
+        graph: Graph,
         config: ProximityConfig | None = None,
     ) -> ProximityMap:
         """Load a cache file; fingerprint must match the supplied graph and config."""
@@ -210,7 +228,7 @@ class ProximityMap:
             file_config = ProximityConfig.from_dict(stored)
             if config is not None and config.to_dict() != file_config.to_dict():
                 raise ValueError(f"{path}: cache was built with a different proximity config")
-            if graph is not None and stored_graph is not None and stored_graph != graph_fingerprint(graph):
+            if stored_graph != graph_fingerprint(graph):
                 raise ValueError(f"{path}: cache was built for a different graph")
             prox = cls(graph, file_config)
             for line in fh:

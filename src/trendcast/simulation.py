@@ -354,10 +354,27 @@ def predict(
     return summarize_runs(grid, intensity_rows, coverage_rows, theta, measure, ratio)
 
 
+# Float row sums can exceed their analytic cap by a few ulps (1 + 2.7e-15 on
+# random-walk rows of 1k nodes). Below 1 - _CAP_MARGIN the cap alone accepts,
+# and the exact max row sum would have accepted too.
+_CAP_MARGIN = 1e-9
+
+
 def branching_bound(prox: ProximityMap, params: ActivenessParams, node_count: int) -> float:
-    """Worst-case expected offspring per event: alpha * tau * max row sum."""
-    max_row = max(prox.row_sum(v) for v in range(node_count))
-    return params.alpha * params.tau * max_row
+    """Upper bound on the expected offspring per event: alpha * tau * C.
+
+    C is ``prox.row_sum_cap()``, a cap on every row sum from the kernel and
+    the max degree that builds no row. Only when alpha * tau * C comes
+    within _CAP_MARGIN of 1 is C replaced by the exact max row sum over
+    nodes 0..node_count-1, so the verdict ``bound >= 1`` is the one the
+    exact rows give. The value depends on the graph, kernel and params
+    only, never on which rows are cached.
+    """
+    scale = params.alpha * params.tau
+    capped = scale * prox.row_sum_cap()
+    if capped < 1.0 - _CAP_MARGIN:
+        return capped
+    return scale * max(prox.row_sum(v) for v in range(node_count))
 
 
 def generate_synthetic(
@@ -372,8 +389,11 @@ def generate_synthetic(
 ) -> tuple[Trend, dict]:
     """Plant params, seed a few actions at t0, and simulate forward to ``horizon``.
 
-    Supercritical parameter sets (alpha * tau * max row sum >= 1) are refused
-    unless explicitly allowed; the event cap still bounds allowed runs.
+    Supercritical parameter sets (alpha * tau * max row sum >= 1, decided by
+    ``branching_bound``) are refused unless explicitly allowed; the event
+    cap still bounds allowed runs. The manifest's ``branching_bound`` is
+    that function's value: the degree cap when it is safely below 1, else
+    the exact alpha * tau * max row sum.
     Returns the seeded-plus-generated trend and a manifest dict.
     """
     if not 1 <= n_seeds <= graph_node_count:

@@ -261,6 +261,18 @@ def time_step_self_excited_counts(
     return counts
 
 
+def unique_rows_csr(edges: list[tuple[int, int]], node_count: int, directed: bool) -> tuple[np.ndarray, np.ndarray]:
+    """CSR ``(indptr, indices)`` by deduplicating (src, dst) rows, as Graph.from_edges once did."""
+    arr = np.asarray(edges, dtype=np.int64).reshape(-1, 2)
+    if not directed:
+        arr = np.vstack([arr, arr[:, ::-1]])
+    arr = np.unique(arr, axis=0)
+    indptr = np.zeros(node_count + 1, dtype=np.int64)
+    np.add.at(indptr, arr[:, 0] + 1, 1)
+    np.cumsum(indptr, out=indptr)
+    return indptr, arr[:, 1].copy()
+
+
 def brute_force_longest_run(values, theta) -> int:
     """Longest all-above-theta window by checking every (start, end) pair."""
     vals = list(values)

@@ -2,6 +2,8 @@ import io
 
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from trendcast.core import (
     Graph,
@@ -22,7 +24,7 @@ from trendcast.core import (
     write_trend,
 )
 
-from oracles import brute_force_longest_run
+from oracles import brute_force_longest_run, unique_rows_csr
 
 
 def test_toy_yearly_aggregation(toy_trend):
@@ -69,6 +71,41 @@ def test_trend_sorts_stably_and_keeps_duplicates():
     assert trend.times.tolist() == [1.0, 5.0, 5.0, 5.0]
     # ties keep input order, and the duplicate (1, 5.0) action survives
     assert trend.nodes.tolist() == [0, 2, 1, 1]
+
+
+# Timestamps on a quarter grid, some of them before the first stamp: ties are
+# common and input order is rarely sorted.
+stamped_actions = st.lists(st.tuples(st.integers(0, 5), st.integers(-8, 48)), max_size=60)
+
+
+@settings(derandomize=True, database=None, deadline=None, max_examples=200)
+@given(stamped_actions)
+def test_trend_order_is_a_stable_sort_of_the_input(steps):
+    actions = [(u, k * 0.25) for u, k in steps]
+    trend = Trend(np.asarray([u for u, _ in actions]), np.asarray([t for _, t in actions]))
+    # Python's sort is stable, so this one list fixes the order (sorted by
+    # time, ties in input order) and the multiset of (node, time) actions.
+    assert list(trend) == sorted(actions, key=lambda a: a[1])
+
+
+@settings(derandomize=True, database=None, deadline=None, max_examples=200)
+@given(
+    stamped_actions,
+    st.sampled_from([0.0, 2007.123456789]),
+    st.integers(-4, 8),
+    st.sampled_from([0.25, 0.3, 1.0, 2.5]),
+    st.integers(1, 8),
+)
+def test_aggregate_matches_per_interval_counts_on_boundary_stamps(steps, origin, start, length, count):
+    # Stamps and grid edges share the quarter grid, so many actions fall
+    # exactly on an edge, and some fall before or after the grid.
+    trend = Trend(np.asarray([u for u, _ in steps]), np.asarray([origin + k * 0.25 for _, k in steps]))
+    grid = IntervalGrid(origin + start * 0.25, length, count)
+    series = aggregate(trend, grid)
+    for i in range(grid.count):
+        lo, hi = grid.bounds(i)
+        assert series.intensity[i] == intensity(trend, lo, hi)
+        assert series.coverage[i] == coverage(trend, lo, hi)
 
 
 def test_interval_ops_reject_degenerate_interval(toy_trend):
@@ -211,3 +248,22 @@ def test_random_graph_is_simple_and_sized():
 def test_graph_rejects_out_of_range_edges():
     with pytest.raises(ValueError):
         Graph.from_edges([(0, 9)], 3)
+
+
+@settings(derandomize=True, database=None, deadline=None, max_examples=200)
+@given(
+    st.integers(1, 12).flatmap(
+        lambda n: st.tuples(
+            st.just(n), st.lists(st.tuples(st.integers(0, n - 1), st.integers(0, n - 1)), max_size=40)
+        )
+    ),
+    st.booleans(),
+)
+def test_from_edges_matches_the_unique_rows_reference(case, directed):
+    node_count, edges = case
+    # Small node counts give self-loops; add reversed and repeated edges too.
+    edges = edges + [(v, u) for u, v in edges[::2]] + edges[:3]
+    graph = Graph.from_edges(edges, node_count, directed=directed)
+    indptr, indices = unique_rows_csr(edges, node_count, directed)
+    assert graph.indptr.dtype == indptr.dtype and graph.indptr.tolist() == indptr.tolist()
+    assert graph.indices.dtype == indices.dtype and graph.indices.tolist() == indices.tolist()

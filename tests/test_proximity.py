@@ -7,7 +7,6 @@ import pytest
 from trendcast.core import Graph, random_graph
 from trendcast.proximity import (
     ConvergenceError,
-    MissingRowError,
     ProximityConfig,
     ProximityMap,
     random_walk_row,
@@ -116,6 +115,16 @@ def test_random_walk_convergence_cap_raises():
         random_walk_row(graph, 0, config)
 
 
+def test_row_sum_cap_is_attained_where_the_degree_bound_is_tight():
+    star = Graph.from_edges([(0, v) for v in range(1, 6)], 6)
+    cases = [(star, 0), (path_graph(9), 4), (path_graph(6, directed=True), 0)]
+    for graph, source in cases:
+        prox = ProximityMap(graph, ProximityConfig(kind="sp", b=0.5))
+        assert prox.row_sum_cap() == pytest.approx(prox.row_sum(source), rel=1e-14)
+    rw = ProximityMap(star, ProximityConfig(kind="rw"))
+    assert rw.row_sum_cap() == 1.0
+
+
 def test_rows_are_cached():
     prox = ProximityMap(path_graph(3), ProximityConfig(kind="sp"))
     assert prox.row(1) is prox.row(1)
@@ -152,15 +161,3 @@ def test_cache_roundtrip_and_fingerprint(tmp_path):
     with pytest.raises(ValueError, match="different graph"):
         ProximityMap.load_cache(str(path), path_graph(5), config)
 
-
-def test_detached_map_raises_on_missing_row(tmp_path):
-    graph = path_graph(3)
-    config = ProximityConfig(kind="sp")
-    prox = ProximityMap(graph, config)
-    prox.row(0)
-    path = tmp_path / "prox.cache"
-    prox.save_cache(str(path))
-    detached = ProximityMap.load_cache(str(path))
-    assert detached.row(0)
-    with pytest.raises(MissingRowError):
-        detached.row(1)

@@ -2,6 +2,8 @@ import math
 
 import numpy as np
 import pytest
+from hypothesis import example, given, settings
+from hypothesis import strategies as st
 from scipy import linalg, stats
 
 from trendcast.activeness import ActivenessParams
@@ -13,6 +15,8 @@ from trendcast.simulation import (
     ExplosionError,
     PredictionReport,
     SimConfig,
+    _CAP_MARGIN,
+    branching_bound,
     generate_synthetic,
     init_streams,
     predict,
@@ -297,3 +301,51 @@ def test_generate_synthetic_plants_seeds_and_is_deterministic():
     assert (a.times[:4] == 0.0).all()
     assert manifest_a["branching_bound"] < 1.0
     assert len(a) == manifest_a["actions"]
+
+
+# alpha * tau is set to a ratio from RATIOS over a reference, either the
+# degree cap or the exact max row sum, so both sides of 1 and of the cap's
+# margin get hit.
+RATIOS = [0.5, 1 - 1e-6, 1 - 2e-9, 1 - 1e-9, 1 - 5e-10, 1 - 1e-15, 1.0, 1 + 1e-15, 1 + 1e-9, 1.5]
+
+
+@st.composite
+def bound_cases(draw):
+    node_count = draw(st.integers(1, 16))
+    ends = st.integers(0, node_count - 1)
+    edges = draw(st.lists(st.tuples(ends, ends), max_size=3 * node_count))
+    graph = Graph.from_edges(edges, node_count, directed=draw(st.booleans()))
+    if draw(st.booleans()):
+        config = ProximityConfig(kind="sp", b=draw(st.sampled_from([0.05, 0.5, 2.0, 10.0])))
+    else:
+        config = ProximityConfig(kind="rw", p=draw(st.floats(0.1, 0.9)))
+    return graph, config, draw(st.sampled_from(["cap", "exact"])), draw(st.sampled_from(RATIOS))
+
+
+@settings(derandomize=True, database=None, deadline=None, max_examples=300)
+@given(bound_cases())
+@example((Graph.from_edges([], 1), ProximityConfig(kind="sp", b=0.05), "exact", 1.0))
+@example((Graph.from_edges([], 1), ProximityConfig(kind="rw"), "cap", 1 - 2e-9))
+def test_branching_bound_gives_the_exact_rows_verdict(case):
+    graph, config, reference, ratio = case
+    n = graph.node_count
+    warm = ProximityMap(graph, config)
+    exact = max(warm.row_sum(v) for v in range(n))
+    cap = ProximityMap(graph, config).row_sum_cap()
+    assert cap >= exact * (1 - 1e-9)
+    tau = 0.75
+    params = ActivenessParams(ratio / ((cap if reference == "cap" else exact) * tau), tau, 0.0, 0.0)
+    cold = ProximityMap(graph, config)
+    bound = branching_bound(cold, params, n)
+    if params.alpha * params.tau * cap < 1 - _CAP_MARGIN:
+        assert cold._rows == {}
+    assert bound == branching_bound(warm, params, n)
+    supercritical = params.alpha * params.tau * exact >= 1.0
+    assert (bound >= 1.0) == supercritical
+    fresh = ProximityMap(graph, config)
+    if supercritical:
+        with pytest.raises(ValueError, match="supercritical"):
+            generate_synthetic(n, fresh, params, 1, 1e-6, seed=0)
+    else:
+        _, manifest = generate_synthetic(n, fresh, params, 1, 1e-6, seed=0)
+        assert manifest["branching_bound"] == bound
