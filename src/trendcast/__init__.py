@@ -41,7 +41,6 @@ from .simulation import (
     generate_synthetic,
     init_streams,
     predict,
-    sample_next,
     simulate,
 )
 

@@ -29,12 +29,14 @@ class ActivenessParams:
     t0: float = 0.0
 
     def __post_init__(self) -> None:
-        if self.alpha <= 0:
-            raise ValueError("alpha must be positive")
-        if self.tau <= 0:
-            raise ValueError("tau must be positive")
-        if self.epsilon < 0:
-            raise ValueError("epsilon must be non-negative")
+        if not 0 < self.alpha < math.inf:
+            raise ValueError(f"alpha must be positive and finite, got {self.alpha!r}")
+        if not 0 < self.tau < math.inf:
+            raise ValueError(f"tau must be positive and finite, got {self.tau!r}")
+        if not 0 <= self.epsilon < math.inf:
+            raise ValueError(f"epsilon must be non-negative and finite, got {self.epsilon!r}")
+        if not math.isfinite(self.t0):
+            raise ValueError(f"t0 must be finite, got {self.t0!r}")
 
     def to_dict(self) -> dict:
         return {"alpha": self.alpha, "tau": self.tau, "epsilon": self.epsilon, "t0": self.t0}
@@ -49,19 +51,25 @@ def save_params(path: str, params: ActivenessParams, prox_config: ProximityConfi
 
 
 def load_params(path: str) -> tuple[ActivenessParams, ProximityConfig]:
-    with open(path, encoding="utf-8") as fh:
-        data = json.load(fh)
-    prox_data = data.pop("proximity")
-    _reject_unknown_keys(path, data, ActivenessParams, "")
-    _reject_unknown_keys(path, prox_data, ProximityConfig, "proximity.")
-    return ActivenessParams(**data), ProximityConfig.from_dict(prox_data)
+    """Read a ``save_params`` file; malformed content raises ValueError naming ``path``."""
+    try:
+        with open(path, encoding="utf-8") as fh:
+            data = json.load(fh)
+        if not isinstance(data, dict) or not isinstance(data.get("proximity"), dict):
+            raise ValueError("expected a JSON object with a 'proximity' object")
+        prox_data = data.pop("proximity")
+        _reject_unknown_keys(data, ActivenessParams, "")
+        _reject_unknown_keys(prox_data, ProximityConfig, "proximity.")
+        return ActivenessParams(**data), ProximityConfig.from_dict(prox_data)
+    except (TypeError, ValueError) as exc:
+        raise ValueError(f"{path}: {exc}") from None
 
 
-def _reject_unknown_keys(path: str, data: dict, cls: type, prefix: str) -> None:
+def _reject_unknown_keys(data: dict, cls: type, prefix: str) -> None:
     unknown = sorted(set(data) - {f.name for f in fields(cls)})
     if unknown:
         names = ", ".join(repr(prefix + key) for key in unknown)
-        raise ValueError(f"{path}: unknown parameter key {names}")
+        raise ValueError(f"unknown parameter key {names}")
 
 
 def _decay(dt: float, tau: float) -> float:

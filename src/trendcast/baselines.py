@@ -25,8 +25,8 @@ BASELINE_KINDS = ("tequ", "texp", "eexp")
 FALLBACK_ACTIVATION_PROB = 0.1
 FALLBACK_MEAN_GAP = 1.0
 
-# 1-tuple spawn-key offset for baseline run generators; activeness streams
-# use 2-tuple keys, so the spaces cannot collide.
+# Baseline run r draws from spawn key (2**61 + 16 + r,): above the activeness
+# run keys (r,), r < 2**61, and the auxiliary keys 2**61 and 2**61 + 1.
 _BASELINE_RUN_KEY = 2**61 + 16
 
 

@@ -49,7 +49,10 @@ def _parse_grid(text: str) -> IntervalGrid:
     parts = text.split(":")
     if len(parts) != 3:
         raise ValueError(f"grid must be 't_start:interval_length:count', got {text!r}")
-    return IntervalGrid(float(parts[0]), float(parts[1]), int(parts[2]))
+    try:
+        return IntervalGrid(float(parts[0]), float(parts[1]), int(parts[2]))
+    except ValueError as exc:
+        raise ValueError(f"grid {text!r}: {exc}") from None
 
 
 def _add_graph_flags(p: argparse.ArgumentParser, required: bool = True) -> None:

@@ -144,8 +144,10 @@ class IntervalGrid:
     count: int
 
     def __post_init__(self) -> None:
-        if self.interval_length <= 0:
-            raise ValueError("interval_length must be positive")
+        if not math.isfinite(self.t_start):
+            raise ValueError(f"t_start must be finite, got {self.t_start!r}")
+        if not 0 < self.interval_length < math.inf:
+            raise ValueError(f"interval_length must be positive and finite, got {self.interval_length!r}")
         if self.count < 1:
             raise ValueError("grid needs at least one interval")
 

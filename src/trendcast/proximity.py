@@ -48,14 +48,14 @@ class ProximityConfig:
         object.__setattr__(self, "kind", KIND_ALIASES.get(self.kind, self.kind))
         if self.kind not in KINDS:
             raise ValueError(f"kind must be one of {KINDS} (aliases sp, rw)")
-        if self.b <= 0:
-            raise ValueError("b must be positive")
+        if not 0 < self.b < math.inf:
+            raise ValueError(f"b must be positive and finite, got {self.b!r}")
         if not 0 < self.p < 1:
             raise ValueError("p must lie in (0, 1)")
         if not 0 < self.floor < 1:
             raise ValueError("floor must lie in (0, 1)")
-        if self.rw_tolerance <= 0:
-            raise ValueError("rw_tolerance must be positive")
+        if not 0 < self.rw_tolerance < math.inf:
+            raise ValueError(f"rw_tolerance must be positive and finite, got {self.rw_tolerance!r}")
 
     def to_dict(self) -> dict:
         return {

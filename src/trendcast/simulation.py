@@ -6,8 +6,8 @@ process. The observed prefix leaves one stream per node with rate
 A * exp(-(t - t_start)/tau), and every realized event (v, t) starts one
 offspring stream of total rate alpha * row_sum(v) * exp(-(s - t)/tau) whose
 events land on row targets drawn in proportion to prox(v, .). A stream's
-total remaining mass is finite, so event times sample exactly by inverting
-the integrated rate, with no thinning and no discretization.
+event count before the horizon is Poisson and, given the count, its times
+are iid inverse-CDF draws: one generation at a time, with no thinning.
 """
 
 from __future__ import annotations
@@ -18,7 +18,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .core import AggregateSeries, IntervalGrid, Trend, longest_run_above
+from .core import IntervalGrid, Trend, aggregate, longest_run_above
 from .proximity import ProximityMap
 from .activeness import ActivenessParams, _decay
 
@@ -56,32 +56,12 @@ class SimConfig:
     mass_floor: float = 1e-12
 
     def __post_init__(self) -> None:
-        if not self.t_end > self.t_start:
-            raise ValueError("t_end must exceed t_start")
+        if not -math.inf < self.t_start < self.t_end < math.inf:
+            raise ValueError(f"need finite t_start < t_end, got {self.t_start!r} and {self.t_end!r}")
         if self.runs < 1:
             raise ValueError("runs must be at least 1")
         if self.max_events < 1:
             raise ValueError("max_events must be positive")
-
-
-def sample_next(stream: DecayingStream, after: float, u: float) -> float | None:
-    """Next event time strictly from ``after``, or None when the stream is exhausted.
-
-    Inverts the integrated rate: with e = -log(1 - u) an Exp(1) draw, the
-    stream fires iff e is below its remaining mass
-    coefficient * tau * exp(-(after - anchor)/tau).
-    """
-    if not 0.0 <= u < 1.0:
-        raise ValueError("u must lie in [0, 1)")
-    decay = math.exp(-(after - stream.anchor) / stream.tau)
-    mass = stream.coefficient * stream.tau * decay
-    e = -math.log1p(-u)
-    if e >= mass:
-        return None
-    inner = decay - e / (stream.coefficient * stream.tau)
-    if inner <= 0.0:
-        return None
-    return stream.anchor - stream.tau * math.log(inner)
 
 
 def derived_rng(seed: int, key: int) -> np.random.Generator:
@@ -137,57 +117,65 @@ def simulate(
     config: SimConfig,
     run_index: int = 0,
 ) -> tuple[Trend, RunStats]:
-    """One run: realize all streams on [t_start, t_end), then every offspring.
+    """One run: the given streams are generation 0, each event starts a stream of the next.
 
-    Each realized event (v, t) starts one offspring stream with coefficient
-    alpha * row_sum(v) anchored at t; each of its events lands on a target
-    of v's row drawn in proportion to score. Runs past ``config.max_events``
-    abort with ExplosionError.
+    A stream c * exp(-(t - s)/tau) has Poisson(c * tau * w) events before
+    t_end, w = 1 - exp(-(t_end - s)/tau), at iid times of CDF
+    (1 - exp(-(t - s)/tau)) / w. Event (v, t) starts alpha * row_sum(v) at t,
+    whose events land on v's row targets drawn in proportion to score. A
+    drawn count past ``config.max_events`` raises ExplosionError first.
     """
     if not 0 <= run_index < _SEED_PICK_KEY:
         raise ValueError("run_index must lie in [0, 2**61)")
     rng = derived_rng(config.seed, run_index)
-    nodes: list[int] = []
-    times: list[float] = []
-
-    def realize(stream: DecayingStream) -> int:
-        # Appends the stream's event times before t_end; returns their count.
-        start = len(times)
-        t = sample_next(stream, stream.anchor, rng.random())
-        while t is not None and t < config.t_end:
-            if len(times) >= config.max_events:
-                raise ExplosionError(
-                    f"run {run_index} exceeded {config.max_events} events; "
-                    "check subcriticality of alpha * tau * row sums"
-                )
-            times.append(t)
-            t = sample_next(stream, t, rng.random())
-        return len(times) - start
-
-    for stream in streams:
-        nodes.extend([stream.node] * realize(stream))
-    initial = len(nodes)
-    tau = params.tau
+    nodes = np.asarray([s.node for s in streams], dtype=np.int64)
+    coeff = np.asarray([s.coefficient for s in streams], dtype=np.float64)
+    anchor = np.asarray([s.anchor for s in streams], dtype=np.float64)
+    tau = np.asarray([s.tau for s in streams], dtype=np.float64)
+    node_parts, time_parts = [], []
+    drawn = 0.0
     marks: dict[int, tuple[np.ndarray, np.ndarray]] = {}
-    i = 0
-    while i < len(nodes):
-        v, t = nodes[i], times[i]
-        i += 1
-        coeff = params.alpha * prox.row_sum(v)
-        if coeff * tau < config.mass_floor:
-            continue
-        k = realize(DecayingStream(v, coeff, t, tau))
-        if not k:
-            continue
-        if v not in marks:
-            row = prox.row(v)
-            cum = np.cumsum(np.fromiter(row.values(), dtype=np.float64, count=len(row)))
-            marks[v] = (np.fromiter(row.keys(), dtype=np.int64, count=len(row)), cum)
-        targets, cum = marks[v]
-        picks = np.searchsorted(cum, rng.random(k) * cum[-1], side="right")
-        nodes.extend(targets[np.minimum(picks, len(targets) - 1)].tolist())
-    trend = Trend(np.asarray(nodes, dtype=np.int64), np.asarray(times, dtype=np.float64))
-    return trend, RunStats(len(nodes), len(nodes) - initial)
+    while True:
+        w = -np.expm1(-(config.t_end - anchor) / tau)
+        # numpy draws no Poisson mean past ~9.2e18; one past 1e18 passes any cap anyway
+        counts = rng.poisson(np.clip(coeff * tau * w, 0.0, 1e18))
+        drawn += counts.sum(dtype=np.float64)
+        if drawn > config.max_events:
+            raise ExplosionError(
+                f"run {run_index} exceeded {config.max_events} events; "
+                "check subcriticality of alpha * tau * row sums"
+            )
+        parent = np.repeat(np.arange(len(counts)), counts)
+        times = anchor[parent] - tau[parent] * np.log1p(-rng.random(len(parent)) * w[parent])
+        keep = times < config.t_end  # rounding can put a time on t_end itself
+        parent, times = parent[keep], times[keep]
+        if not node_parts:
+            nodes = nodes[parent]
+        else:  # events past generation 0 land on targets of their parent's row
+            parent_of = group[parent]
+            times = times[np.argsort(parent_of, kind="stable")]
+            ends = np.cumsum(np.bincount(parent_of, minlength=len(acting))).tolist()
+            picks = rng.random(len(times))
+            nodes = np.empty(len(times), dtype=np.int64)
+            for v, lo, hi in zip(acting.tolist(), [0, *ends], ends):
+                if hi == lo:
+                    continue
+                if v not in marks:
+                    row = prox.row(v)
+                    cum = np.cumsum(np.fromiter(row.values(), dtype=np.float64, count=len(row)))
+                    marks[v] = (np.fromiter(row.keys(), dtype=np.int64, count=len(row)), cum)
+                targets, cum = marks[v]
+                at = np.searchsorted(cum, picks[lo:hi] * cum[-1], side="right")
+                nodes[lo:hi] = targets[np.minimum(at, len(targets) - 1)]
+        node_parts.append(nodes)
+        time_parts.append(times)
+        if not len(times):
+            break
+        acting, group = np.unique(nodes, return_inverse=True)
+        coeff = params.alpha * np.asarray([prox.row_sum(v) for v in acting.tolist()])[group]
+        anchor, tau = times, np.full(len(times), params.tau)
+    trend = Trend(np.concatenate(node_parts), np.concatenate(time_parts))
+    return trend, RunStats(len(trend), len(trend) - len(node_parts[0]))
 
 
 @dataclass
@@ -339,8 +327,6 @@ def predict(
     intensity_rows: list[np.ndarray] = []
     coverage_rows: list[np.ndarray] = []
     total_events = total_children = 0
-    from .core import aggregate
-
     for run_index in range(config.runs):
         run_trend, stats = simulate(streams, prox, params, config, run_index)
         series = aggregate(run_trend, grid)

@@ -33,7 +33,6 @@ from trendcast.simulation import (
     DecayingStream,
     SimConfig,
     generate_synthetic,
-    sample_next,
     simulate,
 )
 
@@ -144,21 +143,25 @@ def test_criterion_04_integrated_influence_quadrature():
 
 def test_criterion_05_sampler_law():
     start = time.perf_counter()
-    stream = DecayingStream(node=0, coefficient=1.0, anchor=0.0, tau=1.0)
-    rng = np.random.default_rng(51)
-    fired: list[float] = []
-    total = 0
-    while len(fired) < 100_000:
-        total += 1
-        t = sample_next(stream, 0.0, float(rng.random()))
-        if t is not None:
-            fired.append(t)
+    # One unit stream per isolated node, and alpha so small that no event
+    # has offspring: each node's first event time follows the waiting-time
+    # law of a stream of total mass 1, and a node never fires with
+    # probability e^-1.
+    n = 160_000
+    graph = Graph.from_edges([], n)
+    prox = ProximityMap(graph, ProximityConfig(kind="sp"))
+    params = ActivenessParams(alpha=1e-30, tau=1.0, epsilon=0.0, t0=0.0)
+    streams = [DecayingStream(node=v, coefficient=1.0, anchor=0.0, tau=1.0) for v in range(n)]
+    config = SimConfig(t_start=0.0, t_end=60.0, runs=1, seed=51)
+    run_trend, _ = simulate(streams, prox, params, config, run_index=0)
+    fired_nodes, first = np.unique(run_trend.nodes, return_index=True)
+    fired = run_trend.times[first]
 
     def cdf(t):
         return (1.0 - np.exp(-(1.0 - np.exp(-np.asarray(t))))) / (1.0 - math.exp(-1.0))
 
-    ks = stats.kstest(np.asarray(fired), cdf).statistic
-    exhaust_freq = (total - len(fired)) / total
+    ks = stats.kstest(fired, cdf).statistic
+    exhaust_freq = (n - len(fired_nodes)) / n
     exhaust_err = abs(exhaust_freq - math.exp(-1.0))
     elapsed = time.perf_counter() - start
     ok = ks < 0.01 and exhaust_err < 0.01 and elapsed < 30.0
@@ -175,8 +178,8 @@ def test_criterion_06_superposition_equivalence():
     ]
     graph = Graph.from_edges([], 1)
     prox = ProximityMap(graph, ProximityConfig(kind="sp"))
-    # alpha far below the mass floor, so events never spawn children and the
-    # three streams are realized as-is
+    # alpha so small that each event's offspring count is Poisson with mean
+    # about 1e-30: no children spawn and the three streams are realized as-is
     params = ActivenessParams(alpha=1e-30, tau=1.0, epsilon=0.0, t0=0.0)
     grid = IntervalGrid(0.0, 1.0, 3)
     config = SimConfig(t_start=0.0, t_end=3.0, runs=10_000, seed=61)

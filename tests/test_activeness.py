@@ -6,8 +6,9 @@ import pytest
 from scipy.integrate import quad
 
 from trendcast.activeness import ActivenessParams, load_params, save_params
-from trendcast.core import Graph, Trend
+from trendcast.core import Graph, IntervalGrid, Trend
 from trendcast.proximity import ProximityConfig, ProximityMap
+from trendcast.simulation import SimConfig
 
 from oracles import (
     ActivenessModel,
@@ -111,6 +112,27 @@ def test_params_validation():
         ActivenessParams(alpha=1.0, tau=-1.0)
     with pytest.raises(ValueError):
         ActivenessParams(alpha=1.0, tau=1.0, epsilon=-0.1)
+
+
+NON_FINITE_CASES = {
+    "alpha": lambda x: ActivenessParams(alpha=x, tau=1.0),
+    "tau": lambda x: ActivenessParams(alpha=1.0, tau=x),
+    "epsilon": lambda x: ActivenessParams(alpha=1.0, tau=1.0, epsilon=x),
+    "t0": lambda x: ActivenessParams(alpha=1.0, tau=1.0, t0=x),
+    "b": lambda x: ProximityConfig(b=x),
+    "rw_tolerance": lambda x: ProximityConfig(rw_tolerance=x),
+    "grid_start": lambda x: IntervalGrid(x, 1.0, 3),
+    "interval_length": lambda x: IntervalGrid(0.0, x, 3),
+    "t_start": lambda x: SimConfig(t_start=x, t_end=1.0),
+    "t_end": lambda x: SimConfig(t_start=0.0, t_end=x),
+}
+
+
+@pytest.mark.parametrize("value", [math.nan, math.inf, -math.inf])
+@pytest.mark.parametrize("field", sorted(NON_FINITE_CASES))
+def test_configs_reject_non_finite_values(field, value):
+    with pytest.raises(ValueError):
+        NON_FINITE_CASES[field](value)
 
 
 def test_params_file_roundtrip(tmp_path):

@@ -301,6 +301,62 @@ def test_predict_rejects_unknown_params_key(pipeline, tmp_path, capsys, nested):
     assert "bad.json" in err and "bogus" in err
 
 
+def error_lines(capsys) -> list[str]:
+    return [line for line in capsys.readouterr().err.splitlines() if line.startswith("error:")]
+
+
+@pytest.mark.parametrize("alpha", ["nan", "inf"])
+def test_synth_rejects_non_finite_alpha(tmp_path, capsys, alpha):
+    out = tmp_path / "actions.tsv"
+    code = main([
+        "synth", "--random-graph", "20:40", "--graph-out", str(tmp_path / "g.tsv"),
+        "--alpha", alpha, "--tau", "1", "--horizon", "5", "--seed", "1", "--out", str(out),
+    ])
+    assert code == 1
+    [line] = error_lines(capsys)
+    assert "alpha" in line
+    assert not out.exists()
+
+
+@pytest.mark.parametrize("grid", ["nan:1:3", "0:inf:3", "0:nan:3"])
+def test_aggregate_rejects_non_finite_grid(tiny_files, tmp_path, capsys, grid):
+    graph, actions = tiny_files
+    out = tmp_path / "agg.csv"
+    code = main([
+        "aggregate", "--graph", str(graph), "--actions", str(actions),
+        "--grid", grid, "--out", str(out),
+    ])
+    assert code == 1
+    [line] = error_lines(capsys)
+    assert f"grid {grid!r}" in line
+    assert not out.exists()
+
+
+@pytest.mark.parametrize("content", [
+    '{"alpha": "abc", "tau": 1.0, "proximity": {}}',
+    '{"alpha": 1.0, "tau": NaN, "proximity": {}}',
+    '{"alpha": 1.0, "tau": 1.0, "proximity": {"b": "x"}}',
+    '{"alpha": 1.0, "proximity": {}}',
+    '{"alpha": 1.0, "tau": 1.0}',
+    '[1, 2]',
+    '{"alpha": 1',
+])
+def test_predict_rejects_malformed_params(pipeline, tmp_path, capsys, content):
+    d, graph, actions, params = pipeline
+    bad = tmp_path / "bad.json"
+    bad.write_text(content, encoding="utf-8")
+    out = tmp_path / "pred.csv"
+    code = main([
+        "predict", "--graph", str(graph), "--actions", str(actions),
+        "--t-star", "8.0", "--grid", "8:1:4", "--model", "da",
+        "--params", str(bad), "--seed", "3", "--out", str(out),
+    ])
+    assert code == 1
+    [line] = error_lines(capsys)
+    assert "bad.json" in line
+    assert not out.exists()
+
+
 def test_bad_flag_value_exits_1(capsys):
     with pytest.raises(SystemExit) as exc:
         main(["predict", "--model", "nova"])

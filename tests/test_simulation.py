@@ -1,10 +1,11 @@
 import math
+import time
 
 import numpy as np
 import pytest
 from hypothesis import example, given, settings
 from hypothesis import strategies as st
-from scipy import linalg, stats
+from scipy import linalg
 
 from trendcast.activeness import ActivenessParams
 from trendcast.core import Graph, IntervalGrid, Trend
@@ -20,7 +21,6 @@ from trendcast.simulation import (
     generate_synthetic,
     init_streams,
     predict,
-    sample_next,
     simulate,
     summarize_runs,
 )
@@ -34,61 +34,6 @@ def single_node_setup(alpha: float, tau: float, epsilon: float = 0.0):
     params = ActivenessParams(alpha, tau, epsilon, t0=0.0)
     trend = Trend(np.asarray([0]), np.asarray([0.0]))
     return graph, prox, params, trend
-
-
-def test_sample_next_inverts_the_integrated_rate():
-    # integrated rate from 0 is 1 - exp(-t); u = 0.5 maps to the exponential
-    # quantile -log(0.5) and inverting gives t = -log(1 + log(0.5))
-    stream = DecayingStream(node=0, coefficient=1.0, anchor=0.0, tau=1.0)
-    expected = -math.log(1.0 + math.log(0.5))
-    assert sample_next(stream, 0.0, 0.5) == pytest.approx(expected, rel=1e-12)
-
-
-def test_sample_next_exhaustion_boundary():
-    stream = DecayingStream(node=0, coefficient=1.0, anchor=0.0, tau=1.0)
-    # total mass is 1; draws with -log(1-u) >= 1 never fire
-    assert sample_next(stream, 0.0, 1.0 - math.exp(-1.0) + 1e-12) is None
-    assert sample_next(stream, 0.0, 1.0 - math.exp(-1.0) - 1e-12) is not None
-
-
-def test_sample_next_is_strictly_forward_and_consistent():
-    stream = DecayingStream(node=0, coefficient=2.0, anchor=1.0, tau=0.7)
-    rng = np.random.default_rng(0)
-    t = 1.0
-    for _ in range(200):
-        nxt = sample_next(stream, t, float(rng.random()))
-        if nxt is None:
-            break
-        assert nxt >= t
-        t = nxt
-
-
-def test_sample_next_rejects_bad_u():
-    stream = DecayingStream(node=0, coefficient=1.0, anchor=0.0, tau=1.0)
-    with pytest.raises(ValueError):
-        sample_next(stream, 0.0, 1.0)
-
-
-def test_sampled_law_matches_closed_form_cdf():
-    stream = DecayingStream(node=0, coefficient=1.0, anchor=0.0, tau=1.0)
-    rng = np.random.default_rng(1234)
-    n = 20_000
-    fired = []
-    exhausted = 0
-    for _ in range(n):
-        t = sample_next(stream, 0.0, float(rng.random()))
-        if t is None:
-            exhausted += 1
-        else:
-            fired.append(t)
-    assert exhausted / n == pytest.approx(math.exp(-1.0), abs=0.01)
-
-    def cdf(t):
-        # waiting-time law conditioned on the stream firing at all
-        return (1.0 - np.exp(-(1.0 - np.exp(-t)))) / (1.0 - math.exp(-1.0))
-
-    ks = stats.kstest(np.asarray(fired), cdf).statistic
-    assert ks < 0.015
 
 
 def test_init_streams_carry_the_decayed_prefix():
@@ -127,11 +72,13 @@ def test_simulate_is_deterministic_per_seed_and_run():
 def test_simulate_respects_the_horizon():
     graph, prox, params, trend = single_node_setup(alpha=0.9, tau=2.0)
     config = SimConfig(t_start=0.0, t_end=3.0, runs=1, seed=5)
-    streams = init_streams(trend, prox, params, 0.0, 1)
-    for run in range(50):
-        result, _ = simulate(streams, prox, params, config, run_index=run)
-        assert np.all(result.times >= 0.0)
-        assert np.all(result.times < 3.0)
+    # streams anchored before t_start fire from their anchor on
+    early = [DecayingStream(0, 2.0, -2.5, 1.5), DecayingStream(0, 0.5, -2.5, 4.0)]
+    for anchor, streams in ((0.0, init_streams(trend, prox, params, 0.0, 1)), (-2.5, early)):
+        for run in range(50):
+            result, _ = simulate(streams, prox, params, config, run_index=run)
+            assert np.all(result.times >= anchor)
+            assert np.all(result.times < 3.0)
 
 
 def test_simulate_event_cap_raises_explosion_error():
@@ -141,6 +88,15 @@ def test_simulate_event_cap_raises_explosion_error():
     with pytest.raises(ExplosionError, match="2000"):
         for run in range(20):
             simulate(streams, prox, params, config, run_index=run)
+    # The cap is checked on the drawn count, before the events are
+    # allocated: a single stream with a huge mean fails fast, even one past
+    # the largest mean numpy can draw.
+    config = SimConfig(t_start=0.0, t_end=1.0, runs=1, seed=11, max_events=1000)
+    for coefficient in (1e15, 1e300):
+        start = time.perf_counter()
+        with pytest.raises(ExplosionError, match="1000"):
+            simulate([DecayingStream(0, coefficient, 0.0, 1.0)], prox, params, config)
+        assert time.perf_counter() - start < 5.0
 
 
 def test_single_node_counts_match_time_step_oracle():
