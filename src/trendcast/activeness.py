@@ -58,18 +58,23 @@ def load_params(path: str) -> tuple[ActivenessParams, ProximityConfig]:
         if not isinstance(data, dict) or not isinstance(data.get("proximity"), dict):
             raise ValueError("expected a JSON object with a 'proximity' object")
         prox_data = data.pop("proximity")
-        _reject_unknown_keys(data, ActivenessParams, "")
-        _reject_unknown_keys(prox_data, ProximityConfig, "proximity.")
+        _check_keys(data, ActivenessParams, "")
+        _check_keys(prox_data, ProximityConfig, "proximity.")
         return ActivenessParams(**data), ProximityConfig.from_dict(prox_data)
     except (TypeError, ValueError) as exc:
         raise ValueError(f"{path}: {exc}") from None
 
 
-def _reject_unknown_keys(data: dict, cls: type, prefix: str) -> None:
-    unknown = sorted(set(data) - {f.name for f in fields(cls)})
+def _check_keys(data: dict, cls: type, prefix: str) -> None:
+    """Reject keys ``cls`` lacks, and a non-number (a bool included) for a numeric field."""
+    types = {f.name: f.type for f in fields(cls)}
+    unknown = sorted(set(data) - set(types))
     if unknown:
         names = ", ".join(repr(prefix + key) for key in unknown)
         raise ValueError(f"unknown parameter key {names}")
+    for key, value in data.items():
+        if types[key] in ("float", "int") and (isinstance(value, bool) or not isinstance(value, (int, float))):
+            raise ValueError(f"{prefix + key!r} must be a number, got {json.dumps(value)}")
 
 
 def _decay(dt: float, tau: float) -> float:

@@ -6,11 +6,17 @@ probability, after a delay that is constant (tequ), exponential with one
 trend-level rate (texp), or exponential with per-edge rates (eexp). The
 optional mult extension scales predicted coverage into an intensity
 estimate, compensating single activation against repeat actions.
+
+Since every edge is tried at most once and the earliest parent wins, a run
+is computed in its live-edge form (Kempe, Kleinberg & Tardos, KDD 2003; with
+continuous delays as in NetRate, Gomez-Rodriguez et al., ICML 2011): each
+edge's coin and delay are drawn up front, and activation times are the
+earliest arrival times from the seeds over the live edges. Fitting and
+simulation work on the graph's CSR edge arrays, with no loop per edge.
 """
 
 from __future__ import annotations
 
-import heapq
 import math
 from dataclasses import dataclass, field
 
@@ -49,12 +55,18 @@ class BaselineParams:
             raise ValueError("activation_prob must lie in (0, 1]")
 
 
-def _first_activations(trend: Trend) -> dict[int, float]:
-    first: dict[int, float] = {}
-    for node, t in trend:
-        if node not in first:
-            first[node] = t
+def _first_activations(trend: Trend, node_count: int) -> np.ndarray:
+    """Each node's first action time; inf for nodes that never act."""
+    first = np.full(node_count, math.inf)
+    # Trends are stably sorted by time, so a node's first index is its earliest action.
+    nodes, at = np.unique(trend.nodes, return_index=True)
+    first[nodes] = trend.times[at]
     return first
+
+
+def _edges(graph: Graph) -> tuple[np.ndarray, np.ndarray]:
+    """(src, dst) of every CSR edge, sorted by (src, dst)."""
+    return np.repeat(np.arange(graph.node_count), np.diff(graph.indptr)), graph.indices
 
 
 def fit_baseline(kind: str, trend: Trend, graph: Graph, t_star: float) -> BaselineParams:
@@ -69,67 +81,51 @@ def fit_baseline(kind: str, trend: Trend, graph: Graph, t_star: float) -> Baseli
     """
     if kind not in BASELINE_KINDS:
         raise ValueError(f"kind must be one of {BASELINE_KINDS}")
-    prefix = trend.prefix(t_star)
-    first = _first_activations(prefix)
-    order = sorted(first.items(), key=lambda item: (item[1], item[0]))
+    first = _first_activations(trend.prefix(t_star), graph.node_count)
+    src, dst = _edges(graph)
+    t_src, t_dst = first[src], first[dst]
+    opportunities = int(np.count_nonzero(np.isfinite(t_src) & (t_dst > t_src)))
 
-    opportunities = 0
-    gaps: list[float] = []
-    edge_gaps: dict[tuple[int, int], list[float]] = {}
-    for node, t in order:
-        for w in graph.neighbors(node).tolist():
-            if first.get(w, math.inf) > t:
-                opportunities += 1
-        parent = None
-        for u in graph.in_neighbors(node).tolist():
-            t_u = first.get(u, math.inf)
-            if t_u < t and (parent is None or (t_u, u) < parent):
-                parent = (t_u, u)
-        if parent is not None:
-            gap = t - parent[0]
-            gaps.append(gap)
-            edge_gaps.setdefault((parent[1], node), []).append(gap)
+    # Candidate parents, ordered by (child, parent time, parent); the first per child wins.
+    at = np.flatnonzero(np.isfinite(t_dst) & (t_src < t_dst))
+    at = at[np.lexsort((src[at], t_src[at], dst[at]))]
+    at = at[np.unique(dst[at], return_index=True)[1]]
+    # Children in (time, node) order.
+    at = at[np.lexsort((dst[at], t_dst[at]))]
+    parent, child = src[at], dst[at]
+    gaps = (t_dst[at] - t_src[at]).tolist()
 
-    if not gaps or opportunities == 0:
-        return BaselineParams(
-            kind=kind,
-            activation_prob=FALLBACK_ACTIVATION_PROB,
-            delay_equal=FALLBACK_MEAN_GAP,
-            delay_rate=1.0 / FALLBACK_MEAN_GAP,
-            fallback=True,
-        )
+    # Every attributed edge is also an opportunity, and every gap is > 0.
+    if not gaps:
+        return BaselineParams(kind, FALLBACK_ACTIVATION_PROB, FALLBACK_MEAN_GAP, 1.0 / FALLBACK_MEAN_GAP, fallback=True)
     mean_gap = sum(gaps) / len(gaps)
-    if mean_gap <= 0.0:
-        # All attributed pairs are simultaneous; delays carry no signal.
-        return BaselineParams(
-            kind=kind,
-            activation_prob=min(1.0, len(gaps) / opportunities),
-            delay_equal=FALLBACK_MEAN_GAP,
-            delay_rate=1.0 / FALLBACK_MEAN_GAP,
-            fallback=True,
-        )
     edge_rates = {}
     if kind == "eexp":
-        for edge, edge_gap in edge_gaps.items():
-            m = sum(edge_gap) / len(edge_gap)
-            if m > 0:
-                edge_rates[edge] = 1.0 / m
+        # A child has one parent, so each edge's mean gap is its single gap.
+        edge_rates = dict(zip(zip(parent.tolist(), child.tolist()), (1.0 / np.asarray(gaps)).tolist()))
     return BaselineParams(
         kind=kind,
-        activation_prob=min(1.0, len(gaps) / opportunities),
+        activation_prob=len(gaps) / opportunities,
         delay_equal=mean_gap,
         delay_rate=1.0 / mean_gap,
         edge_delay_rates=edge_rates,
     )
 
 
-def _draw_delay(params: BaselineParams, edge: tuple[int, int], rng: np.random.Generator) -> float:
-    if params.kind == "tequ":
-        return params.delay_equal
-    if params.kind == "texp":
-        return rng.exponential(1.0 / params.delay_rate)
-    rate = params.edge_delay_rates.get(edge, params.delay_rate)
-    return rng.exponential(1.0 / rate)
+def _edge_scales(params: BaselineParams, node_count: int, src: np.ndarray, dst: np.ndarray) -> np.ndarray:
+    """eexp: the mean delay of each (src, dst) edge, from its own fitted rate or else the trend's."""
+    rates = np.full(len(dst), params.delay_rate)
+    pairs = np.asarray(list(params.edge_delay_rates), dtype=np.int64).reshape(-1, 2)
+    values = np.fromiter(params.edge_delay_rates.values(), dtype=np.float64, count=len(pairs))
+    inside = np.all((pairs >= 0) & (pairs < node_count), axis=1)
+    key, values = pairs[inside, 0] * node_count + pairs[inside, 1], values[inside]
+    # Edge keys src*N + dst come sorted from the CSR arrays; keys that are not edges are ignored.
+    edge_key = src * node_count + dst
+    pos = np.searchsorted(edge_key, key)
+    hit = pos < len(edge_key)
+    hit[hit] = edge_key[pos[hit]] == key[hit]
+    rates[pos[hit]] = values[hit]
+    return 1.0 / rates
 
 
 def simulate_baseline(
@@ -146,32 +142,34 @@ def simulate_baseline(
     attempts from their original first-action times, so delayed adoptions can
     spill past t_start, but the seeds themselves are never re-emitted.
     Attempts that would land before t_start failed in observation and are
-    discarded. Activations are processed in time order; each parent-child
-    edge is tried exactly once.
+    discarded. Each edge is tried once, and the earliest parent wins: every
+    edge draws its coin up front, each live edge its delay, and activation
+    times are the earliest arrivals from the seeds over the live edges.
     """
-    activation = _first_activations(trend.prefix(t_start))
-    seeds = set(activation)
-    heap: list[tuple[float, int]] = sorted((t, node) for node, t in activation.items())
-    ev_nodes: list[int] = []
-    ev_times: list[float] = []
-    while heap:
-        t, node = heapq.heappop(heap)
-        if t >= t_end:
+    active = _first_activations(trend.prefix(t_start), graph.node_count)
+    seed = np.isfinite(active)
+    src, dst = _edges(graph)
+    live = rng.random(len(dst)) < params.activation_prob
+    src, dst = src[live], dst[live]
+    if params.kind == "tequ":
+        delay = np.full(len(dst), params.delay_equal)
+    elif params.kind == "texp":
+        delay = rng.exponential(1.0 / params.delay_rate, size=len(dst))
+    else:
+        delay = rng.exponential(_edge_scales(params, graph.node_count, src, dst))
+    # Bellman-Ford rounds: only edges out of nodes whose time fell last round can improve.
+    fired = seed
+    while True:
+        at = np.flatnonzero(fired[src])
+        arrive = active[src[at]] + delay[at]
+        ok = (t_start <= arrive) & (arrive < t_end) & (arrive < active[dst[at]])
+        if not ok.any():
             break
-        if t > activation.get(node, math.inf):
-            continue  # stale entry, an earlier parent won
-        if node not in seeds:
-            ev_nodes.append(node)
-            ev_times.append(t)
-        for w in graph.neighbors(node).tolist():
-            if activation.get(w, math.inf) <= t:
-                continue
-            if rng.random() < params.activation_prob:
-                t_w = t + _draw_delay(params, (node, w), rng)
-                if t_start <= t_w < t_end and t_w < activation.get(w, math.inf):
-                    activation[w] = t_w
-                    heapq.heappush(heap, (t_w, w))
-    return Trend(np.asarray(ev_nodes, dtype=np.int64), np.asarray(ev_times, dtype=np.float64))
+        np.minimum.at(active, dst[at[ok]], arrive[ok])
+        fired = np.zeros(graph.node_count, dtype=bool)
+        fired[dst[at[ok]]] = True
+    nodes = np.flatnonzero(~seed & (active < t_end))
+    return Trend(nodes, active[nodes])
 
 
 def intensity_from_coverage(coverage: np.ndarray, mult_factor: float) -> np.ndarray:

@@ -55,6 +55,14 @@ def _parse_grid(text: str) -> IntervalGrid:
         raise ValueError(f"grid {text!r}: {exc}") from None
 
 
+def _parse_tau_range(text: str) -> tuple[float, float]:
+    try:
+        lo, hi = map(float, text.split(":"))
+    except ValueError as exc:
+        raise ValueError(f"--tau-range must be 'lo:hi', got {text!r}: {exc}") from None
+    return lo, hi
+
+
 def _add_graph_flags(p: argparse.ArgumentParser, required: bool = True) -> None:
     p.add_argument("--graph", required=required, help="edge file, one 'src<TAB>dst' per line")
     p.add_argument("--directed", action="store_true", help="treat edges as directed")
@@ -110,7 +118,7 @@ def cmd_learn(args: argparse.Namespace) -> int:
     prox_config = _prox_config(args)
     prox = _proximity(args, graph, prox_config)
     config = learning.LearnConfig(
-        tau_range=tuple(float(x) for x in args.tau_range.split(":")) if args.tau_range else None,
+        tau_range=_parse_tau_range(args.tau_range) if args.tau_range else None,
         tolerance=args.tolerance,
         multistart=args.multistart,
     )
@@ -236,19 +244,18 @@ def cmd_synth(args: argparse.Namespace) -> int:
     seed = _resolve_seed(args)
     if bool(args.graph) == bool(args.random_graph):
         raise ValueError("synth needs exactly one of --graph or --random-graph")
+    prox_config = _prox_config(args)
+    params = ActivenessParams(args.alpha, args.tau, args.epsilon, args.t0)
     if args.graph:
         graph = load_graph(args.graph, args.directed)
     else:
         parts = args.random_graph.split(":")
         if len(parts) != 2:
             raise ValueError("--random-graph must be 'nodes:edges'")
-        graph = random_graph(int(parts[0]), int(parts[1]), seed, args.directed)
         if not args.graph_out:
             raise ValueError("--random-graph requires --graph-out for the generated edges")
-        write_graph(args.graph_out, graph)
-    prox_config = _prox_config(args)
+        graph = random_graph(int(parts[0]), int(parts[1]), seed, args.directed)
     prox = ProximityMap(graph, prox_config)
-    params = ActivenessParams(args.alpha, args.tau, args.epsilon, args.t0)
     trend, manifest = simulation.generate_synthetic(
         graph.node_count,
         prox,
@@ -259,6 +266,9 @@ def cmd_synth(args: argparse.Namespace) -> int:
         allow_supercritical=args.allow_supercritical,
         max_events=args.max_events,
     )
+    # Outputs are written only once generation succeeded, so a failed run leaves none.
+    if args.random_graph:
+        write_graph(args.graph_out, graph)
     write_trend(args.out, trend, graph)
     manifest["proximity"] = prox_config.to_dict()
     with open(args.out + ".manifest.json", "w", encoding="utf-8") as fh:

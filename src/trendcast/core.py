@@ -39,8 +39,6 @@ class Graph:
     indptr: np.ndarray
     indices: np.ndarray
     _label_index: dict[str, int] = field(repr=False, default_factory=dict)
-    _in_indptr: np.ndarray | None = field(repr=False, default=None)
-    _in_indices: np.ndarray | None = field(repr=False, default=None)
 
     def __post_init__(self) -> None:
         if not self._label_index:
@@ -83,19 +81,6 @@ class Graph:
     def neighbors(self, node: int) -> np.ndarray:
         """Out-neighbors of ``node`` (all neighbors when undirected)."""
         return self.indices[self.indptr[node] : self.indptr[node + 1]]
-
-    def in_neighbors(self, node: int) -> np.ndarray:
-        """In-neighbors; equals neighbors() for undirected graphs."""
-        if not self.directed:
-            return self.neighbors(node)
-        if self._in_indptr is None:
-            order = np.argsort(self.indices, kind="stable")
-            src = np.repeat(np.arange(self.node_count), np.diff(self.indptr))
-            indptr = np.zeros(self.node_count + 1, dtype=np.int64)
-            np.add.at(indptr, self.indices + 1, 1)
-            np.cumsum(indptr, out=indptr)
-            self._in_indptr, self._in_indices = indptr, src[order]
-        return self._in_indices[self._in_indptr[node] : self._in_indptr[node + 1]]
 
     @property
     def edge_count(self) -> int:

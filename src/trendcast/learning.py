@@ -45,8 +45,8 @@ class LearnConfig:
             raise ValueError("multistart must be at least 1")
         if self.tau_range is not None:
             lo, hi = self.tau_range
-            if not 0 < lo < hi:
-                raise ValueError("tau_range must satisfy 0 < lo < hi")
+            if not 0 < lo < hi < math.inf:
+                raise ValueError(f"tau_range must satisfy 0 < lo < hi < inf, got {self.tau_range!r}")
 
 
 @dataclass(frozen=True)
@@ -231,10 +231,12 @@ class _InfluenceTable:
     def evaluate(self, tau: float, alpha: float | None, epsilon: float) -> tuple[float, float]:
         """Log-likelihood at (alpha, tau); alpha of None means the closed-form value.
 
-        Actions with zero influence (no predecessors, or all terms decayed
-        away) fall back to the residual rate: their influence is read as
-        epsilon / alpha_hat(tau), a constant in the alpha argument, which
-        keeps the closed-form alpha the exact maximizer.
+        Every influence is floored at epsilon / alpha_hat(tau), the residual
+        rate's share, tiny ones as much as those that underflowed to zero, so
+        logL is continuous in tau. The floor is a constant in the alpha
+        argument, which keeps the closed-form alpha the exact maximizer. The
+        profile value uses alpha_hat * H = n exactly, so where every influence
+        is floored it is flat to the last bit and the search's tie rule holds.
         """
         h_total = self.total_integral(tau)
         if h_total <= 0.0:
@@ -242,18 +244,15 @@ class _InfluenceTable:
                 "total influence integral is zero; prefix cannot identify alpha"
             )
         alpha_closed = self.n / h_total
-        if alpha is None:
-            alpha = alpha_closed
         h = self.influences(tau)
-        zero = h <= 0.0
-        if zero.any():
-            floor = epsilon / alpha_closed
-            if floor <= 0.0:
-                raise DegeneratePrefixError(
-                    "action with zero influence and epsilon = 0; likelihood is degenerate"
-                )
-            h = np.where(zero, floor, h)
-        value = self.n * math.log(alpha) - alpha * h_total + float(np.log(h).sum())
+        if epsilon <= 0.0 and (h <= 0.0).any():
+            raise DegeneratePrefixError(
+                "action with zero influence and epsilon = 0; likelihood is degenerate"
+            )
+        log_h = float(np.log(np.maximum(alpha_closed * h, epsilon)).sum())
+        if alpha is None:
+            return log_h - self.n, alpha_closed
+        value = self.n * math.log(alpha / alpha_closed) - alpha * h_total + log_h
         return value, alpha_closed
 
 
@@ -329,6 +328,8 @@ def fit(
     bracket, where the maximum may lie outside it.
     """
     config = config or LearnConfig()
+    if not math.isfinite(t_star):
+        raise ValueError(f"t_star must be finite, got {t_star!r}")
     prefix = trend.prefix(t_star)
     if len(prefix) < 2:
         raise DegeneratePrefixError("need at least two actions to fit")

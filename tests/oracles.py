@@ -2,12 +2,14 @@
 
 Most of it is deliberately naive: plain loops, no stacking, no shared code
 with the library internals beyond data containers. ``ActivenessModel``,
-``total_integrated_influence`` and ``PairTable`` are former library code that
-nothing in the package calls any more; they stay here as references.
+``total_integrated_influence``, ``PairTable``, ``heap_simulate_baseline`` and
+``loop_fit_baseline`` are former library code that nothing in the package
+calls any more; they stay here as references.
 """
 
 from __future__ import annotations
 
+import heapq
 import math
 from bisect import bisect_right
 from dataclasses import dataclass
@@ -16,6 +18,7 @@ from typing import Mapping
 import numpy as np
 
 from trendcast.activeness import ActivenessParams, _decay
+from trendcast.baselines import FALLBACK_ACTIVATION_PROB, FALLBACK_MEAN_GAP, BaselineParams
 from trendcast.core import Graph, Trend, random_graph
 from trendcast.learning import DegeneratePrefixError
 from trendcast.proximity import ProximityConfig, ProximityMap
@@ -132,10 +135,9 @@ class PairTable:
     def evaluate(self, tau: float, alpha: float | None, epsilon: float) -> tuple[float, float]:
         """Log-likelihood at (alpha, tau); alpha of None means the closed-form value.
 
-        Actions with zero influence (no predecessors, or all terms decayed
-        away) fall back to the residual rate: their influence is read as
-        epsilon / alpha_hat(tau), a constant in the alpha argument, which
-        keeps the closed-form alpha the exact maximizer.
+        Every influence is floored at epsilon / alpha_hat(tau), a constant in
+        the alpha argument, which keeps the closed-form alpha the exact
+        maximizer.
         """
         h_total = self.total_integral(tau)
         if h_total <= 0.0:
@@ -146,14 +148,12 @@ class PairTable:
         if alpha is None:
             alpha = alpha_closed
         h = self.influences(tau)
-        zero = h <= 0.0
-        if zero.any():
-            floor = epsilon / alpha_closed
-            if floor <= 0.0:
-                raise DegeneratePrefixError(
-                    "action with zero influence and epsilon = 0; likelihood is degenerate"
-                )
-            h = np.where(zero, floor, h)
+        floor = epsilon / alpha_closed
+        if floor <= 0.0 and (h <= 0.0).any():
+            raise DegeneratePrefixError(
+                "action with zero influence and epsilon = 0; likelihood is degenerate"
+            )
+        h = np.maximum(h, floor)
         value = self.n * math.log(alpha) - alpha * h_total + float(np.log(h).sum())
         return value, alpha_closed
 
@@ -203,7 +203,7 @@ def naive_log_likelihood(
     alpha_closed = n / h_total
     log_h = 0.0
     for h in naive_influences(prefix, prox, tau):
-        log_h += math.log(h if h > 0 else epsilon / alpha_closed)
+        log_h += math.log(max(h, epsilon / alpha_closed))
     return n * math.log(alpha) - alpha * h_total + log_h
 
 
@@ -271,6 +271,115 @@ def unique_rows_csr(edges: list[tuple[int, int]], node_count: int, directed: boo
     np.add.at(indptr, arr[:, 0] + 1, 1)
     np.cumsum(indptr, out=indptr)
     return indptr, arr[:, 1].copy()
+
+
+def _first_activation_dict(trend: Trend) -> dict[int, float]:
+    first: dict[int, float] = {}
+    for node, t in trend:
+        if node not in first:
+            first[node] = t
+    return first
+
+
+def loop_fit_baseline(kind: str, trend: Trend, graph: Graph, t_star: float) -> BaselineParams:
+    """``baselines.fit_baseline`` by walking each active node's out- and in-neighbors."""
+    first = _first_activation_dict(trend.prefix(t_star))
+    order = sorted(first.items(), key=lambda item: (item[1], item[0]))
+    in_neighbors: dict[int, list[int]] = {}
+    for u in range(graph.node_count):
+        for w in graph.neighbors(u).tolist():
+            in_neighbors.setdefault(w, []).append(u)
+
+    opportunities = 0
+    gaps: list[float] = []
+    edge_gaps: dict[tuple[int, int], list[float]] = {}
+    for node, t in order:
+        for w in graph.neighbors(node).tolist():
+            if first.get(w, math.inf) > t:
+                opportunities += 1
+        parent = None
+        for u in in_neighbors.get(node, []):
+            t_u = first.get(u, math.inf)
+            if t_u < t and (parent is None or (t_u, u) < parent):
+                parent = (t_u, u)
+        if parent is not None:
+            gap = t - parent[0]
+            gaps.append(gap)
+            edge_gaps.setdefault((parent[1], node), []).append(gap)
+
+    if not gaps or opportunities == 0:
+        return BaselineParams(
+            kind=kind,
+            activation_prob=FALLBACK_ACTIVATION_PROB,
+            delay_equal=FALLBACK_MEAN_GAP,
+            delay_rate=1.0 / FALLBACK_MEAN_GAP,
+            fallback=True,
+        )
+    mean_gap = sum(gaps) / len(gaps)
+    if mean_gap <= 0.0:
+        return BaselineParams(
+            kind=kind,
+            activation_prob=min(1.0, len(gaps) / opportunities),
+            delay_equal=FALLBACK_MEAN_GAP,
+            delay_rate=1.0 / FALLBACK_MEAN_GAP,
+            fallback=True,
+        )
+    edge_rates = {}
+    if kind == "eexp":
+        for edge, edge_gap in edge_gaps.items():
+            m = sum(edge_gap) / len(edge_gap)
+            if m > 0:
+                edge_rates[edge] = 1.0 / m
+    return BaselineParams(
+        kind=kind,
+        activation_prob=min(1.0, len(gaps) / opportunities),
+        delay_equal=mean_gap,
+        delay_rate=1.0 / mean_gap,
+        edge_delay_rates=edge_rates,
+    )
+
+
+def _draw_delay(params: BaselineParams, edge: tuple[int, int], rng: np.random.Generator) -> float:
+    if params.kind == "tequ":
+        return params.delay_equal
+    if params.kind == "texp":
+        return rng.exponential(1.0 / params.delay_rate)
+    rate = params.edge_delay_rates.get(edge, params.delay_rate)
+    return rng.exponential(1.0 / rate)
+
+
+def heap_simulate_baseline(
+    params: BaselineParams,
+    graph: Graph,
+    trend: Trend,
+    t_start: float,
+    t_end: float,
+    rng: np.random.Generator,
+) -> Trend:
+    """``baselines.simulate_baseline`` in activation order: a heap, one coin per attempted edge."""
+    activation = _first_activation_dict(trend.prefix(t_start))
+    seeds = set(activation)
+    heap: list[tuple[float, int]] = sorted((t, node) for node, t in activation.items())
+    ev_nodes: list[int] = []
+    ev_times: list[float] = []
+    while heap:
+        t, node = heapq.heappop(heap)
+        if t >= t_end:
+            break
+        if t > activation.get(node, math.inf):
+            continue  # stale entry, an earlier parent won
+        if node not in seeds:
+            ev_nodes.append(node)
+            ev_times.append(t)
+        for w in graph.neighbors(node).tolist():
+            if activation.get(w, math.inf) <= t:
+                continue
+            if rng.random() < params.activation_prob:
+                t_w = t + _draw_delay(params, (node, w), rng)
+                if t_start <= t_w < t_end and t_w < activation.get(w, math.inf):
+                    activation[w] = t_w
+                    heapq.heappush(heap, (t_w, w))
+    return Trend(np.asarray(ev_nodes, dtype=np.int64), np.asarray(ev_times, dtype=np.float64))
 
 
 def brute_force_longest_run(values, theta) -> int:

@@ -7,6 +7,7 @@ from scipy.integrate import quad
 
 from trendcast.activeness import ActivenessParams, load_params, save_params
 from trendcast.core import Graph, IntervalGrid, Trend
+from trendcast.learning import LearnConfig, fit
 from trendcast.proximity import ProximityConfig, ProximityMap
 from trendcast.simulation import SimConfig
 
@@ -114,6 +115,10 @@ def test_params_validation():
         ActivenessParams(alpha=1.0, tau=1.0, epsilon=-0.1)
 
 
+def two_node_prox() -> ProximityMap:
+    return ProximityMap(Graph.from_edges([(0, 1)], 2), ProximityConfig())
+
+
 NON_FINITE_CASES = {
     "alpha": lambda x: ActivenessParams(alpha=x, tau=1.0),
     "tau": lambda x: ActivenessParams(alpha=1.0, tau=x),
@@ -125,6 +130,9 @@ NON_FINITE_CASES = {
     "interval_length": lambda x: IntervalGrid(0.0, x, 3),
     "t_start": lambda x: SimConfig(t_start=x, t_end=1.0),
     "t_end": lambda x: SimConfig(t_start=0.0, t_end=x),
+    "tau_range_lo": lambda x: LearnConfig(tau_range=(x, 2.0)),
+    "tau_range_hi": lambda x: LearnConfig(tau_range=(1.0, x)),
+    "t_star": lambda x: fit(Trend(np.asarray([0, 1]), np.asarray([0.0, 1.0])), two_node_prox(), x),
 }
 
 

@@ -75,6 +75,23 @@ def test_learn_warns_on_stderr_when_tau_lands_on_the_bracket_edge(pipeline, tmp_
     assert "warning: tau_hat=100 lies on the edge of the tau search range" in capsys.readouterr().err
 
 
+@pytest.mark.parametrize("flags, message", [
+    (["--tau-range", "1:2:3"], "--tau-range must be 'lo:hi'"),
+    (["--tau-range", "1:x"], "--tau-range must be 'lo:hi', got '1:x'"),
+    (["--tau-range", "1:inf"], "tau_range must satisfy 0 < lo < hi < inf"),
+])
+def test_learn_rejects_bad_tau_range(pipeline, tmp_path, capsys, flags, message):
+    d, graph, actions, params = pipeline
+    out = tmp_path / "p.json"
+    assert main([
+        "learn", "--graph", str(graph), "--actions", str(actions),
+        "--t-star", "8.0", *flags, "--out", str(out),
+    ]) == 1
+    [line] = [line for line in capsys.readouterr().err.splitlines() if line.strip()]
+    assert line.startswith("error:") and message in line
+    assert not out.exists()
+
+
 def test_predict_da_is_reproducible(pipeline, tmp_path):
     d, graph, actions, params = pipeline
     argv = [
@@ -318,6 +335,21 @@ def test_synth_rejects_non_finite_alpha(tmp_path, capsys, alpha):
     assert not out.exists()
 
 
+@pytest.mark.parametrize("flags, code", [
+    (["--alpha", "nan", "--tau", "1"], 1),
+    (["--alpha", "0.3", "--tau", "1", "--b", "nan"], 1),
+    (["--alpha", "2.0", "--tau", "2.0"], 1),
+    (["--alpha", "2.0", "--tau", "2.0", "--allow-supercritical", "--max-events", "500"], 2),
+])
+def test_failed_synth_leaves_no_files(tmp_path, capsys, flags, code):
+    assert main([
+        "synth", "--random-graph", "10:20", "--graph-out", str(tmp_path / "g.tsv"), *flags,
+        "--horizon", "50", "--seed", "1", "--out", str(tmp_path / "actions.tsv"),
+    ]) == code
+    assert len(error_lines(capsys)) == 1
+    assert list(tmp_path.iterdir()) == []
+
+
 @pytest.mark.parametrize("grid", ["nan:1:3", "0:inf:3", "0:nan:3"])
 def test_aggregate_rejects_non_finite_grid(tiny_files, tmp_path, capsys, grid):
     graph, actions = tiny_files
@@ -334,6 +366,7 @@ def test_aggregate_rejects_non_finite_grid(tiny_files, tmp_path, capsys, grid):
 
 @pytest.mark.parametrize("content", [
     '{"alpha": "abc", "tau": 1.0, "proximity": {}}',
+    '{"alpha": true, "tau": 1.0, "proximity": {}}',
     '{"alpha": 1.0, "tau": NaN, "proximity": {}}',
     '{"alpha": 1.0, "tau": 1.0, "proximity": {"b": "x"}}',
     '{"alpha": 1.0, "proximity": {}}',

@@ -169,7 +169,6 @@ def test_load_graph_directed_keeps_direction(tmp_path):
     graph = load_graph(str(path), directed=True)
     assert graph.neighbors(0).tolist() == [1]
     assert graph.neighbors(1).tolist() == []
-    assert graph.in_neighbors(1).tolist() == [0]
 
 
 def test_load_graph_errors_carry_line_numbers(tmp_path):

@@ -3,7 +3,7 @@ import warnings
 
 import numpy as np
 import pytest
-from hypothesis import given, settings
+from hypothesis import example, given, settings
 from hypothesis import strategies as st
 from scipy.optimize import minimize_scalar
 
@@ -217,6 +217,31 @@ def test_block_table_matches_pairwise_references(case):
         PairTable(trend, prox, t_star).evaluate(tau, alpha, 1e-9)[0],
     ):
         assert abs(value - reference) <= 1e-9 * abs(reference)
+
+
+@settings(derandomize=True, database=None, deadline=None, max_examples=60)
+@given(
+    st.integers(1, 3),
+    st.sampled_from([0.5, 2.0]),
+    st.lists(st.tuples(st.integers(0, 2), st.booleans()), min_size=1, max_size=6),
+    st.sampled_from([0.3, 1.0, 4.0]),
+    st.sampled_from([1e-9, 1e-3]),
+)
+@example(1, 0.5, [(0, True)], 1.0, 1e-9)  # two actions of one node at t = 0 and 1
+def test_log_likelihood_is_continuous_across_the_underflow_edge(m, b, steps, gap, epsilon):
+    # every node reaches every other, and consecutive actions lie 0 or `gap`
+    # apart, so an action's last influence term underflows near
+    # tau = gap / 745; walk tau across that edge in steps of 1e-4 (relative)
+    graph = Graph.from_edges([(u, v) for u in range(m) for v in range(m) if u != v], m)
+    prox = ProximityMap(graph, ProximityConfig(kind="sp", b=b))
+    times = np.cumsum([0.0] + [gap if later else 0.0 for _, later in steps])
+    nodes = [0] + [node % m for node, _ in steps]
+    table = _table(Trend(np.asarray(nodes), times), prox, float(times[-1]) + 1.0)
+    taus = gap / np.geomspace(760.0, 730.0, 400)
+    for alpha in (None, 1.0):
+        values = np.asarray([table.evaluate(float(tau), alpha, epsilon)[0] for tau in taus])
+        assert np.all(np.isfinite(values))
+        assert np.max(np.abs(np.diff(values))) <= 0.5
 
 
 def test_fit_warns_when_tau_lands_on_the_bracket_edge():
