@@ -45,9 +45,10 @@ class ActivenessParams:
 def save_params(path: str, params: ActivenessParams, prox_config: ProximityConfig) -> None:
     data = params.to_dict()
     data["proximity"] = prox_config.to_dict()
+    # Strict JSON, serialized in full first: a non-finite value writes no file.
+    text = json.dumps(data, indent=2, sort_keys=True, allow_nan=False)
     with open(path, "w", encoding="utf-8") as fh:
-        json.dump(data, fh, indent=2, sort_keys=True)
-        fh.write("\n")
+        fh.write(text + "\n")
 
 
 def load_params(path: str) -> tuple[ActivenessParams, ProximityConfig]:

@@ -266,14 +266,15 @@ def cmd_synth(args: argparse.Namespace) -> int:
         allow_supercritical=args.allow_supercritical,
         max_events=args.max_events,
     )
-    # Outputs are written only once generation succeeded, so a failed run leaves none.
+    manifest["proximity"] = prox_config.to_dict()
+    manifest_text = json.dumps(manifest, indent=2, sort_keys=True, allow_nan=False)
+    # Outputs are written only once generation succeeded and the manifest is
+    # valid strict JSON, so a failed run leaves none.
     if args.random_graph:
         write_graph(args.graph_out, graph)
     write_trend(args.out, trend, graph)
-    manifest["proximity"] = prox_config.to_dict()
     with open(args.out + ".manifest.json", "w", encoding="utf-8") as fh:
-        json.dump(manifest, fh, indent=2, sort_keys=True)
-        fh.write("\n")
+        fh.write(manifest_text + "\n")
     print(f"wrote {len(trend)} actions to {args.out}")
     return 0
 

@@ -9,7 +9,11 @@ from __future__ import annotations
 
 import io
 import math
+import re
+from collections import defaultdict
 from dataclasses import dataclass, field
+from itertools import chain, repeat
+from typing import Callable, Iterator, NoReturn
 
 import numpy as np
 
@@ -49,28 +53,22 @@ class Graph:
     @classmethod
     def from_edges(
         cls,
-        edges: list[tuple[int, int]],
+        edges: list[tuple[int, int]] | np.ndarray,
         node_count: int,
         labels: list[str] | None = None,
         directed: bool = False,
     ) -> Graph:
-        """Build a graph from index pairs; duplicates collapse, undirected edges symmetrize."""
+        """Build a graph from index pairs, a list or an ``(m, 2)`` array.
+
+        Duplicates collapse; undirected edges symmetrize.
+        """
         if labels is None:
             labels = [f"u{i}" for i in range(node_count)]
-        if edges:
-            arr = np.asarray(edges, dtype=np.int64)
-            if arr.min() < 0 or arr.max() >= node_count:
-                raise ValueError("edge endpoint out of range")
-            src, dst = arr[:, 0], arr[:, 1]
-            if not directed:
-                src, dst = np.concatenate([src, dst]), np.concatenate([dst, src])
-            # One sorted, deduplicated key per edge orders edges by (src, dst).
-            src, dst = np.divmod(np.unique(src * node_count + dst), node_count)
-        else:
-            src = dst = np.empty(0, dtype=np.int64)
-        indptr = np.zeros(node_count + 1, dtype=np.int64)
-        np.cumsum(np.bincount(src, minlength=node_count), out=indptr[1:])
-        return cls(node_count, directed, labels, indptr, dst)
+        arr = np.asarray(edges, dtype=np.int64).reshape(-1, 2)
+        if arr.size and (arr.min() < 0 or arr.max() >= node_count):
+            raise ValueError("edge endpoint out of range")
+        indptr, indices = _csr(arr, node_count, directed)
+        return cls(node_count, directed, labels, indptr, indices)
 
     def index_of(self, label: str) -> int:
         try:
@@ -85,6 +83,24 @@ class Graph:
     @property
     def edge_count(self) -> int:
         return int(self.indices.shape[0])
+
+
+def _csr(edges: np.ndarray, node_count: int, directed: bool) -> tuple[np.ndarray, np.ndarray]:
+    """Deduplicated CSR ``(indptr, indices)``, both int64, of in-range ``(m, 2)`` index pairs."""
+    src, dst = edges[:, 0], edges[:, 1]
+    if not directed:
+        src, dst = np.concatenate([src, dst]), np.concatenate([dst, src])
+    # One sorted key per edge orders edges by (src, dst); dropping a key equal
+    # to its predecessor dedups. np.unique would hash instead, which is far
+    # slower on int64 keys.
+    key = np.sort(src * node_count + dst)
+    fresh = np.empty(key.size, dtype=bool)
+    fresh[:1] = True
+    np.not_equal(key[1:], key[:-1], out=fresh[1:])
+    src, dst = np.divmod(key[fresh], node_count)
+    indptr = np.zeros(node_count + 1, dtype=np.int64)
+    np.cumsum(np.bincount(src, minlength=node_count), out=indptr[1:])
+    return indptr, dst
 
 
 @dataclass
@@ -158,34 +174,93 @@ class AggregateSeries:
     coverage: np.ndarray
 
 
+# Matches a line holding two or more tabs.
+_TWO_TABS = re.compile(r"\t[^\n]*\t")
+
+# Data text is split into fields about this many characters at a time.
+_BLOCK_CHARS = 1 << 16
+
+
+def _data_text(path: str) -> str | None:
+    """The data lines of a two-column file, stripped and joined by newlines.
+
+    Data lines are those left non-blank and not starting with ``#`` once
+    surrounding whitespace is stripped. Returns None when a data line has
+    other than exactly two non-empty tab-separated fields.
+    """
+    with open(path, encoding="utf-8") as fh:
+        # Text mode has already turned CRLF and lone CR into LF. Split on LF
+        # alone, as iterating the file does: splitlines() also breaks at
+        # characters such as \x1c or \u2028, which would shift line numbers.
+        lines = fh.read().split("\n")
+    lines = [s for s in map(str.strip, lines) if s and s[0] != "#"]
+    text = "\n".join(lines)
+    # As many tabs as lines and no line with two means exactly one tab per
+    # line. A stripped line neither starts nor ends with a tab, so both of
+    # its fields are non-empty.
+    if text.count("\t") != len(lines) or _TWO_TABS.search(text):
+        return None
+    return text
+
+
+def _fields(text: str) -> Iterator[str]:
+    """The fields of data text in file order, split one block of lines at a time.
+
+    Splitting it all at once would hold two string objects per line together.
+    The labels that interning keeps would then lie scattered over memory the
+    freed fields leave mostly empty, which raises the peak RSS of a process
+    that loads graphs repeatedly.
+    """
+
+    def blocks() -> Iterator[list[str]]:
+        start = 0
+        while start < len(text):
+            end = text.find("\n", start + _BLOCK_CHARS)
+            if end < 0:
+                end = len(text)
+            yield text[start:end].replace("\n", "\t").split("\t")
+            start = end + 1
+
+    return chain.from_iterable(blocks())
+
+
+def _raise_first_error(path: str, check: Callable[[str, str, list[str]], None]) -> NoReturn:
+    """Re-read ``path`` line by line; ``check(where, raw, fields)`` raises at the first bad line."""
+    with open(path, encoding="utf-8") as fh:
+        for lineno, raw in enumerate(fh, start=1):
+            line = raw.strip()
+            if line and not line.startswith("#"):
+                check(f"{path}:{lineno}", raw, line.split("\t"))
+    raise RuntimeError(f"{path}: the whole-file parse rejected a file that every line check accepts")
+
+
+def _check_edge_line(where: str, raw: str, parts: list[str]) -> None:
+    if len(parts) != 2 or not parts[0] or not parts[1]:
+        raise ParseError(f"{where}: expected 'src<TAB>dst', got {raw.rstrip()!r}")
+
+
 def load_graph(path: str, directed: bool = False) -> Graph:
     """Read a tab-separated edge file: one ``src<TAB>dst`` pair per line.
 
     Lines starting with ``#`` and blank lines are skipped. Labels are interned
     in first-appearance order. Duplicate edges collapse; undirected input is
-    symmetrized. An edge-free file is rejected.
+    symmetrized. An edge-free file is rejected. The file is read and checked
+    whole; a malformed line is reported as ``path:line``.
     """
-    labels: list[str] = []
-    index: dict[str, int] = {}
-    edges: list[tuple[int, int]] = []
-    with open(path, encoding="utf-8") as fh:
-        for lineno, raw in enumerate(fh, start=1):
-            line = raw.strip()
-            if not line or line.startswith("#"):
-                continue
-            parts = line.split("\t")
-            if len(parts) != 2 or not parts[0] or not parts[1]:
-                raise ParseError(f"{path}:{lineno}: expected 'src<TAB>dst', got {raw.rstrip()!r}")
-            pair = []
-            for lab in parts:
-                if lab not in index:
-                    index[lab] = len(labels)
-                    labels.append(lab)
-                pair.append(index[lab])
-            edges.append((pair[0], pair[1]))
-    if not edges:
+    text = _data_text(path)
+    if text is None:
+        _raise_first_error(path, _check_edge_line)
+    if not text:
         raise ParseError(f"{path}: no edges found")
-    return Graph.from_edges(edges, len(labels), labels, directed)
+    # A missing label gets the next free index: the dict's size before insertion.
+    interned: defaultdict[str, int] = defaultdict()
+    interned.default_factory = interned.__len__
+    ids = np.fromiter(map(interned.__getitem__, _fields(text)), dtype=np.int64)
+    del text
+    index = dict(interned)
+    labels = list(index)
+    indptr, indices = _csr(ids.reshape(-1, 2), len(labels), directed)
+    return Graph(len(labels), directed, labels, indptr, indices, index)
 
 
 def load_trend(path: str, graph: Graph) -> Trend:
@@ -195,29 +270,30 @@ def load_trend(path: str, graph: Graph) -> Trend:
     non-numeric or non-finite timestamps are rejected with the offending
     line number.
     """
-    nodes: list[int] = []
-    times: list[float] = []
-    with open(path, encoding="utf-8") as fh:
-        for lineno, raw in enumerate(fh, start=1):
-            line = raw.strip()
-            if not line or line.startswith("#"):
-                continue
-            parts = line.split("\t")
-            if len(parts) != 2 or not parts[0] or not parts[1]:
-                raise ParseError(f"{path}:{lineno}: expected 'node<TAB>timestamp', got {raw.rstrip()!r}")
-            try:
-                node = graph.index_of(parts[0])
-            except UnknownNodeError:
-                raise UnknownNodeError(f"{path}:{lineno}: unknown node label {parts[0]!r}") from None
-            try:
-                t = float(parts[1])
-            except ValueError:
-                raise ParseError(f"{path}:{lineno}: bad timestamp {parts[1]!r}") from None
-            if not math.isfinite(t):
-                raise ParseError(f"{path}:{lineno}: non-finite timestamp {parts[1]!r}")
-            nodes.append(node)
-            times.append(t)
-    return Trend(np.asarray(nodes, dtype=np.int64), np.asarray(times, dtype=np.float64))
+    text = _data_text(path)
+    if text is not None:
+        fields = list(_fields(text))
+        nodes = np.fromiter(map(graph._label_index.get, fields[0::2], repeat(-1)), dtype=np.int64)
+        try:
+            times = np.fromiter(map(float, fields[1::2]), dtype=np.float64)
+        except ValueError:
+            times = None
+        if times is not None and (nodes >= 0).all() and np.isfinite(times).all():
+            return Trend(nodes, times)
+
+    def check(where: str, raw: str, parts: list[str]) -> None:
+        if len(parts) != 2 or not parts[0] or not parts[1]:
+            raise ParseError(f"{where}: expected 'node<TAB>timestamp', got {raw.rstrip()!r}")
+        if parts[0] not in graph._label_index:
+            raise UnknownNodeError(f"{where}: unknown node label {parts[0]!r}")
+        try:
+            t = float(parts[1])
+        except ValueError:
+            raise ParseError(f"{where}: bad timestamp {parts[1]!r}") from None
+        if not math.isfinite(t):
+            raise ParseError(f"{where}: non-finite timestamp {parts[1]!r}")
+
+    _raise_first_error(path, check)
 
 
 def write_trend(path: str, trend: Trend, graph: Graph) -> None:
@@ -300,22 +376,29 @@ def random_graph(
     seed: int,
     directed: bool = False,
 ) -> Graph:
-    """Uniform random simple graph with exactly ``edge_count`` edges."""
+    """Uniform random simple graph with exactly ``edge_count`` edges.
+
+    The edges are ``edge_count`` distinct pair indices drawn without
+    replacement, so every simple graph of that size is equally likely.
+    """
     if node_count < 2:
         raise ValueError("need at least two nodes")
     limit = node_count * (node_count - 1) // (1 if directed else 2)
     if edge_count > limit:
         raise ValueError(f"edge_count {edge_count} exceeds maximum {limit}")
     rng = np.random.default_rng(seed)
-    seen: set[tuple[int, int]] = set()
-    edges: list[tuple[int, int]] = []
-    while len(edges) < edge_count:
-        u, v = (int(x) for x in rng.integers(0, node_count, size=2))
-        if u == v:
-            continue
-        key = (u, v) if directed else (min(u, v), max(u, v))
-        if key in seen:
-            continue
-        seen.add(key)
-        edges.append(key)
-    return Graph.from_edges(edges, node_count, directed=directed)
+    k = rng.choice(limit, size=edge_count, replace=False).astype(np.int64)
+    n = node_count
+    if directed:
+        # Pair index k enumerates ordered pairs row by row, n - 1 per row,
+        # skipping the diagonal.
+        u, r = np.divmod(k, n - 1)
+        v = r + (r >= u)
+    else:
+        # Pair index k enumerates the upper triangle row by row; row u starts
+        # at u * (2n - u - 1) / 2 and holds the pairs (u, u+1) .. (u, n-1).
+        rows = np.arange(n - 1, dtype=np.int64)
+        starts = rows * (2 * n - rows - 1) // 2
+        u = np.searchsorted(starts, k, side="right") - 1
+        v = k - starts[u] + u + 1
+    return Graph.from_edges(np.stack([u, v], axis=1), node_count, directed=directed)

@@ -198,18 +198,16 @@ class ProximityMap:
 
     def save_cache(self, path: str) -> None:
         """Persist computed rows as JSON lines behind a fingerprint header."""
+        # Strict JSON, serialized in full first: a non-finite score writes no file.
+        header = {"format": CACHE_FORMAT, "fingerprint": self.fingerprint()}
+        lines = [json.dumps(header, sort_keys=True, allow_nan=False)]
+        for source in sorted(self._rows):
+            row = self._rows[source]
+            targets = sorted(row)
+            record = {"source": source, "targets": targets, "scores": [row[t] for t in targets]}
+            lines.append(json.dumps(record, allow_nan=False))
         with open(path, "w", encoding="utf-8") as fh:
-            header = {"format": CACHE_FORMAT, "fingerprint": self.fingerprint()}
-            fh.write(json.dumps(header, sort_keys=True) + "\n")
-            for source in sorted(self._rows):
-                row = self._rows[source]
-                targets = sorted(row)
-                record = {
-                    "source": source,
-                    "targets": targets,
-                    "scores": [row[t] for t in targets],
-                }
-                fh.write(json.dumps(record) + "\n")
+            fh.write("\n".join(lines) + "\n")
 
     @classmethod
     def load_cache(
@@ -218,21 +216,56 @@ class ProximityMap:
         graph: Graph,
         config: ProximityConfig | None = None,
     ) -> ProximityMap:
-        """Load a cache file; fingerprint must match the supplied graph and config."""
+        """Load a cache file; fingerprint must match the supplied graph and config.
+
+        Malformed JSON, a missing key, a wrong type, a node outside
+        ``[0, node_count)``, a repeated source or target, or a score that is
+        not positive and finite raises ValueError naming ``path`` and the line.
+        """
         with open(path, encoding="utf-8") as fh:
-            header = json.loads(fh.readline())
-            if header.get("format") != CACHE_FORMAT:
-                raise ValueError(f"{path}: not a proximity cache file")
-            stored = dict(header["fingerprint"])
-            stored_graph = stored.pop("graph", None)
-            file_config = ProximityConfig.from_dict(stored)
+            try:
+                header = json.loads(fh.readline())
+                if not isinstance(header, dict) or header.get("format") != CACHE_FORMAT:
+                    raise ValueError("not a proximity cache file")
+                stored = dict(header["fingerprint"])
+                stored_graph = stored.pop("graph", None)
+                file_config = ProximityConfig.from_dict(stored)
+            except (KeyError, TypeError, ValueError) as exc:
+                raise ValueError(f"{path}:1: {_describe(exc)}") from None
             if config is not None and config.to_dict() != file_config.to_dict():
                 raise ValueError(f"{path}: cache was built with a different proximity config")
             if stored_graph != graph_fingerprint(graph):
                 raise ValueError(f"{path}: cache was built for a different graph")
             prox = cls(graph, file_config)
-            for line in fh:
-                record = json.loads(line)
-                row = dict(zip(record["targets"], record["scores"]))
-                prox._rows[record["source"]] = row
+            for lineno, line in enumerate(fh, start=2):
+                try:
+                    source, row = _cache_row(json.loads(line), graph.node_count)
+                except (KeyError, TypeError, ValueError) as exc:
+                    raise ValueError(f"{path}:{lineno}: {_describe(exc)}") from None
+                if source in prox._rows:
+                    raise ValueError(f"{path}:{lineno}: a second row for source {source}")
+                prox._rows[source] = row
         return prox
+
+
+def _describe(exc: Exception) -> str:
+    return f"missing key {exc.args[0]!r}" if isinstance(exc, KeyError) else str(exc)
+
+
+def _cache_row(record: object, node_count: int) -> tuple[int, dict[int, float]]:
+    """One cache record as ``(source, row)``; raises on a malformed or out-of-range record."""
+    if not isinstance(record, dict):
+        raise ValueError("expected a JSON object")
+    source, targets, scores = record["source"], record["targets"], record["scores"]
+    if not isinstance(targets, list) or not isinstance(scores, list) or len(targets) != len(scores):
+        raise ValueError("'targets' and 'scores' must be lists of equal length")
+    for node in (source, *targets):
+        # type() rather than isinstance(): a JSON true must not pass as 1.
+        if type(node) is not int or not 0 <= node < node_count:
+            raise ValueError(f"node {json.dumps(node)} is not an index in [0, {node_count})")
+    if len(set(targets)) != len(targets):
+        raise ValueError("'targets' names a node twice")
+    for score in scores:
+        if type(score) not in (int, float) or not 0 < score < math.inf:
+            raise ValueError(f"score {json.dumps(score)} is not positive and finite")
+    return source, dict(zip(targets, scores))

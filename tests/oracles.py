@@ -2,9 +2,10 @@
 
 Most of it is deliberately naive: plain loops, no stacking, no shared code
 with the library internals beyond data containers. ``ActivenessModel``,
-``total_integrated_influence``, ``PairTable``, ``heap_simulate_baseline`` and
-``loop_fit_baseline`` are former library code that nothing in the package
-calls any more; they stay here as references.
+``total_integrated_influence``, ``PairTable``, ``heap_simulate_baseline``,
+``loop_fit_baseline``, ``line_load_graph`` and ``line_load_trend`` are former
+library code that nothing in the package calls any more; they stay here as
+references.
 """
 
 from __future__ import annotations
@@ -19,7 +20,7 @@ import numpy as np
 
 from trendcast.activeness import ActivenessParams, _decay
 from trendcast.baselines import FALLBACK_ACTIVATION_PROB, FALLBACK_MEAN_GAP, BaselineParams
-from trendcast.core import Graph, Trend, random_graph
+from trendcast.core import Graph, ParseError, Trend, UnknownNodeError, random_graph
 from trendcast.learning import DegeneratePrefixError
 from trendcast.proximity import ProximityConfig, ProximityMap
 from trendcast.simulation import DecayingStream
@@ -271,6 +272,58 @@ def unique_rows_csr(edges: list[tuple[int, int]], node_count: int, directed: boo
     np.add.at(indptr, arr[:, 0] + 1, 1)
     np.cumsum(indptr, out=indptr)
     return indptr, arr[:, 1].copy()
+
+
+def line_load_graph(path: str, directed: bool = False) -> Graph:
+    """``core.load_graph`` one line at a time, interning labels as they appear."""
+    labels: list[str] = []
+    index: dict[str, int] = {}
+    edges: list[tuple[int, int]] = []
+    with open(path, encoding="utf-8") as fh:
+        for lineno, raw in enumerate(fh, start=1):
+            line = raw.strip()
+            if not line or line.startswith("#"):
+                continue
+            parts = line.split("\t")
+            if len(parts) != 2 or not parts[0] or not parts[1]:
+                raise ParseError(f"{path}:{lineno}: expected 'src<TAB>dst', got {raw.rstrip()!r}")
+            pair = []
+            for lab in parts:
+                if lab not in index:
+                    index[lab] = len(labels)
+                    labels.append(lab)
+                pair.append(index[lab])
+            edges.append((pair[0], pair[1]))
+    if not edges:
+        raise ParseError(f"{path}: no edges found")
+    return Graph.from_edges(edges, len(labels), labels, directed)
+
+
+def line_load_trend(path: str, graph: Graph) -> Trend:
+    """``core.load_trend`` one line at a time."""
+    nodes: list[int] = []
+    times: list[float] = []
+    with open(path, encoding="utf-8") as fh:
+        for lineno, raw in enumerate(fh, start=1):
+            line = raw.strip()
+            if not line or line.startswith("#"):
+                continue
+            parts = line.split("\t")
+            if len(parts) != 2 or not parts[0] or not parts[1]:
+                raise ParseError(f"{path}:{lineno}: expected 'node<TAB>timestamp', got {raw.rstrip()!r}")
+            try:
+                node = graph.index_of(parts[0])
+            except UnknownNodeError:
+                raise UnknownNodeError(f"{path}:{lineno}: unknown node label {parts[0]!r}") from None
+            try:
+                t = float(parts[1])
+            except ValueError:
+                raise ParseError(f"{path}:{lineno}: bad timestamp {parts[1]!r}") from None
+            if not math.isfinite(t):
+                raise ParseError(f"{path}:{lineno}: non-finite timestamp {parts[1]!r}")
+            nodes.append(node)
+            times.append(t)
+    return Trend(np.asarray(nodes, dtype=np.int64), np.asarray(times, dtype=np.float64))
 
 
 def _first_activation_dict(trend: Trend) -> dict[int, float]:

@@ -3,12 +3,17 @@
 from __future__ import annotations
 
 import json
+import math
 import subprocess
 import sys
 
 import pytest
 
+from trendcast import simulation
+from trendcast.activeness import ActivenessParams, save_params
 from trendcast.cli import main
+from trendcast.core import random_graph
+from trendcast.proximity import ProximityConfig, ProximityMap
 
 
 @pytest.fixture()
@@ -29,9 +34,13 @@ def pipeline(tmp_path_factory):
     params = d / "params.json"
     assert main([
         "synth", "--random-graph", "30:60", "--graph-out", str(graph),
-        "--alpha", "0.3", "--tau", "1.0", "--horizon", "8.0",
-        "--n-seeds", "3", "--seed", "7", "--out", str(actions),
+        "--alpha", "0.9", "--tau", "1.0", "--horizon", "8.0",
+        "--n-seeds", "10", "--seed", "7", "--out", str(actions),
     ]) == 0
+    # A real trend, not only seed actions at t = 0, so that learn, predict
+    # and eval run on a non-degenerate prefix.
+    stamps = [line.split("\t")[1] for line in actions.read_text(encoding="utf-8").splitlines()]
+    assert len(set(stamps)) >= 100
     assert main([
         "learn", "--graph", str(graph), "--actions", str(actions),
         "--t-star", "8.0", "--seed", "1", "--out", str(params),
@@ -490,6 +499,90 @@ def test_prox_cache_restricted_to_actors(pipeline, tmp_path, capsys):
     out = capsys.readouterr().out
     rows = int(out.split("cached ")[1].split(" rows")[0])
     assert 1 <= rows <= 30
+
+
+def _edit_record(edit):
+    def apply(line: str) -> str:
+        record = json.loads(line)
+        edit(record)
+        return json.dumps(record)
+    return apply
+
+
+@pytest.mark.parametrize("lineno, edit, message", [
+    (3, _edit_record(lambda r: r["targets"].__setitem__(0, 999)), "node 999 is not an index in [0, 30)"),
+    (3, _edit_record(lambda r: r.__setitem__("source", -1)), "node -1 is not an index in [0, 30)"),
+    (3, _edit_record(lambda r: r["targets"].__setitem__(0, True)), "node true is not an index"),
+    (3, _edit_record(lambda r: r["scores"].__setitem__(0, math.nan)), "score NaN is not positive and finite"),
+    (3, _edit_record(lambda r: r["scores"].__setitem__(0, math.inf)), "score Infinity is not positive and finite"),
+    (3, _edit_record(lambda r: r["scores"].__setitem__(0, 0.0)), "score 0.0 is not positive and finite"),
+    (3, _edit_record(lambda r: r["scores"].__setitem__(0, -0.5)), "score -0.5 is not positive and finite"),
+    (3, _edit_record(lambda r: r["scores"].__setitem__(0, "x")), 'score "x" is not positive and finite'),
+    (3, _edit_record(lambda r: r["scores"].append(1.0)), "'targets' and 'scores' must be lists of equal length"),
+    (3, _edit_record(lambda r: r.pop("scores")), "missing key 'scores'"),
+    (3, _edit_record(lambda r: r["targets"].__setitem__(1, r["targets"][0])), "'targets' names a node twice"),
+    (3, _edit_record(lambda r: r.__setitem__("source", 0)), "a second row for source 0"),
+    (3, lambda line: line[:20], "Invalid control character"),
+    (3, lambda line: "[1, 2]", "expected a JSON object"),
+    (1, lambda line: line[:30], "Invalid control character"),
+    (1, lambda line: '{"format": "x"}', "not a proximity cache file"),
+])
+def test_predict_rejects_malformed_prox_cache(pipeline, tmp_path, capsys, lineno, edit, message):
+    d, graph, actions, params = pipeline
+    cache = tmp_path / "prox.jsonl"
+    assert main(["prox-cache", "--graph", str(graph), "--out", str(cache)]) == 0
+    lines = cache.read_text(encoding="utf-8").splitlines()
+    lines[lineno - 1] = edit(lines[lineno - 1])
+    cache.write_text("\n".join(lines) + "\n", encoding="utf-8")
+    capsys.readouterr()
+    out = tmp_path / "pred.csv"
+    assert main([
+        "predict", "--graph", str(graph), "--actions", str(actions),
+        "--t-star", "8.0", "--grid", "8:1:4", "--model", "da",
+        "--params", str(params), "--runs", "2", "--seed", "3",
+        "--prox-cache", str(cache), "--out", str(out),
+    ]) == 1
+    [line] = [line for line in capsys.readouterr().err.splitlines() if line.strip()]
+    assert line.startswith("error:") and f"{cache}:{lineno}: " in line and message in line
+    assert not out.exists()
+
+
+def _nan_params(path: str) -> None:
+    params = ActivenessParams(0.5, 1.0)
+    object.__setattr__(params, "tau", math.inf)
+    save_params(path, params, ProximityConfig())
+
+
+def _nan_cache(path: str) -> None:
+    prox = ProximityMap(random_graph(5, 4, seed=1), ProximityConfig())
+    prox.row(0)
+    prox._rows[1] = {1: math.nan}
+    prox.save_cache(path)
+
+
+def test_json_writers_refuse_non_finite_values(tmp_path, monkeypatch, capsys):
+    # Params and proximity caches: the writer raises and leaves no file.
+    for write in (_nan_params, _nan_cache):
+        path = tmp_path / f"{write.__name__}.json"
+        with pytest.raises(ValueError, match="not JSON compliant"):
+            write(str(path))
+        assert not path.exists()
+
+    # The synth manifest: exit 1, and neither the actions nor the manifest is written.
+    generate = simulation.generate_synthetic
+
+    def nan_manifest(*args, **kwargs):
+        trend, manifest = generate(*args, **kwargs)
+        return trend, {**manifest, "branching_bound": math.nan}
+
+    monkeypatch.setattr(simulation, "generate_synthetic", nan_manifest)
+    out = tmp_path / "synth.tsv"
+    assert main([
+        "synth", "--random-graph", "20:40", "--graph-out", str(tmp_path / "g.tsv"),
+        "--alpha", "0.3", "--tau", "1", "--horizon", "5", "--seed", "1", "--out", str(out),
+    ]) == 1
+    assert "not JSON compliant" in capsys.readouterr().err
+    assert sorted(p.name for p in tmp_path.iterdir()) == []
 
 
 def test_seed_note_when_unset(tiny_files, tmp_path, capsys, monkeypatch):

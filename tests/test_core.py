@@ -1,10 +1,13 @@
 import io
+from unittest import mock
 
 import numpy as np
 import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
+from scipy.stats import chisquare
 
+from trendcast import core
 from trendcast.core import (
     Graph,
     IntervalGrid,
@@ -23,8 +26,9 @@ from trendcast.core import (
     write_graph,
     write_trend,
 )
+from trendcast.proximity import graph_fingerprint
 
-from oracles import brute_force_longest_run, unique_rows_csr
+from oracles import brute_force_longest_run, line_load_graph, line_load_trend, unique_rows_csr
 
 
 def test_toy_yearly_aggregation(toy_trend):
@@ -233,15 +237,37 @@ def test_graph_roundtrip(tmp_path):
 
 
 def test_random_graph_is_simple_and_sized():
-    graph = random_graph(30, 50, seed=1)
-    assert graph.node_count == 30
-    assert graph.edge_count == 100  # 50 undirected edges, both directions stored
-    for u in range(30):
-        nbrs = graph.neighbors(u).tolist()
-        assert u not in nbrs
-        assert len(set(nbrs)) == len(nbrs)
-        for v in nbrs:
-            assert u in graph.neighbors(v).tolist()
+    # Full graphs (2 and 7 nodes) take every pair; directed graphs get twice
+    # the edges, so the full ones hold every ordered pair.
+    for directed in (False, True):
+        for node_count, edges in ((30, 50), (2, 1), (7, 21), (12, 0)):
+            edges *= 2 if directed else 1
+            graph = random_graph(node_count, edges, seed=1, directed=directed)
+            assert graph.node_count == node_count
+            # Undirected edges are stored both ways.
+            assert graph.edge_count == (edges if directed else 2 * edges)
+            for u in range(node_count):
+                nbrs = graph.neighbors(u).tolist()
+                assert u not in nbrs
+                assert len(set(nbrs)) == len(nbrs)
+                if not directed:
+                    for v in nbrs:
+                        assert u in graph.neighbors(v).tolist()
+
+
+@pytest.mark.parametrize("directed", [False, True])
+def test_random_graph_draws_every_edge_equally_often(directed):
+    # Each graph holds 4 of the n(n-1) ordered (or n(n-1)/2 unordered) pairs;
+    # over many seeds every pair should appear in the same share of graphs.
+    n, m, draws = 5, 4, 3000
+    counts = np.zeros((n, n), dtype=np.int64)
+    for seed in range(draws):
+        graph = random_graph(n, m, seed=seed, directed=directed)
+        src = np.repeat(np.arange(n), np.diff(graph.indptr))
+        counts[src, graph.indices] += 1
+    pairs = counts[~np.eye(n, dtype=bool)] if directed else counts[np.triu_indices(n, 1)]
+    assert pairs.sum() == draws * m
+    assert chisquare(pairs).pvalue > 1e-3
 
 
 def test_graph_rejects_out_of_range_edges():
@@ -262,7 +288,94 @@ def test_from_edges_matches_the_unique_rows_reference(case, directed):
     node_count, edges = case
     # Small node counts give self-loops; add reversed and repeated edges too.
     edges = edges + [(v, u) for u, v in edges[::2]] + edges[:3]
-    graph = Graph.from_edges(edges, node_count, directed=directed)
     indptr, indices = unique_rows_csr(edges, node_count, directed)
-    assert graph.indptr.dtype == indptr.dtype and graph.indptr.tolist() == indptr.tolist()
-    assert graph.indices.dtype == indices.dtype and graph.indices.tolist() == indices.tolist()
+    # The same pairs as a list of tuples and as an (m, 2) array.
+    for given_edges in (edges, np.asarray(edges, dtype=np.int64).reshape(-1, 2)):
+        graph = Graph.from_edges(given_edges, node_count, directed=directed)
+        assert graph.indptr.dtype == indptr.dtype and graph.indptr.tolist() == indptr.tolist()
+        assert graph.indices.dtype == indices.dtype and graph.indices.tolist() == indices.tolist()
+
+
+# Labels with inner and edge spaces, non-ASCII text, a leading '#', and
+# characters that str.splitlines() (but not file iteration) breaks at.
+_FILE_LABELS = ["a", "b", "a b", " c", "d ", "é", "日本", "#e", "u\x1cv", "f\u2028g"]
+_GOOD_STAMPS = ["0", "1.5", "-2", "1_000", "1e3", " 7", "٣", "+4.25"]
+_BAD_STAMPS = [" nan", "inf", "x", "1__0"]
+
+
+@st.composite
+def _two_column_file(draw, first: list[str], second: list[str], malformed: bool) -> str:
+    """Text of a two-column file: data lines, comments, blanks, odd line endings."""
+    kinds = ["pair"] * 6 + ["comment", "blank"] + (["one", "three", "empty"] if malformed else [])
+    text = []
+    for _ in range(draw(st.integers(0, 12))):
+        kind = draw(st.sampled_from(kinds))
+        a, b = draw(st.sampled_from(first)), draw(st.sampled_from(second))
+        line = {
+            "pair": f"{a}\t{b}",
+            "comment": f"{draw(st.sampled_from(['', '  ']))}#{a}\t{b}",
+            "blank": draw(st.sampled_from(["", "  ", "\t", "\x0c", " \u2028 "])),
+            "one": a,
+            "three": f"{a}\t{b}\t{a}",
+            "empty": f"{a}\t\t{b}",
+        }[kind]
+        pad = draw(st.sampled_from(["", " ", "\t", " \t"]))
+        text.append(pad + line + draw(st.sampled_from(["", " ", "\t"])) + draw(st.sampled_from(["\n", "\r\n", "\r"])))
+    if text and draw(st.booleans()):
+        text[-1] = text[-1].rstrip("\r\n")
+    return "".join(text)
+
+
+def _outcome(load, *args):
+    try:
+        return load(*args)
+    except ValueError as exc:
+        return exc
+
+
+def _assert_same_outcome(got, want):
+    """Both loaders raised the same error, or neither raised."""
+    if isinstance(want, Exception):
+        assert type(got) is type(want) and str(got) == str(want)
+    else:
+        assert not isinstance(got, Exception), got
+
+
+@settings(derandomize=True, database=None, deadline=None, max_examples=300)
+@given(st.data(), st.booleans(), st.booleans(), st.sampled_from([1, 4, 9, core._BLOCK_CHARS]))
+def test_load_graph_matches_the_line_by_line_reference(tmp_path_factory, data, malformed, directed, block):
+    path = tmp_path_factory.getbasetemp() / "edges.tsv"
+    path.write_bytes(data.draw(_two_column_file(_FILE_LABELS, _FILE_LABELS, malformed)).encode("utf-8"))
+    want = _outcome(line_load_graph, str(path), directed)
+    # Small blocks split the fields of one file in several pieces.
+    with mock.patch.object(core, "_BLOCK_CHARS", block):
+        got = _outcome(load_graph, str(path), directed)
+    _assert_same_outcome(got, want)
+    if isinstance(want, Exception):
+        return
+    assert got.labels == want.labels
+    assert list(got._label_index.items()) == list(want._label_index.items())
+    for name in ("indptr", "indices"):
+        a, b = getattr(got, name), getattr(want, name)
+        assert a.dtype == b.dtype == np.int64 and a.tolist() == b.tolist()
+    assert graph_fingerprint(got) == graph_fingerprint(want)
+
+
+@settings(derandomize=True, database=None, deadline=None, max_examples=300)
+@given(st.data(), st.booleans())
+def test_load_trend_matches_the_line_by_line_reference(tmp_path_factory, data, malformed):
+    # Every label, also in the stripped form a line start or end leaves; only
+    # malformed files name a node the graph lacks.
+    labels = _FILE_LABELS + ["c", "d"]
+    graph = Graph.from_edges([], len(labels), labels)
+    path = tmp_path_factory.getbasetemp() / "actions.tsv"
+    first = labels + (["ghost"] if malformed else [])
+    second = _GOOD_STAMPS + (_BAD_STAMPS if malformed else [])
+    path.write_bytes(data.draw(_two_column_file(first, second, malformed)).encode("utf-8"))
+    want = _outcome(line_load_trend, str(path), graph)
+    got = _outcome(load_trend, str(path), graph)
+    _assert_same_outcome(got, want)
+    if not isinstance(want, Exception):
+        for name in ("nodes", "times"):
+            a, b = getattr(got, name), getattr(want, name)
+            assert a.dtype == b.dtype and a.tolist() == b.tolist()
