@@ -99,11 +99,20 @@ def _resolve_seed(args: argparse.Namespace) -> int:
     return seed
 
 
+def _finite_theta(value: object, where: str) -> float:
+    """A duration threshold as a finite float; ``where`` names its source in errors."""
+    if isinstance(value, bool) or not isinstance(value, (int, float)):
+        raise ValueError(f"{where} must be a number, got {value!r}")
+    if not math.isfinite(value):
+        raise ValueError(f"{where} must be finite, got {value!r}")
+    return float(value)
+
+
 def _apply_jitter(trend: Trend, width: float, seed: int) -> Trend:
     # Optional tie breaking: timestamps keep their recorded values by
     # default; a uniform jitter in [0, width) separates exact ties.
-    if width < 0:
-        raise ValueError("--jitter must be non-negative")
+    if not 0 <= width < math.inf:
+        raise ValueError(f"--jitter must be finite and non-negative, got {width!r}")
     if width == 0:
         return trend
     rng = simulation.derived_rng(seed, _JITTER_KEY)
@@ -139,6 +148,7 @@ def cmd_learn(args: argparse.Namespace) -> int:
 
 
 def cmd_predict(args: argparse.Namespace) -> int:
+    theta = _finite_theta(args.theta, "--theta")
     graph = load_graph(args.graph, args.directed)
     trend = load_trend(args.actions, graph)
     seed = _resolve_seed(args)
@@ -166,7 +176,7 @@ def cmd_predict(args: argparse.Namespace) -> int:
         run_dump: list[Trend] | None = [] if args.dump_runs else None
         report = simulation.predict(
             trend, graph.node_count, prox, params, sim_config, grid,
-            theta=args.theta, measure=args.measure, run_dump=run_dump,
+            theta=theta, measure=args.measure, run_dump=run_dump,
         )
         if args.dump_runs:
             os.makedirs(args.dump_runs, exist_ok=True)
@@ -182,7 +192,7 @@ def cmd_predict(args: argparse.Namespace) -> int:
             params.mult_factor = _training_mult_factor(trend, args.t_star, grid.interval_length)
         report = baselines.predict_baseline(
             params, graph, trend, sim_config, grid,
-            theta=args.theta, measure=args.measure, mult=args.mult,
+            theta=theta, measure=args.measure, mult=args.mult,
         )
     report.write_csv(args.out)
     return 0
@@ -203,7 +213,7 @@ def _training_mult_factor(trend: Trend, t_star: float, interval_length: float) -
 
 def _eval_theta(args: argparse.Namespace, trend: Trend) -> float:
     if args.theta is not None:
-        return args.theta
+        return _finite_theta(args.theta, "--theta")
     if args.theta_from_train:
         grid = _parse_grid(args.theta_from_train)
         return float(evaluation.threshold_from_last_observed(trend, grid, args.measure))
@@ -221,10 +231,13 @@ def cmd_eval(args: argparse.Namespace) -> int:
             raise ValueError("eval needs --pred and --actions, or --manifest")
         entries = [{"pred": args.pred, "actions": args.actions}]
     reports = []
-    for entry in entries:
+    for k, entry in enumerate(entries):
         report = simulation.PredictionReport.read_csv(entry["pred"])
         trend = load_trend(entry["actions"], graph)
-        theta = float(entry["theta"]) if "theta" in entry else _eval_theta(args, trend)
+        if "theta" in entry:
+            theta = _finite_theta(entry["theta"], f"{args.manifest}: trends[{k}].theta")
+        else:
+            theta = _eval_theta(args, trend)
         reports.append(evaluation.evaluate_prediction(report, trend, theta, args.measure))
     evaluation.write_eval_csv(args.out, reports)
     matches = sum(r.duration_match for r in reports)

@@ -2,8 +2,11 @@
 
 For fixed tau the jump scale alpha has a closed form (action count over the
 total influence integral), so fitting reduces to a one-dimensional line
-search over tau. The search runs on log tau with a golden-section bracket,
-restarted over geometric subranges to dodge local maxima.
+search over tau. The search runs on log tau over geometric subranges, to
+dodge local maxima. One pass of the influence table gives the profile value
+and its analytic slope in log tau; a subrange whose slope changes sign from
++ to - is searched by a safeguarded root step on the slope, and only
+subranges of another shape fall back to golden section on the value.
 """
 
 from __future__ import annotations
@@ -24,6 +27,7 @@ class DegeneratePrefixError(ValueError):
 
 
 _INVPHI = (math.sqrt(5.0) - 1.0) / 2.0
+_EPS = float(np.finfo(np.float64).eps)
 
 
 @dataclass(frozen=True)
@@ -215,18 +219,34 @@ class _InfluenceTable:
         never feeds its own influence term, and among equal timestamps only
         earlier list positions count.
         """
+        return self._influences(tau, lagged=False)[0]
+
+    def _influences(self, tau: float, lagged: bool) -> tuple[np.ndarray, np.ndarray | None]:
+        """Influences h, and with ``lagged`` also k_i = sum_j s_ij D_ij exp(-D_ij / tau).
+
+        k is tau^2 dh/dtau. Through a slot D = (t_i - T_c) + (T_c - t_j), so k
+        reads exp(-(t_i - T_c) / tau) * ((t_i - T_c) * U_c[a] + V_c[a]), with
+        V_c[a] = sum over j in c of prox(u_j, a) exp(-(T_c - t_j) / tau) (T_c - t_j).
+        The lagged sums run on the negated elapsed times and flip sign at the end.
+        """
         decay = np.exp(self._neg_dt / tau)
         feeders, pairs = self._feeders, len(self._pair_score)
         terms = decay[feeders:]
         terms[:pairs] *= self._pair_score
+        lag_terms = terms * self._neg_dt[feeders:] if lagged else None
         if self._slots:
-            slots = np.bincount(
-                self._feed_slot,
-                weights=self._feed_score * np.repeat(decay[:feeders], self._feed_count),
-                minlength=self._slots,
-            )
+            fed = self._feed_score * np.repeat(decay[:feeders], self._feed_count)
+            slots = np.bincount(self._feed_slot, weights=fed, minlength=self._slots)
+            if lagged:
+                fed *= np.repeat(self._neg_dt[:feeders], self._feed_count)
+                lags = np.bincount(self._feed_slot, weights=fed, minlength=self._slots)
+                lag_terms[pairs:] *= slots[self._read_slot]
+                lag_terms[pairs:] += terms[pairs:] * lags[self._read_slot]
             terms[pairs:] *= slots[self._read_slot]
-        return np.bincount(self._target, weights=terms, minlength=self.n)
+        h = np.bincount(self._target, weights=terms, minlength=self.n)
+        if not lagged:
+            return h, None
+        return h, -np.bincount(self._target, weights=lag_terms, minlength=self.n)
 
     def evaluate(self, tau: float, alpha: float | None, epsilon: float) -> tuple[float, float]:
         """Log-likelihood at (alpha, tau); alpha of None means the closed-form value.
@@ -238,22 +258,57 @@ class _InfluenceTable:
         profile value uses alpha_hat * H = n exactly, so where every influence
         is floored it is flat to the last bit and the search's tie rule holds.
         """
+        h_total, alpha_closed = self._closed_alpha(tau)
+        log_h, _ = self._log_rates(alpha_closed, self.influences(tau), epsilon)
+        if alpha is None:
+            return log_h - self.n, alpha_closed
+        value = self.n * math.log(alpha / alpha_closed) - alpha * h_total + log_h
+        return value, alpha_closed
+
+    def profile(self, tau: float, epsilon: float) -> tuple[float, float]:
+        """Profile logL and its slope d logL / d log tau, from one pass.
+
+        The value is bit-identical to ``evaluate(tau, None, epsilon)``. With
+        H = tau * S, S = sum_k r_k (1 - exp(-E_k / tau)) and
+        Q = sum_k r_k E_k exp(-E_k / tau), each action whose influence is not
+        floored adds k_i / (tau h_i) - (1 - Q / H) to the slope; a floored one
+        adds nothing, so a fully floored profile has slope exactly 0.
+        """
+        h_total, alpha_closed = self._closed_alpha(tau)
+        h, k = self._influences(tau, lagged=True)
+        log_h, rate = self._log_rates(alpha_closed, h, epsilon)
+        value = log_h - self.n
+        live = rate > epsilon
+        if not live.any():
+            return value, 0.0
+        decay = np.exp(-self.elapsed / tau)
+        q = float(np.sum(self.row_sums * self.elapsed * decay))
+        slope = float(np.sum(k[live] / h[live])) / tau - int(live.sum()) * (1.0 - q / h_total)
+        return value, slope
+
+    def _closed_alpha(self, tau: float) -> tuple[float, float]:
+        """The total influence integral H and the closed-form alpha n / H."""
         h_total = self.total_integral(tau)
         if h_total <= 0.0:
             raise DegeneratePrefixError(
                 "total influence integral is zero; prefix cannot identify alpha"
             )
-        alpha_closed = self.n / h_total
-        h = self.influences(tau)
+        return h_total, self.n / h_total
+
+    @staticmethod
+    def _log_rates(alpha: float, h: np.ndarray, epsilon: float) -> tuple[float, np.ndarray]:
+        """Sum of the floored log rates, and the unfloored rates alpha * h."""
         if epsilon <= 0.0 and (h <= 0.0).any():
             raise DegeneratePrefixError(
                 "action with zero influence and epsilon = 0; likelihood is degenerate"
             )
-        log_h = float(np.log(np.maximum(alpha_closed * h, epsilon)).sum())
-        if alpha is None:
-            return log_h - self.n, alpha_closed
-        value = self.n * math.log(alpha / alpha_closed) - alpha * h_total + log_h
-        return value, alpha_closed
+        rate = alpha * h
+        return float(np.log(np.maximum(rate, epsilon)).sum()), rate
+
+
+def _check_epsilon(epsilon: float) -> None:
+    if not 0.0 <= epsilon < math.inf:
+        raise ValueError(f"epsilon must be finite and non-negative, got {epsilon!r}")
 
 
 def _table(trend: Trend, prox: ProximityMap, t_star: float) -> _InfluenceTable:
@@ -274,6 +329,7 @@ def log_likelihood(
     """Log-likelihood of the prefix under (alpha, tau)."""
     if tau <= 0 or alpha <= 0:
         raise ValueError("alpha and tau must be positive")
+    _check_epsilon(epsilon)
     value, _ = _table(trend, prox, t_star).evaluate(tau, alpha, epsilon)
     return value
 
@@ -312,6 +368,54 @@ def _golden_max(f, a: float, b: float, tol: float) -> tuple[float, float, int]:
     return d, fd, evals
 
 
+def _slope_root(probe, a: float, fa: float, ga: float, b: float, fb: float, gb: float, tol: float):
+    """Brent-Dekker zero of the slope on [a, b], where ga > 0 > gb.
+
+    ``probe(x)`` returns the (value, slope) pair at x. Steps are inverse
+    quadratic or secant when they stay inside the bracket and shrink it fast
+    enough, bisection otherwise; the loop ends once the bracket is narrower
+    than ``tol`` or the slope is exactly 0 (Brent, *Algorithms for
+    Minimization without Derivatives*, 1973, ch. 4). Returns the probed
+    point of highest value, ends included, ties going to the smaller x.
+    """
+    best_x, best_f = (a, fa) if fa >= fb else (b, fb)
+    c, gc = a, ga
+    d = e = b - a
+    while True:
+        if (gb > 0.0) == (gc > 0.0):
+            c, gc = a, ga
+            d = e = b - a
+        if abs(gc) < abs(gb):
+            a, b, c = b, c, b
+            ga, gb, gc = gb, gc, gb
+        tol1 = 2.0 * _EPS * abs(b) + 0.5 * tol
+        xm = 0.5 * (c - b)
+        if abs(xm) <= tol1 or gb == 0.0:
+            return best_x, best_f
+        if abs(e) >= tol1 and abs(ga) > abs(gb):
+            s = gb / ga
+            if a == c:
+                p, q = 2.0 * xm * s, 1.0 - s
+            else:
+                q, r = ga / gc, gb / gc
+                p = s * (2.0 * xm * q * (q - r) - (b - a) * (r - 1.0))
+                q = (q - 1.0) * (r - 1.0) * (s - 1.0)
+            if p > 0.0:
+                q = -q
+            p = abs(p)
+            if 2.0 * p < min(3.0 * xm * q - abs(tol1 * q), abs(e * q)):
+                e, d = d, p / q
+            else:
+                d = e = xm
+        else:
+            d = e = xm
+        a, ga = b, gb
+        b += d if abs(d) > tol1 else math.copysign(tol1, xm)
+        fb, gb = probe(b)
+        if fb > best_f or (fb == best_f and b < best_x):
+            best_x, best_f = b, fb
+
+
 def fit(
     trend: Trend,
     prox: ProximityMap,
@@ -321,15 +425,22 @@ def fit(
 ) -> LearnResult:
     """Fit (alpha, tau) to the prefix at t_star by profile likelihood.
 
-    Golden-section search on log tau within each of ``multistart`` geometric
-    subranges of the bracket; the best profile value wins, ties going to the
-    smaller tau. Deterministic: equal inputs give identical results. Warns
-    when tau_hat lies within the stopping width of either end of the
-    bracket, where the maximum may lie outside it.
+    The bracket is cut into ``multistart`` geometric subranges, and the
+    profile value and its slope in log tau are evaluated once at each cut
+    point. A subrange whose slope goes from + to - has its maximum found by
+    a Brent-Dekker root search on the slope; one whose slopes and values
+    both show it monotone takes its higher end; any other shape (a valley,
+    a floored plateau of slope 0) falls back to golden section on the
+    value. The best profile value wins, ties going to the smaller tau.
+    ``evaluations`` counts both kinds of evaluation. Deterministic: equal
+    inputs give identical results. Warns when tau_hat lies within the
+    stopping width of either end of the bracket, where the maximum may lie
+    outside it.
     """
     config = config or LearnConfig()
     if not math.isfinite(t_star):
         raise ValueError(f"t_star must be finite, got {t_star!r}")
+    _check_epsilon(epsilon)
     prefix = trend.prefix(t_star)
     if len(prefix) < 2:
         raise DegeneratePrefixError("need at least two actions to fit")
@@ -350,10 +461,24 @@ def fit(
         value, _ = table.evaluate(math.exp(x), None, epsilon)
         return value
 
-    cuts = np.linspace(math.log(lo), math.log(hi), config.multistart + 1)
+    def probe(x: float) -> tuple[float, float]:
+        nonlocal evaluations
+        evaluations += 1
+        return table.profile(math.exp(x), epsilon)
+
+    edges = np.linspace(math.log(lo), math.log(hi), config.multistart + 1).tolist()
+    # (x, value, slope) at each cut point; adjacent subranges share them.
+    cuts = [(x, *probe(x)) for x in edges]
     best_x = best_f = None
-    for a, b in zip(cuts[:-1], cuts[1:]):
-        x, fx, _ = _golden_max(objective, float(a), float(b), config.tolerance)
+    for (a, fa, ga), (b, fb, gb) in zip(cuts, cuts[1:]):
+        if ga > 0.0 > gb:
+            x, fx = _slope_root(probe, a, fa, ga, b, fb, gb, config.tolerance)
+        elif ga > 0.0 and gb > 0.0 and fb > fa:
+            x, fx = b, fb
+        elif ga < 0.0 and gb < 0.0 and fa > fb:
+            x, fx = a, fa
+        else:
+            x, fx, _ = _golden_max(objective, a, b, config.tolerance)
         if best_f is None or fx > best_f:
             best_x, best_f = x, fx
     tau_hat = math.exp(best_x)

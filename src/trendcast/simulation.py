@@ -207,7 +207,8 @@ class PredictionReport:
             fh.write(
                 f"# summary runs={self.runs} theta={self.theta:.10g} measure={self.measure} "
                 f"duration_covering_fraction={self.duration_covering_fraction:.10g} "
-                f"branching_ratio={_fmt(self.branching_ratio)}\n"
+                f"branching_ratio={_fmt(self.branching_ratio)} "
+                f"interval_length={self.grid.interval_length!r}\n"
             )
         finally:
             if isinstance(out, str):
@@ -234,7 +235,9 @@ class PredictionReport:
         if not rows:
             raise ValueError(f"{path}: no interval rows")
         t_min0 = float(rows[0][1])
-        length = float(rows[0][2]) - t_min0
+        # The bounds are sums t_start + k * length, so their difference need
+        # not give the length back; the summary carries it exactly.
+        length = float(summary.get("interval_length") or float(rows[0][2]) - t_min0)
         grid = IntervalGrid(t_min0, length, len(rows))
 
         def column(k: int) -> np.ndarray:

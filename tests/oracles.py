@@ -3,8 +3,8 @@
 Most of it is deliberately naive: plain loops, no stacking, no shared code
 with the library internals beyond data containers. ``ActivenessModel``,
 ``total_integrated_influence``, ``PairTable``, ``heap_simulate_baseline``,
-``loop_fit_baseline``, ``line_load_graph`` and ``line_load_trend`` are former
-library code that nothing in the package calls any more; they stay here as
+``loop_fit_baseline``, ``line_load_graph``, ``line_load_trend`` and
+``golden_fit`` are former library code that nothing in the package calls any more; they stay here as
 references.
 """
 
@@ -21,7 +21,7 @@ import numpy as np
 from trendcast.activeness import ActivenessParams, _decay
 from trendcast.baselines import FALLBACK_ACTIVATION_PROB, FALLBACK_MEAN_GAP, BaselineParams
 from trendcast.core import Graph, ParseError, Trend, UnknownNodeError, random_graph
-from trendcast.learning import DegeneratePrefixError
+from trendcast.learning import DegeneratePrefixError, LearnConfig, LearnResult, _golden_max, _table
 from trendcast.proximity import ProximityConfig, ProximityMap
 from trendcast.simulation import DecayingStream
 
@@ -157,6 +157,47 @@ class PairTable:
         h = np.maximum(h, floor)
         value = self.n * math.log(alpha) - alpha * h_total + float(np.log(h).sum())
         return value, alpha_closed
+
+
+def golden_fit(
+    trend: Trend,
+    prox: ProximityMap,
+    t_star: float,
+    config: LearnConfig | None = None,
+    epsilon: float = 1e-9,
+) -> LearnResult:
+    """The former ``fit`` search: golden section on the profile value alone.
+
+    Runs a golden-section search on log tau within each of ``multistart``
+    geometric subranges of the bracket; the best value wins, ties going to
+    the smaller tau. It spends about 34 evaluations per subrange at the
+    default tolerance, whatever the profile's shape.
+    """
+    config = config or LearnConfig()
+    prefix = trend.prefix(t_star)
+    if len(prefix) < 2:
+        raise DegeneratePrefixError("need at least two actions to fit")
+    table = _table(trend, prox, t_star)
+    if config.tau_range is not None:
+        lo, hi = config.tau_range
+    else:
+        span = t_star - float(prefix.times[0])
+        lo, hi = 1e-3 * span, 1e3 * span
+    evaluations = 0
+
+    def objective(x: float) -> float:
+        nonlocal evaluations
+        evaluations += 1
+        return table.evaluate(math.exp(x), None, epsilon)[0]
+
+    cuts = np.linspace(math.log(lo), math.log(hi), config.multistart + 1)
+    best_x = best_f = None
+    for a, b in zip(cuts[:-1], cuts[1:]):
+        x, fx, _ = _golden_max(objective, float(a), float(b), config.tolerance)
+        if best_f is None or fx > best_f:
+            best_x, best_f = x, fx
+    value, alpha_hat = table.evaluate(math.exp(best_x), None, epsilon)
+    return LearnResult(alpha_hat, math.exp(best_x), value, evaluations)
 
 
 def naive_total_integral(trend: Trend, prox: ProximityMap, tau: float, t_star: float, node_count: int) -> float:

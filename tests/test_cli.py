@@ -641,3 +641,83 @@ def test_module_entry_point(tiny_files, tmp_path):
     )
     assert proc.returncode == 0
     assert out.exists()
+
+
+def _one_error_line(capsys) -> str:
+    [line] = [line for line in capsys.readouterr().err.splitlines() if line.strip()]
+    assert line.startswith("error:")
+    return line
+
+
+@pytest.mark.parametrize("command", ["learn", "predict"])
+@pytest.mark.parametrize("width", ["nan", "inf"])
+def test_non_finite_jitter_is_rejected(tiny_files, tmp_path, capsys, command, width):
+    graph, actions = tiny_files
+    out = tmp_path / "out"
+    extra = ["--grid", "3:1:2", "--model", "tequ"] if command == "predict" else []
+    assert main([
+        command, "--graph", str(graph), "--actions", str(actions), "--t-star", "3.0",
+        *extra, f"--jitter={width}", "--seed", "5", "--out", str(out),
+    ]) == 1
+    assert "--jitter must be finite and non-negative" in _one_error_line(capsys)
+    assert not out.exists()
+
+
+@pytest.mark.parametrize("epsilon", ["-1", "inf", "nan"])
+def test_learn_rejects_bad_epsilon_up_front(tiny_files, tmp_path, capsys, epsilon):
+    graph, actions = tiny_files
+    out = tmp_path / "p.json"
+    assert main([
+        "learn", "--graph", str(graph), "--actions", str(actions), "--t-star", "3.0",
+        f"--epsilon={epsilon}", "--out", str(out),
+    ]) == 1
+    # One error line: no search ran, so no tau-edge warning precedes it.
+    assert "epsilon must be finite and non-negative" in _one_error_line(capsys)
+    assert not out.exists()
+
+
+@pytest.mark.parametrize("theta", ["nan", "inf", "-inf"])
+def test_predict_and_eval_reject_non_finite_theta(tiny_files, tmp_path, capsys, theta):
+    graph, actions = tiny_files
+    forecast = [
+        "predict", "--graph", str(graph), "--actions", str(actions), "--t-star", "3.0",
+        "--grid", "3:1:2", "--model", "tequ", "--runs", "4", "--seed", "1",
+    ]
+    bad = tmp_path / "bad.csv"
+    assert main([*forecast, f"--theta={theta}", "--out", str(bad)]) == 1
+    assert "--theta must be finite" in _one_error_line(capsys)
+    assert not bad.exists()
+
+    pred = tmp_path / "pred.csv"
+    assert main([*forecast, "--out", str(pred)]) == 0
+    capsys.readouterr()
+    scored = tmp_path / "eval.csv"
+    assert main([
+        "eval", "--graph", str(graph), "--pred", str(pred), "--actions", str(actions),
+        f"--theta={theta}", "--out", str(scored),
+    ]) == 1
+    assert "--theta must be finite" in _one_error_line(capsys)
+    assert not scored.exists()
+
+    manifest = tmp_path / "trends.json"
+    entry = {"pred": str(pred), "actions": str(actions)}
+    manifest.write_text(json.dumps({"trends": [{**entry, "theta": 0}, {**entry, "theta": float(theta)}]}))
+    assert main(["eval", "--graph", str(graph), "--manifest", str(manifest), "--out", str(scored)]) == 1
+    line = _one_error_line(capsys)
+    assert f"{manifest}: trends[1].theta must be finite" in line
+    assert not scored.exists()
+
+
+@pytest.mark.parametrize("value", ['"0.5"', "true", "null", "[]"])
+def test_eval_manifest_theta_must_be_a_number(tiny_files, tmp_path, capsys, value):
+    graph, actions = tiny_files
+    pred = tmp_path / "pred.csv"
+    assert main([
+        "predict", "--graph", str(graph), "--actions", str(actions), "--t-star", "3.0",
+        "--grid", "3:1:2", "--model", "tequ", "--runs", "4", "--seed", "1", "--out", str(pred),
+    ]) == 0
+    capsys.readouterr()
+    manifest = tmp_path / "trends.json"
+    manifest.write_text(f'{{"trends": [{{"pred": "{pred}", "actions": "{actions}", "theta": {value}}}]}}')
+    assert main(["eval", "--graph", str(graph), "--manifest", str(manifest), "--out", str(tmp_path / "e.csv")]) == 1
+    assert f"{manifest}: trends[0].theta must be a number" in _one_error_line(capsys)

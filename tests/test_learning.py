@@ -21,6 +21,7 @@ from trendcast.proximity import ProximityConfig, ProximityMap
 
 from oracles import (
     PairTable,
+    golden_fit,
     naive_influences,
     naive_log_likelihood,
     naive_total_integral,
@@ -253,3 +254,109 @@ def test_fit_warns_when_tau_lands_on_the_bracket_edge():
     with pytest.warns(UserWarning, match="edge of the tau search range"):
         narrow = fit(trend, prox, t_star, LearnConfig(tau_range=(10 * wide.tau, 11 * wide.tau)))
     assert narrow.tau == pytest.approx(10 * wide.tau, rel=1e-5)
+
+
+def _floored(table, tau: float, epsilon: float) -> np.ndarray:
+    return table.n / table.total_integral(tau) * table.influences(tau) <= epsilon
+
+
+@settings(derandomize=True, database=None, deadline=None, max_examples=300)
+@given(
+    likelihood_cases(),
+    st.one_of(
+        st.none(),
+        st.floats(TIME_STEP / 750.0, TAU_NORMAL_MIN),
+        st.floats(TAU_NORMAL_MIN, 20.0),
+    ),
+    st.sampled_from([1e-9, 1e-3]),
+)
+def test_profile_slope_matches_a_central_difference(case, other_tau, epsilon):
+    # Regimes: prefixes with and without slots, ties, taus past the underflow
+    # edge, in the band where actions cross their floor, and where every
+    # influence is normal, and fully floored plateaus. A step that moves an
+    # action across its floor crosses a kink of the profile, where no
+    # difference quotient converges, so only the value is checked there.
+    prox, trend, tau, _ = case
+    tau = tau if other_tau is None else other_tau
+    table = _table(trend, prox, 10.5)
+    value, slope = table.profile(tau, epsilon)
+    assert value == table.evaluate(tau, None, epsilon)[0]
+    step = 1e-6
+    lower, upper = tau * math.exp(-step), tau * math.exp(step)
+    floored = _floored(table, tau, epsilon)
+    if floored.all():
+        assert slope == 0.0
+    if not (np.array_equal(floored, _floored(table, lower, epsilon))
+            and np.array_equal(floored, _floored(table, upper, epsilon))):
+        return
+    difference = (table.evaluate(upper, None, epsilon)[0] - table.evaluate(lower, None, epsilon)[0]) / (2 * step)
+    # Rounding in the two values, divided by the step, bounds the quotient's error.
+    assert abs(slope - difference) <= 1e-7 * (1.0 + abs(value) + abs(slope))
+
+
+@settings(derandomize=True, database=None, deadline=None, max_examples=60)
+@given(
+    st.integers(0, 2**31),
+    st.sampled_from(["shortest_path", "random_walk"]),
+    st.sampled_from([1e-3, 1e-6]),
+    st.integers(1, 6),
+)
+def test_fit_is_never_below_the_golden_reference(seed, kind, low, multistart):
+    # A bracket from 1e-6 * span starts on the fully floored plateau of
+    # uniform random times (every gap is many taus wide), so the lower
+    # subranges are plateau-then-peak profiles.
+    graph, prox, trend = random_instance(seed, max_nodes=60, max_actions=80, kind=kind)
+    t_star = float(trend.times[-1])
+    span = t_star - float(trend.times[0])
+    config = LearnConfig(tau_range=(low * span, 1e3 * span), multistart=multistart)
+    with warnings.catch_warnings():
+        warnings.simplefilter("ignore")
+        shipped = fit(trend, prox, t_star, config)
+        reference = golden_fit(trend, prox, t_star, config)
+    assert shipped.log_likelihood >= reference.log_likelihood - 1e-9 * abs(reference.log_likelihood)
+    # At worst every subrange falls back to golden section after its cuts.
+    assert shipped.evaluations <= reference.evaluations + multistart + 1
+
+
+def test_fit_spends_few_evaluations_on_a_peaked_profile():
+    graph, prox, trend = random_instance(seed=17, max_nodes=60, max_actions=60)
+    t_star = float(trend.times[-1])
+    table = _table(trend, prox, t_star)
+    span = t_star - float(trend.times[0])
+    cuts = np.geomspace(1e-3 * span, 1e3 * span, 5)
+    slopes = [table.profile(float(tau), 1e-9)[1] for tau in cuts]
+    assert slopes[0] > 0 and slopes[-1] < 0  # one bracketed peak
+    result = fit(trend, prox, t_star)
+    reference = golden_fit(trend, prox, t_star)
+    assert abs(math.log(result.tau / reference.tau)) <= LearnConfig().tolerance
+    assert result.evaluations <= 25 < reference.evaluations
+
+
+def test_fit_breaks_ties_toward_smaller_tau_on_a_flat_profile():
+    # Three actions at nodes that reach no other acting node: every influence
+    # is floored at every tau, so the profile is flat to the last bit and its
+    # slope is exactly 0 at every cut point.
+    prox = ProximityMap(Graph.from_edges([], 3), ProximityConfig(kind="sp"))
+    trend = Trend(np.asarray([0, 1, 2]), np.asarray([0.0, 1.0, 2.0]))
+    table = _table(trend, prox, 3.0)
+    taus = np.geomspace(1e-2, 1e2, 9)
+    profiles = [table.profile(float(tau), 1e-9) for tau in taus]
+    assert len({value for value, _ in profiles}) == 1
+    assert all(slope == 0.0 for _, slope in profiles)
+    config = LearnConfig(tau_range=(1e-2, 1e2))
+    with pytest.warns(UserWarning, match="edge of the tau search range"):
+        result = fit(trend, prox, 3.0, config)
+    assert 0.0 <= math.log(result.tau / 1e-2) <= config.tolerance
+    assert result.tau == golden_fit(trend, prox, 3.0, config).tau
+
+
+@pytest.mark.parametrize("epsilon", [-1.0, math.inf, math.nan])
+def test_fit_and_log_likelihood_reject_bad_epsilon_up_front(epsilon):
+    graph, prox, trend = random_instance(seed=3, max_nodes=30, max_actions=20)
+    t_star = float(trend.times[-1])
+    with warnings.catch_warnings():
+        warnings.simplefilter("error")  # no search runs, so no tau-edge warning
+        with pytest.raises(ValueError, match="epsilon must be finite and non-negative"):
+            fit(trend, prox, t_star, epsilon=epsilon)
+    with pytest.raises(ValueError, match="epsilon must be finite and non-negative"):
+        log_likelihood(trend, prox, 1.0, 1.0, t_star, epsilon=epsilon)

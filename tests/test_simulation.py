@@ -305,3 +305,46 @@ def test_branching_bound_gives_the_exact_rows_verdict(case):
     else:
         _, manifest = generate_synthetic(n, fresh, params, 1, 1e-6, seed=0)
         assert manifest["branching_bound"] == bound
+
+
+_CSV_FLOATS = st.floats(0.0, 1e6, allow_subnormal=False)
+
+
+@st.composite
+def prediction_reports(draw):
+    count = draw(st.integers(1, 6))
+    grid = IntervalGrid(
+        draw(st.floats(-1e6, 1e6, allow_subnormal=False)),
+        draw(st.floats(1e-6, 1e4)),
+        count,
+    )
+    column = st.lists(_CSV_FLOATS, min_size=count, max_size=count).map(np.asarray)
+    cv_column = st.lists(st.one_of(_CSV_FLOATS, st.just(math.nan)), min_size=count, max_size=count).map(np.asarray)
+    return PredictionReport(
+        grid=grid,
+        runs=draw(st.integers(1, 10**6)),
+        theta=draw(st.floats(-1e6, 1e6, allow_subnormal=False)),
+        measure=draw(st.sampled_from(["coverage", "intensity"])),
+        intensity_mean=draw(column),
+        intensity_cv=draw(cv_column),
+        coverage_mean=draw(column),
+        coverage_cv=draw(cv_column),
+        duration_covering_fraction=draw(st.floats(0.0, 1.0)),
+        branching_ratio=draw(st.one_of(st.just(math.nan), st.floats(0.0, 10.0))),
+    )
+
+
+@settings(derandomize=True, database=None, deadline=None, max_examples=200)
+@given(prediction_reports())
+def test_prediction_csv_roundtrip_keeps_every_field(tmp_path_factory, report):
+    # The grid and the run count come back exactly; means, CVs and theta are
+    # written to 10 significant digits, and an absent CV stays absent.
+    path = tmp_path_factory.mktemp("csv") / "pred.csv"
+    report.write_csv(str(path))
+    back = PredictionReport.read_csv(str(path))
+    assert back.grid == report.grid
+    assert back.runs == report.runs
+    assert back.measure == report.measure
+    assert back.theta == pytest.approx(report.theta, rel=1e-9, abs=0.0)
+    for name in ("intensity_mean", "intensity_cv", "coverage_mean", "coverage_cv"):
+        np.testing.assert_allclose(getattr(back, name), getattr(report, name), rtol=1e-9, atol=0.0)
