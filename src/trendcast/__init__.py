@@ -34,10 +34,10 @@ from .evaluation import (
 from .learning import DegeneratePrefixError, LearnConfig, LearnResult, estimate_alpha, fit, log_likelihood
 from .proximity import ConvergenceError, ProximityConfig, ProximityMap
 from .simulation import (
-    DecayingStream,
     ExplosionError,
     PredictionReport,
     SimConfig,
+    Streams,
     generate_synthetic,
     init_streams,
     predict,

@@ -220,12 +220,28 @@ def _eval_theta(args: argparse.Namespace, trend: Trend) -> float:
     raise ValueError("eval needs --theta or --theta-from-train")
 
 
+def _manifest_entries(path: str) -> list[dict]:
+    """The 'trends' entries of an eval manifest; a malformed one raises ValueError naming ``path``."""
+    with open(path, encoding="utf-8") as fh:
+        try:
+            manifest = json.load(fh)
+        except json.JSONDecodeError as exc:
+            raise ValueError(f"{path}:{exc.lineno}: {exc.msg}") from None
+        except UnicodeDecodeError as exc:
+            raise ValueError(f"{path}: {exc}") from None
+    entries = manifest.get("trends") if isinstance(manifest, dict) else None
+    if not isinstance(entries, list):
+        raise ValueError(f"{path}: expected a JSON object with a 'trends' list")
+    for k, entry in enumerate(entries):
+        if not isinstance(entry, dict) or not all(isinstance(entry.get(key), str) for key in ("pred", "actions")):
+            raise ValueError(f"{path}: trends[{k}] needs 'pred' and 'actions' file paths")
+    return entries
+
+
 def cmd_eval(args: argparse.Namespace) -> int:
     graph = load_graph(args.graph, args.directed)
     if args.manifest:
-        with open(args.manifest, encoding="utf-8") as fh:
-            manifest = json.load(fh)
-        entries = manifest["trends"]
+        entries = _manifest_entries(args.manifest)
     else:
         if not (args.pred and args.actions):
             raise ValueError("eval needs --pred and --actions, or --manifest")

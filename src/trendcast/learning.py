@@ -14,7 +14,6 @@ from __future__ import annotations
 import math
 import warnings
 from dataclasses import dataclass
-from itertools import chain
 
 import numpy as np
 
@@ -75,16 +74,12 @@ def _restricted_rows(prox: ProximityMap, acting: np.ndarray) -> tuple[np.ndarray
     and its targets are indices into ``acting``. One flat gather over all
     rows, then a node -> acting-index array drops the other targets.
     """
-    rows = [prox.row(u) for u in acting.tolist()]
-    lengths = np.fromiter(map(len, rows), dtype=np.int64, count=len(rows))
-    total = int(lengths.sum())
-    targets = np.fromiter(chain.from_iterable(rows), dtype=np.int64, count=total)
-    scores = np.fromiter(chain.from_iterable(map(dict.values, rows)), dtype=np.float64, count=total)
+    row_start, targets, scores = prox.gather(acting)
     lookup = np.full(max(int(targets.max(initial=0)), int(acting.max(initial=0))) + 1, -1)
     lookup[acting] = np.arange(len(acting))
     target = lookup[targets]
     keep = target >= 0
-    source = np.repeat(np.arange(len(acting)), lengths)[keep]
+    source = np.repeat(np.arange(len(acting)), np.diff(row_start))[keep]
     row_start = np.searchsorted(source, np.arange(len(acting) + 1))
     return row_start, target[keep], scores[keep]
 
@@ -311,7 +306,14 @@ def _check_epsilon(epsilon: float) -> None:
         raise ValueError(f"epsilon must be finite and non-negative, got {epsilon!r}")
 
 
+def _check_positive(name: str, value: float) -> None:
+    if not 0.0 < value < math.inf:
+        raise ValueError(f"{name} must be positive and finite, got {value!r}")
+
+
 def _table(trend: Trend, prox: ProximityMap, t_star: float) -> _InfluenceTable:
+    if not math.isfinite(t_star):
+        raise ValueError(f"t_star must be finite, got {t_star!r}")
     prefix = trend.prefix(t_star)
     if len(prefix) == 0:
         raise DegeneratePrefixError("no actions at or before t_star")
@@ -327,8 +329,8 @@ def log_likelihood(
     epsilon: float = 1e-9,
 ) -> float:
     """Log-likelihood of the prefix under (alpha, tau)."""
-    if tau <= 0 or alpha <= 0:
-        raise ValueError("alpha and tau must be positive")
+    _check_positive("alpha", alpha)
+    _check_positive("tau", tau)
     _check_epsilon(epsilon)
     value, _ = _table(trend, prox, t_star).evaluate(tau, alpha, epsilon)
     return value
@@ -336,15 +338,8 @@ def log_likelihood(
 
 def estimate_alpha(trend: Trend, prox: ProximityMap, tau: float, t_star: float) -> float:
     """Closed-form maximizer of the likelihood in alpha at fixed tau."""
-    if tau <= 0:
-        raise ValueError("tau must be positive")
-    table = _table(trend, prox, t_star)
-    h_total = table.total_integral(tau)
-    if h_total <= 0.0:
-        raise DegeneratePrefixError(
-            "total influence integral is zero (all actions at t_star?)"
-        )
-    return table.n / h_total
+    _check_positive("tau", tau)
+    return _table(trend, prox, t_star)._closed_alpha(tau)[1]
 
 
 def _golden_max(f, a: float, b: float, tol: float) -> tuple[float, float, int]:
@@ -438,17 +433,14 @@ def fit(
     outside it.
     """
     config = config or LearnConfig()
-    if not math.isfinite(t_star):
-        raise ValueError(f"t_star must be finite, got {t_star!r}")
     _check_epsilon(epsilon)
-    prefix = trend.prefix(t_star)
-    if len(prefix) < 2:
-        raise DegeneratePrefixError("need at least two actions to fit")
     table = _table(trend, prox, t_star)
+    if table.n < 2:
+        raise DegeneratePrefixError("need at least two actions to fit")
     if config.tau_range is not None:
         lo, hi = config.tau_range
     else:
-        span = t_star - float(prefix.times[0])
+        span = float(table.elapsed[0])  # t_star minus the first action time
         if span <= 0.0:
             raise DegeneratePrefixError("all actions at t_star; tau bracket is empty")
         lo, hi = 1e-3 * span, 1e3 * span

@@ -13,6 +13,7 @@ import json
 import math
 from collections import deque
 from dataclasses import dataclass, field
+from itertools import chain
 
 import numpy as np
 
@@ -158,6 +159,14 @@ class ProximityMap:
             return cached
         computed = self._rows[source] = _compute_row(self.graph, source, self.config)
         return computed
+
+    def gather(self, sources: np.ndarray) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
+        """The rows of ``sources``, in order, as CSR arrays (row_start, targets, scores)."""
+        rows = [self.row(u) for u in sources.tolist()]
+        lengths = np.fromiter(map(len, rows), dtype=np.int64, count=len(rows))
+        targets = np.fromiter(chain.from_iterable(rows), dtype=np.int64, count=int(lengths.sum()))
+        scores = np.fromiter(chain.from_iterable(map(dict.values, rows)), dtype=np.float64, count=len(targets))
+        return np.concatenate([[0], np.cumsum(lengths)]), targets, scores
 
     def row_sum(self, source: int) -> float:
         cached = self._row_sums.get(source)

@@ -8,6 +8,12 @@ offspring stream of total rate alpha * row_sum(v) * exp(-(s - t)/tau) whose
 events land on row targets drawn in proportion to prox(v, .). A stream's
 event count before the horizon is Poisson and, given the count, its times
 are iid inverse-CDF draws: one generation at a time, with no thinning.
+
+Streams live in one ``Streams`` record of aligned arrays. Rows come in CSR
+form from ``ProximityMap.gather``: ``init_streams`` spreads the actors'
+summed decayed weights over their rows with one ``bincount``, and
+``simulate`` marks a generation's events with one ``gather`` of its parents
+and one ``searchsorted`` over their joined cumulative scores.
 """
 
 from __future__ import annotations
@@ -20,7 +26,7 @@ import numpy as np
 
 from .core import IntervalGrid, Trend, aggregate, longest_run_above
 from .proximity import ProximityMap
-from .activeness import ActivenessParams, _decay
+from .activeness import DECAY_CUTOFF, ActivenessParams, _decay
 
 # spawn_key name spaces for derived generators: run r draws from key (r,),
 # auxiliary generators (seed picking here, jitter in the CLI, cascade runs in
@@ -35,13 +41,20 @@ class ExplosionError(RuntimeError):
 
 
 @dataclass(frozen=True)
-class DecayingStream:
-    """Poisson stream on ``node`` with rate coefficient * exp(-(t - anchor)/tau)."""
+class Streams:
+    """Aligned stream arrays: stream k on node[k] has rate coefficient[k] * exp(-(t - anchor[k])/tau[k])."""
 
-    node: int
-    coefficient: float
-    anchor: float
-    tau: float
+    node: np.ndarray
+    coefficient: np.ndarray
+    anchor: np.ndarray
+    tau: np.ndarray
+
+    def __post_init__(self) -> None:
+        if not len(self.node) == len(self.coefficient) == len(self.anchor) == len(self.tau):
+            raise ValueError("node, coefficient, anchor and tau must have equal length")
+
+    def __len__(self) -> int:
+        return len(self.node)
 
 
 @dataclass(frozen=True)
@@ -76,7 +89,7 @@ def init_streams(
     t_start: float,
     node_count: int,
     mass_floor: float = 1e-12,
-) -> list[DecayingStream]:
+) -> Streams:
     """Streams carrying the observed prefix past t_start.
 
     One stream per node, anchored at t_start with decay tau. Its coefficient
@@ -85,18 +98,16 @@ def init_streams(
     falls below ``mass_floor`` are dropped.
     """
     tau = params.tau
-    weights: dict[int, float] = {}
-    for u, t_i in trend.prefix(t_start):
-        weights[u] = weights.get(u, 0.0) + _decay(t_start - t_i, tau)
-    coeff = np.full(node_count, params.epsilon * _decay(t_start - params.t0, tau))
-    for u, w in weights.items():
-        if w == 0.0:
-            continue
-        row = prox.row(u)
-        targets = np.fromiter(row.keys(), dtype=np.int64, count=len(row))
-        coeff[targets] += params.alpha * w * np.fromiter(row.values(), dtype=np.float64, count=len(row))
+    prefix = trend.prefix(t_start)
+    x = (t_start - prefix.times) / tau
+    decay = np.where(x > DECAY_CUTOFF, 0.0, np.exp(-x))
+    weight = np.bincount(prefix.nodes, weights=decay, minlength=node_count)
+    live = np.flatnonzero(weight)
+    row_start, targets, scores = prox.gather(live)
+    spread = np.repeat(params.alpha * weight[live], np.diff(row_start)) * scores
+    coeff = params.epsilon * _decay(t_start - params.t0, tau) + np.bincount(targets, spread, node_count)
     keep = np.flatnonzero((coeff > 0.0) & (coeff * tau >= mass_floor))
-    return [DecayingStream(v, c, t_start, tau) for v, c in zip(keep.tolist(), coeff[keep].tolist())]
+    return Streams(keep, coeff[keep], np.full(len(keep), t_start), np.full(len(keep), tau))
 
 
 @dataclass(frozen=True)
@@ -111,7 +122,7 @@ class RunStats:
 
 
 def simulate(
-    streams: list[DecayingStream],
+    streams: Streams,
     prox: ProximityMap,
     params: ActivenessParams,
     config: SimConfig,
@@ -128,13 +139,9 @@ def simulate(
     if not 0 <= run_index < _SEED_PICK_KEY:
         raise ValueError("run_index must lie in [0, 2**61)")
     rng = derived_rng(config.seed, run_index)
-    nodes = np.asarray([s.node for s in streams], dtype=np.int64)
-    coeff = np.asarray([s.coefficient for s in streams], dtype=np.float64)
-    anchor = np.asarray([s.anchor for s in streams], dtype=np.float64)
-    tau = np.asarray([s.tau for s in streams], dtype=np.float64)
+    nodes, coeff, anchor, tau = streams.node, streams.coefficient, streams.anchor, streams.tau
     node_parts, time_parts = [], []
     drawn = 0.0
-    marks: dict[int, tuple[np.ndarray, np.ndarray]] = {}
     while True:
         w = -np.expm1(-(config.t_end - anchor) / tau)
         # numpy draws no Poisson mean past ~9.2e18; one past 1e18 passes any cap anyway
@@ -152,21 +159,15 @@ def simulate(
         if not node_parts:
             nodes = nodes[parent]
         else:  # events past generation 0 land on targets of their parent's row
-            parent_of = group[parent]
-            times = times[np.argsort(parent_of, kind="stable")]
-            ends = np.cumsum(np.bincount(parent_of, minlength=len(acting))).tolist()
-            picks = rng.random(len(times))
-            nodes = np.empty(len(times), dtype=np.int64)
-            for v, lo, hi in zip(acting.tolist(), [0, *ends], ends):
-                if hi == lo:
-                    continue
-                if v not in marks:
-                    row = prox.row(v)
-                    cum = np.cumsum(np.fromiter(row.values(), dtype=np.float64, count=len(row)))
-                    marks[v] = (np.fromiter(row.keys(), dtype=np.int64, count=len(row)), cum)
-                targets, cum = marks[v]
-                at = np.searchsorted(cum, picks[lo:hi] * cum[-1], side="right")
-                nodes[lo:hi] = targets[np.minimum(at, len(targets) - 1)]
+            parents, row = np.unique(group[parent], return_inverse=True)
+            order = np.argsort(row, kind="stable")
+            times, row = times[order], row[order]
+            row_start, targets, scores = prox.gather(acting[parents])
+            cum = np.concatenate([[0.0], np.cumsum(scores)])
+            lo, hi = row_start[row], row_start[row + 1]
+            pick = cum[lo] + rng.random(len(times)) * (cum[hi] - cum[lo])
+            # rounding can put a pick on its row's end, past the row's last entry
+            nodes = targets[np.minimum(np.searchsorted(cum, pick, side="right") - 1, hi - 1)]
         node_parts.append(nodes)
         time_parts.append(times)
         if not len(times):

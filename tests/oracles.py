@@ -23,7 +23,7 @@ from trendcast.baselines import FALLBACK_ACTIVATION_PROB, FALLBACK_MEAN_GAP, Bas
 from trendcast.core import Graph, ParseError, Trend, UnknownNodeError, random_graph
 from trendcast.learning import DegeneratePrefixError, LearnConfig, LearnResult, _golden_max, _table
 from trendcast.proximity import ProximityConfig, ProximityMap
-from trendcast.simulation import DecayingStream
+from trendcast.simulation import Streams
 
 
 @dataclass
@@ -260,15 +260,17 @@ def decayed_influence_at(prefix_actions: list[tuple[int, float]], prox: Proximit
     return s
 
 
-def thinning_superposed(streams: list[DecayingStream], t_start: float, t_end: float, rng: np.random.Generator) -> list[float]:
+def thinning_superposed(streams: Streams, t_start: float, t_end: float, rng: np.random.Generator) -> list[float]:
     """Direct simulation of the summed rate of decaying streams by thinning.
 
     The summed rate is non-increasing, so the rate at the current time bounds
     the future and standard thinning applies.
     """
 
+    terms = list(zip(streams.coefficient.tolist(), streams.anchor.tolist(), streams.tau.tolist()))
+
     def rate(t: float) -> float:
-        return sum(s.coefficient * math.exp(-(t - s.anchor) / s.tau) for s in streams)
+        return sum(c * math.exp(-(t - anchor) / tau) for c, anchor, tau in terms)
 
     t = t_start
     events: list[float] = []

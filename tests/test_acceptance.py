@@ -30,8 +30,8 @@ from trendcast.core import (
 )
 from trendcast.proximity import ProximityConfig, ProximityMap
 from trendcast.simulation import (
-    DecayingStream,
     SimConfig,
+    Streams,
     generate_synthetic,
     simulate,
 )
@@ -151,7 +151,7 @@ def test_criterion_05_sampler_law():
     graph = Graph.from_edges([], n)
     prox = ProximityMap(graph, ProximityConfig(kind="sp"))
     params = ActivenessParams(alpha=1e-30, tau=1.0, epsilon=0.0, t0=0.0)
-    streams = [DecayingStream(node=v, coefficient=1.0, anchor=0.0, tau=1.0) for v in range(n)]
+    streams = Streams(node=np.arange(n), coefficient=np.ones(n), anchor=np.zeros(n), tau=np.ones(n))
     config = SimConfig(t_start=0.0, t_end=60.0, runs=1, seed=51)
     run_trend, _ = simulate(streams, prox, params, config, run_index=0)
     fired_nodes, first = np.unique(run_trend.nodes, return_index=True)
@@ -171,11 +171,12 @@ def test_criterion_05_sampler_law():
 
 def test_criterion_06_superposition_equivalence():
     start = time.perf_counter()
-    streams = [
-        DecayingStream(node=0, coefficient=5.0, anchor=0.0, tau=4.0),
-        DecayingStream(node=0, coefficient=4.0, anchor=0.0, tau=5.0),
-        DecayingStream(node=0, coefficient=6.0, anchor=0.0, tau=3.0),
-    ]
+    streams = Streams(
+        node=np.zeros(3, dtype=np.int64),
+        coefficient=np.array([5.0, 4.0, 6.0]),
+        anchor=np.zeros(3),
+        tau=np.array([4.0, 5.0, 3.0]),
+    )
     graph = Graph.from_edges([], 1)
     prox = ProximityMap(graph, ProximityConfig(kind="sp"))
     # alpha so small that each event's offspring count is Poisson with mean

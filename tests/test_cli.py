@@ -721,3 +721,26 @@ def test_eval_manifest_theta_must_be_a_number(tiny_files, tmp_path, capsys, valu
     manifest.write_text(f'{{"trends": [{{"pred": "{pred}", "actions": "{actions}", "theta": {value}}}]}}')
     assert main(["eval", "--graph", str(graph), "--manifest", str(manifest), "--out", str(tmp_path / "e.csv")]) == 1
     assert f"{manifest}: trends[0].theta must be a number" in _one_error_line(capsys)
+
+
+@pytest.mark.parametrize(
+    "text, where",
+    [
+        (b"[1, 2]", ": expected a JSON object with a 'trends' list"),
+        (b'{"trends": {"pred": "p.csv", "actions": "a.tsv"}}', ": expected a JSON object with a 'trends' list"),
+        (b'{"trends": [{"actions": "a.tsv"}]}', ": trends[0] needs 'pred' and 'actions'"),
+        (b'{"trends": [{"pred": "p.csv", "actions": "a.tsv"}, {"pred": "p.csv"}]}', ": trends[1] needs"),
+        (b'{"trends": [{"pred": "p.csv", "actions": 3}]}', ": trends[0] needs"),
+        (b'{"trends": ["p.csv"]}', ": trends[0] needs"),
+        (b'{"trends": [\n  {"pred": "p.csv",}\n]}', ":2: "),
+        (b'{"trends": [\xff]}', ": 'utf-8' codec can't decode"),
+    ],
+)
+def test_eval_manifest_shape_errors_name_the_file(tiny_files, tmp_path, capsys, text, where):
+    graph, _ = tiny_files
+    manifest = tmp_path / "trends.json"
+    manifest.write_bytes(text)
+    scored = tmp_path / "e.csv"
+    assert main(["eval", "--graph", str(graph), "--manifest", str(manifest), "--out", str(scored)]) == 1
+    assert f"{manifest}{where}" in _one_error_line(capsys)
+    assert not scored.exists()

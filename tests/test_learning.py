@@ -138,6 +138,30 @@ def test_degenerate_prefixes_raise():
         fit(ties, prox, 5.0)  # all mass at t_star
 
 
+@pytest.mark.parametrize("bad", [math.nan, math.inf, -math.inf, 0.0, -1.0])
+def test_invalid_alpha_tau_and_t_star_are_rejected(bad):
+    graph, prox, trend = random_instance(seed=2, max_nodes=20, max_actions=10)
+    t_star = float(trend.times[-1])
+    with pytest.raises(ValueError, match="tau must be positive and finite"):
+        estimate_alpha(trend, prox, bad, t_star)
+    with pytest.raises(ValueError, match="tau must be positive and finite"):
+        log_likelihood(trend, prox, bad, 1.0, t_star)
+    with pytest.raises(ValueError, match="alpha must be positive and finite"):
+        log_likelihood(trend, prox, 1.0, bad, t_star)
+    if not math.isfinite(bad):
+        with pytest.raises(ValueError, match="t_star must be finite"):
+            estimate_alpha(trend, prox, 1.0, bad)
+        with pytest.raises(ValueError, match="t_star must be finite"):
+            log_likelihood(trend, prox, 1.0, 1.0, bad)
+
+
+def test_estimate_alpha_rejects_a_zero_influence_integral():
+    graph, prox, trend = random_instance(seed=2, max_nodes=20, max_actions=10)
+    ties = Trend(trend.nodes[:4].copy(), np.full(4, 5.0))
+    with pytest.raises(DegeneratePrefixError, match="integral is zero"):
+        estimate_alpha(ties, prox, 1.0, 5.0)
+
+
 def test_zero_epsilon_with_orphan_action_raises():
     graph, prox, trend = random_instance(seed=8, max_nodes=20, max_actions=10)
     t_star = float(trend.times[-1])

@@ -3,6 +3,8 @@ from collections import deque
 
 import numpy as np
 import pytest
+from hypothesis import example, given, settings
+from hypothesis import strategies as st
 
 from trendcast.core import Graph, random_graph
 from trendcast.proximity import (
@@ -12,6 +14,8 @@ from trendcast.proximity import (
     random_walk_row,
     shortest_path_row,
 )
+
+from oracles import random_instance
 
 
 def path_graph(n: int, directed: bool = False) -> Graph:
@@ -161,3 +165,24 @@ def test_cache_roundtrip_and_fingerprint(tmp_path):
     with pytest.raises(ValueError, match="different graph"):
         ProximityMap.load_cache(str(path), path_graph(5), config)
 
+
+
+@settings(derandomize=True, database=None, deadline=None, max_examples=40)
+@given(
+    seed=st.integers(0, 2**16),
+    kind=st.sampled_from(["sp", "rw"]),
+    picks=st.lists(st.integers(0, 2**16), max_size=12),
+)
+@example(seed=3, kind="sp", picks=[])
+@example(seed=3, kind="rw", picks=[4, 1, 4, 0, 1])  # repeated and unsorted
+def test_gather_matches_row_entry_for_entry(seed, kind, picks):
+    graph, prox, _ = random_instance(seed, max_nodes=40, max_actions=2, kind=kind)
+    sources = np.asarray(picks, dtype=np.int64) % graph.node_count
+    row_start, targets, scores = prox.gather(sources)
+    assert row_start.tolist()[:1] == [0] and len(row_start) == len(sources) + 1
+    assert row_start[-1] == len(targets) == len(scores)
+    assert targets.dtype == np.int64 and scores.dtype == np.float64
+    for k, u in enumerate(sources.tolist()):
+        row = prox.row(u)
+        assert targets[row_start[k]:row_start[k + 1]].tolist() == list(row)
+        assert scores[row_start[k]:row_start[k + 1]].tolist() == list(row.values())

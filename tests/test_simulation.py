@@ -7,15 +7,15 @@ from hypothesis import example, given, settings
 from hypothesis import strategies as st
 from scipy import linalg
 
-from trendcast.activeness import ActivenessParams
+from trendcast.activeness import DECAY_CUTOFF, ActivenessParams
 from trendcast.core import Graph, IntervalGrid, Trend
 from trendcast.evaluation import evaluate_prediction
 from trendcast.proximity import ProximityConfig, ProximityMap
 from trendcast.simulation import (
-    DecayingStream,
     ExplosionError,
     PredictionReport,
     SimConfig,
+    Streams,
     _CAP_MARGIN,
     branching_bound,
     generate_synthetic,
@@ -40,21 +40,26 @@ def test_init_streams_carry_the_decayed_prefix():
     graph, prox, trend = random_instance(seed=6, max_nodes=25, max_actions=12)
     params = ActivenessParams(alpha=0.8, tau=1.5, epsilon=0.25, t0=float(trend.times[0]))
     t_start = float(trend.times[-1]) + 0.5
+    # One more action, at a node that acts nowhere else, decayed past DECAY_CUTOFF by t_start.
+    stale = int(np.setdiff1d(np.arange(graph.node_count), trend.nodes)[0])
+    stale_time = t_start - 2.0 * DECAY_CUTOFF * params.tau
+    trend = Trend(np.r_[stale, trend.nodes], np.r_[stale_time, trend.times])
     streams = init_streams(trend, prox, params, t_start, graph.node_count, mass_floor=0.0)
+    assert stale not in prox._rows  # a fully decayed actor builds no row
     residual = params.epsilon * math.exp(-(t_start - params.t0) / params.tau)
-    total = sum(s.coefficient for s in streams) - residual * graph.node_count
+    total = streams.coefficient.sum() - residual * graph.node_count
     model = ActivenessModel(trend, prox, params)
-    expected = sum(
-        model.activeness(v, t_start) - residual for v in range(graph.node_count)
-    )
-    assert total == pytest.approx(expected, rel=1e-9)
-    assert all(s.anchor == t_start for s in streams)
+    expected = [model.activeness(v, t_start) for v in range(graph.node_count)]
+    assert total == pytest.approx(sum(e - residual for e in expected), rel=1e-9)
+    assert streams.node.tolist() == list(range(graph.node_count))
+    assert streams.coefficient.tolist() == pytest.approx(expected, rel=1e-9)
+    assert np.all(streams.anchor == t_start) and np.all(streams.tau == params.tau)
 
 
 def test_init_streams_mass_floor_drops_tiny_streams():
     graph, prox, params, trend = single_node_setup(alpha=1e-14, tau=1.0)
     streams = init_streams(trend, prox, params, 0.0, 1, mass_floor=1e-12)
-    assert streams == []
+    assert len(streams) == 0
 
 
 def test_simulate_is_deterministic_per_seed_and_run():
@@ -73,7 +78,7 @@ def test_simulate_respects_the_horizon():
     graph, prox, params, trend = single_node_setup(alpha=0.9, tau=2.0)
     config = SimConfig(t_start=0.0, t_end=3.0, runs=1, seed=5)
     # streams anchored before t_start fire from their anchor on
-    early = [DecayingStream(0, 2.0, -2.5, 1.5), DecayingStream(0, 0.5, -2.5, 4.0)]
+    early = Streams(np.zeros(2, dtype=np.int64), np.array([2.0, 0.5]), np.full(2, -2.5), np.array([1.5, 4.0]))
     for anchor, streams in ((0.0, init_streams(trend, prox, params, 0.0, 1)), (-2.5, early)):
         for run in range(50):
             result, _ = simulate(streams, prox, params, config, run_index=run)
@@ -95,7 +100,8 @@ def test_simulate_event_cap_raises_explosion_error():
     for coefficient in (1e15, 1e300):
         start = time.perf_counter()
         with pytest.raises(ExplosionError, match="1000"):
-            simulate([DecayingStream(0, coefficient, 0.0, 1.0)], prox, params, config)
+            single = Streams(np.zeros(1, dtype=np.int64), np.full(1, coefficient), np.zeros(1), np.ones(1))
+            simulate(single, prox, params, config)
         assert time.perf_counter() - start < 5.0
 
 
@@ -121,26 +127,48 @@ def test_single_node_counts_match_time_step_oracle():
     assert counts.mean() == pytest.approx(oracle.mean(), abs=3.5 * math.hypot(sim_sem, oracle_sem))
 
 
-def test_per_node_counts_match_linear_mean_on_a_path():
+def _linear_mean_counts(edges, n, actors):
+    """Mean per-node event counts over 4,000 runs, their standard errors, and the exact mean."""
     alpha, tau, t_end, runs = 0.4, 1.0, 3.0, 4_000
-    graph = Graph.from_edges([(0, 1), (1, 2)], 3, directed=True)
+    graph = Graph.from_edges(edges, n, directed=True)
     prox = ProximityMap(graph, ProximityConfig(kind="sp", b=1.0))
     params = ActivenessParams(alpha, tau, epsilon=0.0, t0=0.0)
-    trend = Trend(np.asarray([0]), np.asarray([0.0]))
+    trend = Trend(np.asarray(actors), np.zeros(len(actors)))
     config = SimConfig(t_start=0.0, t_end=t_end, runs=runs, seed=31)
     streams = init_streams(trend, prox, params, 0.0, graph.node_count)
     counts = np.asarray([
-        np.bincount(simulate(streams, prox, params, config, run_index=r)[0].nodes, minlength=3)
+        np.bincount(simulate(streams, prox, params, config, run_index=r)[0].nodes, minlength=n)
         for r in range(runs)
     ])
     # Each event at u adds alpha * K[u] to the rates, so the expected
     # decayed-influence vector x solves x' = A x with A = alpha K^T - I/tau,
-    # and the expected rate alpha K^T x integrates to A^-1 (e^{AT} - I) alpha K[0].
-    kernel = np.asarray([[prox.row(u).get(v, 0.0) for v in range(3)] for u in range(3)])
-    a = alpha * kernel.T - np.eye(3) / tau
-    expected = np.linalg.solve(a, (linalg.expm(a * t_end) - np.eye(3)) @ (alpha * kernel[0]))
-    sem = counts.std(axis=0, ddof=1) / math.sqrt(runs)
-    assert np.all(np.abs(counts.mean(axis=0) - expected) < 3.5 * sem)
+    # and the expected rate alpha K^T x integrates to A^-1 (e^{AT} - I) x0,
+    # x0 = alpha times the sum of the actors' rows K[u].
+    kernel = np.asarray([[prox.row(u).get(v, 0.0) for v in range(n)] for u in range(n)])
+    a = alpha * kernel.T - np.eye(n) / tau
+    expected = np.linalg.solve(a, (linalg.expm(a * t_end) - np.eye(n)) @ (alpha * kernel[actors].sum(axis=0)))
+    return counts.mean(axis=0), counts.std(axis=0, ddof=1) / math.sqrt(runs), expected
+
+
+def test_per_node_counts_match_linear_mean_on_a_path():
+    mean, sem, expected = _linear_mean_counts([(0, 1), (1, 2)], 3, [0])
+    assert np.all(np.abs(mean - expected) < 3.5 * sem)
+
+
+def test_per_node_counts_match_linear_mean_on_two_components():
+    # Rows of 3 and 2 entries, both acting: a generation then has parents in
+    # both components, and a row offset error in the child marks would move
+    # mass from one component to the other.
+    mean, sem, expected = _linear_mean_counts([(0, 1), (1, 2), (3, 4)], 5, [0, 3])
+    assert np.all(np.abs(mean - expected) < 3.5 * sem)
+
+
+@pytest.mark.parametrize("short", ["node", "coefficient", "anchor", "tau"])
+def test_streams_reject_arrays_of_unequal_length(short):
+    fields = {"node": np.arange(2), "coefficient": np.ones(2), "anchor": np.zeros(2), "tau": np.ones(2)}
+    fields[short] = fields[short][:1]
+    with pytest.raises(ValueError, match="equal length"):
+        Streams(**fields)
 
 
 def test_branching_ratio_stays_subcritical():
