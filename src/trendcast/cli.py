@@ -16,6 +16,8 @@ import sys
 import time
 import warnings
 
+import numpy as np
+
 from . import baselines, evaluation, learning, simulation
 from .activeness import ActivenessParams, load_params, save_params
 from .core import (
@@ -173,6 +175,13 @@ def cmd_predict(args: argparse.Namespace) -> int:
             raise ValueError("--model da requires --params from a prior learn run")
         params, prox_config = load_params(args.params)
         prox = _proximity(args, graph, prox_config)
+        bound = simulation.branching_bound(prox, params, graph.node_count)
+        if bound >= 1.0:
+            print(
+                f"warning: parameters are supercritical: alpha * tau * max_row_sum = {bound:.6g} >= 1; "
+                "runs may grow until --max-events",
+                file=sys.stderr,
+            )
         run_dump: list[Trend] | None = [] if args.dump_runs else None
         report = simulation.predict(
             trend, graph.node_count, prox, params, sim_config, grid,
@@ -313,11 +322,10 @@ def cmd_prox_cache(args: argparse.Namespace) -> int:
     prox = ProximityMap(graph, _prox_config(args))
     if args.actions:
         trend = load_trend(args.actions, graph)
-        sources = sorted(set(trend.nodes.tolist()))
+        sources = np.unique(trend.nodes)
     else:
-        sources = list(range(graph.node_count))
-    for source in sources:
-        prox.row(source)
+        sources = np.arange(graph.node_count)
+    prox.gather(sources)
     prox.save_cache(args.out)
     print(f"cached {len(sources)} rows to {args.out}")
     return 0

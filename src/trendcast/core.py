@@ -181,6 +181,25 @@ _TWO_TABS = re.compile(r"\t[^\n]*\t")
 _BLOCK_CHARS = 1 << 16
 
 
+def _read_lines(path: str) -> list[str]:
+    """The lines of a UTF-8 text file; a byte that is not UTF-8 raises ParseError naming ``path:line``.
+
+    CRLF and lone CR end a line, as in text mode. Lines are split on LF
+    alone, as iterating a file does: splitlines() also breaks at characters
+    such as \x1c or \u2028, which would shift line numbers.
+    """
+    with open(path, "rb") as fh:
+        data = fh.read()
+    try:
+        text = data.decode("utf-8")
+    except UnicodeDecodeError as exc:
+        head = data[: exc.start].decode("utf-8")
+        line = head.replace("\r\n", "\n").replace("\r", "\n").count("\n") + 1
+        raise ParseError(f"{path}:{line}: not valid UTF-8") from None
+    del data
+    return text.replace("\r\n", "\n").replace("\r", "\n").split("\n")
+
+
 def _data_text(path: str) -> str | None:
     """The data lines of a two-column file, stripped and joined by newlines.
 
@@ -188,12 +207,7 @@ def _data_text(path: str) -> str | None:
     surrounding whitespace is stripped. Returns None when a data line has
     other than exactly two non-empty tab-separated fields.
     """
-    with open(path, encoding="utf-8") as fh:
-        # Text mode has already turned CRLF and lone CR into LF. Split on LF
-        # alone, as iterating the file does: splitlines() also breaks at
-        # characters such as \x1c or \u2028, which would shift line numbers.
-        lines = fh.read().split("\n")
-    lines = [s for s in map(str.strip, lines) if s and s[0] != "#"]
+    lines = [s for s in map(str.strip, _read_lines(path)) if s and s[0] != "#"]
     text = "\n".join(lines)
     # As many tabs as lines and no line with two means exactly one tab per
     # line. A stripped line neither starts nor ends with a tab, so both of
@@ -226,11 +240,10 @@ def _fields(text: str) -> Iterator[str]:
 
 def _raise_first_error(path: str, check: Callable[[str, str, list[str]], None]) -> NoReturn:
     """Re-read ``path`` line by line; ``check(where, raw, fields)`` raises at the first bad line."""
-    with open(path, encoding="utf-8") as fh:
-        for lineno, raw in enumerate(fh, start=1):
-            line = raw.strip()
-            if line and not line.startswith("#"):
-                check(f"{path}:{lineno}", raw, line.split("\t"))
+    for lineno, raw in enumerate(_read_lines(path), start=1):
+        line = raw.strip()
+        if line and not line.startswith("#"):
+            check(f"{path}:{lineno}", raw, line.split("\t"))
     raise RuntimeError(f"{path}: the whole-file parse rejected a file that every line check accepts")
 
 

@@ -129,7 +129,7 @@ class _InfluenceTable:
         self.elapsed = t_star - times
         acting, act = np.unique(nodes, return_inverse=True)
         m = len(acting)
-        self.row_sums = np.asarray([prox.row_sum(u) for u in acting.tolist()], dtype=np.float64)[act]
+        self.row_sums = prox.row_sums(acting)[act]
         row_start, tgt, score = _restricted_rows(prox, acting)
 
         size = math.isqrt(max(n - 1, 0)) + 1

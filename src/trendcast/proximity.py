@@ -4,6 +4,15 @@ A proximity row maps a source node to the influence weight it exerts on each
 reachable node. Two kernels are provided: an exponentially decaying
 shortest-path kernel and a restart random walk. Entries below a configurable
 floor are dropped, which keeps rows sparse and bounds traversal depth.
+
+Shortest-path rows are built two ways. ``ProximityMap.gather`` builds all
+of its missing rows with ``_sp_rows``, one level-synchronous BFS for many
+sources over the CSR arrays, which shares the per-level numpy work among
+them. A request for one missing row (``row``, or a gather that misses one)
+uses the scalar BFS ``shortest_path_row``, because the batched pass costs
+several times more than a dict BFS for a single sparse row. Both give the
+same row, entry for entry and in the same order. Random-walk rows are built
+one source at a time.
 """
 
 from __future__ import annotations
@@ -13,7 +22,7 @@ import json
 import math
 from collections import deque
 from dataclasses import dataclass, field
-from itertools import chain
+from itertools import chain, islice
 
 import numpy as np
 
@@ -95,6 +104,78 @@ def shortest_path_row(graph: Graph, source: int, config: ProximityConfig) -> dic
     return scores
 
 
+# Cells (rows x nodes) of the ``seen`` bitmap of one _sp_rows chunk: the
+# sources are searched CELLS // node_count at a time, which bounds the
+# kernel's scratch memory on large graphs.
+_SP_CHUNK_CELLS = 1 << 18
+
+
+def _sp_rows(graph: Graph, sources: np.ndarray, config: ProximityConfig) -> list[dict[int, float]]:
+    """The shortest-path rows of ``sources``, each equal to ``shortest_path_row`` entry for entry.
+
+    One level-synchronous BFS runs for a chunk of sources at once over the
+    CSR arrays (a multi-source BFS as in Then et al., VLDB 2014). A
+    candidate is keyed ``row * n + node``. At each hop the frontier's
+    out-edges are listed in the order the scalar BFS walks them (frontier
+    position, then neighbour order), candidates already seen are dropped,
+    and a sort of the keys keeps each key's first discovery, so every row
+    keeps the scalar BFS's entry order and its ``math.exp(-b * hops)`` score.
+    """
+    n = graph.node_count
+    indptr, indices = graph.indptr, graph.indices
+    degree = np.diff(indptr)
+    weight = [1.0]
+    chunk = max(1, _SP_CHUNK_CELLS // max(n, 1))
+    seen = np.zeros(min(len(sources), chunk) * n, dtype=bool)
+    rows: list[dict[int, float]] = []
+    for lo in range(0, len(sources), chunk):
+        f_node = np.asarray(sources[lo : lo + chunk], dtype=np.int64)
+        size = len(f_node)
+        f_key = np.arange(size) * n + f_node
+        keys, hops = [], []
+        hop = 0
+        while True:
+            seen[f_key] = True
+            keys.append(f_key)
+            hops.append(np.full(len(f_key), hop, dtype=np.int32))
+            hop += 1
+            if hop == len(weight):
+                if (score := math.exp(-config.b * hop)) < config.floor:
+                    break
+                weight.append(score)
+            count = degree[f_node]
+            first_edge = np.cumsum(count) - count
+            edge = np.repeat(indptr[f_node] - first_edge, count)
+            edge += np.arange(len(edge))
+            c_node = indices[edge]
+            del edge
+            c_key = np.repeat(f_key - f_node, count)
+            c_key += c_node
+            fresh = np.flatnonzero(~seen[c_key])
+            m = len(fresh)
+            if not m:
+                break
+            # Sorting key * m + position puts each key's first discovery in
+            # front of its group; the kept positions, sorted, are the
+            # discovery order.
+            packed = np.sort(c_key[fresh] * m + np.arange(m))
+            group = packed // m
+            first = np.empty(m, dtype=bool)
+            first[0] = True
+            np.not_equal(group[1:], group[:-1], out=first[1:])
+            keep = fresh[np.sort(packed[first] - group[first] * m)]
+            f_node, f_key = c_node[keep], c_key[keep]
+        key = np.concatenate(keys)
+        seen[key] = False
+        row, node = np.divmod(key, n)
+        order = np.argsort(row, kind="stable")
+        # One float object per hop, shared by every entry at that hop as in
+        # the scalar BFS, not one per entry as scores.tolist() would make.
+        pairs = zip(node[order].tolist(), map(weight.__getitem__, np.concatenate(hops)[order].tolist()))
+        rows.extend(dict(islice(pairs, k)) for k in np.bincount(row, minlength=size).tolist())
+    return rows
+
+
 def random_walk_row(graph: Graph, source: int, config: ProximityConfig) -> dict[int, float]:
     """Stationary mass of a restart walk from ``source``.
 
@@ -145,7 +226,9 @@ def graph_fingerprint(graph: Graph) -> str:
 class ProximityMap:
     """Lazy per-source row cache over a graph and kernel config.
 
-    Rows are computed on first demand and memoized.
+    Rows are computed on first demand and memoized. ``gather`` and
+    ``row_sums`` build all of their missing rows at once; ``row`` and
+    ``row_sum`` build one.
     """
 
     graph: Graph
@@ -160,9 +243,27 @@ class ProximityMap:
         computed = self._rows[source] = _compute_row(self.graph, source, self.config)
         return computed
 
+    def _fill(self, sources: list[int]) -> None:
+        """Build and cache the rows of ``sources`` not cached yet.
+
+        Two or more missing shortest-path rows come from one ``_sp_rows``
+        pass; a single one, and every random-walk row, from ``row``.
+        """
+        missing = list(dict.fromkeys(u for u in sources if u not in self._rows))
+        if len(missing) < 2 or self.config.kind != "shortest_path":
+            for u in missing:
+                self.row(u)
+            return
+        self._rows.update(zip(missing, _sp_rows(self.graph, np.asarray(missing), self.config)))
+
     def gather(self, sources: np.ndarray) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
-        """The rows of ``sources``, in order, as CSR arrays (row_start, targets, scores)."""
-        rows = [self.row(u) for u in sources.tolist()]
+        """The rows of ``sources``, in order, as CSR arrays (row_start, targets, scores).
+
+        Missing rows are built first, all in one batch (see ``_fill``).
+        """
+        sources = sources.tolist()
+        self._fill(sources)
+        rows = [self._rows[u] for u in sources]
         lengths = np.fromiter(map(len, rows), dtype=np.int64, count=len(rows))
         targets = np.fromiter(chain.from_iterable(rows), dtype=np.int64, count=int(lengths.sum()))
         scores = np.fromiter(chain.from_iterable(map(dict.values, rows)), dtype=np.float64, count=len(targets))
@@ -173,6 +274,12 @@ class ProximityMap:
         if cached is None:
             cached = self._row_sums[source] = float(sum(self.row(source).values()))
         return cached
+
+    def row_sums(self, sources: np.ndarray) -> np.ndarray:
+        """The row sums of ``sources``, in order; missing rows are built as ``gather`` builds them."""
+        sources = sources.tolist()
+        self._fill(sources)
+        return np.fromiter(map(self.row_sum, sources), dtype=np.float64, count=len(sources))
 
     def row_sum_cap(self) -> float:
         """Upper bound on every row sum from the kernel and the max degree; builds no row.

@@ -13,7 +13,12 @@ Streams live in one ``Streams`` record of aligned arrays. Rows come in CSR
 form from ``ProximityMap.gather``: ``init_streams`` spreads the actors'
 summed decayed weights over their rows with one ``bincount``, and
 ``simulate`` marks a generation's events with one ``gather`` of its parents
-and one ``searchsorted`` over their joined cumulative scores.
+and one ``searchsorted`` over their joined cumulative scores. A
+generation's coefficients come from one ``ProximityMap.row_sums`` of its
+acting nodes. ``gather`` and ``row_sums`` build all of their missing
+shortest-path rows in one batched BFS, and a lone missing row with the
+scalar BFS, which is cheaper for one row; both give the same rows, so a
+run does not depend on which path built them.
 """
 
 from __future__ import annotations
@@ -173,7 +178,7 @@ def simulate(
         if not len(times):
             break
         acting, group = np.unique(nodes, return_inverse=True)
-        coeff = params.alpha * np.asarray([prox.row_sum(v) for v in acting.tolist()])[group]
+        coeff = params.alpha * prox.row_sums(acting)[group]
         anchor, tau = times, np.full(len(times), params.tau)
     trend = Trend(np.concatenate(node_parts), np.concatenate(time_parts))
     return trend, RunStats(len(trend), len(trend) - len(node_parts[0]))
@@ -364,7 +369,7 @@ def branching_bound(prox: ProximityMap, params: ActivenessParams, node_count: in
     capped = scale * prox.row_sum_cap()
     if capped < 1.0 - _CAP_MARGIN:
         return capped
-    return scale * max(prox.row_sum(v) for v in range(node_count))
+    return scale * float(prox.row_sums(np.arange(node_count)).max())
 
 
 def generate_synthetic(

@@ -310,6 +310,41 @@ def test_non_finite_timestamp_exits_1(tiny_files, tmp_path, capsys):
     assert "nan.tsv:2" in capsys.readouterr().err
 
 
+@pytest.mark.parametrize("name, content, line", [
+    ("graph", b"# two nodes\na\tb\r\nb\t\xffc\n", 3),
+    ("actions", b"a\t0.5\nb\t1.\xff5\n", 2),
+])
+def test_non_utf8_input_names_the_file_and_line(tiny_files, tmp_path, capsys, name, content, line):
+    files = dict(zip(("graph", "actions"), tiny_files))
+    bad = files[name] = tmp_path / "bad.tsv"
+    bad.write_bytes(content)
+    code = main([
+        "aggregate", "--graph", str(files["graph"]), "--actions", str(files["actions"]),
+        "--grid", "0:1:3", "--out", str(tmp_path / "agg.csv"),
+    ])
+    assert code == 1
+    assert f"{bad}:{line}: not valid UTF-8" in _one_error_line(capsys)
+
+
+def test_predict_warns_when_the_params_are_supercritical(tiny_files, tmp_path, capsys):
+    graph, actions = tiny_files
+    params = tmp_path / "params.json"
+    out = tmp_path / "pred.csv"
+    save_params(str(params), ActivenessParams(2.0, 1.0, 1e-9, 0.0), ProximityConfig(kind="sp", b=10.0))
+    argv = [
+        "predict", "--graph", str(graph), "--actions", str(actions), "--t-star", "3.0",
+        "--grid", "3:0.1:2", "--model", "da", "--params", str(params), "--runs", "5",
+        "--seed", "1", "--out", str(out),
+    ]
+    assert main(argv) == 0
+    [line] = [line for line in capsys.readouterr().err.splitlines() if line.strip()]
+    assert line.startswith("warning: parameters are supercritical") and ">= 1" in line
+    assert out.exists()
+    save_params(str(params), ActivenessParams(0.4, 1.0, 1e-9, 0.0), ProximityConfig(kind="sp", b=10.0))
+    assert main(argv) == 0
+    assert capsys.readouterr().err == ""
+
+
 @pytest.mark.parametrize("nested", [False, True])
 def test_predict_rejects_unknown_params_key(pipeline, tmp_path, capsys, nested):
     d, graph, actions, params = pipeline

@@ -1,11 +1,13 @@
 import math
 from collections import deque
+from unittest import mock
 
 import numpy as np
 import pytest
 from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
+from trendcast import proximity
 from trendcast.core import Graph, random_graph
 from trendcast.proximity import (
     ConvergenceError,
@@ -182,7 +184,67 @@ def test_gather_matches_row_entry_for_entry(seed, kind, picks):
     assert row_start.tolist()[:1] == [0] and len(row_start) == len(sources) + 1
     assert row_start[-1] == len(targets) == len(scores)
     assert targets.dtype == np.int64 and scores.dtype == np.float64
+    # gather caches what it builds, so prox.row(u) would compare its rows
+    # with themselves; the per-source kernels build them independently.
+    reference = shortest_path_row if kind == "sp" else random_walk_row
     for k, u in enumerate(sources.tolist()):
-        row = prox.row(u)
+        row = reference(graph, u, prox.config)
         assert targets[row_start[k]:row_start[k + 1]].tolist() == list(row)
         assert scores[row_start[k]:row_start[k + 1]].tolist() == list(row.values())
+
+
+def _sp_instance(seed: int, directed: bool, isolated: int, b: float, on_floor: bool):
+    """A random_instance graph, directed by keeping a random half of its arcs, plus isolated nodes.
+
+    With ``on_floor`` the floor is exp(-2b), so hop 2 scores exactly the
+    floor and is kept.
+    """
+    graph, _, _ = random_instance(seed, max_nodes=40, max_actions=2)
+    src = np.repeat(np.arange(graph.node_count), np.diff(graph.indptr))
+    edges = np.column_stack([src, graph.indices])
+    if directed:
+        edges = edges[np.random.default_rng(seed).random(len(edges)) < 0.5]
+    graph = Graph.from_edges(edges, graph.node_count + isolated, directed=directed)
+    return graph, ProximityConfig(kind="sp", b=b, floor=math.exp(-2 * b) if on_floor else 1e-12)
+
+
+def _assert_batched_rows_match_scalar_bfs(graph, config, sources):
+    prox = ProximityMap(graph, config)
+    row_start, targets, scores = prox.gather(sources)
+    assert len(row_start) == len(sources) + 1 and row_start[-1] == len(targets)
+    for k, u in enumerate(sources.tolist()):
+        row = shortest_path_row(graph, u, config)
+        assert targets[row_start[k]:row_start[k + 1]].tolist() == list(row)
+        assert scores[row_start[k]:row_start[k + 1]].tolist() == list(row.values())
+        assert prox.row(u) == row and list(prox.row(u)) == list(row)
+    sums = [float(sum(shortest_path_row(graph, u, config).values())) for u in sources.tolist()]
+    assert ProximityMap(graph, config).row_sums(sources).tolist() == sums
+
+
+@settings(derandomize=True, database=None, deadline=None, max_examples=150)
+@given(
+    seed=st.integers(0, 2**16),
+    directed=st.booleans(),
+    isolated=st.integers(0, 3),
+    b=st.floats(0.3, 10.0),
+    on_floor=st.booleans(),
+    picks=st.lists(st.integers(0, 2**16), max_size=60),
+    cells=st.sampled_from([1, 5, 64, 1 << 18]),
+)
+@example(seed=7, directed=False, isolated=2, b=0.3, on_floor=False, picks=[44, 3, 44, 41, 0, 3, 1], cells=1)
+@example(seed=7, directed=True, isolated=1, b=1.0, on_floor=True, picks=[9, 9, 2, 0], cells=5)
+def test_batched_gather_matches_the_scalar_bfs(seed, directed, isolated, b, on_floor, picks, cells):
+    # ``cells`` shrinks the kernel's chunk budget, so the sources are
+    # searched in chunks down to one row each.
+    graph, config = _sp_instance(seed, directed, isolated, b, on_floor)
+    sources = np.asarray(picks, dtype=np.int64) % graph.node_count
+    with mock.patch.object(proximity, "_SP_CHUNK_CELLS", cells):
+        _assert_batched_rows_match_scalar_bfs(graph, config, sources)
+
+
+def test_batched_gather_crosses_the_chunk_budget():
+    sources = np.random.default_rng(5).permutation(600)[:500]
+    assert len(sources) * 600 > proximity._SP_CHUNK_CELLS
+    for directed in (False, True):
+        graph = random_graph(600, 1500, seed=5, directed=directed)
+        _assert_batched_rows_match_scalar_bfs(graph, ProximityConfig(kind="sp", b=0.3), sources)
