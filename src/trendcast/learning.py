@@ -6,7 +6,8 @@ search over tau. The search runs on log tau over geometric subranges, to
 dodge local maxima. One pass of the influence table gives the profile value
 and its analytic slope in log tau; a subrange whose slope changes sign from
 + to - is searched by a safeguarded root step on the slope, and only
-subranges of another shape fall back to golden section on the value.
+subranges of another shape fall back to golden section on the value of
+that same pass.
 """
 
 from __future__ import annotations
@@ -116,11 +117,10 @@ class _InfluenceTable:
     with T_c the last time in block c; action i at node a reads it back as
     exp(-(t_i - T_c) / tau) * U_c[a]. Every exponent is <= 0, so nothing can
     overflow. A slot exists only if some j in c reaches a and a acts in a
-    later block. Pairs inside one block, and the pairs of a slot with a
-    single feeding or a single reading action (where the slot would cost
-    more than its pairs), are kept as explicit (dt, score) entries. Memory
-    grows with the restricted row entries of the actions plus n * B, not
-    with the number of action pairs.
+    later block, and every such slot is kept, so each influence term is
+    either a pair inside one block, kept as an explicit (dt, score) entry,
+    or a slot read. Memory grows with the restricted row entries of the
+    actions plus n * B, not with the number of action pairs.
     """
 
     def __init__(self, prefix: Trend, prox: ProximityMap, t_star: float) -> None:
@@ -143,8 +143,8 @@ class _InfluenceTable:
         key = block[feeder] * m + tgt[entry]
 
         # Pairs inside one block.
-        at, later_action = _later_in_block(key, feeder, block * m + act, blocks * m)
-        pair_j, pair_i, pair_score = [feeder[at]], [later_action], [score[entry[at]]]
+        at, pair_i = _later_in_block(key, feeder, block * m + act, blocks * m)
+        pair_j, self._pair_score = feeder[at], score[entry[at]]
 
         # Slot feeds: the entries at nodes that act in a later block.
         last_block = np.zeros(m, dtype=np.int64)
@@ -154,44 +154,17 @@ class _InfluenceTable:
         used = np.zeros(blocks * m, dtype=bool)
         used[key] = True
         slot_id = np.cumsum(used) - 1
-        slots = int(used.sum())
-        slot = slot_id[key]
+        self._slots = int(used.sum())
+        self._feed_slot, self._feed_score = slot_id[key], score[entry]
+        feed_count = np.bincount(feeder, minlength=n)
+        feeding = np.flatnonzero(feed_count)
+        self._feed_count = feed_count[feeding]
         # Slot reads: every action reads its own node's slot in each earlier block.
         reader, earlier = _ragged(block)
         key = earlier * m + act[reader]
         exists = used[key]
-        reader, earlier, read_slot = reader[exists], earlier[exists], slot_id[key[exists]]
+        reader, earlier, self._read_slot = reader[exists], earlier[exists], slot_id[key[exists]]
 
-        # A slot with one feed or one read is cheaper as its explicit pairs.
-        feeds = np.bincount(slot, minlength=slots)
-        reads = np.bincount(read_slot, minlength=slots)
-        only_feed = np.zeros(slots, dtype=np.int64)
-        only_feed[slot] = np.arange(len(slot))
-        only_read = np.zeros(slots, dtype=np.int64)
-        only_read[read_slot] = np.arange(len(read_slot))
-        one_feed = feeds[read_slot] == 1
-        at = only_feed[read_slot[one_feed]]
-        pair_j.append(feeder[at])
-        pair_i.append(reader[one_feed])
-        pair_score.append(score[entry[at]])
-        at = np.flatnonzero((reads[slot] == 1) & (feeds[slot] > 1))
-        pair_j.append(feeder[at])
-        pair_i.append(reader[only_read[slot[at]]])
-        pair_score.append(score[entry[at]])
-
-        shared = (feeds > 1) & (reads > 1)
-        renumber = np.cumsum(shared) - 1
-        self._slots = int(shared.sum())
-        at = np.flatnonzero(shared[slot])
-        feeder, self._feed_slot, self._feed_score = feeder[at], renumber[slot[at]], score[entry[at]]
-        feed_count = np.bincount(feeder, minlength=n)
-        feeding = np.flatnonzero(feed_count)
-        self._feed_count = feed_count[feeding]
-        at = np.flatnonzero(shared[read_slot])
-        reader, earlier, self._read_slot = reader[at], earlier[at], renumber[read_slot[at]]
-
-        pair_j, pair_i = np.concatenate(pair_j), np.concatenate(pair_i)
-        self._pair_score = np.concatenate(pair_score)
         self._feeders = len(feeding)
         self._target = np.concatenate([pair_i, reader])
         # Negated elapsed times: [feeder to its block end | pairs | slot reads].
@@ -243,27 +216,24 @@ class _InfluenceTable:
             return h, None
         return h, -np.bincount(self._target, weights=lag_terms, minlength=self.n)
 
-    def evaluate(self, tau: float, alpha: float | None, epsilon: float) -> tuple[float, float]:
-        """Log-likelihood at (alpha, tau); alpha of None means the closed-form value.
+    def evaluate(self, tau: float, alpha: float, epsilon: float) -> float:
+        """Log-likelihood at (alpha, tau).
 
         Every influence is floored at epsilon / alpha_hat(tau), the residual
         rate's share, tiny ones as much as those that underflowed to zero, so
         logL is continuous in tau. The floor is a constant in the alpha
-        argument, which keeps the closed-form alpha the exact maximizer. The
-        profile value uses alpha_hat * H = n exactly, so where every influence
-        is floored it is flat to the last bit and the search's tie rule holds.
+        argument, which keeps the closed-form alpha the exact maximizer.
         """
         h_total, alpha_closed = self._closed_alpha(tau)
         log_h, _ = self._log_rates(alpha_closed, self.influences(tau), epsilon)
-        if alpha is None:
-            return log_h - self.n, alpha_closed
-        value = self.n * math.log(alpha / alpha_closed) - alpha * h_total + log_h
-        return value, alpha_closed
+        return self.n * math.log(alpha / alpha_closed) - alpha * h_total + log_h
 
     def profile(self, tau: float, epsilon: float) -> tuple[float, float]:
         """Profile logL and its slope d logL / d log tau, from one pass.
 
-        The value is bit-identical to ``evaluate(tau, None, epsilon)``. With
+        The value is logL at alpha_hat(tau), computed with alpha_hat * H = n
+        exactly, so where every influence is floored it is flat to the last
+        bit and the search's tie rule holds. With
         H = tau * S, S = sum_k r_k (1 - exp(-E_k / tau)) and
         Q = sum_k r_k E_k exp(-E_k / tau), each action whose influence is not
         floored adds k_i / (tau h_i) - (1 - Q / H) to the slope; a floored one
@@ -332,8 +302,7 @@ def log_likelihood(
     _check_positive("alpha", alpha)
     _check_positive("tau", tau)
     _check_epsilon(epsilon)
-    value, _ = _table(trend, prox, t_star).evaluate(tau, alpha, epsilon)
-    return value
+    return _table(trend, prox, t_star).evaluate(tau, alpha, epsilon)
 
 
 def estimate_alpha(trend: Trend, prox: ProximityMap, tau: float, t_star: float) -> float:
@@ -427,7 +396,9 @@ def fit(
     both show it monotone takes its higher end; any other shape (a valley,
     a floored plateau of slope 0) falls back to golden section on the
     value. The best profile value wins, ties going to the smaller tau.
-    ``evaluations`` counts both kinds of evaluation. Deterministic: equal
+    Every evaluation is one (value, slope) pass of the influence table, and
+    ``evaluations`` counts them all; the result reports the search's own
+    best value and alpha = n / H(tau_hat). Deterministic: equal
     inputs give identical results. Warns when tau_hat lies within the
     stopping width of either end of the bracket, where the maximum may lie
     outside it.
@@ -447,12 +418,6 @@ def fit(
 
     evaluations = 0
 
-    def objective(x: float) -> float:
-        nonlocal evaluations
-        evaluations += 1
-        value, _ = table.evaluate(math.exp(x), None, epsilon)
-        return value
-
     def probe(x: float) -> tuple[float, float]:
         nonlocal evaluations
         evaluations += 1
@@ -470,7 +435,7 @@ def fit(
         elif ga < 0.0 and gb < 0.0 and fa > fb:
             x, fx = a, fa
         else:
-            x, fx, _ = _golden_max(objective, a, b, config.tolerance)
+            x, fx, _ = _golden_max(lambda x: probe(x)[0], a, b, config.tolerance)
         if best_f is None or fx > best_f:
             best_x, best_f = x, fx
     tau_hat = math.exp(best_x)
@@ -480,5 +445,4 @@ def fit(
             f"[{lo:.6g}, {hi:.6g}]; the likelihood may peak outside it",
             stacklevel=2,
         )
-    value, alpha_hat = table.evaluate(tau_hat, None, epsilon)
-    return LearnResult(alpha_hat, tau_hat, value, evaluations)
+    return LearnResult(table._closed_alpha(tau_hat)[1], tau_hat, best_f, evaluations)

@@ -23,6 +23,7 @@ import math
 from collections import deque
 from dataclasses import dataclass, field
 from itertools import chain, islice
+from typing import Iterator
 
 import numpy as np
 
@@ -313,14 +314,17 @@ class ProximityMap:
         return {**self.config.to_dict(), "graph": graph_fingerprint(self.graph)}
 
     def save_cache(self, path: str) -> None:
-        """Persist computed rows as JSON lines behind a fingerprint header."""
+        """Persist computed rows as JSON lines behind a fingerprint header.
+
+        Each row keeps its own entry order: row sums and every draw over a
+        row depend on it, so a loaded row must match a freshly built one.
+        """
         # Strict JSON, serialized in full first: a non-finite score writes no file.
         header = {"format": CACHE_FORMAT, "fingerprint": self.fingerprint()}
         lines = [json.dumps(header, sort_keys=True, allow_nan=False)]
         for source in sorted(self._rows):
             row = self._rows[source]
-            targets = sorted(row)
-            record = {"source": source, "targets": targets, "scores": [row[t] for t in targets]}
+            record = {"source": source, "targets": list(row), "scores": list(row.values())}
             lines.append(json.dumps(record, allow_nan=False))
         with open(path, "w", encoding="utf-8") as fh:
             fh.write("\n".join(lines) + "\n")
@@ -334,13 +338,16 @@ class ProximityMap:
     ) -> ProximityMap:
         """Load a cache file; fingerprint must match the supplied graph and config.
 
-        Malformed JSON, a missing key, a wrong type, a node outside
+        Rows keep the entry order of the file. A byte that is not UTF-8,
+        malformed JSON, a missing key, a wrong type, a node outside
         ``[0, node_count)``, a repeated source or target, or a score that is
         not positive and finite raises ValueError naming ``path`` and the line.
         """
-        with open(path, encoding="utf-8") as fh:
+        with open(path, "rb") as fh:
+            lines = _utf8_lines(path, fh)
+            _, first = next(lines, (1, ""))
             try:
-                header = json.loads(fh.readline())
+                header = json.loads(first)
                 if not isinstance(header, dict) or header.get("format") != CACHE_FORMAT:
                     raise ValueError("not a proximity cache file")
                 stored = dict(header["fingerprint"])
@@ -353,7 +360,7 @@ class ProximityMap:
             if stored_graph != graph_fingerprint(graph):
                 raise ValueError(f"{path}: cache was built for a different graph")
             prox = cls(graph, file_config)
-            for lineno, line in enumerate(fh, start=2):
+            for lineno, line in lines:
                 try:
                     source, row = _cache_row(json.loads(line), graph.node_count)
                 except (KeyError, TypeError, ValueError) as exc:
@@ -362,6 +369,19 @@ class ProximityMap:
                     raise ValueError(f"{path}:{lineno}: a second row for source {source}")
                 prox._rows[source] = row
         return prox
+
+
+def _utf8_lines(path: str, fh) -> Iterator[tuple[int, str]]:
+    """Numbered lines of a file opened in binary mode, each decoded as UTF-8 on its own.
+
+    A text-mode file decodes ahead in chunks, so its error would neither
+    name the line nor surface while reading it.
+    """
+    for lineno, raw in enumerate(fh, start=1):
+        try:
+            yield lineno, raw.decode("utf-8")
+        except UnicodeDecodeError:
+            raise ValueError(f"{path}:{lineno}: not valid UTF-8") from None
 
 
 def _describe(exc: Exception) -> str:

@@ -29,7 +29,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .core import IntervalGrid, Trend, aggregate, longest_run_above
+from .core import IntervalGrid, Trend, _read_lines, aggregate, longest_run_above
 from .proximity import ProximityMap
 from .activeness import DECAY_CUTOFF, ActivenessParams, _decay
 
@@ -222,45 +222,57 @@ class PredictionReport:
 
     @classmethod
     def read_csv(cls, path: str) -> PredictionReport:
-        rows: list[list[str]] = []
-        summary: dict[str, str] = {}
-        with open(path, encoding="utf-8") as fh:
-            header = fh.readline().strip()
-            if header != _CSV_HEADER:
-                raise ValueError(f"{path}: unexpected header {header!r}")
-            for line in fh:
-                line = line.strip()
-                if not line:
-                    continue
-                if line.startswith("# summary"):
-                    for token in line.removeprefix("# summary").split():
-                        key, _, val = token.partition("=")
-                        summary[key] = val
-                    continue
-                rows.append(line.split(","))
+        """Read a prediction CSV as ``write_csv`` writes it.
+
+        It needs the header, one row of 7 numeric fields per interval (an
+        empty mean or CV reads as NaN) and a summary line with every key
+        ``write_csv`` writes; an empty ``branching_ratio`` reads as NaN.
+        Anything else raises ValueError naming ``path`` and the line.
+        """
+        lines = _read_lines(path)
+        if lines[0].strip() != _CSV_HEADER:
+            raise ValueError(f"{path}:1: unexpected header {lines[0].strip()!r}")
+        rows: list[list[float]] = []
+        summary: dict[str, str] | None = None
+        for lineno, line in enumerate(lines[1:], start=2):
+            line = line.strip()
+            if not line:
+                continue
+            if line.startswith("# summary"):
+                summary_line = lineno
+                summary = dict(token.partition("=")[::2] for token in line.removeprefix("# summary").split())
+                continue
+            fields = line.split(",")
+            if len(fields) != 7:
+                raise ValueError(f"{path}:{lineno}: expected 7 fields, got {len(fields)}")
+            try:
+                rows.append([float(f) if f or k < 3 else math.nan for k, f in enumerate(fields)])
+            except ValueError as exc:
+                raise ValueError(f"{path}:{lineno}: {exc}") from None
         if not rows:
             raise ValueError(f"{path}: no interval rows")
-        t_min0 = float(rows[0][1])
-        # The bounds are sums t_start + k * length, so their difference need
-        # not give the length back; the summary carries it exactly.
-        length = float(summary.get("interval_length") or float(rows[0][2]) - t_min0)
-        grid = IntervalGrid(t_min0, length, len(rows))
-
-        def column(k: int) -> np.ndarray:
-            return np.asarray([float(r[k]) if r[k] else math.nan for r in rows])
-
-        return cls(
-            grid=grid,
-            runs=int(summary.get("runs", "0")),
-            theta=float(summary.get("theta", "nan")),
-            measure=summary.get("measure", "coverage"),
-            intensity_mean=column(3),
-            intensity_cv=column(4),
-            coverage_mean=column(5),
-            coverage_cv=column(6),
-            duration_covering_fraction=float(summary.get("duration_covering_fraction", "nan")),
-            branching_ratio=float(summary.get("branching_ratio") or "nan"),
-        )
+        if summary is None:
+            raise ValueError(f"{path}: no '# summary' line")
+        columns = np.asarray(rows).T
+        try:
+            # The bounds are sums t_start + k * length, so their difference need
+            # not give the length back; the summary carries it exactly.
+            return cls(
+                grid=IntervalGrid(float(columns[1, 0]), float(summary["interval_length"]), len(rows)),
+                runs=int(summary["runs"]),
+                theta=float(summary["theta"]),
+                measure=summary["measure"],
+                intensity_mean=columns[3],
+                intensity_cv=columns[4],
+                coverage_mean=columns[5],
+                coverage_cv=columns[6],
+                duration_covering_fraction=float(summary["duration_covering_fraction"]),
+                branching_ratio=float(summary["branching_ratio"] or "nan"),
+            )
+        except KeyError as exc:
+            raise ValueError(f"{path}:{summary_line}: summary lacks key {exc.args[0]!r}") from None
+        except ValueError as exc:
+            raise ValueError(f"{path}:{summary_line}: {exc}") from None
 
 
 def _fmt(x: float) -> str:

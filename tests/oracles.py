@@ -133,8 +133,8 @@ class PairTable:
             h = np.bincount(self.pair_target, weights=contrib, minlength=self.n)
         return h
 
-    def evaluate(self, tau: float, alpha: float | None, epsilon: float) -> tuple[float, float]:
-        """Log-likelihood at (alpha, tau); alpha of None means the closed-form value.
+    def evaluate(self, tau: float, alpha: float, epsilon: float) -> float:
+        """Log-likelihood at (alpha, tau).
 
         Every influence is floored at epsilon / alpha_hat(tau), a constant in
         the alpha argument, which keeps the closed-form alpha the exact
@@ -146,8 +146,6 @@ class PairTable:
                 "total influence integral is zero; prefix cannot identify alpha"
             )
         alpha_closed = self.n / h_total
-        if alpha is None:
-            alpha = alpha_closed
         h = self.influences(tau)
         floor = epsilon / alpha_closed
         if floor <= 0.0 and (h <= 0.0).any():
@@ -155,8 +153,7 @@ class PairTable:
                 "action with zero influence and epsilon = 0; likelihood is degenerate"
             )
         h = np.maximum(h, floor)
-        value = self.n * math.log(alpha) - alpha * h_total + float(np.log(h).sum())
-        return value, alpha_closed
+        return self.n * math.log(alpha) - alpha * h_total + float(np.log(h).sum())
 
 
 def golden_fit(
@@ -188,7 +185,7 @@ def golden_fit(
     def objective(x: float) -> float:
         nonlocal evaluations
         evaluations += 1
-        return table.evaluate(math.exp(x), None, epsilon)[0]
+        return table.profile(math.exp(x), epsilon)[0]
 
     cuts = np.linspace(math.log(lo), math.log(hi), config.multistart + 1)
     best_x = best_f = None
@@ -196,8 +193,8 @@ def golden_fit(
         x, fx, _ = _golden_max(objective, float(a), float(b), config.tolerance)
         if best_f is None or fx > best_f:
             best_x, best_f = x, fx
-    value, alpha_hat = table.evaluate(math.exp(best_x), None, epsilon)
-    return LearnResult(alpha_hat, math.exp(best_x), value, evaluations)
+    tau_hat = math.exp(best_x)
+    return LearnResult(table._closed_alpha(tau_hat)[1], tau_hat, best_f, evaluations)
 
 
 def naive_total_integral(trend: Trend, prox: ProximityMap, tau: float, t_star: float, node_count: int) -> float:

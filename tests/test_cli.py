@@ -523,6 +523,22 @@ def test_prox_cache_roundtrip(pipeline, tmp_path, capsys):
     assert main(argv + ["--prox-cache", str(cache), "--out", str(cached)]) == 0
     assert plain.read_bytes() == cached.read_bytes()
 
+    # A denser graph, where a row's entry order moves the row sums' last bits.
+    graph, actions = tmp_path / "dense.tsv", tmp_path / "dense-actions.tsv"
+    assert main([
+        "synth", "--random-graph", "200:600", "--graph-out", str(graph), "--b", "2",
+        "--alpha", "0.08", "--tau", "1", "--horizon", "12", "--n-seeds", "60", "--seed", "3",
+        "--out", str(actions),
+    ]) == 0
+    assert main(["prox-cache", "--graph", str(graph), "--b", "2", "--out", str(cache)]) == 0
+    argv = [
+        "learn", "--graph", str(graph), "--actions", str(actions), "--b", "2",
+        "--t-star", "8", "--seed", "1",
+    ]
+    assert main(argv + ["--out", str(plain)]) == 0
+    assert main(argv + ["--prox-cache", str(cache), "--out", str(cached)]) == 0
+    assert plain.read_bytes() == cached.read_bytes()
+
 
 def test_prox_cache_restricted_to_actors(pipeline, tmp_path, capsys):
     d, graph, actions, params = pipeline
@@ -559,6 +575,7 @@ def _edit_record(edit):
     (3, _edit_record(lambda r: r.__setitem__("source", 0)), "a second row for source 0"),
     (3, lambda line: line[:20], "Invalid control character"),
     (3, lambda line: "[1, 2]", "expected a JSON object"),
+    (4, lambda line: line[:10] + "\udcff" + line[10:], "not valid UTF-8"),  # a raw 0xff byte
     (1, lambda line: line[:30], "Invalid control character"),
     (1, lambda line: '{"format": "x"}', "not a proximity cache file"),
 ])
@@ -568,7 +585,7 @@ def test_predict_rejects_malformed_prox_cache(pipeline, tmp_path, capsys, lineno
     assert main(["prox-cache", "--graph", str(graph), "--out", str(cache)]) == 0
     lines = cache.read_text(encoding="utf-8").splitlines()
     lines[lineno - 1] = edit(lines[lineno - 1])
-    cache.write_text("\n".join(lines) + "\n", encoding="utf-8")
+    cache.write_text("\n".join(lines) + "\n", encoding="utf-8", errors="surrogateescape")
     capsys.readouterr()
     out = tmp_path / "pred.csv"
     assert main([
@@ -778,4 +795,49 @@ def test_eval_manifest_shape_errors_name_the_file(tiny_files, tmp_path, capsys, 
     scored = tmp_path / "e.csv"
     assert main(["eval", "--graph", str(graph), "--manifest", str(manifest), "--out", str(scored)]) == 1
     assert f"{manifest}{where}" in _one_error_line(capsys)
+    assert not scored.exists()
+
+
+def _drop_summary_key(key):
+    def apply(lines):
+        *rows, summary = lines
+        return rows + [" ".join(t for t in summary.split(" ") if not t.startswith(key + "="))]
+    return apply
+
+
+def _edit_row(index, edit):
+    def apply(lines):
+        lines[index] = edit(lines[index])
+        return lines
+    return apply
+
+
+@pytest.mark.parametrize("edit, where", [
+    (lambda lines: lines[:-1], ": no '# summary' line"),
+    *[(_drop_summary_key(key), f":4: summary lacks key '{key}'") for key in (
+        "runs", "theta", "measure", "duration_covering_fraction", "branching_ratio", "interval_length",
+    )],
+    (_edit_row(-1, lambda summary: summary.replace("runs=4", "runs=x")), ":4: invalid literal for int()"),
+    (_edit_row(1, lambda row: row.rsplit(",", 1)[0]), ":2: expected 7 fields, got 6"),
+    (_edit_row(2, lambda row: row + ",1"), ":3: expected 7 fields, got 8"),
+    (_edit_row(2, lambda row: row.replace(",", ",x", 1)), ":3: could not convert string to float: 'x"),
+    (_edit_row(1, lambda row: ",".join(["0", "", *row.split(",")[2:]])), ":2: could not convert string to float: ''"),
+])
+def test_eval_rejects_a_malformed_prediction_file(tiny_files, tmp_path, capsys, edit, where):
+    graph, actions = tiny_files
+    pred = tmp_path / "pred.csv"
+    assert main([
+        "predict", "--graph", str(graph), "--actions", str(actions), "--t-star", "3.0",
+        "--grid", "3:1:2", "--model", "tequ", "--runs", "4", "--seed", "1", "--out", str(pred),
+    ]) == 0
+    capsys.readouterr()
+    lines = pred.read_text(encoding="utf-8").splitlines()
+    assert lines[-1].startswith("# summary runs=4 ")
+    pred.write_text("\n".join(edit(lines)) + "\n", encoding="utf-8")
+    scored = tmp_path / "e.csv"
+    assert main([
+        "eval", "--graph", str(graph), "--pred", str(pred), "--actions", str(actions),
+        "--theta", "0", "--out", str(scored),
+    ]) == 1
+    assert f"{pred}{where}" in _one_error_line(capsys)
     assert not scored.exists()

@@ -12,6 +12,7 @@ from trendcast.learning import (
     DegeneratePrefixError,
     LearnConfig,
     _golden_max,
+    _InfluenceTable,
     _table,
     estimate_alpha,
     fit,
@@ -119,6 +120,31 @@ def test_fit_evaluation_count_is_bounded():
     assert result.evaluations <= config.multistart * per_start
 
 
+@pytest.mark.parametrize("flat", [False, True])
+def test_fit_counts_every_pass_of_the_influence_table(monkeypatch, flat):
+    # The peaked instance takes the slope-root search; the flat one, whose
+    # every influence is floored, falls back to golden section.
+    if flat:
+        prox = ProximityMap(Graph.from_edges([], 3), ProximityConfig(kind="sp"))
+        trend, t_star = Trend(np.asarray([0, 1, 2]), np.asarray([0.0, 1.0, 2.0])), 3.0
+    else:
+        graph, prox, trend = random_instance(seed=17, max_nodes=60, max_actions=60)
+        t_star = float(trend.times[-1])
+    passes = 0
+    influences = _InfluenceTable._influences
+
+    def counted(self, tau, lagged):
+        nonlocal passes
+        passes += 1
+        return influences(self, tau, lagged)
+
+    monkeypatch.setattr(_InfluenceTable, "_influences", counted)
+    with warnings.catch_warnings():
+        warnings.simplefilter("ignore")  # the flat profile peaks on the bracket edge
+        result = fit(trend, prox, t_star)
+    assert passes == result.evaluations
+
+
 def test_golden_section_breaks_ties_toward_smaller_x():
     x, fx, evals = _golden_max(lambda x: 1.0, 0.0, 1.0, 1e-6)
     assert x < 0.5
@@ -221,8 +247,19 @@ def likelihood_cases(draw):
     return prox, Trend(np.asarray(nodes), times), tau, alpha
 
 
+def _slot_case(nodes: list[int]) -> tuple[ProximityMap, Trend, float, float]:
+    """Nine actions (blocks of three) on the path 0 - 1 and an isolated node 2."""
+    prox = ProximityMap(Graph.from_edges([(0, 1)], 3), ProximityConfig(kind="sp", b=1.0))
+    times = np.arange(len(nodes)) * 2 * TIME_STEP
+    return prox, Trend(np.asarray(nodes), times), 1.0, 0.5
+
+
 @settings(derandomize=True, database=None, deadline=None, max_examples=150)
 @given(likelihood_cases())
+# Slot (block 0, node 1): one feed (action 0) and six reads.
+@example(_slot_case([0, 2, 2, 1, 1, 1, 1, 1, 1]))
+# Slot (block 0, node 1): three feeds and one read (action 6).
+@example(_slot_case([0, 0, 0, 2, 2, 2, 1, 2, 2]))
 def test_block_table_matches_pairwise_references(case):
     prox, trend, tau, alpha = case
     t_star = 10.5
@@ -239,7 +276,7 @@ def test_block_table_matches_pairwise_references(case):
     value = log_likelihood(trend, prox, tau, alpha, t_star)
     for reference in (
         naive_log_likelihood(trend, prox, tau, alpha, t_star, node_count),
-        PairTable(trend, prox, t_star).evaluate(tau, alpha, 1e-9)[0],
+        PairTable(trend, prox, t_star).evaluate(tau, alpha, 1e-9),
     ):
         assert abs(value - reference) <= 1e-9 * abs(reference)
 
@@ -263,8 +300,9 @@ def test_log_likelihood_is_continuous_across_the_underflow_edge(m, b, steps, gap
     nodes = [0] + [node % m for node, _ in steps]
     table = _table(Trend(np.asarray(nodes), times), prox, float(times[-1]) + 1.0)
     taus = gap / np.geomspace(760.0, 730.0, 400)
-    for alpha in (None, 1.0):
-        values = np.asarray([table.evaluate(float(tau), alpha, epsilon)[0] for tau in taus])
+    profile = [table.profile(float(tau), epsilon)[0] for tau in taus]
+    fixed = [table.evaluate(float(tau), 1.0, epsilon) for tau in taus]
+    for values in (np.asarray(profile), np.asarray(fixed)):
         assert np.all(np.isfinite(values))
         assert np.max(np.abs(np.diff(values))) <= 0.5
 
@@ -304,7 +342,6 @@ def test_profile_slope_matches_a_central_difference(case, other_tau, epsilon):
     tau = tau if other_tau is None else other_tau
     table = _table(trend, prox, 10.5)
     value, slope = table.profile(tau, epsilon)
-    assert value == table.evaluate(tau, None, epsilon)[0]
     step = 1e-6
     lower, upper = tau * math.exp(-step), tau * math.exp(step)
     floored = _floored(table, tau, epsilon)
@@ -313,7 +350,7 @@ def test_profile_slope_matches_a_central_difference(case, other_tau, epsilon):
     if not (np.array_equal(floored, _floored(table, lower, epsilon))
             and np.array_equal(floored, _floored(table, upper, epsilon))):
         return
-    difference = (table.evaluate(upper, None, epsilon)[0] - table.evaluate(lower, None, epsilon)[0]) / (2 * step)
+    difference = (table.profile(upper, epsilon)[0] - table.profile(lower, epsilon)[0]) / (2 * step)
     # Rounding in the two values, divided by the step, bounds the quotient's error.
     assert abs(slope - difference) <= 1e-7 * (1.0 + abs(value) + abs(slope))
 
