@@ -3,14 +3,16 @@
 A proximity row maps a source node to the influence weight it exerts on each
 reachable node. Two kernels are provided: an exponentially decaying
 shortest-path kernel and a restart random walk. Entries below a configurable
-floor are dropped, which keeps rows sparse and bounds traversal depth.
+floor are dropped, which keeps rows sparse and bounds traversal depth. Every
+row is a ``Row`` of aligned ``targets`` and ``scores`` arrays in entry order:
+BFS order for shortest-path rows, ascending node for random-walk rows.
 
 Shortest-path rows are built two ways. ``ProximityMap.gather`` builds all
 of its missing rows with ``_sp_rows``, one level-synchronous BFS for many
 sources over the CSR arrays, which shares the per-level numpy work among
 them. A request for one missing row (``row``, or a gather that misses one)
 uses the scalar BFS ``shortest_path_row``, because the batched pass costs
-several times more than a dict BFS for a single sparse row. Both give the
+several times more than a scalar BFS for a single sparse row. Both give the
 same row, entry for entry and in the same order. Random-walk rows are built
 one source at a time.
 """
@@ -20,10 +22,8 @@ from __future__ import annotations
 import hashlib
 import json
 import math
-from collections import deque
+from collections.abc import Iterator, Mapping
 from dataclasses import dataclass, field
-from itertools import chain, islice
-from typing import Iterator
 
 import numpy as np
 
@@ -33,6 +33,7 @@ KINDS = ("shortest_path", "random_walk")
 KIND_ALIASES = {"sp": "shortest_path", "rw": "random_walk"}
 
 CACHE_FORMAT = "trendcast-prox-cache-v1"
+_RW_MAX_ITERATIONS = 10_000  # cap on the random-walk fixed-point iteration
 
 
 class ConvergenceError(RuntimeError):
@@ -53,7 +54,6 @@ class ProximityConfig:
     p: float = 0.4
     floor: float = 1e-12
     rw_tolerance: float = 1e-8
-    max_iterations: int = 10_000
 
     def __post_init__(self) -> None:
         object.__setattr__(self, "kind", KIND_ALIASES.get(self.kind, self.kind))
@@ -82,27 +82,51 @@ class ProximityConfig:
         return cls(**data)
 
 
-def shortest_path_row(graph: Graph, source: int, config: ProximityConfig) -> dict[int, float]:
+class Row(Mapping):
+    """A proximity row: aligned ``targets`` (int64) and ``scores`` (float64), in entry order.
+
+    The library reads the arrays. The read-only mapping (target to score) is for
+    callers that read one row; its lookup dict is built on the first lookup.
+    """
+
+    __slots__ = ("targets", "scores", "_lookup")
+
+    def __init__(self, targets: np.ndarray, scores: np.ndarray) -> None:
+        self.targets, self.scores, self._lookup = targets, scores, None
+
+    def __len__(self) -> int:
+        return len(self.targets)
+
+    def __iter__(self) -> Iterator[int]:
+        return iter(self.targets.tolist())
+
+    def __getitem__(self, target: int) -> float:
+        if self._lookup is None:
+            self._lookup = dict(zip(self.targets.tolist(), self.scores.tolist()))
+        return self._lookup[target]
+
+
+def shortest_path_row(graph: Graph, source: int, config: ProximityConfig) -> Row:
     """Scores exp(-b * hops) along out-edges; BFS stops once a hop level floors out."""
-    scores = {source: 1.0}
+    targets, scores = [source], [1.0]
     seen = {source}
-    frontier = deque([source])
+    frontier = [source]
     hops = 0
     while frontier:
         hops += 1
         weight = math.exp(-config.b * hops)
         if weight < config.floor:
             break
-        next_frontier: deque[int] = deque()
-        while frontier:
-            u = frontier.popleft()
+        next_frontier = []
+        for u in frontier:
             for v in graph.neighbors(u).tolist():
                 if v not in seen:
                     seen.add(v)
-                    scores[v] = weight
                     next_frontier.append(v)
+        targets += next_frontier
+        scores += [weight] * len(next_frontier)
         frontier = next_frontier
-    return scores
+    return Row(np.fromiter(targets, np.int64, len(targets)), np.fromiter(scores, np.float64, len(scores)))
 
 
 # Cells (rows x nodes) of the ``seen`` bitmap of one _sp_rows chunk: the
@@ -111,7 +135,7 @@ def shortest_path_row(graph: Graph, source: int, config: ProximityConfig) -> dic
 _SP_CHUNK_CELLS = 1 << 18
 
 
-def _sp_rows(graph: Graph, sources: np.ndarray, config: ProximityConfig) -> list[dict[int, float]]:
+def _sp_rows(graph: Graph, sources: np.ndarray, config: ProximityConfig) -> list[Row]:
     """The shortest-path rows of ``sources``, each equal to ``shortest_path_row`` entry for entry.
 
     One level-synchronous BFS runs for a chunk of sources at once over the
@@ -128,22 +152,22 @@ def _sp_rows(graph: Graph, sources: np.ndarray, config: ProximityConfig) -> list
     weight = [1.0]
     chunk = max(1, _SP_CHUNK_CELLS // max(n, 1))
     seen = np.zeros(min(len(sources), chunk) * n, dtype=bool)
-    rows: list[dict[int, float]] = []
+    rows: list[Row] = []
     for lo in range(0, len(sources), chunk):
         f_node = np.asarray(sources[lo : lo + chunk], dtype=np.int64)
         size = len(f_node)
         f_key = np.arange(size) * n + f_node
-        keys, hops = [], []
+        keys, scores = [], []
         hop = 0
         while True:
             seen[f_key] = True
             keys.append(f_key)
-            hops.append(np.full(len(f_key), hop, dtype=np.int32))
+            scores.append(np.full(len(f_key), weight[hop]))
             hop += 1
             if hop == len(weight):
-                if (score := math.exp(-config.b * hop)) < config.floor:
+                if (next_weight := math.exp(-config.b * hop)) < config.floor:
                     break
-                weight.append(score)
+                weight.append(next_weight)
             count = degree[f_node]
             first_edge = np.cumsum(count) - count
             edge = np.repeat(indptr[f_node] - first_edge, count)
@@ -170,14 +194,13 @@ def _sp_rows(graph: Graph, sources: np.ndarray, config: ProximityConfig) -> list
         seen[key] = False
         row, node = np.divmod(key, n)
         order = np.argsort(row, kind="stable")
-        # One float object per hop, shared by every entry at that hop as in
-        # the scalar BFS, not one per entry as scores.tolist() would make.
-        pairs = zip(node[order].tolist(), map(weight.__getitem__, np.concatenate(hops)[order].tolist()))
-        rows.extend(dict(islice(pairs, k)) for k in np.bincount(row, minlength=size).tolist())
+        node, score = node[order], np.concatenate(scores)[order]
+        ends = np.cumsum(np.bincount(row, minlength=size)).tolist()
+        rows.extend(Row(node[a:b], score[a:b]) for a, b in zip([0, *ends], ends))
     return rows
 
 
-def random_walk_row(graph: Graph, source: int, config: ProximityConfig) -> dict[int, float]:
+def random_walk_row(graph: Graph, source: int, config: ProximityConfig) -> Row:
     """Stationary mass of a restart walk from ``source``.
 
     Synchronous fixed-point iteration starting from all mass at the source.
@@ -191,7 +214,7 @@ def random_walk_row(graph: Graph, source: int, config: ProximityConfig) -> dict[
     edge_src = np.repeat(np.arange(n), np.diff(graph.indptr))
     pi = np.zeros(n)
     pi[source] = 1.0
-    for _ in range(config.max_iterations):
+    for _ in range(_RW_MAX_ITERATIONS):
         share = (1.0 - config.p) * pi / safe_deg
         nxt = np.bincount(graph.indices, weights=share[edge_src], minlength=n)
         nxt[source] += config.p + (1.0 - config.p) * pi[dangling].sum()
@@ -202,16 +225,10 @@ def random_walk_row(graph: Graph, source: int, config: ProximityConfig) -> dict[
     else:
         raise ConvergenceError(
             f"random walk from node {source} did not converge within "
-            f"{config.max_iterations} iterations (tolerance {config.rw_tolerance:g})"
+            f"{_RW_MAX_ITERATIONS} iterations (tolerance {config.rw_tolerance:g})"
         )
     keep = np.flatnonzero(pi >= config.floor)
-    return {int(v): float(pi[v]) for v in keep}
-
-
-def _compute_row(graph: Graph, source: int, config: ProximityConfig) -> dict[int, float]:
-    if config.kind == "shortest_path":
-        return shortest_path_row(graph, source, config)
-    return random_walk_row(graph, source, config)
+    return Row(keep.astype(np.int64), pi[keep])
 
 
 def graph_fingerprint(graph: Graph) -> str:
@@ -225,7 +242,7 @@ def graph_fingerprint(graph: Graph) -> str:
 
 @dataclass
 class ProximityMap:
-    """Lazy per-source row cache over a graph and kernel config.
+    """Lazy per-source store of ``Row``s over a graph and kernel config.
 
     Rows are computed on first demand and memoized. ``gather`` and
     ``row_sums`` build all of their missing rows at once; ``row`` and
@@ -234,15 +251,13 @@ class ProximityMap:
 
     graph: Graph
     config: ProximityConfig
-    _rows: dict[int, dict[int, float]] = field(default_factory=dict, repr=False)
-    _row_sums: dict[int, float] = field(default_factory=dict, repr=False)
+    _rows: dict[int, Row] = field(default_factory=dict, repr=False)
 
-    def row(self, source: int) -> dict[int, float]:
-        cached = self._rows.get(source)
-        if cached is not None:
-            return cached
-        computed = self._rows[source] = _compute_row(self.graph, source, self.config)
-        return computed
+    def row(self, source: int) -> Row:
+        if source not in self._rows:
+            build = shortest_path_row if self.config.kind == "shortest_path" else random_walk_row
+            self._rows[source] = build(self.graph, source, self.config)
+        return self._rows[source]
 
     def _fill(self, sources: list[int]) -> None:
         """Build and cache the rows of ``sources`` not cached yet.
@@ -266,15 +281,13 @@ class ProximityMap:
         self._fill(sources)
         rows = [self._rows[u] for u in sources]
         lengths = np.fromiter(map(len, rows), dtype=np.int64, count=len(rows))
-        targets = np.fromiter(chain.from_iterable(rows), dtype=np.int64, count=int(lengths.sum()))
-        scores = np.fromiter(chain.from_iterable(map(dict.values, rows)), dtype=np.float64, count=len(targets))
+        targets = np.concatenate([np.empty(0, np.int64), *(r.targets for r in rows)])
+        scores = np.concatenate([np.empty(0), *(r.scores for r in rows)])
         return np.concatenate([[0], np.cumsum(lengths)]), targets, scores
 
     def row_sum(self, source: int) -> float:
-        cached = self._row_sums.get(source)
-        if cached is None:
-            cached = self._row_sums[source] = float(sum(self.row(source).values()))
-        return cached
+        """The sum of ``source``'s scores, added one by one in entry order."""
+        return sum(self.row(source).scores.tolist())
 
     def row_sums(self, sources: np.ndarray) -> np.ndarray:
         """The row sums of ``sources``, in order; missing rows are built as ``gather`` builds them."""
@@ -322,9 +335,8 @@ class ProximityMap:
         # Strict JSON, serialized in full first: a non-finite score writes no file.
         header = {"format": CACHE_FORMAT, "fingerprint": self.fingerprint()}
         lines = [json.dumps(header, sort_keys=True, allow_nan=False)]
-        for source in sorted(self._rows):
-            row = self._rows[source]
-            record = {"source": source, "targets": list(row), "scores": list(row.values())}
+        for source, row in sorted(self._rows.items()):
+            record = {"source": source, "targets": row.targets.tolist(), "scores": row.scores.tolist()}
             lines.append(json.dumps(record, allow_nan=False))
         with open(path, "w", encoding="utf-8") as fh:
             fh.write("\n".join(lines) + "\n")
@@ -363,7 +375,7 @@ class ProximityMap:
             for lineno, line in lines:
                 try:
                     source, row = _cache_row(json.loads(line), graph.node_count)
-                except (KeyError, TypeError, ValueError) as exc:
+                except (KeyError, TypeError, ValueError, OverflowError) as exc:
                     raise ValueError(f"{path}:{lineno}: {_describe(exc)}") from None
                 if source in prox._rows:
                     raise ValueError(f"{path}:{lineno}: a second row for source {source}")
@@ -388,7 +400,7 @@ def _describe(exc: Exception) -> str:
     return f"missing key {exc.args[0]!r}" if isinstance(exc, KeyError) else str(exc)
 
 
-def _cache_row(record: object, node_count: int) -> tuple[int, dict[int, float]]:
+def _cache_row(record: object, node_count: int) -> tuple[int, Row]:
     """One cache record as ``(source, row)``; raises on a malformed or out-of-range record."""
     if not isinstance(record, dict):
         raise ValueError("expected a JSON object")
@@ -404,4 +416,4 @@ def _cache_row(record: object, node_count: int) -> tuple[int, dict[int, float]]:
     for score in scores:
         if type(score) not in (int, float) or not 0 < score < math.inf:
             raise ValueError(f"score {json.dumps(score)} is not positive and finite")
-    return source, dict(zip(targets, scores))
+    return source, Row(np.fromiter(targets, np.int64, len(targets)), np.fromiter(scores, np.float64, len(scores)))

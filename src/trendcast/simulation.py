@@ -226,13 +226,16 @@ class PredictionReport:
 
         It needs the header, one row of 7 numeric fields per interval (an
         empty mean or CV reads as NaN) and a summary line with every key
-        ``write_csv`` writes; an empty ``branching_ratio`` reads as NaN.
+        ``write_csv`` writes; an empty ``branching_ratio`` reads as NaN. Row
+        k must hold interval k with exactly the grid's bounds, the grid
+        starting at row 0's ``t_min`` with the summary's ``interval_length``.
         Anything else raises ValueError naming ``path`` and the line.
         """
         lines = _read_lines(path)
         if lines[0].strip() != _CSV_HEADER:
             raise ValueError(f"{path}:1: unexpected header {lines[0].strip()!r}")
         rows: list[list[float]] = []
+        row_lines: list[int] = []
         summary: dict[str, str] | None = None
         for lineno, line in enumerate(lines[1:], start=2):
             line = line.strip()
@@ -249,16 +252,20 @@ class PredictionReport:
                 rows.append([float(f) if f or k < 3 else math.nan for k, f in enumerate(fields)])
             except ValueError as exc:
                 raise ValueError(f"{path}:{lineno}: {exc}") from None
+            row_lines.append(lineno)
         if not rows:
             raise ValueError(f"{path}: no interval rows")
         if summary is None:
             raise ValueError(f"{path}: no '# summary' line")
+        if not math.isfinite(rows[0][1]):
+            raise ValueError(f"{path}:{row_lines[0]}: t_min must be finite, got {rows[0][1]!r}")
         columns = np.asarray(rows).T
         try:
             # The bounds are sums t_start + k * length, so their difference need
             # not give the length back; the summary carries it exactly.
-            return cls(
-                grid=IntervalGrid(float(columns[1, 0]), float(summary["interval_length"]), len(rows)),
+            grid = IntervalGrid(float(columns[1, 0]), float(summary["interval_length"]), len(rows))
+            report = cls(
+                grid=grid,
                 runs=int(summary["runs"]),
                 theta=float(summary["theta"]),
                 measure=summary["measure"],
@@ -273,6 +280,16 @@ class PredictionReport:
             raise ValueError(f"{path}:{summary_line}: summary lacks key {exc.args[0]!r}") from None
         except ValueError as exc:
             raise ValueError(f"{path}:{summary_line}: {exc}") from None
+        # write_csv writes each bound with repr, so a file it wrote matches exactly.
+        edges = grid.edges.tolist()
+        for k, lineno in enumerate(row_lines):
+            index, t_min, t_max = rows[k][:3]
+            if (index, t_min, t_max) != (k, edges[k], edges[k + 1]):
+                raise ValueError(
+                    f"{path}:{lineno}: expected interval {k} [{edges[k]!r}, {edges[k + 1]!r}), "
+                    f"got {index:g} [{t_min!r}, {t_max!r})"
+                )
+        return report
 
 
 def _fmt(x: float) -> str:

@@ -3,9 +3,10 @@
 Most of it is deliberately naive: plain loops, no stacking, no shared code
 with the library internals beyond data containers. ``ActivenessModel``,
 ``total_integrated_influence``, ``PairTable``, ``heap_simulate_baseline``,
-``loop_fit_baseline``, ``line_load_graph``, ``line_load_trend`` and
-``golden_fit`` are former library code that nothing in the package calls any more; they stay here as
-references.
+``loop_fit_baseline``, ``line_load_graph``, ``line_load_trend``,
+``golden_fit``, ``dict_shortest_path_row`` and ``dict_random_walk_row`` are
+former library code that nothing in the package calls any more; they stay
+here as references.
 """
 
 from __future__ import annotations
@@ -13,6 +14,7 @@ from __future__ import annotations
 import heapq
 import math
 from bisect import bisect_right
+from collections import deque
 from dataclasses import dataclass
 from typing import Mapping
 
@@ -197,15 +199,25 @@ def golden_fit(
     return LearnResult(table._closed_alpha(tau_hat)[1], tau_hat, best_f, evaluations)
 
 
+def _dict_rows(prox: ProximityMap, nodes: list[int]) -> dict[int, dict[int, float]]:
+    """The rows of ``nodes`` as plain dicts, each read once through its mapping interface.
+
+    The double loops below look a score up per action pair; a plain dict
+    keeps those lookups at dict speed.
+    """
+    return {u: dict(prox.row(u)) for u in set(nodes)}
+
+
 def naive_total_integral(trend: Trend, prox: ProximityMap, tau: float, t_star: float, node_count: int) -> float:
     """All-nodes influence integral by the full node-by-node double loop."""
     prefix = trend.prefix(t_star)
     actions = list(prefix)
+    rows = _dict_rows(prox, prefix.nodes.tolist())
     total = 0.0
     for v in range(node_count):
         s = 0.0
         for u, t_i in actions:
-            w = prox.row(u).get(v)
+            w = rows[u].get(v)
             if w:
                 s += w * (1.0 - math.exp(-(t_star - t_i) / tau))
         total += tau * s
@@ -216,11 +228,12 @@ def naive_influences(prefix: Trend, prox: ProximityMap, tau: float) -> list[floa
     """Strict-predecessor influence at each action via the pairwise loop."""
     nodes = prefix.nodes.tolist()
     times = prefix.times.tolist()
+    rows = _dict_rows(prox, nodes)
     out = []
     for i in range(len(nodes)):
         s = 0.0
         for j in range(i):
-            w = prox.row(nodes[j]).get(nodes[i])
+            w = rows[nodes[j]].get(nodes[i])
             if w:
                 s += w * math.exp(-(times[i] - times[j]) / tau)
         out.append(s)
@@ -300,6 +313,52 @@ def time_step_self_excited_counts(
         counts += fired
         rate = rate * decay + alpha * fired
     return counts
+
+
+def dict_shortest_path_row(graph: Graph, source: int, config: ProximityConfig) -> dict[int, float]:
+    """The shortest-path row as a dict in BFS order, from a deque BFS over ``graph.neighbors``."""
+    scores = {source: 1.0}
+    seen = {source}
+    frontier = deque([source])
+    hops = 0
+    while frontier:
+        hops += 1
+        weight = math.exp(-config.b * hops)
+        if weight < config.floor:
+            break
+        next_frontier: deque[int] = deque()
+        while frontier:
+            u = frontier.popleft()
+            for v in graph.neighbors(u).tolist():
+                if v not in seen:
+                    seen.add(v)
+                    scores[v] = weight
+                    next_frontier.append(v)
+        frontier = next_frontier
+    return scores
+
+
+def dict_random_walk_row(graph: Graph, source: int, config: ProximityConfig) -> dict[int, float]:
+    """The random-walk row as a dict in ascending node order, by the library's own fixed point.
+
+    The iteration is the library's, step for step, so the scores match
+    ``random_walk_row`` bit for bit; only the row's form differs.
+    """
+    n = graph.node_count
+    out_deg = np.diff(graph.indptr).astype(np.float64)
+    dangling = out_deg == 0
+    safe_deg = np.where(dangling, 1.0, out_deg)
+    edge_src = np.repeat(np.arange(n), np.diff(graph.indptr))
+    pi = np.zeros(n)
+    pi[source] = 1.0
+    while True:
+        share = (1.0 - config.p) * pi / safe_deg
+        nxt = np.bincount(graph.indices, weights=share[edge_src], minlength=n)
+        nxt[source] += config.p + (1.0 - config.p) * pi[dangling].sum()
+        converged = np.max(np.abs(nxt - pi)) < config.rw_tolerance
+        pi = nxt
+        if converged:
+            return {int(v): float(pi[v]) for v in np.flatnonzero(pi >= config.floor)}
 
 
 def unique_rows_csr(edges: list[tuple[int, int]], node_count: int, directed: bool) -> tuple[np.ndarray, np.ndarray]:

@@ -7,13 +7,14 @@ import math
 import subprocess
 import sys
 
+import numpy as np
 import pytest
 
 from trendcast import simulation
 from trendcast.activeness import ActivenessParams, save_params
 from trendcast.cli import main
 from trendcast.core import random_graph
-from trendcast.proximity import ProximityConfig, ProximityMap
+from trendcast.proximity import ProximityConfig, ProximityMap, Row
 
 
 @pytest.fixture()
@@ -413,6 +414,7 @@ def test_aggregate_rejects_non_finite_grid(tiny_files, tmp_path, capsys, grid):
     '{"alpha": true, "tau": 1.0, "proximity": {}}',
     '{"alpha": 1.0, "tau": NaN, "proximity": {}}',
     '{"alpha": 1.0, "tau": 1.0, "proximity": {"b": "x"}}',
+    '{"alpha": 1.0, "tau": 1.0, "proximity": {"max_iterations": 2}}',
     '{"alpha": 1.0, "proximity": {}}',
     '{"alpha": 1.0, "tau": 1.0}',
     '[1, 2]',
@@ -569,6 +571,7 @@ def _edit_record(edit):
     (3, _edit_record(lambda r: r["scores"].__setitem__(0, 0.0)), "score 0.0 is not positive and finite"),
     (3, _edit_record(lambda r: r["scores"].__setitem__(0, -0.5)), "score -0.5 is not positive and finite"),
     (3, _edit_record(lambda r: r["scores"].__setitem__(0, "x")), 'score "x" is not positive and finite'),
+    (3, _edit_record(lambda r: r["scores"].__setitem__(0, 10**400)), "int too large to convert to float"),
     (3, _edit_record(lambda r: r["scores"].append(1.0)), "'targets' and 'scores' must be lists of equal length"),
     (3, _edit_record(lambda r: r.pop("scores")), "missing key 'scores'"),
     (3, _edit_record(lambda r: r["targets"].__setitem__(1, r["targets"][0])), "'targets' names a node twice"),
@@ -608,7 +611,7 @@ def _nan_params(path: str) -> None:
 def _nan_cache(path: str) -> None:
     prox = ProximityMap(random_graph(5, 4, seed=1), ProximityConfig())
     prox.row(0)
-    prox._rows[1] = {1: math.nan}
+    prox._rows[1] = Row(np.asarray([1], dtype=np.int64), np.asarray([math.nan]))
     prox.save_cache(path)
 
 
@@ -822,6 +825,11 @@ def _edit_row(index, edit):
     (_edit_row(2, lambda row: row + ",1"), ":3: expected 7 fields, got 8"),
     (_edit_row(2, lambda row: row.replace(",", ",x", 1)), ":3: could not convert string to float: 'x"),
     (_edit_row(1, lambda row: ",".join(["0", "", *row.split(",")[2:]])), ":2: could not convert string to float: ''"),
+    (_edit_row(2, lambda row: ",".join(["5", "99.0", "100.0", *row.split(",")[3:]])),
+     ":3: expected interval 1 [4.0, 5.0), got 5 [99.0, 100.0)"),
+    (_edit_row(2, lambda row: ",".join(["0", *row.split(",")[1:]])), ":3: expected interval 1 [4.0, 5.0), got 0 [4.0, 5.0)"),
+    (_edit_row(1, lambda row: row.replace(",4.0,", ",4.5,", 1)), ":2: expected interval 0 [3.0, 4.0), got 0 [3.0, 4.5)"),
+    (_edit_row(1, lambda row: row.replace(",3.0,", ",nan,", 1)), ":2: t_min must be finite, got nan"),
 ])
 def test_eval_rejects_a_malformed_prediction_file(tiny_files, tmp_path, capsys, edit, where):
     graph, actions = tiny_files

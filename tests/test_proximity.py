@@ -13,11 +13,12 @@ from trendcast.proximity import (
     ConvergenceError,
     ProximityConfig,
     ProximityMap,
+    Row,
     random_walk_row,
     shortest_path_row,
 )
 
-from oracles import random_instance
+from oracles import dict_random_walk_row, dict_shortest_path_row, random_instance
 
 
 def path_graph(n: int, directed: bool = False) -> Graph:
@@ -116,9 +117,10 @@ def test_random_walk_satisfies_balance_equation():
 
 def test_random_walk_convergence_cap_raises():
     graph = path_graph(6)
-    config = ProximityConfig(kind="rw", p=0.4, rw_tolerance=1e-12, max_iterations=2)
-    with pytest.raises(ConvergenceError, match="did not converge"):
-        random_walk_row(graph, 0, config)
+    config = ProximityConfig(kind="rw", p=0.4, rw_tolerance=1e-12)
+    with mock.patch.object(proximity, "_RW_MAX_ITERATIONS", 2):
+        with pytest.raises(ConvergenceError, match="did not converge within 2 iterations"):
+            random_walk_row(graph, 0, config)
 
 
 def test_row_sum_cap_is_attained_where_the_degree_bound_is_tight():
@@ -185,8 +187,8 @@ def test_gather_matches_row_entry_for_entry(seed, kind, picks):
     assert row_start[-1] == len(targets) == len(scores)
     assert targets.dtype == np.int64 and scores.dtype == np.float64
     # gather caches what it builds, so prox.row(u) would compare its rows
-    # with themselves; the per-source kernels build them independently.
-    reference = shortest_path_row if kind == "sp" else random_walk_row
+    # with themselves; the dict references build them independently.
+    reference = dict_shortest_path_row if kind == "sp" else dict_random_walk_row
     for k, u in enumerate(sources.tolist()):
         row = reference(graph, u, prox.config)
         assert targets[row_start[k]:row_start[k + 1]].tolist() == list(row)
@@ -213,11 +215,11 @@ def _assert_batched_rows_match_scalar_bfs(graph, config, sources):
     row_start, targets, scores = prox.gather(sources)
     assert len(row_start) == len(sources) + 1 and row_start[-1] == len(targets)
     for k, u in enumerate(sources.tolist()):
-        row = shortest_path_row(graph, u, config)
+        row = dict_shortest_path_row(graph, u, config)
         assert targets[row_start[k]:row_start[k + 1]].tolist() == list(row)
         assert scores[row_start[k]:row_start[k + 1]].tolist() == list(row.values())
         assert prox.row(u) == row and list(prox.row(u)) == list(row)
-    sums = [float(sum(shortest_path_row(graph, u, config).values())) for u in sources.tolist()]
+    sums = [sum(dict_shortest_path_row(graph, u, config).values()) for u in sources.tolist()]
     assert ProximityMap(graph, config).row_sums(sources).tolist() == sums
 
 
@@ -248,3 +250,48 @@ def test_batched_gather_crosses_the_chunk_budget():
     for directed in (False, True):
         graph = random_graph(600, 1500, seed=5, directed=directed)
         _assert_batched_rows_match_scalar_bfs(graph, ProximityConfig(kind="sp", b=0.3), sources)
+
+
+def _assert_row_is_the_reference(row, reference: dict) -> None:
+    """``row`` holds ``reference``'s entries in its order and reads like it as a mapping."""
+    assert isinstance(row, Row)
+    assert row.targets.dtype == np.int64 and row.scores.dtype == np.float64
+    assert len(row.targets) == len(row.scores) == len(row) == len(reference)
+    assert row.targets.tolist() == list(reference)
+    assert row.scores.tolist() == list(reference.values())
+    assert list(row) == list(reference)
+    assert row == reference and reference == row
+    for v in [*reference, -1, max(reference) + 1]:
+        assert row.get(v) == reference.get(v) and (v in row) == (v in reference)
+    changed = {**reference, row.targets[-1].item(): 2.0}
+    assert row != changed and changed != row
+
+
+@settings(derandomize=True, database=None, deadline=None, max_examples=40)
+@given(
+    seed=st.integers(0, 2**16),
+    kind=st.sampled_from(["sp", "rw"]),
+    picks=st.lists(st.integers(0, 2**16), min_size=1, max_size=8),
+)
+@example(seed=3, kind="sp", picks=[4, 1, 4, 0])
+@example(seed=3, kind="rw", picks=[2, 0])
+def test_rows_are_aligned_arrays_on_every_build_path(tmp_path_factory, seed, kind, picks):
+    graph, prox, _ = random_instance(seed, max_nodes=40, max_actions=2, kind=kind)
+    config = prox.config
+    sources = np.unique(np.asarray(picks, dtype=np.int64) % graph.node_count)
+    # sp: gather builds two or more missing rows in one batched pass;
+    # rw: one at a time. The cache holds gather's rows.
+    prox.gather(sources)
+    path = str(tmp_path_factory.mktemp("cache") / "prox.jsonl")
+    prox.save_cache(path)
+    loaded = ProximityMap.load_cache(path, graph, config)
+    reference = dict_shortest_path_row if kind == "sp" else dict_random_walk_row
+    for u in sources.tolist():
+        expected = reference(graph, u, config)
+        single = ProximityMap(graph, config)  # one missing row: the scalar kernel
+        row = single.row(u)
+        assert len(row) == len(expected) and list(row) == list(expected)
+        assert row._lookup is None  # len and iteration read the arrays only
+        for built in (single, prox, loaded):
+            _assert_row_is_the_reference(built.row(u), expected)
+            assert built.row_sum(u) == sum(expected.values())
