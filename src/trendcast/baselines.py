@@ -13,6 +13,12 @@ continuous delays as in NetRate, Gomez-Rodriguez et al., ICML 2011): each
 edge's coin and delay are drawn up front, and activation times are the
 earliest arrival times from the seeds over the live edges. Fitting and
 simulation work on the graph's CSR edge arrays, with no loop per edge.
+
+A forecast relaxes its runs together in batches of at most ``BUDGET`` nodes
+plus edges: R runs are R disjoint live-edge graphs, hence one earliest-arrival
+problem on R * node_count nodes, and one ``bincount`` over (run, interval)
+bins them. Each run still draws from its own stream, exactly what it would
+draw alone, so the batching changes no output.
 """
 
 from __future__ import annotations
@@ -30,6 +36,10 @@ BASELINE_KINDS = ("tequ", "texp", "eexp")
 # Defaults applied when the prefix yields no parent-child attributions.
 FALLBACK_ACTIVATION_PROB = 0.1
 FALLBACK_MEAN_GAP = 1.0
+
+# Cells of scratch (nodes plus edges, per run) one batch of runs may use, so
+# the memory of predict_baseline does not grow with the run count.
+BUDGET = 2**18
 
 # Baseline run r draws from spawn key (2**61 + 16 + r,): above the activeness
 # run keys (r,), r < 2**61, and the auxiliary keys 2**61 and 2**61 + 1.
@@ -128,6 +138,66 @@ def _edge_scales(params: BaselineParams, node_count: int, src: np.ndarray, dst: 
     return 1.0 / rates
 
 
+def _run_setup(
+    params: BaselineParams, graph: Graph, trend: Trend, t_start: float
+) -> tuple[np.ndarray, np.ndarray, np.ndarray, np.ndarray | None]:
+    """What every run shares: first action times before t_start, (src, dst) edges, eexp delay scales."""
+    first = _first_activations(trend.prefix(t_start), graph.node_count)
+    src, dst = _edges(graph)
+    scales = _edge_scales(params, graph.node_count, src, dst) if params.kind == "eexp" else None
+    return first, src, dst, scales
+
+
+def _arrivals(
+    params: BaselineParams,
+    src: np.ndarray,
+    dst: np.ndarray,
+    scales: np.ndarray | None,
+    first: np.ndarray,
+    t_start: float,
+    t_end: float,
+    rngs: list[np.random.Generator],
+) -> np.ndarray:
+    """Activation times of one run per generator, shape (runs, node_count).
+
+    Run r draws from ``rngs[r]`` one coin per (src, dst) edge, then the
+    delays of its live edges (eexp: with the live edges' ``scales``). The
+    live edges of all runs form one graph on runs * node_count nodes, run r
+    owning nodes r * node_count onward, relaxed in one set of Bellman-Ford
+    rounds from the seeds (the finite entries of ``first``). Runs never
+    share an edge, and ``min`` is exact, so each run's times are the ones
+    it would get alone.
+    """
+    n = len(first)
+    live_parts, delay_parts = [], []
+    for rng in rngs:
+        live = np.flatnonzero(rng.random(len(dst)) < params.activation_prob)
+        if params.kind == "tequ":
+            delay = np.full(len(live), params.delay_equal)
+        elif params.kind == "texp":
+            delay = rng.exponential(1.0 / params.delay_rate, size=len(live))
+        else:
+            delay = rng.exponential(scales[live])
+        live_parts.append(live)
+        delay_parts.append(delay)
+    offset = np.repeat(np.arange(len(rngs)) * n, [len(live) for live in live_parts])
+    live = np.concatenate(live_parts)
+    src, dst, delay = src[live] + offset, dst[live] + offset, np.concatenate(delay_parts)
+    active = np.tile(first, len(rngs))
+    # Bellman-Ford rounds: only edges out of nodes whose time fell last round can improve.
+    fired = np.isfinite(active)
+    while True:
+        at = np.flatnonzero(fired[src])
+        arrive = active[src[at]] + delay[at]
+        ok = (t_start <= arrive) & (arrive < t_end) & (arrive < active[dst[at]])
+        if not ok.any():
+            break
+        np.minimum.at(active, dst[at[ok]], arrive[ok])
+        fired = np.zeros(len(active), dtype=bool)
+        fired[dst[at[ok]]] = True
+    return active.reshape(len(rngs), n)
+
+
 def simulate_baseline(
     params: BaselineParams,
     graph: Graph,
@@ -146,29 +216,9 @@ def simulate_baseline(
     edge draws its coin up front, each live edge its delay, and activation
     times are the earliest arrivals from the seeds over the live edges.
     """
-    active = _first_activations(trend.prefix(t_start), graph.node_count)
-    seed = np.isfinite(active)
-    src, dst = _edges(graph)
-    live = rng.random(len(dst)) < params.activation_prob
-    src, dst = src[live], dst[live]
-    if params.kind == "tequ":
-        delay = np.full(len(dst), params.delay_equal)
-    elif params.kind == "texp":
-        delay = rng.exponential(1.0 / params.delay_rate, size=len(dst))
-    else:
-        delay = rng.exponential(_edge_scales(params, graph.node_count, src, dst))
-    # Bellman-Ford rounds: only edges out of nodes whose time fell last round can improve.
-    fired = seed
-    while True:
-        at = np.flatnonzero(fired[src])
-        arrive = active[src[at]] + delay[at]
-        ok = (t_start <= arrive) & (arrive < t_end) & (arrive < active[dst[at]])
-        if not ok.any():
-            break
-        np.minimum.at(active, dst[at[ok]], arrive[ok])
-        fired = np.zeros(graph.node_count, dtype=bool)
-        fired[dst[at[ok]]] = True
-    nodes = np.flatnonzero(~seed & (active < t_end))
+    first, src, dst, scales = _run_setup(params, graph, trend, t_start)
+    active = _arrivals(params, src, dst, scales, first, t_start, t_end, [rng])[0]
+    nodes = np.flatnonzero(~np.isfinite(first) & (active < t_end))
     return Trend(nodes, active[nodes])
 
 
@@ -203,18 +253,25 @@ def predict_baseline(
 
     A cascade activates each node once, so raw intensity equals coverage per
     interval; with ``mult`` the per-run intensity becomes
-    mult_factor * coverage instead.
+    mult_factor * coverage instead. Run r draws from its own generator
+    (spawn key ``_BASELINE_RUN_KEY + r``); runs are relaxed together in
+    batches of ``BUDGET // (nodes + edges)``, at least one.
     """
     if grid.t_start != config.t_start:
         raise ValueError("grid must start at the simulation start time")
-    intensity_rows: list[np.ndarray] = []
-    coverage_rows: list[np.ndarray] = []
-    for run_index in range(config.runs):
-        rng = derived_rng(config.seed, _BASELINE_RUN_KEY + run_index)
-        run_trend = simulate_baseline(params, graph, trend, config.t_start, config.t_end, rng)
-        series = aggregate(run_trend, grid)
-        cov = series.coverage
-        inten = intensity_from_coverage(cov, params.mult_factor) if mult else series.intensity
-        intensity_rows.append(np.asarray(inten, dtype=np.float64))
-        coverage_rows.append(cov.astype(np.float64))
-    return summarize_runs(grid, intensity_rows, coverage_rows, theta, measure)
+    first, src, dst, scales = _run_setup(params, graph, trend, config.t_start)
+    new_node = ~np.isfinite(first)
+    per_batch = max(1, BUDGET // (graph.node_count + len(dst)))
+    edges, coverage = grid.edges, np.empty((config.runs, grid.count))
+    for lo in range(0, config.runs, per_batch):
+        hi = min(lo + per_batch, config.runs)
+        rngs = [derived_rng(config.seed, _BASELINE_RUN_KEY + r) for r in range(lo, hi)]
+        active = _arrivals(params, src, dst, scales, first, config.t_start, config.t_end, rngs)
+        run, node = np.nonzero(new_node & (active < config.t_end))
+        # aggregate's binning; a node activates at most once per run, so the count is also coverage.
+        idx = np.searchsorted(edges, active[run, node], side="right") - 1
+        keep = (idx >= 0) & (idx < grid.count)
+        cells = run[keep] * grid.count + idx[keep]
+        coverage[lo:hi] = np.bincount(cells, minlength=(hi - lo) * grid.count).reshape(hi - lo, grid.count)
+    intensity = intensity_from_coverage(coverage, params.mult_factor) if mult else coverage
+    return summarize_runs(grid, intensity, coverage, theta, measure)

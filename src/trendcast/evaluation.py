@@ -98,7 +98,16 @@ def evaluate_prediction(
 
     The predicted duration flag is the majority vote over simulation runs
     (covering fraction > 0.5); the true flag comes from the realized series.
+    Both flags must use one threshold: a report made with another ``theta``
+    (as the CSV writes it, to 10 significant digits) or ``measure`` raises
+    ValueError.
     """
+    if (f"{report.theta:.10g}", report.measure) != (f"{theta:.10g}", measure):
+        raise ValueError(
+            f"{report.summary_at or 'prediction'}: the prediction's duration vote uses "
+            f"theta={report.theta:.10g} measure={report.measure}, but eval was given "
+            f"theta={theta:.10g} measure={measure}"
+        )
     grid = report.grid
     truth_series = aggregate(truth, grid)
     inten_err = np.asarray(

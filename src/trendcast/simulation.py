@@ -25,11 +25,12 @@ from __future__ import annotations
 
 import io
 import math
-from dataclasses import dataclass
+from dataclasses import dataclass, field
+from typing import Sequence
 
 import numpy as np
 
-from .core import IntervalGrid, Trend, _read_lines, aggregate, longest_run_above
+from .core import IntervalGrid, Trend, _read_lines, aggregate
 from .proximity import ProximityMap
 from .activeness import DECAY_CUTOFF, ActivenessParams, _decay
 
@@ -198,6 +199,8 @@ class PredictionReport:
     coverage_cv: np.ndarray
     duration_covering_fraction: float
     branching_ratio: float = math.nan
+    # 'path:line' of the summary line, for a report read_csv read.
+    summary_at: str = field(default="", compare=False)
 
     def write_csv(self, out: str | io.TextIOBase) -> None:
         fh = open(out, "w", encoding="utf-8") if isinstance(out, str) else out
@@ -275,6 +278,7 @@ class PredictionReport:
                 coverage_cv=columns[6],
                 duration_covering_fraction=float(summary["duration_covering_fraction"]),
                 branching_ratio=float(summary["branching_ratio"] or "nan"),
+                summary_at=f"{path}:{summary_line}",
             )
         except KeyError as exc:
             raise ValueError(f"{path}:{summary_line}: summary lacks key {exc.args[0]!r}") from None
@@ -309,8 +313,8 @@ def _column_cv(matrix: np.ndarray) -> np.ndarray:
 
 def summarize_runs(
     grid: IntervalGrid,
-    intensity_rows: list[np.ndarray],
-    coverage_rows: list[np.ndarray],
+    intensity_rows: Sequence[np.ndarray],
+    coverage_rows: Sequence[np.ndarray],
     theta: float,
     measure: str,
     branching_ratio: float = math.nan,
@@ -325,7 +329,8 @@ def summarize_runs(
     inten = np.vstack(intensity_rows).astype(np.float64)
     cov = np.vstack(coverage_rows).astype(np.float64)
     chosen = inten if measure == "intensity" else cov
-    covering = [longest_run_above(row, theta) == grid.count for row in chosen]
+    # A run's longest stretch above theta spans the grid exactly when every interval is above it.
+    covering = (chosen > theta).all(axis=1)
     return PredictionReport(
         grid=grid,
         runs=inten.shape[0],

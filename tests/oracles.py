@@ -3,9 +3,9 @@
 Most of it is deliberately naive: plain loops, no stacking, no shared code
 with the library internals beyond data containers. ``ActivenessModel``,
 ``total_integrated_influence``, ``PairTable``, ``heap_simulate_baseline``,
-``loop_fit_baseline``, ``line_load_graph``, ``line_load_trend``,
-``golden_fit``, ``dict_shortest_path_row`` and ``dict_random_walk_row`` are
-former library code that nothing in the package calls any more; they stay
+``loop_fit_baseline``, ``loop_predict_baseline``, ``line_load_graph``,
+``line_load_trend``, ``golden_fit``, ``dict_shortest_path_row`` and
+``dict_random_walk_row`` are former library code that nothing in the package calls any more; they stay
 here as references.
 """
 
@@ -21,11 +21,17 @@ from typing import Mapping
 import numpy as np
 
 from trendcast.activeness import ActivenessParams, _decay
-from trendcast.baselines import FALLBACK_ACTIVATION_PROB, FALLBACK_MEAN_GAP, BaselineParams
-from trendcast.core import Graph, ParseError, Trend, UnknownNodeError, random_graph
+from trendcast.baselines import (
+    _BASELINE_RUN_KEY,
+    FALLBACK_ACTIVATION_PROB,
+    FALLBACK_MEAN_GAP,
+    BaselineParams,
+    intensity_from_coverage,
+)
+from trendcast.core import Graph, IntervalGrid, ParseError, Trend, UnknownNodeError, aggregate, random_graph
 from trendcast.learning import DegeneratePrefixError, LearnConfig, LearnResult, _golden_max, _table
 from trendcast.proximity import ProximityConfig, ProximityMap
-from trendcast.simulation import Streams
+from trendcast.simulation import PredictionReport, SimConfig, Streams, derived_rng, summarize_runs
 
 
 @dataclass
@@ -532,6 +538,68 @@ def heap_simulate_baseline(
                     activation[w] = t_w
                     heapq.heappush(heap, (t_w, w))
     return Trend(np.asarray(ev_nodes, dtype=np.int64), np.asarray(ev_times, dtype=np.float64))
+
+
+def loop_simulate_baseline(
+    params: BaselineParams,
+    graph: Graph,
+    trend: Trend,
+    t_start: float,
+    t_end: float,
+    rng: np.random.Generator,
+) -> Trend:
+    """One cascade run alone: its coins, its live edges' delays, its own Bellman-Ford rounds."""
+    n = graph.node_count
+    active = np.full(n, math.inf)
+    for node, t in _first_activation_dict(trend.prefix(t_start)).items():
+        active[node] = t
+    seed = np.isfinite(active)
+    src, dst = np.repeat(np.arange(n), np.diff(graph.indptr)), graph.indices
+    live = rng.random(len(dst)) < params.activation_prob
+    src, dst = src[live], dst[live]
+    if params.kind == "tequ":
+        delay = np.full(len(dst), params.delay_equal)
+    elif params.kind == "texp":
+        delay = rng.exponential(1.0 / params.delay_rate, size=len(dst))
+    else:
+        rates = [params.edge_delay_rates.get(edge, params.delay_rate) for edge in zip(src.tolist(), dst.tolist())]
+        delay = rng.exponential(1.0 / np.asarray(rates, dtype=np.float64))
+    fired = seed
+    while True:
+        at = np.flatnonzero(fired[src])
+        arrive = active[src[at]] + delay[at]
+        ok = (t_start <= arrive) & (arrive < t_end) & (arrive < active[dst[at]])
+        if not ok.any():
+            break
+        np.minimum.at(active, dst[at[ok]], arrive[ok])
+        fired = np.zeros(n, dtype=bool)
+        fired[dst[at[ok]]] = True
+    nodes = np.flatnonzero(~seed & (active < t_end))
+    return Trend(nodes, active[nodes])
+
+
+def loop_predict_baseline(
+    params: BaselineParams,
+    graph: Graph,
+    trend: Trend,
+    config: SimConfig,
+    grid: IntervalGrid,
+    theta: float = 0.0,
+    measure: str = "coverage",
+    mult: bool = False,
+) -> PredictionReport:
+    """``baselines.predict_baseline`` one run at a time: simulate, aggregate, then fold the rows."""
+    intensity_rows: list[np.ndarray] = []
+    coverage_rows: list[np.ndarray] = []
+    for run_index in range(config.runs):
+        rng = derived_rng(config.seed, _BASELINE_RUN_KEY + run_index)
+        run_trend = loop_simulate_baseline(params, graph, trend, config.t_start, config.t_end, rng)
+        series = aggregate(run_trend, grid)
+        cov = series.coverage
+        inten = intensity_from_coverage(cov, params.mult_factor) if mult else series.intensity
+        intensity_rows.append(np.asarray(inten, dtype=np.float64))
+        coverage_rows.append(cov.astype(np.float64))
+    return summarize_runs(grid, intensity_rows, coverage_rows, theta, measure)
 
 
 def brute_force_longest_run(values, theta) -> int:

@@ -2,13 +2,16 @@
 
 from __future__ import annotations
 
+import io
 import math
+import tracemalloc
 
 import numpy as np
 import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
+from trendcast import baselines
 from trendcast.baselines import (
     BaselineParams,
     fit_baseline,
@@ -20,7 +23,7 @@ from trendcast.baselines import (
 from trendcast.core import Graph, IntervalGrid, Trend, aggregate
 from trendcast.simulation import SimConfig
 
-from oracles import heap_simulate_baseline, loop_fit_baseline, random_instance
+from oracles import heap_simulate_baseline, loop_fit_baseline, loop_predict_baseline, random_instance
 
 
 def make_trend(nodes, times) -> Trend:
@@ -272,6 +275,93 @@ def test_predict_baseline_rejects_mismatched_grid():
     config = SimConfig(t_start=0.0, t_end=1.0, runs=2, seed=0)
     with pytest.raises(ValueError, match="grid"):
         predict_baseline(params, graph, trend, config, IntervalGrid(1.0, 1.0, 1))
+
+
+def _forecast_instance(seed: int, kind: str, directed: bool) -> tuple[Graph, Trend, BaselineParams]:
+    """A random graph and trend, with cascade params fitted on [0, 5) and, for eexp, rates on every other edge.
+
+    The directed graph keeps each undirected edge from its lower end only.
+    """
+    graph, _, trend = random_instance(seed, max_nodes=120, max_actions=40)
+    if directed:
+        src = np.repeat(np.arange(graph.node_count), np.diff(graph.indptr))
+        up = src < graph.indices
+        graph = Graph.from_edges(np.stack([src[up], graph.indices[up]], axis=1), graph.node_count, directed=True)
+    fitted = fit_baseline(kind, trend, graph, 5.0)
+    rng = np.random.default_rng(seed)
+    rates = {}
+    if kind == "eexp":
+        src = np.repeat(np.arange(graph.node_count), np.diff(graph.indptr))
+        edges = list(zip(src.tolist(), graph.indices.tolist()))[::2]
+        rates = dict(zip(edges, rng.choice([0.2, 1.0, 5.0], size=len(edges)).tolist()))
+    params = BaselineParams(
+        kind, max(fitted.activation_prob, 0.3), fitted.delay_equal, fitted.delay_rate,
+        edge_delay_rates=rates, mult_factor=1.7,
+    )
+    return graph, trend, params
+
+
+def _assert_same_report(report, reference) -> None:
+    for name in ("intensity_mean", "intensity_cv", "coverage_mean", "coverage_cv"):
+        assert np.array_equal(getattr(report, name), getattr(reference, name), equal_nan=True), name
+    assert report.duration_covering_fraction == reference.duration_covering_fraction
+    assert report.runs == reference.runs
+    written, expected = io.StringIO(), io.StringIO()
+    report.write_csv(written)
+    reference.write_csv(expected)
+    assert written.getvalue() == expected.getvalue()
+
+
+@pytest.mark.parametrize("directed", [False, True])
+@pytest.mark.parametrize("kind", ["tequ", "texp", "eexp"])
+def test_batched_forecast_matches_the_per_run_loop(kind, directed):
+    # every run keeps its own stream, so batching changes no draw and no sum
+    graph, trend, params = _forecast_instance(15 if directed else 12, kind, directed)
+    grid = IntervalGrid(5.0, 1.25, 4)
+    votes = []
+    for runs in (1, 7, 64):
+        config = SimConfig(5.0, 10.0, runs=runs, seed=runs)
+        for mult in (False, True):
+            for theta, measure in ((0.0, "coverage"), (1.0, "intensity")):
+                report = predict_baseline(params, graph, trend, config, grid, theta, measure, mult)
+                reference = loop_predict_baseline(params, graph, trend, config, grid, theta, measure, mult)
+                _assert_same_report(report, reference)
+                votes.append(report.duration_covering_fraction)
+    # the runs activate nodes and, for some threshold, split the duration vote
+    assert report.coverage_mean.sum() > 0 and any(0 < vote < 1 for vote in votes)
+
+
+@pytest.mark.parametrize("per_batch", [1, 3])
+@pytest.mark.parametrize("kind", ["tequ", "texp", "eexp"])
+def test_batch_boundaries_change_no_run(monkeypatch, kind, per_batch):
+    # 7 runs in batches of 1, or of 3, 3 and 1; the grid ends before the horizon
+    graph, trend, params = _forecast_instance(21, kind, directed=False)
+    monkeypatch.setattr(baselines, "BUDGET", per_batch * (graph.node_count + len(graph.indices)))
+    config = SimConfig(5.0, 10.0, runs=7, seed=3)
+    grid = IntervalGrid(5.0, 0.5, 6)
+    assert predict_baseline(params, graph, trend, config, grid).coverage_mean.sum() > 0
+    for mult in (False, True):
+        report = predict_baseline(params, graph, trend, config, grid, mult=mult)
+        _assert_same_report(report, loop_predict_baseline(params, graph, trend, config, grid, mult=mult))
+
+
+def test_forecast_memory_does_not_grow_with_runs():
+    # 1,000 nodes and 4,000 directed edge slots: a batch holds about 50 runs
+    graph = Graph.from_edges(np.random.default_rng(4).integers(0, 1000, size=(2000, 2)), 1000)
+    assert baselines.BUDGET // (graph.node_count + len(graph.indices)) <= 64
+    params = BaselineParams("texp", 0.3, 0.5, 2.0)
+    trend = make_trend(np.arange(0, 1000, 10), np.full(100, -0.1))
+    grid = IntervalGrid(0.0, 1.0, 4)
+
+    def peak(runs: int) -> int:
+        tracemalloc.start()
+        try:
+            predict_baseline(params, graph, trend, SimConfig(0.0, 4.0, runs=runs, seed=1), grid)
+            return tracemalloc.get_traced_memory()[1]
+        finally:
+            tracemalloc.stop()
+
+    assert peak(4096) < 2 * peak(64)
 
 
 def test_intensity_from_coverage_scales_elementwise():

@@ -13,7 +13,8 @@ import pytest
 from trendcast import simulation
 from trendcast.activeness import ActivenessParams, save_params
 from trendcast.cli import main
-from trendcast.core import random_graph
+from trendcast.core import IntervalGrid, load_graph, load_trend, random_graph
+from trendcast.evaluation import threshold_from_last_observed
 from trendcast.proximity import ProximityConfig, ProximityMap, Row
 
 
@@ -236,11 +237,14 @@ def test_predict_warns_on_fallback(tiny_files, tmp_path, capsys):
 
 def test_eval_theta_from_train(pipeline, tmp_path):
     d, graph, actions, params = pipeline
+    # predict votes with the theta that eval derives from the training grid
+    loaded = load_graph(str(graph))
+    theta = threshold_from_last_observed(load_trend(str(actions), loaded), IntervalGrid(0.0, 4.0, 2))
     pred = tmp_path / "pred.csv"
     assert main([
         "predict", "--graph", str(graph), "--actions", str(actions),
         "--t-star", "8.0", "--grid", "8:1:4", "--model", "tequ",
-        "--runs", "10", "--seed", "3", "--out", str(pred),
+        "--runs", "10", "--seed", "3", "--theta", str(theta), "--out", str(pred),
     ]) == 0
     code = main([
         "eval", "--graph", str(graph), "--pred", str(pred),
@@ -252,17 +256,18 @@ def test_eval_theta_from_train(pipeline, tmp_path):
 
 def test_eval_manifest_multiple_trends(pipeline, tmp_path, capsys):
     d, graph, actions, params = pipeline
-    pred = tmp_path / "pred.csv"
-    assert main([
-        "predict", "--graph", str(graph), "--actions", str(actions),
-        "--t-star", "8.0", "--grid", "8:1:4", "--model", "tequ",
-        "--runs", "10", "--seed", "3", "--out", str(pred),
-    ]) == 0
+    preds = [tmp_path / "pred-0.csv", tmp_path / "pred-1.csv"]
+    for theta, pred in zip(("0", "1"), preds):
+        assert main([
+            "predict", "--graph", str(graph), "--actions", str(actions),
+            "--t-star", "8.0", "--grid", "8:1:4", "--model", "tequ",
+            "--runs", "10", "--seed", "3", "--theta", theta, "--out", str(pred),
+        ]) == 0
     manifest = tmp_path / "trends.json"
     manifest.write_text(json.dumps({
         "trends": [
-            {"pred": str(pred), "actions": str(actions), "theta": 0.0},
-            {"pred": str(pred), "actions": str(actions), "theta": 1.0},
+            {"pred": str(preds[0]), "actions": str(actions), "theta": 0.0},
+            {"pred": str(preds[1]), "actions": str(actions), "theta": 1.0},
         ]
     }), encoding="utf-8")
     code = main([
@@ -271,6 +276,39 @@ def test_eval_manifest_multiple_trends(pipeline, tmp_path, capsys):
     ])
     assert code == 0
     assert "evaluated 2 trend(s)" in capsys.readouterr().out
+
+
+@pytest.mark.parametrize("how", ["theta", "measure", "manifest", "theta-from-train"])
+def test_eval_refuses_a_threshold_other_than_the_predictions(pipeline, tmp_path, capsys, how):
+    # predict votes on coverage above 50; eval must not score that vote against another threshold
+    d, graph, actions, params = pipeline
+    pred = tmp_path / "pred.csv"
+    assert main([
+        "predict", "--graph", str(graph), "--actions", str(actions),
+        "--t-star", "8.0", "--grid", "8:1:4", "--model", "tequ",
+        "--runs", "4", "--seed", "3", "--theta", "50", "--out", str(pred),
+    ]) == 0
+    summary_line = len(pred.read_text(encoding="utf-8").splitlines())
+    capsys.readouterr()
+    given = {"theta": "theta=0 measure=coverage", "measure": "theta=50 measure=intensity",
+             "manifest": "theta=0 measure=coverage", "theta-from-train": "measure=coverage"}[how]
+    source = ["--pred", str(pred), "--actions", str(actions)]
+    if how == "theta":
+        flags = [*source, "--theta", "0"]
+    elif how == "measure":
+        flags = [*source, "--theta", "50", "--measure", "intensity"]
+    elif how == "manifest":
+        manifest = tmp_path / "trends.json"
+        manifest.write_text(json.dumps({"trends": [{"pred": str(pred), "actions": str(actions), "theta": 0}]}))
+        flags = ["--manifest", str(manifest)]
+    else:
+        flags = [*source, "--theta-from-train", "0:4:2"]
+    code = main(["eval", "--graph", str(graph), *flags, "--out", str(tmp_path / "eval.csv")])
+    assert code == 1
+    line = _one_error_line(capsys)
+    assert f"{pred}:{summary_line}:" in line
+    assert "theta=50 measure=coverage" in line and given in line
+    assert not (tmp_path / "eval.csv").exists()
 
 
 def test_eval_requires_some_theta(pipeline, tmp_path, capsys):

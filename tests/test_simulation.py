@@ -25,7 +25,7 @@ from trendcast.simulation import (
     summarize_runs,
 )
 
-from oracles import ActivenessModel, random_instance, time_step_self_excited_counts
+from oracles import ActivenessModel, brute_force_longest_run, random_instance, time_step_self_excited_counts
 
 
 def single_node_setup(alpha: float, tau: float, epsilon: float = 0.0):
@@ -231,6 +231,23 @@ def test_prediction_csv_roundtrip(tmp_path):
     assert back.grid == report.grid
     np.testing.assert_allclose(back.intensity_mean, report.intensity_mean, rtol=1e-9)
     assert back.duration_covering_fraction == pytest.approx(report.duration_covering_fraction)
+
+
+@settings(derandomize=True, database=None, deadline=None, max_examples=200)
+@given(
+    st.integers(1, 6),
+    st.lists(st.lists(st.sampled_from([0.0, 1.0, 2.0, math.nan]), min_size=6, max_size=6), min_size=1, max_size=8),
+    st.sampled_from([0.0, 1.0, 1.5]),
+    st.sampled_from(["intensity", "coverage"]),
+)
+def test_duration_vote_counts_runs_whose_longest_stretch_spans_the_grid(count, rows, theta, measure):
+    grid = IntervalGrid(0.0, 1.0, count)
+    matrix = [np.asarray(row[:count]) for row in rows]
+    zeros = [np.zeros(count) for _ in rows]
+    inten, cov = (matrix, zeros) if measure == "intensity" else (zeros, matrix)
+    report = summarize_runs(grid, inten, cov, theta, measure)
+    covering = [brute_force_longest_run(row.tolist(), theta) == count for row in matrix]
+    assert report.duration_covering_fraction == float(np.mean(covering))
 
 
 def test_prediction_csv_keeps_grid_bounds_exact(tmp_path):
