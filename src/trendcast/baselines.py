@@ -262,16 +262,15 @@ def predict_baseline(
     first, src, dst, scales = _run_setup(params, graph, trend, config.t_start)
     new_node = ~np.isfinite(first)
     per_batch = max(1, BUDGET // (graph.node_count + len(dst)))
-    edges, coverage = grid.edges, np.empty((config.runs, grid.count))
+    coverage = np.empty((config.runs, grid.count))
     for lo in range(0, config.runs, per_batch):
         hi = min(lo + per_batch, config.runs)
         rngs = [derived_rng(config.seed, _BASELINE_RUN_KEY + r) for r in range(lo, hi)]
         active = _arrivals(params, src, dst, scales, first, config.t_start, config.t_end, rngs)
         run, node = np.nonzero(new_node & (active < config.t_end))
-        # aggregate's binning; a node activates at most once per run, so the count is also coverage.
-        idx = np.searchsorted(edges, active[run, node], side="right") - 1
-        keep = (idx >= 0) & (idx < grid.count)
-        cells = run[keep] * grid.count + idx[keep]
+        # A node activates at most once per run, so the interval count is also coverage.
+        keep, idx = grid.bin(active[run, node])
+        cells = run[keep] * grid.count + idx
         coverage[lo:hi] = np.bincount(cells, minlength=(hi - lo) * grid.count).reshape(hi - lo, grid.count)
     intensity = intensity_from_coverage(coverage, params.mult_factor) if mult else coverage
     return summarize_runs(grid, intensity, coverage, theta, measure)

@@ -9,6 +9,7 @@ non-convergence).
 from __future__ import annotations
 
 import argparse
+import functools
 import json
 import math
 import os
@@ -331,7 +332,9 @@ def cmd_prox_cache(args: argparse.Namespace) -> int:
     return 0
 
 
+@functools.cache
 def build_parser() -> argparse.ArgumentParser:
+    """The CLI's parser, built once per process; parsing leaves it unchanged."""
     parser = _Parser(prog="trendcast", description=__doc__)
     sub = parser.add_subparsers(dest="command", required=True)
 
@@ -355,7 +358,10 @@ def build_parser() -> argparse.ArgumentParser:
     p.add_argument("--actions", required=True)
     p.add_argument("--t-star", type=float, required=True)
     p.add_argument("--grid", required=True, help="prediction grid 't_start:interval_length:count'")
-    p.add_argument("--model", default="da", choices=list(MODELS))
+    p.add_argument("--model", default="da", choices=list(MODELS),
+                   help="forecaster: da, or a cascade baseline; eexp currently forecasts exactly what texp "
+                        "does, because its per-edge rates are fitted on edges into prefix-active nodes, "
+                        "which never activate again")
     p.add_argument("--mult", action="store_true", help="scale cascade coverage into intensity")
     p.add_argument("--params", help="parameter JSON from learn (required for --model da)")
     _add_prox_flags(p)

@@ -164,6 +164,15 @@ class IntervalGrid:
         e = self.edges
         return float(e[i]), float(e[i + 1])
 
+    def bin(self, times: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
+        """``(keep, idx)``: which ``times`` lie in [t_start, t_end), and the interval of each kept one.
+
+        A time on an edge falls into the interval that starts there.
+        """
+        idx = np.searchsorted(self.edges, times, side="right") - 1
+        keep = (idx >= 0) & (idx < self.count)
+        return keep, idx[keep]
+
 
 @dataclass
 class AggregateSeries:
@@ -344,10 +353,7 @@ def coverage(trend: Trend, t_min: float, t_max: float) -> int:
 
 def aggregate(trend: Trend, grid: IntervalGrid) -> AggregateSeries:
     """Bucket actions into the grid; actions outside [t_start, t_end) are ignored."""
-    edges = grid.edges
-    idx = np.searchsorted(edges, trend.times, side="right") - 1
-    keep = (idx >= 0) & (idx < grid.count)
-    idx = idx[keep]
+    keep, idx = grid.bin(trend.times)
     inten = np.bincount(idx, minlength=grid.count).astype(np.int64)
     pairs = np.unique(np.stack([idx, trend.nodes[keep]], axis=1), axis=0)
     cov = np.bincount(pairs[:, 0], minlength=grid.count).astype(np.int64) if pairs.size else np.zeros(grid.count, dtype=np.int64)

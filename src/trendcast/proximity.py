@@ -5,7 +5,9 @@ reachable node. Two kernels are provided: an exponentially decaying
 shortest-path kernel and a restart random walk. Entries below a configurable
 floor are dropped, which keeps rows sparse and bounds traversal depth. Every
 row is a ``Row`` of aligned ``targets`` and ``scores`` arrays in entry order:
-BFS order for shortest-path rows, ascending node for random-walk rows.
+BFS order for shortest-path rows, ascending node for random-walk rows. The
+cache stores ``gather``'s CSR arrays of its rows in one ``.npz`` and loads
+them back as views, entry for entry.
 
 Shortest-path rows are built two ways. ``ProximityMap.gather`` builds all
 of its missing rows with ``_sp_rows``, one level-synchronous BFS for many
@@ -22,6 +24,7 @@ from __future__ import annotations
 import hashlib
 import json
 import math
+import zipfile
 from collections.abc import Iterator, Mapping
 from dataclasses import dataclass, field
 
@@ -32,7 +35,8 @@ from .core import Graph
 KINDS = ("shortest_path", "random_walk")
 KIND_ALIASES = {"sp": "shortest_path", "rw": "random_walk"}
 
-CACHE_FORMAT = "trendcast-prox-cache-v1"
+CACHE_FORMAT = "trendcast-prox-cache-v2"
+_CACHE_ARRAYS = {"sources": np.int64, "row_start": np.int64, "targets": np.int64, "scores": np.float64}
 _RW_MAX_ITERATIONS = 10_000  # cap on the random-walk fixed-point iteration
 
 
@@ -327,93 +331,91 @@ class ProximityMap:
         return {**self.config.to_dict(), "graph": graph_fingerprint(self.graph)}
 
     def save_cache(self, path: str) -> None:
-        """Persist computed rows as JSON lines behind a fingerprint header.
+        """Write the computed rows to one uncompressed ``.npz`` behind a fingerprint header.
 
-        Each row keeps its own entry order: row sums and every draw over a
-        row depend on it, so a loaded row must match a freshly built one.
+        Its arrays are the ascending ``sources`` and ``gather``'s CSR form of
+        their rows. Each row keeps its entry order: row sums and every draw
+        over a row depend on it, so a loaded row must match a fresh one.
         """
-        # Strict JSON, serialized in full first: a non-finite score writes no file.
-        header = {"format": CACHE_FORMAT, "fingerprint": self.fingerprint()}
-        lines = [json.dumps(header, sort_keys=True, allow_nan=False)]
-        for source, row in sorted(self._rows.items()):
-            record = {"source": source, "targets": row.targets.tolist(), "scores": row.scores.tolist()}
-            lines.append(json.dumps(record, allow_nan=False))
-        with open(path, "w", encoding="utf-8") as fh:
-            fh.write("\n".join(lines) + "\n")
+        sources = np.asarray(sorted(self._rows), dtype=np.int64)
+        row_start, targets, scores = self.gather(sources)
+        if not np.isfinite(scores).all():
+            raise ValueError("cannot write a non-finite proximity score")
+        header = json.dumps({"format": CACHE_FORMAT, "fingerprint": self.fingerprint()},
+                            sort_keys=True, allow_nan=False)
+        with open(path, "wb") as fh:  # a handle: np.savez appends ".npz" to a bare path
+            np.savez(fh, header=np.asarray(header), sources=sources,
+                     row_start=row_start, targets=targets, scores=scores)
 
     @classmethod
-    def load_cache(
-        cls,
-        path: str,
-        graph: Graph,
-        config: ProximityConfig | None = None,
-    ) -> ProximityMap:
-        """Load a cache file; fingerprint must match the supplied graph and config.
+    def load_cache(cls, path: str, graph: Graph, config: ProximityConfig) -> ProximityMap:
+        """Load a cache file; its fingerprint must match ``graph`` and ``config``.
 
-        Rows keep the entry order of the file. A byte that is not UTF-8,
-        malformed JSON, a missing key, a wrong type, a node outside
-        ``[0, node_count)``, a repeated source or target, or a score that is
-        not positive and finite raises ValueError naming ``path`` and the line.
+        Rows keep the entry order of the file. A file that is not a readable
+        ``.npz`` (an older JSON-lines cache included), a bad header, a missing
+        or mistyped array, offsets that do not rise from 0 to the entry count,
+        a node outside ``[0, node_count)``, a repeated source or target, or a
+        score that is not positive and finite raises ValueError naming ``path``.
         """
         with open(path, "rb") as fh:
-            lines = _utf8_lines(path, fh)
-            _, first = next(lines, (1, ""))
             try:
-                header = json.loads(first)
-                if not isinstance(header, dict) or header.get("format") != CACHE_FORMAT:
-                    raise ValueError("not a proximity cache file")
-                stored = dict(header["fingerprint"])
-                stored_graph = stored.pop("graph", None)
-                file_config = ProximityConfig.from_dict(stored)
-            except (KeyError, TypeError, ValueError) as exc:
-                raise ValueError(f"{path}:1: {_describe(exc)}") from None
-            if config is not None and config.to_dict() != file_config.to_dict():
-                raise ValueError(f"{path}: cache was built with a different proximity config")
-            if stored_graph != graph_fingerprint(graph):
-                raise ValueError(f"{path}: cache was built for a different graph")
-            prox = cls(graph, file_config)
-            for lineno, line in lines:
-                try:
-                    source, row = _cache_row(json.loads(line), graph.node_count)
-                except (KeyError, TypeError, ValueError, OverflowError) as exc:
-                    raise ValueError(f"{path}:{lineno}: {_describe(exc)}") from None
-                if source in prox._rows:
-                    raise ValueError(f"{path}:{lineno}: a second row for source {source}")
-                prox._rows[source] = row
-        return prox
+                if fh.read(4) != b"PK\x03\x04":
+                    raise ValueError(f"not a {CACHE_FORMAT} file (JSON-lines caches of older versions "
+                                     "are not read); rebuild it with 'trendcast prox-cache'")
+                fh.seek(0)
+                with np.load(fh, allow_pickle=False) as npz:
+                    arrays = {name: npz[name] for name in npz.files}
+                file_config, stored_graph = _cache_header(arrays.get("header"))
+                if config.to_dict() != file_config.to_dict():
+                    raise ValueError("cache was built with a different proximity config")
+                if stored_graph != graph_fingerprint(graph):
+                    raise ValueError("cache was built for a different graph")
+                sources, row_start, targets, scores = _cache_arrays(arrays, graph.node_count)
+            except (OSError, EOFError, ValueError, zipfile.BadZipFile) as exc:
+                raise ValueError(f"{path}: {exc}") from None
+        ends = row_start.tolist()
+        rows = {u: Row(targets[a:b], scores[a:b]) for u, a, b in zip(sources.tolist(), ends, ends[1:])}
+        return cls(graph, file_config, rows)
 
 
-def _utf8_lines(path: str, fh) -> Iterator[tuple[int, str]]:
-    """Numbered lines of a file opened in binary mode, each decoded as UTF-8 on its own.
-
-    A text-mode file decodes ahead in chunks, so its error would neither
-    name the line nor surface while reading it.
-    """
-    for lineno, raw in enumerate(fh, start=1):
-        try:
-            yield lineno, raw.decode("utf-8")
-        except UnicodeDecodeError:
-            raise ValueError(f"{path}:{lineno}: not valid UTF-8") from None
-
-
-def _describe(exc: Exception) -> str:
-    return f"missing key {exc.args[0]!r}" if isinstance(exc, KeyError) else str(exc)
+def _cache_header(header: np.ndarray | None) -> tuple[ProximityConfig, object]:
+    """The config and graph fingerprint held by a cache's 0-d string ``header``."""
+    try:
+        is_text = header is not None and header.shape == () and header.dtype.kind == "U"
+        meta = json.loads(header.item()) if is_text else None
+        if not isinstance(meta, dict) or meta.get("format") != CACHE_FORMAT:
+            raise ValueError(f"not a {CACHE_FORMAT} header")
+        stored = dict(meta["fingerprint"])
+        stored_graph = stored.pop("graph", None)
+        return ProximityConfig.from_dict(stored), stored_graph
+    except (KeyError, TypeError, ValueError) as exc:
+        raise ValueError(f"array 'header': {exc}") from None
 
 
-def _cache_row(record: object, node_count: int) -> tuple[int, Row]:
-    """One cache record as ``(source, row)``; raises on a malformed or out-of-range record."""
-    if not isinstance(record, dict):
-        raise ValueError("expected a JSON object")
-    source, targets, scores = record["source"], record["targets"], record["scores"]
-    if not isinstance(targets, list) or not isinstance(scores, list) or len(targets) != len(scores):
-        raise ValueError("'targets' and 'scores' must be lists of equal length")
-    for node in (source, *targets):
-        # type() rather than isinstance(): a JSON true must not pass as 1.
-        if type(node) is not int or not 0 <= node < node_count:
-            raise ValueError(f"node {json.dumps(node)} is not an index in [0, {node_count})")
-    if len(set(targets)) != len(targets):
-        raise ValueError("'targets' names a node twice")
-    for score in scores:
-        if type(score) not in (int, float) or not 0 < score < math.inf:
-            raise ValueError(f"score {json.dumps(score)} is not positive and finite")
-    return source, Row(np.fromiter(targets, np.int64, len(targets)), np.fromiter(scores, np.float64, len(scores)))
+def _cache_arrays(arrays: dict, n: int) -> list[np.ndarray]:
+    """A cache's row arrays over ``n`` nodes, checked; each is 1-D with its ``_CACHE_ARRAYS`` dtype."""
+    for name, dtype in _CACHE_ARRAYS.items():
+        if name not in arrays:
+            raise ValueError(f"missing array {name!r}")
+        if (a := arrays[name]).ndim != 1 or a.dtype != dtype:
+            raise ValueError(f"array {name!r} must be 1-D {np.dtype(dtype)}, got {a.ndim}-D {a.dtype}")
+    sources, row_start, targets, scores = (arrays[name] for name in _CACHE_ARRAYS)
+    if (len(row_start) != len(sources) + 1 or row_start[0] != 0 or (np.diff(row_start) < 0).any()
+            or row_start[-1] != len(targets) or len(scores) != len(targets)):
+        raise ValueError(f"array 'row_start' must rise from 0 to the entry count, one offset per source "
+                         f"and one more ({len(sources)} sources, {len(targets)} targets, {len(scores)} scores)")
+    row = np.repeat(np.arange(len(sources)), np.diff(row_start))  # each entry's row
+    for name, nodes in (("sources", sources), ("targets", targets)):
+        if len(bad := np.flatnonzero((nodes < 0) | (nodes >= n))):
+            where = f" (row of source {sources[row[bad[0]]]})" if name == "targets" else ""
+            raise ValueError(f"array {name!r}: node {nodes[bad[0]]} is not an index in [0, {n}){where}")
+    if len(bad := np.flatnonzero(np.diff(sources) <= 0)):
+        raise ValueError(f"array 'sources': source {sources[bad[0] + 1]} repeats or breaks the ascending order")
+    key = np.sort(row * n + targets)
+    if len(bad := np.flatnonzero(key[1:] == key[:-1])):
+        k, node = divmod(int(key[bad[0]]), n)
+        raise ValueError(f"array 'targets': node {node} appears twice (row of source {sources[k]})")
+    if len(bad := np.flatnonzero(~((scores > 0) & (scores < math.inf)))):
+        raise ValueError(f"array 'scores': score {scores[bad[0]]} is not positive and finite "
+                         f"(row of source {sources[row[bad[0]]]})")
+    return [sources, row_start, targets, scores]

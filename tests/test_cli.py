@@ -546,9 +546,20 @@ def test_synth_requires_one_graph_source(tmp_path, capsys):
     assert "--graph-out" in err
 
 
+def test_flags_do_not_leak_between_calls(pipeline, tmp_path):
+    # main reuses one parser per process; a flag of one call must not reach the next.
+    d, graph, actions, params = pipeline
+    argv = ["learn", "--graph", str(graph), "--actions", str(actions), "--t-star", "8", "--seed", "1"]
+    first, second = tmp_path / "b3.json", tmp_path / "default.json"
+    assert main(argv + ["--b", "3", "--out", str(first)]) == 0
+    assert main(argv + ["--out", str(second)]) == 0
+    assert json.loads(first.read_text(encoding="utf-8"))["proximity"]["b"] == 3.0
+    assert json.loads(second.read_text(encoding="utf-8"))["proximity"]["b"] == 10.0
+
+
 def test_prox_cache_roundtrip(pipeline, tmp_path, capsys):
     d, graph, actions, params = pipeline
-    cache = tmp_path / "prox.jsonl"
+    cache = tmp_path / "prox.npz"
     assert main(["prox-cache", "--graph", str(graph), "--out", str(cache)]) == 0
     assert "cached 30 rows" in capsys.readouterr().out
 
@@ -582,7 +593,7 @@ def test_prox_cache_roundtrip(pipeline, tmp_path, capsys):
 
 def test_prox_cache_restricted_to_actors(pipeline, tmp_path, capsys):
     d, graph, actions, params = pipeline
-    cache = tmp_path / "prox.jsonl"
+    cache = tmp_path / "prox.npz"
     assert main([
         "prox-cache", "--graph", str(graph), "--actions", str(actions),
         "--out", str(cache),
@@ -592,41 +603,68 @@ def test_prox_cache_restricted_to_actors(pipeline, tmp_path, capsys):
     assert 1 <= rows <= 30
 
 
-def _edit_record(edit):
-    def apply(line: str) -> str:
-        record = json.loads(line)
-        edit(record)
-        return json.dumps(record)
+def _edit_arrays(edit):
+    """A cache edit that rewrites the arrays of a written cache; ``edit`` gets them and the row 1 offset."""
+    def apply(path):
+        with np.load(path) as npz:
+            arrays = dict(npz)
+        edit(arrays, int(arrays["row_start"][1]))
+        with open(path, "wb") as fh:
+            np.savez(fh, **arrays)
     return apply
 
 
-@pytest.mark.parametrize("lineno, edit, message", [
-    (3, _edit_record(lambda r: r["targets"].__setitem__(0, 999)), "node 999 is not an index in [0, 30)"),
-    (3, _edit_record(lambda r: r.__setitem__("source", -1)), "node -1 is not an index in [0, 30)"),
-    (3, _edit_record(lambda r: r["targets"].__setitem__(0, True)), "node true is not an index"),
-    (3, _edit_record(lambda r: r["scores"].__setitem__(0, math.nan)), "score NaN is not positive and finite"),
-    (3, _edit_record(lambda r: r["scores"].__setitem__(0, math.inf)), "score Infinity is not positive and finite"),
-    (3, _edit_record(lambda r: r["scores"].__setitem__(0, 0.0)), "score 0.0 is not positive and finite"),
-    (3, _edit_record(lambda r: r["scores"].__setitem__(0, -0.5)), "score -0.5 is not positive and finite"),
-    (3, _edit_record(lambda r: r["scores"].__setitem__(0, "x")), 'score "x" is not positive and finite'),
-    (3, _edit_record(lambda r: r["scores"].__setitem__(0, 10**400)), "int too large to convert to float"),
-    (3, _edit_record(lambda r: r["scores"].append(1.0)), "'targets' and 'scores' must be lists of equal length"),
-    (3, _edit_record(lambda r: r.pop("scores")), "missing key 'scores'"),
-    (3, _edit_record(lambda r: r["targets"].__setitem__(1, r["targets"][0])), "'targets' names a node twice"),
-    (3, _edit_record(lambda r: r.__setitem__("source", 0)), "a second row for source 0"),
-    (3, lambda line: line[:20], "Invalid control character"),
-    (3, lambda line: "[1, 2]", "expected a JSON object"),
-    (4, lambda line: line[:10] + "\udcff" + line[10:], "not valid UTF-8"),  # a raw 0xff byte
-    (1, lambda line: line[:30], "Invalid control character"),
-    (1, lambda line: '{"format": "x"}', "not a proximity cache file"),
+def _set(name, value, at=lambda i: i):
+    return _edit_arrays(lambda a, i: a[name].__setitem__(at(i), value))
+
+
+def _replace(name, make):
+    return _edit_arrays(lambda a, i: a.__setitem__(name, make(a)))
+
+
+def _header(text):
+    return _replace("header", lambda a: np.asarray(text))
+
+
+def _write(data):
+    return lambda path: path.write_bytes(data(path.read_bytes()))
+
+
+@pytest.mark.parametrize("edit, message", [
+    pytest.param(_set("targets", 999), "array 'targets': node 999 is not an index in [0, 30) (row of source 1)",
+                 id="target-999"),
+    pytest.param(_set("sources", -1, at=lambda i: 1), "array 'sources': node -1 is not an index in [0, 30)",
+                 id="source-minus-1"),
+    pytest.param(_replace("targets", lambda a: a["targets"].astype(bool)), "array 'targets' must be 1-D int64",
+                 id="bool-targets"),
+    pytest.param(_set("scores", math.nan), "array 'scores': score nan is not positive and finite (row of source 1)",
+                 id="score-nan"),
+    pytest.param(_set("scores", math.inf), "array 'scores': score inf is not positive and finite", id="score-inf"),
+    pytest.param(_set("scores", 0.0), "array 'scores': score 0.0 is not positive and finite", id="score-zero"),
+    pytest.param(_set("scores", -0.5), "array 'scores': score -0.5 is not positive and finite", id="score-negative"),
+    pytest.param(_replace("scores", lambda a: a["scores"].astype(str)), "array 'scores' must be 1-D float64",
+                 id="str-scores"),
+    pytest.param(_replace("scores", lambda a: np.append(a["scores"], 1.0)), "array 'row_start' must rise from 0",
+                 id="extra-score"),
+    pytest.param(_edit_arrays(lambda a, i: a.pop("scores")), "missing array 'scores'", id="missing-scores"),
+    pytest.param(_edit_arrays(lambda a, i: a["targets"].__setitem__(i + 1, a["targets"][i])),
+                 "appears twice (row of source 1)", id="repeated-target"),
+    pytest.param(_set("sources", 1, at=lambda i: 2), "array 'sources': source 1 repeats", id="repeated-source"),
+    pytest.param(_set("row_start", 1, at=lambda i: 0), "array 'row_start' must rise from 0",
+                 id="row-start-not-at-0"),
+    pytest.param(_write(lambda data: data[: len(data) // 2]), "not a zip file", id="truncated"),
+    pytest.param(_write(lambda data: b""), "rebuild it with 'trendcast prox-cache'", id="empty"),
+    pytest.param(_write(lambda data: b'{"format": "trendcast-prox-cache-v1", "fingerprint": {}}\n'),
+                 "rebuild it with 'trendcast prox-cache'", id="v1-json-lines"),
+    pytest.param(_header('{"format": "x"}'), "array 'header': not a trendcast-prox-cache-v2 header",
+                 id="header-format-x"),
+    pytest.param(_header("{not json"), "array 'header': Expecting property name", id="header-not-json"),
 ])
-def test_predict_rejects_malformed_prox_cache(pipeline, tmp_path, capsys, lineno, edit, message):
+def test_predict_rejects_malformed_prox_cache(pipeline, tmp_path, capsys, edit, message):
     d, graph, actions, params = pipeline
-    cache = tmp_path / "prox.jsonl"
+    cache = tmp_path / "prox.npz"
     assert main(["prox-cache", "--graph", str(graph), "--out", str(cache)]) == 0
-    lines = cache.read_text(encoding="utf-8").splitlines()
-    lines[lineno - 1] = edit(lines[lineno - 1])
-    cache.write_text("\n".join(lines) + "\n", encoding="utf-8", errors="surrogateescape")
+    edit(cache)
     capsys.readouterr()
     out = tmp_path / "pred.csv"
     assert main([
@@ -636,7 +674,7 @@ def test_predict_rejects_malformed_prox_cache(pipeline, tmp_path, capsys, lineno
         "--prox-cache", str(cache), "--out", str(out),
     ]) == 1
     [line] = [line for line in capsys.readouterr().err.splitlines() if line.strip()]
-    assert line.startswith("error:") and f"{cache}:{lineno}: " in line and message in line
+    assert line.startswith("error:") and f"{cache}: " in line and message in line
     assert not out.exists()
 
 
@@ -655,9 +693,9 @@ def _nan_cache(path: str) -> None:
 
 def test_json_writers_refuse_non_finite_values(tmp_path, monkeypatch, capsys):
     # Params and proximity caches: the writer raises and leaves no file.
-    for write in (_nan_params, _nan_cache):
-        path = tmp_path / f"{write.__name__}.json"
-        with pytest.raises(ValueError, match="not JSON compliant"):
+    for write, match in ((_nan_params, "not JSON compliant"), (_nan_cache, "non-finite proximity score")):
+        path = tmp_path / f"{write.__name__}.out"
+        with pytest.raises(ValueError, match=match):
             write(str(path))
         assert not path.exists()
 

@@ -178,6 +178,33 @@ def test_cache_roundtrip_and_fingerprint(tmp_path):
     picks=st.lists(st.integers(0, 2**16), max_size=12),
 )
 @example(seed=3, kind="sp", picks=[])
+@example(seed=3, kind="rw", picks=[4, 1, 4, 0, 1])
+def test_cache_round_trip_is_bitwise(tmp_path_factory, seed, kind, picks):
+    graph, prox, _ = random_instance(seed, max_nodes=40, max_actions=2, kind=kind)
+    picked = np.asarray(picks, dtype=np.int64) % graph.node_count
+    sources = np.unique(picked)
+    prox.gather(sources)
+    path = str(tmp_path_factory.mktemp("cache") / "prox.npz")
+    prox.save_cache(path)
+    loaded = ProximityMap.load_cache(path, graph, prox.config)
+    assert sorted(loaded._rows) == sources.tolist()
+    for u in sources.tolist():
+        for name in ("targets", "scores"):
+            built, read = getattr(prox.row(u), name), getattr(loaded.row(u), name)
+            assert built.dtype == read.dtype and built.tobytes() == read.tobytes()
+        assert loaded.row_sum(u) == prox.row_sum(u)
+    for built, read in zip(prox.gather(picked), loaded.gather(picked)):
+        assert built.dtype == read.dtype and built.tobytes() == read.tobytes()
+    assert len(loaded._rows) == len(sources)  # every row came from the file
+
+
+@settings(derandomize=True, database=None, deadline=None, max_examples=40)
+@given(
+    seed=st.integers(0, 2**16),
+    kind=st.sampled_from(["sp", "rw"]),
+    picks=st.lists(st.integers(0, 2**16), max_size=12),
+)
+@example(seed=3, kind="sp", picks=[])
 @example(seed=3, kind="rw", picks=[4, 1, 4, 0, 1])  # repeated and unsorted
 def test_gather_matches_row_entry_for_entry(seed, kind, picks):
     graph, prox, _ = random_instance(seed, max_nodes=40, max_actions=2, kind=kind)
@@ -282,7 +309,7 @@ def test_rows_are_aligned_arrays_on_every_build_path(tmp_path_factory, seed, kin
     # sp: gather builds two or more missing rows in one batched pass;
     # rw: one at a time. The cache holds gather's rows.
     prox.gather(sources)
-    path = str(tmp_path_factory.mktemp("cache") / "prox.jsonl")
+    path = str(tmp_path_factory.mktemp("cache") / "prox.npz")
     prox.save_cache(path)
     loaded = ProximityMap.load_cache(path, graph, config)
     reference = dict_shortest_path_row if kind == "sp" else dict_random_walk_row
