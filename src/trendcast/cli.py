@@ -25,6 +25,7 @@ from .core import (
     IntervalGrid,
     Trend,
     aggregate,
+    drop_edgeless_nodes,
     load_graph,
     load_trend,
     random_graph,
@@ -41,6 +42,11 @@ MODELS = ("da", "tequ", "texp", "eexp")
 
 
 class _Parser(argparse.ArgumentParser):
+    # No prefix matching: a flag a command lacks must not resolve to a longer
+    # one it has (predict --prox would be read as --prox-cache).
+    def __init__(self, *args, **kwargs):
+        super().__init__(*args, allow_abbrev=False, **kwargs)
+
     # Usage problems are validation failures; argparse defaults to exit 2.
     def error(self, message: str):
         self.print_usage(sys.stderr)
@@ -72,12 +78,12 @@ def _add_graph_flags(p: argparse.ArgumentParser, required: bool = True) -> None:
 
 
 def _add_prox_flags(p: argparse.ArgumentParser) -> None:
+    """The kernel flags, for the commands that build proximity rows from them."""
     p.add_argument("--prox", default="sp", choices=["sp", "rw"], help="proximity kernel")
     p.add_argument("--b", type=float, default=10.0, help="shortest-path decay per hop")
     p.add_argument("--p", type=float, default=0.4, help="random-walk restart probability")
     p.add_argument("--floor", type=float, default=1e-12, help="drop proximity scores below this")
     p.add_argument("--rw-tolerance", type=float, default=1e-8, help="random-walk stop tolerance")
-    p.add_argument("--prox-cache", help="proximity cache file to load")
 
 
 def _prox_config(args: argparse.Namespace) -> ProximityConfig:
@@ -87,7 +93,7 @@ def _prox_config(args: argparse.Namespace) -> ProximityConfig:
 
 
 def _proximity(args: argparse.Namespace, graph, config: ProximityConfig) -> ProximityMap:
-    if getattr(args, "prox_cache", None):
+    if args.prox_cache:
         return ProximityMap.load_cache(args.prox_cache, graph, config)
     return ProximityMap(graph, config)
 
@@ -193,8 +199,10 @@ def cmd_predict(args: argparse.Namespace) -> int:
             for i, run_trend in enumerate(run_dump or []):
                 write_trend(os.path.join(args.dump_runs, f"run_{i:04d}.tsv"), run_trend, graph)
     else:
-        if args.dump_runs:
-            raise ValueError("--dump-runs supports --model da only")
+        for flag, value in (("--params", args.params), ("--prox-cache", args.prox_cache),
+                            ("--dump-runs", args.dump_runs)):
+            if value is not None:
+                raise ValueError(f"{flag} applies to --model da only, not --model {args.model}")
         params = baselines.fit_baseline(args.model, trend, graph, args.t_star)
         if params.fallback:
             print("warning: no attributable activations; using fallback cascade parameters", file=sys.stderr)
@@ -249,6 +257,12 @@ def _manifest_entries(path: str) -> list[dict]:
 
 
 def cmd_eval(args: argparse.Namespace) -> int:
+    if args.manifest is not None:
+        for flag, value in (("--pred", args.pred), ("--actions", args.actions)):
+            if value is not None:
+                raise ValueError(f"{flag} cannot be combined with --manifest, which names each trend's files")
+    if args.theta is not None and args.theta_from_train is not None:
+        raise ValueError("--theta and --theta-from-train cannot be combined; give one")
     graph = load_graph(args.graph, args.directed)
     if args.manifest:
         entries = _manifest_entries(args.manifest)
@@ -283,6 +297,8 @@ def cmd_synth(args: argparse.Namespace) -> int:
     seed = _resolve_seed(args)
     if bool(args.graph) == bool(args.random_graph):
         raise ValueError("synth needs exactly one of --graph or --random-graph")
+    if args.graph and args.graph_out is not None:
+        raise ValueError("--graph-out applies to --random-graph only, not --graph")
     prox_config = _prox_config(args)
     params = ActivenessParams(args.alpha, args.tau, args.epsilon, args.t0)
     if args.graph:
@@ -293,7 +309,7 @@ def cmd_synth(args: argparse.Namespace) -> int:
             raise ValueError("--random-graph must be 'nodes:edges'")
         if not args.graph_out:
             raise ValueError("--random-graph requires --graph-out for the generated edges")
-        graph = random_graph(int(parts[0]), int(parts[1]), seed, args.directed)
+        graph = drop_edgeless_nodes(random_graph(int(parts[0]), int(parts[1]), seed, args.directed))
     prox = ProximityMap(graph, prox_config)
     trend, manifest = simulation.generate_synthetic(
         graph.node_count,
@@ -343,13 +359,14 @@ def build_parser() -> argparse.ArgumentParser:
     p.add_argument("--actions", required=True, help="action file, 'node<TAB>timestamp' per line")
     p.add_argument("--t-star", type=float, required=True, help="end of the observed prefix")
     _add_prox_flags(p)
+    p.add_argument("--prox-cache", help="proximity cache file to load")
     p.add_argument("--tau-range", help="tau bracket 'lo:hi' (default derived from span)")
     p.add_argument("--tolerance", type=float, default=1e-6)
     p.add_argument("--multistart", type=int, default=4)
     p.add_argument("--epsilon", type=float, default=1e-9)
     p.add_argument("--t0", type=float, default=None, help="trend start (default: first action)")
     p.add_argument("--jitter", type=float, default=0.0, help="uniform tie-breaking jitter width")
-    p.add_argument("--seed", type=int, default=None)
+    p.add_argument("--seed", type=int, default=None, help="seeds --jitter only; the fit draws nothing")
     p.add_argument("--out", required=True, help="parameter JSON output path")
     p.set_defaults(func=cmd_learn)
 
@@ -363,25 +380,27 @@ def build_parser() -> argparse.ArgumentParser:
                         "does, because its per-edge rates are fitted on edges into prefix-active nodes, "
                         "which never activate again")
     p.add_argument("--mult", action="store_true", help="scale cascade coverage into intensity")
-    p.add_argument("--params", help="parameter JSON from learn (required for --model da)")
-    _add_prox_flags(p)
+    p.add_argument("--params", help="parameter JSON from learn, which also fixes the proximity kernel "
+                                    "(da only, required)")
+    p.add_argument("--prox-cache", help="proximity cache file to load (da only)")
     p.add_argument("--runs", type=int, default=100)
     p.add_argument("--seed", type=int, default=None)
     p.add_argument("--theta", type=float, default=0.0, help="duration threshold")
     p.add_argument("--measure", default="coverage", choices=["coverage", "intensity"])
-    p.add_argument("--max-events", type=int, default=10_000_000)
+    p.add_argument("--max-events", type=int, default=10_000_000,
+                   help="event cap per run of --model da (exit 2 when hit)")
     p.add_argument("--jitter", type=float, default=0.0)
-    p.add_argument("--dump-runs", help="directory for per-run action dumps")
+    p.add_argument("--dump-runs", help="directory for per-run action dumps (da only)")
     p.add_argument("--out", required=True, help="prediction CSV output path")
     p.set_defaults(func=cmd_predict)
 
     p = sub.add_parser("eval", help="score a prediction CSV against realized actions")
     _add_graph_flags(p)
-    p.add_argument("--pred", help="prediction CSV from predict")
-    p.add_argument("--actions", help="realized action file")
+    p.add_argument("--pred", help="prediction CSV from predict (not with --manifest)")
+    p.add_argument("--actions", help="realized action file (not with --manifest)")
     p.add_argument("--manifest", help="JSON manifest with a 'trends' list of pred/actions pairs")
-    p.add_argument("--theta", type=float, default=None)
-    p.add_argument("--theta-from-train", help="training grid 't0:len:count' to derive theta")
+    p.add_argument("--theta", type=float, default=None, help="duration threshold")
+    p.add_argument("--theta-from-train", help="training grid 't0:len:count' to derive theta (not with --theta)")
     p.add_argument("--measure", default="coverage", choices=["coverage", "intensity"])
     p.add_argument("--out", required=True)
     p.set_defaults(func=cmd_eval)
@@ -396,7 +415,7 @@ def build_parser() -> argparse.ArgumentParser:
     p = sub.add_parser("synth", help="generate a synthetic trend with planted parameters")
     _add_graph_flags(p, required=False)
     p.add_argument("--random-graph", help="'nodes:edges' to generate a random graph")
-    p.add_argument("--graph-out", help="where to write the generated edge file")
+    p.add_argument("--graph-out", help="where to write the generated edge file (--random-graph only)")
     _add_prox_flags(p)
     p.add_argument("--alpha", type=float, required=True)
     p.add_argument("--tau", type=float, required=True)

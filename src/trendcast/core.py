@@ -421,3 +421,21 @@ def random_graph(
         u = np.searchsorted(starts, k, side="right") - 1
         v = k - starts[u] + u + 1
     return Graph.from_edges(np.stack([u, v], axis=1), node_count, directed=directed)
+
+
+def drop_edgeless_nodes(graph: Graph) -> Graph:
+    """``graph`` without the nodes that have neither an in-edge nor an out-edge.
+
+    An edge file cannot name such a node, so a trend that acts on one would
+    not load back with the graph's written edges. The other nodes keep their
+    order and labels; a graph without edgeless nodes is returned as is.
+    """
+    out_degree = np.diff(graph.indptr)
+    has_edge = (out_degree + np.bincount(graph.indices, minlength=graph.node_count)) > 0
+    if has_edge.all():
+        return graph
+    index = np.cumsum(has_edge) - 1
+    src = np.repeat(np.arange(graph.node_count), out_degree)
+    edges = np.stack([index[src], index[graph.indices]], axis=1)
+    labels = [graph.labels[i] for i in np.flatnonzero(has_edge)]
+    return Graph.from_edges(edges, len(labels), labels, graph.directed)

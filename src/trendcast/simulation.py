@@ -121,11 +121,6 @@ class RunStats:
     events: int
     child_events: int
 
-    @property
-    def branching_ratio(self) -> float:
-        """Fraction of events generated by event-spawned streams."""
-        return self.child_events / self.events if self.events else math.nan
-
 
 def simulate(
     streams: Streams,

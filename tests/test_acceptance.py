@@ -333,7 +333,7 @@ def test_criterion_11_pipeline_determinism(tmp_path):
         ]) == 0
         assert main([
             "predict", "--graph", str(graph), "--actions", str(actions),
-            "--b", "2", "--t-star", "10.0", "--grid", "10:1:4", "--model", "da",
+            "--t-star", "10.0", "--grid", "10:1:4", "--model", "da",
             "--params", str(params), "--runs", "20", "--seed", "3",
             "--out", str(pred),
         ]) == 0

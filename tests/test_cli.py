@@ -2,8 +2,10 @@
 
 from __future__ import annotations
 
+import argparse
 import json
 import math
+import re
 import subprocess
 import sys
 
@@ -12,7 +14,7 @@ import pytest
 
 from trendcast import simulation
 from trendcast.activeness import ActivenessParams, save_params
-from trendcast.cli import main
+from trendcast.cli import build_parser, main
 from trendcast.core import IntervalGrid, load_graph, load_trend, random_graph
 from trendcast.evaluation import threshold_from_last_observed
 from trendcast.proximity import ProximityConfig, ProximityMap, Row
@@ -544,6 +546,109 @@ def test_synth_requires_one_graph_source(tmp_path, capsys):
     err = capsys.readouterr().err
     assert "exactly one of" in err
     assert "--graph-out" in err
+
+
+def test_synth_random_graph_round_trips_through_learn(tmp_path):
+    # Seed 5 draws nodes with no edge. synth must drop them: an action at one
+    # would name a label that the written edge file cannot hold.
+    graph, actions = tmp_path / "g.tsv", tmp_path / "a.tsv"
+    assert main([
+        "synth", "--random-graph", "1000:3000", "--graph-out", str(graph), "--b", "3",
+        "--alpha", "0.4", "--tau", "1.0", "--n-seeds", "150", "--horizon", "7", "--seed", "5",
+        "--out", str(actions),
+    ]) == 0
+    assert load_graph(str(graph)).node_count < 1000
+    assert main([
+        "learn", "--graph", str(graph), "--actions", str(actions), "--b", "3", "--t-star", "2",
+        "--out", str(tmp_path / "p.json"),
+    ]) == 0
+
+
+_COMMAND_FLAGS = {
+    "learn": {"--graph", "--directed", "--actions", "--t-star", "--prox", "--b", "--p", "--floor",
+              "--rw-tolerance", "--prox-cache", "--tau-range", "--tolerance", "--multistart", "--epsilon",
+              "--t0", "--jitter", "--seed", "--out"},
+    "predict": {"--graph", "--directed", "--actions", "--t-star", "--grid", "--model", "--mult", "--params",
+                "--prox-cache", "--runs", "--seed", "--theta", "--measure", "--max-events", "--jitter",
+                "--dump-runs", "--out"},
+    "eval": {"--graph", "--directed", "--pred", "--actions", "--manifest", "--theta", "--theta-from-train",
+             "--measure", "--out"},
+    "aggregate": {"--graph", "--directed", "--actions", "--grid", "--out"},
+    "synth": {"--graph", "--directed", "--random-graph", "--graph-out", "--prox", "--b", "--p", "--floor",
+              "--rw-tolerance", "--alpha", "--tau", "--epsilon", "--t0", "--horizon", "--n-seeds",
+              "--allow-supercritical", "--max-events", "--seed", "--out"},
+    "prox-cache": {"--graph", "--directed", "--prox", "--b", "--p", "--floor", "--rw-tolerance", "--actions",
+                   "--out"},
+}
+
+
+def test_each_command_takes_exactly_its_flags():
+    [commands] = [a for a in build_parser()._actions if isinstance(a, argparse._SubParsersAction)]
+    flags = {
+        name: {s for action in sub._actions for s in action.option_strings} - {"-h", "--help"}
+        for name, sub in commands.choices.items()
+    }
+    assert flags == _COMMAND_FLAGS
+
+
+@pytest.mark.parametrize("command, flag", [
+    ("predict", ["--prox", "rw"]),
+    ("predict", ["--b", "99"]),
+    ("predict", ["--p", "0.9"]),
+    ("predict", ["--floor", "0.5"]),
+    ("predict", ["--rw-tolerance", "0.1"]),
+    ("synth", ["--prox-cache", "c.npz"]),
+    ("prox-cache", ["--prox-cache", "c.npz"]),
+], ids=["predict-prox", "predict-b", "predict-p", "predict-floor", "predict-rw-tolerance", "synth-prox-cache",
+        "prox-cache-prox-cache"])
+def test_a_flag_the_command_does_not_read_is_a_usage_error(pipeline, tmp_path, capsys, command, flag):
+    d, graph, actions, params = pipeline
+    out = tmp_path / "out"
+    argv = {
+        "predict": ["--graph", str(graph), "--actions", str(actions), "--t-star", "8", "--grid", "8:1:4",
+                    "--params", str(params), "--runs", "2", "--seed", "3"],
+        "synth": ["--graph", str(graph), "--alpha", "0.3", "--tau", "1", "--horizon", "4", "--seed", "1"],
+        "prox-cache": ["--graph", str(graph)],
+    }[command]
+    with pytest.raises(SystemExit) as exc:
+        main([command, *argv, *flag, "--out", str(out)])
+    assert exc.value.code == 1
+    assert error_lines(capsys) == [f"error: unrecognized arguments: {' '.join(flag)}"]
+    assert not out.exists()
+
+
+_FORECAST = ["--graph", "{graph}", "--actions", "{actions}", "--t-star", "8", "--grid", "8:1:4",
+             "--runs", "2", "--seed", "3"]
+
+
+@pytest.mark.parametrize("argv, names", [
+    (["predict", *_FORECAST, "--model", "texp", "--params", "{params}"], {"--params", "--model"}),
+    (["predict", *_FORECAST, "--model", "tequ", "--prox-cache", "{missing}"], {"--prox-cache", "--model"}),
+    (["eval", "--graph", "{graph}", "--manifest", "{manifest}", "--pred", "{pred}", "--theta", "0"],
+     {"--pred", "--manifest"}),
+    (["eval", "--graph", "{graph}", "--manifest", "{manifest}", "--actions", "{actions}", "--theta", "0"],
+     {"--actions", "--manifest"}),
+    (["eval", "--graph", "{graph}", "--pred", "{pred}", "--actions", "{actions}",
+      "--theta", "0", "--theta-from-train", "0:1:x"], {"--theta", "--theta-from-train"}),
+    (["synth", "--graph", "{graph}", "--graph-out", "{graph_out}",
+      "--alpha", "0.3", "--tau", "1", "--horizon", "4", "--seed", "1"], {"--graph-out", "--graph"}),
+], ids=["cascade-params", "cascade-prox-cache", "manifest-pred", "manifest-actions", "theta-twice",
+        "graph-out-with-graph"])
+def test_an_input_the_mode_ignores_is_refused(pipeline, tmp_path, capsys, argv, names):
+    d, graph, actions, params = pipeline
+    pred = tmp_path / "pred.csv"
+    assert main([
+        "predict", "--graph", str(graph), "--actions", str(actions), "--t-star", "8.0", "--grid", "8:1:4",
+        "--model", "tequ", "--runs", "2", "--seed", "3", "--out", str(pred),
+    ]) == 0
+    manifest = tmp_path / "trends.json"
+    manifest.write_text(json.dumps({"trends": [{"pred": str(pred), "actions": str(actions)}]}))
+    paths = {"graph": graph, "actions": actions, "params": params, "missing": tmp_path / "missing.npz",
+             "manifest": manifest, "pred": pred, "graph_out": tmp_path / "g.tsv"}
+    capsys.readouterr()
+    assert main([arg.format(**paths) for arg in argv] + ["--out", str(tmp_path / "out")]) == 1
+    assert names <= set(re.findall(r"--[a-z-]+", _one_error_line(capsys)))
+    assert sorted(p.name for p in tmp_path.iterdir()) == ["pred.csv", "trends.json"]
 
 
 def test_flags_do_not_leak_between_calls(pipeline, tmp_path):

@@ -16,6 +16,7 @@ from trendcast.core import (
     UnknownNodeError,
     aggregate,
     coverage,
+    drop_edgeless_nodes,
     duration,
     intensity,
     load_graph,
@@ -268,6 +269,25 @@ def test_random_graph_draws_every_edge_equally_often(directed):
     pairs = counts[~np.eye(n, dtype=bool)] if directed else counts[np.triu_indices(n, 1)]
     assert pairs.sum() == draws * m
     assert chisquare(pairs).pvalue > 1e-3
+
+
+@pytest.mark.parametrize("directed", [False, True])
+def test_drop_edgeless_nodes_keeps_the_rest_in_order(directed):
+    # Node 1 has only an in-edge when directed; nodes 2 and 4 have no edge.
+    graph = Graph.from_edges([(0, 1), (3, 0), (5, 3)], 6, directed=directed)
+    kept = drop_edgeless_nodes(graph)
+    assert kept.labels == ["u0", "u1", "u3", "u5"]
+    assert kept.directed == directed
+    expected = Graph.from_edges([(0, 1), (2, 0), (3, 2)], 4, kept.labels, directed)
+    assert kept.indptr.tolist() == expected.indptr.tolist()
+    assert kept.indices.tolist() == expected.indices.tolist()
+    assert kept.index_of("u5") == 3
+
+
+def test_drop_edgeless_nodes_returns_a_graph_without_them_as_is():
+    graph = random_graph(50, 100, seed=1)
+    assert drop_edgeless_nodes(graph) is graph
+    assert drop_edgeless_nodes(random_graph(5, 0, seed=1)).node_count == 0
 
 
 def test_graph_rejects_out_of_range_edges():
