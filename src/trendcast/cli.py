@@ -310,6 +310,9 @@ def cmd_synth(args: argparse.Namespace) -> int:
         if not args.graph_out:
             raise ValueError("--random-graph requires --graph-out for the generated edges")
         graph = drop_edgeless_nodes(random_graph(int(parts[0]), int(parts[1]), seed, args.directed))
+        if graph.node_count == 0:
+            raise ValueError(f"--random-graph {args.random_graph} has no edges, and no node is left once "
+                             "the edgeless nodes are dropped")
     prox = ProximityMap(graph, prox_config)
     trend, manifest = simulation.generate_synthetic(
         graph.node_count,
@@ -438,12 +441,16 @@ def build_parser() -> argparse.ArgumentParser:
     p.add_argument("--out", required=True)
     p.set_defaults(func=cmd_prox_cache)
 
+    parser.commands = sub.choices  # name -> subparser, for main's leftover report
     return parser
 
 
 def main(argv: list[str] | None = None) -> int:
     parser = build_parser()
-    args = parser.parse_args(argv)
+    args, extra = parser.parse_known_args(argv)
+    if extra:
+        # Through the chosen command's parser, so the usage shown is its own.
+        parser.commands[args.command].error(f"unrecognized arguments: {' '.join(extra)}")
     try:
         return args.func(args)
     except (ExplosionError, ConvergenceError) as exc:

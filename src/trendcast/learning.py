@@ -8,6 +8,10 @@ and its analytic slope in log tau; a subrange whose slope changes sign from
 + to - is searched by a safeguarded root step on the slope, and only
 subranges of another shape fall back to golden section on the value of
 that same pass.
+
+The table fills its per-(block, node) slots either from every action's
+proximity row entries or, when the acting nodes are few enough, from one
+dense acting x acting proximity matrix; ``_dense_slots`` states the rule.
 """
 
 from __future__ import annotations
@@ -105,6 +109,13 @@ def _later_in_block(
     return inside[after], action[after]
 
 
+def _dense_slots(acting: int, entries: int) -> bool:
+    """Size rule: fill the slots from the acting x acting matrix P when P holds
+    no more cells than the ``entries`` restricted row entries of the actions,
+    the per-(action, entry) list that the feeds path expands."""
+    return acting * acting <= entries
+
+
 class _InfluenceTable:
     """Tau-independent precomputation for repeated likelihood evaluations.
 
@@ -116,11 +127,21 @@ class _InfluenceTable:
 
     with T_c the last time in block c; action i at node a reads it back as
     exp(-(t_i - T_c) / tau) * U_c[a]. Every exponent is <= 0, so nothing can
-    overflow. A slot exists only if some j in c reaches a and a acts in a
-    later block, and every such slot is kept, so each influence term is
+    overflow. A slot is read only if some j in c reaches a and a acts in a
+    later block, and every such slot is read, so each influence term is
     either a pair inside one block, kept as an explicit (dt, score) entry,
-    or a slot read. Memory grows with the restricted row entries of the
-    actions plus n * B, not with the number of action pairs.
+    or a slot read.
+
+    The slots are filled one of two ways, chosen by ``_dense_slots``. The
+    feeds path expands every action's restricted row into per-entry feeds
+    and sums them per slot with one ``bincount``; its memory grows with the
+    restricted row entries of the actions plus n * B. The dense path
+    scatters the rows into one m x m matrix P over the m acting nodes and
+    computes U_c = W_c P, where W_c[u] sums the decays of block c's actions
+    at node u; its memory grows with m^2 plus n * B. The product is an
+    ``np.einsum``, which calls no BLAS routine, so a fit gives the same bits
+    at any BLAS thread count. Neither path grows with the number of action
+    pairs.
     """
 
     def __init__(self, prefix: Trend, prox: ProximityMap, t_star: float) -> None:
@@ -137,6 +158,30 @@ class _InfluenceTable:
         blocks = -(-n // size)
         block_end = times[np.minimum(np.arange(1, blocks + 1) * size, n) - 1]
 
+        self._p = None
+        if _dense_slots(m, int(np.diff(row_start)[act].sum())):
+            built = self._dense(act, block, size, row_start, tgt, score)
+        else:
+            built = self._feeds(act, block, row_start, tgt, score)
+        feeding, pair_j, pair_i, reader, earlier = built
+        self._feeders = len(feeding)
+        self._target = np.concatenate([pair_i, reader])
+        # Negated elapsed times: [feeder to its block end | pairs | slot reads].
+        self._neg_dt = np.concatenate(
+            [
+                times[feeding] - block_end[block[feeding]],
+                times[pair_j] - times[pair_i],
+                block_end[earlier] - times[reader],
+            ]
+        )
+
+    def _feeds(self, act, block, row_start, tgt, score) -> tuple[np.ndarray, ...]:
+        """Pairs, feeds and reads from the actions' row entries, keyed by (block, target).
+
+        Returns the feeding actions, the pairs' (earlier, later) actions and
+        the reads' (action, earlier block).
+        """
+        n, m, blocks = len(act), len(row_start) - 1, int(block[-1]) + 1
         # Every action's restricted row entries, keyed by (its block, target).
         feeder, entry = _ragged(row_start[act + 1] - row_start[act])
         entry += row_start[act[feeder]]
@@ -163,18 +208,38 @@ class _InfluenceTable:
         reader, earlier = _ragged(block)
         key = earlier * m + act[reader]
         exists = used[key]
-        reader, earlier, self._read_slot = reader[exists], earlier[exists], slot_id[key[exists]]
+        self._read_slot = slot_id[key[exists]]
+        return feeding, pair_j, pair_i, reader[exists], earlier[exists]
 
-        self._feeders = len(feeding)
-        self._target = np.concatenate([pair_i, reader])
-        # Negated elapsed times: [feeder to its block end | pairs | slot reads].
-        self._neg_dt = np.concatenate(
-            [
-                times[feeding] - block_end[block[feeding]],
-                times[pair_j] - times[pair_i],
-                block_end[earlier] - times[reader],
-            ]
-        )
+    def _dense(self, act, block, size, row_start, tgt, score) -> tuple[np.ndarray, ...]:
+        """Pairs and reads from the acting x acting matrix P; slot (c, a) is c * m + a.
+
+        Returns what ``_feeds`` returns. Every action of a block before the
+        last feeds the slots, through its (block, node) cell of W.
+        """
+        n, m = len(act), len(row_start) - 1
+        p = np.zeros((m, m))
+        p[np.repeat(np.arange(m), np.diff(row_start)), tgt] = score
+        self._p = p
+
+        # Pairs inside one block: every j < i of i's block whose row reaches i's node.
+        pair_i, k = _ragged(np.arange(n) % size)
+        pair_j = pair_i - pair_i % size + k
+        pair_score = p[act[pair_j], act[pair_i]]
+        reach = pair_score > 0.0
+        pair_j, pair_i, self._pair_score = pair_j[reach], pair_i[reach], pair_score[reach]
+
+        feeding = np.arange(int(block[-1]) * size)
+        self._feed_key = block[feeding] * m + act[feeding]
+        self._slots = int(block[-1]) * m
+        # Slot reads where some action of the earlier block reaches the reader's node.
+        count = np.bincount(self._feed_key, minlength=self._slots).reshape(-1, m)
+        used = np.einsum("ck,ka->ca", count.astype(np.float64), p).ravel() > 0.0
+        reader, earlier = _ragged(block)
+        key = earlier * m + act[reader]
+        exists = used[key]
+        self._read_slot = key[exists]
+        return feeding, pair_j, pair_i, reader[exists], earlier[exists]
 
     def total_integral(self, tau: float) -> float:
         """Stacked all-nodes influence integral up to t_star."""
@@ -203,11 +268,8 @@ class _InfluenceTable:
         terms[:pairs] *= self._pair_score
         lag_terms = terms * self._neg_dt[feeders:] if lagged else None
         if self._slots:
-            fed = self._feed_score * np.repeat(decay[:feeders], self._feed_count)
-            slots = np.bincount(self._feed_slot, weights=fed, minlength=self._slots)
+            slots, lags = self._slot_values(decay[:feeders], lagged)
             if lagged:
-                fed *= np.repeat(self._neg_dt[:feeders], self._feed_count)
-                lags = np.bincount(self._feed_slot, weights=fed, minlength=self._slots)
                 lag_terms[pairs:] *= slots[self._read_slot]
                 lag_terms[pairs:] += terms[pairs:] * lags[self._read_slot]
             terms[pairs:] *= slots[self._read_slot]
@@ -215,6 +277,21 @@ class _InfluenceTable:
         if not lagged:
             return h, None
         return h, -np.bincount(self._target, weights=lag_terms, minlength=self.n)
+
+    def _slot_values(self, decay: np.ndarray, lagged: bool) -> tuple[np.ndarray, np.ndarray | None]:
+        """Every slot's U_c[a], and with ``lagged`` its V_c[a] negated, from the feeders' decays."""
+        neg_dt = self._neg_dt[: self._feeders]
+        if self._p is None:
+            fed = self._feed_score * np.repeat(decay, self._feed_count)
+            slots = np.bincount(self._feed_slot, weights=fed, minlength=self._slots)
+            if not lagged:
+                return slots, None
+            fed *= np.repeat(neg_dt, self._feed_count)
+            return slots, np.bincount(self._feed_slot, weights=fed, minlength=self._slots)
+        weights = (decay, decay * neg_dt) if lagged else (decay,)
+        w = np.concatenate([np.bincount(self._feed_key, weights=x, minlength=self._slots) for x in weights])
+        u = np.einsum("ck,ka->ca", w.reshape(-1, len(self._p)), self._p).ravel()
+        return u[: self._slots], (u[self._slots :] if lagged else None)
 
     def evaluate(self, tau: float, alpha: float, epsilon: float) -> float:
         """Log-likelihood at (alpha, tau).

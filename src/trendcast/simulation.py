@@ -421,7 +421,9 @@ def generate_synthetic(
     Returns the seeded-plus-generated trend and a manifest dict.
     """
     if not 1 <= n_seeds <= graph_node_count:
-        raise ValueError("n_seeds must lie in [1, node_count]")
+        raise ValueError(
+            f"n_seeds must lie in [1, node_count], got n_seeds={n_seeds} with node_count={graph_node_count}"
+        )
     if horizon <= params.t0:
         raise ValueError("horizon must exceed t0")
     bound = branching_bound(prox, params, graph_node_count)

@@ -5,17 +5,29 @@ from __future__ import annotations
 import argparse
 import json
 import math
+import os
 import re
 import subprocess
 import sys
+from pathlib import Path
 
 import numpy as np
 import pytest
 
+import trendcast
 from trendcast import simulation
 from trendcast.activeness import ActivenessParams, save_params
 from trendcast.cli import build_parser, main
-from trendcast.core import IntervalGrid, load_graph, load_trend, random_graph
+from trendcast.core import (
+    IntervalGrid,
+    Trend,
+    drop_edgeless_nodes,
+    load_graph,
+    load_trend,
+    random_graph,
+    write_graph,
+    write_trend,
+)
 from trendcast.evaluation import threshold_from_last_observed
 from trendcast.proximity import ProximityConfig, ProximityMap, Row
 
@@ -435,6 +447,16 @@ def test_failed_synth_leaves_no_files(tmp_path, capsys, flags, code):
     assert list(tmp_path.iterdir()) == []
 
 
+def test_synth_says_when_the_random_graph_keeps_no_node(tmp_path, capsys):
+    assert main([
+        "synth", "--random-graph", "10:0", "--graph-out", str(tmp_path / "g.tsv"),
+        "--alpha", "0.3", "--tau", "1", "--horizon", "4", "--seed", "1", "--out", str(tmp_path / "a.tsv"),
+    ]) == 1
+    [line] = error_lines(capsys)
+    assert "--random-graph 10:0" in line and "no node is left" in line
+    assert list(tmp_path.iterdir()) == []
+
+
 @pytest.mark.parametrize("grid", ["nan:1:3", "0:inf:3", "0:nan:3"])
 def test_aggregate_rejects_non_finite_grid(tiny_files, tmp_path, capsys, grid):
     graph, actions = tiny_files
@@ -613,7 +635,12 @@ def test_a_flag_the_command_does_not_read_is_a_usage_error(pipeline, tmp_path, c
     with pytest.raises(SystemExit) as exc:
         main([command, *argv, *flag, "--out", str(out)])
     assert exc.value.code == 1
-    assert error_lines(capsys) == [f"error: unrecognized arguments: {' '.join(flag)}"]
+    err = capsys.readouterr().err
+    assert [line for line in err.splitlines() if line.startswith("error:")] == [
+        f"error: unrecognized arguments: {' '.join(flag)}"
+    ]
+    # The usage shown is the command's own, which lists the flags it takes.
+    assert err.startswith(f"usage: trendcast {command} [-h]")
     assert not out.exists()
 
 
@@ -877,6 +904,48 @@ def test_module_entry_point(tiny_files, tmp_path):
     )
     assert proc.returncode == 0
     assert out.exists()
+
+
+# Runs learn, then prints the bits of one lagged influence pass at tau = 1,
+# which differ at the last place when a product goes through threaded BLAS
+# even where the fitted params come out the same.
+_LEARN_AND_DIGEST = """
+import hashlib, sys
+from trendcast import learning
+from trendcast.cli import main
+from trendcast.core import load_graph, load_trend
+from trendcast.proximity import ProximityConfig, ProximityMap
+graph_path, actions_path, out = sys.argv[1:]
+assert main(["learn", "--graph", graph_path, "--actions", actions_path, "--t-star", "10", "--b", "2",
+             "--out", out]) == 0
+graph = load_graph(graph_path)
+table = learning._table(load_trend(actions_path, graph), ProximityMap(graph, ProximityConfig(b=2.0)), 10.0)
+assert table._p is not None
+print(hashlib.sha256(b"".join(x.tobytes() for x in table._influences(1.0, lagged=True))).hexdigest())
+"""
+
+
+def test_learn_is_byte_identical_across_blas_thread_counts(tmp_path):
+    # learn-dense's shape takes the dense slot path, whose product with the
+    # proximity matrix must not go through a BLAS that splits work by thread.
+    graph = drop_edgeless_nodes(random_graph(200, 600, seed=3))
+    rng = np.random.default_rng(3)
+    trend = Trend(rng.integers(0, graph.node_count, 1500), np.sort(rng.uniform(0.0, 10.0, 1500)))
+    write_graph(str(tmp_path / "g.tsv"), graph)
+    write_trend(str(tmp_path / "a.tsv"), trend, graph)
+    package_root = str(Path(trendcast.__file__).resolve().parent.parent)
+    outputs = []
+    for threads in ("1", "2"):
+        out = tmp_path / f"p{threads}.json"
+        env = dict(os.environ, OPENBLAS_NUM_THREADS=threads, OMP_NUM_THREADS=threads,
+                   PYTHONPATH=os.pathsep.join([package_root, os.environ.get("PYTHONPATH", "")]))
+        proc = subprocess.run(
+            [sys.executable, "-c", _LEARN_AND_DIGEST, str(tmp_path / "g.tsv"), str(tmp_path / "a.tsv"), str(out)],
+            capture_output=True, text=True, env=env,
+        )
+        assert proc.returncode == 0, proc.stderr
+        outputs.append((out.read_bytes(), proc.stdout))
+    assert outputs[0] == outputs[1]
 
 
 def _one_error_line(capsys) -> str:

@@ -1,4 +1,5 @@
 import math
+import tracemalloc
 import warnings
 
 import numpy as np
@@ -7,7 +8,8 @@ from hypothesis import example, given, settings
 from hypothesis import strategies as st
 from scipy.optimize import minimize_scalar
 
-from trendcast.core import Graph, Trend
+from trendcast import learning
+from trendcast.core import Graph, Trend, random_graph
 from trendcast.learning import (
     DegeneratePrefixError,
     LearnConfig,
@@ -263,22 +265,77 @@ def _slot_case(nodes: list[int]) -> tuple[ProximityMap, Trend, float, float]:
 def test_block_table_matches_pairwise_references(case):
     prox, trend, tau, alpha = case
     t_star = 10.5
-    shipped = _table(trend, prox, t_star).influences(tau)
-    for reference in (
-        np.asarray(naive_influences(trend, prox, tau)),
-        PairTable(trend, prox, t_star).influences(tau),
-    ):
-        assert np.array_equal(shipped == 0.0, reference == 0.0)
-        nonzero = reference != 0.0
-        rel = np.abs(shipped[nonzero] - reference[nonzero]) / reference[nonzero]
-        assert np.all(rel <= 1e-9)
+    pairs = PairTable(trend, prox, t_star)
+    # k_i = sum_j s_ij D_ij exp(-D_ij / tau), the lagged sums behind the slope.
+    lagged = np.bincount(
+        pairs.pair_target,
+        weights=pairs.pair_weight * pairs.pair_dt * np.exp(-pairs.pair_dt / tau),
+        minlength=pairs.n,
+    )
     node_count = prox.graph.node_count
-    value = log_likelihood(trend, prox, tau, alpha, t_star)
-    for reference in (
-        naive_log_likelihood(trend, prox, tau, alpha, t_star, node_count),
-        PairTable(trend, prox, t_star).evaluate(tau, alpha, 1e-9),
-    ):
-        assert abs(value - reference) <= 1e-9 * abs(reference)
+    # Each slot path in turn, whatever the size rule would choose.
+    for dense in (False, True):
+        with pytest.MonkeyPatch.context() as patch:
+            patch.setattr(learning, "_dense_slots", lambda acting, entries: dense)
+            table = _table(trend, prox, t_star)
+            assert (table._p is not None) == dense
+            shipped = table.influences(tau)
+            for reference in (
+                np.asarray(naive_influences(trend, prox, tau)),
+                pairs.influences(tau),
+            ):
+                assert np.array_equal(shipped == 0.0, reference == 0.0)
+                nonzero = reference != 0.0
+                rel = np.abs(shipped[nonzero] - reference[nonzero]) / reference[nonzero]
+                assert np.all(rel <= 1e-9)
+            k = table._influences(tau, lagged=True)[1]
+            assert np.array_equal(k == 0.0, lagged == 0.0)
+            nonzero = lagged != 0.0
+            assert np.all(np.abs(k[nonzero] - lagged[nonzero]) <= 1e-9 * lagged[nonzero])
+            value = log_likelihood(trend, prox, tau, alpha, t_star)
+            for reference in (
+                naive_log_likelihood(trend, prox, tau, alpha, t_star, node_count),
+                pairs.evaluate(tau, alpha, 1e-9),
+            ):
+                assert abs(value - reference) <= 1e-9 * abs(reference)
+
+
+@pytest.mark.parametrize(
+    ("nodes", "edges", "b", "actions", "dense"),
+    [
+        (200, 600, 2.0, 1500, True),  # learn-dense's shape: m^2 = 4e4 cells, about 3e5 row entries
+        (10_000, 20_000, 10.0, 2000, False),  # forecast-sparse's: m^2 = 3e6 cells, about 1e4 row entries
+    ],
+    ids=["learn-dense", "forecast-sparse"],
+)
+def test_size_rule_sends_benchmark_shapes_to_their_slot_path(nodes, edges, b, actions, dense):
+    graph = random_graph(nodes, edges, seed=5)
+    rng = np.random.default_rng(5)
+    trend = Trend(rng.integers(0, graph.node_count, actions), np.sort(rng.uniform(0.0, 10.0, actions)))
+    prox = ProximityMap(graph, ProximityConfig(kind="sp", b=b))
+    assert (_table(trend, prox, 10.0)._p is not None) == dense
+
+
+def test_dense_slots_peak_below_half_of_the_feeds_peak():
+    # learn-dense's shape. Measured before this bound was set: the dense
+    # path's build + one profile peaked at 3.6 MB against 14.4-14.6 MB for
+    # the feeds path (ratio 0.249-0.251 over graph seeds 0-3).
+    graph = random_graph(200, 600, seed=0)
+    rng = np.random.default_rng(0)
+    trend = Trend(rng.integers(0, graph.node_count, 1500), np.sort(rng.uniform(0.0, 10.0, 1500)))
+    prox = ProximityMap(graph, ProximityConfig(kind="sp", b=2.0))
+    prox.row_sums(np.unique(trend.nodes))  # build the rows outside the measurement
+    peaks = {}
+    for dense in (False, True):
+        with pytest.MonkeyPatch.context() as patch:
+            patch.setattr(learning, "_dense_slots", lambda acting, entries: dense)
+            tracemalloc.start()
+            try:
+                _table(trend, prox, 10.0).profile(1.0, 1e-9)
+                peaks[dense] = tracemalloc.get_traced_memory()[1]
+            finally:
+                tracemalloc.stop()
+    assert peaks[True] < 0.5 * peaks[False]
 
 
 @settings(derandomize=True, database=None, deadline=None, max_examples=60)

@@ -290,6 +290,15 @@ def test_generate_synthetic_refuses_supercritical_params():
     assert manifest["branching_bound"] == pytest.approx(2.0)
 
 
+@pytest.mark.parametrize("n_seeds", [0, 3])
+def test_generate_synthetic_names_both_numbers_of_a_bad_seed_count(n_seeds):
+    graph = Graph.from_edges([(0, 1)], 2)
+    prox = ProximityMap(graph, ProximityConfig(kind="sp"))
+    params = ActivenessParams(alpha=0.1, tau=1.0, epsilon=0.0, t0=0.0)
+    with pytest.raises(ValueError, match=rf"got n_seeds={n_seeds} with node_count=2$"):
+        generate_synthetic(2, prox, params, n_seeds, 5.0, seed=0)
+
+
 def test_generate_synthetic_plants_seeds_and_is_deterministic():
     graph, prox, _ = random_instance(seed=20, max_nodes=40, max_actions=5)
     max_row = max(prox.row_sum(v) for v in range(graph.node_count))
