@@ -9,9 +9,10 @@ and its analytic slope in log tau; a subrange whose slope changes sign from
 subranges of another shape fall back to golden section on the value of
 that same pass.
 
-The table fills its per-(block, node) slots either from every action's
-proximity row entries or, when the acting nodes are few enough, from one
-dense acting x acting proximity matrix; ``_dense_slots`` states the rule.
+The influence table has one layout. Only its in-block pairs, reached slots
+and slot fill take one of two forms: every action's proximity row entries
+or, when the acting nodes are few enough, one dense acting x acting
+proximity matrix; ``_dense_slots`` states the rule.
 """
 
 from __future__ import annotations
@@ -23,7 +24,7 @@ from dataclasses import dataclass
 import numpy as np
 
 from .core import Trend
-from .proximity import ProximityMap
+from .proximity import ProximityMap, csr_row_sums
 
 
 class DegeneratePrefixError(ValueError):
@@ -72,21 +73,22 @@ def _ragged(counts: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
     return group, within
 
 
-def _restricted_rows(prox: ProximityMap, acting: np.ndarray) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
-    """The acting nodes' rows cut down to acting targets, in CSR form.
+def _acting_rows(prox: ProximityMap, acting: np.ndarray) -> tuple[np.ndarray, ...]:
+    """The acting nodes' row sums, and their rows cut down to acting targets in CSR form.
 
-    Returns (row_start, target, score): row k spans row_start[k]:row_start[k+1]
-    and its targets are indices into ``acting``. One flat gather over all
-    rows, then a node -> acting-index array drops the other targets.
+    Returns (row_sums, row_start, target, score), all from one ``gather``:
+    row k spans row_start[k]:row_start[k+1] and its targets are indices into
+    ``acting``. A node -> acting-index array drops the other targets.
     """
     row_start, targets, scores = prox.gather(acting)
+    row_sums = csr_row_sums(row_start, scores)
     lookup = np.full(max(int(targets.max(initial=0)), int(acting.max(initial=0))) + 1, -1)
     lookup[acting] = np.arange(len(acting))
     target = lookup[targets]
     keep = target >= 0
     source = np.repeat(np.arange(len(acting)), np.diff(row_start))[keep]
     row_start = np.searchsorted(source, np.arange(len(acting) + 1))
-    return row_start, target[keep], scores[keep]
+    return row_sums, row_start, target[keep], scores[keep]
 
 
 def _later_in_block(
@@ -112,8 +114,46 @@ def _later_in_block(
 def _dense_slots(acting: int, entries: int) -> bool:
     """Size rule: fill the slots from the acting x acting matrix P when P holds
     no more cells than the ``entries`` restricted row entries of the actions,
-    the per-(action, entry) list that the feeds path expands."""
+    the per-(action, entry) list that the feeds form expands."""
     return acting * acting <= entries
+
+
+def _dense_pairs(p: np.ndarray, act: np.ndarray, size: int) -> tuple[np.ndarray, ...]:
+    """In-block pairs (j, i, score) from P: every j < i of i's block whose row reaches i's node."""
+    pair_i, k = _ragged(np.arange(len(act)) % size)
+    pair_j = pair_i - pair_i % size + k
+    score = p[act[pair_j], act[pair_i]]
+    reach = score > 0.0
+    return pair_j[reach], pair_i[reach], score[reach]
+
+
+def _dense_reached(p: np.ndarray, feed_cell: np.ndarray, cells: int) -> np.ndarray:
+    """Cells (c, a) that some action of block c reaches: the nonzero cells of
+    the feeders' (block, node) counts times P."""
+    count = np.bincount(feed_cell, minlength=cells).reshape(-1, len(p))
+    return np.einsum("ck,ka->ca", count.astype(np.float64), p).ravel() > 0.0
+
+
+def _feeds(
+    act: np.ndarray, block: np.ndarray, feeders: int, row_start: np.ndarray, tgt: np.ndarray, score: np.ndarray
+) -> tuple[tuple[np.ndarray, ...], ...]:
+    """In-block pairs and slot feeds from every action's restricted row entries.
+
+    Entries are keyed by (their action's block, target). Returns the pairs
+    (j, i, score) and the feeds: each entry at a node that acts in a later
+    block than its action, as (cell, score), with the feed count of each of
+    the ``feeders`` first actions.
+    """
+    m, blocks = len(row_start) - 1, int(block[-1]) + 1
+    feeder, entry = _ragged(row_start[act + 1] - row_start[act])
+    entry += row_start[act[feeder]]
+    key = block[feeder] * m + tgt[entry]
+    at, pair_i = _later_in_block(key, feeder, block * m + act, blocks * m)
+    pairs = feeder[at], pair_i, score[entry[at]]
+    last_block = np.zeros(m, dtype=np.int64)
+    np.maximum.at(last_block, act, block)
+    later = last_block[tgt[entry]] > block[feeder]
+    return pairs, (key[later], score[entry[later]], np.bincount(feeder[later], minlength=feeders))
 
 
 class _InfluenceTable:
@@ -127,21 +167,24 @@ class _InfluenceTable:
 
     with T_c the last time in block c; action i at node a reads it back as
     exp(-(t_i - T_c) / tau) * U_c[a]. Every exponent is <= 0, so nothing can
-    overflow. A slot is read only if some j in c reaches a and a acts in a
-    later block, and every such slot is read, so each influence term is
-    either a pair inside one block, kept as an explicit (dt, score) entry,
-    or a slot read.
+    overflow. Each influence term is either a pair inside one block, kept as
+    an explicit (dt, score) entry, or a slot read.
 
-    The slots are filled one of two ways, chosen by ``_dense_slots``. The
-    feeds path expands every action's restricted row into per-entry feeds
-    and sums them per slot with one ``bincount``; its memory grows with the
-    restricted row entries of the actions plus n * B. The dense path
-    scatters the rows into one m x m matrix P over the m acting nodes and
-    computes U_c = W_c P, where W_c[u] sums the decays of block c's actions
-    at node u; its memory grows with m^2 plus n * B. The product is an
-    ``np.einsum``, which calls no BLAS routine, so a fit gives the same bits
-    at any BLAS thread count. Neither path grows with the number of action
-    pairs.
+    Both forms share one layout: one ``gather`` gives the row sums and the
+    rows cut to acting targets; the feeders are every action of a block
+    before the last; a slot exists where some j in c reaches a and a acts in
+    a later block, every slot is read, and the slots are numbered in (c, a)
+    order; the reads and ``_neg_dt`` are laid out once. The in-block pairs,
+    the reached slots and the slot fill of ``_slot_values`` depend on the
+    form, chosen by ``_dense_slots``. The feeds form expands every action's
+    cut row into per-entry feeds and sums them per slot with one
+    ``bincount``; its memory grows with the actions' cut row entries plus
+    n * B. The dense form scatters the cut rows into one m x m matrix P over
+    the m acting nodes and computes U_c = W_c P, where W_c[u] sums the
+    decays of block c's actions at node u; its memory grows with m^2 plus
+    n * B. The product is an ``np.einsum``, which calls no BLAS routine, so
+    a fit gives the same bits at any BLAS thread count. Neither form grows
+    with the number of action pairs.
     """
 
     def __init__(self, prefix: Trend, prox: ProximityMap, t_star: float) -> None:
@@ -150,21 +193,51 @@ class _InfluenceTable:
         self.elapsed = t_star - times
         acting, act = np.unique(nodes, return_inverse=True)
         m = len(acting)
-        self.row_sums = prox.row_sums(acting)[act]
-        row_start, tgt, score = _restricted_rows(prox, acting)
+        row_sums, row_start, tgt, score = _acting_rows(prox, acting)
+        self.row_sums = row_sums[act]
 
         size = math.isqrt(max(n - 1, 0)) + 1
         block = np.arange(n) // size
         blocks = -(-n // size)
         block_end = times[np.minimum(np.arange(1, blocks + 1) * size, n) - 1]
+        # Slot (c, a) has cell c * m + a; only blocks before the last feed.
+        feeding = np.arange((blocks - 1) * size)
+        cells = (blocks - 1) * m
+        self._feeders = len(feeding)
 
         self._p = None
         if _dense_slots(m, int(np.diff(row_start)[act].sum())):
-            built = self._dense(act, block, size, row_start, tgt, score)
+            self._p = np.zeros((m, m))
+            self._p[np.repeat(np.arange(m), np.diff(row_start)), tgt] = score
+            pair_j, pair_i, self._pair_score = _dense_pairs(self._p, act, size)
+            self._feed_cell, self._cells = block[feeding] * m + act[feeding], cells
+            reached = _dense_reached(self._p, self._feed_cell, cells)
         else:
-            built = self._feeds(act, block, row_start, tgt, score)
-        feeding, pair_j, pair_i, reader, earlier = built
-        self._feeders = len(feeding)
+            (pair_j, pair_i, self._pair_score), feeds = _feeds(act, block, self._feeders, row_start, tgt, score)
+            feed_cell, self._feed_score, self._feed_count = feeds
+            reached = np.zeros(cells, dtype=bool)
+            reached[feed_cell] = True
+
+        # Slot reads: every action reads its own node's slot in each earlier
+        # block that reaches the node. The read cells are the slots, numbered
+        # in cell order.
+        reader, earlier = _ragged(block)
+        cell = earlier * m + act[reader]
+        exists = reached[cell]
+        reader, earlier, cell = reader[exists], earlier[exists], cell[exists]
+        read = np.zeros(cells, dtype=bool)
+        read[cell] = True
+        slot_id = np.cumsum(read) - 1
+        self._slots = int(read.sum())
+        self._read_slot = slot_id[cell]
+        if self._p is None:
+            self._feed_slot = slot_id[feed_cell]
+            del feed_cell
+        else:
+            self._slot_cell = np.flatnonzero(read)
+        # Free what the concatenations below do not read, which keeps the build's peak down.
+        del row_start, tgt, score, reached, exists, cell, read, slot_id
+
         self._target = np.concatenate([pair_i, reader])
         # Negated elapsed times: [feeder to its block end | pairs | slot reads].
         self._neg_dt = np.concatenate(
@@ -174,72 +247,6 @@ class _InfluenceTable:
                 block_end[earlier] - times[reader],
             ]
         )
-
-    def _feeds(self, act, block, row_start, tgt, score) -> tuple[np.ndarray, ...]:
-        """Pairs, feeds and reads from the actions' row entries, keyed by (block, target).
-
-        Returns the feeding actions, the pairs' (earlier, later) actions and
-        the reads' (action, earlier block).
-        """
-        n, m, blocks = len(act), len(row_start) - 1, int(block[-1]) + 1
-        # Every action's restricted row entries, keyed by (its block, target).
-        feeder, entry = _ragged(row_start[act + 1] - row_start[act])
-        entry += row_start[act[feeder]]
-        key = block[feeder] * m + tgt[entry]
-
-        # Pairs inside one block.
-        at, pair_i = _later_in_block(key, feeder, block * m + act, blocks * m)
-        pair_j, self._pair_score = feeder[at], score[entry[at]]
-
-        # Slot feeds: the entries at nodes that act in a later block.
-        last_block = np.zeros(m, dtype=np.int64)
-        np.maximum.at(last_block, act, block)
-        later = last_block[tgt[entry]] > block[feeder]
-        feeder, entry, key = feeder[later], entry[later], key[later]
-        used = np.zeros(blocks * m, dtype=bool)
-        used[key] = True
-        slot_id = np.cumsum(used) - 1
-        self._slots = int(used.sum())
-        self._feed_slot, self._feed_score = slot_id[key], score[entry]
-        feed_count = np.bincount(feeder, minlength=n)
-        feeding = np.flatnonzero(feed_count)
-        self._feed_count = feed_count[feeding]
-        # Slot reads: every action reads its own node's slot in each earlier block.
-        reader, earlier = _ragged(block)
-        key = earlier * m + act[reader]
-        exists = used[key]
-        self._read_slot = slot_id[key[exists]]
-        return feeding, pair_j, pair_i, reader[exists], earlier[exists]
-
-    def _dense(self, act, block, size, row_start, tgt, score) -> tuple[np.ndarray, ...]:
-        """Pairs and reads from the acting x acting matrix P; slot (c, a) is c * m + a.
-
-        Returns what ``_feeds`` returns. Every action of a block before the
-        last feeds the slots, through its (block, node) cell of W.
-        """
-        n, m = len(act), len(row_start) - 1
-        p = np.zeros((m, m))
-        p[np.repeat(np.arange(m), np.diff(row_start)), tgt] = score
-        self._p = p
-
-        # Pairs inside one block: every j < i of i's block whose row reaches i's node.
-        pair_i, k = _ragged(np.arange(n) % size)
-        pair_j = pair_i - pair_i % size + k
-        pair_score = p[act[pair_j], act[pair_i]]
-        reach = pair_score > 0.0
-        pair_j, pair_i, self._pair_score = pair_j[reach], pair_i[reach], pair_score[reach]
-
-        feeding = np.arange(int(block[-1]) * size)
-        self._feed_key = block[feeding] * m + act[feeding]
-        self._slots = int(block[-1]) * m
-        # Slot reads where some action of the earlier block reaches the reader's node.
-        count = np.bincount(self._feed_key, minlength=self._slots).reshape(-1, m)
-        used = np.einsum("ck,ka->ca", count.astype(np.float64), p).ravel() > 0.0
-        reader, earlier = _ragged(block)
-        key = earlier * m + act[reader]
-        exists = used[key]
-        self._read_slot = key[exists]
-        return feeding, pair_j, pair_i, reader[exists], earlier[exists]
 
     def total_integral(self, tau: float) -> float:
         """Stacked all-nodes influence integral up to t_star."""
@@ -289,9 +296,10 @@ class _InfluenceTable:
             fed *= np.repeat(neg_dt, self._feed_count)
             return slots, np.bincount(self._feed_slot, weights=fed, minlength=self._slots)
         weights = (decay, decay * neg_dt) if lagged else (decay,)
-        w = np.concatenate([np.bincount(self._feed_key, weights=x, minlength=self._slots) for x in weights])
-        u = np.einsum("ck,ka->ca", w.reshape(-1, len(self._p)), self._p).ravel()
-        return u[: self._slots], (u[self._slots :] if lagged else None)
+        w = np.concatenate([np.bincount(self._feed_cell, weights=x, minlength=self._cells) for x in weights])
+        u = np.einsum("ck,ka->ca", w.reshape(-1, len(self._p)), self._p)
+        u = u.reshape(len(weights), -1).take(self._slot_cell, axis=1)
+        return u[0], (u[1] if lagged else None)
 
     def evaluate(self, tau: float, alpha: float, epsilon: float) -> float:
         """Log-likelihood at (alpha, tau).

@@ -235,6 +235,19 @@ def random_walk_row(graph: Graph, source: int, config: ProximityConfig) -> Row:
     return Row(keep.astype(np.int64), pi[keep])
 
 
+def csr_row_sums(row_start: np.ndarray, scores: np.ndarray) -> np.ndarray:
+    """The sum of every row of a CSR ``(row_start, scores)``, in one ``bincount``.
+
+    ``bincount`` adds each row's scores one by one in entry order, a plain
+    left-to-right fold; Python's ``sum`` of floats is compensated from 3.12
+    on, so it would not give these bits on every version.
+    """
+    rows = len(row_start) - 1
+    row = np.repeat(np.arange(rows), np.diff(row_start))
+    # With no entries at all, bincount returns int64 zeros.
+    return np.bincount(row, weights=scores, minlength=rows).astype(np.float64, copy=False)
+
+
 def graph_fingerprint(graph: Graph) -> str:
     digest = hashlib.sha256()
     digest.update(graph.indptr.tobytes())
@@ -290,14 +303,14 @@ class ProximityMap:
         return np.concatenate([[0], np.cumsum(lengths)]), targets, scores
 
     def row_sum(self, source: int) -> float:
-        """The sum of ``source``'s scores, added one by one in entry order."""
-        return sum(self.row(source).scores.tolist())
+        """The sum of ``source``'s scores, by ``csr_row_sums``'s rule."""
+        scores = self.row(source).scores
+        return float(csr_row_sums(np.asarray([0, len(scores)]), scores)[0])
 
     def row_sums(self, sources: np.ndarray) -> np.ndarray:
-        """The row sums of ``sources``, in order; missing rows are built as ``gather`` builds them."""
-        sources = sources.tolist()
-        self._fill(sources)
-        return np.fromiter(map(self.row_sum, sources), dtype=np.float64, count=len(sources))
+        """The row sums of ``sources``, in order, from one ``gather``; see ``csr_row_sums``."""
+        row_start, _, scores = self.gather(sources)
+        return csr_row_sums(row_start, scores)
 
     def row_sum_cap(self) -> float:
         """Upper bound on every row sum from the kernel and the max degree; builds no row.

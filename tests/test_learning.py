@@ -316,6 +316,68 @@ def test_size_rule_sends_benchmark_shapes_to_their_slot_path(nodes, edges, b, ac
     assert (_table(trend, prox, 10.0)._p is not None) == dense
 
 
+def _both_forms(trend, prox, t_star):
+    """Each slot form's table, with the in-block pairs its form part found as (j, i, score) triples."""
+    built = []
+    for dense in (False, True):
+        found = []
+
+        def capture(patch, name, pick):
+            make = getattr(learning, name)
+
+            def wrapper(*args):
+                result = make(*args)
+                found.append(set(zip(*(x.tolist() for x in pick(result)))))
+                return result
+
+            patch.setattr(learning, name, wrapper)
+
+        with pytest.MonkeyPatch.context() as patch:
+            patch.setattr(learning, "_dense_slots", lambda acting, entries: dense)
+            capture(patch, "_dense_pairs", lambda result: result)
+            capture(patch, "_feeds", lambda result: result[0])
+            table = _table(trend, prox, t_star)
+        assert (table._p is not None) == dense
+        built.append((table, *found))
+    return built
+
+
+@pytest.mark.parametrize("seed", range(8))
+def test_slot_forms_share_one_layout(seed):
+    _, prox, trend = random_instance(seed, max_nodes=40, max_actions=120, b=0.5)
+    (feeds, feed_pairs), (dense, dense_pairs) = _both_forms(trend, prox, 10.0)
+    assert feeds._slots == dense._slots > 0
+    assert np.array_equal(feeds._read_slot, dense._read_slot)
+    reads = [table._target[len(table._pair_score):] for table in (feeds, dense)]
+    assert np.array_equal(*reads)
+    assert feeds._feeders == dense._feeders
+    assert feeds._neg_dt[: feeds._feeders].tobytes() == dense._neg_dt[: dense._feeders].tobytes()
+    assert feed_pairs == dense_pairs and len(feed_pairs) == len(feeds._pair_score)
+
+
+def test_table_takes_its_row_sums_from_its_one_gather():
+    _, prox, trend = random_instance(3, max_nodes=40, max_actions=120)
+    gather, calls = ProximityMap.gather, []
+
+    def counted(self, sources):
+        calls.append(sources)
+        return gather(self, sources)
+
+    def refused(self, *args):
+        raise AssertionError("the table must take its row sums from its gather")
+
+    for dense in (False, True):
+        calls.clear()
+        with pytest.MonkeyPatch.context() as patch:
+            patch.setattr(learning, "_dense_slots", lambda acting, entries: dense)
+            patch.setattr(ProximityMap, "gather", counted)
+            patch.setattr(ProximityMap, "row_sums", refused)
+            patch.setattr(ProximityMap, "row_sum", refused)
+            table = _table(trend, prox, 10.0)
+        assert (table._p is not None) == dense and len(calls) == 1
+        assert table.row_sums.tolist() == [prox.row_sum(u) for u in trend.nodes.tolist()]
+
+
 def test_dense_slots_peak_below_half_of_the_feeds_peak():
     # learn-dense's shape. Measured before this bound was set: the dense
     # path's build + one profile peaked at 3.6 MB against 14.4-14.6 MB for

@@ -25,6 +25,14 @@ def path_graph(n: int, directed: bool = False) -> Graph:
     return Graph.from_edges([(i, i + 1) for i in range(n - 1)], n, directed=directed)
 
 
+def left_fold(values) -> float:
+    """The sum of ``values`` added one by one from the left, with no compensation."""
+    total = 0.0
+    for value in values:
+        total += value
+    return total
+
+
 def bfs_distances(graph: Graph, source: int) -> dict[int, int]:
     dist = {source: 0}
     queue = deque([source])
@@ -246,7 +254,7 @@ def _assert_batched_rows_match_scalar_bfs(graph, config, sources):
         assert targets[row_start[k]:row_start[k + 1]].tolist() == list(row)
         assert scores[row_start[k]:row_start[k + 1]].tolist() == list(row.values())
         assert prox.row(u) == row and list(prox.row(u)) == list(row)
-    sums = [sum(dict_shortest_path_row(graph, u, config).values()) for u in sources.tolist()]
+    sums = [left_fold(dict_shortest_path_row(graph, u, config).values()) for u in sources.tolist()]
     assert ProximityMap(graph, config).row_sums(sources).tolist() == sums
 
 
@@ -321,4 +329,20 @@ def test_rows_are_aligned_arrays_on_every_build_path(tmp_path_factory, seed, kin
         assert row._lookup is None  # len and iteration read the arrays only
         for built in (single, prox, loaded):
             _assert_row_is_the_reference(built.row(u), expected)
-            assert built.row_sum(u) == sum(expected.values())
+            assert built.row_sum(u) == left_fold(expected.values())
+
+
+def test_row_sums_fold_each_row_left_to_right(tmp_path):
+    # 1 + 2**-53 rounds back to 1 at each step of a plain fold, while a
+    # compensated sum (math.fsum, or the builtin sum from Python 3.12 on)
+    # gives 1 + 2**-52: the row sums must be the fold on every version.
+    scores = [1.0, 2.0**-53, 2.0**-53]
+    assert left_fold(scores) == 1.0 != math.fsum(scores)
+    graph, config = path_graph(3), ProximityConfig(kind="sp", b=1.0)
+    path = str(tmp_path / "prox.npz")
+    ProximityMap(graph, config, {0: Row(np.arange(3), np.asarray(scores))}).save_cache(path)
+    loaded = ProximityMap.load_cache(path, graph, config)
+    assert loaded.row(0).scores.tolist() == scores
+    assert loaded.row_sum(0).hex() == left_fold(scores).hex()
+    sums = loaded.row_sums(np.asarray([0, 0]))
+    assert sums.dtype == np.float64 and [x.hex() for x in sums.tolist()] == [left_fold(scores).hex()] * 2
