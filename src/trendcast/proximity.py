@@ -13,10 +13,11 @@ Shortest-path rows are built two ways. ``ProximityMap.gather`` builds all
 of its missing rows with ``_sp_rows``, one level-synchronous BFS for many
 sources over the CSR arrays, which shares the per-level numpy work among
 them. A request for one missing row (``row``, or a gather that misses one)
-uses the scalar BFS ``shortest_path_row``, because the batched pass costs
-several times more than a scalar BFS for a single sparse row. Both give the
-same row, entry for entry and in the same order. Random-walk rows are built
-one source at a time.
+uses the scalar BFS ``shortest_path_row`` over ``Graph.adjacency``, the
+graph's CSR arrays as Python sequences, built once per graph. For one row
+it costs a sixth of a batched pass on a sparse graph and about half on a
+dense one. Both give the same row, entry for entry and in the same order.
+Random-walk rows are built one source at a time.
 """
 
 from __future__ import annotations
@@ -111,22 +112,29 @@ class Row(Mapping):
 
 
 def shortest_path_row(graph: Graph, source: int, config: ProximityConfig) -> Row:
-    """Scores exp(-b * hops) along out-edges; BFS stops once a hop level floors out."""
+    """Scores exp(-b * hops) along out-edges; BFS stops once a hop level floors out.
+
+    It also stops once every node is in the row, where a further level
+    could add nothing.
+    """
+    indptr, indices = graph.adjacency()
     targets, scores = [source], [1.0]
     seen = {source}
+    add = seen.add
     frontier = [source]
     hops = 0
-    while frontier:
+    while frontier and len(seen) < graph.node_count:
         hops += 1
         weight = math.exp(-config.b * hops)
         if weight < config.floor:
             break
         next_frontier = []
+        append = next_frontier.append
         for u in frontier:
-            for v in graph.neighbors(u).tolist():
+            for v in indices[indptr[u] : indptr[u + 1]]:
                 if v not in seen:
-                    seen.add(v)
-                    next_frontier.append(v)
+                    add(v)
+                    append(v)
         targets += next_frontier
         scores += [weight] * len(next_frontier)
         frontier = next_frontier
@@ -135,8 +143,12 @@ def shortest_path_row(graph: Graph, source: int, config: ProximityConfig) -> Row
 
 # Cells (rows x nodes) of the ``seen`` bitmap of one _sp_rows chunk: the
 # sources are searched CELLS // node_count at a time, which bounds the
-# kernel's scratch memory on large graphs.
-_SP_CHUNK_CELLS = 1 << 18
+# kernel's scratch memory on large graphs. Each chunk pays a fixed numpy
+# cost per BFS level. At 2^20 (a 1 MB bitmap) the 1,811 learn rows of the
+# forecast-sparse benchmark (9,832 nodes) run as 18 chunks and take 6.4 ms,
+# against 70 chunks and 11.7 ms at 2^18; 2^22 (5 chunks, 6.2 ms) raised the
+# benchmark's peak RSS by another 4.5 MB.
+_SP_CHUNK_CELLS = 1 << 20
 
 
 def _sp_rows(graph: Graph, sources: np.ndarray, config: ProximityConfig) -> list[Row]:
@@ -209,23 +221,29 @@ def random_walk_row(graph: Graph, source: int, config: ProximityConfig) -> Row:
 
     Synchronous fixed-point iteration starting from all mass at the source.
     Dangling nodes hand their continuation mass back to the source, so the
-    vector stays a probability distribution throughout.
+    vector stays a probability distribution throughout. Each edge carries
+    its source's share; CSR lists a node's out-edges together, so repeating
+    every share by its out-degree lays the shares out in edge order.
     """
     n = graph.node_count
-    out_deg = np.diff(graph.indptr).astype(np.float64)
-    dangling = out_deg == 0
-    safe_deg = np.where(dangling, 1.0, out_deg)
-    edge_src = np.repeat(np.arange(n), np.diff(graph.indptr))
+    degree = np.diff(graph.indptr)
+    dangling = degree == 0
+    has_dangling = bool(dangling.any())
+    safe_deg = np.where(dangling, 1.0, degree)
+    q = 1.0 - config.p
     pi = np.zeros(n)
     pi[source] = 1.0
+    share, step = np.empty(n), np.empty(n)
     for _ in range(_RW_MAX_ITERATIONS):
-        share = (1.0 - config.p) * pi / safe_deg
-        nxt = np.bincount(graph.indices, weights=share[edge_src], minlength=n)
-        nxt[source] += config.p + (1.0 - config.p) * pi[dangling].sum()
-        if np.max(np.abs(nxt - pi)) < config.rw_tolerance:
-            pi = nxt
-            break
+        np.multiply(q, pi, out=share)
+        share /= safe_deg
+        nxt = np.bincount(graph.indices, weights=share.repeat(degree), minlength=n)
+        # With no dangling node the sum is empty, and p + q * 0.0 is exactly p.
+        nxt[source] += config.p + q * pi[dangling].sum() if has_dangling else config.p
+        np.subtract(nxt, pi, out=step)
         pi = nxt
+        if np.abs(step, out=step).max() < config.rw_tolerance:
+            break
     else:
         raise ConvergenceError(
             f"random walk from node {source} did not converge within "

@@ -16,9 +16,10 @@ summed decayed weights over their rows with one ``bincount``, and
 and one ``searchsorted`` over their joined cumulative scores. A
 generation's coefficients come from one ``ProximityMap.row_sums`` of its
 acting nodes. ``gather`` and ``row_sums`` build all of their missing
-shortest-path rows in one batched BFS, and a lone missing row with the
-scalar BFS, which is cheaper for one row; both give the same rows, so a
-run does not depend on which path built them.
+shortest-path rows in one batched BFS, in chunks of at most 2^20 ``seen``
+cells, and a lone missing row with the scalar BFS, which costs a sixth to a
+half of a batched pass for one row; both give the same rows, so a run does
+not depend on which path built them.
 """
 
 from __future__ import annotations

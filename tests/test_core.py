@@ -1,3 +1,4 @@
+import dataclasses
 import io
 from unittest import mock
 
@@ -288,6 +289,27 @@ def test_drop_edgeless_nodes_returns_a_graph_without_them_as_is():
     graph = random_graph(50, 100, seed=1)
     assert drop_edgeless_nodes(graph) is graph
     assert drop_edgeless_nodes(random_graph(5, 0, seed=1)).node_count == 0
+
+
+def test_graph_arrays_are_read_only_and_the_adjacency_stays_out_of_eq_and_repr(tmp_path):
+    path = tmp_path / "g.tsv"
+    path.write_text("a\tb\nb\tc\n")
+    graphs = [
+        Graph.from_edges([(0, 1), (1, 2)], 4),
+        load_graph(str(path)),
+        drop_edgeless_nodes(Graph.from_edges([(0, 1), (1, 2)], 4)),
+        random_graph(10, 20, seed=1, directed=True),
+    ]
+    for graph in graphs:
+        for name in ("indptr", "indices"):
+            with pytest.raises(ValueError, match="read-only"):
+                getattr(graph, name)[0] = 1
+        copy = dataclasses.replace(graph)
+        indptr, indices = graph.adjacency()
+        assert graph.adjacency()[1] is indices  # built once
+        assert indptr.tolist() == graph.indptr.tolist() and indices == graph.indices.tolist()
+        assert graph == copy and copy._adjacency is None
+        assert "_adjacency" not in repr(graph)
 
 
 def test_graph_rejects_out_of_range_edges():

@@ -8,7 +8,7 @@ from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
 from trendcast import proximity
-from trendcast.core import Graph, random_graph
+from trendcast.core import Graph, drop_edgeless_nodes, load_graph, random_graph, write_graph
 from trendcast.proximity import (
     ConvergenceError,
     ProximityConfig,
@@ -249,12 +249,13 @@ def _assert_batched_rows_match_scalar_bfs(graph, config, sources):
     prox = ProximityMap(graph, config)
     row_start, targets, scores = prox.gather(sources)
     assert len(row_start) == len(sources) + 1 and row_start[-1] == len(targets)
+    sums = []
     for k, u in enumerate(sources.tolist()):
         row = dict_shortest_path_row(graph, u, config)
         assert targets[row_start[k]:row_start[k + 1]].tolist() == list(row)
         assert scores[row_start[k]:row_start[k + 1]].tolist() == list(row.values())
         assert prox.row(u) == row and list(prox.row(u)) == list(row)
-    sums = [left_fold(dict_shortest_path_row(graph, u, config).values()) for u in sources.tolist()]
+        sums.append(left_fold(row.values()))
     assert ProximityMap(graph, config).row_sums(sources).tolist() == sums
 
 
@@ -280,11 +281,78 @@ def test_batched_gather_matches_the_scalar_bfs(seed, directed, isolated, b, on_f
 
 
 def test_batched_gather_crosses_the_chunk_budget():
-    sources = np.random.default_rng(5).permutation(600)[:500]
-    assert len(sources) * 600 > proximity._SP_CHUNK_CELLS
+    n = 2100
+    sources = np.random.default_rng(5).permutation(n)[:520]
+    assert len(sources) * n > proximity._SP_CHUNK_CELLS
     for directed in (False, True):
-        graph = random_graph(600, 1500, seed=5, directed=directed)
+        graph = random_graph(n, 1500, seed=5, directed=directed)
         _assert_batched_rows_match_scalar_bfs(graph, ProximityConfig(kind="sp", b=0.3), sources)
+
+
+def _walk_graph(seed: int, directed: bool, isolated: int) -> Graph:
+    """A random graph with ``isolated`` edgeless nodes appended.
+
+    When directed, a random fifth of the nodes lose their out-edges, so the
+    graph has dangling nodes that other nodes reach.
+    """
+    rng = np.random.default_rng(seed)
+    n = int(rng.integers(2, 40))
+    graph = random_graph(n, int(rng.integers(0, min(3 * n, n * (n - 1) // 2) + 1)), seed=seed, directed=directed)
+    src = np.repeat(np.arange(n), np.diff(graph.indptr))
+    edges = np.column_stack([src, graph.indices])
+    if directed:
+        edges = edges[rng.random(n)[src] >= 0.2]
+    return Graph.from_edges(edges, n + isolated, directed=directed)
+
+
+@settings(derandomize=True, database=None, deadline=None, max_examples=80)
+@given(
+    seed=st.integers(0, 2**16),
+    directed=st.booleans(),
+    isolated=st.integers(0, 2),
+    p=st.floats(0.05, 0.95),
+    rw_tolerance=st.sampled_from([1e-4, 1e-8, 1e-12]),
+)
+@example(seed=1, directed=True, isolated=2, p=0.4, rw_tolerance=1e-8)
+@example(seed=1, directed=False, isolated=0, p=0.4, rw_tolerance=1e-8)
+def test_random_walk_row_is_the_reference_bit_for_bit(seed, directed, isolated, p, rw_tolerance):
+    # The reference gathers each edge's share by source index; the library
+    # repeats the shares by out-degree and skips the returned mass when no
+    # node is dangling. Every source is tested, the isolated ones included.
+    graph = _walk_graph(seed, directed, isolated)
+    config = ProximityConfig(kind="rw", p=p, rw_tolerance=rw_tolerance, floor=1e-15)
+    for u in range(graph.node_count):
+        row, reference = random_walk_row(graph, u, config), dict_random_walk_row(graph, u, config)
+        assert row.targets.tolist() == list(reference)
+        assert [x.hex() for x in row.scores.tolist()] == [x.hex() for x in reference.values()]
+
+
+@settings(derandomize=True, database=None, deadline=None, max_examples=40)
+@given(seed=st.integers(0, 2**16), directed=st.booleans(), isolated=st.integers(0, 2), b=st.floats(0.3, 5.0))
+@example(seed=1, directed=True, isolated=2, b=0.3)
+def test_shortest_path_row_is_the_reference_before_and_after_the_adjacency_is_built(
+    tmp_path_factory, seed, directed, isolated, b
+):
+    built = _walk_graph(seed, directed, isolated)
+    graphs = [built]
+    if isolated:
+        graphs.append(drop_edgeless_nodes(built))
+    if built.edge_count:
+        path = str(tmp_path_factory.mktemp("graph") / "g.tsv")
+        write_graph(path, built)
+        graphs.append(load_graph(path, directed))  # labels renumbered in file order
+    config = ProximityConfig(kind="sp", b=b)
+    for graph in graphs:
+        if not graph.node_count:
+            continue
+        assert graph._adjacency is None
+        rows = [shortest_path_row(graph, u, config) for u in range(graph.node_count)]  # the first builds it
+        assert graph._adjacency is not None
+        rows.append(shortest_path_row(graph, 0, config))
+        for u, row in zip([*range(graph.node_count), 0], rows):
+            reference = dict_shortest_path_row(graph, u, config)
+            assert row.targets.tolist() == list(reference)
+            assert row.scores.tolist() == list(reference.values())
 
 
 def _assert_row_is_the_reference(row, reference: dict) -> None:
