@@ -3,6 +3,14 @@
 A trend is a time-ordered sequence of (node, timestamp) actions. All graph
 nodes carry dense integer indices internally; string labels only appear at
 file boundaries.
+
+Graph and action files are read as bytes with numpy. A file with no CR, no
+comment or blank line, and no line that starts or ends with whitespace or a
+non-ASCII byte is split as it is; any other file is first cleaned as text,
+line by line, and both forms give the same fields. Labels are interned by
+sorting their bytes packed into 8-byte words, and each distinct label is
+decoded to ``str`` once. A malformed file is read again line by line to
+report its first bad line as ``path:line``.
 """
 
 from __future__ import annotations
@@ -10,11 +18,9 @@ from __future__ import annotations
 import array
 import io
 import math
-import re
-from collections import defaultdict
 from dataclasses import dataclass, field
-from itertools import chain, repeat
-from typing import Callable, Iterator, NoReturn
+from itertools import repeat
+from typing import Callable, NoReturn
 
 import numpy as np
 
@@ -55,6 +61,18 @@ class Graph:
             raise ValueError("node labels are not unique")
         self.indptr.flags.writeable = False
         self.indices.flags.writeable = False
+
+    def __eq__(self, other: object) -> bool:
+        """Equal node count, direction, labels and CSR arrays, compared by value."""
+        if other.__class__ is not self.__class__:
+            return NotImplemented
+        return (
+            self.node_count == other.node_count
+            and self.directed == other.directed
+            and self.labels == other.labels
+            and np.array_equal(self.indptr, other.indptr)
+            and np.array_equal(self.indices, other.indices)
+        )
 
     @classmethod
     def from_edges(
@@ -107,19 +125,28 @@ class Graph:
 
 def _csr(edges: np.ndarray, node_count: int, directed: bool) -> tuple[np.ndarray, np.ndarray]:
     """Deduplicated CSR ``(indptr, indices)``, both int64, of in-range ``(m, 2)`` index pairs."""
-    src, dst = edges[:, 0], edges[:, 1]
-    if not directed:
-        src, dst = np.concatenate([src, dst]), np.concatenate([dst, src])
     # One sorted key per edge orders edges by (src, dst); dropping a key equal
     # to its predecessor dedups. np.unique would hash instead, which is far
-    # slower on int64 keys.
-    key = np.sort(src * node_count + dst)
+    # slower on int64 keys. The steps work in place where they can, so the
+    # peak memory is about two key arrays.
+    src, dst = edges[:, 0], edges[:, 1]
+    key = src * node_count
+    key += dst
+    if not directed:
+        back = dst * node_count
+        back += src
+        key = np.concatenate([key, back])
+        del back
+    key.sort()
     fresh = np.empty(key.size, dtype=bool)
     fresh[:1] = True
     np.not_equal(key[1:], key[:-1], out=fresh[1:])
-    src, dst = np.divmod(key[fresh], node_count)
+    key = key[fresh]
+    del fresh
+    dst = key % node_count
+    key //= node_count
     indptr = np.zeros(node_count + 1, dtype=np.int64)
-    np.cumsum(np.bincount(src, minlength=node_count), out=indptr[1:])
+    np.cumsum(np.bincount(key, minlength=node_count), out=indptr[1:])
     return indptr, dst
 
 
@@ -203,68 +230,166 @@ class AggregateSeries:
     coverage: np.ndarray
 
 
-# Matches a line holding two or more tabs.
-_TWO_TABS = re.compile(r"\t[^\n]*\t")
+# Bytes that str.strip() removes, and every non-ASCII byte (a character
+# such as U+2028 or U+00A0 is also whitespace): a line that ends in one needs
+# the str cleaning, and so does a line that starts with one or with '#'.
+_UNCLEAN_END = np.array([b >= 0x80 or chr(b).isspace() for b in range(256)])
+_UNCLEAN_START = _UNCLEAN_END | (np.arange(256) == ord("#"))
 
-# Data text is split into fields about this many characters at a time.
-_BLOCK_CHARS = 1 << 16
+# _LOW_BYTES[k] keeps the low k < 8 bytes of a little-endian 8-byte word.
+_LOW_BYTES = np.array([(1 << 8 * k) - 1 for k in range(8)], dtype=np.int64)
 
 
-def _read_lines(path: str) -> list[str]:
-    """The lines of a UTF-8 text file; a byte that is not UTF-8 raises ParseError naming ``path:line``.
+def _split_lines(text: str) -> list[str]:
+    """The lines of ``text``: CRLF and lone CR end a line, as in text mode.
 
-    CRLF and lone CR end a line, as in text mode. Lines are split on LF
-    alone, as iterating a file does: splitlines() also breaks at characters
-    such as \x1c or \u2028, which would shift line numbers.
+    Lines are split on LF alone, as iterating a file does: splitlines() also
+    breaks at characters such as \x1c or \u2028, which would shift line
+    numbers.
     """
-    with open(path, "rb") as fh:
-        data = fh.read()
-    try:
-        text = data.decode("utf-8")
-    except UnicodeDecodeError as exc:
-        head = data[: exc.start].decode("utf-8")
-        line = head.replace("\r\n", "\n").replace("\r", "\n").count("\n") + 1
-        raise ParseError(f"{path}:{line}: not valid UTF-8") from None
-    del data
     return text.replace("\r\n", "\n").replace("\r", "\n").split("\n")
 
 
-def _data_text(path: str) -> str | None:
-    """The data lines of a two-column file, stripped and joined by newlines.
+def _read_bytes(path: str) -> bytes:
+    """The bytes of a UTF-8 text file; a byte that is not UTF-8 raises ParseError naming ``path:line``."""
+    with open(path, "rb") as fh:
+        data = fh.read()
+    if not data.isascii():
+        try:
+            data.decode("utf-8")
+        except UnicodeDecodeError as exc:
+            line = len(_split_lines(data[: exc.start].decode("utf-8")))
+            raise ParseError(f"{path}:{line}: not valid UTF-8") from None
+    return data
+
+
+def _read_lines(path: str) -> list[str]:
+    """The lines of a UTF-8 text file, split as ``_split_lines`` does."""
+    return _split_lines(_read_bytes(path).decode("utf-8"))
+
+
+def _read_fields(path: str, check: Callable[[str, str, list[str]], None]) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
+    """The data fields of a two-column file as ``(buf, starts, lengths)``.
 
     Data lines are those left non-blank and not starting with ``#`` once
-    surrounding whitespace is stripped. Returns None when a data line has
-    other than exactly two non-empty tab-separated fields.
+    surrounding whitespace is stripped. ``buf`` holds them joined by LF,
+    then 8 more bytes; fields ``2k`` and ``2k + 1`` are the two sides of data
+    line k, field i being ``buf[starts[i]:starts[i] + lengths[i]]``. When a
+    data line has other than exactly two non-empty tab-separated fields,
+    ``_raise_first_error(path, check)`` reports the first bad line.
     """
-    lines = [s for s in map(str.strip, _read_lines(path)) if s and s[0] != "#"]
-    text = "\n".join(lines)
-    # As many tabs as lines and no line with two means exactly one tab per
-    # line. A stripped line neither starts nor ends with a tab, so both of
-    # its fields are non-empty.
-    if text.count("\t") != len(lines) or _TWO_TABS.search(text):
+    data = _read_bytes(path)
+    if b"\r" not in data:
+        # A file whose lines need no stripping and hold no comment or blank
+        # line is its own data: split its bytes as they are.
+        fields = _split_fields(data, len(data) - data.endswith(b"\n"))
+        if fields is not None:
+            buf, starts, lengths = fields
+            line_ends = starts[1::2] + lengths[1::2] - 1
+            if not (_UNCLEAN_START[buf[starts[0::2]]].any() or _UNCLEAN_END[buf[line_ends]].any()):
+                return fields
+            del fields, buf, starts, lengths, line_ends
+    lines = [s for s in map(str.strip, _split_lines(data.decode("utf-8"))) if s and s[0] != "#"]
+    del data
+    body = "\n".join(lines).encode("utf-8")
+    del lines
+    fields = _split_fields(body, len(body))
+    if fields is None:
+        _raise_first_error(path, check)
+    return fields
+
+
+def _split_fields(data: bytes, n: int) -> tuple[np.ndarray, np.ndarray, np.ndarray] | None:
+    """``(buf, starts, lengths)`` of the LF-separated lines ``data[:n]``; None unless each holds exactly one tab.
+
+    A line that holds one tab and neither starts nor ends with whitespace
+    has two non-empty fields.
+    """
+    buf = np.frombuffer(data + bytes(8), dtype=np.uint8)
+    # Offsets take half the memory as int32, which holds any offset of a file under 2 GiB.
+    offset = np.int32 if buf.size < 2**31 else np.int64
+    if not n:
+        return buf, np.empty(0, dtype=offset), np.empty(0, dtype=offset)
+    is_sep = buf[:n] == 9
+    is_sep |= buf[:n] == 10
+    seps = np.flatnonzero(is_sep).astype(offset)
+    del is_sep
+    kinds = buf[seps]
+    # Tab, LF, tab, ..., LF, tab is exactly one tab on each line.
+    if seps.size % 2 == 0 or not ((kinds[0::2] == 9).all() and (kinds[1::2] == 10).all()):
         return None
-    return text
+    starts = np.empty(seps.size + 1, dtype=offset)
+    starts[0] = 0
+    np.add(seps, 1, out=starts[1:])
+    lengths = np.empty_like(starts)
+    lengths[:-1] = seps
+    lengths[-1] = n
+    lengths -= starts
+    return buf, starts, lengths
 
 
-def _fields(text: str) -> Iterator[str]:
-    """The fields of data text in file order, split one block of lines at a time.
+def _intern(buf: np.ndarray, starts: np.ndarray, lengths: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
+    """Each field's label id, ids numbered in order of first appearance, and the field where each id first appears.
 
-    Splitting it all at once would hold two string objects per line together.
-    The labels that interning keeps would then lie scattered over memory the
-    freed fields leave mostly empty, which raises the peak RSS of a process
-    that loads graphs repeatedly.
+    A field's key is its bytes as little-endian 8-byte words,
+    ``length // 8 + 1`` of them, zero-padded; the top byte of the last word,
+    past the field's end, holds ``length % 8``. Two fields with as many words
+    have equal keys exactly when their bytes are equal, so one sort per word
+    count (argsort of one word, or lexsort of several) groups the fields by
+    label, in memory about the size of the file.
     """
+    # windows[i] is the word of bytes i..i+7: an unaligned view, no copy. The
+    # words are signed so that they sort and compare in the numpy loops the
+    # package's other int64 keys use: a uint64 sort maps about 0.1 MB more
+    # of numpy's code into every process.
+    windows = np.ndarray((buf.size - 7,), dtype="<i8", buffer=buf, strides=(1,))
+    words = (lengths >> 3) + 1
+    counts = np.bincount(words)
+    order_parts, group_parts, done = [], [], 0
+    for w in np.flatnonzero(counts).tolist():
+        sel = np.flatnonzero(words == w) if counts[w] < words.size else None
+        s, n = (starts, lengths) if sel is None else (starts[sel], lengths[sel])
+        keys = [windows[s + 8 * j] for j in range(w)]
+        rem = n & 7
+        keys[-1] &= _LOW_BYTES[rem]
+        keys[-1] |= rem.astype(np.int64) << 56
+        del s, n, rem
+        order = np.argsort(keys[0]) if w == 1 else np.lexsort(keys)
+        fresh = np.zeros(order.size, dtype=bool)
+        fresh[0] = True
+        for key in keys:
+            key = key[order]
+            fresh[1:] |= key[1:] != key[:-1]
+        del keys, key
+        order_parts.append(order if sel is None else sel[order])
+        group_parts.append(np.flatnonzero(fresh) + done)
+        done += order.size
+    order = np.concatenate(order_parts)
+    groups = np.concatenate(group_parts)
+    del order_parts, group_parts
+    first = np.minimum.reduceat(order, groups)
+    # Fields where a label first appears, in file order, are ids 0, 1, ...
+    is_first = np.zeros(order.size, dtype=bool)
+    is_first[first] = True
+    rank = np.cumsum(is_first, dtype=starts.dtype)
+    ids = np.empty(order.size, dtype=np.int64)
+    ids[order] = np.repeat(rank[first] - 1, np.diff(groups, append=order.size))
+    return ids, np.flatnonzero(is_first)
 
-    def blocks() -> Iterator[list[str]]:
-        start = 0
-        while start < len(text):
-            end = text.find("\n", start + _BLOCK_CHARS)
-            if end < 0:
-                end = len(text)
-            yield text[start:end].replace("\n", "\t").split("\t")
-            start = end + 1
 
-    return chain.from_iterable(blocks())
+def _decode(buf: np.ndarray, starts: np.ndarray, lengths: np.ndarray) -> list[str]:
+    """The given fields of ``buf`` as strings, decoded once as one tab-joined buffer."""
+    if not starts.size:
+        return []
+    # Each field is gathered with the byte after it, which becomes the tab.
+    spans = lengths + 1
+    ends = np.cumsum(spans, dtype=np.int64)
+    index = np.repeat(starts - ends + spans, spans)
+    index += np.arange(ends[-1], dtype=index.dtype)
+    joined = buf[index]
+    del index
+    joined[ends - 1] = 9
+    return joined[:-1].tobytes().decode("utf-8").split("\t")
 
 
 def _raise_first_error(path: str, check: Callable[[str, str, list[str]], None]) -> NoReturn:
@@ -289,20 +414,15 @@ def load_graph(path: str, directed: bool = False) -> Graph:
     symmetrized. An edge-free file is rejected. The file is read and checked
     whole; a malformed line is reported as ``path:line``.
     """
-    text = _data_text(path)
-    if text is None:
-        _raise_first_error(path, _check_edge_line)
-    if not text:
+    buf, starts, lengths = _read_fields(path, _check_edge_line)
+    if not starts.size:
         raise ParseError(f"{path}: no edges found")
-    # A missing label gets the next free index: the dict's size before insertion.
-    interned: defaultdict[str, int] = defaultdict()
-    interned.default_factory = interned.__len__
-    ids = np.fromiter(map(interned.__getitem__, _fields(text)), dtype=np.int64)
-    del text
-    index = dict(interned)
-    labels = list(index)
-    indptr, indices = _csr(ids.reshape(-1, 2), len(labels), directed)
-    return Graph(len(labels), directed, labels, indptr, indices, index)
+    ids, first = _intern(buf, starts, lengths)
+    starts, lengths = starts[first], lengths[first]
+    indptr, indices = _csr(ids.reshape(-1, 2), first.size, directed)
+    del ids, first
+    labels = _decode(buf, starts, lengths)
+    return Graph(len(labels), directed, labels, indptr, indices, dict(zip(labels, range(len(labels)))))
 
 
 def load_trend(path: str, graph: Graph) -> Trend:
@@ -312,16 +432,6 @@ def load_trend(path: str, graph: Graph) -> Trend:
     non-numeric or non-finite timestamps are rejected with the offending
     line number.
     """
-    text = _data_text(path)
-    if text is not None:
-        fields = list(_fields(text))
-        nodes = np.fromiter(map(graph._label_index.get, fields[0::2], repeat(-1)), dtype=np.int64)
-        try:
-            times = np.fromiter(map(float, fields[1::2]), dtype=np.float64)
-        except ValueError:
-            times = None
-        if times is not None and (nodes >= 0).all() and np.isfinite(times).all():
-            return Trend(nodes, times)
 
     def check(where: str, raw: str, parts: list[str]) -> None:
         if len(parts) != 2 or not parts[0] or not parts[1]:
@@ -335,7 +445,15 @@ def load_trend(path: str, graph: Graph) -> Trend:
         if not math.isfinite(t):
             raise ParseError(f"{where}: non-finite timestamp {parts[1]!r}")
 
-    _raise_first_error(path, check)
+    values = _decode(*_read_fields(path, check))
+    nodes = np.fromiter(map(graph._label_index.get, values[0::2], repeat(-1)), dtype=np.int64)
+    try:
+        times = np.fromiter(map(float, values[1::2]), dtype=np.float64)
+    except ValueError:
+        _raise_first_error(path, check)
+    if not ((nodes >= 0).all() and np.isfinite(times).all()):
+        _raise_first_error(path, check)
+    return Trend(nodes, times)
 
 
 def write_trend(path: str, trend: Trend, graph: Graph) -> None:
