@@ -135,11 +135,7 @@ def cmd_learn(args: argparse.Namespace) -> int:
         trend = _apply_jitter(trend, args.jitter, _resolve_seed(args))
     prox_config = _prox_config(args)
     prox = _proximity(args, graph, prox_config)
-    config = learning.LearnConfig(
-        tau_range=_parse_tau_range(args.tau_range) if args.tau_range else None,
-        tolerance=args.tolerance,
-        multistart=args.multistart,
-    )
+    config = learning.LearnConfig(_parse_tau_range(args.tau_range) if args.tau_range else None)
     with warnings.catch_warnings(record=True) as caught:
         warnings.simplefilter("always")
         result = learning.fit(trend, prox, args.t_star, config, epsilon=args.epsilon)
@@ -364,8 +360,6 @@ def build_parser() -> argparse.ArgumentParser:
     _add_prox_flags(p)
     p.add_argument("--prox-cache", help="proximity cache file to load")
     p.add_argument("--tau-range", help="tau bracket 'lo:hi' (default derived from span)")
-    p.add_argument("--tolerance", type=float, default=1e-6)
-    p.add_argument("--multistart", type=int, default=4)
     p.add_argument("--epsilon", type=float, default=1e-9)
     p.add_argument("--t0", type=float, default=None, help="trend start (default: first action)")
     p.add_argument("--jitter", type=float, default=0.0, help="uniform tie-breaking jitter width")

@@ -51,12 +51,11 @@ class Graph:
     labels: list[str]
     indptr: np.ndarray
     indices: np.ndarray
-    _label_index: dict[str, int] = field(repr=False, default_factory=dict)
+    _label_index: dict[str, int] = field(init=False, repr=False)
     _adjacency: tuple[array.array, list[int]] | None = field(default=None, init=False, repr=False, compare=False)
 
     def __post_init__(self) -> None:
-        if not self._label_index:
-            self._label_index = {lab: i for i, lab in enumerate(self.labels)}
+        self._label_index = dict(zip(self.labels, range(len(self.labels))))
         if len(self._label_index) != self.node_count:
             raise ValueError("node labels are not unique")
         self.indptr.flags.writeable = False
@@ -422,7 +421,7 @@ def load_graph(path: str, directed: bool = False) -> Graph:
     indptr, indices = _csr(ids.reshape(-1, 2), first.size, directed)
     del ids, first
     labels = _decode(buf, starts, lengths)
-    return Graph(len(labels), directed, labels, indptr, indices, dict(zip(labels, range(len(labels)))))
+    return Graph(len(labels), directed, labels, indptr, indices)
 
 
 def load_trend(path: str, graph: Graph) -> Trend:

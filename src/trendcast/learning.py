@@ -2,12 +2,12 @@
 
 For fixed tau the jump scale alpha has a closed form (action count over the
 total influence integral), so fitting reduces to a one-dimensional line
-search over tau. The search runs on log tau over geometric subranges, to
-dodge local maxima. One pass of the influence table gives the profile value
-and its analytic slope in log tau; a subrange whose slope changes sign from
-+ to - is searched by a safeguarded root step on the slope, and only
-subranges of another shape fall back to golden section on the value of
-that same pass.
+search over tau, run on log tau over four fixed geometric subranges to
+dodge local maxima; the caller sets only the tau bracket. The influence
+table has one kind of pass, which gives the profile value and its analytic
+slope in log tau; a subrange whose slope changes sign from + to - is
+searched by a safeguarded root step on the slope, and only a valley or a
+flat plateau falls back to golden section on the value of that same pass.
 
 The influence table has one layout. Only its in-block pairs, reached slots
 and slot fill take one of two forms: every action's proximity row entries
@@ -33,25 +33,23 @@ class DegeneratePrefixError(ValueError):
 
 _INVPHI = (math.sqrt(5.0) - 1.0) / 2.0
 _EPS = float(np.finfo(np.float64).eps)
+# The search cuts the bracket into this many geometric subranges and stops
+# once a bracket is narrower than this width in log tau.
+_SUBRANGES = 4
+_TOLERANCE = 1e-6
 
 
 @dataclass(frozen=True)
 class LearnConfig:
-    """Line-search knobs: tau bracket, relative stop width, restart count.
+    """The tau bracket of the search.
 
     ``tau_range`` of None derives the bracket from the observation span,
     [1e-3 * span, 1e3 * span].
     """
 
     tau_range: tuple[float, float] | None = None
-    tolerance: float = 1e-6
-    multistart: int = 4
 
     def __post_init__(self) -> None:
-        if not 0 < self.tolerance < 1:
-            raise ValueError("tolerance must lie in (0, 1)")
-        if self.multistart < 1:
-            raise ValueError("multistart must be at least 1")
         if self.tau_range is not None:
             lo, hi = self.tau_range
             if not 0 < lo < hi < math.inf:
@@ -259,47 +257,42 @@ class _InfluenceTable:
         never feeds its own influence term, and among equal timestamps only
         earlier list positions count.
         """
-        return self._influences(tau, lagged=False)[0]
+        return self._influences(tau)[0]
 
-    def _influences(self, tau: float, lagged: bool) -> tuple[np.ndarray, np.ndarray | None]:
-        """Influences h, and with ``lagged`` also k_i = sum_j s_ij D_ij exp(-D_ij / tau).
+    def _influences(self, tau: float) -> tuple[np.ndarray, np.ndarray]:
+        """Influences h and k_i = sum_j s_ij D_ij exp(-D_ij / tau), from one pass.
 
         k is tau^2 dh/dtau. Through a slot D = (t_i - T_c) + (T_c - t_j), so k
         reads exp(-(t_i - T_c) / tau) * ((t_i - T_c) * U_c[a] + V_c[a]), with
         V_c[a] = sum over j in c of prox(u_j, a) exp(-(T_c - t_j) / tau) (T_c - t_j).
-        The lagged sums run on the negated elapsed times and flip sign at the end.
+        The k sums run on the negated elapsed times and flip sign at the end.
         """
         decay = np.exp(self._neg_dt / tau)
         feeders, pairs = self._feeders, len(self._pair_score)
         terms = decay[feeders:]
         terms[:pairs] *= self._pair_score
-        lag_terms = terms * self._neg_dt[feeders:] if lagged else None
+        lag_terms = terms * self._neg_dt[feeders:]
         if self._slots:
-            slots, lags = self._slot_values(decay[:feeders], lagged)
-            if lagged:
-                lag_terms[pairs:] *= slots[self._read_slot]
-                lag_terms[pairs:] += terms[pairs:] * lags[self._read_slot]
+            slots, lags = self._slot_values(decay[:feeders])
+            lag_terms[pairs:] *= slots[self._read_slot]
+            lag_terms[pairs:] += terms[pairs:] * lags[self._read_slot]
             terms[pairs:] *= slots[self._read_slot]
         h = np.bincount(self._target, weights=terms, minlength=self.n)
-        if not lagged:
-            return h, None
         return h, -np.bincount(self._target, weights=lag_terms, minlength=self.n)
 
-    def _slot_values(self, decay: np.ndarray, lagged: bool) -> tuple[np.ndarray, np.ndarray | None]:
-        """Every slot's U_c[a], and with ``lagged`` its V_c[a] negated, from the feeders' decays."""
+    def _slot_values(self, decay: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
+        """Every slot's U_c[a] and its V_c[a] negated, from the feeders' decays."""
         neg_dt = self._neg_dt[: self._feeders]
         if self._p is None:
             fed = self._feed_score * np.repeat(decay, self._feed_count)
             slots = np.bincount(self._feed_slot, weights=fed, minlength=self._slots)
-            if not lagged:
-                return slots, None
             fed *= np.repeat(neg_dt, self._feed_count)
             return slots, np.bincount(self._feed_slot, weights=fed, minlength=self._slots)
-        weights = (decay, decay * neg_dt) if lagged else (decay,)
+        weights = (decay, decay * neg_dt)
         w = np.concatenate([np.bincount(self._feed_cell, weights=x, minlength=self._cells) for x in weights])
         u = np.einsum("ck,ka->ca", w.reshape(-1, len(self._p)), self._p)
-        u = u.reshape(len(weights), -1).take(self._slot_cell, axis=1)
-        return u[0], (u[1] if lagged else None)
+        u = u.reshape(2, -1).take(self._slot_cell, axis=1)
+        return u[0], u[1]
 
     def evaluate(self, tau: float, alpha: float, epsilon: float) -> float:
         """Log-likelihood at (alpha, tau).
@@ -325,7 +318,7 @@ class _InfluenceTable:
         adds nothing, so a fully floored profile has slope exactly 0.
         """
         h_total, alpha_closed = self._closed_alpha(tau)
-        h, k = self._influences(tau, lagged=True)
+        h, k = self._influences(tau)
         log_h, rate = self._log_rates(alpha_closed, h, epsilon)
         value = log_h - self.n
         live = rate > epsilon
@@ -474,12 +467,14 @@ def fit(
 ) -> LearnResult:
     """Fit (alpha, tau) to the prefix at t_star by profile likelihood.
 
-    The bracket is cut into ``multistart`` geometric subranges, and the
-    profile value and its slope in log tau are evaluated once at each cut
-    point. A subrange whose slope goes from + to - has its maximum found by
-    a Brent-Dekker root search on the slope; one whose slopes and values
-    both show it monotone takes its higher end; any other shape (a valley,
-    a floored plateau of slope 0) falls back to golden section on the
+    The bracket is cut into four geometric subranges, and the profile value
+    and its slope in log tau are evaluated once at each cut point. A
+    subrange whose slope goes from + to - has its maximum found by a
+    Brent-Dekker root search on the slope, stopping once the bracket is
+    narrower than 1e-6 in log tau; one whose slopes and values both show it
+    monotone takes its higher end, and so does one that leaves the floored
+    plateau (lower slope exactly 0) and rises; any other shape (a valley, a
+    floored plateau with both slopes 0) falls back to golden section on the
     value. The best profile value wins, ties going to the smaller tau.
     Every evaluation is one (value, slope) pass of the influence table, and
     ``evaluations`` counts them all; the result reports the search's own
@@ -508,23 +503,23 @@ def fit(
         evaluations += 1
         return table.profile(math.exp(x), epsilon)
 
-    edges = np.linspace(math.log(lo), math.log(hi), config.multistart + 1).tolist()
+    edges = np.linspace(math.log(lo), math.log(hi), _SUBRANGES + 1).tolist()
     # (x, value, slope) at each cut point; adjacent subranges share them.
     cuts = [(x, *probe(x)) for x in edges]
     best_x = best_f = None
     for (a, fa, ga), (b, fb, gb) in zip(cuts, cuts[1:]):
         if ga > 0.0 > gb:
-            x, fx = _slope_root(probe, a, fa, ga, b, fb, gb, config.tolerance)
-        elif ga > 0.0 and gb > 0.0 and fb > fa:
+            x, fx = _slope_root(probe, a, fa, ga, b, fb, gb, _TOLERANCE)
+        elif ga >= 0.0 and gb > 0.0 and fb > fa:
             x, fx = b, fb
         elif ga < 0.0 and gb < 0.0 and fa > fb:
             x, fx = a, fa
         else:
-            x, fx, _ = _golden_max(lambda x: probe(x)[0], a, b, config.tolerance)
+            x, fx, _ = _golden_max(lambda x: probe(x)[0], a, b, _TOLERANCE)
         if best_f is None or fx > best_f:
             best_x, best_f = x, fx
     tau_hat = math.exp(best_x)
-    if min(best_x - math.log(lo), math.log(hi) - best_x) <= config.tolerance:
+    if min(best_x - math.log(lo), math.log(hi) - best_x) <= _TOLERANCE:
         warnings.warn(
             f"tau_hat={tau_hat:.6g} lies on the edge of the tau search range "
             f"[{lo:.6g}, {hi:.6g}]; the likelihood may peak outside it",

@@ -29,7 +29,15 @@ from trendcast.baselines import (
     intensity_from_coverage,
 )
 from trendcast.core import Graph, IntervalGrid, ParseError, Trend, UnknownNodeError, aggregate, random_graph
-from trendcast.learning import DegeneratePrefixError, LearnConfig, LearnResult, _golden_max, _table
+from trendcast.learning import (
+    _SUBRANGES,
+    _TOLERANCE,
+    DegeneratePrefixError,
+    LearnConfig,
+    LearnResult,
+    _golden_max,
+    _table,
+)
 from trendcast.proximity import ProximityConfig, ProximityMap
 from trendcast.simulation import PredictionReport, SimConfig, Streams, derived_rng, summarize_runs
 
@@ -173,10 +181,10 @@ def golden_fit(
 ) -> LearnResult:
     """The former ``fit`` search: golden section on the profile value alone.
 
-    Runs a golden-section search on log tau within each of ``multistart``
+    Runs a golden-section search on log tau within each of ``fit``'s
     geometric subranges of the bracket; the best value wins, ties going to
-    the smaller tau. It spends about 34 evaluations per subrange at the
-    default tolerance, whatever the profile's shape.
+    the smaller tau. It spends about 34 evaluations per subrange at
+    ``fit``'s stopping width, whatever the profile's shape.
     """
     config = config or LearnConfig()
     prefix = trend.prefix(t_star)
@@ -195,10 +203,10 @@ def golden_fit(
         evaluations += 1
         return table.profile(math.exp(x), epsilon)[0]
 
-    cuts = np.linspace(math.log(lo), math.log(hi), config.multistart + 1)
+    cuts = np.linspace(math.log(lo), math.log(hi), _SUBRANGES + 1)
     best_x = best_f = None
     for a, b in zip(cuts[:-1], cuts[1:]):
-        x, fx, _ = _golden_max(objective, float(a), float(b), config.tolerance)
+        x, fx, _ = _golden_max(objective, float(a), float(b), _TOLERANCE)
         if best_f is None or fx > best_f:
             best_x, best_f = x, fx
     tau_hat = math.exp(best_x)

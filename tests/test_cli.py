@@ -588,8 +588,8 @@ def test_synth_random_graph_round_trips_through_learn(tmp_path):
 
 _COMMAND_FLAGS = {
     "learn": {"--graph", "--directed", "--actions", "--t-star", "--prox", "--b", "--p", "--floor",
-              "--rw-tolerance", "--prox-cache", "--tau-range", "--tolerance", "--multistart", "--epsilon",
-              "--t0", "--jitter", "--seed", "--out"},
+              "--rw-tolerance", "--prox-cache", "--tau-range", "--epsilon", "--t0",
+              "--jitter", "--seed", "--out"},
     "predict": {"--graph", "--directed", "--actions", "--t-star", "--grid", "--model", "--mult", "--params",
                 "--prox-cache", "--runs", "--seed", "--theta", "--measure", "--max-events", "--jitter",
                 "--dump-runs", "--out"},
@@ -621,8 +621,10 @@ def test_each_command_takes_exactly_its_flags():
     ("predict", ["--rw-tolerance", "0.1"]),
     ("synth", ["--prox-cache", "c.npz"]),
     ("prox-cache", ["--prox-cache", "c.npz"]),
+    ("learn", ["--multistart", "4"]),
+    ("learn", ["--tolerance", "1e-6"]),
 ], ids=["predict-prox", "predict-b", "predict-p", "predict-floor", "predict-rw-tolerance", "synth-prox-cache",
-        "prox-cache-prox-cache"])
+        "prox-cache-prox-cache", "learn-multistart", "learn-tolerance"])
 def test_a_flag_the_command_does_not_read_is_a_usage_error(pipeline, tmp_path, capsys, command, flag):
     d, graph, actions, params = pipeline
     out = tmp_path / "out"
@@ -631,6 +633,7 @@ def test_a_flag_the_command_does_not_read_is_a_usage_error(pipeline, tmp_path, c
                     "--params", str(params), "--runs", "2", "--seed", "3"],
         "synth": ["--graph", str(graph), "--alpha", "0.3", "--tau", "1", "--horizon", "4", "--seed", "1"],
         "prox-cache": ["--graph", str(graph)],
+        "learn": ["--graph", str(graph), "--actions", str(actions), "--t-star", "8"],
     }[command]
     with pytest.raises(SystemExit) as exc:
         main([command, *argv, *flag, "--out", str(out)])
@@ -906,7 +909,7 @@ def test_module_entry_point(tiny_files, tmp_path):
     assert out.exists()
 
 
-# Runs learn, then prints the bits of one lagged influence pass at tau = 1,
+# Runs learn, then prints the bits of one influence pass at tau = 1,
 # which differ at the last place when a product goes through threaded BLAS
 # even where the fitted params come out the same.
 _LEARN_AND_DIGEST = """
@@ -921,7 +924,7 @@ assert main(["learn", "--graph", graph_path, "--actions", actions_path, "--t-sta
 graph = load_graph(graph_path)
 table = learning._table(load_trend(actions_path, graph), ProximityMap(graph, ProximityConfig(b=2.0)), 10.0)
 assert table._p is not None
-print(hashlib.sha256(b"".join(x.tobytes() for x in table._influences(1.0, lagged=True))).hexdigest())
+print(hashlib.sha256(b"".join(x.tobytes() for x in table._influences(1.0))).hexdigest())
 """
 
 

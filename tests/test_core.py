@@ -304,6 +304,15 @@ def test_drop_edgeless_nodes_returns_a_graph_without_them_as_is():
     assert drop_edgeless_nodes(random_graph(5, 0, seed=1)).node_count == 0
 
 
+def test_the_label_index_is_always_derived_from_the_labels():
+    graph = Graph.from_edges([(0, 1)], 2, labels=["a", "b"])
+    assert graph._label_index == {"a": 0, "b": 1}
+    with pytest.raises(TypeError):
+        Graph(2, False, ["a", "b"], graph.indptr, graph.indices, {"b": 0, "a": 1})
+    with pytest.raises(ValueError, match="not unique"):
+        Graph(2, False, ["a", "a"], graph.indptr, graph.indices)
+
+
 def test_graph_arrays_are_read_only_and_the_adjacency_stays_out_of_eq_and_repr(tmp_path):
     path = tmp_path / "g.tsv"
     path.write_text("a\tb\nb\tc\n")
