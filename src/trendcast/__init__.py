@@ -8,7 +8,7 @@ forecasts of intensity, coverage, and duration against cascade baselines.
 """
 
 from .activeness import ActivenessParams, load_params, save_params
-from .baselines import BaselineParams, fit_baseline, fit_mult_factor, intensity_from_coverage, simulate_baseline
+from .baselines import BaselineParams, fit_baseline, fit_mult_factor, simulate_baseline
 from .core import (
     AggregateSeries,
     Graph,
@@ -17,20 +17,12 @@ from .core import (
     Trend,
     UnknownNodeError,
     aggregate,
-    coverage,
     duration,
-    intensity,
     load_graph,
     load_trend,
     random_graph,
 )
-from .evaluation import (
-    coefficient_of_variation,
-    duration_accuracy,
-    duration_flag,
-    error_ratio,
-    threshold_from_last_observed,
-)
+from .evaluation import duration_accuracy, error_ratio, threshold_from_last_observed
 from .learning import DegeneratePrefixError, LearnConfig, LearnResult, estimate_alpha, fit, log_likelihood
 from .proximity import ConvergenceError, ProximityConfig, ProximityMap
 from .simulation import (

@@ -29,7 +29,7 @@ from dataclasses import dataclass, field
 import numpy as np
 
 from .core import Graph, IntervalGrid, Trend, aggregate
-from .simulation import PredictionReport, SimConfig, derived_rng, summarize_runs
+from .simulation import _BASELINE_RUN_KEY, PredictionReport, SimConfig, derived_rng, summarize_runs
 
 BASELINE_KINDS = ("tequ", "texp", "eexp")
 
@@ -40,10 +40,6 @@ FALLBACK_MEAN_GAP = 1.0
 # Cells of scratch (nodes plus edges, per run) one batch of runs may use, so
 # the memory of predict_baseline does not grow with the run count.
 BUDGET = 2**18
-
-# Baseline run r draws from spawn key (2**61 + 16 + r,): above the activeness
-# run keys (r,), r < 2**61, and the auxiliary keys 2**61 and 2**61 + 1.
-_BASELINE_RUN_KEY = 2**61 + 16
 
 
 @dataclass
@@ -222,13 +218,6 @@ def simulate_baseline(
     return Trend(nodes, active[nodes])
 
 
-def intensity_from_coverage(coverage: np.ndarray, mult_factor: float) -> np.ndarray:
-    """Real-valued intensity estimate: mult_factor * coverage, elementwise."""
-    if mult_factor <= 0:
-        raise ValueError("mult_factor must be positive")
-    return mult_factor * np.asarray(coverage, dtype=np.float64)
-
-
 def fit_mult_factor(trend: Trend, grid: IntervalGrid) -> float:
     """Least-squares slope through the origin of intensity against coverage."""
     series = aggregate(trend, grid)
@@ -253,12 +242,15 @@ def predict_baseline(
 
     A cascade activates each node once, so raw intensity equals coverage per
     interval; with ``mult`` the per-run intensity becomes
-    mult_factor * coverage instead. Run r draws from its own generator
+    mult_factor * coverage instead, and a factor that is not positive
+    raises ValueError. Run r draws from its own generator
     (spawn key ``_BASELINE_RUN_KEY + r``); runs are relaxed together in
     batches of ``BUDGET // (nodes + edges)``, at least one.
     """
     if grid.t_start != config.t_start:
         raise ValueError("grid must start at the simulation start time")
+    if mult and params.mult_factor <= 0:
+        raise ValueError("mult_factor must be positive")
     first, src, dst, scales = _run_setup(params, graph, trend, config.t_start)
     new_node = ~np.isfinite(first)
     per_batch = max(1, BUDGET // (graph.node_count + len(dst)))
@@ -272,5 +264,5 @@ def predict_baseline(
         keep, idx = grid.bin(active[run, node])
         cells = run[keep] * grid.count + idx
         coverage[lo:hi] = np.bincount(cells, minlength=(hi - lo) * grid.count).reshape(hi - lo, grid.count)
-    intensity = intensity_from_coverage(coverage, params.mult_factor) if mult else coverage
+    intensity = params.mult_factor * coverage if mult else coverage
     return summarize_runs(grid, intensity, coverage, theta, measure)

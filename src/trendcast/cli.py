@@ -36,8 +36,6 @@ from .core import (
 from .proximity import ConvergenceError, ProximityConfig, ProximityMap
 from .simulation import ExplosionError, SimConfig
 
-_JITTER_KEY = 2**61 + 1
-
 MODELS = ("da", "tequ", "texp", "eexp")
 
 
@@ -124,7 +122,7 @@ def _apply_jitter(trend: Trend, width: float, seed: int) -> Trend:
         raise ValueError(f"--jitter must be finite and non-negative, got {width!r}")
     if width == 0:
         return trend
-    rng = simulation.derived_rng(seed, _JITTER_KEY)
+    rng = simulation.derived_rng(seed, simulation._JITTER_KEY)
     return Trend(trend.nodes.copy(), trend.times + rng.uniform(0.0, width, size=len(trend)))
 
 
@@ -246,6 +244,8 @@ def _manifest_entries(path: str) -> list[dict]:
     entries = manifest.get("trends") if isinstance(manifest, dict) else None
     if not isinstance(entries, list):
         raise ValueError(f"{path}: expected a JSON object with a 'trends' list")
+    if not entries:
+        raise ValueError(f"{path}: the 'trends' list is empty")
     for k, entry in enumerate(entries):
         if not isinstance(entry, dict) or not all(isinstance(entry.get(key), str) for key in ("pred", "actions")):
             raise ValueError(f"{path}: trends[{k}] needs 'pred' and 'actions' file paths")
@@ -259,13 +259,13 @@ def cmd_eval(args: argparse.Namespace) -> int:
                 raise ValueError(f"{flag} cannot be combined with --manifest, which names each trend's files")
     if args.theta is not None and args.theta_from_train is not None:
         raise ValueError("--theta and --theta-from-train cannot be combined; give one")
-    graph = load_graph(args.graph, args.directed)
     if args.manifest:
         entries = _manifest_entries(args.manifest)
     else:
         if not (args.pred and args.actions):
             raise ValueError("eval needs --pred and --actions, or --manifest")
         entries = [{"pred": args.pred, "actions": args.actions}]
+    graph = load_graph(args.graph, args.directed)
     reports = []
     for k, entry in enumerate(entries):
         report = simulation.PredictionReport.read_csv(entry["pred"])

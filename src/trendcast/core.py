@@ -4,6 +4,11 @@ A trend is a time-ordered sequence of (node, timestamp) actions. All graph
 nodes carry dense integer indices internally; string labels only appear at
 file boundaries.
 
+The trend measures are computed here, each one way: ``aggregate`` counts a
+trend's intensity and coverage on a grid, and ``longest_run_above`` is the
+duration rule, applied to one series or to a stack of per-run series. The
+forecast's duration vote and the evaluation's true flag both read it.
+
 Graph and action files are read as bytes with numpy. A file with no CR, no
 comment or blank line, and no line that starts or ends with whitespace or a
 non-ASCII byte is split as it is; any other file is first cleaned as text,
@@ -55,6 +60,8 @@ class Graph:
     _adjacency: tuple[array.array, list[int]] | None = field(default=None, init=False, repr=False, compare=False)
 
     def __post_init__(self) -> None:
+        if len(self.labels) != self.node_count:
+            raise ValueError(f"{len(self.labels)} node labels given for {self.node_count} nodes")
         self._label_index = dict(zip(self.labels, range(len(self.labels))))
         if len(self._label_index) != self.node_count:
             raise ValueError("node labels are not unique")
@@ -470,24 +477,6 @@ def write_graph(path: str, graph: Graph) -> None:
                     fh.write(f"{graph.labels[u]}\t{graph.labels[v]}\n")
 
 
-def intensity(trend: Trend, t_min: float, t_max: float) -> int:
-    """Number of actions with t_min <= t < t_max."""
-    if not t_min < t_max:
-        raise ValueError("degenerate interval: need t_min < t_max")
-    lo = np.searchsorted(trend.times, t_min, side="left")
-    hi = np.searchsorted(trend.times, t_max, side="left")
-    return int(hi - lo)
-
-
-def coverage(trend: Trend, t_min: float, t_max: float) -> int:
-    """Number of distinct nodes acting in [t_min, t_max)."""
-    if not t_min < t_max:
-        raise ValueError("degenerate interval: need t_min < t_max")
-    lo = np.searchsorted(trend.times, t_min, side="left")
-    hi = np.searchsorted(trend.times, t_max, side="left")
-    return int(np.unique(trend.nodes[lo:hi]).size)
-
-
 def aggregate(trend: Trend, grid: IntervalGrid) -> AggregateSeries:
     """Bucket actions into the grid; actions outside [t_start, t_end) are ignored."""
     keep, idx = grid.bin(trend.times)
@@ -497,30 +486,39 @@ def aggregate(trend: Trend, grid: IntervalGrid) -> AggregateSeries:
     return AggregateSeries(grid, inten, cov)
 
 
-def longest_run_above(values: np.ndarray, theta: float) -> int:
-    """Length of the longest run of consecutive entries strictly above theta."""
-    best = run = 0
-    for v in np.asarray(values).tolist():
-        run = run + 1 if v > theta else 0
-        best = max(best, run)
-    return best
+def longest_run_above(values: np.ndarray, theta: float) -> int | np.ndarray:
+    """Length of the longest run of consecutive entries strictly above theta, along the last axis.
+
+    A 1-D input gives an int; a stack of series gives one length per series.
+    """
+    above = np.asarray(values) > theta
+    position = np.arange(1, above.shape[-1] + 1)
+    # The run ending at each entry starts after the latest entry not above theta.
+    runs = position - np.maximum.accumulate(np.where(above, 0, position), axis=-1)
+    best = runs.max(axis=-1, initial=0)
+    return int(best) if best.ndim == 0 else best
+
+
+def check_measure(measure: str) -> None:
+    """Raise ValueError unless ``measure`` names a series of ``AggregateSeries``."""
+    if measure not in MEASURES:
+        raise ValueError(f"measure must be one of {MEASURES}, got {measure!r}")
 
 
 def duration(series: AggregateSeries, theta: float, measure: str = "coverage") -> int:
     """Longest stretch of consecutive intervals whose measure exceeds theta."""
-    if measure not in MEASURES:
-        raise ValueError(f"measure must be one of {MEASURES}")
+    check_measure(measure)
     return longest_run_above(getattr(series, measure), theta)
 
 
 def write_aggregate_csv(out: str | io.TextIOBase, series: AggregateSeries) -> None:
-    """Write 'interval_index,t_min,t_max,intensity,coverage' rows."""
+    """Write 'interval_index,t_min,t_max,intensity,coverage' rows; the bounds exactly, with ``repr``."""
     fh = open(out, "w", encoding="utf-8") if isinstance(out, str) else out
     try:
         fh.write("interval_index,t_min,t_max,intensity,coverage\n")
         for i in range(series.grid.count):
             t_min, t_max = series.grid.bounds(i)
-            fh.write(f"{i},{t_min:.10g},{t_max:.10g},{series.intensity[i]},{series.coverage[i]}\n")
+            fh.write(f"{i},{t_min!r},{t_max!r},{series.intensity[i]},{series.coverage[i]}\n")
     finally:
         if isinstance(out, str):
             fh.close()

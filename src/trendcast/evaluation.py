@@ -1,8 +1,9 @@
-"""Forecast scoring: error ratios, dispersion, and duration agreement.
+"""Forecast scoring: error ratios and duration agreement.
 
-Undefined quantities (error ratio against a zero truth, CV of fewer than two
-samples or around a zero mean) are reported as NaN and excluded from
-averages rather than raising.
+The truth comes from ``core.aggregate`` and its duration flag from
+``core.longest_run_above``, the same code that builds the forecast and its
+duration vote. An error ratio against a zero truth is undefined: it is
+reported as NaN and excluded from averages rather than raising.
 """
 
 from __future__ import annotations
@@ -14,28 +15,17 @@ from typing import Sequence
 
 import numpy as np
 
-from .core import AggregateSeries, IntervalGrid, Trend, aggregate, duration, intensity, coverage
+from .core import IntervalGrid, Trend, aggregate, check_measure, duration
 from .simulation import PredictionReport
 
 
-def error_ratio(truth: float, prediction: float) -> float:
-    """|truth - prediction| / truth; NaN when the truth is zero."""
-    if truth < 0:
+def error_ratio(truth: np.ndarray | float, prediction: np.ndarray | float) -> np.ndarray:
+    """|truth - prediction| / truth, elementwise; NaN where the truth is zero."""
+    truth = np.asarray(truth, dtype=np.float64)
+    if (truth < 0).any():
         raise ValueError("truth must be non-negative")
-    if truth == 0:
-        return math.nan
-    return abs(truth - prediction) / truth
-
-
-def coefficient_of_variation(samples: Sequence[float]) -> float:
-    """Sample standard deviation over mean; NaN for < 2 samples or zero mean."""
-    arr = np.asarray(samples, dtype=np.float64)
-    if arr.size < 2:
-        return math.nan
-    mean = float(arr.mean())
-    if mean == 0.0:
-        return math.nan
-    return float(arr.std(ddof=1)) / mean
+    with np.errstate(divide="ignore", invalid="ignore"):
+        return np.where(truth == 0, math.nan, np.abs(truth - prediction) / truth)
 
 
 def mean_defined(values: Sequence[float]) -> float:
@@ -43,11 +33,6 @@ def mean_defined(values: Sequence[float]) -> float:
     arr = np.asarray(values, dtype=np.float64)
     defined = arr[~np.isnan(arr)]
     return float(defined.mean()) if defined.size else math.nan
-
-
-def duration_flag(series: AggregateSeries, theta: float, measure: str = "coverage") -> bool:
-    """Whether the trend stays above theta across the whole grid."""
-    return duration(series, theta, measure) == series.grid.count
 
 
 def duration_accuracy(pairs: Sequence[tuple[bool, bool]]) -> float:
@@ -59,12 +44,8 @@ def duration_accuracy(pairs: Sequence[tuple[bool, bool]]) -> float:
 
 def threshold_from_last_observed(trend: Trend, training_grid: IntervalGrid, measure: str = "coverage") -> int:
     """Duration threshold: the measure on the final training interval."""
-    t_min, t_max = training_grid.bounds(training_grid.count - 1)
-    if measure == "intensity":
-        return intensity(trend, t_min, t_max)
-    if measure == "coverage":
-        return coverage(trend, t_min, t_max)
-    raise ValueError("measure must be 'intensity' or 'coverage'")
+    check_measure(measure)
+    return int(getattr(aggregate(trend, training_grid), measure)[-1])
 
 
 @dataclass
@@ -97,7 +78,8 @@ def evaluate_prediction(
     """Score a prediction report against the realized actions on its own grid.
 
     The predicted duration flag is the majority vote over simulation runs
-    (covering fraction > 0.5); the true flag comes from the realized series.
+    (covering fraction > 0.5). The true flag applies the rule each run voted
+    by to the realized series: its longest run above theta spans the grid.
     Both flags must use one threshold: a report made with another ``theta``
     (as the CSV writes it, to 10 significant digits) or ``measure`` raises
     ValueError.
@@ -110,23 +92,17 @@ def evaluate_prediction(
         )
     grid = report.grid
     truth_series = aggregate(truth, grid)
-    inten_err = np.asarray(
-        [error_ratio(t, p) for t, p in zip(truth_series.intensity.tolist(), report.intensity_mean.tolist())]
-    )
-    cov_err = np.asarray(
-        [error_ratio(t, p) for t, p in zip(truth_series.coverage.tolist(), report.coverage_mean.tolist())]
-    )
     return EvalReport(
         grid=grid,
         truth_intensity=truth_series.intensity,
         truth_coverage=truth_series.coverage,
         pred_intensity=report.intensity_mean,
         pred_coverage=report.coverage_mean,
-        intensity_error=inten_err,
-        coverage_error=cov_err,
+        intensity_error=error_ratio(truth_series.intensity, report.intensity_mean),
+        coverage_error=error_ratio(truth_series.coverage, report.coverage_mean),
         theta=theta,
         measure=measure,
-        duration_true=duration_flag(truth_series, theta, measure),
+        duration_true=duration(truth_series, theta, measure) == grid.count,
         duration_predicted=report.duration_covering_fraction > 0.5,
     )
 
@@ -135,8 +111,10 @@ def write_eval_csv(out: str | io.TextIOBase, reports: Sequence[EvalReport]) -> N
     """Write per-interval rows, then a summary block as trailing comments.
 
     With several reports the rows concatenate in order and the summary adds
-    the duration accuracy across trends.
+    the duration accuracy across trends. No reports raise ValueError before
+    anything is written.
     """
+    accuracy = duration_accuracy([(r.duration_predicted, r.duration_true) for r in reports])
     fh = open(out, "w", encoding="utf-8") if isinstance(out, str) else out
     try:
         fh.write("interval_index,measure,truth,prediction,error_ratio\n")
@@ -159,7 +137,6 @@ def write_eval_csv(out: str | io.TextIOBase, reports: Sequence[EvalReport]) -> N
                 f"mean_intensity_error={_fmt_nan(mean_defined(rep.intensity_error))} "
                 f"mean_coverage_error={_fmt_nan(mean_defined(rep.coverage_error))}\n"
             )
-        accuracy = duration_accuracy([(r.duration_predicted, r.duration_true) for r in reports])
         fh.write(f"# duration_accuracy={accuracy:.10g}\n")
     finally:
         if isinstance(out, str):

@@ -31,14 +31,9 @@ from typing import Sequence
 
 import numpy as np
 
-from .core import IntervalGrid, Trend, _read_lines, aggregate
+from .core import IntervalGrid, Trend, _read_lines, aggregate, check_measure, longest_run_above
 from .proximity import ProximityMap
 from .activeness import DECAY_CUTOFF, ActivenessParams, _decay
-
-# spawn_key name spaces for derived generators: run r draws from key (r,),
-# auxiliary generators (seed picking here, jitter in the CLI, cascade runs in
-# baselines) use keys from 2**61 up, so the two never meet.
-_SEED_PICK_KEY = 2**61
 
 _CSV_HEADER = "interval_index,t_min,t_max,intensity_mean,intensity_cv,coverage_mean,coverage_cv"
 
@@ -82,6 +77,15 @@ class SimConfig:
             raise ValueError("runs must be at least 1")
         if self.max_events < 1:
             raise ValueError("max_events must be positive")
+
+
+# A spawn key selects one of the random streams derived from the root seed.
+# DA run r draws from key r, r < 2**61; the auxiliary keys (seed picking in
+# generate_synthetic, --jitter in the CLI) come next, and cascade-baseline run
+# r draws from key _BASELINE_RUN_KEY + r above them, so no two streams meet.
+_SEED_PICK_KEY = 2**61
+_JITTER_KEY = 2**61 + 1
+_BASELINE_RUN_KEY = 2**61 + 16
 
 
 def derived_rng(seed: int, key: int) -> np.random.Generator:
@@ -318,15 +322,14 @@ def summarize_runs(
     """Fold per-run interval series into means, CVs, and the duration vote.
 
     With a single run the CVs are undefined and reported as absent (NaN in
-    memory, empty fields in CSV).
+    memory, empty fields in CSV). A run covers the grid when its longest
+    stretch above theta spans it; the vote is the fraction of runs that do.
     """
-    if measure not in ("intensity", "coverage"):
-        raise ValueError("measure must be 'intensity' or 'coverage'")
+    check_measure(measure)
     inten = np.vstack(intensity_rows).astype(np.float64)
     cov = np.vstack(coverage_rows).astype(np.float64)
     chosen = inten if measure == "intensity" else cov
-    # A run's longest stretch above theta spans the grid exactly when every interval is above it.
-    covering = (chosen > theta).all(axis=1)
+    covering = longest_run_above(chosen, theta) == grid.count
     return PredictionReport(
         grid=grid,
         runs=inten.shape[0],

@@ -4,9 +4,10 @@ Most of it is deliberately naive: plain loops, no stacking, no shared code
 with the library internals beyond data containers. ``ActivenessModel``,
 ``total_integrated_influence``, ``PairTable``, ``heap_simulate_baseline``,
 ``loop_fit_baseline``, ``loop_predict_baseline``, ``line_load_graph``,
-``line_load_trend``, ``golden_fit``, ``dict_shortest_path_row`` and
-``dict_random_walk_row`` are former library code that nothing in the package calls any more; they stay
-here as references.
+``line_load_trend``, ``golden_fit``, ``dict_shortest_path_row``,
+``dict_random_walk_row``, ``intensity`` and ``coverage`` are former library
+code that nothing in the package calls any more; they stay here as
+references.
 """
 
 from __future__ import annotations
@@ -21,13 +22,7 @@ from typing import Mapping
 import numpy as np
 
 from trendcast.activeness import ActivenessParams, _decay
-from trendcast.baselines import (
-    _BASELINE_RUN_KEY,
-    FALLBACK_ACTIVATION_PROB,
-    FALLBACK_MEAN_GAP,
-    BaselineParams,
-    intensity_from_coverage,
-)
+from trendcast.baselines import FALLBACK_ACTIVATION_PROB, FALLBACK_MEAN_GAP, BaselineParams
 from trendcast.core import Graph, IntervalGrid, ParseError, Trend, UnknownNodeError, aggregate, random_graph
 from trendcast.learning import (
     _SUBRANGES,
@@ -39,7 +34,7 @@ from trendcast.learning import (
     _table,
 )
 from trendcast.proximity import ProximityConfig, ProximityMap
-from trendcast.simulation import PredictionReport, SimConfig, Streams, derived_rng, summarize_runs
+from trendcast.simulation import _BASELINE_RUN_KEY, PredictionReport, SimConfig, Streams, derived_rng, summarize_runs
 
 
 @dataclass
@@ -604,10 +599,24 @@ def loop_predict_baseline(
         run_trend = loop_simulate_baseline(params, graph, trend, config.t_start, config.t_end, rng)
         series = aggregate(run_trend, grid)
         cov = series.coverage
-        inten = intensity_from_coverage(cov, params.mult_factor) if mult else series.intensity
+        inten = params.mult_factor * cov if mult else series.intensity
         intensity_rows.append(np.asarray(inten, dtype=np.float64))
         coverage_rows.append(cov.astype(np.float64))
     return summarize_runs(grid, intensity_rows, coverage_rows, theta, measure)
+
+
+def intensity(trend: Trend, t_min: float, t_max: float) -> int:
+    """Number of actions with t_min <= t < t_max."""
+    lo = np.searchsorted(trend.times, t_min, side="left")
+    hi = np.searchsorted(trend.times, t_max, side="left")
+    return int(hi - lo)
+
+
+def coverage(trend: Trend, t_min: float, t_max: float) -> int:
+    """Number of distinct nodes acting in [t_min, t_max)."""
+    lo = np.searchsorted(trend.times, t_min, side="left")
+    hi = np.searchsorted(trend.times, t_max, side="left")
+    return int(np.unique(trend.nodes[lo:hi]).size)
 
 
 def brute_force_longest_run(values, theta) -> int:

@@ -16,7 +16,6 @@ from trendcast.baselines import (
     BaselineParams,
     fit_baseline,
     fit_mult_factor,
-    intensity_from_coverage,
     predict_baseline,
     simulate_baseline,
 )
@@ -246,6 +245,10 @@ def test_mult_scales_intensity_by_the_factor():
     report = predict_baseline(params, graph, trend, config, grid, mult=True)
     np.testing.assert_allclose(report.intensity_mean, 2.5 * report.coverage_mean, rtol=1e-12)
     np.testing.assert_allclose(report.intensity_cv, report.coverage_cv, rtol=1e-12)
+    for factor in (0.0, -1.0):
+        params.mult_factor = factor
+        with pytest.raises(ValueError, match="mult_factor must be positive"):
+            predict_baseline(params, graph, trend, config, grid, mult=True)
 
 
 def test_predict_baseline_is_deterministic():
@@ -362,13 +365,6 @@ def test_forecast_memory_does_not_grow_with_runs():
             tracemalloc.stop()
 
     assert peak(4096) < 2 * peak(64)
-
-
-def test_intensity_from_coverage_scales_elementwise():
-    out = intensity_from_coverage(np.asarray([1, 2, 0]), 2.0)
-    assert out.tolist() == [2.0, 4.0, 0.0]
-    with pytest.raises(ValueError, match="mult_factor"):
-        intensity_from_coverage(np.asarray([1.0]), 0.0)
 
 
 def test_fit_mult_factor_matches_hand_computed_slope():

@@ -74,9 +74,9 @@ def test_aggregate_golden(tiny_files, tmp_path, capsys):
     assert code == 0
     assert out.read_text(encoding="utf-8").splitlines() == [
         "interval_index,t_min,t_max,intensity,coverage",
-        "0,0,1,1,1",
-        "1,1,2,2,2",
-        "2,2,3,1,1",
+        "0,0.0,1.0,1,1",
+        "1,1.0,2.0,2,2",
+        "2,2.0,3.0,1,1",
     ]
 
 
@@ -1036,6 +1036,7 @@ def test_eval_manifest_theta_must_be_a_number(tiny_files, tmp_path, capsys, valu
     [
         (b"[1, 2]", ": expected a JSON object with a 'trends' list"),
         (b'{"trends": {"pred": "p.csv", "actions": "a.tsv"}}', ": expected a JSON object with a 'trends' list"),
+        (b'{"trends": []}', ": the 'trends' list is empty"),
         (b'{"trends": [{"actions": "a.tsv"}]}', ": trends[0] needs 'pred' and 'actions'"),
         (b'{"trends": [{"pred": "p.csv", "actions": "a.tsv"}, {"pred": "p.csv"}]}', ": trends[1] needs"),
         (b'{"trends": [{"pred": "p.csv", "actions": 3}]}', ": trends[0] needs"),

@@ -15,10 +15,8 @@ from trendcast.core import (
     Trend,
     UnknownNodeError,
     aggregate,
-    coverage,
     drop_edgeless_nodes,
     duration,
-    intensity,
     load_graph,
     load_trend,
     longest_run_above,
@@ -29,7 +27,7 @@ from trendcast.core import (
 )
 from trendcast.proximity import graph_fingerprint
 
-from oracles import brute_force_longest_run, line_load_graph, line_load_trend, unique_rows_csr
+from oracles import brute_force_longest_run, coverage, intensity, line_load_graph, line_load_trend, unique_rows_csr
 
 
 def test_toy_yearly_aggregation(toy_trend):
@@ -63,6 +61,12 @@ def test_longest_run_matches_brute_force():
         values = rng.integers(0, 5, size=rng.integers(0, 12)).tolist()
         theta = int(rng.integers(0, 4))
         assert longest_run_above(np.asarray(values), theta) == brute_force_longest_run(values, theta)
+    # a stack of series gives one length per series, as each row alone does
+    for _ in range(50):
+        matrix = rng.integers(0, 5, size=(rng.integers(1, 6), rng.integers(0, 12)))
+        theta = int(rng.integers(0, 4))
+        expected = [brute_force_longest_run(row, theta) for row in matrix.tolist()]
+        assert longest_run_above(matrix, theta).tolist() == expected
 
 
 def test_prefix_is_closed_on_the_right(toy_trend):
@@ -113,13 +117,6 @@ def test_aggregate_matches_per_interval_counts_on_boundary_stamps(steps, origin,
         assert series.coverage[i] == coverage(trend, lo, hi)
 
 
-def test_interval_ops_reject_degenerate_interval(toy_trend):
-    with pytest.raises(ValueError):
-        intensity(toy_trend, 2008.0, 2008.0)
-    with pytest.raises(ValueError):
-        coverage(toy_trend, 2009.0, 2008.0)
-
-
 def test_aggregate_matches_single_interval_ops():
     rng = np.random.default_rng(3)
     for _ in range(20):
@@ -151,8 +148,18 @@ def test_aggregate_csv_format(toy_trend):
     write_aggregate_csv(buf, aggregate(toy_trend, IntervalGrid(2007.0, 1.0, 5)))
     lines = buf.getvalue().splitlines()
     assert lines[0] == "interval_index,t_min,t_max,intensity,coverage"
-    assert lines[1] == "0,2007,2008,1,1"
-    assert lines[-1] == "4,2011,2012,0,0"
+    assert lines[1] == "0,2007.0,2008.0,1,1"
+    assert lines[-1] == "4,2011.0,2012.0,0,0"
+
+
+def test_aggregate_csv_bounds_parse_back_to_the_grid_edges():
+    # Unix-time bounds half a second apart agree in their first 10 digits.
+    grid = IntervalGrid(1700000000.0, 0.5, 2)
+    buf = io.StringIO()
+    write_aggregate_csv(buf, aggregate(Trend(np.empty(0), np.empty(0)), grid))
+    rows = [line.split(",") for line in buf.getvalue().splitlines()[1:]]
+    assert [float(row[1]) for row in rows] == grid.edges[:-1].tolist()
+    assert [float(row[2]) for row in rows] == grid.edges[1:].tolist()
 
 
 def test_load_graph_parses_comments_dedupes_and_symmetrizes(tmp_path):
@@ -311,6 +318,15 @@ def test_the_label_index_is_always_derived_from_the_labels():
         Graph(2, False, ["a", "b"], graph.indptr, graph.indices, {"b": 0, "a": 1})
     with pytest.raises(ValueError, match="not unique"):
         Graph(2, False, ["a", "a"], graph.indptr, graph.indices)
+
+
+def test_graph_tells_a_wrong_label_count_from_repeated_labels():
+    with pytest.raises(ValueError, match="^2 node labels given for 3 nodes$"):
+        Graph.from_edges([(0, 1)], 3, labels=["a", "b"])
+    with pytest.raises(ValueError, match="^4 node labels given for 3 nodes$"):
+        Graph.from_edges([(0, 1)], 3, labels=["a", "b", "c", "d"])
+    with pytest.raises(ValueError, match="not unique"):
+        Graph.from_edges([(0, 1)], 3, labels=["a", "b", "a"])
 
 
 def test_graph_arrays_are_read_only_and_the_adjacency_stays_out_of_eq_and_repr(tmp_path):

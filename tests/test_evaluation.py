@@ -1,4 +1,4 @@
-"""Scoring tests: error ratios, CV markers, duration flags, and the eval CSV."""
+"""Scoring tests: error ratios, duration flags, and the eval CSV."""
 
 from __future__ import annotations
 
@@ -8,12 +8,10 @@ import math
 import numpy as np
 import pytest
 
-from trendcast.core import AggregateSeries, IntervalGrid, Trend
+from trendcast.core import IntervalGrid, Trend
 from trendcast.evaluation import (
     EvalReport,
-    coefficient_of_variation,
     duration_accuracy,
-    duration_flag,
     error_ratio,
     evaluate_prediction,
     mean_defined,
@@ -31,6 +29,8 @@ def test_error_ratio_examples():
     assert error_ratio(86.0, 129.0) == pytest.approx(0.5)
     assert error_ratio(4.0, 3.0) == pytest.approx(0.25)
     assert error_ratio(2.0, 2.0) == 0.0
+    # elementwise over arrays, NaN where the truth is zero
+    np.testing.assert_array_equal(error_ratio([86, 4, 2, 0], [129.0, 3.0, 2.0, 5.0]), [0.5, 0.25, 0.0, math.nan])
 
 
 def test_error_ratio_is_symmetric_around_truth():
@@ -46,41 +46,10 @@ def test_error_ratio_rejects_negative_truth():
         error_ratio(-1.0, 0.0)
 
 
-def test_coefficient_of_variation_two_samples():
-    # mean 2, sample standard deviation sqrt(2)
-    assert coefficient_of_variation([1.0, 3.0]) == pytest.approx(math.sqrt(2.0) / 2.0)
-
-
-def test_coefficient_of_variation_markers():
-    assert math.isnan(coefficient_of_variation([5.0]))
-    assert math.isnan(coefficient_of_variation([]))
-    assert math.isnan(coefficient_of_variation([-1.0, 1.0]))
-    assert coefficient_of_variation([2.0, 2.0, 2.0]) == 0.0
-
-
 def test_mean_defined_skips_nan():
     assert mean_defined([0.5, math.nan, 1.5]) == pytest.approx(1.0)
     assert math.isnan(mean_defined([math.nan, math.nan]))
     assert math.isnan(mean_defined([]))
-
-
-def test_duration_flag_requires_full_cover():
-    grid = IntervalGrid(2007.0, 1.0, 5)
-    series = AggregateSeries(
-        grid,
-        np.asarray([1, 5, 4, 2, 0]),
-        np.asarray([1, 2, 3, 2, 0]),
-    )
-    assert not duration_flag(series, 0.0)
-    short = AggregateSeries(
-        IntervalGrid(2007.0, 1.0, 4),
-        np.asarray([1, 5, 4, 2]),
-        np.asarray([1, 2, 3, 2]),
-    )
-    assert duration_flag(short, 0.0)
-    assert not duration_flag(short, 1.0)
-    assert duration_flag(short, 1.0, measure="intensity") is False
-    assert duration_flag(short, 0.0, measure="intensity")
 
 
 def test_duration_accuracy_counts_agreements():
@@ -100,13 +69,15 @@ def test_threshold_from_last_observed(toy_trend):
         threshold_from_last_observed(toy_trend, IntervalGrid(2007.0, 1.0, 2), "volume")
 
 
-def stub_report(grid: IntervalGrid, intensity_mean, coverage_mean, fraction: float) -> PredictionReport:
+def stub_report(
+    grid: IntervalGrid, intensity_mean, coverage_mean, fraction: float, theta: float = 0.0, measure: str = "coverage"
+) -> PredictionReport:
     count = grid.count
     return PredictionReport(
         grid=grid,
         runs=10,
-        theta=0.0,
-        measure="coverage",
+        theta=theta,
+        measure=measure,
         intensity_mean=np.asarray(intensity_mean, dtype=np.float64),
         intensity_cv=np.full(count, math.nan),
         coverage_mean=np.asarray(coverage_mean, dtype=np.float64),
@@ -141,6 +112,20 @@ def test_evaluate_prediction_majority_vote_boundary():
     assert above.duration_predicted is True
 
 
+def test_evaluate_prediction_duration_flag_requires_full_cover(toy_trend):
+    # the toy trend's intensity is [1, 5, 4, 2, 0] and its coverage [1, 2, 3, 2, 0]
+    def duration_true(count: int, theta: float, measure: str = "coverage") -> bool:
+        grid = IntervalGrid(2007.0, 1.0, count)
+        report = stub_report(grid, np.ones(count), np.ones(count), 0.6, theta, measure)
+        return evaluate_prediction(report, toy_trend, theta, measure).duration_true
+
+    assert duration_true(5, 0.0) is False
+    assert duration_true(4, 0.0) is True
+    assert duration_true(4, 1.0) is False
+    assert duration_true(4, 1.0, "intensity") is False
+    assert duration_true(4, 0.0, "intensity") is True
+
+
 def test_write_eval_csv_single_trend_golden():
     grid = IntervalGrid(0.0, 1.0, 3)
     report = stub_report(grid, [2.0, 0.5, 1.0], [1.0, 0.5, 0.0], fraction=0.6)
@@ -161,6 +146,13 @@ def test_write_eval_csv_single_trend_golden():
         "mean_intensity_error=0.25 mean_coverage_error=0.25",
         "# duration_accuracy=0",
     ]
+
+
+def test_write_eval_csv_without_reports_writes_nothing(tmp_path):
+    out = tmp_path / "eval.csv"
+    with pytest.raises(ValueError, match="no duration flag pairs"):
+        write_eval_csv(str(out), [])
+    assert not out.exists()
 
 
 def test_write_eval_csv_multiple_trends():

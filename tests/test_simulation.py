@@ -16,7 +16,10 @@ from trendcast.simulation import (
     PredictionReport,
     SimConfig,
     Streams,
+    _BASELINE_RUN_KEY,
     _CAP_MARGIN,
+    _JITTER_KEY,
+    _SEED_PICK_KEY,
     branching_bound,
     generate_synthetic,
     init_streams,
@@ -72,6 +75,21 @@ def test_simulate_is_deterministic_per_seed_and_run():
     assert stats_a == stats_b
     c, _ = simulate(streams, prox, params, config, run_index=1)
     assert a.times.tolist() != c.times.tolist() or len(a) == len(c) == 0
+
+
+def test_spawn_keys_of_da_runs_auxiliary_streams_and_baseline_runs_never_meet():
+    # DA run r draws from key r, and simulate takes only r in [0, 2**61)
+    graph, prox, params, trend = single_node_setup(alpha=0.5, tau=1.0)
+    streams = init_streams(trend, prox, params, 0.0, 1)
+    config = SimConfig(t_start=0.0, t_end=1.0, runs=1, seed=0)
+    simulate(streams, prox, params, config, run_index=2**61 - 1)
+    for run_index in (-1, 2**61):
+        with pytest.raises(ValueError, match="run_index"):
+            simulate(streams, prox, params, config, run_index)
+    # the auxiliary keys lie between them and baseline run r's key _BASELINE_RUN_KEY + r
+    auxiliary = {_SEED_PICK_KEY, _JITTER_KEY}
+    assert len(auxiliary) == 2
+    assert 2**61 <= min(auxiliary) and max(auxiliary) < _BASELINE_RUN_KEY
 
 
 def test_simulate_respects_the_horizon():
@@ -201,6 +219,22 @@ def test_predict_report_shape_and_cv_markers():
         trend, 1, prox, params,
         SimConfig(t_start=0.0, t_end=4.0, runs=1, seed=3), grid,
     )
+    assert np.isnan(single.intensity_cv).all()
+    assert np.isnan(single.coverage_cv).all()
+
+
+def test_summarize_runs_cv_values_and_markers():
+    # columns: mean 2 with sample standard deviation sqrt(2); zero means; constant runs
+    grid = IntervalGrid(0.0, 1.0, 4)
+    rows = [np.asarray([1.0, 0.0, -1.0, 2.0]), np.asarray([3.0, 0.0, 1.0, 2.0]), np.asarray([2.0, 0.0, 0.0, 2.0])]
+    report = summarize_runs(grid, rows[:2], rows[:2], 0.0, "coverage")
+    for cv in (report.intensity_cv, report.coverage_cv):
+        assert cv[0] == pytest.approx(math.sqrt(2.0) / 2.0)
+        assert math.isnan(cv[1]) and math.isnan(cv[2])
+        assert cv[3] == 0.0
+    assert summarize_runs(grid, rows, rows, 0.0, "coverage").coverage_cv[3] == 0.0
+    # one run leaves every CV undefined
+    single = summarize_runs(grid, rows[:1], rows[:1], 0.0, "coverage")
     assert np.isnan(single.intensity_cv).all()
     assert np.isnan(single.coverage_cv).all()
 
