@@ -245,10 +245,6 @@ def test_mult_scales_intensity_by_the_factor():
     report = predict_baseline(params, graph, trend, config, grid, mult=True)
     np.testing.assert_allclose(report.intensity_mean, 2.5 * report.coverage_mean, rtol=1e-12)
     np.testing.assert_allclose(report.intensity_cv, report.coverage_cv, rtol=1e-12)
-    for factor in (0.0, -1.0):
-        params.mult_factor = factor
-        with pytest.raises(ValueError, match="mult_factor must be positive"):
-            predict_baseline(params, graph, trend, config, grid, mult=True)
 
 
 def test_predict_baseline_is_deterministic():
@@ -365,6 +361,23 @@ def test_forecast_memory_does_not_grow_with_runs():
             tracemalloc.stop()
 
     assert peak(4096) < 2 * peak(64)
+
+
+def test_intensity_from_coverage_scales_elementwise():
+    # --mult makes each run's intensity mult_factor * coverage; a factor of 2 scales exactly
+    graph = star_graph(10)
+    params = BaselineParams("tequ", 0.3, 0.5, 2.0, mult_factor=2.0)
+    trend = make_trend([0], [-0.5])
+    config = SimConfig(t_start=0.0, t_end=1.0, runs=50, seed=7)
+    grid = IntervalGrid(0.0, 0.5, 2)
+    plain = predict_baseline(params, graph, trend, config, grid)
+    scaled = predict_baseline(params, graph, trend, config, grid, mult=True)
+    np.testing.assert_array_equal(scaled.coverage_mean, plain.coverage_mean)
+    np.testing.assert_array_equal(scaled.intensity_mean, 2.0 * plain.coverage_mean)
+    for factor in (0.0, -1.0):
+        params.mult_factor = factor
+        with pytest.raises(ValueError, match="mult_factor must be positive"):
+            predict_baseline(params, graph, trend, config, grid, mult=True)
 
 
 def test_fit_mult_factor_matches_hand_computed_slope():

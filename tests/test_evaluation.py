@@ -1,4 +1,4 @@
-"""Scoring tests: error ratios, duration flags, and the eval CSV."""
+"""Scoring tests: error ratios, CV markers, duration flags, and the eval CSV."""
 
 from __future__ import annotations
 
@@ -18,7 +18,7 @@ from trendcast.evaluation import (
     threshold_from_last_observed,
     write_eval_csv,
 )
-from trendcast.simulation import PredictionReport
+from trendcast.simulation import PredictionReport, summarize_runs
 
 
 def make_trend(nodes, times) -> Trend:
@@ -44,6 +44,27 @@ def test_error_ratio_zero_truth_is_undefined():
 def test_error_ratio_rejects_negative_truth():
     with pytest.raises(ValueError, match="non-negative"):
         error_ratio(-1.0, 0.0)
+
+
+def column_cv(*runs: float) -> float:
+    """The CV that summarize_runs reports for one interval over the given runs."""
+    rows = [np.asarray([value]) for value in runs]
+    report = summarize_runs(IntervalGrid(0.0, 1.0, 1), rows, rows, 0.0, "coverage")
+    assert np.array_equal(report.intensity_cv, report.coverage_cv, equal_nan=True)
+    return float(report.coverage_cv[0])
+
+
+def test_coefficient_of_variation_two_samples():
+    # mean 2, sample standard deviation sqrt(2)
+    assert column_cv(1.0, 3.0) == pytest.approx(math.sqrt(2.0) / 2.0)
+
+
+def test_coefficient_of_variation_markers():
+    # one run, a zero mean, and constant runs
+    assert math.isnan(column_cv(5.0))
+    assert math.isnan(column_cv(-1.0, 1.0))
+    assert math.isnan(column_cv(0.0, 0.0))
+    assert column_cv(2.0, 2.0, 2.0) == 0.0
 
 
 def test_mean_defined_skips_nan():

@@ -223,22 +223,6 @@ def test_predict_report_shape_and_cv_markers():
     assert np.isnan(single.coverage_cv).all()
 
 
-def test_summarize_runs_cv_values_and_markers():
-    # columns: mean 2 with sample standard deviation sqrt(2); zero means; constant runs
-    grid = IntervalGrid(0.0, 1.0, 4)
-    rows = [np.asarray([1.0, 0.0, -1.0, 2.0]), np.asarray([3.0, 0.0, 1.0, 2.0]), np.asarray([2.0, 0.0, 0.0, 2.0])]
-    report = summarize_runs(grid, rows[:2], rows[:2], 0.0, "coverage")
-    for cv in (report.intensity_cv, report.coverage_cv):
-        assert cv[0] == pytest.approx(math.sqrt(2.0) / 2.0)
-        assert math.isnan(cv[1]) and math.isnan(cv[2])
-        assert cv[3] == 0.0
-    assert summarize_runs(grid, rows, rows, 0.0, "coverage").coverage_cv[3] == 0.0
-    # one run leaves every CV undefined
-    single = summarize_runs(grid, rows[:1], rows[:1], 0.0, "coverage")
-    assert np.isnan(single.intensity_cv).all()
-    assert np.isnan(single.coverage_cv).all()
-
-
 def test_predict_rejects_mismatched_grid_and_zero_runs():
     graph, prox, params, trend = single_node_setup(alpha=0.5, tau=1.0)
     config = SimConfig(t_start=0.0, t_end=4.0, runs=10, seed=0)
