@@ -247,8 +247,7 @@ def predict_baseline(
     (spawn key ``_BASELINE_RUN_KEY + r``); runs are relaxed together in
     batches of ``BUDGET // (nodes + edges)``, at least one.
     """
-    if grid.t_start != config.t_start:
-        raise ValueError("grid must start at the simulation start time")
+    config.check_grid(grid)
     if mult and params.mult_factor <= 0:
         raise ValueError("mult_factor must be positive")
     first, src, dst, scales = _run_setup(params, graph, trend, config.t_start)

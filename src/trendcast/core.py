@@ -204,6 +204,11 @@ class IntervalGrid:
             raise ValueError(f"interval_length must be positive and finite, got {self.interval_length!r}")
         if self.count < 1:
             raise ValueError("grid needs at least one interval")
+        if not (np.diff(self.edges) > 0.0).all():
+            raise ValueError(
+                f"grid edges must increase, but interval_length {self.interval_length!r} "
+                f"is lost to rounding at t_start {self.t_start!r}"
+            )
 
     @property
     def edges(self) -> np.ndarray:

@@ -5,9 +5,9 @@ total influence integral), so fitting reduces to a one-dimensional line
 search over tau, run on log tau over four fixed geometric subranges to
 dodge local maxima; the caller sets only the tau bracket. The influence
 table has one kind of pass, which gives the profile value and its analytic
-slope in log tau; a subrange whose slope changes sign from + to - is
-searched by a safeguarded root step on the slope, and only a valley or a
-flat plateau falls back to golden section on the value of that same pass.
+slope in log tau. A subrange whose slope changes sign from + to - is
+searched by a safeguarded root step on the slope; the fit is the best of
+the cut points and those roots.
 
 The influence table has one layout. Only its in-block pairs, reached slots
 and slot fill take one of two forms: every action's proximity row entries
@@ -31,7 +31,6 @@ class DegeneratePrefixError(ValueError):
     """Prefix carries no usable signal (empty, or all mass at t_star)."""
 
 
-_INVPHI = (math.sqrt(5.0) - 1.0) / 2.0
 _EPS = float(np.finfo(np.float64).eps)
 # The search cuts the bracket into this many geometric subranges and stops
 # once a bracket is narrower than this width in log tau.
@@ -389,27 +388,6 @@ def estimate_alpha(trend: Trend, prox: ProximityMap, tau: float, t_star: float) 
     return _table(trend, prox, t_star)._closed_alpha(tau)[1]
 
 
-def _golden_max(f, a: float, b: float, tol: float) -> tuple[float, float, int]:
-    """Golden-section maximization on [a, b]; ties resolve toward smaller x."""
-    c = b - _INVPHI * (b - a)
-    d = a + _INVPHI * (b - a)
-    fc, fd = f(c), f(d)
-    evals = 2
-    while b - a > tol:
-        if fc >= fd:
-            b, d, fd = d, c, fc
-            c = b - _INVPHI * (b - a)
-            fc = f(c)
-        else:
-            a, c, fc = c, d, fd
-            d = a + _INVPHI * (b - a)
-            fd = f(d)
-        evals += 1
-    if fc >= fd:
-        return c, fc, evals
-    return d, fd, evals
-
-
 def _slope_root(probe, a: float, fa: float, ga: float, b: float, fb: float, gb: float, tol: float):
     """Brent-Dekker zero of the slope on [a, b], where ga > 0 > gb.
 
@@ -471,17 +449,15 @@ def fit(
     and its slope in log tau are evaluated once at each cut point. A
     subrange whose slope goes from + to - has its maximum found by a
     Brent-Dekker root search on the slope, stopping once the bracket is
-    narrower than 1e-6 in log tau; one whose slopes and values both show it
-    monotone takes its higher end, and so does one that leaves the floored
-    plateau (lower slope exactly 0) and rises; any other shape (a valley, a
-    floored plateau with both slopes 0) falls back to golden section on the
-    value. The best profile value wins, ties going to the smaller tau.
-    Every evaluation is one (value, slope) pass of the influence table, and
-    ``evaluations`` counts them all; the result reports the search's own
-    best value and alpha = n / H(tau_hat). Deterministic: equal
-    inputs give identical results. Warns when tau_hat lies within the
-    stopping width of either end of the bracket, where the maximum may lie
-    outside it.
+    narrower than 1e-6 in log tau; any other subrange (monotone, a valley,
+    a floored plateau) offers only its two cuts. The fit is the best
+    profile value among the cut points and those roots, ties going to the
+    smaller tau. Every evaluation is one (value, slope) pass of the
+    influence table, and ``evaluations`` counts them all; the result
+    reports the search's own best value and alpha = n / H(tau_hat).
+    Deterministic: equal inputs give identical results. Warns when tau_hat
+    lies within the stopping width of either end of the bracket, where the
+    maximum may lie outside it.
     """
     config = config or LearnConfig()
     _check_epsilon(epsilon)
@@ -506,18 +482,12 @@ def fit(
     edges = np.linspace(math.log(lo), math.log(hi), _SUBRANGES + 1).tolist()
     # (x, value, slope) at each cut point; adjacent subranges share them.
     cuts = [(x, *probe(x)) for x in edges]
-    best_x = best_f = None
-    for (a, fa, ga), (b, fb, gb) in zip(cuts, cuts[1:]):
-        if ga > 0.0 > gb:
-            x, fx = _slope_root(probe, a, fa, ga, b, fb, gb, _TOLERANCE)
-        elif ga >= 0.0 and gb > 0.0 and fb > fa:
-            x, fx = b, fb
-        elif ga < 0.0 and gb < 0.0 and fa > fb:
-            x, fx = a, fa
-        else:
-            x, fx, _ = _golden_max(lambda x: probe(x)[0], a, b, _TOLERANCE)
-        if best_f is None or fx > best_f:
-            best_x, best_f = x, fx
+    roots = [
+        _slope_root(probe, a, fa, ga, b, fb, gb, _TOLERANCE)
+        for (a, fa, ga), (b, fb, gb) in zip(cuts, cuts[1:])
+        if ga > 0.0 > gb
+    ]
+    best_x, best_f = max([(x, f) for x, f, _ in cuts] + roots, key=lambda p: (p[1], -p[0]))
     tau_hat = math.exp(best_x)
     if min(best_x - math.log(lo), math.log(hi) - best_x) <= _TOLERANCE:
         warnings.warn(

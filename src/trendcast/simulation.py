@@ -78,6 +78,13 @@ class SimConfig:
         if self.max_events < 1:
             raise ValueError("max_events must be positive")
 
+    def check_grid(self, grid: IntervalGrid) -> None:
+        """Raise ValueError unless the runs start where the grid starts and reach its end."""
+        if grid.t_start != self.t_start:
+            raise ValueError("grid must start at the simulation start time")
+        if self.t_end < grid.t_end:
+            raise ValueError(f"simulation ends at {self.t_end!r}, before the grid's end {grid.t_end!r}")
+
 
 # A spawn key selects one of the random streams derived from the root seed.
 # DA run r draws from key r, r < 2**61; the auxiliary keys (seed picking in
@@ -106,8 +113,11 @@ def init_streams(
     One stream per node, anchored at t_start with decay tau. Its coefficient
     sums every prefix action's decayed influence alpha * prox(u, v) *
     exp(-(t_start - t_i)/tau) and the residual rate. Streams whose total mass
-    falls below ``mass_floor`` are dropped.
+    falls below ``mass_floor`` are dropped. A t_start before params.t0 raises
+    ValueError: the residual rate exists only from t0 on.
     """
+    if t_start < params.t0:
+        raise ValueError(f"forecast start {t_start!r} precedes the model's t0 {params.t0!r}")
     tau = params.tau
     prefix = trend.prefix(t_start)
     x = (t_start - prefix.times) / tau
@@ -361,8 +371,7 @@ def predict(
     draws from its own derived generator, so results are independent of
     scheduling and reproducible from config.seed alone.
     """
-    if grid.t_start != config.t_start:
-        raise ValueError("grid must start at the simulation start time")
+    config.check_grid(grid)
     streams = init_streams(
         trend, prox, params, config.t_start, node_count, config.mass_floor
     )

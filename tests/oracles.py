@@ -4,10 +4,10 @@ Most of it is deliberately naive: plain loops, no stacking, no shared code
 with the library internals beyond data containers. ``ActivenessModel``,
 ``total_integrated_influence``, ``PairTable``, ``heap_simulate_baseline``,
 ``loop_fit_baseline``, ``loop_predict_baseline``, ``line_load_graph``,
-``line_load_trend``, ``golden_fit``, ``dict_shortest_path_row``,
-``dict_random_walk_row``, ``intensity`` and ``coverage`` are former library
-code that nothing in the package calls any more; they stay here as
-references.
+``line_load_trend``, ``_golden_max``, ``golden_fit``,
+``dict_shortest_path_row``, ``dict_random_walk_row``, ``intensity`` and
+``coverage`` are former library code that nothing in the package calls any
+more; they stay here as references.
 """
 
 from __future__ import annotations
@@ -30,7 +30,6 @@ from trendcast.learning import (
     DegeneratePrefixError,
     LearnConfig,
     LearnResult,
-    _golden_max,
     _table,
 )
 from trendcast.proximity import ProximityConfig, ProximityMap
@@ -165,6 +164,30 @@ class PairTable:
             )
         h = np.maximum(h, floor)
         return self.n * math.log(alpha) - alpha * h_total + float(np.log(h).sum())
+
+
+_INVPHI = (math.sqrt(5.0) - 1.0) / 2.0
+
+
+def _golden_max(f, a: float, b: float, tol: float) -> tuple[float, float, int]:
+    """Golden-section maximization on [a, b]; ties resolve toward smaller x."""
+    c = b - _INVPHI * (b - a)
+    d = a + _INVPHI * (b - a)
+    fc, fd = f(c), f(d)
+    evals = 2
+    while b - a > tol:
+        if fc >= fd:
+            b, d, fd = d, c, fc
+            c = b - _INVPHI * (b - a)
+            fc = f(c)
+        else:
+            a, c, fc = c, d, fd
+            d = a + _INVPHI * (b - a)
+            fd = f(d)
+        evals += 1
+    if fc >= fd:
+        return c, fc, evals
+    return d, fd, evals
 
 
 def golden_fit(

@@ -274,6 +274,8 @@ def test_predict_baseline_rejects_mismatched_grid():
     config = SimConfig(t_start=0.0, t_end=1.0, runs=2, seed=0)
     with pytest.raises(ValueError, match="grid"):
         predict_baseline(params, graph, trend, config, IntervalGrid(1.0, 1.0, 1))
+    with pytest.raises(ValueError, match="before the grid's end"):
+        predict_baseline(params, graph, trend, config, IntervalGrid(0.0, 1.0, 4))
 
 
 def _forecast_instance(seed: int, kind: str, directed: bool) -> tuple[Graph, Trend, BaselineParams]:

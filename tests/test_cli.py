@@ -471,6 +471,41 @@ def test_aggregate_rejects_non_finite_grid(tiny_files, tmp_path, capsys, grid):
     assert not out.exists()
 
 
+def test_aggregate_rejects_a_grid_whose_edges_do_not_increase(tiny_files, tmp_path, capsys):
+    # At 1e17 the doubles are 16 apart, so every edge rounds to t_start.
+    graph, actions = tiny_files
+    out = tmp_path / "agg.csv"
+    code = main([
+        "aggregate", "--graph", str(graph), "--actions", str(actions),
+        "--grid", "1e17:1:4", "--out", str(out),
+    ])
+    assert code == 1
+    [line] = error_lines(capsys)
+    assert "grid '1e17:1:4'" in line and "edges must increase" in line
+    assert not out.exists()
+
+
+def test_predict_da_rejects_params_whose_t0_follows_the_forecast_start(pipeline, tmp_path, capsys):
+    d, graph, actions, params = pipeline
+    late = tmp_path / "late.json"
+    assert main([
+        "learn", "--graph", str(graph), "--actions", str(actions),
+        "--t-star", "8.0", "--t0", "100000", "--seed", "1", "--out", str(late),
+    ]) == 0
+    assert json.loads(late.read_text(encoding="utf-8"))["t0"] == 100000.0
+    capsys.readouterr()
+    out = tmp_path / "pred.csv"
+    code = main([
+        "predict", "--graph", str(graph), "--actions", str(actions),
+        "--t-star", "8.0", "--grid", "8:1:4", "--model", "da",
+        "--params", str(late), "--seed", "3", "--out", str(out),
+    ])
+    assert code == 1
+    [line] = error_lines(capsys)
+    assert "precedes the model's t0 100000.0" in line
+    assert not out.exists()
+
+
 @pytest.mark.parametrize("content", [
     '{"alpha": "abc", "tau": 1.0, "proximity": {}}',
     '{"alpha": true, "tau": 1.0, "proximity": {}}',

@@ -143,6 +143,14 @@ def test_grid_validation():
         IntervalGrid(0.0, 1.0, 0)
 
 
+def test_grid_edges_must_increase():
+    # The doubles near 1e17 are 16 apart: a step of 1 leaves five equal
+    # edges, and a step of 16 is the smallest that survives.
+    with pytest.raises(ValueError, match="edges must increase"):
+        IntervalGrid(1e17, 1.0, 4)
+    assert np.all(np.diff(IntervalGrid(1e17, 16.0, 4).edges) == 16.0)
+
+
 def test_aggregate_csv_format(toy_trend):
     buf = io.StringIO()
     write_aggregate_csv(buf, aggregate(toy_trend, IntervalGrid(2007.0, 1.0, 5)))

@@ -15,7 +15,6 @@ from trendcast.learning import (
     _SUBRANGES,
     _TOLERANCE,
     LearnConfig,
-    _golden_max,
     _InfluenceTable,
     _table,
     estimate_alpha,
@@ -25,15 +24,15 @@ from trendcast.learning import (
 from trendcast.proximity import ProximityConfig, ProximityMap
 
 from oracles import (
+    _INVPHI,
     PairTable,
+    _golden_max,
     golden_fit,
     naive_influences,
     naive_log_likelihood,
     naive_total_integral,
     random_instance,
 )
-
-_INVPHI = (math.sqrt(5.0) - 1.0) / 2.0
 
 
 def test_log_likelihood_matches_naive_reference():
@@ -127,7 +126,7 @@ def test_fit_evaluation_count_is_bounded():
 @pytest.mark.parametrize("flat", [False, True])
 def test_fit_counts_every_pass_of_the_influence_table(monkeypatch, flat):
     # The peaked instance takes the slope-root search; the flat one, whose
-    # every influence is floored, falls back to golden section.
+    # every influence is floored, probes only the cut points.
     if flat:
         prox = ProximityMap(Graph.from_edges([], 3), ProximityConfig(kind="sp"))
         trend, t_star = Trend(np.asarray([0, 1, 2]), np.asarray([0.0, 1.0, 2.0])), 3.0
@@ -491,7 +490,8 @@ def test_fit_is_never_below_the_golden_reference(seed, kind, low):
         shipped = fit(trend, prox, t_star, config)
         reference = golden_fit(trend, prox, t_star, config)
     assert shipped.log_likelihood >= reference.log_likelihood - 1e-9 * abs(reference.log_likelihood)
-    # At worst every subrange falls back to golden section after its cuts.
+    # The cuts and the slope roots spend no more than the cuts plus a golden
+    # section on every subrange.
     assert shipped.evaluations <= reference.evaluations + _SUBRANGES + 1
 
 
@@ -509,11 +509,12 @@ def test_fit_spends_few_evaluations_on_a_peaked_profile():
     assert result.evaluations <= 25 < reference.evaluations
 
 
-# Evaluations per fit at the default bracket: 5 cuts, plus one golden
-# section (34) on seed 25's fully flat first subrange and a slope-root
-# search on seed 83's peak. A golden section on the rising subrange would
-# add 34 more to each (73, 39, 39, 39, 39 and 50).
-@pytest.mark.parametrize("seed, bound", [(25, 40), (56, 5), (60, 5), (72, 5), (80, 5), (83, 20)])
+# Evaluations per fit at the default bracket: 5 cuts, plus a slope-root
+# search on seed 83's peak. Seeds 25 and 156 have a fully flat first
+# subrange; a golden section there would add 34 (39 in all).
+@pytest.mark.parametrize(
+    "seed, bound", [(25, 5), (56, 5), (60, 5), (72, 5), (80, 5), (83, 20), (156, 5)]
+)
 def test_fit_takes_the_upper_end_of_a_subrange_rising_off_the_plateau(seed, bound):
     graph, prox, trend = random_instance(seed)
     t_star = float(trend.times[-1])
@@ -543,8 +544,8 @@ def test_fit_breaks_ties_toward_smaller_tau_on_a_flat_profile():
     config = LearnConfig(tau_range=(1e-2, 1e2))
     with pytest.warns(UserWarning, match="edge of the tau search range"):
         result = fit(trend, prox, 3.0, config)
-    assert 0.0 <= math.log(result.tau / 1e-2) <= _TOLERANCE
-    assert result.tau == golden_fit(trend, prox, 3.0, config).tau
+    assert result.tau == math.exp(math.log(1e-2))
+    assert result.evaluations == 5
 
 
 @pytest.mark.parametrize("epsilon", [-1.0, math.inf, math.nan])

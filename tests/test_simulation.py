@@ -228,6 +228,8 @@ def test_predict_rejects_mismatched_grid_and_zero_runs():
     config = SimConfig(t_start=0.0, t_end=4.0, runs=10, seed=0)
     with pytest.raises(ValueError, match="grid"):
         predict(trend, 1, prox, params, config, IntervalGrid(0.5, 1.0, 4))
+    with pytest.raises(ValueError, match="before the grid's end"):
+        predict(trend, 1, prox, params, config, IntervalGrid(0.0, 1.0, 5))
     with pytest.raises(ValueError, match="runs"):
         SimConfig(t_start=0.0, t_end=4.0, runs=0, seed=0)
 
