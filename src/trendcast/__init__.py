@@ -8,7 +8,7 @@ forecasts of intensity, coverage, and duration against cascade baselines.
 """
 
 from .activeness import ActivenessParams, load_params, save_params
-from .baselines import BaselineParams, fit_baseline, fit_mult_factor, simulate_baseline
+from .baselines import BaselineParams, fit_baseline, fit_mult_factor, predict_baseline
 from .core import (
     AggregateSeries,
     Graph,

@@ -14,11 +14,14 @@ edge's coin and delay are drawn up front, and activation times are the
 earliest arrival times from the seeds over the live edges. Fitting and
 simulation work on the graph's CSR edge arrays, with no loop per edge.
 
-A forecast relaxes its runs together in batches of at most ``BUDGET`` nodes
-plus edges: R runs are R disjoint live-edge graphs, hence one earliest-arrival
-problem on R * node_count nodes, and one ``bincount`` over (run, interval)
-bins them. Each run still draws from its own stream, exactly what it would
-draw alone, so the batching changes no output.
+``fit_baseline`` estimates a baseline from the observed prefix, and
+``predict_baseline`` is the one way to run it: a forecast relaxes its runs
+together in batches of at most ``BUDGET`` nodes plus edges. R runs are R
+disjoint live-edge graphs, hence one earliest-arrival problem on
+R * node_count nodes, and one ``bincount`` over (run, interval) bins them.
+Each run still draws from its own stream, exactly what it would draw alone,
+so the batching changes no output; ``run_dump`` hands back each run's
+activations.
 """
 
 from __future__ import annotations
@@ -49,7 +52,6 @@ class BaselineParams:
     kind: str
     activation_prob: float
     delay_equal: float
-    delay_rate: float
     edge_delay_rates: dict[tuple[int, int], float] = field(default_factory=dict)
     mult_factor: float = 1.0
     fallback: bool = False
@@ -59,6 +61,11 @@ class BaselineParams:
             raise ValueError(f"kind must be one of {BASELINE_KINDS}")
         if not 0 < self.activation_prob <= 1:
             raise ValueError("activation_prob must lie in (0, 1]")
+
+    @property
+    def delay_rate(self) -> float:
+        """The trend-level exponential delay rate of texp and eexp: one over the mean delay."""
+        return 1.0 / self.delay_equal
 
 
 def _first_activations(trend: Trend, node_count: int) -> np.ndarray:
@@ -103,7 +110,7 @@ def fit_baseline(kind: str, trend: Trend, graph: Graph, t_star: float) -> Baseli
 
     # Every attributed edge is also an opportunity, and every gap is > 0.
     if not gaps:
-        return BaselineParams(kind, FALLBACK_ACTIVATION_PROB, FALLBACK_MEAN_GAP, 1.0 / FALLBACK_MEAN_GAP, fallback=True)
+        return BaselineParams(kind, FALLBACK_ACTIVATION_PROB, FALLBACK_MEAN_GAP, fallback=True)
     mean_gap = sum(gaps) / len(gaps)
     edge_rates = {}
     if kind == "eexp":
@@ -113,7 +120,6 @@ def fit_baseline(kind: str, trend: Trend, graph: Graph, t_star: float) -> Baseli
         kind=kind,
         activation_prob=len(gaps) / opportunities,
         delay_equal=mean_gap,
-        delay_rate=1.0 / mean_gap,
         edge_delay_rates=edge_rates,
     )
 
@@ -132,16 +138,6 @@ def _edge_scales(params: BaselineParams, node_count: int, src: np.ndarray, dst: 
     hit[hit] = edge_key[pos[hit]] == key[hit]
     rates[pos[hit]] = values[hit]
     return 1.0 / rates
-
-
-def _run_setup(
-    params: BaselineParams, graph: Graph, trend: Trend, t_start: float
-) -> tuple[np.ndarray, np.ndarray, np.ndarray, np.ndarray | None]:
-    """What every run shares: first action times before t_start, (src, dst) edges, eexp delay scales."""
-    first = _first_activations(trend.prefix(t_start), graph.node_count)
-    src, dst = _edges(graph)
-    scales = _edge_scales(params, graph.node_count, src, dst) if params.kind == "eexp" else None
-    return first, src, dst, scales
 
 
 def _arrivals(
@@ -194,30 +190,6 @@ def _arrivals(
     return active.reshape(len(rngs), n)
 
 
-def simulate_baseline(
-    params: BaselineParams,
-    graph: Graph,
-    trend: Trend,
-    t_start: float,
-    t_end: float,
-    rng: np.random.Generator,
-) -> Trend:
-    """One cascade run; returns new activations within [t_start, t_end).
-
-    Nodes active in the observed prefix are seeds: they fire their activation
-    attempts from their original first-action times, so delayed adoptions can
-    spill past t_start, but the seeds themselves are never re-emitted.
-    Attempts that would land before t_start failed in observation and are
-    discarded. Each edge is tried once, and the earliest parent wins: every
-    edge draws its coin up front, each live edge its delay, and activation
-    times are the earliest arrivals from the seeds over the live edges.
-    """
-    first, src, dst, scales = _run_setup(params, graph, trend, t_start)
-    active = _arrivals(params, src, dst, scales, first, t_start, t_end, [rng])[0]
-    nodes = np.flatnonzero(~np.isfinite(first) & (active < t_end))
-    return Trend(nodes, active[nodes])
-
-
 def fit_mult_factor(trend: Trend, grid: IntervalGrid) -> float:
     """Least-squares slope through the origin of intensity against coverage."""
     series = aggregate(trend, grid)
@@ -237,8 +209,16 @@ def predict_baseline(
     theta: float = 0.0,
     measure: str = "coverage",
     mult: bool = False,
+    run_dump: list[Trend] | None = None,
 ) -> PredictionReport:
     """Monte Carlo cascade forecast, mirroring the activeness predictor.
+
+    Nodes active in the observed prefix are seeds: they fire their
+    activation attempts from their original first-action times, so delayed
+    adoptions can spill past t_start, but the seeds themselves are never
+    re-emitted. Attempts that would land before t_start failed in
+    observation and are discarded. When ``run_dump`` is a list, each run
+    appends, in run order, its new activations in [t_start, t_end).
 
     A cascade activates each node once, so raw intensity equals coverage per
     interval; with ``mult`` the per-run intensity becomes
@@ -250,7 +230,9 @@ def predict_baseline(
     config.check_grid(grid)
     if mult and params.mult_factor <= 0:
         raise ValueError("mult_factor must be positive")
-    first, src, dst, scales = _run_setup(params, graph, trend, config.t_start)
+    first = _first_activations(trend.prefix(config.t_start), graph.node_count)
+    src, dst = _edges(graph)
+    scales = _edge_scales(params, graph.node_count, src, dst) if params.kind == "eexp" else None
     new_node = ~np.isfinite(first)
     per_batch = max(1, BUDGET // (graph.node_count + len(dst)))
     coverage = np.empty((config.runs, grid.count))
@@ -259,8 +241,13 @@ def predict_baseline(
         rngs = [derived_rng(config.seed, _BASELINE_RUN_KEY + r) for r in range(lo, hi)]
         active = _arrivals(params, src, dst, scales, first, config.t_start, config.t_end, rngs)
         run, node = np.nonzero(new_node & (active < config.t_end))
+        times = active[run, node]
+        if run_dump is not None:
+            # np.nonzero walks the batch run by run, so each run's activations are one slice.
+            cuts = np.searchsorted(run, np.arange(1, hi - lo))
+            run_dump.extend(map(Trend, np.split(node, cuts), np.split(times, cuts)))
         # A node activates at most once per run, so the interval count is also coverage.
-        keep, idx = grid.bin(active[run, node])
+        keep, idx = grid.bin(times)
         cells = run[keep] * grid.count + idx
         coverage[lo:hi] = np.bincount(cells, minlength=(hi - lo) * grid.count).reshape(hi - lo, grid.count)
     intensity = params.mult_factor * coverage if mult else coverage

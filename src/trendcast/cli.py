@@ -127,6 +127,9 @@ def _apply_jitter(trend: Trend, width: float, seed: int) -> Trend:
 
 
 def cmd_learn(args: argparse.Namespace) -> int:
+    # The residual rate starts at t0, so params with t0 after t_star cannot forecast from t_star.
+    if args.t0 is not None and args.t0 > args.t_star:
+        raise ValueError(f"--t0 {args.t0!r} follows --t-star {args.t_star!r}")
     graph = load_graph(args.graph, args.directed)
     trend = load_trend(args.actions, graph)
     if args.jitter:
@@ -169,12 +172,14 @@ def cmd_predict(args: argparse.Namespace) -> int:
         seed=seed,
         max_events=args.max_events,
     )
+    run_dump: list[Trend] | None = [] if args.dump_runs else None
     if args.model == "da":
         if args.mult:
             raise ValueError("--mult applies to cascade baselines only")
         if not args.params:
             raise ValueError("--model da requires --params from a prior learn run")
         params, prox_config = load_params(args.params)
+        simulation.check_start(params, args.t_star)
         prox = _proximity(args, graph, prox_config)
         bound = simulation.branching_bound(prox, params, graph.node_count)
         if bound >= 1.0:
@@ -183,18 +188,12 @@ def cmd_predict(args: argparse.Namespace) -> int:
                 "runs may grow until --max-events",
                 file=sys.stderr,
             )
-        run_dump: list[Trend] | None = [] if args.dump_runs else None
         report = simulation.predict(
             trend, graph.node_count, prox, params, sim_config, grid,
             theta=theta, measure=args.measure, run_dump=run_dump,
         )
-        if args.dump_runs:
-            os.makedirs(args.dump_runs, exist_ok=True)
-            for i, run_trend in enumerate(run_dump or []):
-                write_trend(os.path.join(args.dump_runs, f"run_{i:04d}.tsv"), run_trend, graph)
     else:
-        for flag, value in (("--params", args.params), ("--prox-cache", args.prox_cache),
-                            ("--dump-runs", args.dump_runs)):
+        for flag, value in (("--params", args.params), ("--prox-cache", args.prox_cache)):
             if value is not None:
                 raise ValueError(f"{flag} applies to --model da only, not --model {args.model}")
         params = baselines.fit_baseline(args.model, trend, graph, args.t_star)
@@ -204,8 +203,12 @@ def cmd_predict(args: argparse.Namespace) -> int:
             params.mult_factor = _training_mult_factor(trend, args.t_star, grid.interval_length)
         report = baselines.predict_baseline(
             params, graph, trend, sim_config, grid,
-            theta=theta, measure=args.measure, mult=args.mult,
+            theta=theta, measure=args.measure, mult=args.mult, run_dump=run_dump,
         )
+    if run_dump is not None:
+        os.makedirs(args.dump_runs, exist_ok=True)
+        for i, run_trend in enumerate(run_dump):
+            write_trend(os.path.join(args.dump_runs, f"run_{i:04d}.tsv"), run_trend, graph)
     report.write_csv(args.out)
     return 0
 
@@ -387,7 +390,7 @@ def build_parser() -> argparse.ArgumentParser:
     p.add_argument("--max-events", type=int, default=10_000_000,
                    help="event cap per run of --model da (exit 2 when hit)")
     p.add_argument("--jitter", type=float, default=0.0)
-    p.add_argument("--dump-runs", help="directory for per-run action dumps (da only)")
+    p.add_argument("--dump-runs", help="directory for per-run action dumps, run_0000.tsv onward")
     p.add_argument("--out", required=True, help="prediction CSV output path")
     p.set_defaults(func=cmd_predict)
 

@@ -100,6 +100,12 @@ def derived_rng(seed: int, key: int) -> np.random.Generator:
     return np.random.default_rng(np.random.SeedSequence(seed, spawn_key=(key,)))
 
 
+def check_start(params: ActivenessParams, t_start: float) -> None:
+    """Raise ValueError when t_start precedes params.t0: the residual rate exists only from t0 on."""
+    if t_start < params.t0:
+        raise ValueError(f"forecast start {t_start!r} precedes the model's t0 {params.t0!r}")
+
+
 def init_streams(
     trend: Trend,
     prox: ProximityMap,
@@ -114,10 +120,9 @@ def init_streams(
     sums every prefix action's decayed influence alpha * prox(u, v) *
     exp(-(t_start - t_i)/tau) and the residual rate. Streams whose total mass
     falls below ``mass_floor`` are dropped. A t_start before params.t0 raises
-    ValueError: the residual rate exists only from t0 on.
+    ValueError (``check_start``).
     """
-    if t_start < params.t0:
-        raise ValueError(f"forecast start {t_start!r} precedes the model's t0 {params.t0!r}")
+    check_start(params, t_start)
     tau = params.tau
     prefix = trend.prefix(t_start)
     x = (t_start - prefix.times) / tau

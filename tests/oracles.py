@@ -7,7 +7,10 @@ with the library internals beyond data containers. ``ActivenessModel``,
 ``line_load_trend``, ``_golden_max``, ``golden_fit``,
 ``dict_shortest_path_row``, ``dict_random_walk_row``, ``intensity`` and
 ``coverage`` are former library code that nothing in the package calls any
-more; they stay here as references.
+more; they stay here as references. ``heap_simulate_baseline`` and
+``loop_simulate_baseline`` run one cascade alone; the package runs cascades
+only inside ``baselines.predict_baseline``, whose runs ``cascade_runs`` reads
+back from its run dump for the tests to compare.
 """
 
 from __future__ import annotations
@@ -22,7 +25,7 @@ from typing import Mapping
 import numpy as np
 
 from trendcast.activeness import ActivenessParams, _decay
-from trendcast.baselines import FALLBACK_ACTIVATION_PROB, FALLBACK_MEAN_GAP, BaselineParams
+from trendcast.baselines import FALLBACK_ACTIVATION_PROB, FALLBACK_MEAN_GAP, BaselineParams, predict_baseline
 from trendcast.core import Graph, IntervalGrid, ParseError, Trend, UnknownNodeError, aggregate, random_graph
 from trendcast.learning import (
     _SUBRANGES,
@@ -496,7 +499,6 @@ def loop_fit_baseline(kind: str, trend: Trend, graph: Graph, t_star: float) -> B
             kind=kind,
             activation_prob=FALLBACK_ACTIVATION_PROB,
             delay_equal=FALLBACK_MEAN_GAP,
-            delay_rate=1.0 / FALLBACK_MEAN_GAP,
             fallback=True,
         )
     mean_gap = sum(gaps) / len(gaps)
@@ -505,7 +507,6 @@ def loop_fit_baseline(kind: str, trend: Trend, graph: Graph, t_star: float) -> B
             kind=kind,
             activation_prob=min(1.0, len(gaps) / opportunities),
             delay_equal=FALLBACK_MEAN_GAP,
-            delay_rate=1.0 / FALLBACK_MEAN_GAP,
             fallback=True,
         )
     edge_rates = {}
@@ -518,7 +519,6 @@ def loop_fit_baseline(kind: str, trend: Trend, graph: Graph, t_star: float) -> B
         kind=kind,
         activation_prob=min(1.0, len(gaps) / opportunities),
         delay_equal=mean_gap,
-        delay_rate=1.0 / mean_gap,
         edge_delay_rates=edge_rates,
     )
 
@@ -540,7 +540,12 @@ def heap_simulate_baseline(
     t_end: float,
     rng: np.random.Generator,
 ) -> Trend:
-    """``baselines.simulate_baseline`` in activation order: a heap, one coin per attempted edge."""
+    """One cascade run's new activations in [t_start, t_end), in activation order.
+
+    A heap pops nodes by activation time and draws one coin per attempted
+    edge; the run matches one run of ``baselines.predict_baseline`` in law,
+    and exactly when every coin and delay is fixed (tequ at p = 1).
+    """
     activation = _first_activation_dict(trend.prefix(t_start))
     seeds = set(activation)
     heap: list[tuple[float, int]] = sorted((t, node) for node, t in activation.items())
@@ -602,6 +607,16 @@ def loop_simulate_baseline(
         fired[dst[at[ok]]] = True
     nodes = np.flatnonzero(~seed & (active < t_end))
     return Trend(nodes, active[nodes])
+
+
+def cascade_runs(
+    params: BaselineParams, graph: Graph, trend: Trend, t_start: float, t_end: float, runs: int = 1, seed: int = 0
+) -> list[Trend]:
+    """The runs of ``baselines.predict_baseline`` from ``seed``, read from its run dump on the grid [t_start, t_end)."""
+    dump: list[Trend] = []
+    config = SimConfig(t_start, t_end, runs=runs, seed=seed)
+    predict_baseline(params, graph, trend, config, IntervalGrid(t_start, t_end - t_start, 1), run_dump=dump)
+    return dump
 
 
 def loop_predict_baseline(

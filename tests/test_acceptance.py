@@ -18,7 +18,7 @@ from scipy.optimize import minimize_scalar
 
 from trendcast import learning
 from trendcast.activeness import ActivenessParams
-from trendcast.baselines import BaselineParams, fit_mult_factor, simulate_baseline
+from trendcast.baselines import BaselineParams, fit_mult_factor
 from trendcast.cli import main
 from trendcast.core import (
     Graph,
@@ -38,6 +38,7 @@ from trendcast.simulation import (
 
 from oracles import (
     ActivenessModel,
+    cascade_runs,
     decayed_influence_at,
     naive_log_likelihood,
     naive_total_integral,
@@ -289,21 +290,17 @@ def test_criterion_09_mult_factor_recovery():
 def test_criterion_10_cascade_baseline_sanity():
     start = time.perf_counter()
     chain = Graph.from_edges([(0, 1), (1, 2)], 3, directed=True)
-    params = BaselineParams("tequ", 1.0, 1.0, 1.0)
+    params = BaselineParams("tequ", 1.0, 1.0)
     t_star = 5.0
     seeded = Trend(np.asarray([0]), np.asarray([t_star]))
-    run = simulate_baseline(params, chain, seeded, t_star, t_star + 10.0, np.random.default_rng(0))
+    [run] = cascade_runs(params, chain, seeded, t_star, t_star + 10.0)
     chain_ok = run.nodes.tolist() == [1, 2] and run.times.tolist() == [t_star + 1.0, t_star + 2.0]
 
     star = Graph.from_edges([(0, i) for i in range(1, 101)], 101)
-    star_params = BaselineParams("tequ", 0.3, 0.5, 2.0)
+    star_params = BaselineParams("tequ", 0.3, 0.5)
     seed_trend = Trend(np.asarray([0]), np.asarray([-0.5]))
-    rng = np.random.default_rng(105)
-    total = 0
     runs = 10_000
-    for _ in range(runs):
-        total += len(simulate_baseline(star_params, star, seed_trend, 0.0, 1.0, rng))
-    mean = total / runs
+    mean = sum(map(len, cascade_runs(star_params, star, seed_trend, 0.0, 1.0, runs=runs, seed=105))) / runs
     star_err = abs(mean - 30.0) / 30.0
     elapsed = time.perf_counter() - start
     ok = chain_ok and star_err < 0.01 and elapsed < 60.0

@@ -12,17 +12,18 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from trendcast import baselines
-from trendcast.baselines import (
-    BaselineParams,
-    fit_baseline,
-    fit_mult_factor,
-    predict_baseline,
-    simulate_baseline,
-)
+from trendcast.baselines import BaselineParams, fit_baseline, fit_mult_factor, predict_baseline
 from trendcast.core import Graph, IntervalGrid, Trend, aggregate
-from trendcast.simulation import SimConfig
+from trendcast.simulation import _BASELINE_RUN_KEY, SimConfig, derived_rng
 
-from oracles import heap_simulate_baseline, loop_fit_baseline, loop_predict_baseline, random_instance
+from oracles import (
+    cascade_runs,
+    heap_simulate_baseline,
+    loop_fit_baseline,
+    loop_predict_baseline,
+    loop_simulate_baseline,
+    random_instance,
+)
 
 
 def make_trend(nodes, times) -> Trend:
@@ -105,18 +106,18 @@ def test_fit_rejects_unknown_kind():
 
 def test_params_validation():
     with pytest.raises(ValueError, match="kind"):
-        BaselineParams("bogus", 0.5, 1.0, 1.0)
+        BaselineParams("bogus", 0.5, 1.0)
     with pytest.raises(ValueError, match="activation_prob"):
-        BaselineParams("tequ", 0.0, 1.0, 1.0)
+        BaselineParams("tequ", 0.0, 1.0)
     with pytest.raises(ValueError, match="activation_prob"):
-        BaselineParams("tequ", 1.5, 1.0, 1.0)
+        BaselineParams("tequ", 1.5, 1.0)
 
 
 def test_tequ_chain_is_deterministic():
     graph = chain_graph(4)
-    params = BaselineParams("tequ", 1.0, 1.0, 1.0)
+    params = BaselineParams("tequ", 1.0, 1.0)
     trend = make_trend([0], [-1.0])
-    run = simulate_baseline(params, graph, trend, 0.0, 5.0, np.random.default_rng(0))
+    [run] = cascade_runs(params, graph, trend, 0.0, 5.0)
     assert run.nodes.tolist() == [1, 2, 3]
     assert run.times.tolist() == [0.0, 1.0, 2.0]
 
@@ -125,9 +126,9 @@ def test_seed_at_window_start_is_not_reemitted():
     # a seed active exactly at t_start stays a seed: the prediction holds
     # only new downstream activations
     graph = chain_graph(3)
-    params = BaselineParams("tequ", 1.0, 1.0, 1.0)
+    params = BaselineParams("tequ", 1.0, 1.0)
     trend = make_trend([0], [0.0])
-    run = simulate_baseline(params, graph, trend, 0.0, 5.0, np.random.default_rng(0))
+    [run] = cascade_runs(params, graph, trend, 0.0, 5.0)
     assert run.nodes.tolist() == [1, 2]
     assert run.times.tolist() == [1.0, 2.0]
 
@@ -136,17 +137,17 @@ def test_tequ_attempts_before_window_are_discarded():
     # the seed's single attempt on (0, 1) lands at -4, so the chain never
     # reaches the window: a failed trial is not retried
     graph = chain_graph(4)
-    params = BaselineParams("tequ", 1.0, 1.0, 1.0)
+    params = BaselineParams("tequ", 1.0, 1.0)
     trend = make_trend([0], [-5.0])
-    run = simulate_baseline(params, graph, trend, 0.0, 5.0, np.random.default_rng(0))
+    [run] = cascade_runs(params, graph, trend, 0.0, 5.0)
     assert len(run) == 0
 
 
 def test_tequ_attempts_at_or_after_end_are_discarded():
     graph = chain_graph(4)
-    params = BaselineParams("tequ", 1.0, 1.0, 1.0)
+    params = BaselineParams("tequ", 1.0, 1.0)
     trend = make_trend([0], [-1.0])
-    run = simulate_baseline(params, graph, trend, 0.0, 2.0, np.random.default_rng(0))
+    [run] = cascade_runs(params, graph, trend, 0.0, 2.0)
     assert run.nodes.tolist() == [1, 2]
     assert run.times.tolist() == [0.0, 1.0]
 
@@ -155,44 +156,38 @@ def test_earliest_candidate_wins_with_two_parents():
     # parent 0 schedules node 2 at 0.0; parent 1's later candidate 0.2 must
     # not displace it
     graph = Graph.from_edges([(0, 2), (1, 2)], 3)
-    params = BaselineParams("tequ", 1.0, 1.0, 1.0)
+    params = BaselineParams("tequ", 1.0, 1.0)
     trend = make_trend([0, 1], [-1.0, -0.8])
-    run = simulate_baseline(params, graph, trend, 0.0, 5.0, np.random.default_rng(0))
+    [run] = cascade_runs(params, graph, trend, 0.0, 5.0)
     assert run.nodes.tolist() == [2]
     assert run.times.tolist() == [0.0]
 
 
 def test_each_node_activates_at_most_once():
     graph, _, trend = random_instance(seed=31, max_nodes=40, max_actions=12)
-    params = BaselineParams("texp", 0.7, 1.0, 1.0)
+    params = BaselineParams("texp", 0.7, 1.0)
     t_start = float(trend.times[-1])
-    for run_index in range(200):
-        rng = np.random.default_rng(run_index)
-        run = simulate_baseline(params, graph, trend, t_start, t_start + 10.0, rng)
+    for run in cascade_runs(params, graph, trend, t_start, t_start + 10.0, runs=200):
         assert len(set(run.nodes.tolist())) == len(run)
         assert all(t_start <= t < t_start + 10.0 for t in run.times.tolist())
 
 
 def test_raw_intensity_equals_coverage_per_interval():
     graph, _, trend = random_instance(seed=32, max_nodes=40, max_actions=12)
-    params = BaselineParams("texp", 0.7, 1.0, 1.0)
+    params = BaselineParams("texp", 0.7, 1.0)
     t_start = float(trend.times[-1])
     grid = IntervalGrid(t_start, 2.0, 5)
-    for run_index in range(50):
-        rng = np.random.default_rng(run_index)
-        run = simulate_baseline(params, graph, trend, t_start, grid.t_end, rng)
+    for run in cascade_runs(params, graph, trend, t_start, grid.t_end, runs=50):
         series = aggregate(run, grid)
         assert np.array_equal(series.intensity, series.coverage)
 
 
 def test_texp_delays_have_the_fitted_mean():
     graph = Graph.from_edges([(0, 1)], 2)
-    params = BaselineParams("texp", 1.0, 0.5, 2.0)
+    params = BaselineParams("texp", 1.0, 0.5)
     trend = make_trend([0], [0.0])
     gaps = []
-    for run_index in range(2000):
-        rng = np.random.default_rng(run_index)
-        run = simulate_baseline(params, graph, trend, 0.0, 50.0, rng)
+    for run in cascade_runs(params, graph, trend, 0.0, 50.0, runs=2000):
         for node, t in run:
             if node == 1:
                 gaps.append(t)
@@ -203,14 +198,10 @@ def test_texp_delays_have_the_fitted_mean():
 
 def test_eexp_uses_edge_rate_with_global_fallback():
     graph = Graph.from_edges([(0, 1), (0, 2)], 3)
-    params = BaselineParams(
-        "eexp", 1.0, 10.0, 0.1, edge_delay_rates={(0, 1): 10.0}
-    )
+    params = BaselineParams("eexp", 1.0, 10.0, edge_delay_rates={(0, 1): 10.0})
     trend = make_trend([0], [0.0])
     fast, slow = [], []
-    for run_index in range(2000):
-        rng = np.random.default_rng(run_index)
-        run = simulate_baseline(params, graph, trend, 0.0, 1000.0, rng)
+    for run in cascade_runs(params, graph, trend, 0.0, 1000.0, runs=2000):
         for node, t in run:
             if node == 1:
                 fast.append(t)
@@ -224,7 +215,7 @@ def test_star_coverage_mean_is_binomial():
     # ten leaves, each activated with probability 0.3 at t = 0, so interval
     # coverage is Binomial(10, 0.3); bound the mean by 4 standard errors
     graph = star_graph(10)
-    params = BaselineParams("tequ", 0.3, 0.5, 2.0)
+    params = BaselineParams("tequ", 0.3, 0.5)
     trend = make_trend([0], [-0.5])
     config = SimConfig(t_start=0.0, t_end=1.0, runs=10_000, seed=5)
     report = predict_baseline(params, graph, trend, config, IntervalGrid(0.0, 1.0, 1))
@@ -238,7 +229,7 @@ def test_star_coverage_mean_is_binomial():
 
 def test_mult_scales_intensity_by_the_factor():
     graph = star_graph(10)
-    params = BaselineParams("tequ", 0.3, 0.5, 2.0, mult_factor=2.5)
+    params = BaselineParams("tequ", 0.3, 0.5, mult_factor=2.5)
     trend = make_trend([0], [-0.5])
     config = SimConfig(t_start=0.0, t_end=1.0, runs=400, seed=5)
     grid = IntervalGrid(0.0, 0.5, 2)
@@ -249,7 +240,7 @@ def test_mult_scales_intensity_by_the_factor():
 
 def test_predict_baseline_is_deterministic():
     graph = star_graph(10)
-    params = BaselineParams("texp", 0.3, 0.5, 2.0)
+    params = BaselineParams("texp", 0.3, 0.5)
     trend = make_trend([0], [-0.5])
     config = SimConfig(t_start=0.0, t_end=1.0, runs=50, seed=9)
     grid = IntervalGrid(0.0, 1.0, 1)
@@ -269,7 +260,7 @@ def test_predict_baseline_is_deterministic():
 
 def test_predict_baseline_rejects_mismatched_grid():
     graph = star_graph(3)
-    params = BaselineParams("tequ", 0.3, 0.5, 2.0)
+    params = BaselineParams("tequ", 0.3, 0.5)
     trend = make_trend([0], [-0.5])
     config = SimConfig(t_start=0.0, t_end=1.0, runs=2, seed=0)
     with pytest.raises(ValueError, match="grid"):
@@ -296,8 +287,7 @@ def _forecast_instance(seed: int, kind: str, directed: bool) -> tuple[Graph, Tre
         edges = list(zip(src.tolist(), graph.indices.tolist()))[::2]
         rates = dict(zip(edges, rng.choice([0.2, 1.0, 5.0], size=len(edges)).tolist()))
     params = BaselineParams(
-        kind, max(fitted.activation_prob, 0.3), fitted.delay_equal, fitted.delay_rate,
-        edge_delay_rates=rates, mult_factor=1.7,
+        kind, max(fitted.activation_prob, 0.3), fitted.delay_equal, edge_delay_rates=rates, mult_factor=1.7,
     )
     return graph, trend, params
 
@@ -340,7 +330,14 @@ def test_batch_boundaries_change_no_run(monkeypatch, kind, per_batch):
     monkeypatch.setattr(baselines, "BUDGET", per_batch * (graph.node_count + len(graph.indices)))
     config = SimConfig(5.0, 10.0, runs=7, seed=3)
     grid = IntervalGrid(5.0, 0.5, 6)
-    assert predict_baseline(params, graph, trend, config, grid).coverage_mean.sum() > 0
+    dump: list[Trend] = []
+    assert predict_baseline(params, graph, trend, config, grid, run_dump=dump).coverage_mean.sum() > 0
+    # the dumped runs are the summarized ones, each the run its own stream gives alone
+    assert len(dump) == config.runs
+    for r, run in enumerate(dump):
+        rng = derived_rng(config.seed, _BASELINE_RUN_KEY + r)
+        ref = loop_simulate_baseline(params, graph, trend, config.t_start, config.t_end, rng)
+        assert run.nodes.tolist() == ref.nodes.tolist() and run.times.tolist() == ref.times.tolist()
     for mult in (False, True):
         report = predict_baseline(params, graph, trend, config, grid, mult=mult)
         _assert_same_report(report, loop_predict_baseline(params, graph, trend, config, grid, mult=mult))
@@ -350,7 +347,7 @@ def test_forecast_memory_does_not_grow_with_runs():
     # 1,000 nodes and 4,000 directed edge slots: a batch holds about 50 runs
     graph = Graph.from_edges(np.random.default_rng(4).integers(0, 1000, size=(2000, 2)), 1000)
     assert baselines.BUDGET // (graph.node_count + len(graph.indices)) <= 64
-    params = BaselineParams("texp", 0.3, 0.5, 2.0)
+    params = BaselineParams("texp", 0.3, 0.5)
     trend = make_trend(np.arange(0, 1000, 10), np.full(100, -0.1))
     grid = IntervalGrid(0.0, 1.0, 4)
 
@@ -368,7 +365,7 @@ def test_forecast_memory_does_not_grow_with_runs():
 def test_intensity_from_coverage_scales_elementwise():
     # --mult makes each run's intensity mult_factor * coverage; a factor of 2 scales exactly
     graph = star_graph(10)
-    params = BaselineParams("tequ", 0.3, 0.5, 2.0, mult_factor=2.0)
+    params = BaselineParams("tequ", 0.3, 0.5, mult_factor=2.0)
     trend = make_trend([0], [-0.5])
     config = SimConfig(t_start=0.0, t_end=1.0, runs=50, seed=7)
     grid = IntervalGrid(0.0, 0.5, 2)
@@ -420,8 +417,8 @@ def test_cascades_match_the_activation_order_references(instance, delay, t_end):
         for kind in ("tequ", "texp", "eexp"):
             assert fit_baseline(kind, trend, graph, t_star) == loop_fit_baseline(kind, trend, graph, t_star)
     # at p = 1 with a constant delay a run is deterministic: both must agree exactly
-    params = BaselineParams("tequ", 1.0, delay, 1.0)
-    run = simulate_baseline(params, graph, trend, 0.0, t_end, np.random.default_rng(0))
+    params = BaselineParams("tequ", 1.0, delay)
+    [run] = cascade_runs(params, graph, trend, 0.0, t_end)
     ref = heap_simulate_baseline(params, graph, trend, 0.0, t_end, np.random.default_rng(0))
     assert run.nodes.tolist() == ref.nodes.tolist()
     assert run.times.tolist() == ref.times.tolist()
@@ -469,8 +466,8 @@ def test_cascade_law_matches_the_activation_order_reference(instance, kind, prob
     if kind == "eexp":
         rates = dict(zip(edges, edge_rates))
         rates.update({(u - 1, v + n): 1e-9 for u, v in edges})
-    params = BaselineParams(kind, prob, 1.0 / rate, rate, edge_delay_rates=rates)
-    rng, ref_rng = np.random.default_rng(1), np.random.default_rng(2)
-    runs = [simulate_baseline(params, graph, trend, 0.0, 3.0, rng) for _ in range(400)]
+    params = BaselineParams(kind, prob, 1.0 / rate, edge_delay_rates=rates)
+    ref_rng = np.random.default_rng(2)
+    runs = cascade_runs(params, graph, trend, 0.0, 3.0, runs=400, seed=1)
     refs = [heap_simulate_baseline(params, graph, trend, 0.0, 3.0, ref_rng) for _ in range(400)]
     assert all(abs(z) <= 5.0 for z in _z_scores(runs, refs, n))

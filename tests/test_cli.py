@@ -21,6 +21,7 @@ from trendcast.cli import build_parser, main
 from trendcast.core import (
     IntervalGrid,
     Trend,
+    aggregate,
     drop_edgeless_nodes,
     load_graph,
     load_trend,
@@ -133,17 +134,28 @@ def test_predict_da_is_reproducible(pipeline, tmp_path):
     assert header.startswith("interval_index,t_min,t_max,intensity_mean")
 
 
-def test_predict_da_dump_runs(pipeline, tmp_path):
+@pytest.mark.parametrize("model", ["da", "tequ", "texp", "eexp"])
+def test_predict_dump_runs_for_every_model(pipeline, tmp_path, model):
+    # one file per run; the dump changes no forecast, and the dumped runs are the summarized ones.
+    # Only the pipeline's seeds ever act, at t = 0 first, so cascades from t = 1 still reach new nodes.
     d, graph, actions, params = pipeline
-    dump = tmp_path / "runs"
-    code = main([
+    argv = [
         "predict", "--graph", str(graph), "--actions", str(actions),
-        "--t-star", "8.0", "--grid", "8:1:4", "--model", "da",
-        "--params", str(params), "--runs", "5", "--seed", "3",
-        "--dump-runs", str(dump), "--out", str(tmp_path / "pred.csv"),
-    ])
-    assert code == 0
-    assert sorted(p.name for p in dump.iterdir()) == [f"run_{i:04d}.tsv" for i in range(5)]
+        "--t-star", "1.0", "--grid", "1:1:4", "--model", model,
+        *(["--params", str(params)] if model == "da" else []), "--runs", "5", "--seed", "3",
+    ]
+    dump, plain, dumped = tmp_path / "runs", tmp_path / "plain.csv", tmp_path / "dumped.csv"
+    assert main(argv + ["--out", str(plain)]) == 0
+    assert main(argv + ["--dump-runs", str(dump), "--out", str(dumped)]) == 0
+    assert dumped.read_bytes() == plain.read_bytes()
+    names = sorted(p.name for p in dump.iterdir())
+    assert names == [f"run_{i:04d}.tsv" for i in range(5)]
+    g = load_graph(str(graph))
+    grid = IntervalGrid(1.0, 1.0, 4)
+    coverage = np.array([aggregate(load_trend(str(dump / name), g), grid).coverage for name in names])
+    assert coverage.sum() > 0
+    report = simulation.PredictionReport.read_csv(str(plain))
+    np.testing.assert_allclose(report.coverage_mean, coverage.mean(axis=0), rtol=1e-9)
 
 
 def test_predict_da_requires_params(pipeline, tmp_path, capsys):
@@ -167,18 +179,6 @@ def test_predict_rejects_mult_for_da(pipeline, tmp_path, capsys):
     ])
     assert code == 1
     assert "cascade baselines only" in capsys.readouterr().err
-
-
-def test_predict_rejects_dump_runs_for_baselines(pipeline, tmp_path, capsys):
-    d, graph, actions, params = pipeline
-    code = main([
-        "predict", "--graph", str(graph), "--actions", str(actions),
-        "--t-star", "8.0", "--grid", "8:1:4", "--model", "texp",
-        "--seed", "3", "--dump-runs", str(tmp_path / "runs"),
-        "--out", str(tmp_path / "pred.csv"),
-    ])
-    assert code == 1
-    assert "--model da only" in capsys.readouterr().err
 
 
 def test_predict_grid_must_start_at_t_star(pipeline, tmp_path, capsys):
@@ -488,12 +488,9 @@ def test_aggregate_rejects_a_grid_whose_edges_do_not_increase(tiny_files, tmp_pa
 def test_predict_da_rejects_params_whose_t0_follows_the_forecast_start(pipeline, tmp_path, capsys):
     d, graph, actions, params = pipeline
     late = tmp_path / "late.json"
-    assert main([
-        "learn", "--graph", str(graph), "--actions", str(actions),
-        "--t-star", "8.0", "--t0", "100000", "--seed", "1", "--out", str(late),
-    ]) == 0
-    assert json.loads(late.read_text(encoding="utf-8"))["t0"] == 100000.0
-    capsys.readouterr()
+    data = json.loads(params.read_text(encoding="utf-8"))
+    data["t0"] = 100000.0
+    late.write_text(json.dumps(data), encoding="utf-8")
     out = tmp_path / "pred.csv"
     code = main([
         "predict", "--graph", str(graph), "--actions", str(actions),
@@ -503,6 +500,34 @@ def test_predict_da_rejects_params_whose_t0_follows_the_forecast_start(pipeline,
     assert code == 1
     [line] = error_lines(capsys)
     assert "precedes the model's t0 100000.0" in line
+    assert not out.exists()
+
+
+def test_learn_refuses_a_t0_after_t_star(pipeline, tmp_path, capsys):
+    # every predict from --t-star would refuse such params, so learn writes none
+    d, graph, actions, params = pipeline
+    out = tmp_path / "late.json"
+    assert main([
+        "learn", "--graph", str(graph), "--actions", str(actions),
+        "--t-star", "8.0", "--t0", "100", "--seed", "1", "--out", str(out),
+    ]) == 1
+    [line] = [line for line in capsys.readouterr().err.splitlines() if line.strip()]
+    assert line == "error: learn: --t0 100.0 follows --t-star 8.0"
+    assert list(tmp_path.iterdir()) == []
+
+
+def test_predict_refuses_a_late_t0_before_the_supercritical_warning(tiny_files, tmp_path, capsys):
+    graph, actions = tiny_files
+    params = tmp_path / "params.json"
+    out = tmp_path / "pred.csv"
+    save_params(str(params), ActivenessParams(2.0, 1.0, 1e-9, 100.0), ProximityConfig(kind="sp", b=10.0))
+    assert main([
+        "predict", "--graph", str(graph), "--actions", str(actions), "--t-star", "3.0",
+        "--grid", "3:0.1:2", "--model", "da", "--params", str(params), "--runs", "5",
+        "--seed", "1", "--out", str(out),
+    ]) == 1
+    [line] = [line for line in capsys.readouterr().err.splitlines() if line.strip()]
+    assert line.startswith("error:") and "precedes the model's t0 100.0" in line
     assert not out.exists()
 
 
