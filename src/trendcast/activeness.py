@@ -4,6 +4,8 @@ Every action (u, t_i) raises the activeness of each node v by
 alpha * prox(u, v); between actions the rate relaxes toward zero with time
 constant tau. Each node additionally carries a residual rate epsilon from t0
 that decays the same way, so nodes with no influence history can still act.
+Every decay is a plain ``exp``, with no cutoff, in the likelihood and the
+sampler alike: past about 745 time constants it reaches 0.0 by itself.
 """
 
 from __future__ import annotations
@@ -13,10 +15,6 @@ import math
 from dataclasses import dataclass, fields
 
 from .proximity import ProximityConfig
-
-# exp(-x) underflows to 0.0 well before x = 745; skipping past this point
-# avoids churning on dead terms.
-DECAY_CUTOFF = 700.0
 
 
 @dataclass(frozen=True)
@@ -76,8 +74,3 @@ def _check_keys(data: dict, cls: type, prefix: str) -> None:
     for key, value in data.items():
         if types[key] in ("float", "int") and (isinstance(value, bool) or not isinstance(value, (int, float))):
             raise ValueError(f"{prefix + key!r} must be a number, got {json.dumps(value)}")
-
-
-def _decay(dt: float, tau: float) -> float:
-    x = dt / tau
-    return 0.0 if x > DECAY_CUTOFF else math.exp(-x)

@@ -170,7 +170,7 @@ def cmd_predict(args: argparse.Namespace) -> int:
         t_end=grid.t_end,
         runs=args.runs,
         seed=seed,
-        max_events=args.max_events,
+        max_events=SimConfig.max_events if args.max_events is None else args.max_events,
     )
     run_dump: list[Trend] | None = [] if args.dump_runs else None
     if args.model == "da":
@@ -193,7 +193,8 @@ def cmd_predict(args: argparse.Namespace) -> int:
             theta=theta, measure=args.measure, run_dump=run_dump,
         )
     else:
-        for flag, value in (("--params", args.params), ("--prox-cache", args.prox_cache)):
+        for flag, value in (("--params", args.params), ("--prox-cache", args.prox_cache),
+                            ("--max-events", args.max_events)):
             if value is not None:
                 raise ValueError(f"{flag} applies to --model da only, not --model {args.model}")
         params = baselines.fit_baseline(args.model, trend, graph, args.t_star)
@@ -387,8 +388,8 @@ def build_parser() -> argparse.ArgumentParser:
     p.add_argument("--seed", type=int, default=None)
     p.add_argument("--theta", type=float, default=0.0, help="duration threshold")
     p.add_argument("--measure", default="coverage", choices=["coverage", "intensity"])
-    p.add_argument("--max-events", type=int, default=10_000_000,
-                   help="event cap per run of --model da (exit 2 when hit)")
+    p.add_argument("--max-events", type=int, default=None,
+                   help="event cap per run of --model da (default 10000000; exit 2 when hit)")
     p.add_argument("--jitter", type=float, default=0.0)
     p.add_argument("--dump-runs", help="directory for per-run action dumps, run_0000.tsv onward")
     p.add_argument("--out", required=True, help="prediction CSV output path")

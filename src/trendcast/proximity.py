@@ -86,6 +86,11 @@ class ProximityConfig:
     def from_dict(cls, data: dict) -> ProximityConfig:
         return cls(**data)
 
+    def row_fields(self) -> dict:
+        """``kind`` and the fields its kernel reads: configs that agree here build the same rows."""
+        read = ("b", "floor") if self.kind == "shortest_path" else ("p", "floor", "rw_tolerance")
+        return {"kind": self.kind, **{name: getattr(self, name) for name in read}}
+
 
 class Row(Mapping):
     """A proximity row: aligned ``targets`` (int64) and ``scores`` (float64), in entry order.
@@ -380,9 +385,11 @@ class ProximityMap:
 
     @classmethod
     def load_cache(cls, path: str, graph: Graph, config: ProximityConfig) -> ProximityMap:
-        """Load a cache file; its fingerprint must match ``graph`` and ``config``.
+        """Load a cache file built for ``graph`` and for ``config``'s rows.
 
-        Rows keep the entry order of the file. A file that is not a readable
+        The file's config must agree with ``config`` on ``row_fields``, the
+        fields its kernel reads; the map carries ``config``. Rows keep the
+        entry order of the file. A file that is not a readable
         ``.npz`` (an older JSON-lines cache included), a bad header, a missing
         or mistyped array, offsets that do not rise from 0 to the entry count,
         a node outside ``[0, node_count)``, a repeated source or target, or a
@@ -397,7 +404,7 @@ class ProximityMap:
                 with np.load(fh, allow_pickle=False) as npz:
                     arrays = {name: npz[name] for name in npz.files}
                 file_config, stored_graph = _cache_header(arrays.get("header"))
-                if config.to_dict() != file_config.to_dict():
+                if config.row_fields() != file_config.row_fields():
                     raise ValueError("cache was built with a different proximity config")
                 if stored_graph != graph_fingerprint(graph):
                     raise ValueError("cache was built for a different graph")
@@ -406,7 +413,7 @@ class ProximityMap:
                 raise ValueError(f"{path}: {exc}") from None
         ends = row_start.tolist()
         rows = {u: Row(targets[a:b], scores[a:b]) for u, a, b in zip(sources.tolist(), ends, ends[1:])}
-        return cls(graph, file_config, rows)
+        return cls(graph, config, rows)
 
 
 def _cache_header(header: np.ndarray | None) -> tuple[ProximityConfig, object]:

@@ -11,15 +11,15 @@ are iid inverse-CDF draws: one generation at a time, with no thinning.
 
 Streams live in one ``Streams`` record of aligned arrays. Rows come in CSR
 form from ``ProximityMap.gather``: ``init_streams`` spreads the actors'
-summed decayed weights over their rows with one ``bincount``, and
-``simulate`` marks a generation's events with one ``gather`` of its parents
-and one ``searchsorted`` over their joined cumulative scores. A
-generation's coefficients come from one ``ProximityMap.row_sums`` of its
-acting nodes. ``gather`` and ``row_sums`` build all of their missing
-shortest-path rows in one batched BFS, in chunks of at most 2^20 ``seen``
-cells, and a lone missing row with the scalar BFS, which costs a sixth to a
-half of a batched pass for one row; both give the same rows, so a run does
-not depend on which path built them.
+summed decayed weights (plain ``exp``, no cutoff) over their rows with one
+``bincount``. ``simulate`` makes one ``gather`` of each generation's acting
+nodes: its row sums (``csr_row_sums``) are the offspring coefficients, and
+the next generation marks its events, in event order, with one
+``searchsorted`` over the same rows' joined cumulative scores. ``gather``
+builds all of its missing shortest-path rows in one batched BFS, in chunks
+of at most 2^20 ``seen`` cells, and a lone missing row with the scalar BFS,
+which costs a sixth to a half of a batched pass for one row; both give the
+same rows, so a run does not depend on which path built them.
 """
 
 from __future__ import annotations
@@ -32,8 +32,8 @@ from typing import Sequence
 import numpy as np
 
 from .core import IntervalGrid, Trend, _read_lines, aggregate, check_measure, longest_run_above
-from .proximity import ProximityMap
-from .activeness import DECAY_CUTOFF, ActivenessParams, _decay
+from .proximity import ProximityMap, csr_row_sums
+from .activeness import ActivenessParams
 
 _CSV_HEADER = "interval_index,t_min,t_max,intensity_mean,intensity_cv,coverage_mean,coverage_cv"
 
@@ -125,13 +125,12 @@ def init_streams(
     check_start(params, t_start)
     tau = params.tau
     prefix = trend.prefix(t_start)
-    x = (t_start - prefix.times) / tau
-    decay = np.where(x > DECAY_CUTOFF, 0.0, np.exp(-x))
+    decay = np.exp((prefix.times - t_start) / tau)
     weight = np.bincount(prefix.nodes, weights=decay, minlength=node_count)
     live = np.flatnonzero(weight)
     row_start, targets, scores = prox.gather(live)
     spread = np.repeat(params.alpha * weight[live], np.diff(row_start)) * scores
-    coeff = params.epsilon * _decay(t_start - params.t0, tau) + np.bincount(targets, spread, node_count)
+    coeff = params.epsilon * math.exp((params.t0 - t_start) / tau) + np.bincount(targets, spread, node_count)
     keep = np.flatnonzero((coeff > 0.0) & (coeff * tau >= mass_floor))
     return Streams(keep, coeff[keep], np.full(len(keep), t_start), np.full(len(keep), tau))
 
@@ -180,11 +179,7 @@ def simulate(
         if not node_parts:
             nodes = nodes[parent]
         else:  # events past generation 0 land on targets of their parent's row
-            parents, row = np.unique(group[parent], return_inverse=True)
-            order = np.argsort(row, kind="stable")
-            times, row = times[order], row[order]
-            row_start, targets, scores = prox.gather(acting[parents])
-            cum = np.concatenate([[0.0], np.cumsum(scores)])
+            row = group[parent]
             lo, hi = row_start[row], row_start[row + 1]
             pick = cum[lo] + rng.random(len(times)) * (cum[hi] - cum[lo])
             # rounding can put a pick on its row's end, past the row's last entry
@@ -194,7 +189,9 @@ def simulate(
         if not len(times):
             break
         acting, group = np.unique(nodes, return_inverse=True)
-        coeff = params.alpha * prox.row_sums(acting)[group]
+        row_start, targets, scores = prox.gather(acting)
+        cum = np.concatenate([[0.0], np.cumsum(scores)])
+        coeff = params.alpha * csr_row_sums(row_start, scores)[group]
         anchor, tau = times, np.full(len(times), params.tau)
     trend = Trend(np.concatenate(node_parts), np.concatenate(time_parts))
     return trend, RunStats(len(trend), len(trend) - len(node_parts[0]))

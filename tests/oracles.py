@@ -24,7 +24,7 @@ from typing import Mapping
 
 import numpy as np
 
-from trendcast.activeness import ActivenessParams, _decay
+from trendcast.activeness import ActivenessParams
 from trendcast.baselines import FALLBACK_ACTIVATION_PROB, FALLBACK_MEAN_GAP, BaselineParams, predict_baseline
 from trendcast.core import Graph, IntervalGrid, ParseError, Trend, UnknownNodeError, aggregate, random_graph
 from trendcast.learning import (
@@ -53,7 +53,7 @@ class ActivenessModel:
         for u, t_i in self.trend.prefix(t):
             score = self.prox.row(u).get(node)
             if score:
-                total += score * _decay(t - t_i, self.params.tau)
+                total += score * math.exp(-(t - t_i) / self.params.tau)
         return total
 
     def integrated_influence(self, node: int, t: float) -> float:
@@ -63,13 +63,13 @@ class ActivenessModel:
         for u, t_i in self.trend.prefix(t):
             score = self.prox.row(u).get(node)
             if score:
-                total += score * (1.0 - _decay(t - t_i, tau))
+                total += score * (1.0 - math.exp(-(t - t_i) / tau))
         return tau * total
 
     def activeness(self, node: int, t: float) -> float:
         """Instantaneous action rate of ``node`` at time t."""
         params = self.params
-        residual = params.epsilon * _decay(t - params.t0, params.tau)
+        residual = params.epsilon * math.exp(-(t - params.t0) / params.tau)
         return params.alpha * self.decayed_influence(node, t) + residual
 
 
@@ -90,7 +90,7 @@ def total_integrated_influence(
             rs = row_sums[u]
         except KeyError:
             raise LookupError(f"row sum for acting node {u} was not precomputed") from None
-        total += rs * (1.0 - _decay(t_star - t_i, tau))
+        total += rs * (1.0 - math.exp(-(t_star - t_i) / tau))
     return tau * total
 
 

@@ -714,6 +714,7 @@ _FORECAST = ["--graph", "{graph}", "--actions", "{actions}", "--t-star", "8", "-
 @pytest.mark.parametrize("argv, names", [
     (["predict", *_FORECAST, "--model", "texp", "--params", "{params}"], {"--params", "--model"}),
     (["predict", *_FORECAST, "--model", "tequ", "--prox-cache", "{missing}"], {"--prox-cache", "--model"}),
+    (["predict", *_FORECAST, "--model", "texp", "--max-events", "1"], {"--max-events", "--model"}),
     (["eval", "--graph", "{graph}", "--manifest", "{manifest}", "--pred", "{pred}", "--theta", "0"],
      {"--pred", "--manifest"}),
     (["eval", "--graph", "{graph}", "--manifest", "{manifest}", "--actions", "{actions}", "--theta", "0"],
@@ -722,8 +723,8 @@ _FORECAST = ["--graph", "{graph}", "--actions", "{actions}", "--t-star", "8", "-
       "--theta", "0", "--theta-from-train", "0:1:x"], {"--theta", "--theta-from-train"}),
     (["synth", "--graph", "{graph}", "--graph-out", "{graph_out}",
       "--alpha", "0.3", "--tau", "1", "--horizon", "4", "--seed", "1"], {"--graph-out", "--graph"}),
-], ids=["cascade-params", "cascade-prox-cache", "manifest-pred", "manifest-actions", "theta-twice",
-        "graph-out-with-graph"])
+], ids=["cascade-params", "cascade-prox-cache", "cascade-max-events", "manifest-pred", "manifest-actions",
+        "theta-twice", "graph-out-with-graph"])
 def test_an_input_the_mode_ignores_is_refused(pipeline, tmp_path, capsys, argv, names):
     d, graph, actions, params = pipeline
     pred = tmp_path / "pred.csv"

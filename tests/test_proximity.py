@@ -172,10 +172,29 @@ def test_cache_roundtrip_and_fingerprint(tmp_path):
     loaded = ProximityMap.load_cache(str(path), graph, config)
     assert loaded.row(2) == pytest.approx(prox.row(2), rel=1e-15)
 
-    with pytest.raises(ValueError, match="different proximity config"):
-        ProximityMap.load_cache(str(path), graph, ProximityConfig(kind="sp", b=2.0))
+    # Shortest-path rows read only b and floor: another p or rw_tolerance loads
+    # the same rows, and the map carries the caller's config.
+    for other in (ProximityConfig(kind="sp", b=1.0, p=0.3), ProximityConfig(kind="sp", b=1.0, rw_tolerance=1e-3)):
+        loaded = ProximityMap.load_cache(str(path), graph, other)
+        assert loaded.config == other
+        assert loaded.row(2).scores.tobytes() == prox.row(2).scores.tobytes()
+    for other in (ProximityConfig(kind="sp", b=2.0), ProximityConfig(kind="sp", b=1.0, floor=1e-3),
+                  ProximityConfig(kind="rw")):
+        with pytest.raises(ValueError, match="different proximity config"):
+            ProximityMap.load_cache(str(path), graph, other)
     with pytest.raises(ValueError, match="different graph"):
         ProximityMap.load_cache(str(path), path_graph(5), config)
+
+    # Random-walk rows read p, floor and rw_tolerance, not b.
+    rw = ProximityMap(graph, ProximityConfig(kind="rw", p=0.3))
+    rw.row(1)
+    rw.save_cache(str(path))
+    loaded = ProximityMap.load_cache(str(path), graph, ProximityConfig(kind="rw", p=0.3, b=2.0))
+    assert loaded.row(1).scores.tobytes() == rw.row(1).scores.tobytes()
+    for other in (ProximityConfig(kind="rw", p=0.4), ProximityConfig(kind="rw", p=0.3, rw_tolerance=1e-3),
+                  ProximityConfig(kind="rw", p=0.3, floor=1e-3), ProximityConfig(kind="sp", p=0.3)):
+        with pytest.raises(ValueError, match="different proximity config"):
+            ProximityMap.load_cache(str(path), graph, other)
 
 
 

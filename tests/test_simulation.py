@@ -7,7 +7,7 @@ from hypothesis import example, given, settings
 from hypothesis import strategies as st
 from scipy import linalg
 
-from trendcast.activeness import DECAY_CUTOFF, ActivenessParams
+from trendcast.activeness import ActivenessParams
 from trendcast.core import Graph, IntervalGrid, Trend
 from trendcast.evaluation import evaluate_prediction
 from trendcast.proximity import ProximityConfig, ProximityMap
@@ -43,9 +43,9 @@ def test_init_streams_carry_the_decayed_prefix():
     graph, prox, trend = random_instance(seed=6, max_nodes=25, max_actions=12)
     params = ActivenessParams(alpha=0.8, tau=1.5, epsilon=0.25, t0=float(trend.times[0]))
     t_start = float(trend.times[-1]) + 0.5
-    # One more action, at a node that acts nowhere else, decayed past DECAY_CUTOFF by t_start.
+    # One more action, at a node that acts nowhere else, whose exp decay underflows to 0.0 by t_start.
     stale = int(np.setdiff1d(np.arange(graph.node_count), trend.nodes)[0])
-    stale_time = t_start - 2.0 * DECAY_CUTOFF * params.tau
+    stale_time = t_start - 1400.0 * params.tau
     trend = Trend(np.r_[stale, trend.nodes], np.r_[stale_time, trend.times])
     streams = init_streams(trend, prox, params, t_start, graph.node_count, mass_floor=0.0)
     assert stale not in prox._rows  # a fully decayed actor builds no row
@@ -63,6 +63,38 @@ def test_init_streams_mass_floor_drops_tiny_streams():
     graph, prox, params, trend = single_node_setup(alpha=1e-14, tau=1.0)
     streams = init_streams(trend, prox, params, 0.0, 1, mass_floor=1e-12)
     assert len(streams) == 0
+
+
+@pytest.mark.parametrize("epsilon", [0.0, 0.25])
+def test_a_subnormal_prefix_weight_changes_no_coefficient(epsilon):
+    graph, prox, trend = random_instance(seed=6, max_nodes=25, max_actions=12)
+    params = ActivenessParams(alpha=0.8, tau=1.5, epsilon=epsilon, t0=float(trend.times[0]))
+    t_start = float(trend.times[-1]) + 0.5
+    # exp(-720) is about 2.9e-313: plain exp keeps it as a subnormal weight, not 0.0.
+    assert 0.0 < math.exp(-720.0) < np.finfo(np.float64).tiny
+    stale = int(np.setdiff1d(np.arange(graph.node_count), trend.nodes)[0])
+    with_stale = Trend(np.r_[stale, trend.nodes], np.r_[t_start - 720.0 * params.tau, trend.times])
+    want = init_streams(trend, prox, params, t_start, graph.node_count)
+    got = init_streams(with_stale, prox, params, t_start, graph.node_count)
+    assert stale in prox._rows  # the weight was not zero, so its row was spread
+    assert got.node.tolist() == want.node.tolist()
+    assert got.coefficient.tobytes() == want.coefficient.tobytes()
+
+
+def test_simulate_takes_row_sums_from_its_one_gather(monkeypatch):
+    graph = Graph.from_edges([(0, 1), (1, 2), (3, 4)], 5, directed=True)
+    prox = ProximityMap(graph, ProximityConfig(kind="sp", b=1.0))
+    params = ActivenessParams(0.4, 1.0, epsilon=0.0, t0=0.0)
+    streams = init_streams(Trend(np.asarray([0, 3]), np.zeros(2)), prox, params, 0.0, graph.node_count)
+
+    def refuse(*args):
+        raise AssertionError("simulate must read row sums off the rows it gathers")
+
+    monkeypatch.setattr(ProximityMap, "row_sums", refuse)
+    monkeypatch.setattr(ProximityMap, "row_sum", refuse)
+    config = SimConfig(t_start=0.0, t_end=3.0, runs=1, seed=31)
+    children = sum(simulate(streams, prox, params, config, run_index=r)[1].child_events for r in range(50))
+    assert children > 0
 
 
 def test_simulate_is_deterministic_per_seed_and_run():
