@@ -165,6 +165,16 @@ def cmd_predict(args: argparse.Namespace) -> int:
         raise ValueError(
             f"grid starts at {grid.t_start:g} but --t-star is {args.t_star:g}"
         )
+    if args.model == "da":
+        if args.mult:
+            raise ValueError("--mult applies to cascade baselines only")
+        if not args.params:
+            raise ValueError("--model da requires --params from a prior learn run")
+    else:
+        for flag, value in (("--params", args.params), ("--prox-cache", args.prox_cache),
+                            ("--max-events", args.max_events)):
+            if value is not None:
+                raise ValueError(f"{flag} applies to --model da only, not --model {args.model}")
     sim_config = SimConfig(
         t_start=args.t_star,
         t_end=grid.t_end,
@@ -174,10 +184,6 @@ def cmd_predict(args: argparse.Namespace) -> int:
     )
     run_dump: list[Trend] | None = [] if args.dump_runs else None
     if args.model == "da":
-        if args.mult:
-            raise ValueError("--mult applies to cascade baselines only")
-        if not args.params:
-            raise ValueError("--model da requires --params from a prior learn run")
         params, prox_config = load_params(args.params)
         simulation.check_start(params, args.t_star)
         prox = _proximity(args, graph, prox_config)
@@ -193,10 +199,6 @@ def cmd_predict(args: argparse.Namespace) -> int:
             theta=theta, measure=args.measure, run_dump=run_dump,
         )
     else:
-        for flag, value in (("--params", args.params), ("--prox-cache", args.prox_cache),
-                            ("--max-events", args.max_events)):
-            if value is not None:
-                raise ValueError(f"{flag} applies to --model da only, not --model {args.model}")
         params = baselines.fit_baseline(args.model, trend, graph, args.t_star)
         if params.fallback:
             print("warning: no attributable activations; using fallback cascade parameters", file=sys.stderr)

@@ -4,10 +4,16 @@ A proximity row maps a source node to the influence weight it exerts on each
 reachable node. Two kernels are provided: an exponentially decaying
 shortest-path kernel and a restart random walk. Entries below a configurable
 floor are dropped, which keeps rows sparse and bounds traversal depth. Every
-row is a ``Row`` of aligned ``targets`` and ``scores`` arrays in entry order:
-BFS order for shortest-path rows, ascending node for random-walk rows. The
-cache stores ``gather``'s CSR arrays of its rows in one ``.npz`` and loads
-them back as views, entry for entry.
+row is a pair of aligned ``targets`` and ``scores`` arrays in entry order:
+BFS order for shortest-path rows, ascending node for random-walk rows.
+
+``ProximityMap`` keeps its rows in one CSR store, a growable pair of
+``targets`` and ``scores`` arrays that per-node ``start`` and ``stop``
+offsets index. A batched build appends its rows in one copy, ``gather``
+reads any list of rows with one index, and the cache writes the store's
+rows in one ``.npz`` that loads back as the store itself, entry for entry;
+none of these makes an object per row. ``row`` hands out one row as a
+``Row`` view for callers that read a row at a time.
 
 Shortest-path rows are built two ways. ``ProximityMap.gather`` builds all
 of its missing rows with ``_sp_rows``, one level-synchronous BFS for many
@@ -27,7 +33,7 @@ import json
 import math
 import zipfile
 from collections.abc import Iterator, Mapping
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 
 import numpy as np
 
@@ -150,14 +156,19 @@ def shortest_path_row(graph: Graph, source: int, config: ProximityConfig) -> Row
 # sources are searched CELLS // node_count at a time, which bounds the
 # kernel's scratch memory on large graphs. Each chunk pays a fixed numpy
 # cost per BFS level. At 2^20 (a 1 MB bitmap) the 1,811 learn rows of the
-# forecast-sparse benchmark (9,832 nodes) run as 18 chunks and take 6.4 ms,
-# against 70 chunks and 11.7 ms at 2^18; 2^22 (5 chunks, 6.2 ms) raised the
-# benchmark's peak RSS by another 4.5 MB.
+# forecast-sparse benchmark (9,832 nodes) run as 18 chunks and take 3.8-4.1
+# ms, against 70 chunks and 7.0-7.4 ms at 2^18 (best of 60 builds, 2 vCPUs);
+# 2^22 (5 chunks, 3.2 ms) made the benchmark's learn and predict no faster
+# and raised its peak RSS by 2.6 MB.
 _SP_CHUNK_CELLS = 1 << 20
 
 
-def _sp_rows(graph: Graph, sources: np.ndarray, config: ProximityConfig) -> list[Row]:
-    """The shortest-path rows of ``sources``, each equal to ``shortest_path_row`` entry for entry.
+def _sp_rows(graph: Graph, sources: np.ndarray, config: ProximityConfig) -> tuple[np.ndarray, list, list]:
+    """The shortest-path rows of ``sources``: (lengths, targets, scores).
+
+    ``lengths`` holds each row's entry count; ``targets`` and ``scores``
+    hold one array per chunk of sources, whose concatenation is the rows'
+    entries in order. Each row equals ``shortest_path_row`` entry for entry.
 
     One level-synchronous BFS runs for a chunk of sources at once over the
     CSR arrays (a multi-source BFS as in Then et al., VLDB 2014). A
@@ -173,7 +184,7 @@ def _sp_rows(graph: Graph, sources: np.ndarray, config: ProximityConfig) -> list
     weight = [1.0]
     chunk = max(1, _SP_CHUNK_CELLS // max(n, 1))
     seen = np.zeros(min(len(sources), chunk) * n, dtype=bool)
-    rows: list[Row] = []
+    lengths, row_targets, row_scores = [], [], []
     for lo in range(0, len(sources), chunk):
         f_node = np.asarray(sources[lo : lo + chunk], dtype=np.int64)
         size = len(f_node)
@@ -215,10 +226,10 @@ def _sp_rows(graph: Graph, sources: np.ndarray, config: ProximityConfig) -> list
         seen[key] = False
         row, node = np.divmod(key, n)
         order = np.argsort(row, kind="stable")
-        node, score = node[order], np.concatenate(scores)[order]
-        ends = np.cumsum(np.bincount(row, minlength=size)).tolist()
-        rows.extend(Row(node[a:b], score[a:b]) for a, b in zip([0, *ends], ends))
-    return rows
+        lengths.append(np.bincount(row, minlength=size))
+        row_targets.append(node[order])
+        row_scores.append(np.concatenate(scores)[order])
+    return np.concatenate(lengths), row_targets, row_scores
 
 
 def random_walk_row(graph: Graph, source: int, config: ProximityConfig) -> Row:
@@ -280,50 +291,135 @@ def graph_fingerprint(graph: Graph) -> str:
     return digest.hexdigest()[:16]
 
 
-@dataclass
-class ProximityMap:
-    """Lazy per-source store of ``Row``s over a graph and kernel config.
+# Rows that ``row`` builds one at a time wait as ``Row``s and join the
+# store in one concatenate: at the next ``gather`` or cache write, or once
+# this many wait. A waiting row costs about 340 B of Python objects besides
+# its entries (tracemalloc), so the buffer holds at most about 1.4 MB of
+# them. A second ``row`` of a waiting row is a dict hit (30 ns), where a
+# stored row needs a new view (1 us).
+_FRESH_ROWS = 4096
 
-    Rows are computed on first demand and memoized. ``gather`` and
-    ``row_sums`` build all of their missing rows at once; ``row`` and
-    ``row_sum`` build one.
+
+class ProximityMap:
+    """Lazy store of the proximity rows of a graph and kernel config.
+
+    Rows are computed on first demand and kept in one CSR store: row u spans
+    ``start[u]:stop[u]`` of the aligned ``targets`` and ``scores`` arrays,
+    which grow as rows are added, and ``start[u]`` is -1 until u's row is built.
+    ``gather`` and ``row_sums`` build all of their missing rows at once;
+    ``row`` and ``row_sum`` build one, which waits among the fresh rows
+    until the next merge (see ``_FRESH_ROWS``).
     """
 
-    graph: Graph
-    config: ProximityConfig
-    _rows: dict[int, Row] = field(default_factory=dict, repr=False)
+    def __init__(self, graph: Graph, config: ProximityConfig) -> None:
+        self.graph, self.config = graph, config
+        self._start = np.full(graph.node_count, -1, dtype=np.int64)
+        self._stop = np.full(graph.node_count, -1, dtype=np.int64)
+        self._targets = np.empty(0, dtype=np.int64)
+        self._scores = np.empty(0, dtype=np.float64)
+        self._size = 0  # entries in use; the arrays may hold more
+        self._fresh: dict[int, Row] = {}
 
     def row(self, source: int) -> Row:
-        if source not in self._rows:
-            build = shortest_path_row if self.config.kind == "shortest_path" else random_walk_row
-            self._rows[source] = build(self.graph, source, self.config)
-        return self._rows[source]
+        """``source``'s row: the kernel's own arrays while it waits to merge, else views of the store."""
+        if (row := self._fresh.get(source)) is not None:
+            return row
+        if self._size and (a := self._start[source]) >= 0:
+            b = self._stop[source]
+            return Row(self._targets[a:b], self._scores[a:b])
+        build = shortest_path_row if self.config.kind == "shortest_path" else random_walk_row
+        row = self._fresh[source] = build(self.graph, source, self.config)
+        if len(self._fresh) >= _FRESH_ROWS:
+            self._merge()
+        return row
 
-    def _fill(self, sources: list[int]) -> None:
-        """Build and cache the rows of ``sources`` not cached yet.
+    def _append(self, sources: np.ndarray, lengths: np.ndarray, targets: list, scores: list) -> None:
+        """Store the rows of distinct, unstored ``sources``, of ``lengths`` entries each.
+
+        ``targets`` and ``scores`` are lists of arrays whose concatenation
+        holds the rows' entries in order. They are joined straight into the
+        store; an empty store adopts a lone array. When the arrays are full
+        they grow to a quarter more than they must hold. Doubling instead
+        made each forecast-sparse benchmark ``predict`` fault in about 600
+        fresh memory pages, where a quarter made it fault in none.
+        """
+        size = self._size
+        end = size + int(lengths.sum())
+        if not size and len(targets) == 1:
+            self._targets, self._scores = targets[0], scores[0]
+        else:
+            if end > len(self._targets):
+                capacity = end + end // 4
+                for name in ("_targets", "_scores"):
+                    old = getattr(self, name)
+                    grown = np.empty(capacity, dtype=old.dtype)
+                    grown[:size] = old[:size]
+                    setattr(self, name, grown)
+            np.concatenate(targets, out=self._targets[size:end])
+            np.concatenate(scores, out=self._scores[size:end])
+        self._stop[sources] = stop = size + np.cumsum(lengths)
+        self._start[sources] = stop - lengths
+        self._size = end
+
+    def _merge(self) -> None:
+        """Move the fresh rows into the store with one concatenate."""
+        if not self._fresh:
+            return
+        rows = self._fresh.values()
+        count = len(rows)
+        self._append(
+            np.fromiter(self._fresh, dtype=np.int64, count=count),
+            np.fromiter(map(len, rows), dtype=np.int64, count=count),
+            [r.targets for r in rows],
+            [r.scores for r in rows],
+        )
+        self._fresh = {}
+
+    def _fill(self, sources: np.ndarray) -> None:
+        """Store the rows of ``sources`` not stored yet, and every fresh row.
 
         Two or more missing shortest-path rows come from one ``_sp_rows``
         pass; a single one, and every random-walk row, from ``row``.
         """
-        missing = list(dict.fromkeys(u for u in sources if u not in self._rows))
-        if len(missing) < 2 or self.config.kind != "shortest_path":
-            for u in missing:
-                self.row(u)
+        self._merge()
+        missing = sources[self._start[sources] < 0]
+        if not len(missing):
             return
-        self._rows.update(zip(missing, _sp_rows(self.graph, np.asarray(missing), self.config)))
+        missing = np.fromiter(dict.fromkeys(missing.tolist()), dtype=np.int64)
+        if len(missing) < 2 or self.config.kind != "shortest_path":
+            for u in missing.tolist():
+                self.row(u)
+            self._merge()
+            return
+        self._append(missing, *_sp_rows(self.graph, missing, self.config))
+
+    def stored_sources(self) -> np.ndarray:
+        """The ascending sources whose rows are built."""
+        self._merge()
+        return np.flatnonzero(self._start >= 0)
 
     def gather(self, sources: np.ndarray) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
         """The rows of ``sources``, in order, as CSR arrays (row_start, targets, scores).
 
-        Missing rows are built first, all in one batch (see ``_fill``).
+        Missing rows are built first, all in one batch (see ``_fill``). Rows
+        that lie back to back in the store, as a batch just built does, come
+        back as read-only views of one slice of it; otherwise one index, each
+        row's store offset repeated over its entries plus the entry's
+        position, copies them all out.
         """
-        sources = sources.tolist()
+        sources = np.asarray(sources, dtype=np.int64)
         self._fill(sources)
-        rows = [self._rows[u] for u in sources]
-        lengths = np.fromiter(map(len, rows), dtype=np.int64, count=len(rows))
-        targets = np.concatenate([np.empty(0, np.int64), *(r.targets for r in rows)])
-        scores = np.concatenate([np.empty(0), *(r.scores for r in rows)])
-        return np.concatenate([[0], np.cumsum(lengths)]), targets, scores
+        start, stop = self._start[sources], self._stop[sources]
+        lengths = stop - start
+        row_start = np.zeros(len(sources) + 1, dtype=np.int64)
+        np.cumsum(lengths, out=row_start[1:])
+        if len(sources) and (start[1:] == stop[:-1]).all():
+            targets, scores = self._targets[start[0]:stop[-1]], self._scores[start[0]:stop[-1]]
+            targets.flags.writeable = scores.flags.writeable = False
+            return row_start, targets, scores
+        index = np.repeat(start - row_start[:-1], lengths)
+        index += np.arange(len(index))
+        return row_start, self._targets[index], self._scores[index]
 
     def row_sum(self, source: int) -> float:
         """The sum of ``source``'s scores, by ``csr_row_sums``'s rule."""
@@ -373,7 +469,7 @@ class ProximityMap:
         their rows. Each row keeps its entry order: row sums and every draw
         over a row depend on it, so a loaded row must match a fresh one.
         """
-        sources = np.asarray(sorted(self._rows), dtype=np.int64)
+        sources = self.stored_sources()
         row_start, targets, scores = self.gather(sources)
         if not np.isfinite(scores).all():
             raise ValueError("cannot write a non-finite proximity score")
@@ -411,9 +507,9 @@ class ProximityMap:
                 sources, row_start, targets, scores = _cache_arrays(arrays, graph.node_count)
             except (OSError, EOFError, ValueError, zipfile.BadZipFile) as exc:
                 raise ValueError(f"{path}: {exc}") from None
-        ends = row_start.tolist()
-        rows = {u: Row(targets[a:b], scores[a:b]) for u, a, b in zip(sources.tolist(), ends, ends[1:])}
-        return cls(graph, config, rows)
+        prox = cls(graph, config)
+        prox._append(sources, np.diff(row_start), [targets], [scores])
+        return prox
 
 
 def _cache_header(header: np.ndarray | None) -> tuple[ProximityConfig, object]:

@@ -30,7 +30,7 @@ from trendcast.core import (
     write_trend,
 )
 from trendcast.evaluation import threshold_from_last_observed
-from trendcast.proximity import ProximityConfig, ProximityMap, Row
+from trendcast.proximity import ProximityConfig, ProximityMap
 
 
 @pytest.fixture()
@@ -203,15 +203,33 @@ def test_predict_rejects_malformed_grid(pipeline, tmp_path, capsys):
     assert "t_start:interval_length:count" in capsys.readouterr().err
 
 
-def test_predict_baseline_and_eval_roundtrip(pipeline, tmp_path, capsys):
-    d, graph, actions, params = pipeline
+@pytest.fixture
+def chain_files(tmp_path):
+    """CI's chain trend: nodes n0..n19 on a chain with skip edges (i, i + 2), i = 0, 3, ..., 15.
+
+    n_i acts at 0.5 * i for i < 12. The pipeline fixture's trend acts only
+    on its seeds, so a cascade fitted on it falls back and forecasts zeros;
+    a cascade fitted on this one does not.
+    """
+    graph = tmp_path / "chain.tsv"
+    graph.write_text("".join(f"n{i}\tn{i + 1}\n" for i in range(19))
+                     + "".join(f"n{i}\tn{i + 2}\n" for i in range(0, 16, 3)), encoding="utf-8")
+    actions = tmp_path / "chain-a.tsv"
+    actions.write_text("".join(f"n{i}\t{0.5 * i}\n" for i in range(12)), encoding="utf-8")
+    return graph, actions
+
+
+def test_predict_baseline_and_eval_roundtrip(chain_files, tmp_path, capsys):
+    graph, actions = chain_files
     pred = tmp_path / "pred.csv"
     code = main([
         "predict", "--graph", str(graph), "--actions", str(actions),
-        "--t-star", "8.0", "--grid", "8:1:4", "--model", "tequ",
+        "--t-star", "3", "--grid", "3:1:4", "--model", "tequ",
         "--runs", "10", "--seed", "3", "--out", str(pred),
     ])
     assert code == 0
+    assert "warning:" not in capsys.readouterr().err  # a real fit, not the fallback
+    assert simulation.PredictionReport.read_csv(str(pred)).coverage_mean.sum() > 0
     out = tmp_path / "eval.csv"
     code = main([
         "eval", "--graph", str(graph), "--pred", str(pred),
@@ -224,15 +242,25 @@ def test_predict_baseline_and_eval_roundtrip(pipeline, tmp_path, capsys):
     assert "# duration_accuracy=" in text
 
 
-def test_predict_baseline_mult(pipeline, tmp_path):
-    d, graph, actions, params = pipeline
+def test_predict_baseline_mult(chain_files, tmp_path, capsys):
+    graph, actions = chain_files
+    # Repeat actions of n0 and n1 in [0, 1): the training intervals [0, 1),
+    # [1, 2) and [2, 3) hold (intensity, coverage) (4, 2), (2, 2) and (2, 2),
+    # so the least-squares slope through the origin is 16 / 12.
+    with actions.open("a", encoding="utf-8") as fh:
+        fh.write("n0\t0.25\nn1\t0.75\n")
     pred = tmp_path / "pred.csv"
     code = main([
         "predict", "--graph", str(graph), "--actions", str(actions),
-        "--t-star", "8.0", "--grid", "8:1:4", "--model", "eexp", "--mult",
+        "--t-star", "3", "--grid", "3:1:4", "--model", "eexp", "--mult",
         "--runs", "10", "--seed", "3", "--out", str(pred),
     ])
     assert code == 0
+    assert "warning:" not in capsys.readouterr().err
+    report = simulation.PredictionReport.read_csv(str(pred))
+    assert report.coverage_mean.sum() > 0
+    factor = 16 / 12
+    assert report.intensity_mean.tolist() == pytest.approx((factor * report.coverage_mean).tolist(), rel=1e-9)
 
 
 def test_predict_warns_on_fallback(tiny_files, tmp_path, capsys):
@@ -715,6 +743,7 @@ _FORECAST = ["--graph", "{graph}", "--actions", "{actions}", "--t-star", "8", "-
     (["predict", *_FORECAST, "--model", "texp", "--params", "{params}"], {"--params", "--model"}),
     (["predict", *_FORECAST, "--model", "tequ", "--prox-cache", "{missing}"], {"--prox-cache", "--model"}),
     (["predict", *_FORECAST, "--model", "texp", "--max-events", "1"], {"--max-events", "--model"}),
+    (["predict", *_FORECAST, "--model", "texp", "--max-events", "0"], {"--max-events", "--model"}),
     (["eval", "--graph", "{graph}", "--manifest", "{manifest}", "--pred", "{pred}", "--theta", "0"],
      {"--pred", "--manifest"}),
     (["eval", "--graph", "{graph}", "--manifest", "{manifest}", "--actions", "{actions}", "--theta", "0"],
@@ -723,8 +752,8 @@ _FORECAST = ["--graph", "{graph}", "--actions", "{actions}", "--t-star", "8", "-
       "--theta", "0", "--theta-from-train", "0:1:x"], {"--theta", "--theta-from-train"}),
     (["synth", "--graph", "{graph}", "--graph-out", "{graph_out}",
       "--alpha", "0.3", "--tau", "1", "--horizon", "4", "--seed", "1"], {"--graph-out", "--graph"}),
-], ids=["cascade-params", "cascade-prox-cache", "cascade-max-events", "manifest-pred", "manifest-actions",
-        "theta-twice", "graph-out-with-graph"])
+], ids=["cascade-params", "cascade-prox-cache", "cascade-max-events", "cascade-max-events-zero", "manifest-pred",
+        "manifest-actions", "theta-twice", "graph-out-with-graph"])
 def test_an_input_the_mode_ignores_is_refused(pipeline, tmp_path, capsys, argv, names):
     d, graph, actions, params = pipeline
     pred = tmp_path / "pred.csv"
@@ -883,7 +912,7 @@ def _nan_params(path: str) -> None:
 def _nan_cache(path: str) -> None:
     prox = ProximityMap(random_graph(5, 4, seed=1), ProximityConfig())
     prox.row(0)
-    prox._rows[1] = Row(np.asarray([1], dtype=np.int64), np.asarray([math.nan]))
+    prox.row(1).scores[-1] = math.nan
     prox.save_cache(path)
 
 

@@ -214,7 +214,7 @@ def test_cache_round_trip_is_bitwise(tmp_path_factory, seed, kind, picks):
     path = str(tmp_path_factory.mktemp("cache") / "prox.npz")
     prox.save_cache(path)
     loaded = ProximityMap.load_cache(path, graph, prox.config)
-    assert sorted(loaded._rows) == sources.tolist()
+    assert loaded.stored_sources().tolist() == sources.tolist()
     for u in sources.tolist():
         for name in ("targets", "scores"):
             built, read = getattr(prox.row(u), name), getattr(loaded.row(u), name)
@@ -222,7 +222,7 @@ def test_cache_round_trip_is_bitwise(tmp_path_factory, seed, kind, picks):
         assert loaded.row_sum(u) == prox.row_sum(u)
     for built, read in zip(prox.gather(picked), loaded.gather(picked)):
         assert built.dtype == read.dtype and built.tobytes() == read.tobytes()
-    assert len(loaded._rows) == len(sources)  # every row came from the file
+    assert loaded.stored_sources().tolist() == sources.tolist()  # every row came from the file
 
 
 @settings(derandomize=True, database=None, deadline=None, max_examples=40)
@@ -427,9 +427,98 @@ def test_row_sums_fold_each_row_left_to_right(tmp_path):
     assert left_fold(scores) == 1.0 != math.fsum(scores)
     graph, config = path_graph(3), ProximityConfig(kind="sp", b=1.0)
     path = str(tmp_path / "prox.npz")
-    ProximityMap(graph, config, {0: Row(np.arange(3), np.asarray(scores))}).save_cache(path)
+    prox = ProximityMap(graph, config)
+    prox.row(0).scores[:] = scores  # the row's targets are 0, 1, 2; its scores become these
+    prox.save_cache(path)
     loaded = ProximityMap.load_cache(path, graph, config)
-    assert loaded.row(0).scores.tolist() == scores
+    assert loaded.row(0).targets.tolist() == [0, 1, 2] and loaded.row(0).scores.tolist() == scores
     assert loaded.row_sum(0).hex() == left_fold(scores).hex()
     sums = loaded.row_sums(np.asarray([0, 0]))
     assert sums.dtype == np.float64 and [x.hex() for x in sums.tolist()] == [left_fold(scores).hex()] * 2
+
+
+_NODE = st.integers(0, 2**16)
+_STORE_STEPS = st.lists(st.one_of(
+    st.tuples(st.sampled_from(["row", "row_sum"]), _NODE),
+    st.tuples(st.sampled_from(["gather", "row_sums"]), st.lists(_NODE, max_size=10)),
+    st.tuples(st.just("reload"), st.just(0)),
+), max_size=14)
+
+
+@settings(derandomize=True, database=None, deadline=None, max_examples=120)
+@given(
+    seed=st.integers(0, 2**16),
+    kind=st.sampled_from(["sp", "rw"]),
+    directed=st.booleans(),
+    isolated=st.integers(0, 2),
+    cells=st.sampled_from([1, 5, 1 << 20]),
+    fresh_rows=st.sampled_from([1, 2, 4096]),
+    steps=_STORE_STEPS,
+)
+@example(seed=1, kind="sp", directed=False, isolated=1, cells=1, fresh_rows=4096,
+         steps=[("row", 3), ("gather", [5, 1, 5, 0, 3]), ("reload", 0), ("row_sums", [2, 6, 1]), ("row", 7)])
+@example(seed=1, kind="rw", directed=True, isolated=2, cells=1 << 20, fresh_rows=2,
+         steps=[("row", 1), ("row_sum", 4), ("row", 0), ("reload", 0), ("gather", [2, 1, 2]), ("row_sum", 3)])
+def test_the_store_gives_the_reference_rows_in_any_order_of_calls(
+    tmp_path_factory, seed, kind, directed, isolated, cells, fresh_rows, steps
+):
+    # Rows built by ``row`` wait among the fresh rows and merge when
+    # ``fresh_rows`` wait, or at the next gather or cache write; ``cells``
+    # splits a batched fill into chunks down to one row each; a reload
+    # writes the rows built so far and continues on the loaded map.
+    graph = _walk_graph(seed, directed, isolated)
+    config = ProximityConfig(kind=kind, b=1.0 + seed % 3)
+    reference = dict_shortest_path_row if kind == "sp" else dict_random_walk_row
+    expected: dict[int, dict[int, float]] = {}
+
+    def want(u: int) -> dict[int, float]:
+        if u not in expected:
+            expected[u] = reference(graph, u, config)
+        return expected[u]
+
+    def same(targets: np.ndarray, scores: np.ndarray, u: int) -> bool:
+        return targets.tolist() == list(want(u)) and scores.tolist() == list(want(u).values())
+
+    prox, built = ProximityMap(graph, config), set()
+    path = str(tmp_path_factory.mktemp("cache") / "prox.npz")
+    with mock.patch.object(proximity, "_SP_CHUNK_CELLS", cells), \
+            mock.patch.object(proximity, "_FRESH_ROWS", fresh_rows):
+        for op, arg in steps:
+            if op == "reload":
+                prox.save_cache(path)
+                prox = ProximityMap.load_cache(path, graph, config)
+                continue
+            picks = np.asarray(arg, dtype=np.int64) % graph.node_count
+            built.update(picks.reshape(-1).tolist())
+            if op == "row":
+                row = prox.row(int(picks))
+                assert same(row.targets, row.scores, int(picks))
+            elif op == "row_sum":
+                assert prox.row_sum(int(picks)) == left_fold(want(int(picks)).values())
+            elif op == "gather":
+                row_start, targets, scores = prox.gather(picks)
+                assert row_start[0] == 0 and len(row_start) == len(picks) + 1 and row_start[-1] == len(targets)
+                for k, u in enumerate(picks.tolist()):
+                    assert same(targets[row_start[k]:row_start[k + 1]], scores[row_start[k]:row_start[k + 1]], u)
+            else:
+                assert prox.row_sums(picks).tolist() == [left_fold(want(u).values()) for u in picks.tolist()]
+        assert prox.stored_sources().tolist() == sorted(built)
+        for u in sorted(built):
+            row = prox.row(u)
+            assert same(row.targets, row.scores, u)
+
+
+def test_a_loaded_cache_gathers_the_files_arrays_bit_for_bit(tmp_path):
+    graph = random_graph(60, 150, seed=4)
+    path = str(tmp_path / "prox.npz")
+    for config in (ProximityConfig(kind="sp", b=0.5), ProximityConfig(kind="rw")):
+        prox = ProximityMap(graph, config)
+        prox.row(17)  # one fresh row, merged by the write
+        prox.gather(np.asarray([41, 3, 17, 58, 3]))
+        prox.save_cache(path)
+        with np.load(path) as npz:
+            stored = {name: npz[name] for name in ("sources", "row_start", "targets", "scores")}
+        assert stored["sources"].tolist() == [3, 17, 41, 58]
+        loaded = ProximityMap.load_cache(path, graph, config)
+        for name, array in zip(("row_start", "targets", "scores"), loaded.gather(stored["sources"])):
+            assert array.dtype == stored[name].dtype and array.tobytes() == stored[name].tobytes()

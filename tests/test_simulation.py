@@ -48,7 +48,7 @@ def test_init_streams_carry_the_decayed_prefix():
     stale_time = t_start - 1400.0 * params.tau
     trend = Trend(np.r_[stale, trend.nodes], np.r_[stale_time, trend.times])
     streams = init_streams(trend, prox, params, t_start, graph.node_count, mass_floor=0.0)
-    assert stale not in prox._rows  # a fully decayed actor builds no row
+    assert stale not in prox.stored_sources()  # a fully decayed actor builds no row
     residual = params.epsilon * math.exp(-(t_start - params.t0) / params.tau)
     total = streams.coefficient.sum() - residual * graph.node_count
     model = ActivenessModel(trend, prox, params)
@@ -76,7 +76,7 @@ def test_a_subnormal_prefix_weight_changes_no_coefficient(epsilon):
     with_stale = Trend(np.r_[stale, trend.nodes], np.r_[t_start - 720.0 * params.tau, trend.times])
     want = init_streams(trend, prox, params, t_start, graph.node_count)
     got = init_streams(with_stale, prox, params, t_start, graph.node_count)
-    assert stale in prox._rows  # the weight was not zero, so its row was spread
+    assert stale in prox.stored_sources()  # the weight was not zero, so its row was spread
     assert got.node.tolist() == want.node.tolist()
     assert got.coefficient.tobytes() == want.coefficient.tobytes()
 
@@ -400,7 +400,7 @@ def test_branching_bound_gives_the_exact_rows_verdict(case):
     cold = ProximityMap(graph, config)
     bound = branching_bound(cold, params, n)
     if params.alpha * params.tau * cap < 1 - _CAP_MARGIN:
-        assert cold._rows == {}
+        assert len(cold.stored_sources()) == 0
     assert bound == branching_bound(warm, params, n)
     supercritical = params.alpha * params.tau * exact >= 1.0
     assert (bound >= 1.0) == supercritical
