@@ -12,7 +12,8 @@ BFS order for shortest-path rows, ascending node for random-walk rows.
 offsets index. A batched build appends its rows in one copy, ``gather``
 reads any list of rows with one index, and the cache writes the store's
 rows in one ``.npz`` that loads back as the store itself, entry for entry;
-none of these makes an object per row. ``row`` hands out one row as a
+none of these makes an object per row. The scalar kernels return one
+``Row`` each, which is copied in, and ``row`` hands out one row as a
 ``Row`` view for callers that read a row at a time.
 
 Shortest-path rows are built two ways. ``ProximityMap.gather`` builds all
@@ -327,34 +328,53 @@ class ProximityMap:
         if self._size and (a := self._start[source]) >= 0:
             b = self._stop[source]
             return Row(self._targets[a:b], self._scores[a:b])
-        build = shortest_path_row if self.config.kind == "shortest_path" else random_walk_row
-        row = self._fresh[source] = build(self.graph, source, self.config)
+        row = self._fresh[source] = self._build(source)
         if len(self._fresh) >= _FRESH_ROWS:
             self._merge()
         return row
+
+    def _build(self, source: int) -> Row:
+        """``source``'s row from the scalar kernel of the config's kind."""
+        build = shortest_path_row if self.config.kind == "shortest_path" else random_walk_row
+        return build(self.graph, source, self.config)
+
+    def _reserve(self, end: int) -> None:
+        """Make room for ``end`` entries: full arrays grow to a quarter more than that.
+
+        Doubling instead made each forecast-sparse benchmark ``predict``
+        fault in about 600 fresh memory pages, where a quarter made it fault
+        in none.
+        """
+        if end > len(self._targets):
+            capacity = end + end // 4
+            for name in ("_targets", "_scores"):
+                old = getattr(self, name)
+                grown = np.empty(capacity, dtype=old.dtype)
+                grown[: self._size] = old[: self._size]
+                setattr(self, name, grown)
+
+    def _put(self, source: int, row: Row) -> None:
+        """Store ``source``'s row, written straight into the arrays."""
+        size = self._size
+        end = size + len(row)
+        self._reserve(end)
+        self._targets[size:end] = row.targets
+        self._scores[size:end] = row.scores
+        self._start[source], self._stop[source], self._size = size, end, end
 
     def _append(self, sources: np.ndarray, lengths: np.ndarray, targets: list, scores: list) -> None:
         """Store the rows of distinct, unstored ``sources``, of ``lengths`` entries each.
 
         ``targets`` and ``scores`` are lists of arrays whose concatenation
         holds the rows' entries in order. They are joined straight into the
-        store; an empty store adopts a lone array. When the arrays are full
-        they grow to a quarter more than they must hold. Doubling instead
-        made each forecast-sparse benchmark ``predict`` fault in about 600
-        fresh memory pages, where a quarter made it fault in none.
+        store; an empty store adopts a lone array.
         """
         size = self._size
         end = size + int(lengths.sum())
         if not size and len(targets) == 1:
             self._targets, self._scores = targets[0], scores[0]
         else:
-            if end > len(self._targets):
-                capacity = end + end // 4
-                for name in ("_targets", "_scores"):
-                    old = getattr(self, name)
-                    grown = np.empty(capacity, dtype=old.dtype)
-                    grown[:size] = old[:size]
-                    setattr(self, name, grown)
+            self._reserve(end)
             np.concatenate(targets, out=self._targets[size:end])
             np.concatenate(scores, out=self._scores[size:end])
         self._stop[sources] = stop = size + np.cumsum(lengths)
@@ -379,7 +399,13 @@ class ProximityMap:
         """Store the rows of ``sources`` not stored yet, and every fresh row.
 
         Two or more missing shortest-path rows come from one ``_sp_rows``
-        pass; a single one, and every random-walk row, from ``row``.
+        pass; a single one, and every random-walk row, from the scalar
+        kernel, one row at a time, each written into the store as it is
+        built. Room for such a batch is made first, a row holding at most
+        every node (but no more than ``_SP_CHUNK_CELLS`` entries ahead):
+        building the rows first and joining them afterwards freed the whole
+        batch of row arrays at once, and rw-dense's benchmark ``predict``
+        then faulted in about 100 more fresh pages than before the store.
         """
         self._merge()
         missing = sources[self._start[sources] < 0]
@@ -387,9 +413,10 @@ class ProximityMap:
             return
         missing = np.fromiter(dict.fromkeys(missing.tolist()), dtype=np.int64)
         if len(missing) < 2 or self.config.kind != "shortest_path":
+            if len(missing) > 1:
+                self._reserve(self._size + min(len(missing) * self.graph.node_count, _SP_CHUNK_CELLS))
             for u in missing.tolist():
-                self.row(u)
-            self._merge()
+                self._put(u, self._build(u))
             return
         self._append(missing, *_sp_rows(self.graph, missing, self.config))
 
