@@ -402,10 +402,10 @@ class ProximityMap:
         pass; a single one, and every random-walk row, from the scalar
         kernel, one row at a time, each written into the store as it is
         built. Room for such a batch is made first, a row holding at most
-        every node (but no more than ``_SP_CHUNK_CELLS`` entries ahead):
-        building the rows first and joining them afterwards freed the whole
-        batch of row arrays at once, and rw-dense's benchmark ``predict``
-        then faulted in about 100 more fresh pages than before the store.
+        every node (but no more than ``_SP_CHUNK_CELLS`` entries ahead), so
+        no batch of row arrays is freed at once: joining a built batch
+        afterwards made rw-dense's benchmark ``predict`` fault in about 100
+        more fresh pages per run.
         """
         self._merge()
         missing = sources[self._start[sources] < 0]

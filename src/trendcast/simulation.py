@@ -12,16 +12,17 @@ are iid inverse-CDF draws: one generation at a time, with no thinning.
 Streams live in one ``Streams`` record of aligned arrays. Rows come in CSR
 form from ``ProximityMap.gather``, which reads them out of the map's one CSR
 store with one index, or as one read-only slice when they lie back to back
-there, as a batch just built does; no object is made per row. ``init_streams``
-spreads the actors' summed decayed weights (plain ``exp``, no cutoff) over their rows with one
-``bincount``. ``simulate`` makes one ``gather`` of each generation's acting
-nodes: its row sums (``csr_row_sums``) are the offspring coefficients, and
-the next generation marks its events, in event order, with one
-``searchsorted`` over the same rows' joined cumulative scores. ``gather``
-builds all of its missing shortest-path rows in one batched BFS, in chunks
-of at most 2^20 ``seen`` cells, and a lone missing row with the scalar BFS,
-which costs a sixth to a half of a batched pass for one row; both give the
-same rows, so a run does not depend on which path built them.
+there, as a batch just built does; no object is made per row.
+``init_streams`` spreads the actors' summed decayed weights (plain ``exp``,
+no cutoff) over their rows with one ``bincount``. ``simulate`` makes one
+``gather`` of each generation's acting nodes: its row sums
+(``csr_row_sums``) are the offspring coefficients, and the next generation
+marks its events, in event order, with one ``searchsorted`` over the same
+rows' joined cumulative scores. ``gather`` builds all of its missing
+shortest-path rows in one batched BFS, in chunks of at most 2^20 ``seen``
+cells, and a lone missing row with the scalar BFS, which costs a sixth to a
+half of a batched pass for one row; both give the same rows, so a run does
+not depend on which path built them.
 """
 
 from __future__ import annotations
