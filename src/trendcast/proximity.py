@@ -322,7 +322,12 @@ class ProximityMap:
         self._fresh: dict[int, Row] = {}
 
     def row(self, source: int) -> Row:
-        """``source``'s row: the kernel's own arrays while it waits to merge, else views of the store."""
+        """``source``'s row: the kernel's own arrays while it waits to merge, else views of the store.
+
+        A stored row gets a new ``Row`` on each call, so its mapping builds
+        its lookup dict again on the first lookup; a caller that looks up
+        many scores of one row keeps the ``Row``, or takes ``dict(row)``.
+        """
         if (row := self._fresh.get(source)) is not None:
             return row
         if self._size and (a := self._start[source]) >= 0:
@@ -338,43 +343,28 @@ class ProximityMap:
         build = shortest_path_row if self.config.kind == "shortest_path" else random_walk_row
         return build(self.graph, source, self.config)
 
-    def _reserve(self, end: int) -> None:
-        """Make room for ``end`` entries: full arrays grow to a quarter more than that.
-
-        Doubling instead made each forecast-sparse benchmark ``predict``
-        fault in about 600 fresh memory pages, where a quarter made it fault
-        in none.
-        """
-        if end > len(self._targets):
-            capacity = end + end // 4
-            for name in ("_targets", "_scores"):
-                old = getattr(self, name)
-                grown = np.empty(capacity, dtype=old.dtype)
-                grown[: self._size] = old[: self._size]
-                setattr(self, name, grown)
-
-    def _put(self, source: int, row: Row) -> None:
-        """Store ``source``'s row, written straight into the arrays."""
-        size = self._size
-        end = size + len(row)
-        self._reserve(end)
-        self._targets[size:end] = row.targets
-        self._scores[size:end] = row.scores
-        self._start[source], self._stop[source], self._size = size, end, end
-
     def _append(self, sources: np.ndarray, lengths: np.ndarray, targets: list, scores: list) -> None:
         """Store the rows of distinct, unstored ``sources``, of ``lengths`` entries each.
 
         ``targets`` and ``scores`` are lists of arrays whose concatenation
         holds the rows' entries in order. They are joined straight into the
-        store; an empty store adopts a lone array.
+        store; an empty store adopts a lone array. When the arrays are full
+        they grow to a quarter more than they must hold. Doubling instead
+        made each forecast-sparse benchmark ``predict`` fault in about 600
+        fresh memory pages, where a quarter made it fault in none.
         """
         size = self._size
         end = size + int(lengths.sum())
         if not size and len(targets) == 1:
             self._targets, self._scores = targets[0], scores[0]
         else:
-            self._reserve(end)
+            if end > len(self._targets):
+                capacity = end + end // 4
+                for name in ("_targets", "_scores"):
+                    old = getattr(self, name)
+                    grown = np.empty(capacity, dtype=old.dtype)
+                    grown[:size] = old[:size]
+                    setattr(self, name, grown)
             np.concatenate(targets, out=self._targets[size:end])
             np.concatenate(scores, out=self._scores[size:end])
         self._stop[sources] = stop = size + np.cumsum(lengths)
@@ -400,12 +390,7 @@ class ProximityMap:
 
         Two or more missing shortest-path rows come from one ``_sp_rows``
         pass; a single one, and every random-walk row, from the scalar
-        kernel, one row at a time, each written into the store as it is
-        built. Room for such a batch is made first, a row holding at most
-        every node (but no more than ``_SP_CHUNK_CELLS`` entries ahead), so
-        no batch of row arrays is freed at once: joining a built batch
-        afterwards made rw-dense's benchmark ``predict`` fault in about 100
-        more fresh pages per run.
+        kernel, and they join the store with one ``_merge``.
         """
         self._merge()
         missing = sources[self._start[sources] < 0]
@@ -413,10 +398,8 @@ class ProximityMap:
             return
         missing = np.fromiter(dict.fromkeys(missing.tolist()), dtype=np.int64)
         if len(missing) < 2 or self.config.kind != "shortest_path":
-            if len(missing) > 1:
-                self._reserve(self._size + min(len(missing) * self.graph.node_count, _SP_CHUNK_CELLS))
-            for u in missing.tolist():
-                self._put(u, self._build(u))
+            self._fresh = {u: self._build(u) for u in missing.tolist()}
+            self._merge()
             return
         self._append(missing, *_sp_rows(self.graph, missing, self.config))
 
@@ -428,11 +411,9 @@ class ProximityMap:
     def gather(self, sources: np.ndarray) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
         """The rows of ``sources``, in order, as CSR arrays (row_start, targets, scores).
 
-        Missing rows are built first, all in one batch (see ``_fill``). Rows
-        that lie back to back in the store, as a batch just built does, come
-        back as read-only views of one slice of it; otherwise one index, each
-        row's store offset repeated over its entries plus the entry's
-        position, copies them all out.
+        Missing rows are built first, all in one batch (see ``_fill``). Then
+        one index, each row's store offset repeated over its entries plus the
+        entry's position, copies them all out.
         """
         sources = np.asarray(sources, dtype=np.int64)
         self._fill(sources)
@@ -440,10 +421,6 @@ class ProximityMap:
         lengths = stop - start
         row_start = np.zeros(len(sources) + 1, dtype=np.int64)
         np.cumsum(lengths, out=row_start[1:])
-        if len(sources) and (start[1:] == stop[:-1]).all():
-            targets, scores = self._targets[start[0]:stop[-1]], self._scores[start[0]:stop[-1]]
-            targets.flags.writeable = scores.flags.writeable = False
-            return row_start, targets, scores
         index = np.repeat(start - row_start[:-1], lengths)
         index += np.arange(len(index))
         return row_start, self._targets[index], self._scores[index]

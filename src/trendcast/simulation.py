@@ -11,8 +11,7 @@ are iid inverse-CDF draws: one generation at a time, with no thinning.
 
 Streams live in one ``Streams`` record of aligned arrays. Rows come in CSR
 form from ``ProximityMap.gather``, which reads them out of the map's one CSR
-store with one index, or as one read-only slice when they lie back to back
-there, as a batch just built does; no object is made per row.
+store with one index; no object is made per row.
 ``init_streams`` spreads the actors' summed decayed weights (plain ``exp``,
 no cutoff) over their rows with one ``bincount``. ``simulate`` makes one
 ``gather`` of each generation's acting nodes: its row sums
