@@ -13,9 +13,14 @@ Graph and action files are read as bytes with numpy. A file with no CR, no
 comment or blank line, and no line that starts or ends with whitespace or a
 non-ASCII byte is split as it is; any other file is first cleaned as text,
 line by line, and both forms give the same fields. Labels are interned by
-sorting their bytes packed into 8-byte words, and each distinct label is
-decoded to ``str`` once. A malformed file is read again line by line to
-report its first bad line as ``path:line``.
+sorting their bytes packed into 8-byte words. A loaded graph keeps only its
+distinct labels' packed keys: ``Graph.labels`` is decoded from them on the
+first read, and the ``label -> index`` dict is built on first use, so the
+commands that never name a node (learn, predict, eval) decode no label. A
+trend's node fields are packed the same way and found among the graph's
+keys in numpy, so no label of a trend is looked up as a ``str``. A
+malformed file is read again line by line to report its first bad line as
+``path:line``.
 """
 
 from __future__ import annotations
@@ -24,7 +29,7 @@ import array
 import io
 import math
 from dataclasses import dataclass, field
-from itertools import repeat
+from functools import cached_property
 from typing import Callable, NoReturn
 
 import numpy as np
@@ -40,6 +45,21 @@ class UnknownNodeError(ValueError):
     """Action references a node label absent from the graph."""
 
 
+class _DecodedOnRead:
+    """``Graph.labels``: a label list given to the constructor is kept as it is; packed labels are decoded on the first read.
+
+    A descriptor without ``__set__``, so a list stored in the instance's
+    ``__dict__`` (by ``__init__`` or by the first read) is found before it.
+    """
+
+    def __get__(self, graph: Graph | None, owner: type | None = None) -> list[str]:
+        if graph is None:
+            # No value on the class, so the dataclass field has no default.
+            raise AttributeError("labels")
+        labels = graph.__dict__["labels"] = graph._keys.decode()
+        return labels
+
+
 @dataclass
 class Graph:
     """Immutable graph over dense node indices 0..node_count-1.
@@ -49,24 +69,44 @@ class Graph:
     out-neighbors when the graph is directed. Both arrays are made read-only
     at construction, so what is derived from them, such as ``adjacency``,
     stays valid for the graph's lifetime.
+
+    ``labels`` is a list of distinct strings, or ``load_graph``'s packed
+    label keys (``_LabelKeys``). Packed labels are decoded on the first read
+    of ``labels``; a graph given a list packs it on the first ``load_trend``.
+    Either way the ``label -> index`` dict behind ``index_of`` is built on
+    first use, except that a given list is checked at construction for its
+    length and for repeats, which builds the dict.
     """
 
     node_count: int
     directed: bool
-    labels: list[str]
+    labels: list[str] = _DecodedOnRead()  # a required field: the descriptor gives no default
     indptr: np.ndarray
     indices: np.ndarray
-    _label_index: dict[str, int] = field(init=False, repr=False)
     _adjacency: tuple[array.array, list[int]] | None = field(default=None, init=False, repr=False, compare=False)
 
     def __post_init__(self) -> None:
-        if len(self.labels) != self.node_count:
-            raise ValueError(f"{len(self.labels)} node labels given for {self.node_count} nodes")
-        self._label_index = dict(zip(self.labels, range(len(self.labels))))
-        if len(self._label_index) != self.node_count:
-            raise ValueError("node labels are not unique")
+        labels = self.__dict__["labels"]
+        if len(labels) != self.node_count:
+            raise ValueError(f"{len(labels)} node labels given for {self.node_count} nodes")
+        if isinstance(labels, _LabelKeys):
+            # Distinct by construction; the list is decoded on the first read.
+            del self.__dict__["labels"]
+            self._keys = labels
+        else:
+            self._label_index = dict(zip(labels, range(len(labels))))
+            if len(self._label_index) != self.node_count:
+                raise ValueError("node labels are not unique")
         self.indptr.flags.writeable = False
         self.indices.flags.writeable = False
+
+    @cached_property
+    def _label_index(self) -> dict[str, int]:
+        return dict(zip(self.labels, range(self.node_count)))
+
+    @cached_property
+    def _keys(self) -> _LabelKeys:
+        return _LabelKeys.pack(self.labels)
 
     def __eq__(self, other: object) -> bool:
         """Equal node count, direction, labels and CSR arrays, compared by value."""
@@ -247,8 +287,10 @@ class AggregateSeries:
 _UNCLEAN_END = np.array([b >= 0x80 or chr(b).isspace() for b in range(256)])
 _UNCLEAN_START = _UNCLEAN_END | (np.arange(256) == ord("#"))
 
-# _LOW_BYTES[k] keeps the low k < 8 bytes of a little-endian 8-byte word.
+# _LOW_BYTES[k] keeps the low k < 8 bytes of a little-endian 8-byte word,
+# and _TOP_BYTE[k] puts k in its top byte.
 _LOW_BYTES = np.array([(1 << 8 * k) - 1 for k in range(8)], dtype=np.int64)
+_TOP_BYTE = np.arange(8, dtype=np.int64) << 56
 
 
 def _split_lines(text: str) -> list[str]:
@@ -339,39 +381,57 @@ def _split_fields(data: bytes, n: int) -> tuple[np.ndarray, np.ndarray, np.ndarr
     return buf, starts, lengths
 
 
-def _intern(buf: np.ndarray, starts: np.ndarray, lengths: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
-    """Each field's label id, ids numbered in order of first appearance, and the field where each id first appears.
+def _field_keys(buf: np.ndarray, starts: np.ndarray, lengths: np.ndarray):
+    """Yield ``(w, sel, keys)`` for each word count ``w`` of the given fields: the fields' keys, as ``w`` int64 arrays.
 
-    A field's key is its bytes as little-endian 8-byte words,
-    ``length // 8 + 1`` of them, zero-padded; the top byte of the last word,
-    past the field's end, holds ``length % 8``. Two fields with as many words
-    have equal keys exactly when their bytes are equal, so one sort per word
-    count (argsort of one word, or lexsort of several) groups the fields by
-    label, in memory about the size of the file.
+    ``sel`` indexes the fields of ``w`` words, or is None when every field
+    has ``w`` words. A field's key is its bytes as little-endian 8-byte
+    words, ``length // 8 + 1`` of them, zero-padded; the top byte of the last
+    word, past the field's end, holds ``length % 8``. Two fields with as many
+    words have equal keys exactly when their bytes are equal, and a key holds
+    all of its field's bytes. ``buf`` ends with 8 bytes past the last field.
     """
+    if not lengths.size:
+        return
     # windows[i] is the word of bytes i..i+7: an unaligned view, no copy. The
     # words are signed so that they sort and compare in the numpy loops the
     # package's other int64 keys use: a uint64 sort maps about 0.1 MB more
     # of numpy's code into every process.
     windows = np.ndarray((buf.size - 7,), dtype="<i8", buffer=buf, strides=(1,))
-    words = (lengths >> 3) + 1
-    counts = np.bincount(words)
-    order_parts, group_parts, done = [], [], 0
-    for w in np.flatnonzero(counts).tolist():
-        sel = np.flatnonzero(words == w) if counts[w] < words.size else None
+    if lengths.max() < 8:
+        # Labels of up to 7 bytes, the common case, are one word each.
+        widths = [(1, None)]
+    else:
+        words = (lengths >> 3) + 1
+        counts = np.bincount(words)
+        widths = ((w, np.flatnonzero(words == w) if counts[w] < words.size else None) for w in np.flatnonzero(counts).tolist())
+    for w, sel in widths:
         s, n = (starts, lengths) if sel is None else (starts[sel], lengths[sel])
-        keys = [windows[s + 8 * j] for j in range(w)]
-        rem = n & 7
+        keys = [windows[s + 8 * j] if j else windows[s] for j in range(w)]
+        rem = n if w == 1 else n & 7
         keys[-1] &= _LOW_BYTES[rem]
-        keys[-1] |= rem.astype(np.int64) << 56
+        keys[-1] |= _TOP_BYTE[rem]
         del s, n, rem
+        yield w, sel, keys
+
+
+def _intern(buf: np.ndarray, starts: np.ndarray, lengths: np.ndarray) -> tuple[np.ndarray, _LabelKeys]:
+    """Each field's label id, ids numbered in order of first appearance, and the labels' packed keys.
+
+    One sort per word count of the fields' keys (``_field_keys``: argsort of
+    one word, or lexsort of several) groups the fields by label, in memory
+    about the size of the file.
+    """
+    order_parts, group_parts, known, done = [], [], {}, 0
+    for w, sel, keys in _field_keys(buf, starts, lengths):
         order = np.argsort(keys[0]) if w == 1 else np.lexsort(keys)
         fresh = np.zeros(order.size, dtype=bool)
         fresh[0] = True
         for key in keys:
             key = key[order]
             fresh[1:] |= key[1:] != key[:-1]
-        del keys, key
+        del key
+        known[w] = [key[order[fresh]] for key in keys]
         order_parts.append(order if sel is None else sel[order])
         group_parts.append(np.flatnonzero(fresh) + done)
         done += order.size
@@ -382,10 +442,96 @@ def _intern(buf: np.ndarray, starts: np.ndarray, lengths: np.ndarray) -> tuple[n
     # Fields where a label first appears, in file order, are ids 0, 1, ...
     is_first = np.zeros(order.size, dtype=bool)
     is_first[first] = True
-    rank = np.cumsum(is_first, dtype=starts.dtype)
+    label = np.cumsum(is_first, dtype=np.int64)[first]
+    label -= 1
     ids = np.empty(order.size, dtype=np.int64)
-    ids[order] = np.repeat(rank[first] - 1, np.diff(groups, append=order.size))
-    return ids, np.flatnonzero(is_first)
+    ids[order] = np.repeat(label, np.diff(groups, append=order.size))
+    # The groups run word count by word count, in key order within each.
+    bounds = np.cumsum([0] + [keys[0].size for keys in known.values()]).tolist()
+    packed = {w: (keys, label[a:b]) for (w, keys), a, b in zip(known.items(), bounds, bounds[1:])}
+    return ids, _LabelKeys(packed, label.size)
+
+
+class _LabelKeys:
+    """Distinct labels packed into keys, as ``_field_keys`` packs fields, and the node of each.
+
+    ``groups[w]`` is ``(keys, nodes)`` for the labels of ``w`` words: ``w``
+    int64 arrays holding the keys in ``np.lexsort`` order (ascending when
+    ``w`` is 1), and an int64 array of their nodes. A key holds every byte
+    of its label, so the keys are the only copy of the labels a loaded graph
+    keeps.
+    """
+
+    def __init__(self, groups: dict[int, tuple[list[np.ndarray], np.ndarray]], count: int) -> None:
+        self.groups = groups
+        self.count = count
+        # _wide[w]: the keys of w > 1 words as _sortable_rows gives them, made on the first search.
+        self._wide: dict[int, np.ndarray] = {}
+
+    def __len__(self) -> int:
+        return self.count
+
+    @classmethod
+    def pack(cls, labels: list[str]) -> _LabelKeys:
+        """The keys of a list of distinct labels, label i being node i."""
+        if not labels:
+            return cls({}, 0)
+        # A lone surrogate cannot be UTF-8 and no file field matches it; its
+        # bytes still give it a key of its own.
+        encoded = [label.encode("utf-8", "surrogatepass") for label in labels]
+        lengths = np.fromiter(map(len, encoded), dtype=np.int64, count=len(encoded))
+        starts = np.cumsum(lengths) - lengths
+        buf = np.frombuffer(b"".join(encoded) + bytes(8), dtype=np.uint8)
+        return _intern(buf, starts, lengths)[1]
+
+    def decode(self) -> list[str]:
+        """The labels as strings, in node order."""
+        if not self.count:
+            return []
+        parts, done = [], 0
+        starts = np.empty(self.count, dtype=np.int64)
+        lengths = np.empty(self.count, dtype=np.int64)
+        for w, (keys, nodes) in self.groups.items():
+            # Row r of the (n, w) stack holds label r's bytes, then its padding.
+            parts.append(np.stack(keys, axis=1).astype("<i8", copy=False).view(np.uint8).reshape(-1))
+            starts[nodes] = np.arange(done, done + 8 * w * nodes.size, 8 * w)
+            lengths[nodes] = (keys[-1] >> 56) + 8 * (w - 1)
+            done += 8 * w * nodes.size
+        return _decode(np.concatenate(parts), starts, lengths)
+
+    def find(self, buf: np.ndarray, starts: np.ndarray, lengths: np.ndarray) -> np.ndarray | None:
+        """The node each given field of ``buf`` names, or None when some field names no node."""
+        nodes = np.empty(starts.size, dtype=np.int64)
+        for w, sel, keys in _field_keys(buf, starts, lengths):
+            if w not in self.groups:
+                return None
+            known, ids = self.groups[w]
+            if w == 1:
+                known, keys = known[0], keys[0]
+            else:
+                if w not in self._wide:
+                    self._wide[w] = _sortable_rows(known)
+                known, keys = self._wide[w], _sortable_rows(keys)
+            # The only key that can equal a field's is the first one not
+            # below it; past the next-to-last key, that is the last.
+            at = known[:-1].searchsorted(keys)
+            if not (known[at] == keys).all():
+                return None
+            if sel is None:
+                return ids[at]
+            nodes[sel] = ids[at]
+        return nodes
+
+
+def _sortable_rows(keys: list[np.ndarray]) -> np.ndarray:
+    """Row i of the ``w`` key words as one ``8 * w``-byte string; the strings sort as ``np.lexsort(keys)`` orders the rows.
+
+    The words go last one first, big-endian and with the sign bit flipped,
+    so that comparing the strings byte by byte compares the signed words.
+    """
+    rows = np.stack(keys[::-1], axis=1)
+    rows ^= np.iinfo(np.int64).min
+    return rows.astype(">i8").view(f"S{8 * len(keys)}").ravel()
 
 
 def _decode(buf: np.ndarray, starts: np.ndarray, lengths: np.ndarray) -> list[str]:
@@ -428,12 +574,10 @@ def load_graph(path: str, directed: bool = False) -> Graph:
     buf, starts, lengths = _read_fields(path, _check_edge_line)
     if not starts.size:
         raise ParseError(f"{path}: no edges found")
-    ids, first = _intern(buf, starts, lengths)
-    starts, lengths = starts[first], lengths[first]
-    indptr, indices = _csr(ids.reshape(-1, 2), first.size, directed)
-    del ids, first
-    labels = _decode(buf, starts, lengths)
-    return Graph(len(labels), directed, labels, indptr, indices)
+    ids, keys = _intern(buf, starts, lengths)
+    del buf, starts, lengths
+    indptr, indices = _csr(ids.reshape(-1, 2), len(keys), directed)
+    return Graph(len(keys), directed, keys, indptr, indices)
 
 
 def load_trend(path: str, graph: Graph) -> Trend:
@@ -441,7 +585,8 @@ def load_trend(path: str, graph: Graph) -> Trend:
 
     Same comment and blank-line rules as edge files. Unknown labels and
     non-numeric or non-finite timestamps are rejected with the offending
-    line number.
+    line number. The node fields are found among the graph's packed label
+    keys (``_LabelKeys.find``), so loading a trend decodes no graph label.
     """
 
     def check(where: str, raw: str, parts: list[str]) -> None:
@@ -456,13 +601,20 @@ def load_trend(path: str, graph: Graph) -> Trend:
         if not math.isfinite(t):
             raise ParseError(f"{where}: non-finite timestamp {parts[1]!r}")
 
-    values = _decode(*_read_fields(path, check))
-    nodes = np.fromiter(map(graph._label_index.get, values[0::2], repeat(-1)), dtype=np.int64)
+    buf, starts, lengths = _read_fields(path, check)
+    nodes = graph._keys.find(buf, starts[0::2], lengths[0::2])
+    if nodes is None:
+        _raise_first_error(path, check)
+    # Up to the end of its last field, buf holds the fields each followed by
+    # one tab or LF; splitting its text costs less than gathering the
+    # timestamp column's bytes, at every trend size measured.
+    end = int(starts[-1] + lengths[-1]) if starts.size else 0
+    stamps = buf[:end].tobytes().decode("utf-8").replace("\n", "\t").split("\t")[1::2]
     try:
-        times = np.fromiter(map(float, values[1::2]), dtype=np.float64)
+        times = np.fromiter(map(float, stamps), dtype=np.float64)
     except ValueError:
         _raise_first_error(path, check)
-    if not ((nodes >= 0).all() and np.isfinite(times).all()):
+    if not np.isfinite(times).all():
         _raise_first_error(path, check)
     return Trend(nodes, times)
 

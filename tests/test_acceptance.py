@@ -58,10 +58,13 @@ def check(num: int, name: str, ok: bool, detail: str = "") -> None:
 def test_criterion_01_toy_trend_aggregation(toy_trend):
     grid = IntervalGrid(2007.0, 1.0, 5)
     aggregate(toy_trend, grid)  # warm up before the sub-millisecond timing
-    start = time.perf_counter()
-    series = aggregate(toy_trend, grid)
-    dur = duration(series, 0.0)
-    elapsed = time.perf_counter() - start
+    # The fastest of 5 repeats: one repeat's wall time measures the machine's load as much as the code.
+    elapsed = math.inf
+    for _ in range(5):
+        start = time.perf_counter()
+        series = aggregate(toy_trend, grid)
+        dur = duration(series, 0.0)
+        elapsed = min(elapsed, time.perf_counter() - start)
     ok = (
         series.intensity.tolist() == [1, 5, 4, 2, 0]
         and series.coverage.tolist() == [1, 2, 3, 2, 0]

@@ -8,6 +8,7 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 from scipy.stats import chisquare
 
+from trendcast import core
 from trendcast.core import (
     Graph,
     IntervalGrid,
@@ -25,7 +26,7 @@ from trendcast.core import (
     write_graph,
     write_trend,
 )
-from trendcast.proximity import graph_fingerprint
+from trendcast.proximity import ProximityConfig, ProximityMap, graph_fingerprint
 
 from oracles import brute_force_longest_run, coverage, intensity, line_load_graph, line_load_trend, unique_rows_csr
 
@@ -542,3 +543,138 @@ def test_load_trend_matches_the_line_by_line_reference(tmp_path_factory, data, m
         for name in ("nodes", "times"):
             a, b = getattr(got, name), getattr(want, name)
             assert a.dtype == b.dtype and a.tolist() == b.tolist()
+
+
+# Labels a trend field can name: longer than 7 bytes (several key words),
+# non-ASCII, with an embedded NUL, and sharing 8-byte prefixes; and labels
+# it cannot: a lone surrogate is not UTF-8, and a file field holds no tab.
+_LIST_LABELS = [
+    "a", "abcdefg", "abcdefgh", "abcdefghi", "abcdefgh-1", "abcdefgh-2", "x\x00y", "\x00" * 9,
+    "ノード", "ノード-長いラベル", "é" * 40, "u7", "\ud800", "t\tab",
+]  # fmt: skip
+# Fields that name no node: prefixes and extensions of the labels above, of
+# the same word count and of others.
+_GHOSTS = ["abcdefgh-3", "abcdefghj", "ab", "ノード-", "é" * 39, "x\x00", "u40"]
+
+
+def _file_can_name(label: str) -> bool:
+    """Whether a trend line can name ``label``: UTF-8, no tab, and nothing that stripping a line removes."""
+    try:
+        label.encode("utf-8")
+    except UnicodeEncodeError:
+        return False
+    return "\t" not in label and label == label.strip()
+
+
+def _graphs_not_read_from_a_file() -> dict[str, Graph]:
+    n = len(_LIST_LABELS)
+    from_edges = Graph.from_edges([(i, (i + 1) % n) for i in range(n)], n, _LIST_LABELS)
+    # Every other node edgeless, so the kept nodes are renumbered.
+    sparse = Graph.from_edges([(i, i + 2) for i in range(0, n - 2, 4)], n, _LIST_LABELS, directed=True)
+    return {
+        "from_edges": from_edges,
+        "drop_edgeless_nodes": drop_edgeless_nodes(sparse),
+        "random_graph": random_graph(40, 30, seed=3),
+    }
+
+
+@pytest.mark.parametrize("kind", ["from_edges", "drop_edgeless_nodes", "random_graph"])
+def test_load_trend_on_graphs_not_read_from_a_file_matches_the_reference(tmp_path, kind):
+    graph = _graphs_not_read_from_a_file()[kind]
+    named = list(filter(_file_can_name, graph.labels))
+    assert len(named) >= min(graph.node_count, 8)
+    lines = [f"{label}\t{0.5 * i}\n" for i, label in enumerate(named * 3)]
+    good = tmp_path / "good.tsv"
+    good.write_text("".join(lines[::-1]), encoding="utf-8")
+    got, want = load_trend(str(good), graph), line_load_trend(str(good), graph)
+    for name in ("nodes", "times"):
+        assert getattr(got, name).tolist() == getattr(want, name).tolist()
+    for ghost in _GHOSTS:
+        bad = tmp_path / "bad.tsv"
+        bad.write_text("".join(lines[:5]) + f"{ghost}\t1.0\n" + "".join(lines[5:]), encoding="utf-8")
+        _assert_same_outcome(_outcome(load_trend, str(bad), graph), _outcome(line_load_trend, str(bad), graph))
+        assert isinstance(_outcome(load_trend, str(bad), graph), UnknownNodeError)
+
+
+def _loaded_pair(tmp_path) -> tuple[str, Graph]:
+    """An edge file over labels of one and of several key words, and the reference graph it gives."""
+    labels = list(filter(_file_can_name, _LIST_LABELS)) + [f"n{i}" for i in range(30)]
+    path = tmp_path / "g.tsv"
+    path.write_text("".join(f"{labels[i]}\t{labels[(3 * i + 1) % len(labels)]}\n" for i in range(len(labels))), encoding="utf-8")
+    return str(path), line_load_graph(str(path))
+
+
+@pytest.mark.parametrize("first_read", ["labels", "index_of", "eq", "fingerprint", "replace", "repr", "load_trend"])
+def test_a_loaded_graph_reads_as_the_eager_one_whichever_is_read_first(tmp_path, first_read):
+    path, eager = _loaded_pair(tmp_path)
+    lazy = load_graph(path)
+    assert "labels" not in lazy.__dict__
+    trend = tmp_path / "t.tsv"
+    trend.write_text("".join(f"{label}\t{i}\n" for i, label in enumerate(eager.labels)), encoding="utf-8")
+    first = {
+        "labels": lambda g: g.labels,
+        "index_of": lambda g: [g.index_of(label) for label in eager.labels],
+        "eq": lambda g: g == eager,
+        "fingerprint": graph_fingerprint,
+        "replace": dataclasses.replace,
+        "repr": repr,
+        "load_trend": lambda g: load_trend(str(trend), g).nodes.tolist(),
+    }[first_read]
+    assert first(lazy) == first(eager)
+    assert lazy.labels == eager.labels
+    assert [lazy.index_of(label) for label in eager.labels] == list(range(eager.node_count))
+    assert lazy == eager and eager == lazy
+    assert graph_fingerprint(lazy) == graph_fingerprint(eager)
+    assert dataclasses.replace(lazy) == eager and dataclasses.replace(lazy).labels == eager.labels
+    assert repr(lazy) == repr(eager)
+    assert load_trend(str(trend), lazy).nodes.tolist() == load_trend(str(trend), eager).nodes.tolist()
+    with pytest.raises(UnknownNodeError, match="^unknown node label 'ghost'$"):
+        lazy.index_of("ghost")
+
+
+def test_loading_decodes_no_label_until_one_is_read(tmp_path, monkeypatch):
+    # The learn and predict path: load the graph and a trend, gather the
+    # acting nodes' proximity rows.
+    path, eager = _loaded_pair(tmp_path)
+    trend_path = tmp_path / "t.tsv"
+    trend_path.write_text("".join(f"{label}\t{i}\n" for i, label in enumerate(eager.labels[::2])), encoding="utf-8")
+    decoded = []
+    decode = core._LabelKeys.decode
+    monkeypatch.setattr(core._LabelKeys, "decode", lambda keys: decoded.append(keys) or decode(keys))
+    graph = load_graph(path)
+    trend = load_trend(str(trend_path), graph)
+    ProximityMap(graph, ProximityConfig()).gather(np.unique(trend.nodes))
+    assert decoded == [] and not {"labels", "_label_index"} & graph.__dict__.keys()
+    assert trend.nodes.tolist() == list(range(0, eager.node_count, 2))
+    assert graph.labels == eager.labels and len(decoded) == 1
+    assert graph.labels is graph.labels and len(decoded) == 1
+
+
+@pytest.mark.parametrize("held_out", [False, True])
+def test_load_trend_finds_thousands_of_labels_as_the_reference(tmp_path, held_out):
+    # About 4k labels of 1 to 40 characters over bytes below and above 0x80,
+    # so the graph's keys span 1 to 16 words and both signs; labels of the
+    # same alphabet left out of the graph, each next to graph labels in
+    # sorted order, name no node.
+    rng = np.random.default_rng(12)
+    alphabet = "ab\x00é本"
+    labels = sorted({"".join(alphabet[i] for i in rng.integers(0, 5, size=rng.integers(1, 41))) for _ in range(5000)})
+    labels = [lab for lab in labels if lab.strip() == lab]
+    kept, ghosts = [lab for i, lab in enumerate(labels) if i % 10], labels[::10]
+    graph_path = tmp_path / "g.tsv"
+    edges = rng.integers(0, len(kept), size=(len(kept), 2))
+    edges[:, 0] = np.arange(len(kept))
+    graph_path.write_bytes("".join(f"{kept[u]}\t{kept[v]}\n" for u, v in edges.tolist()).encode("utf-8"))
+    graph = load_graph(str(graph_path))
+    assert graph.node_count == len(kept)
+    named = [kept[i] for i in rng.integers(0, len(kept), size=3000)]
+    if held_out:
+        named[1234] = ghosts[7]
+    path = tmp_path / "t.tsv"
+    path.write_bytes("".join(f"{label}\t{0.25 * i}\n" for i, label in enumerate(named)).encode("utf-8"))
+    got, want = _outcome(load_trend, str(path), graph), _outcome(line_load_trend, str(path), graph)
+    _assert_same_outcome(got, want)
+    if held_out:
+        assert isinstance(got, UnknownNodeError) and ":1235: " in str(got)
+    else:
+        assert got.nodes.tolist() == want.nodes.tolist() and got.times.tolist() == want.times.tolist()
