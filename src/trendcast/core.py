@@ -398,17 +398,13 @@ def _field_keys(buf: np.ndarray, starts: np.ndarray, lengths: np.ndarray):
     # package's other int64 keys use: a uint64 sort maps about 0.1 MB more
     # of numpy's code into every process.
     windows = np.ndarray((buf.size - 7,), dtype="<i8", buffer=buf, strides=(1,))
-    if lengths.max() < 8:
-        # Labels of up to 7 bytes, the common case, are one word each.
-        widths = [(1, None)]
-    else:
-        words = (lengths >> 3) + 1
-        counts = np.bincount(words)
-        widths = ((w, np.flatnonzero(words == w) if counts[w] < words.size else None) for w in np.flatnonzero(counts).tolist())
-    for w, sel in widths:
+    words = (lengths >> 3) + 1
+    counts = np.bincount(words)
+    for w in np.flatnonzero(counts).tolist():
+        sel = np.flatnonzero(words == w) if counts[w] < words.size else None
         s, n = (starts, lengths) if sel is None else (starts[sel], lengths[sel])
-        keys = [windows[s + 8 * j] if j else windows[s] for j in range(w)]
-        rem = n if w == 1 else n & 7
+        keys = [windows[s + 8 * j] for j in range(w)]
+        rem = n & 7
         keys[-1] &= _LOW_BYTES[rem]
         keys[-1] |= _TOP_BYTE[rem]
         del s, n, rem
@@ -465,8 +461,6 @@ class _LabelKeys:
     def __init__(self, groups: dict[int, tuple[list[np.ndarray], np.ndarray]], count: int) -> None:
         self.groups = groups
         self.count = count
-        # _wide[w]: the keys of w > 1 words as _sortable_rows gives them, made on the first search.
-        self._wide: dict[int, np.ndarray] = {}
 
     def __len__(self) -> int:
         return self.count
@@ -509,9 +503,7 @@ class _LabelKeys:
             if w == 1:
                 known, keys = known[0], keys[0]
             else:
-                if w not in self._wide:
-                    self._wide[w] = _sortable_rows(known)
-                known, keys = self._wide[w], _sortable_rows(keys)
+                known, keys = _sortable_rows(known), _sortable_rows(keys)
             # The only key that can equal a field's is the first one not
             # below it; past the next-to-last key, that is the last.
             at = known[:-1].searchsorted(keys)
