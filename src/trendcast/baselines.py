@@ -9,10 +9,15 @@ estimate, compensating single activation against repeat actions.
 
 Since every edge is tried at most once and the earliest parent wins, a run
 is computed in its live-edge form (Kempe, Kleinberg & Tardos, KDD 2003; with
-continuous delays as in NetRate, Gomez-Rodriguez et al., ICML 2011): each
-edge's coin and delay are drawn up front, and activation times are the
-earliest arrival times from the seeds over the live edges. Fitting and
-simulation work on the graph's CSR edge arrays, with no loop per edge.
+continuous delays as in NetRate, Gomez-Rodriguez et al., ICML 2011): the
+live edges and their delays are drawn up front, and activation times are the
+earliest arrival times from the seeds over the live edges. The live edges
+are drawn by their geometric gaps (Batagelj & Brandes, Phys. Rev. E 71,
+2005), so a run draws about one number per live edge, not one coin per edge.
+The law is the same as with per-edge coins, but the stream is consumed
+differently, so for a fixed seed the cascade forecasts and run dumps differ
+in bytes from those of the per-edge-coin sampler. Fitting and simulation
+work on the graph's CSR edge arrays, with no loop per edge.
 
 ``fit_baseline`` estimates a baseline from the observed prefix, and
 ``predict_baseline`` is the one way to run it: a forecast relaxes its runs
@@ -140,6 +145,20 @@ def _edge_scales(params: BaselineParams, node_count: int, src: np.ndarray, dst: 
     return 1.0 / rates
 
 
+def _live_edges(rng: np.random.Generator, m: int, p: float) -> np.ndarray:
+    """Ascending indices of the live edges among ``m``, each live alone with probability ``p``.
+
+    The gaps between consecutive live edges of a Bernoulli(p) sequence are
+    Geometric(p), so the indices are cumulative sums of geometric gaps, drawn
+    in blocks of about m * p plus four standard deviations until they pass m.
+    """
+    block = int(m * p + 4 * math.sqrt(m * p)) + 1
+    ends = np.cumsum(rng.geometric(p, size=block)) - 1
+    while ends[-1] < m:
+        ends = np.concatenate((ends, ends[-1] + np.cumsum(rng.geometric(p, size=block))))
+    return ends[: np.searchsorted(ends, m)]
+
+
 def _arrivals(
     params: BaselineParams,
     src: np.ndarray,
@@ -152,8 +171,8 @@ def _arrivals(
 ) -> np.ndarray:
     """Activation times of one run per generator, shape (runs, node_count).
 
-    Run r draws from ``rngs[r]`` one coin per (src, dst) edge, then the
-    delays of its live edges (eexp: with the live edges' ``scales``). The
+    Run r draws from ``rngs[r]`` its live edges by ``_live_edges``, then
+    the delays of those edges (eexp: with the live edges' ``scales``). The
     live edges of all runs form one graph on runs * node_count nodes, run r
     owning nodes r * node_count onward, relaxed in one set of Bellman-Ford
     rounds from the seeds (the finite entries of ``first``). Runs never
@@ -163,7 +182,7 @@ def _arrivals(
     n = len(first)
     live_parts, delay_parts = [], []
     for rng in rngs:
-        live = np.flatnonzero(rng.random(len(dst)) < params.activation_prob)
+        live = _live_edges(rng, len(dst), params.activation_prob)
         if params.kind == "tequ":
             delay = np.full(len(live), params.delay_equal)
         elif params.kind == "texp":

@@ -182,7 +182,6 @@ def cmd_predict(args: argparse.Namespace) -> int:
         seed=seed,
         max_events=SimConfig.max_events if args.max_events is None else args.max_events,
     )
-    run_dump: list[Trend] | None = [] if args.dump_runs else None
     if args.model == "da":
         params, prox_config = load_params(args.params)
         simulation.check_start(params, args.t_star)
@@ -194,6 +193,7 @@ def cmd_predict(args: argparse.Namespace) -> int:
                 "runs may grow until --max-events",
                 file=sys.stderr,
             )
+        run_dump = _run_dump(args.dump_runs)
         report = simulation.predict(
             trend, graph.node_count, prox, params, sim_config, grid,
             theta=theta, measure=args.measure, run_dump=run_dump,
@@ -204,16 +204,31 @@ def cmd_predict(args: argparse.Namespace) -> int:
             print("warning: no attributable activations; using fallback cascade parameters", file=sys.stderr)
         if args.mult:
             params.mult_factor = _training_mult_factor(trend, args.t_star, grid.interval_length)
+        run_dump = _run_dump(args.dump_runs)
         report = baselines.predict_baseline(
             params, graph, trend, sim_config, grid,
             theta=theta, measure=args.measure, mult=args.mult, run_dump=run_dump,
         )
     if run_dump is not None:
-        os.makedirs(args.dump_runs, exist_ok=True)
         for i, run_trend in enumerate(run_dump):
             write_trend(os.path.join(args.dump_runs, f"run_{i:04d}.tsv"), run_trend, graph)
     report.write_csv(args.out)
     return 0
+
+
+def _run_dump(path: str | None) -> list[Trend] | None:
+    """The list predict fills with its runs, after making the --dump-runs directory; None without one.
+
+    The directory is made before any run, so a path that cannot be one fails
+    before the forecast is paid for.
+    """
+    if not path:
+        return None
+    try:
+        os.makedirs(path, exist_ok=True)
+    except OSError as exc:
+        raise ValueError(f"--dump-runs {path}: cannot make the directory: {exc.strerror}") from exc
+    return []
 
 
 def _training_mult_factor(trend: Trend, t_star: float, interval_length: float) -> float:

@@ -10,7 +10,10 @@ with the library internals beyond data containers. ``ActivenessModel``,
 more; they stay here as references. ``heap_simulate_baseline`` and
 ``loop_simulate_baseline`` run one cascade alone; the package runs cascades
 only inside ``baselines.predict_baseline``, whose runs ``cascade_runs`` reads
-back from its run dump for the tests to compare.
+back from its run dump for the tests to compare. ``loop_simulate_baseline``
+takes its live edges from the shipped ``baselines._live_edges``, whose law
+``test_baselines`` checks on its own, so that it consumes each run's stream
+as the package does; its delays and relaxation are its own.
 """
 
 from __future__ import annotations
@@ -25,7 +28,7 @@ from typing import Mapping
 import numpy as np
 
 from trendcast.activeness import ActivenessParams
-from trendcast.baselines import FALLBACK_ACTIVATION_PROB, FALLBACK_MEAN_GAP, BaselineParams, predict_baseline
+from trendcast.baselines import FALLBACK_ACTIVATION_PROB, FALLBACK_MEAN_GAP, BaselineParams, _live_edges, predict_baseline
 from trendcast.core import Graph, IntervalGrid, ParseError, Trend, UnknownNodeError, aggregate, random_graph
 from trendcast.learning import (
     _SUBRANGES,
@@ -579,14 +582,14 @@ def loop_simulate_baseline(
     t_end: float,
     rng: np.random.Generator,
 ) -> Trend:
-    """One cascade run alone: its coins, its live edges' delays, its own Bellman-Ford rounds."""
+    """One cascade run alone: its live edges by the shipped ``_live_edges``, their delays, its own Bellman-Ford rounds."""
     n = graph.node_count
     active = np.full(n, math.inf)
     for node, t in _first_activation_dict(trend.prefix(t_start)).items():
         active[node] = t
     seed = np.isfinite(active)
     src, dst = np.repeat(np.arange(n), np.diff(graph.indptr)), graph.indices
-    live = rng.random(len(dst)) < params.activation_prob
+    live = _live_edges(rng, len(dst), params.activation_prob)
     src, dst = src[live], dst[live]
     if params.kind == "tequ":
         delay = np.full(len(dst), params.delay_equal)

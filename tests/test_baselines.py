@@ -227,6 +227,46 @@ def test_star_coverage_mean_is_binomial():
     assert report.duration_covering_fraction == pytest.approx(expected_hit, abs=0.01)
 
 
+def test_live_edges_at_the_extremes():
+    rng = np.random.default_rng(0)
+    for m in (0, 1, 7, 1000):
+        assert np.array_equal(baselines._live_edges(rng, m, 1.0), np.arange(m))
+    for p in (0.001, 0.3, 1.0):
+        assert baselines._live_edges(rng, 0, p).size == 0
+
+
+@settings(derandomize=True, database=None, deadline=None, max_examples=300)
+@given(st.integers(0, 300), st.floats(0.001, 1.0), st.integers(0, 2**32 - 1))
+def test_live_edges_are_ascending_distinct_and_in_range(m, p, seed):
+    live = baselines._live_edges(np.random.default_rng(seed), m, p)
+    assert live.dtype.kind == "i"
+    assert np.all(np.diff(live) > 0)
+    assert live.size == 0 or (live[0] >= 0 and live[-1] < m)
+
+
+@pytest.mark.parametrize("p", [0.01, 0.08, 0.5])
+def test_live_edges_are_independent_bernoulli(p):
+    # 20k draws over m = 50 edges: every edge's live frequency, the joint
+    # frequency of the adjacent pair (20, 21), and the mean and variance of
+    # the live count, each within 5 standard errors of Bernoulli(p) edges.
+    # At p = 0.01 a draw needs more than its first block of gaps about once
+    # in 630, so the top-up is taken too.
+    m, draws = 50, 20_000
+    rng = np.random.default_rng(7)
+    live = np.zeros((draws, m), dtype=bool)
+    for row in live:
+        row[baselines._live_edges(rng, m, p)] = True
+    assert np.all(np.abs(live.mean(axis=0) - p) <= 5 * math.sqrt(p * (1 - p) / draws))
+    q = p * p
+    assert abs(np.mean(live[:, 20] & live[:, 21]) - q) <= 5 * math.sqrt(q * (1 - q) / draws)
+    count = live.sum(axis=1)
+    var = m * p * (1 - p)
+    assert abs(count.mean() - m * p) <= 5 * math.sqrt(var / draws)
+    # the fourth central moment of Binomial(m, p) gives the sample variance's standard error
+    mu4 = var * (1 + 3 * (m - 2) * p * (1 - p))
+    assert abs(count.var(ddof=1) - var) <= 5 * math.sqrt((mu4 - var * var) / draws)
+
+
 def test_mult_scales_intensity_by_the_factor():
     graph = star_graph(10)
     params = BaselineParams("tequ", 0.3, 0.5, mult_factor=2.5)

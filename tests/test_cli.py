@@ -15,7 +15,7 @@ import numpy as np
 import pytest
 
 import trendcast
-from trendcast import simulation
+from trendcast import baselines, simulation
 from trendcast.activeness import ActivenessParams, save_params
 from trendcast.cli import build_parser, main
 from trendcast.core import (
@@ -156,6 +156,31 @@ def test_predict_dump_runs_for_every_model(pipeline, tmp_path, model):
     assert coverage.sum() > 0
     report = simulation.PredictionReport.read_csv(str(plain))
     np.testing.assert_allclose(report.coverage_mean, coverage.mean(axis=0), rtol=1e-9)
+
+
+@pytest.mark.parametrize("model", ["da", "texp"])
+def test_predict_dump_runs_into_a_file_fails_before_the_forecast(pipeline, tmp_path, capsys, monkeypatch, model):
+    d, graph, actions, params = pipeline
+    notadir = tmp_path / "notadir"
+    notadir.write_text("a file\n")
+
+    def no_forecast(*args, **kwargs):
+        raise AssertionError("the forecast ran")
+
+    monkeypatch.setattr(simulation, "predict", no_forecast)
+    monkeypatch.setattr(baselines, "predict_baseline", no_forecast)
+    out = tmp_path / "pred.csv"
+    assert main([
+        "predict", "--graph", str(graph), "--actions", str(actions),
+        "--t-star", "1.0", "--grid", "1:1:4", "--model", model,
+        *(["--params", str(params)] if model == "da" else []), "--runs", "5", "--seed", "3",
+        "--dump-runs", str(notadir), "--out", str(out),
+    ]) == 1
+    [line] = [line for line in capsys.readouterr().err.splitlines() if line.startswith("error:")]
+    assert f"--dump-runs {notadir}" in line
+    assert not out.exists()
+    assert notadir.read_text() == "a file\n"
+    assert sorted(p.name for p in tmp_path.iterdir()) == ["notadir"]
 
 
 def test_predict_da_requires_params(pipeline, tmp_path, capsys):
