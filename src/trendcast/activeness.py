@@ -65,12 +65,21 @@ def load_params(path: str) -> tuple[ActivenessParams, ProximityConfig]:
 
 
 def _check_keys(data: dict, cls: type, prefix: str) -> None:
-    """Reject keys ``cls`` lacks, and a non-number (a bool included) for a numeric field."""
+    """Reject keys ``cls`` lacks, and a numeric field that is not a number
+    (a bool included) or does not convert to a finite float."""
     types = {f.name: f.type for f in fields(cls)}
     unknown = sorted(set(data) - set(types))
     if unknown:
         names = ", ".join(repr(prefix + key) for key in unknown)
         raise ValueError(f"unknown parameter key {names}")
     for key, value in data.items():
-        if types[key] in ("float", "int") and (isinstance(value, bool) or not isinstance(value, (int, float))):
+        if types[key] not in ("float", "int"):
+            continue
+        if isinstance(value, bool) or not isinstance(value, (int, float)):
             raise ValueError(f"{prefix + key!r} must be a number, got {json.dumps(value)}")
+        try:
+            finite = math.isfinite(value)
+        except OverflowError:  # a JSON integer beyond float range
+            finite = False
+        if not finite:
+            raise ValueError(f"{prefix + key!r} must be a finite number")

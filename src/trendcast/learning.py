@@ -12,7 +12,10 @@ the cut points and those roots.
 The influence table has one layout. Only its in-block pairs, reached slots
 and slot fill take one of two forms: every action's proximity row entries
 or, when the acting nodes are few enough, one dense acting x acting
-proximity matrix; ``_dense_slots`` states the rule.
+proximity matrix; ``_dense_slots`` states the rule. The dense form's product
+takes, for blocks that act at few of the acting nodes, only those nodes'
+matrix rows, one ``einsum`` per group of consecutive blocks
+(``_dense_layout``).
 """
 
 from __future__ import annotations
@@ -36,6 +39,11 @@ _EPS = float(np.finfo(np.float64).eps)
 # once a bracket is narrower than this width in log tau.
 _SUBRANGES = 4
 _TOLERANCE = 1e-6
+# The cost of one np.einsum call in multiply-adds of its inner loop: about
+# 5 us at 0.3 ns each (Python 3.11, numpy 2.4, 2 vCPUs). With it, a block of
+# the learn-dense shape (m = 200) is gathered up to about K = 0.5 m, the
+# width at which gathering was measured to stop paying.
+_EINSUM_CALL = 2**14
 
 
 @dataclass(frozen=True)
@@ -124,11 +132,61 @@ def _dense_pairs(p: np.ndarray, act: np.ndarray, size: int) -> tuple[np.ndarray,
     return pair_j[reach], pair_i[reach], score[reach]
 
 
-def _dense_reached(p: np.ndarray, feed_cell: np.ndarray, cells: int) -> np.ndarray:
-    """Cells (c, a) that some action of block c reaches: the nonzero cells of
-    the feeders' (block, node) counts times P."""
-    count = np.bincount(feed_cell, minlength=cells).reshape(-1, len(p))
-    return np.einsum("ck,ka->ca", count.astype(np.float64), p).ravel() > 0.0
+def _groups(width: np.ndarray, m: int) -> list[tuple[int, int, int]]:
+    """Runs (c0, c1, k) of consecutive blocks of widths ``width``: blocks of
+    width m share one run, and narrower blocks share a run while k, their
+    widest, times their number stays within m."""
+    groups = []
+    for c, k in enumerate(width.tolist()):
+        if groups:
+            c0, _, k0 = groups[-1]
+            widest = max(k0, k)
+            if k0 == k == m or (widest < m and widest * (c + 1 - c0) <= m):
+                groups[-1] = (c0, c + 1, widest)
+                continue
+        groups.append((c, c + 1, k))
+    return groups
+
+
+def _dense_layout(
+    p: np.ndarray, block: np.ndarray, node: np.ndarray, blocks: int
+) -> tuple[np.ndarray, np.ndarray, list[tuple[int, int, int]], np.ndarray]:
+    """The feeders' layout for the dense product W_c P, and the cells it reaches.
+
+    The feeders of the first ``blocks`` blocks sit at acting nodes ``node``.
+    Block c numbers its K distinct nodes 0, 1, ... in ascending order, the
+    order in which a product over all m nodes sums them, and row c of
+    ``rows`` lists them, padded with P's zero row m. Consecutive blocks
+    form groups (c0, c1, k) that gather the rows rows[c0:c1, :k] of P, at
+    most m of them, padding included. Gathering costs one einsum call plus
+    about 3 k m multiply-adds per block (a row copy and two row sums per
+    row) against 2 m^2 in place, so a group that saves less than one call
+    is whole instead: each node u of its blocks sits at position u, and
+    consecutive whole blocks form one group of width k = m that reads P in
+    place.
+
+    Returns each feeder's cell c * width + position in ``rows``, ``rows``,
+    the groups, and whether each cell (c, a) is reached: P[u, a] > 0 at
+    some node u of block c.
+    """
+    m = p.shape[1]
+    key, feed_key = np.unique(block * m + node, return_inverse=True)
+    key_block, key_node = key // m, key % m
+    count = np.bincount(key_block, minlength=blocks)
+    whole = np.zeros(blocks, dtype=bool)
+    for c0, c1, k in _groups(count, m):
+        whole[c0:c1] = (c1 - c0) * m * (2 * m - 3 * k) < _EINSUM_CALL
+    groups = _groups(np.where(whole, m, count), m)
+    position = np.where(whole[key_block], key_node, _ragged(count)[1])
+    rows = np.full((blocks, m if whole.any() else int(count.max(initial=0))), m)
+    rows[key_block, position] = key_node
+    # Block c reaches a where one of its own nodes' rows does: at most m rows at a time.
+    reached = np.zeros((blocks, m), dtype=bool)
+    for k0 in range(0, len(key), m):
+        at = key_block[k0 : k0 + m]
+        first = np.flatnonzero(np.diff(at, prepend=-1))
+        reached[at[first]] |= np.maximum.reduceat(p.take(key_node[k0 : k0 + m], axis=0), first, axis=0) > 0.0
+    return (key_block * rows.shape[1] + position)[feed_key], rows, groups, reached.ravel()
 
 
 def _feeds(
@@ -178,10 +236,16 @@ class _InfluenceTable:
     ``bincount``; its memory grows with the actions' cut row entries plus
     n * B. The dense form scatters the cut rows into one m x m matrix P over
     the m acting nodes and computes U_c = W_c P, where W_c[u] sums the
-    decays of block c's actions at node u; its memory grows with m^2 plus
-    n * B. The product is an ``np.einsum``, which calls no BLAS routine, so
-    a fit gives the same bits at any BLAS thread count. Neither form grows
-    with the number of action pairs.
+    decays of block c's actions at node u. W_c is zero outside the nodes
+    block c acts at, so a group of consecutive blocks that act at few nodes
+    gathers only their rows of P, at most m rows at a time; blocks where
+    that would save less than it costs read P in place. Each group is one
+    ``np.einsum``, which sums each block's nodes in ascending order, as a
+    product over all m nodes does, so the bits are the same.
+    Its memory grows with m^2 plus n * B, and a pass gathers at most m^2
+    cells at a time. ``np.einsum`` calls no BLAS routine, so a fit gives
+    the same bits at any BLAS thread count. Neither form grows with the
+    number of action pairs.
     """
 
     def __init__(self, prefix: Trend, prox: ProximityMap, t_star: float) -> None:
@@ -204,11 +268,13 @@ class _InfluenceTable:
 
         self._p = None
         if _dense_slots(m, int(np.diff(row_start)[act].sum())):
-            self._p = np.zeros((m, m))
+            # Row m stays zero: the padding of the feeders' layout points at it.
+            self._p = np.zeros((m + 1, m))
             self._p[np.repeat(np.arange(m), np.diff(row_start)), tgt] = score
             pair_j, pair_i, self._pair_score = _dense_pairs(self._p, act, size)
-            self._feed_cell, self._cells = block[feeding] * m + act[feeding], cells
-            reached = _dense_reached(self._p, self._feed_cell, cells)
+            self._feed_cell, self._rows, self._groups, reached = _dense_layout(
+                self._p, block[feeding], act[feeding], blocks - 1
+            )
         else:
             (pair_j, pair_i, self._pair_score), feeds = _feeds(act, block, self._feeders, row_start, tgt, score)
             feed_cell, self._feed_score, self._feed_count = feeds
@@ -287,9 +353,17 @@ class _InfluenceTable:
             slots = np.bincount(self._feed_slot, weights=fed, minlength=self._slots)
             fed *= np.repeat(neg_dt, self._feed_count)
             return slots, np.bincount(self._feed_slot, weights=fed, minlength=self._slots)
+        rows, p = self._rows, self._p
+        m = p.shape[1]
         weights = (decay, decay * neg_dt)
-        w = np.concatenate([np.bincount(self._feed_cell, weights=x, minlength=self._cells) for x in weights])
-        u = np.einsum("ck,ka->ca", w.reshape(-1, len(self._p)), self._p)
+        w = np.concatenate([np.bincount(self._feed_cell, weights=x, minlength=rows.size) for x in weights])
+        w = w.reshape(2, *rows.shape)
+        u = np.empty((2, len(rows), m))
+        for c0, c1, k in self._groups:
+            if k == m:  # whole blocks: each node at its own position, P read in place
+                np.einsum("sck,ka->sca", w[:, c0:c1], p[:m], out=u[:, c0:c1])
+            else:
+                np.einsum("sck,cka->sca", w[:, c0:c1, :k], p.take(rows[c0:c1, :k], axis=0), out=u[:, c0:c1])
         u = u.reshape(2, -1).take(self._slot_cell, axis=1)
         return u[0], u[1]
 

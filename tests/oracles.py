@@ -5,8 +5,8 @@ with the library internals beyond data containers. ``ActivenessModel``,
 ``total_integrated_influence``, ``PairTable``, ``heap_simulate_baseline``,
 ``loop_fit_baseline``, ``loop_predict_baseline``, ``line_load_graph``,
 ``line_load_trend``, ``_golden_max``, ``golden_fit``,
-``dict_shortest_path_row``, ``dict_random_walk_row``, ``intensity`` and
-``coverage`` are former library code that nothing in the package calls any
+``dict_shortest_path_row``, ``dict_random_walk_row``, ``einsum_slot_fill``,
+``intensity`` and ``coverage`` are former library code that nothing in the package calls any
 more; they stay here as references. ``heap_simulate_baseline`` and
 ``loop_simulate_baseline`` run one cascade alone; the package runs cascades
 only inside ``baselines.predict_baseline``, whose runs ``cascade_runs`` reads
@@ -295,6 +295,39 @@ def naive_log_likelihood(
     for h in naive_influences(prefix, prox, tau):
         log_h += math.log(max(h, epsilon / alpha_closed))
     return n * math.log(alpha) - alpha * h_total + log_h
+
+
+def einsum_slot_fill(
+    nodes: np.ndarray, p: np.ndarray, decay: np.ndarray, neg_dt: np.ndarray
+) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
+    """The dense slot form's former fill: one einsum over every acting node.
+
+    ``nodes`` are the prefix's action nodes, ``p`` the m x m proximity matrix
+    over its acting nodes, ``decay`` and ``neg_dt`` the feeders' decays and
+    negated elapsed times to their block ends. The reached cells (c, a) are
+    the nonzero cells of the feeders' (block, node) counts times P, and a
+    slot is a reached cell that some later block's action at a reads.
+    Returns the slot cells c * m + a in ascending order, and every slot's
+    U_c[a] and negated V_c[a].
+    """
+    act = np.unique(nodes, return_inverse=True)[1]
+    n, m = len(nodes), len(p)
+    size = math.isqrt(max(n - 1, 0)) + 1
+    block = np.arange(n) // size
+    cells = int(block[-1]) * m
+    feed_cell = block[: len(decay)] * m + act[: len(decay)]
+    count = np.bincount(feed_cell, minlength=cells).reshape(-1, m)
+    reached = np.einsum("ck,ka->ca", count.astype(np.float64), p).ravel() > 0.0
+    read = np.zeros(cells, dtype=bool)
+    for i in range(n):
+        for c in range(block[i]):
+            read[c * m + act[i]] = True
+    slot_cell = np.flatnonzero(read & reached)
+    weights = (decay, decay * neg_dt)
+    w = np.concatenate([np.bincount(feed_cell, weights=x, minlength=cells) for x in weights])
+    u = np.einsum("ck,ka->ca", w.reshape(-1, m), p)
+    u = u.reshape(2, -1).take(slot_cell, axis=1)
+    return slot_cell, u[0], u[1]
 
 
 def decayed_influence_at(prefix_actions: list[tuple[int, float]], prox: ProximityMap, node: int, t: float, tau: float) -> float:

@@ -153,3 +153,17 @@ def test_params_file_roundtrip(tmp_path):
     back_params, back_config = load_params(str(path))
     assert back_params == params
     assert back_config.to_dict() == config.to_dict()
+
+
+@pytest.mark.parametrize(
+    "key", ["alpha", "tau", "epsilon", "t0", "proximity.b", "proximity.p", "proximity.floor", "proximity.rw_tolerance"]
+)
+@pytest.mark.parametrize("number", ["1" + "0" * 400, "NaN", "-Infinity"], ids=["huge-int", "nan", "-inf"])
+def test_load_params_names_a_numeric_field_that_is_no_finite_float(tmp_path, key, number):
+    data = {"alpha": 0.25, "tau": 3.5, "proximity": {}}
+    (data["proximity"] if key.startswith("proximity.") else data)[key.removeprefix("proximity.")] = "HUGE"
+    path = tmp_path / "params.json"
+    path.write_text(json.dumps(data).replace('"HUGE"', number), encoding="utf-8")
+    with pytest.raises(ValueError) as exc:
+        load_params(str(path))
+    assert str(exc.value) == f"{path}: {key!r} must be a finite number"

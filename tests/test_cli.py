@@ -584,12 +584,28 @@ def test_predict_refuses_a_late_t0_before_the_supercritical_warning(tiny_files, 
     assert not out.exists()
 
 
+HUGE_INT = "1" + "0" * 400  # a JSON integer beyond float range
+
+
 @pytest.mark.parametrize("content", [
     '{"alpha": "abc", "tau": 1.0, "proximity": {}}',
     '{"alpha": true, "tau": 1.0, "proximity": {}}',
     '{"alpha": 1.0, "tau": NaN, "proximity": {}}',
     '{"alpha": 1.0, "tau": 1.0, "proximity": {"b": "x"}}',
     '{"alpha": 1.0, "tau": 1.0, "proximity": {"max_iterations": 2}}',
+    *(
+        pytest.param(content.replace("HUGE", HUGE_INT), id=f"huge-{key}")
+        for key, content in [
+            ("alpha", '{"alpha": HUGE, "tau": 1.0, "proximity": {}}'),
+            ("tau", '{"alpha": 1.0, "tau": HUGE, "proximity": {}}'),
+            ("epsilon", '{"alpha": 1.0, "tau": 1.0, "epsilon": HUGE, "proximity": {}}'),
+            ("t0", '{"alpha": 1.0, "tau": 1.0, "t0": HUGE, "proximity": {}}'),
+            *(
+                (key, '{"alpha": 1.0, "tau": 1.0, "proximity": {"%s": HUGE}}' % key)
+                for key in ("b", "p", "floor", "rw_tolerance")
+            ),
+        ]
+    ),
     '{"alpha": 1.0, "proximity": {}}',
     '{"alpha": 1.0, "tau": 1.0}',
     '[1, 2]',
@@ -1038,7 +1054,7 @@ assert main(["learn", "--graph", graph_path, "--actions", actions_path, "--t-sta
              "--out", out]) == 0
 graph = load_graph(graph_path)
 table = learning._table(load_trend(actions_path, graph), ProximityMap(graph, ProximityConfig(b=2.0)), 10.0)
-assert table._p is not None
+assert table._p is not None and len(table._groups) > 1
 print(hashlib.sha256(b"".join(x.tobytes() for x in table._influences(1.0))).hexdigest())
 """
 

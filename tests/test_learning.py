@@ -27,6 +27,7 @@ from oracles import (
     _INVPHI,
     PairTable,
     _golden_max,
+    einsum_slot_fill,
     golden_fit,
     naive_influences,
     naive_log_likelihood,
@@ -395,6 +396,124 @@ def test_dense_slots_peak_below_half_of_the_feeds_peak():
             finally:
                 tracemalloc.stop()
     assert peaks[True] < 0.5 * peaks[False]
+
+
+def test_dense_slots_peak_stays_within_one_scratch_matrix():
+    # learn-dense's shape. Before each pass gathered only the rows of P that
+    # a block acts at, the dense build + one profile peaked at 3.22-3.25 MB
+    # (tracemalloc, graph seeds 0-5; 3,238,872 bytes on seed 0). A pass may
+    # add at most m^2 gathered cells of P to that; keeping every block's
+    # gathered rows for the whole fit would add about 2.4 MB here.
+    graph = random_graph(200, 600, seed=0)
+    rng = np.random.default_rng(0)
+    trend = Trend(rng.integers(0, graph.node_count, 1500), np.sort(rng.uniform(0.0, 10.0, 1500)))
+    prox = ProximityMap(graph, ProximityConfig(kind="sp", b=2.0))
+    m = len(prox.row_sums(np.unique(trend.nodes)))  # build the rows outside the measurement
+    tracemalloc.start()
+    try:
+        table = _table(trend, prox, 10.0)
+        table.profile(1.0, 1e-9)
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    assert table._p is not None
+    assert peak < 3.24e6 + 8 * m * m
+
+
+def _dense_case(nodes: list[int], node_count: int) -> tuple[ProximityMap, Trend, float, float]:
+    """Actions at ``nodes``, 0.5 apart, on a path over ``node_count`` nodes."""
+    graph = Graph.from_edges([(u, u + 1) for u in range(node_count - 1)], node_count)
+    prox = ProximityMap(graph, ProximityConfig(kind="sp", b=1.0))
+    return prox, Trend(np.asarray(nodes), np.arange(len(nodes)) * 2 * TIME_STEP), 1.0, 0.5
+
+
+@st.composite
+def wide_cases(draw):
+    """Up to 40 nodes and 300 actions: blocks that act at few of the acting
+    nodes, whose sums the product can gather."""
+    seed = draw(st.integers(0, 2**16))
+    _, prox, trend = random_instance(seed, max_nodes=40, max_actions=300, b=draw(st.sampled_from([0.3, 1.0, 3.0])))
+    return prox, trend, draw(st.floats(TAU_NORMAL_MIN, 20.0)), 1.0
+
+
+@settings(derandomize=True, database=None, deadline=None, max_examples=150)
+@given(case=st.one_of(likelihood_cases(), wide_cases()))
+@example(_dense_case([0, 2], 3))  # one block: no feeders, no slots
+@example(_dense_case([0] * 10, 1))  # m = 1 on a one-node graph
+@example(_dense_case([2] * 10, 5))  # every action at one node of five
+@example(_dense_case([0, 1, 2, 0, 0, 0, 1, 1, 1], 3))  # block 0 acts at all m = 3 nodes
+# With calls free, three blocks of width 2 over m = 4 nodes: 6 rows > m, two gathered groups.
+@example(_dense_case([0, 1, 0, 1, 2, 3, 2, 3, 0, 2, 0, 2, 1, 3, 1, 3], 4))
+# With calls free, gathered blocks, then blocks with 3K > 2m, read in place.
+@example(_dense_case([0, 1, 0, 1, 0, 2, 3, 2, 3, 2, 0, 1, 2, 0, 1, 3, 0, 1, 2, 3, 0, 3, 0, 3, 0], 4))
+@pytest.mark.parametrize("call", [0, learning._EINSUM_CALL], ids=["free-calls", "default"])
+def test_dense_slot_fill_matches_one_einsum_bit_for_bit(call, case):
+    # With calls free, every group with 3k <= 2m gathers, however small.
+    prox, trend, tau, _ = case
+    with pytest.MonkeyPatch.context() as patch:
+        patch.setattr(learning, "_dense_slots", lambda acting, entries: True)
+        patch.setattr(learning, "_EINSUM_CALL", call)
+        table = _table(trend, prox, 10.5)
+    feeders = table._feeders
+    decay = np.exp(table._neg_dt[:feeders] / tau)
+    slot_cell, u, v = einsum_slot_fill(trend.nodes, table._p[:-1], decay, table._neg_dt[:feeders])
+    assert table._slot_cell.tobytes() == slot_cell.tobytes() and table._slots == len(slot_cell)
+    slots, lags = table._slot_values(decay)
+    assert slots.tobytes() == u.tobytes()
+    assert lags.tobytes() == v.tobytes()
+
+
+def test_dense_layout_groups_blocks_and_reaches_from_their_own_nodes(monkeypatch):
+    # P over m = 4 acting nodes: nodes 0-2 reach each other, node 3 only
+    # itself; row 4 is the zero row that padding points at.
+    p = np.zeros((5, 4))
+    p[:3, :3] = 0.5
+    p[3, 3] = 1.0
+    # Blocks of five acting at 2, 2, 2, 3 and 4 nodes.
+    nodes = np.asarray([0, 1, 0, 1, 0, 2, 3, 2, 3, 2, 0, 2, 0, 2, 0, 0, 1, 2, 0, 1, 3, 0, 1, 2, 3])
+    block = np.arange(25) // 5
+    # Reached cells come from each block's own nodes: block 3 does not reach
+    # node 3, although its row of P's positions spans all four nodes.
+    reached = [
+        [True, True, True, False],
+        [True, True, True, True],
+        [True, True, True, False],
+        [True, True, True, False],
+        [True, True, True, True],
+    ]
+    # At this size a call costs more than any gathering saves: every block
+    # keeps each node at its own position, in one group that reads P in place.
+    feed_cell, rows, groups, hit = learning._dense_layout(p, block, nodes, 5)
+    assert rows.tolist() == [[0, 1, 4, 4], [4, 4, 2, 3], [0, 4, 2, 4], [0, 1, 2, 4], [0, 1, 2, 3]]
+    assert groups == [(0, 5, 4)]
+    assert feed_cell.tolist() == (block * 4 + nodes).tolist()
+    assert hit.reshape(5, 4).tolist() == reached
+    # With calls free, the first two blocks gather 2 x 2 <= m rows together,
+    # the third alone, and the last two, where 3k > 2m, still read in place.
+    monkeypatch.setattr(learning, "_EINSUM_CALL", 0)
+    feed_cell, rows, groups, hit = learning._dense_layout(p, block, nodes, 5)
+    assert rows.tolist() == [[0, 1, 4, 4], [2, 3, 4, 4], [0, 2, 4, 4], [0, 1, 2, 4], [0, 1, 2, 3]]
+    assert groups == [(0, 2, 2), (2, 3, 2), (3, 5, 4)]
+    assert feed_cell.tolist() == [
+        0, 1, 0, 1, 0, 4, 5, 4, 5, 4, 8, 9, 8, 9, 8, 12, 13, 14, 12, 13, 19, 16, 17, 18, 19
+    ]
+    assert hit.reshape(5, 4).tolist() == reached
+
+
+def test_dense_layout_gathers_only_where_it_saves_more_than_a_call():
+    # Uniform actions over 200 nodes: blocks act at about 35 nodes at 1,500
+    # actions (learn-dense), 94 at 16k and 118 at 32k, where gathering was
+    # measured to cost more than reading P in place.
+    m = 200
+    p = np.ones((m + 1, m))
+    p[m] = 0.0
+    for k, groups in (
+        (35, [(0, 5, 35), (5, 8, 35)]),
+        (94, [(0, 2, 94), (2, 4, 94), (4, 6, 94), (6, 8, 94)]),
+        (118, [(0, 8, m)]),
+    ):
+        block, node = np.repeat(np.arange(8), k), np.tile(np.arange(k), 8)
+        assert learning._dense_layout(p, block, node, 8)[2] == groups
 
 
 @settings(derandomize=True, database=None, deadline=None, max_examples=60)
