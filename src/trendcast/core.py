@@ -244,7 +244,17 @@ class IntervalGrid:
             raise ValueError(f"interval_length must be positive and finite, got {self.interval_length!r}")
         if self.count < 1:
             raise ValueError("grid needs at least one interval")
-        if not (np.diff(self.edges) > 0.0).all():
+        try:
+            t_end = self.t_start + self.count * self.interval_length
+        except OverflowError:  # a count past the float range
+            t_end = math.inf
+        if not math.isfinite(t_end):
+            raise ValueError(f"grid end t_start + count * interval_length overflows at count {self.count}")
+        try:
+            edges = self.edges
+        except MemoryError:
+            raise ValueError(f"grid of {self.count} intervals is too large: its edges do not fit in memory") from None
+        if not (np.diff(edges) > 0.0).all():
             raise ValueError(
                 f"grid edges must increase, but interval_length {self.interval_length!r} "
                 f"is lost to rounding at t_start {self.t_start!r}"

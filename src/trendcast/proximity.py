@@ -25,6 +25,14 @@ graph's CSR arrays as Python sequences, built once per graph. For one row
 it costs a sixth of a batched pass on a sparse graph and about half on a
 dense one. Both give the same row, entry for entry and in the same order.
 Random-walk rows are built one source at a time.
+
+``ProximityMap.spread`` gives the dense vector ``sum_u w[u] * row(u)``, the
+stacked influence of weighted sources. Over shortest-path rows it is a
+``gather`` and one ``bincount``. Over random-walk rows it is one walk whose
+restart vector is the weights (with one reverse walk first on a graph with
+dangling nodes), and it neither reads nor builds a row: it is the walk's
+fixed point, equal to the summed rows up to the walk tolerance, and it keeps
+the entries below ``floor``.
 """
 
 from __future__ import annotations
@@ -243,6 +251,9 @@ def random_walk_row(graph: Graph, source: int, config: ProximityConfig) -> Row:
     every share by its out-degree lays the shares out in edge order.
     """
     n = graph.node_count
+    if not len(graph.indices):
+        # Every node is isolated, and bincount over no edge would return int64 zeros.
+        return Row(np.asarray([source], dtype=np.int64), np.ones(1))
     degree = np.diff(graph.indptr)
     dangling = degree == 0
     has_dangling = bool(dangling.any())
@@ -268,6 +279,74 @@ def random_walk_row(graph: Graph, source: int, config: ProximityConfig) -> Row:
         )
     keep = np.flatnonzero(pi >= config.floor)
     return Row(keep.astype(np.int64), pi[keep])
+
+
+def _rw_spread(graph: Graph, weights: np.ndarray, config: ProximityConfig) -> np.ndarray:
+    """``sum_u weights[u] * row(u)`` over random-walk rows, from one walk and no row.
+
+    By linearity the summed rows are one restart walk (Jeh and Widom, WWW
+    2003): a row hands its dangling mass back to its own source, so source u
+    restarts with weight ``weights[u] * p / (p - q * delta[u])``, where
+    ``delta`` is ``_dangling_mass``. The restart vector is scaled to unit
+    mass (by its largest entry first, so no sum overflows), and the fixed
+    point stops by the rows' rule tightened by a factor p, then is scaled
+    back. An isolated source u has ``delta[u] = p`` and spreads
+    ``weights[u]`` onto itself alone. No entry is floored.
+    """
+    n = graph.node_count
+    top = float(weights.max(initial=0.0))
+    if top == 0.0:
+        return np.zeros(n)
+    if top == math.inf:
+        raise ValueError("cannot spread an infinite weight over random-walk rows")
+    p, q = config.p, 1.0 - config.p
+    degree = np.diff(graph.indptr)
+    dangling = degree == 0
+    step_weight = q / np.where(dangling, 1.0, degree)
+    restart = weights / top
+    total = restart.sum()
+    if dangling.any():
+        restart *= p / (p - q * _dangling_mass(graph, degree, dangling, step_weight, config))
+    mass = restart.sum()
+    restart /= mass
+    # The rows' rule on the result, which is ``mass`` times the walk and
+    # is measured against the weights' total.
+    tolerance = config.rw_tolerance * p * total / mass
+    pi = restart
+    teleport = p * restart
+    for _ in range(_RW_MAX_ITERATIONS):
+        # bincount over no edge returns int64 zeros, so the sum makes a new array
+        nxt = teleport + np.bincount(graph.indices, weights=(pi * step_weight).repeat(degree), minlength=n)
+        if np.abs(nxt - pi).max() < tolerance:
+            return nxt * mass * top
+        pi = nxt
+    raise ConvergenceError(
+        f"random-walk spread over {np.count_nonzero(weights)} sources did not converge within "
+        f"{_RW_MAX_ITERATIONS} iterations (tolerance {tolerance:g})"
+    )
+
+
+def _dangling_mass(graph: Graph, degree: np.ndarray, dangling: np.ndarray, step_weight: np.ndarray,
+                   config: ProximityConfig) -> np.ndarray:
+    """``delta[u]``: the mass a restart walk from u that keeps no dangling mass leaves on dangling nodes.
+
+    The fixed point of the reverse walk ``y = q M^T y + p 1_D``, where M
+    moves mass along out-edges and D is the set of dangling nodes; it stops
+    at ``rw_tolerance * p**3``. A dangling node's value is p exactly.
+    """
+    n, p = graph.node_count, config.p
+    source = np.repeat(np.arange(n), degree)
+    base = np.where(dangling, p, 0.0)
+    y = base
+    for _ in range(_RW_MAX_ITERATIONS):
+        nxt = base + step_weight * np.bincount(source, weights=y[graph.indices], minlength=n)
+        if np.abs(nxt - y).max() < config.rw_tolerance * p**3:
+            return nxt
+        y = nxt
+    raise ConvergenceError(
+        f"reverse random walk for the dangling mass did not converge within "
+        f"{_RW_MAX_ITERATIONS} iterations (tolerance {config.rw_tolerance * p**3:g})"
+    )
 
 
 def csr_row_sums(row_start: np.ndarray, scores: np.ndarray) -> np.ndarray:
@@ -435,6 +514,26 @@ class ProximityMap:
         row_start, _, scores = self.gather(sources)
         return csr_row_sums(row_start, scores)
 
+    def spread(self, weights: np.ndarray) -> np.ndarray:
+        """The dense node vector ``sum_u weights[u] * row(u)``, for non-negative, finite ``weights``.
+
+        Shortest-path maps ``gather`` the rows of the nonzero weights and
+        add their weighted scores with one ``bincount``. Random-walk maps
+        run one walk (``_rw_spread``) and neither read nor build a row:
+        the result is the walk's fixed point, which equals the summed rows
+        up to the walk tolerance and keeps the entries below ``floor``, so
+        it does not depend on which rows are stored. A zero total gives
+        zeros without a walk.
+        """
+        weights = np.asarray(weights, dtype=np.float64)
+        if self.config.kind == "random_walk":
+            return _rw_spread(self.graph, weights, self.config)
+        live = np.flatnonzero(weights)
+        row_start, targets, scores = self.gather(live)
+        spread = np.repeat(weights[live], np.diff(row_start)) * scores
+        # With no entries at all, bincount returns int64 zeros.
+        return np.bincount(targets, spread, self.graph.node_count).astype(np.float64, copy=False)
+
     def row_sum_cap(self) -> float:
         """Upper bound on every row sum from the kernel and the max degree; builds no row.
 
@@ -462,6 +561,19 @@ class ProximityMap:
             left -= placed
             reach = min(reach * growth, graph.node_count)
         return total
+
+    def row_sum_low(self) -> float:
+        """Lower bound on every row sum from the kernel alone; builds no row.
+
+        A shortest-path row holds its source at 1, so it sums to at least 1.
+        A random-walk row is a probability vector less its entries below
+        ``floor``; when ``floor <= p`` the source, at least p, keeps its
+        entry, so at most N - 1 entries are dropped, else at most N.
+        """
+        if self.config.kind == "shortest_path":
+            return 1.0
+        n, floor = self.graph.node_count, self.config.floor
+        return 1.0 - (n - 1 if floor <= self.config.p else n) * floor
 
     def fingerprint(self) -> dict:
         return {**self.config.to_dict(), "graph": graph_fingerprint(self.graph)}

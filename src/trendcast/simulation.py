@@ -12,8 +12,10 @@ are iid inverse-CDF draws: one generation at a time, with no thinning.
 Streams live in one ``Streams`` record of aligned arrays. Rows come in CSR
 form from ``ProximityMap.gather``, which reads them out of the map's one CSR
 store with one index; no object is made per row.
-``init_streams`` spreads the actors' summed decayed weights (plain ``exp``,
-no cutoff) over their rows with one ``bincount``. ``simulate`` makes one
+``init_streams`` sums the actors' decayed weights (plain ``exp``, no cutoff)
+with one ``bincount`` and hands them to ``ProximityMap.spread``: a
+``gather`` and one more ``bincount`` over shortest-path rows, one walk and
+no row over random-walk rows. ``simulate`` makes one
 ``gather`` of each generation's acting nodes: its row sums
 (``csr_row_sums``) are the offspring coefficients, and the next generation
 marks its events, in event order, with one ``searchsorted`` over the same
@@ -120,19 +122,19 @@ def init_streams(
 
     One stream per node, anchored at t_start with decay tau. Its coefficient
     sums every prefix action's decayed influence alpha * prox(u, v) *
-    exp(-(t_start - t_i)/tau) and the residual rate. Streams whose total mass
-    falls below ``mass_floor`` are dropped. A t_start before params.t0 raises
-    ValueError (``check_start``).
+    exp(-(t_start - t_i)/tau) and the residual rate. The influences are
+    stacked: each actor's decayed weights are summed first, and
+    ``prox.spread`` spreads the sums, so random-walk rows are met by one
+    walk that builds no row, equal to the summed rows up to the walk
+    tolerance. Streams whose total mass falls below ``mass_floor`` are
+    dropped. A t_start before params.t0 raises ValueError (``check_start``).
     """
     check_start(params, t_start)
     tau = params.tau
     prefix = trend.prefix(t_start)
     decay = np.exp((prefix.times - t_start) / tau)
     weight = np.bincount(prefix.nodes, weights=decay, minlength=node_count)
-    live = np.flatnonzero(weight)
-    row_start, targets, scores = prox.gather(live)
-    spread = np.repeat(params.alpha * weight[live], np.diff(row_start)) * scores
-    coeff = params.epsilon * math.exp((params.t0 - t_start) / tau) + np.bincount(targets, spread, node_count)
+    coeff = params.epsilon * math.exp((params.t0 - t_start) / tau) + prox.spread(params.alpha * weight)
     keep = np.flatnonzero((coeff > 0.0) & (coeff * tau >= mass_floor))
     return Streams(keep, coeff[keep], np.full(len(keep), t_start), np.full(len(keep), tau))
 
@@ -395,9 +397,10 @@ def predict(
     return summarize_runs(grid, intensity_rows, coverage_rows, theta, measure, ratio)
 
 
-# Float row sums can exceed their analytic cap by a few ulps (1 + 2.7e-15 on
+# Float row sums can miss their analytic bounds by a few ulps (1 + 2.7e-15 on
 # random-walk rows of 1k nodes). Below 1 - _CAP_MARGIN the cap alone accepts,
-# and the exact max row sum would have accepted too.
+# at or above 1 + _CAP_MARGIN the low bound alone refuses, and the exact max
+# row sum would have given the same verdict.
 _CAP_MARGIN = 1e-9
 
 
@@ -405,15 +408,16 @@ def branching_bound(prox: ProximityMap, params: ActivenessParams, node_count: in
     """Upper bound on the expected offspring per event: alpha * tau * C.
 
     C is ``prox.row_sum_cap()``, a cap on every row sum from the kernel and
-    the max degree that builds no row. Only when alpha * tau * C comes
-    within _CAP_MARGIN of 1 is C replaced by the exact max row sum over
-    nodes 0..node_count-1, so the verdict ``bound >= 1`` is the one the
-    exact rows give. The value depends on the graph, kernel and params
-    only, never on which rows are cached.
+    the max degree that builds no row. The verdict ``bound >= 1`` is the
+    one the exact rows give: when alpha * tau * C comes within _CAP_MARGIN
+    of 1, and alpha * tau times ``prox.row_sum_low()``, a lower bound on
+    every row sum, does not reach 1 + _CAP_MARGIN, C is replaced by the
+    exact max row sum over nodes 0..node_count-1. The value depends on the
+    graph, kernel and params only, never on which rows are cached.
     """
     scale = params.alpha * params.tau
     capped = scale * prox.row_sum_cap()
-    if capped < 1.0 - _CAP_MARGIN:
+    if capped < 1.0 - _CAP_MARGIN or scale * prox.row_sum_low() >= 1.0 + _CAP_MARGIN:
         return capped
     return scale * float(prox.row_sums(np.arange(node_count)).max())
 
@@ -433,8 +437,9 @@ def generate_synthetic(
     Supercritical parameter sets (alpha * tau * max row sum >= 1, decided by
     ``branching_bound``) are refused unless explicitly allowed; the event
     cap still bounds allowed runs. The manifest's ``branching_bound`` is
-    that function's value: the degree cap when it is safely below 1, else
-    the exact alpha * tau * max row sum.
+    that function's value: the degree cap when it is safely below 1 or the
+    kernel's low bound is safely above 1, else the exact alpha * tau * max
+    row sum.
     Returns the seeded-plus-generated trend and a manifest dict.
     """
     if not 1 <= n_seeds <= graph_node_count:

@@ -432,6 +432,27 @@ def dict_random_walk_row(graph: Graph, source: int, config: ProximityConfig) -> 
             return {int(v): float(pi[v]) for v in np.flatnonzero(pi >= config.floor)}
 
 
+def exact_random_walk_rows(graph: Graph, p: float) -> np.ndarray:
+    """Every random-walk row as a dense matrix, each solved exactly with ``numpy.linalg.solve``.
+
+    Row u is the fixed point pi = q * M pi + e_u * (p + q * (mass of pi on
+    dangling nodes)), q = 1 - p, where M moves each node's mass evenly over
+    its out-edges: no iteration, no tolerance and no floor.
+    """
+    n = graph.node_count
+    degree = np.diff(graph.indptr)
+    move = np.zeros((n, n))
+    for w in range(n):
+        for v in graph.indices[graph.indptr[w] : graph.indptr[w + 1]].tolist():
+            move[v, w] += 1.0 / degree[w]
+    rows = np.empty((n, n))
+    for u in range(n):
+        system = np.eye(n) - (1.0 - p) * move
+        system[u] -= (1.0 - p) * (degree == 0)
+        rows[u] = np.linalg.solve(system, p * np.eye(n)[u])
+    return rows
+
+
 def unique_rows_csr(edges: list[tuple[int, int]], node_count: int, directed: bool) -> tuple[np.ndarray, np.ndarray]:
     """CSR ``(indptr, indices)`` by deduplicating (src, dst) rows, as Graph.from_edges once did."""
     arr = np.asarray(edges, dtype=np.int64).reshape(-1, 2)

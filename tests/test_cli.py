@@ -15,7 +15,7 @@ import numpy as np
 import pytest
 
 import trendcast
-from trendcast import baselines, simulation
+from trendcast import baselines, proximity, simulation
 from trendcast.activeness import ActivenessParams, save_params
 from trendcast.cli import build_parser, main
 from trendcast.core import (
@@ -510,7 +510,12 @@ def test_synth_says_when_the_random_graph_keeps_no_node(tmp_path, capsys):
     assert list(tmp_path.iterdir()) == []
 
 
-@pytest.mark.parametrize("grid", ["nan:1:3", "0:inf:3", "0:nan:3"])
+# 10**15 edges ask numpy for 7 PiB, an allocation that fails at once; the
+# edges of 1e308:1e308:3 overflow to inf.
+HUGE_GRIDS = ["2:1:1000000000000000", "1e308:1e308:3"]
+
+
+@pytest.mark.parametrize("grid", ["nan:1:3", "0:inf:3", "0:nan:3", *HUGE_GRIDS])
 def test_aggregate_rejects_non_finite_grid(tiny_files, tmp_path, capsys, grid):
     graph, actions = tiny_files
     out = tmp_path / "agg.csv"
@@ -519,8 +524,27 @@ def test_aggregate_rejects_non_finite_grid(tiny_files, tmp_path, capsys, grid):
         "--grid", grid, "--out", str(out),
     ])
     assert code == 1
-    [line] = error_lines(capsys)
+    err = capsys.readouterr().err
+    [line] = [line for line in err.splitlines() if line.startswith("error:")]
     assert f"grid {grid!r}" in line
+    assert "Traceback" not in err and "Warning" not in err
+    assert not out.exists()
+
+
+@pytest.mark.parametrize("grid", HUGE_GRIDS)
+def test_predict_rejects_a_grid_too_large_or_overflowing(tiny_files, tmp_path, capsys, grid):
+    graph, actions = tiny_files
+    out = tmp_path / "pred.csv"
+    code = main([
+        "predict", "--graph", str(graph), "--actions", str(actions),
+        "--t-star", grid.split(":")[0], "--grid", grid, "--model", "tequ",
+        "--seed", "3", "--out", str(out),
+    ])
+    assert code == 1
+    err = capsys.readouterr().err
+    [line] = [line for line in err.splitlines() if line.startswith("error:")]
+    assert line.startswith("error: predict:") and f"grid {grid!r}" in line
+    assert "Traceback" not in err and "Warning" not in err
     assert not out.exists()
 
 
@@ -535,6 +559,27 @@ def test_aggregate_rejects_a_grid_whose_edges_do_not_increase(tiny_files, tmp_pa
     assert code == 1
     [line] = error_lines(capsys)
     assert "grid '1e17:1:4'" in line and "edges must increase" in line
+    assert not out.exists()
+
+
+@pytest.mark.parametrize("directed, walk", [(False, "random-walk spread over 3 sources"),
+                                            (True, "reverse random walk for the dangling mass")])
+def test_predict_exits_2_when_the_prefix_spread_hits_the_iteration_cap(
+        tiny_files, tmp_path, capsys, monkeypatch, directed, walk):
+    # Directed, node c of a -> b -> c is a sink, so the spread first walks back from it.
+    graph, actions = tiny_files
+    params = tmp_path / "params-rw.json"
+    save_params(str(params), ActivenessParams(0.3, 1.0, 1e-9, 0.0), ProximityConfig(kind="rw"))
+    monkeypatch.setattr(proximity, "_RW_MAX_ITERATIONS", 2)
+    out = tmp_path / "pred.csv"
+    code = main([
+        "predict", "--graph", str(graph), *(["--directed"] if directed else []), "--actions", str(actions),
+        "--t-star", "3", "--grid", "3:1:2", "--model", "da", "--params", str(params),
+        "--seed", "3", "--out", str(out),
+    ])
+    assert code == 2
+    [line] = error_lines(capsys)
+    assert line.startswith(f"error: predict: {walk} did not converge within 2 iterations")
     assert not out.exists()
 
 

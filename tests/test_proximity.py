@@ -18,7 +18,7 @@ from trendcast.proximity import (
     shortest_path_row,
 )
 
-from oracles import dict_random_walk_row, dict_shortest_path_row, random_instance
+from oracles import dict_random_walk_row, dict_shortest_path_row, exact_random_walk_rows, random_instance
 
 
 def path_graph(n: int, directed: bool = False) -> Graph:
@@ -129,6 +129,18 @@ def test_random_walk_convergence_cap_raises():
     with mock.patch.object(proximity, "_RW_MAX_ITERATIONS", 2):
         with pytest.raises(ConvergenceError, match="did not converge within 2 iterations"):
             random_walk_row(graph, 0, config)
+
+
+def test_row_sum_low_bounds_every_row_sum():
+    graph = random_graph(12, 20, seed=3)
+    for config in (ProximityConfig(kind="sp", b=0.5), ProximityConfig(kind="rw", p=0.2, floor=1e-3)):
+        prox = ProximityMap(graph, config)
+        assert prox.row_sum_low() <= prox.row_sums(np.arange(graph.node_count)).min() * (1 + 1e-12)
+    # Above p the floor can drop every entry, the source's included: no row sum is then above 0.
+    edge = Graph.from_edges([(0, 1)], 2)
+    prox = ProximityMap(edge, ProximityConfig(kind="rw", p=0.4, floor=0.7))
+    assert prox.row_sums(np.arange(2)).tolist() == [0.0, 0.0]
+    assert prox.row_sum_low() <= 0.0
 
 
 def test_row_sum_cap_is_attained_where_the_degree_bound_is_tight():
@@ -459,6 +471,8 @@ _STORE_STEPS = st.lists(st.one_of(
          steps=[("row", 3), ("gather", [5, 1, 5, 0, 3]), ("reload", 0), ("row_sums", [2, 6, 1]), ("row", 7)])
 @example(seed=1, kind="rw", directed=True, isolated=2, cells=1 << 20, fresh_rows=2,
          steps=[("row", 1), ("row_sum", 4), ("row", 0), ("reload", 0), ("gather", [2, 1, 2]), ("row_sum", 3)])
+# _walk_graph(65536) has no edge: its random-walk rows must still hold float64 scores, or the cache refuses them.
+@example(seed=65536, kind="rw", directed=False, isolated=0, cells=1, fresh_rows=1, steps=[("row", 0), ("reload", 0)])
 def test_the_store_gives_the_reference_rows_in_any_order_of_calls(
     tmp_path_factory, seed, kind, directed, isolated, cells, fresh_rows, steps
 ):
@@ -522,3 +536,92 @@ def test_a_loaded_cache_gathers_the_files_arrays_bit_for_bit(tmp_path):
         loaded = ProximityMap.load_cache(path, graph, config)
         for name, array in zip(("row_start", "targets", "scores"), loaded.gather(stored["sources"])):
             assert array.dtype == stored[name].dtype and array.tobytes() == stored[name].tobytes()
+
+
+@st.composite
+def spread_cases(draw):
+    """A graph (directed ones often with sinks, and isolated nodes), a kernel config and node weights."""
+    n = draw(st.integers(1, 24))
+    ends = st.integers(0, n - 1)
+    edges = draw(st.lists(st.tuples(ends, ends), max_size=3 * n))
+    graph = Graph.from_edges(edges, n, directed=draw(st.booleans()))
+    if draw(st.booleans()):
+        config = ProximityConfig(kind="sp", b=draw(st.sampled_from([0.05, 0.5, 2.0])))
+    else:
+        config = ProximityConfig(kind="rw", p=draw(st.floats(0.05, 0.95)))
+    weight = st.one_of(st.just(0.0), st.floats(1e-3, 1e3), st.floats(5e-324, 1e-308))
+    return graph, config, np.asarray(draw(st.lists(weight, min_size=n, max_size=n)))
+
+
+SINKS = Graph.from_edges([(0, 1), (1, 2), (2, 0), (2, 3), (4, 3), (5, 6)], 8, directed=True)
+# Node 0 is a sink carrying most of the weight, so the restart mass is near
+# sum(w) / p: a stop rule measured on the unit-mass walk alone misses the
+# bound here by 6x.
+HEAVY_SINK = Graph.from_edges([(1, 2), (2, 1), (2, 4), (3, 0), (3, 5), (3, 6), (4, 2), (4, 5), (5, 0), (5, 2),
+                               (6, 4)], 7, directed=True)
+
+
+@settings(derandomize=True, database=None, deadline=None, max_examples=300)
+@given(spread_cases())
+@example((SINKS, ProximityConfig(kind="rw", p=0.1), np.asarray([1.0, 0, 0, 0, 2.0, 0, 0.5, 3.0])))
+@example((SINKS, ProximityConfig(kind="rw", p=0.4), np.asarray([0, 0, 0, 0, 0, 0, 0, 1e-310])))
+@example((SINKS, ProximityConfig(kind="rw"), np.zeros(8)))
+@example((HEAVY_SINK, ProximityConfig(kind="rw", p=0.05), np.asarray([1.09, 0, 0.06, 0.12, 0.04, 0.15, 0])))
+@example((path_graph(5), ProximityConfig(kind="rw", p=0.05), np.asarray([1.0, 0, 0, 0, 1.0])))
+def test_spread_is_the_weighted_sum_of_the_rows(case):
+    graph, config, weights = case
+    prox = ProximityMap(graph, config)
+    got = prox.spread(weights)
+    assert got.dtype == np.float64 and got.shape == (graph.node_count,)
+    if config.kind == "shortest_path":
+        # The rows' entries in source order, then entry order, folded from the left.
+        want = [0.0] * graph.node_count
+        for u in np.flatnonzero(weights).tolist():
+            for v, score in prox.row(u).items():
+                want[v] += weights[u] * score
+        assert got.tolist() == want
+        return
+    assert len(prox.stored_sources()) == 0
+    want = weights @ exact_random_walk_rows(graph, config.p)
+    assert np.abs(got - want).max() <= config.rw_tolerance * weights.sum()
+
+
+def test_a_random_walk_spread_reads_no_stored_row():
+    # A spread is the walk's fixed point: rows already built, or loaded, do
+    # not change it, and it keeps the mass a row floors out.
+    graph = path_graph(40)
+    weights = np.zeros(graph.node_count)
+    weights[[0, 3, 7]] = [0.5, 2.0, 1e-3]
+    config = ProximityConfig(kind="rw", floor=1e-4)
+    cold = ProximityMap(graph, config)
+    warm = ProximityMap(graph, config)
+    warm.gather(np.arange(graph.node_count))
+    assert cold.spread(weights).tobytes() == warm.spread(weights).tobytes()
+    assert len(cold.stored_sources()) == 0
+    summed = weights @ exact_random_walk_rows(graph, config.p)
+    assert np.count_nonzero((summed > 0) & (summed < config.floor)) > 0
+    assert (cold.spread(weights) > 0).tolist() == (summed > 0).tolist()
+
+
+def test_an_infinite_weight_is_refused_by_a_random_walk_spread():
+    # Scaled to unit mass it would turn every entry into NaN.
+    prox = ProximityMap(path_graph(3), ProximityConfig(kind="rw"))
+    with pytest.raises(ValueError, match="infinite weight"):
+        prox.spread(np.asarray([0.0, math.inf, 1.0]))
+
+
+def test_a_zero_spread_does_not_walk():
+    prox = ProximityMap(SINKS, ProximityConfig(kind="rw"))
+    with mock.patch.object(proximity, "_RW_MAX_ITERATIONS", 0):
+        assert prox.spread(np.zeros(SINKS.node_count)).tolist() == [0.0] * SINKS.node_count
+
+
+@pytest.mark.parametrize("graph, walk", [(path_graph(6), "random-walk spread over 2 sources"),
+                                         (SINKS, "reverse random walk for the dangling mass")])
+def test_a_random_walk_spread_raises_at_the_iteration_cap(graph, walk):
+    weights = np.zeros(graph.node_count)
+    weights[[0, 1]] = 1.0
+    prox = ProximityMap(graph, ProximityConfig(kind="rw", rw_tolerance=1e-12))
+    with mock.patch.object(proximity, "_RW_MAX_ITERATIONS", 2):
+        with pytest.raises(ConvergenceError, match=f"^{walk} did not converge within 2 iterations"):
+            prox.spread(weights)

@@ -59,6 +59,19 @@ def test_init_streams_carry_the_decayed_prefix():
     assert np.all(streams.anchor == t_start) and np.all(streams.tau == params.tau)
 
 
+def test_init_streams_spread_a_random_walk_prefix_without_building_a_row():
+    graph, prox, trend = random_instance(seed=6, max_nodes=25, max_actions=12, kind="random_walk")
+    params = ActivenessParams(alpha=0.8, tau=1.5, epsilon=0.25, t0=float(trend.times[0]))
+    t_start = float(trend.times[-1]) + 0.5
+    streams = init_streams(trend, prox, params, t_start, graph.node_count, mass_floor=0.0)
+    assert len(prox.stored_sources()) == 0
+    model = ActivenessModel(trend, prox, params)
+    expected = [model.activeness(v, t_start) for v in range(graph.node_count)]
+    assert streams.node.tolist() == list(range(graph.node_count))
+    weight = params.alpha * np.exp((trend.times - t_start) / params.tau).sum()
+    assert np.abs(streams.coefficient - expected).max() <= prox.config.rw_tolerance * weight
+
+
 def test_init_streams_mass_floor_drops_tiny_streams():
     graph, prox, params, trend = single_node_setup(alpha=1e-14, tau=1.0)
     streams = init_streams(trend, prox, params, 0.0, 1, mass_floor=1e-12)
@@ -399,8 +412,12 @@ def test_branching_bound_gives_the_exact_rows_verdict(case):
     params = ActivenessParams(ratio / ((cap if reference == "cap" else exact) * tau), tau, 0.0, 0.0)
     cold = ProximityMap(graph, config)
     bound = branching_bound(cold, params, n)
-    if params.alpha * params.tau * cap < 1 - _CAP_MARGIN:
+    low = cold.row_sum_low()
+    assert low <= exact * (1 + 1e-9)
+    scale = params.alpha * params.tau
+    if scale * cap < 1 - _CAP_MARGIN or scale * low >= 1 + _CAP_MARGIN:
         assert len(cold.stored_sources()) == 0
+        assert bound == scale * cap
     assert bound == branching_bound(warm, params, n)
     supercritical = params.alpha * params.tau * exact >= 1.0
     assert (bound >= 1.0) == supercritical
