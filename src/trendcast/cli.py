@@ -474,6 +474,10 @@ def main(argv: list[str] | None = None) -> int:
     except (ValueError, LookupError, OSError) as exc:
         print(f"error: {args.command}: {exc}", file=sys.stderr)
         return 1
+    except MemoryError as exc:
+        # numpy's MemoryError names the allocation it could not make; a bare one says nothing.
+        print(f"error: {args.command}: out of memory{f': {exc}' if str(exc) else ''}", file=sys.stderr)
+        return 1
 
 
 if __name__ == "__main__":

@@ -675,9 +675,9 @@ def write_aggregate_csv(out: str | io.TextIOBase, series: AggregateSeries) -> No
     fh = open(out, "w", encoding="utf-8") if isinstance(out, str) else out
     try:
         fh.write("interval_index,t_min,t_max,intensity,coverage\n")
+        edges = series.grid.edges.tolist()  # once: each ``edges`` read builds the whole array
         for i in range(series.grid.count):
-            t_min, t_max = series.grid.bounds(i)
-            fh.write(f"{i},{t_min!r},{t_max!r},{series.intensity[i]},{series.coverage[i]}\n")
+            fh.write(f"{i},{edges[i]!r},{edges[i + 1]!r},{series.intensity[i]},{series.coverage[i]}\n")
     finally:
         if isinstance(out, str):
             fh.close()

@@ -24,7 +24,12 @@ uses the scalar BFS ``shortest_path_row`` over ``Graph.adjacency``, the
 graph's CSR arrays as Python sequences, built once per graph. For one row
 it costs a sixth of a batched pass on a sparse graph and about half on a
 dense one. Both give the same row, entry for entry and in the same order.
-Random-walk rows are built one source at a time.
+Random-walk rows are built two ways as well. A fill that misses
+``_RW_BLOCK_ROWS`` or more of them walks them together with ``_rw_rows``,
+one fixed-point iteration over a nodes x sources block; fewer, and ``row``,
+take the scalar walk ``random_walk_row``. The block adds every node's
+in-neighbour shares in the order the scalar walk's ``bincount`` adds them,
+so both give the same row bit for bit.
 
 ``ProximityMap.spread`` gives the dense vector ``sum_u w[u] * row(u)``, the
 stacked influence of weighted sources. Over shortest-path rows it is a
@@ -281,6 +286,115 @@ def random_walk_row(graph: Graph, source: int, config: ProximityConfig) -> Row:
     return Row(keep.astype(np.int64), pi[keep])
 
 
+# Cells (nodes x sources) of one _rw_rows block: the sources walk
+# CELLS // node_count at a time, which bounds the kernel's scratch memory to
+# about six float64 arrays of that many cells (12 MB at 2^18). Building all
+# 994 rows of the rw-dense benchmark graph took 270-300 ms at 2^16 to 2^19
+# and 340 ms at 2^20; 300 rows of the 9,826-node forecast-sparse graph took
+# 1.0-1.1 s at 2^18 to 2^20 and 1.6 s at 2^17, where blocks hold 13 sources
+# (2 vCPUs, numpy 2.4).
+_RW_BLOCK_CELLS = 1 << 18
+# Missing random-walk rows from which ``ProximityMap._fill`` builds them with
+# _rw_rows; fewer come from random_walk_row, one walk each. The block pays
+# from 9 or 10 rows on: it is 1.1x the scalar walks' time at 8 and 0.75-0.85x
+# at 12 on the rw-dense benchmark graph, and 0.72-0.74x at 12 on the
+# learn-dense and forecast-sparse graphs.
+_RW_BLOCK_ROWS = 12
+
+
+def _rw_rows(graph: Graph, sources: np.ndarray, config: ProximityConfig) -> tuple[np.ndarray, list, list]:
+    """The random-walk rows of ``sources``: (lengths, targets, scores), in ``_sp_rows``'s form.
+
+    Each row equals ``random_walk_row`` bit for bit. One fixed-point
+    iteration runs for a block of sources at once, a nodes x sources array
+    (one traversal shared by many sources, as in ``_sp_rows``). Its step
+    pulls each node's in-neighbour shares one column at a time: column j
+    holds every node's j-th in-edge, in-edges ascending by source, so each
+    cell is the left-to-right sum that ``bincount`` forms in the scalar
+    walk. The block's rows are the nodes ordered by in-degree, most first,
+    so column j is a prefix of them. Each source stops at its own iteration,
+    and its dangling mass is a contiguous 1-D sum, as ``pi[dangling].sum()``.
+    """
+    n = graph.node_count
+    sources = np.asarray(sources, dtype=np.int64)
+    if not len(graph.indices):
+        return np.ones(len(sources), dtype=np.int64), [sources.copy()], [np.ones(len(sources))]
+    degree = np.diff(graph.indptr)
+    if graph.directed:
+        # The transpose, by one sorted key per edge as ``_csr`` builds the CSR.
+        key = graph.indices * n
+        key += np.repeat(np.arange(n), degree)
+        key.sort()
+        in_source = key % n
+        in_degree = np.bincount(graph.indices, minlength=n)
+    else:
+        # The CSR is symmetric, so node v's row lists its in-edges ascending by source.
+        in_source, in_degree = graph.indices, degree
+    node = np.argsort(-in_degree, kind="stable")  # block row i holds node[i]
+    position = np.empty(n, dtype=np.int64)
+    position[node] = np.arange(n)
+    first_in = (np.cumsum(in_degree) - in_degree)[node]
+    at_least = np.bincount(in_degree)[::-1].cumsum()[::-1]  # nodes of in-degree d or more, by d
+    columns = [position[in_source[first_in[:c] + j]] for j, c in enumerate(at_least[1:].tolist())]
+    dangling = degree == 0
+    has_dangling = bool(dangling.any())
+    dangling_rows = position[np.flatnonzero(dangling)]
+    safe_deg = np.where(dangling, 1.0, degree)[node][:, None]
+    p, q = config.p, 1.0 - config.p
+    filled = len(columns[0])  # the block rows with an in-edge
+    chunk = max(1, min(len(sources), _RW_BLOCK_CELLS // n))
+    # The walk's state, next state, shares and steps, as nodes x sources
+    # arrays: every block and every narrower block after some sources stop
+    # views the front of this one buffer.
+    buffer = np.empty(4 * n * chunk)
+    lengths, row_targets, row_scores = [], [], []
+    for lo in range(0, len(sources), chunk):
+        block = sources[lo : lo + chunk]
+        k = len(block)
+        done = np.empty((k, n))  # each source's fixed point, in node order
+        live = np.arange(k)  # the block's sources that still walk, by index in ``block``
+        at = position[block]
+        pi, nxt, share, scratch = buffer[: 4 * n * k].reshape(4, n, k)
+        pi.fill(0.0)
+        pi[at, live] = 1.0
+        for _ in range(_RW_MAX_ITERATIONS):
+            np.multiply(q, pi, out=share)
+            share /= safe_deg
+            np.take(share, columns[0], axis=0, out=nxt[:filled])
+            nxt[filled:] = 0.0
+            for column in columns[1:]:
+                nxt[: len(column)] += share[column]
+            # Each source's dangling mass, summed over a contiguous row as the scalar walk sums it.
+            back = p + q * np.ascontiguousarray(pi[dangling_rows].T).sum(axis=1) if has_dangling else p
+            nxt[at, np.arange(len(live))] += back
+            np.subtract(nxt, pi, out=scratch)
+            step = np.abs(scratch, out=scratch).max(axis=0)
+            pi, nxt = nxt, pi
+            if (stop := step < config.rw_tolerance).any():
+                done[np.ix_(live[stop], node)] = pi[:, stop].T
+                go = ~stop
+                live, at = live[go], at[go]
+                if not len(live):
+                    break
+                kept = pi[:, go]
+                pi, nxt, share, scratch = buffer[: 4 * n * len(live)].reshape(4, n, len(live))
+                pi[...] = kept
+                del kept
+        else:
+            raise ConvergenceError(
+                f"random walk from node {block[live[0]]} did not converge within "
+                f"{_RW_MAX_ITERATIONS} iterations (tolerance {config.rw_tolerance:g})"
+            )
+        keep = done >= config.floor
+        lengths.append(np.count_nonzero(keep, axis=1))
+        row_scores.append(done[keep])
+        del done
+        targets = np.flatnonzero(keep)
+        targets %= n
+        row_targets.append(targets)
+    return np.concatenate(lengths), row_targets, row_scores
+
+
 def _rw_spread(graph: Graph, weights: np.ndarray, config: ProximityConfig) -> np.ndarray:
     """``sum_u weights[u] * row(u)`` over random-walk rows, from one walk and no row.
 
@@ -468,19 +582,21 @@ class ProximityMap:
         """Store the rows of ``sources`` not stored yet, and every fresh row.
 
         Two or more missing shortest-path rows come from one ``_sp_rows``
-        pass; a single one, and every random-walk row, from the scalar
-        kernel, and they join the store with one ``_merge``.
+        pass, and ``_RW_BLOCK_ROWS`` or more missing random-walk rows from
+        one ``_rw_rows`` block. Fewer come from the scalar kernel, one row
+        each, and join the store with one ``_merge``.
         """
         self._merge()
         missing = sources[self._start[sources] < 0]
         if not len(missing):
             return
         missing = np.fromiter(dict.fromkeys(missing.tolist()), dtype=np.int64)
-        if len(missing) < 2 or self.config.kind != "shortest_path":
+        batch = _sp_rows if self.config.kind == "shortest_path" else _rw_rows
+        if len(missing) < (2 if batch is _sp_rows else _RW_BLOCK_ROWS):
             self._fresh = {u: self._build(u) for u in missing.tolist()}
             self._merge()
             return
-        self._append(missing, *_sp_rows(self.graph, missing, self.config))
+        self._append(missing, *batch(self.graph, missing, self.config))
 
     def stored_sources(self) -> np.ndarray:
         """The ascending sources whose rows are built."""

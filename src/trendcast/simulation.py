@@ -127,14 +127,22 @@ def init_streams(
     ``prox.spread`` spreads the sums, so random-walk rows are met by one
     walk that builds no row, equal to the summed rows up to the walk
     tolerance. Streams whose total mass falls below ``mass_floor`` are
-    dropped. A t_start before params.t0 raises ValueError (``check_start``).
+    dropped. A t_start before params.t0 raises ValueError (``check_start``),
+    and so does a stacked influence past the float range.
     """
     check_start(params, t_start)
     tau = params.tau
     prefix = trend.prefix(t_start)
     decay = np.exp((prefix.times - t_start) / tau)
     weight = np.bincount(prefix.nodes, weights=decay, minlength=node_count)
-    coeff = params.epsilon * math.exp((params.t0 - t_start) / tau) + prox.spread(params.alpha * weight)
+    with np.errstate(over="ignore"):
+        influence = params.alpha * weight
+        if np.isfinite(influence).all():
+            influence = prox.spread(influence)
+    if len(over := np.flatnonzero(~np.isfinite(influence))):
+        raise ValueError(f"the prefix's influence on node index {over[0]} overflows: alpha {params.alpha!r} "
+                         "times the decayed prefix actions passes the float range")
+    coeff = params.epsilon * math.exp((params.t0 - t_start) / tau) + influence
     keep = np.flatnonzero((coeff > 0.0) & (coeff * tau >= mass_floor))
     return Streams(keep, coeff[keep], np.full(len(keep), t_start), np.full(len(keep), tau))
 
@@ -222,10 +230,10 @@ class PredictionReport:
         fh = open(out, "w", encoding="utf-8") if isinstance(out, str) else out
         try:
             fh.write(_CSV_HEADER + "\n")
+            edges = self.grid.edges.tolist()  # once: each ``edges`` read builds the whole array
             for i in range(self.grid.count):
-                t_min, t_max = self.grid.bounds(i)
                 fh.write(
-                    f"{i},{t_min!r},{t_max!r},"
+                    f"{i},{edges[i]!r},{edges[i + 1]!r},"
                     f"{_fmt(self.intensity_mean[i])},{_fmt(self.intensity_cv[i])},"
                     f"{_fmt(self.coverage_mean[i])},{_fmt(self.coverage_cv[i])}\n"
                 )

@@ -9,6 +9,7 @@ import os
 import re
 import subprocess
 import sys
+import warnings
 from pathlib import Path
 
 import numpy as np
@@ -580,6 +581,47 @@ def test_predict_exits_2_when_the_prefix_spread_hits_the_iteration_cap(
     assert code == 2
     [line] = error_lines(capsys)
     assert line.startswith(f"error: predict: {walk} did not converge within 2 iterations")
+    assert not out.exists()
+
+
+@pytest.mark.parametrize("kind", ["shortest_path", "random_walk"])
+def test_predict_reports_an_overflowing_prefix_influence_as_one_error(pipeline, tmp_path, capsys, kind):
+    # alpha 1e308 times a node's decayed prefix weight passes the float range.
+    d, graph, actions, params = pipeline
+    data = json.loads(params.read_text(encoding="utf-8"))
+    data["alpha"] = 1e308
+    data["proximity"]["kind"] = kind
+    huge = tmp_path / "huge.json"
+    huge.write_text(json.dumps(data), encoding="utf-8")
+    out = tmp_path / "pred.csv"
+    with warnings.catch_warnings(record=True) as caught:
+        warnings.simplefilter("always")
+        code = main([
+            "predict", "--graph", str(graph), "--actions", str(actions), "--t-star", "8.0",
+            "--grid", "8:1:4", "--model", "da", "--params", str(huge), "--runs", "5",
+            "--seed", "3", "--out", str(out),
+        ])
+    assert code == 1
+    err = capsys.readouterr().err
+    [line] = [line for line in err.splitlines() if line.startswith("error:")]
+    assert line.startswith("error: predict: the prefix's influence on node index ") and "alpha 1e+308" in line
+    assert "RuntimeWarning" not in err and not [w for w in caught if issubclass(w.category, RuntimeWarning)]
+    assert not out.exists()
+
+
+@pytest.mark.parametrize("message, shown", [("", "out of memory"),
+                                            ("Unable to allocate 8.00 GiB", "out of memory: Unable to allocate 8.00 GiB")])
+def test_a_memory_error_is_one_error_line(tiny_files, tmp_path, capsys, monkeypatch, message, shown):
+    graph, actions = tiny_files
+
+    def exhausted(*args, **kwargs):
+        raise MemoryError(*([message] if message else []))
+
+    monkeypatch.setattr("trendcast.cli.load_graph", exhausted)
+    out = tmp_path / "agg.csv"
+    code = main(["aggregate", "--graph", str(graph), "--actions", str(actions), "--grid", "0:1:3", "--out", str(out)])
+    assert code == 1
+    assert _one_error_line(capsys) == f"error: aggregate: {shown}"
     assert not out.exists()
 
 

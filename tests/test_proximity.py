@@ -1,4 +1,5 @@
 import math
+import tracemalloc
 from collections import deque
 from unittest import mock
 
@@ -356,6 +357,113 @@ def test_random_walk_row_is_the_reference_bit_for_bit(seed, directed, isolated, 
         row, reference = random_walk_row(graph, u, config), dict_random_walk_row(graph, u, config)
         assert row.targets.tolist() == list(reference)
         assert [x.hex() for x in row.scores.tolist()] == [x.hex() for x in reference.values()]
+
+
+@st.composite
+def walk_block_cases(draw):
+    """A graph with self-loops, repeated edges and isolated nodes, a walk config and sources.
+
+    Half the directed graphs keep only the out-edges of their first third of
+    nodes, so from 14 nodes on they have more than 8 sinks, and each walk's
+    dangling mass takes numpy's pairwise sum.
+    """
+    n = draw(st.integers(1, 30))
+    ends = st.integers(0, n - 1)
+    edges = draw(st.lists(st.tuples(ends, ends), max_size=4 * n))
+    edges += [(v, v) for v in draw(st.lists(ends, max_size=3))]
+    edges += edges[: draw(st.integers(0, 4))]  # repeats, which the CSR collapses
+    directed = draw(st.booleans())
+    if directed and draw(st.booleans()):
+        edges = [(u, v) for u, v in edges if u < n // 3]
+    graph = Graph.from_edges(edges, n + draw(st.integers(0, 2)), directed=directed)
+    config = ProximityConfig(
+        kind="rw",
+        p=draw(st.floats(0.05, 0.95)),
+        floor=draw(st.sampled_from([1e-15, 1e-12, 1e-4, 0.3])),
+        rw_tolerance=draw(st.sampled_from([1e-4, 1e-8, 1e-12])),
+    )
+    sources = draw(st.lists(st.integers(0, graph.node_count - 1), min_size=1, max_size=40))
+    return graph, config, np.asarray(sources, dtype=np.int64)
+
+
+# A directed graph whose nodes 8 to 19 are sinks, most of them reached from nodes 0 to 7, and a graph with no edge.
+MANY_SINKS = Graph.from_edges([(i, i + 1) for i in range(7)] + [(i, 8 + (5 * i) % 12) for i in range(8)]
+                              + [(3, 15), (6, 19)], 20, directed=True)
+EDGELESS = Graph.from_edges([], 5)
+
+
+@settings(derandomize=True, database=None, deadline=None, max_examples=200)
+@given(case=walk_block_cases(), cells=st.sampled_from([1, 7, 1 << 18]), cap=st.sampled_from([None, 2, 9]))
+@example(case=(MANY_SINKS, ProximityConfig(kind="rw", p=0.3, floor=1e-15), np.arange(20)), cells=1 << 18, cap=None)
+@example(case=(MANY_SINKS, ProximityConfig(kind="rw", p=0.3), np.asarray([19, 0, 5, 0])), cells=40, cap=9)
+@example(case=(EDGELESS, ProximityConfig(kind="rw"), np.asarray([4, 0, 4])), cells=1, cap=None)
+# Node 6 is isolated, so its walk stops first; then the block must name node 2.
+@example(case=(Graph.from_edges([(i, i + 1) for i in range(5)], 7), ProximityConfig(kind="rw", rw_tolerance=1e-12),
+               np.asarray([6, 2, 5, 0])), cells=1 << 18, cap=2)
+def test_block_walk_rows_are_the_scalar_rows_bit_for_bit(case, cells, cap):
+    # ``cells`` splits the sources into blocks down to one source each;
+    # ``cap`` lowers the iteration cap, so some walks, or all, stop short.
+    graph, config, sources = case
+    with mock.patch.object(proximity, "_RW_BLOCK_CELLS", cells), \
+            mock.patch.object(proximity, "_RW_MAX_ITERATIONS", cap or proximity._RW_MAX_ITERATIONS):
+        try:
+            rows = [random_walk_row(graph, u, config) for u in sources.tolist()]
+        except ConvergenceError as exc:
+            # The block names the first source, in order, whose scalar walk fails.
+            with pytest.raises(ConvergenceError) as raised:
+                proximity._rw_rows(graph, sources, config)
+            assert str(raised.value) == str(exc)
+            return
+        lengths, targets, scores = proximity._rw_rows(graph, sources, config)
+    targets, scores = np.concatenate(targets), np.concatenate(scores)
+    assert lengths.dtype == targets.dtype == np.int64 and scores.dtype == np.float64
+    assert lengths.tolist() == [len(row) for row in rows]
+    start = np.cumsum(lengths) - lengths
+    for row, a, b in zip(rows, start.tolist(), np.cumsum(lengths).tolist()):
+        assert targets[a:b].tobytes() == row.targets.tobytes()
+        assert scores[a:b].tobytes() == row.scores.tobytes()
+
+
+@pytest.mark.parametrize("directed", [False, True])
+def test_a_fill_walks_a_block_from_the_block_row_count_on(directed):
+    graph = _walk_graph(3, directed, 1)
+    assert graph.node_count > proximity._RW_BLOCK_ROWS + 1
+    config = ProximityConfig(kind="rw")
+    for missing in (proximity._RW_BLOCK_ROWS - 1, proximity._RW_BLOCK_ROWS):
+        prox = ProximityMap(graph, config)
+        prox.row(0)  # stored before the fill, so not missing
+        sources = np.asarray([0, *range(missing, 0, -1), 1])  # a repeated source is missing once
+        with mock.patch.object(proximity, "_rw_rows", wraps=proximity._rw_rows) as block, \
+                mock.patch.object(proximity, "random_walk_row", wraps=random_walk_row) as scalar:
+            prox.gather(sources)
+        if missing < proximity._RW_BLOCK_ROWS:
+            assert block.call_count == 0 and scalar.call_count == missing
+        else:
+            assert block.call_count == 1 and scalar.call_count == 0
+            assert block.call_args.args[1].tolist() == list(range(missing, 0, -1))
+        for u in range(missing + 1):
+            _assert_row_is_the_reference(prox.row(u), dict_random_walk_row(graph, u, config))
+
+
+def test_a_block_fill_keeps_its_scratch_within_the_cell_budget():
+    # A floor of 0.01 keeps each row to a few entries, so the peak is the
+    # block's scratch: about six float64 arrays of the cells a block walks,
+    # where the 300 sources in one block take about 14 MB.
+    graph = random_graph(1000, 2000, seed=6)
+    config = ProximityConfig(kind="rw", floor=0.01)
+    cells = 1 << 15
+
+    def peak(budget: int) -> int:
+        prox = ProximityMap(graph, config)
+        with mock.patch.object(proximity, "_RW_BLOCK_CELLS", budget):
+            tracemalloc.start()
+            try:
+                prox.gather(np.arange(300))
+                return tracemalloc.get_traced_memory()[1]
+            finally:
+                tracemalloc.stop()
+
+    assert peak(cells) < 8 * 8 * cells < peak(1 << 30)
 
 
 @settings(derandomize=True, database=None, deadline=None, max_examples=40)

@@ -1,5 +1,7 @@
+import io
 import math
 import time
+from unittest import mock
 
 import numpy as np
 import pytest
@@ -8,7 +10,7 @@ from hypothesis import strategies as st
 from scipy import linalg
 
 from trendcast.activeness import ActivenessParams
-from trendcast.core import Graph, IntervalGrid, Trend
+from trendcast.core import AggregateSeries, Graph, IntervalGrid, Trend, write_aggregate_csv
 from trendcast.evaluation import evaluate_prediction
 from trendcast.proximity import ProximityConfig, ProximityMap
 from trendcast.simulation import (
@@ -277,6 +279,31 @@ def test_predict_rejects_mismatched_grid_and_zero_runs():
         predict(trend, 1, prox, params, config, IntervalGrid(0.0, 1.0, 5))
     with pytest.raises(ValueError, match="runs"):
         SimConfig(t_start=0.0, t_end=4.0, runs=0, seed=0)
+
+
+def test_each_csv_write_builds_the_grid_edges_once():
+    # Each ``edges`` read builds the whole array, so reading it per row made
+    # a write quadratic in the interval count. The rows keep their bytes.
+    grid = IntervalGrid(1700000000.0, 0.1, 50)
+    values = np.linspace(0.0, 4.0, grid.count)
+    report = PredictionReport(grid, 3, 1.0, "coverage", values, values / 3, values + 1, values / 7, 0.5, 0.25)
+    series = AggregateSeries(grid, np.arange(grid.count), np.arange(grid.count) // 2)
+    bounds = [grid.bounds(i) for i in range(grid.count)]
+    reads = []
+    edges = IntervalGrid.edges
+
+    def counted(self):
+        reads.append(self)
+        return edges.fget(self)
+
+    for write in (report.write_csv, lambda fh: write_aggregate_csv(fh, series)):
+        buf = io.StringIO()
+        with mock.patch.object(IntervalGrid, "edges", property(counted)):
+            write(buf)
+        assert len(reads) == 1
+        reads.clear()
+        rows = [line.split(",") for line in buf.getvalue().splitlines()[1 : grid.count + 1]]
+        assert [(row[1], row[2]) for row in rows] == [(repr(lo), repr(hi)) for lo, hi in bounds]
 
 
 def test_prediction_csv_roundtrip(tmp_path):
