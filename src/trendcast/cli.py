@@ -139,7 +139,7 @@ def cmd_learn(args: argparse.Namespace) -> int:
     config = learning.LearnConfig(_parse_tau_range(args.tau_range) if args.tau_range else None)
     with warnings.catch_warnings(record=True) as caught:
         warnings.simplefilter("always")
-        result = learning.fit(trend, prox, args.t_star, config, epsilon=args.epsilon)
+        result = learning.fit(trend, prox, args.t_star, config, epsilon=args.epsilon, t0=args.t0)
     for warning in caught:
         print(f"warning: {warning.message}", file=sys.stderr)
     prefix = trend.prefix(args.t_star)
@@ -382,7 +382,9 @@ def build_parser() -> argparse.ArgumentParser:
     p.add_argument("--prox-cache", help="proximity cache file to load")
     p.add_argument("--tau-range", help="tau bracket 'lo:hi' (default derived from span)")
     p.add_argument("--epsilon", type=float, default=1e-9)
-    p.add_argument("--t0", type=float, default=None, help="trend start (default: first action)")
+    p.add_argument("--t0", type=float, default=None,
+                   help="trend start: actions at or before it are the initial condition the fit is "
+                   "conditioned on, not scored as events (default: first action)")
     p.add_argument("--jitter", type=float, default=0.0, help="uniform tie-breaking jitter width")
     p.add_argument("--seed", type=int, default=None, help="seeds --jitter only; the fit draws nothing")
     p.add_argument("--out", required=True, help="parameter JSON output path")

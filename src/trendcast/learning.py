@@ -1,7 +1,11 @@
 """Maximum-likelihood fitting of activeness parameters from an action prefix.
 
-For fixed tau the jump scale alpha has a closed form (action count over the
-total influence integral), so fitting reduces to a one-dimensional line
+The likelihood is conditioned on the initial actions: those at or before t0
+(by default the first action time) are the placed seeds, as in
+``generate_synthetic`` and ``init_streams``. They feed influence and count
+in the influence integral, but they are not scored as events. For fixed tau
+the jump scale alpha has a closed form (event count over the total
+influence integral), so fitting reduces to a one-dimensional line
 search over tau, run on log tau over four fixed geometric subranges to
 dodge local maxima; the caller sets only the tau bracket. The influence
 table has one kind of pass, which gives the profile value and its analytic
@@ -214,6 +218,11 @@ def _feeds(
 class _InfluenceTable:
     """Tau-independent precomputation for repeated likelihood evaluations.
 
+    Actions at or before ``t0`` (default: the first action time) are the
+    conditioning set: they feed the influences and the integral H, and the
+    log sum, the slope and the event count ``n_events`` run over the actions
+    after it, ``events`` being the index of the first of them.
+
     The prefix is cut into consecutive blocks of B = ceil(sqrt(n)) actions.
     Earlier blocks reach a later action through one aggregate per (block c,
     acting node a), a slot:
@@ -248,9 +257,11 @@ class _InfluenceTable:
     number of action pairs.
     """
 
-    def __init__(self, prefix: Trend, prox: ProximityMap, t_star: float) -> None:
+    def __init__(self, prefix: Trend, prox: ProximityMap, t_star: float, t0: float | None = None) -> None:
         nodes, times = prefix.nodes, prefix.times
         n = self.n = len(nodes)
+        self.events = int(np.searchsorted(times, times[0] if t0 is None else t0, side="right"))
+        self.n_events = n - self.events
         self.elapsed = t_star - times
         acting, act = np.unique(nodes, return_inverse=True)
         m = len(acting)
@@ -376,24 +387,24 @@ class _InfluenceTable:
         argument, which keeps the closed-form alpha the exact maximizer.
         """
         h_total, alpha_closed = self._closed_alpha(tau)
-        log_h, _ = self._log_rates(alpha_closed, self.influences(tau), epsilon)
-        return self.n * math.log(alpha / alpha_closed) - alpha * h_total + log_h
+        log_h, _ = self._log_rates(alpha_closed, self.influences(tau)[self.events :], epsilon)
+        return self.n_events * math.log(alpha / alpha_closed) - alpha * h_total + log_h
 
     def profile(self, tau: float, epsilon: float) -> tuple[float, float]:
         """Profile logL and its slope d logL / d log tau, from one pass.
 
-        The value is logL at alpha_hat(tau), computed with alpha_hat * H = n
-        exactly, so where every influence is floored it is flat to the last
+        The value is logL at alpha_hat(tau), computed with alpha_hat * H =
+        n_events exactly, so where every influence is floored it is flat to the last
         bit and the search's tie rule holds. With
         H = tau * S, S = sum_k r_k (1 - exp(-E_k / tau)) and
-        Q = sum_k r_k E_k exp(-E_k / tau), each action whose influence is not
-        floored adds k_i / (tau h_i) - (1 - Q / H) to the slope; a floored one
+        Q = sum_k r_k E_k exp(-E_k / tau), both over every action, each event
+        whose influence is not floored adds k_i / (tau h_i) - (1 - Q / H) to the slope; a floored one
         adds nothing, so a fully floored profile has slope exactly 0.
         """
         h_total, alpha_closed = self._closed_alpha(tau)
-        h, k = self._influences(tau)
+        h, k = (x[self.events :] for x in self._influences(tau))
         log_h, rate = self._log_rates(alpha_closed, h, epsilon)
-        value = log_h - self.n
+        value = log_h - self.n_events
         live = rate > epsilon
         if not live.any():
             return value, 0.0
@@ -403,13 +414,17 @@ class _InfluenceTable:
         return value, slope
 
     def _closed_alpha(self, tau: float) -> tuple[float, float]:
-        """The total influence integral H and the closed-form alpha n / H."""
+        """The total influence integral H and the closed-form alpha n_events / H."""
         h_total = self.total_integral(tau)
         if h_total <= 0.0:
             raise DegeneratePrefixError(
                 "total influence integral is zero; prefix cannot identify alpha"
             )
-        return h_total, self.n / h_total
+        if not self.n_events:
+            raise DegeneratePrefixError(
+                "no action after t0; the prefix holds only the initial actions it is conditioned on"
+            )
+        return h_total, self.n_events / h_total
 
     @staticmethod
     def _log_rates(alpha: float, h: np.ndarray, epsilon: float) -> tuple[float, np.ndarray]:
@@ -432,13 +447,15 @@ def _check_positive(name: str, value: float) -> None:
         raise ValueError(f"{name} must be positive and finite, got {value!r}")
 
 
-def _table(trend: Trend, prox: ProximityMap, t_star: float) -> _InfluenceTable:
+def _table(trend: Trend, prox: ProximityMap, t_star: float, t0: float | None = None) -> _InfluenceTable:
     if not math.isfinite(t_star):
         raise ValueError(f"t_star must be finite, got {t_star!r}")
+    if t0 is not None and not math.isfinite(t0):
+        raise ValueError(f"t0 must be finite, got {t0!r}")
     prefix = trend.prefix(t_star)
     if len(prefix) == 0:
         raise DegeneratePrefixError("no actions at or before t_star")
-    return _InfluenceTable(prefix, prox, t_star)
+    return _InfluenceTable(prefix, prox, t_star, t0)
 
 
 def log_likelihood(
@@ -448,18 +465,19 @@ def log_likelihood(
     alpha: float,
     t_star: float,
     epsilon: float = 1e-9,
+    t0: float | None = None,
 ) -> float:
-    """Log-likelihood of the prefix under (alpha, tau)."""
+    """Log-likelihood of the prefix under (alpha, tau), conditioned on the actions at or before t0."""
     _check_positive("alpha", alpha)
     _check_positive("tau", tau)
     _check_epsilon(epsilon)
-    return _table(trend, prox, t_star).evaluate(tau, alpha, epsilon)
+    return _table(trend, prox, t_star, t0).evaluate(tau, alpha, epsilon)
 
 
-def estimate_alpha(trend: Trend, prox: ProximityMap, tau: float, t_star: float) -> float:
-    """Closed-form maximizer of the likelihood in alpha at fixed tau."""
+def estimate_alpha(trend: Trend, prox: ProximityMap, tau: float, t_star: float, t0: float | None = None) -> float:
+    """Closed-form maximizer of the likelihood in alpha at fixed tau: events after t0 over H."""
     _check_positive("tau", tau)
-    return _table(trend, prox, t_star)._closed_alpha(tau)[1]
+    return _table(trend, prox, t_star, t0)._closed_alpha(tau)[1]
 
 
 def _slope_root(probe, a: float, fa: float, ga: float, b: float, fb: float, gb: float, tol: float):
@@ -516,8 +534,13 @@ def fit(
     t_star: float,
     config: LearnConfig | None = None,
     epsilon: float = 1e-9,
+    t0: float | None = None,
 ) -> LearnResult:
     """Fit (alpha, tau) to the prefix at t_star by profile likelihood.
+
+    The likelihood is conditioned on the actions at or before ``t0``
+    (default: the first action time); a prefix with no action after it
+    raises DegeneratePrefixError.
 
     The bracket is cut into four geometric subranges, and the profile value
     and its slope in log tau are evaluated once at each cut point. A
@@ -528,14 +551,14 @@ def fit(
     profile value among the cut points and those roots, ties going to the
     smaller tau. Every evaluation is one (value, slope) pass of the
     influence table, and ``evaluations`` counts them all; the result
-    reports the search's own best value and alpha = n / H(tau_hat).
+    reports the search's own best value and alpha = n_events / H(tau_hat).
     Deterministic: equal inputs give identical results. Warns when tau_hat
     lies within the stopping width of either end of the bracket, where the
     maximum may lie outside it.
     """
     config = config or LearnConfig()
     _check_epsilon(epsilon)
-    table = _table(trend, prox, t_star)
+    table = _table(trend, prox, t_star, t0)
     if table.n < 2:
         raise DegeneratePrefixError("need at least two actions to fit")
     if config.tau_range is not None:

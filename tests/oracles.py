@@ -104,13 +104,16 @@ class PairTable:
     proximity into parallel arrays, so each tau evaluation is a handful of
     vectorized passes. Memory grows with the number of pairs, quadratic in
     the prefix length; the library's block table replaced it, and it stays
-    here as the reference the block table is checked against.
+    here as the reference the block table is checked against. Like the
+    library, it conditions on the actions at the first action time: they
+    feed influence and H but are not scored as events.
     """
 
     def __init__(self, prefix: Trend, prox: ProximityMap, t_star: float) -> None:
         nodes = prefix.nodes.tolist()
         times = prefix.times.tolist()
         self.n = len(nodes)
+        self.n_events = sum(t > times[0] for t in times)
         by_node: dict[int, list[int]] = {}
         for i, u in enumerate(nodes):
             by_node.setdefault(u, []).append(i)
@@ -161,15 +164,15 @@ class PairTable:
             raise DegeneratePrefixError(
                 "total influence integral is zero; prefix cannot identify alpha"
             )
-        alpha_closed = self.n / h_total
-        h = self.influences(tau)
+        alpha_closed = self.n_events / h_total
+        h = self.influences(tau)[self.n - self.n_events :]
         floor = epsilon / alpha_closed
         if floor <= 0.0 and (h <= 0.0).any():
             raise DegeneratePrefixError(
                 "action with zero influence and epsilon = 0; likelihood is degenerate"
             )
         h = np.maximum(h, floor)
-        return self.n * math.log(alpha) - alpha * h_total + float(np.log(h).sum())
+        return self.n_events * math.log(alpha) - alpha * h_total + float(np.log(h).sum())
 
 
 _INVPHI = (math.sqrt(5.0) - 1.0) / 2.0
@@ -287,13 +290,16 @@ def naive_log_likelihood(
     node_count: int,
     epsilon: float = 1e-9,
 ) -> float:
+    """The likelihood conditioned on the actions at the first action time: only later ones are events."""
     prefix = trend.prefix(t_star)
-    n = len(prefix)
+    event = [t > prefix.times[0] for t in prefix.times.tolist()]
+    n = sum(event)
     h_total = naive_total_integral(trend, prox, tau, t_star, node_count)
     alpha_closed = n / h_total
     log_h = 0.0
-    for h in naive_influences(prefix, prox, tau):
-        log_h += math.log(max(h, epsilon / alpha_closed))
+    for h, is_event in zip(naive_influences(prefix, prox, tau), event):
+        if is_event:
+            log_h += math.log(max(h, epsilon / alpha_closed))
     return n * math.log(alpha) - alpha * h_total + log_h
 
 

@@ -16,7 +16,7 @@ import numpy as np
 import pytest
 
 import trendcast
-from trendcast import baselines, proximity, simulation
+from trendcast import baselines, learning, proximity, simulation
 from trendcast.activeness import ActivenessParams, save_params
 from trendcast.cli import build_parser, main
 from trendcast.core import (
@@ -654,6 +654,23 @@ def test_learn_refuses_a_t0_after_t_star(pipeline, tmp_path, capsys):
     [line] = [line for line in capsys.readouterr().err.splitlines() if line.strip()]
     assert line == "error: learn: --t0 100.0 follows --t-star 8.0"
     assert list(tmp_path.iterdir()) == []
+
+
+def test_learn_conditions_the_fit_on_the_actions_at_or_before_t0(tiny_files, tmp_path):
+    # Actions a@0.5 and b@1.5 form the initial condition at --t0 1.5; the
+    # fit scores a@1.7 and c@2.5 only, as learning.fit with that t0 does.
+    graph, actions = tiny_files
+    out = tmp_path / "params.json"
+    assert main(["learn", "--graph", str(graph), "--actions", str(actions), "--t-star", "3.0",
+                 "--t0", "1.5", "--tau-range", "0.1:10", "--out", str(out)]) == 0
+    saved = json.loads(out.read_text(encoding="utf-8"))
+    g = load_graph(str(graph))
+    prox = ProximityMap(g, ProximityConfig(kind="sp", b=10.0))
+    with warnings.catch_warnings():
+        warnings.simplefilter("ignore")
+        fitted = learning.fit(load_trend(str(actions), g), prox, 3.0, learning.LearnConfig((0.1, 10.0)), t0=1.5)
+    assert (saved["alpha"], saved["tau"], saved["t0"]) == (fitted.alpha, fitted.tau, 1.5)
+    assert fitted.alpha == 2 / learning._table(load_trend(str(actions), g), prox, 3.0).total_integral(fitted.tau)
 
 
 def test_predict_refuses_a_late_t0_before_the_supercritical_warning(tiny_files, tmp_path, capsys):
