@@ -402,7 +402,8 @@ def build_parser() -> argparse.ArgumentParser:
     p.add_argument("--mult", action="store_true", help="scale cascade coverage into intensity")
     p.add_argument("--params", help="parameter JSON from learn, which also fixes the proximity kernel "
                                     "(da only, required)")
-    p.add_argument("--prox-cache", help="proximity cache file to load (da only)")
+    p.add_argument("--prox-cache", help="proximity cache file to load (da only; a random-walk forecast reads "
+                   "no row, so only a shortest-path cache speeds it up)")
     p.add_argument("--runs", type=int, default=100)
     p.add_argument("--seed", type=int, default=None)
     p.add_argument("--theta", type=float, default=0.0, help="duration threshold")
@@ -451,7 +452,8 @@ def build_parser() -> argparse.ArgumentParser:
     p.add_argument("--out", required=True, help="action file output path")
     p.set_defaults(func=cmd_synth)
 
-    p = sub.add_parser("prox-cache", help="precompute and store proximity rows")
+    p = sub.add_parser("prox-cache", help="precompute and store proximity rows (a random-walk cache speeds up "
+                       "learn only)")
     _add_graph_flags(p)
     _add_prox_flags(p)
     p.add_argument("--actions", help="restrict rows to nodes acting in this file")

@@ -637,11 +637,18 @@ def write_graph(path: str, graph: Graph) -> None:
 
 
 def aggregate(trend: Trend, grid: IntervalGrid) -> AggregateSeries:
-    """Bucket actions into the grid; actions outside [t_start, t_end) are ignored."""
+    """Bucket actions into the grid; actions outside [t_start, t_end) are ignored.
+
+    Coverage counts the distinct (interval, node) pairs of each interval,
+    keyed ``interval * span + node`` with span = max node + 1, so one
+    integer ``unique`` finds them.
+    """
     keep, idx = grid.bin(trend.times)
     inten = np.bincount(idx, minlength=grid.count).astype(np.int64)
-    pairs = np.unique(np.stack([idx, trend.nodes[keep]], axis=1), axis=0)
-    cov = np.bincount(pairs[:, 0], minlength=grid.count).astype(np.int64) if pairs.size else np.zeros(grid.count, dtype=np.int64)
+    nodes = trend.nodes[keep]
+    span = int(nodes.max(initial=0)) + 1
+    cells = np.unique(idx * span + nodes)
+    cov = np.bincount(cells // span, minlength=grid.count).astype(np.int64)
     return AggregateSeries(grid, inten, cov)
 
 

@@ -17,19 +17,27 @@ none of these makes an object per row. The scalar kernels return one
 ``Row`` view for callers that read a row at a time.
 
 Shortest-path rows are built two ways. ``ProximityMap.gather`` builds all
-of its missing rows with ``_sp_rows``, one level-synchronous BFS for many
-sources over the CSR arrays, which shares the per-level numpy work among
-them. A request for one missing row (``row``, or a gather that misses one)
-uses the scalar BFS ``shortest_path_row`` over ``Graph.adjacency``, the
-graph's CSR arrays as Python sequences, built once per graph. For one row
-it costs a sixth of a batched pass on a sparse graph and about half on a
-dense one. Both give the same row, entry for entry and in the same order.
+of its missing rows, a lone one included, with ``_sp_rows``, one
+level-synchronous BFS for many sources over the CSR arrays, which shares
+the per-level numpy work among them. ``row`` uses the scalar BFS
+``shortest_path_row`` over ``Graph.adjacency``, the graph's CSR arrays as
+Python sequences, built once per graph. For one row it costs a sixth of a
+batched pass on a sparse graph and about half on a dense one, but building
+the adjacency costs about 1 ms on a 10k-node graph, so a gather does not
+pay for it. Both give the same row, entry for entry and in the same order.
 Random-walk rows are built two ways as well. A fill that misses
 ``_RW_BLOCK_ROWS`` or more of them walks them together with ``_rw_rows``,
 one fixed-point iteration over a nodes x sources block; fewer, and ``row``,
 take the scalar walk ``random_walk_row``. The block adds every node's
 in-neighbour shares in the order the scalar walk's ``bincount`` adds them,
 so both give the same row bit for bit.
+
+``random_walk_ends`` draws from random-walk rows without building them: a
+restart walk from v that stops with probability p before each step ends
+at w with probability prox(v, w) exactly, the fixed point that
+``random_walk_row`` iterates towards, with no tolerance and no floor (the
+walk "fingerprints" of Fogaras et al., Internet Mathematics 2005). The
+forecast and ``synth`` draw offspring with it.
 
 ``ProximityMap.spread`` gives the dense vector ``sum_u w[u] * row(u)``, the
 stacked influence of weighted sources. Over shortest-path rows it is a
@@ -284,6 +292,38 @@ def random_walk_row(graph: Graph, source: int, config: ProximityConfig) -> Row:
         )
     keep = np.flatnonzero(pi >= config.floor)
     return Row(keep.astype(np.int64), pi[keep])
+
+
+def random_walk_ends(graph: Graph, starts: np.ndarray, config: ProximityConfig,
+                     rng: np.random.Generator) -> np.ndarray:
+    """Where one restart walk from each of ``starts`` stops: a draw from each start's row law.
+
+    A walk stops with probability p before each step; otherwise it moves to
+    a uniform out-neighbour, or, from a node with no out-edge, back to its
+    own start, ``random_walk_row``'s dangling rule. So it takes k steps with
+    probability p * q^k, and its end has law p * sum_k q^k e_s M^k, the
+    fixed point ``random_walk_row`` iterates towards: the row's law with no
+    walk tolerance and no floor (the Monte Carlo "fingerprints" of Fogaras
+    et al., Internet Mathematics 2005). All walks step together, one draw
+    per live walk and step, after one geometric draw of every walk's length.
+    """
+    starts = np.asarray(starts, dtype=np.int64)
+    ends = starts.copy()
+    steps = rng.geometric(config.p, len(ends)) - 1
+    degree = np.diff(graph.indptr)
+    live = np.flatnonzero(steps)
+    while len(live):
+        at = ends[live]
+        out = degree[at]
+        # u < 1 keeps u * d below d for every integer d < 2**52, so each pick is an out-edge
+        pick = (rng.random(len(live)) * out).astype(np.int64)
+        to = starts[live]  # a node with no out-edge sends the walk back to its start
+        moves = np.flatnonzero(out)
+        to[moves] = graph.indices[graph.indptr[at[moves]] + pick[moves]]
+        ends[live] = to
+        steps[live] -= 1
+        live = live[steps[live] > 0]
+    return ends
 
 
 # Cells (nodes x sources) of one _rw_rows block: the sources walk
@@ -581,10 +621,11 @@ class ProximityMap:
     def _fill(self, sources: np.ndarray) -> None:
         """Store the rows of ``sources`` not stored yet, and every fresh row.
 
-        Two or more missing shortest-path rows come from one ``_sp_rows``
-        pass, and ``_RW_BLOCK_ROWS`` or more missing random-walk rows from
-        one ``_rw_rows`` block. Fewer come from the scalar kernel, one row
-        each, and join the store with one ``_merge``.
+        Missing shortest-path rows, a lone one included, come from one
+        ``_sp_rows`` pass, which needs no ``Graph.adjacency``. Missing
+        random-walk rows come from one ``_rw_rows`` block when they are
+        ``_RW_BLOCK_ROWS`` or more, else from the scalar walk, one row each,
+        and join the store with one ``_merge``.
         """
         self._merge()
         missing = sources[self._start[sources] < 0]
@@ -592,7 +633,7 @@ class ProximityMap:
             return
         missing = np.fromiter(dict.fromkeys(missing.tolist()), dtype=np.int64)
         batch = _sp_rows if self.config.kind == "shortest_path" else _rw_rows
-        if len(missing) < (2 if batch is _sp_rows else _RW_BLOCK_ROWS):
+        if batch is _rw_rows and len(missing) < _RW_BLOCK_ROWS:
             self._fresh = {u: self._build(u) for u in missing.tolist()}
             self._merge()
             return

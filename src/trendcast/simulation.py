@@ -5,25 +5,26 @@ and the boost decays as exp(-(t - t_i)/tau). A run is therefore a cluster
 process. The observed prefix leaves one stream per node with rate
 A * exp(-(t - t_start)/tau), and every realized event (v, t) starts one
 offspring stream of total rate alpha * row_sum(v) * exp(-(s - t)/tau) whose
-events land on row targets drawn in proportion to prox(v, .). A stream's
-event count before the horizon is Poisson and, given the count, its times
-are iid inverse-CDF draws: one generation at a time, with no thinning.
+events land on nodes drawn in proportion to prox(v, .). A stream's event
+count before the horizon is Poisson and, given the count, its times are iid
+inverse-CDF draws: one generation at a time, with no thinning.
 
-Streams live in one ``Streams`` record of aligned arrays. Rows come in CSR
-form from ``ProximityMap.gather``, which reads them out of the map's one CSR
-store with one index; no object is made per row.
+Streams live in one ``Streams`` record of aligned arrays.
 ``init_streams`` sums the actors' decayed weights (plain ``exp``, no cutoff)
 with one ``bincount`` and hands them to ``ProximityMap.spread``: a
 ``gather`` and one more ``bincount`` over shortest-path rows, one walk and
-no row over random-walk rows. ``simulate`` makes one
-``gather`` of each generation's acting nodes: its row sums
-(``csr_row_sums``) are the offspring coefficients, and the next generation
-marks its events, in event order, with one ``searchsorted`` over the same
-rows' joined cumulative scores. ``gather`` builds all of its missing
-shortest-path rows in one batched BFS, in chunks of at most 2^20 ``seen``
-cells, and a lone missing row with the scalar BFS, which costs a sixth to a
-half of a batched pass for one row; both give the same rows, so a run does
-not depend on which path built them.
+no row over random-walk rows.
+
+Each kernel draws offspring its own way. Over shortest-path rows
+``simulate`` makes one ``gather`` of each generation's acting nodes (all of
+its missing rows in one batched BFS, in chunks of at most 2^20 ``seen``
+cells): the row sums (``csr_row_sums``) are the offspring coefficients, and
+the next generation marks its events, in event order, with one
+``searchsorted`` over the same rows' joined cumulative scores. Over
+random-walk rows the law prox(v, .) sums to 1, so every event's offspring
+stream has mass alpha, and each child's node is where one restart walk
+from v stops (``random_walk_ends``), an exact draw from that law: no row is
+built or read, and the run's own generator is the only randomness.
 """
 
 from __future__ import annotations
@@ -36,7 +37,7 @@ from typing import Sequence
 import numpy as np
 
 from .core import IntervalGrid, Trend, _read_lines, aggregate, check_measure, longest_run_above
-from .proximity import ProximityMap, csr_row_sums
+from .proximity import ProximityMap, csr_row_sums, random_walk_ends
 from .activeness import ActivenessParams
 
 _CSV_HEADER = "interval_index,t_min,t_max,intensity_mean,intensity_cv,coverage_mean,coverage_cv"
@@ -164,13 +165,18 @@ def simulate(
 
     A stream c * exp(-(t - s)/tau) has Poisson(c * tau * w) events before
     t_end, w = 1 - exp(-(t_end - s)/tau), at iid times of CDF
-    (1 - exp(-(t - s)/tau)) / w. Event (v, t) starts alpha * row_sum(v) at t,
-    whose events land on v's row targets drawn in proportion to score. A
-    drawn count past ``config.max_events`` raises ExplosionError first.
+    (1 - exp(-(t - s)/tau)) / w. Event (v, t) starts alpha * row_sum(v) at t.
+    Over shortest-path rows its events land on v's row targets drawn in
+    proportion to score, from one ``gather`` of the generation's rows. Over
+    random-walk rows row_sum(v) is the walk law's mass 1, and each event
+    lands where one restart walk from v stops (``random_walk_ends``); no row
+    is built. A drawn count past ``config.max_events`` raises ExplosionError
+    first.
     """
     if not 0 <= run_index < _SEED_PICK_KEY:
         raise ValueError("run_index must lie in [0, 2**61)")
     rng = derived_rng(config.seed, run_index)
+    walk = prox.config.kind == "random_walk"
     nodes, coeff, anchor, tau = streams.node, streams.coefficient, streams.anchor, streams.tau
     node_parts, time_parts = [], []
     drawn = 0.0
@@ -190,6 +196,8 @@ def simulate(
         parent, times = parent[keep], times[keep]
         if not node_parts:
             nodes = nodes[parent]
+        elif walk:  # one restart walk from the parent node stops at a draw from its row's law
+            nodes = random_walk_ends(prox.graph, nodes[parent], prox.config, rng)
         else:  # events past generation 0 land on targets of their parent's row
             row = group[parent]
             lo, hi = row_start[row], row_start[row + 1]
@@ -200,11 +208,14 @@ def simulate(
         time_parts.append(times)
         if not len(times):
             break
+        anchor, tau = times, np.full(len(times), params.tau)
+        if walk:  # the walk's law sums to 1
+            coeff = np.full(len(times), params.alpha)
+            continue
         acting, group = np.unique(nodes, return_inverse=True)
         row_start, targets, scores = prox.gather(acting)
         cum = np.concatenate([[0.0], np.cumsum(scores)])
         coeff = params.alpha * csr_row_sums(row_start, scores)[group]
-        anchor, tau = times, np.full(len(times), params.tau)
     trend = Trend(np.concatenate(node_parts), np.concatenate(time_parts))
     return trend, RunStats(len(trend), len(trend) - len(node_parts[0]))
 

@@ -720,6 +720,15 @@ def coverage(trend: Trend, t_min: float, t_max: float) -> int:
     return int(np.unique(trend.nodes[lo:hi]).size)
 
 
+def stacked_rows_coverage(trend: Trend, grid: IntervalGrid) -> np.ndarray:
+    """Coverage per interval by the former ``aggregate``: ``np.unique`` over stacked (interval, node) rows."""
+    keep, idx = grid.bin(trend.times)
+    pairs = np.unique(np.stack([idx, trend.nodes[keep]], axis=1), axis=0)
+    if not pairs.size:
+        return np.zeros(grid.count, dtype=np.int64)
+    return np.bincount(pairs[:, 0], minlength=grid.count).astype(np.int64)
+
+
 def brute_force_longest_run(values, theta) -> int:
     """Longest all-above-theta window by checking every (start, end) pair."""
     vals = list(values)

@@ -4,7 +4,7 @@ import tracemalloc
 
 import numpy as np
 import pytest
-from hypothesis import given, settings
+from hypothesis import example, given, settings
 from hypothesis import strategies as st
 from scipy.stats import chisquare
 
@@ -28,7 +28,15 @@ from trendcast.core import (
 )
 from trendcast.proximity import ProximityConfig, ProximityMap, graph_fingerprint
 
-from oracles import brute_force_longest_run, coverage, intensity, line_load_graph, line_load_trend, unique_rows_csr
+from oracles import (
+    brute_force_longest_run,
+    coverage,
+    intensity,
+    line_load_graph,
+    line_load_trend,
+    stacked_rows_coverage,
+    unique_rows_csr,
+)
 
 
 def test_toy_yearly_aggregation(toy_trend):
@@ -116,6 +124,23 @@ def test_aggregate_matches_per_interval_counts_on_boundary_stamps(steps, origin,
         lo, hi = grid.bounds(i)
         assert series.intensity[i] == intensity(trend, lo, hi)
         assert series.coverage[i] == coverage(trend, lo, hi)
+
+
+@settings(derandomize=True, database=None, deadline=None, max_examples=200)
+@given(
+    st.lists(st.tuples(st.integers(0, 2**20), st.integers(-8, 48)), max_size=60),
+    st.integers(-4, 8),
+    st.integers(1, 12),
+)
+@example([], 0, 3)  # no action
+@example([(7, -8), (3, 48)], 0, 2)  # every action off the grid
+def test_aggregate_coverage_matches_the_stacked_rows_oracle(steps, start, count):
+    # Nodes up to 2**20, so the (interval, node) keys span many node values.
+    trend = Trend(np.asarray([u for u, _ in steps], dtype=np.int64), np.asarray([k * 0.25 for _, k in steps]))
+    grid = IntervalGrid(start * 0.25, 0.75, count)
+    got = aggregate(trend, grid).coverage
+    assert got.dtype == np.int64
+    assert got.tolist() == stacked_rows_coverage(trend, grid).tolist()
 
 
 def test_aggregate_matches_single_interval_ops():

@@ -733,3 +733,64 @@ def test_a_random_walk_spread_raises_at_the_iteration_cap(graph, walk):
     with mock.patch.object(proximity, "_RW_MAX_ITERATIONS", 2):
         with pytest.raises(ConvergenceError, match=f"^{walk} did not converge within 2 iterations"):
             prox.spread(weights)
+
+
+def _sinks_graph() -> Graph:
+    """The 24-node directed graph of the CI sink checks: n12 to n23 have no out-edge."""
+    edges = [(i, i + 1) for i in range(11)] + [(i, 12 + 5 * i % 12) for i in range(12)] + [(3, 15), (8, 22)]
+    return Graph.from_edges(edges, 24, directed=True)
+
+
+# The end counts of 400,000 walks against the row's law, target by target.
+# On seeds 100-105 (not used here) the largest |z| over the three graphs'
+# targets was 2.75; 4.5 passes a correct sampler by chance with probability
+# about 1 - 1e-3 over all of them.
+@pytest.mark.parametrize(
+    ("graph", "source"),
+    [
+        (random_graph(60, 150, seed=1), 3),  # undirected
+        (_sinks_graph(), 0),  # directed, with sinks that send the walk back to its start
+        (Graph.from_edges([(0, 1), (1, 2)], 4), 3),  # an isolated source
+    ],
+    ids=["undirected", "sinks", "isolated"],
+)
+@pytest.mark.parametrize("seed", [0, 1])
+def test_walk_ends_are_draws_from_the_random_walk_row(graph, source, seed):
+    config = ProximityConfig(kind="rw", p=0.4)
+    walks = 400_000
+    row = random_walk_row(graph, source, config)
+    law = np.zeros(graph.node_count)
+    law[row.targets] = row.scores
+    ends = proximity.random_walk_ends(graph, np.full(walks, source), config, np.random.default_rng(seed))
+    counts = np.bincount(ends, minlength=graph.node_count)
+    assert counts[law == 0.0].sum() == 0
+    sd = np.sqrt(walks * law * (1.0 - law))
+    z = np.abs(counts - walks * law)[sd > 0] / sd[sd > 0]
+    assert z.max(initial=0.0) <= 4.5  # an isolated source's law is 1 at itself, so no target varies
+
+
+def test_walk_ends_walk_from_each_start_and_draw_only_from_the_generator():
+    graph = _sinks_graph()
+    config = ProximityConfig(kind="rw", p=0.4)
+    starts = np.asarray([0, 12, 5, 0, 23])
+    a = proximity.random_walk_ends(graph, starts, config, np.random.default_rng(7))
+    b = proximity.random_walk_ends(graph, starts.tolist(), config, np.random.default_rng(7))
+    assert a.dtype == np.int64 and a.tolist() == b.tolist()
+    assert a[[1, 4]].tolist() == [12, 23]  # a sink's walk returns to it at every step
+    assert starts.tolist() == [0, 12, 5, 0, 23]
+    assert len(proximity.random_walk_ends(graph, np.empty(0, dtype=np.int64), config, np.random.default_rng(7))) == 0
+
+
+def test_a_gather_that_misses_one_shortest_path_row_builds_no_adjacency():
+    # A lone missing row takes the batched BFS, like any other gather; only
+    # ``row`` walks the Python adjacency.
+    graph = random_graph(50, 120, seed=4)
+    config = ProximityConfig(kind="sp", b=1.0)
+    prox = ProximityMap(graph, config)
+    with mock.patch.object(proximity, "_sp_rows", wraps=proximity._sp_rows) as batch:
+        row_start, targets, scores = prox.gather(np.asarray([7]))
+        prox.gather(np.asarray([7, 9]))  # 7 is stored: the second gather misses 9 alone
+    assert [call.args[1].tolist() for call in batch.call_args_list] == [[7], [9]]
+    assert graph._adjacency is None
+    reference = shortest_path_row(graph, 7, config)
+    assert targets.tolist() == reference.targets.tolist() and scores.tobytes() == reference.scores.tobytes()

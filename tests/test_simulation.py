@@ -1,3 +1,4 @@
+import hashlib
 import io
 import math
 import time
@@ -30,7 +31,13 @@ from trendcast.simulation import (
     summarize_runs,
 )
 
-from oracles import ActivenessModel, brute_force_longest_run, random_instance, time_step_self_excited_counts
+from oracles import (
+    ActivenessModel,
+    brute_force_longest_run,
+    exact_random_walk_rows,
+    random_instance,
+    time_step_self_excited_counts,
+)
 
 
 def single_node_setup(alpha: float, tau: float, epsilon: float = 0.0):
@@ -192,11 +199,11 @@ def test_single_node_counts_match_time_step_oracle():
     assert counts.mean() == pytest.approx(oracle.mean(), abs=3.5 * math.hypot(sim_sem, oracle_sem))
 
 
-def _linear_mean_counts(edges, n, actors):
+def _linear_mean_counts(edges, n, actors, kernel_config=ProximityConfig(kind="sp", b=1.0)):
     """Mean per-node event counts over 4,000 runs, their standard errors, and the exact mean."""
     alpha, tau, t_end, runs = 0.4, 1.0, 3.0, 4_000
     graph = Graph.from_edges(edges, n, directed=True)
-    prox = ProximityMap(graph, ProximityConfig(kind="sp", b=1.0))
+    prox = ProximityMap(graph, kernel_config)
     params = ActivenessParams(alpha, tau, epsilon=0.0, t0=0.0)
     trend = Trend(np.asarray(actors), np.zeros(len(actors)))
     config = SimConfig(t_start=0.0, t_end=t_end, runs=runs, seed=31)
@@ -209,7 +216,10 @@ def _linear_mean_counts(edges, n, actors):
     # decayed-influence vector x solves x' = A x with A = alpha K^T - I/tau,
     # and the expected rate alpha K^T x integrates to A^-1 (e^{AT} - I) x0,
     # x0 = alpha times the sum of the actors' rows K[u].
-    kernel = np.asarray([[prox.row(u).get(v, 0.0) for v in range(n)] for u in range(n)])
+    if kernel_config.kind == "random_walk":  # the walk's law: no tolerance, no floor
+        kernel = exact_random_walk_rows(graph, kernel_config.p)
+    else:
+        kernel = np.asarray([[prox.row(u).get(v, 0.0) for v in range(n)] for u in range(n)])
     a = alpha * kernel.T - np.eye(n) / tau
     expected = np.linalg.solve(a, (linalg.expm(a * t_end) - np.eye(n)) @ (alpha * kernel[actors].sum(axis=0)))
     return counts.mean(axis=0), counts.std(axis=0, ddof=1) / math.sqrt(runs), expected
@@ -225,6 +235,14 @@ def test_per_node_counts_match_linear_mean_on_two_components():
     # both components, and a row offset error in the child marks would move
     # mass from one component to the other.
     mean, sem, expected = _linear_mean_counts([(0, 1), (1, 2), (3, 4)], 5, [0, 3])
+    assert np.all(np.abs(mean - expected) < 3.5 * sem)
+
+
+def test_per_node_counts_match_linear_mean_over_random_walk_offspring():
+    # Children draw their nodes by a restart walk from the parent: node 3
+    # is a sink, whose walks return to their start, and node 4 is isolated.
+    config = ProximityConfig(kind="rw", p=0.4)
+    mean, sem, expected = _linear_mean_counts([(0, 1), (1, 2), (2, 0), (1, 3)], 5, [0, 4], config)
     assert np.all(np.abs(mean - expected) < 3.5 * sem)
 
 
@@ -498,3 +516,52 @@ def test_prediction_csv_roundtrip_keeps_every_field(tmp_path_factory, report):
     assert back.theta == pytest.approx(report.theta, rel=1e-9, abs=0.0)
     for name in ("intensity_mean", "intensity_cv", "coverage_mean", "coverage_cv"):
         np.testing.assert_allclose(getattr(back, name), getattr(report, name), rtol=1e-9, atol=0.0)
+
+
+def test_random_walk_forecasts_and_synth_build_no_row():
+    graph, prox, trend = random_instance(seed=6, max_nodes=40, max_actions=30, kind="random_walk")
+    t_star = float(trend.times[-1])
+    params = ActivenessParams(0.6, 1.0, 1e-3, float(trend.times[0]))
+    grid = IntervalGrid(t_star, 1.0, 4)
+    runs = []
+    predict(trend, graph.node_count, prox, params, SimConfig(t_star, grid.t_end, runs=20, seed=3), grid,
+            run_dump=runs)
+    synth, manifest = generate_synthetic(graph.node_count, prox, params, 3, 6.0, seed=4)
+    assert sum(len(run) for run in runs) > 0 and manifest["child_events"] > 0
+    assert len(prox.stored_sources()) == 0
+
+
+def test_random_walk_forecast_mean_lies_within_the_first_generation_bounds():
+    # The benchmark check's bounds: the mean events per run lie between the
+    # prefix streams' mass m and m / (1 - alpha * tau), 6 standard errors wide.
+    for seed in range(3):
+        graph, prox, trend = random_instance(seed=60 + seed, max_nodes=80, max_actions=40, kind="random_walk")
+        t_star = float(trend.times[-1])
+        params = ActivenessParams(0.5, 1.0, 1e-9, float(trend.times[0]))
+        grid = IntervalGrid(t_star, 1.0, 4)
+        runs = 400
+        report = predict(trend, graph.node_count, prox, params, SimConfig(t_star, grid.t_end, runs=runs, seed=seed),
+                         grid)
+        window = -math.expm1(-(grid.t_end - t_star) / params.tau)
+        decay = np.exp(-(t_star - trend.times) / params.tau)
+        sums = np.asarray([prox.row_sum(u) for u in trend.nodes.tolist()])
+        mass = params.alpha * float(np.sum(decay * sums)) * params.tau * window
+        bound = params.alpha * params.tau
+        mean = float(report.intensity_mean.sum())
+        assert mass - 6 * math.sqrt(mass / runs) <= mean
+        assert mean <= mass / (1 - bound) + 6 * math.sqrt(mass / ((1 - bound) ** 3 * runs))
+        assert mean > mass * (1 + 0.2 * bound)  # the children add events: the mean sits well above m
+
+
+def test_a_shortest_path_forecast_keeps_its_bytes():
+    # The digest of this forecast's CSV, the same before random-walk
+    # offspring came to be drawn by walks: shortest-path runs still mark
+    # their children on gathered rows.
+    graph, prox, trend = random_instance(seed=14, max_nodes=60, max_actions=40, b=1.0)
+    t_star = float(trend.times[-1])
+    params = ActivenessParams(0.3, 1.0, 1e-3, float(trend.times[0]))
+    grid = IntervalGrid(t_star, 0.5, 6)
+    out = io.StringIO()
+    predict(trend, graph.node_count, prox, params, SimConfig(t_star, grid.t_end, runs=20, seed=5), grid).write_csv(out)
+    digest = hashlib.sha256(out.getvalue().encode()).hexdigest()
+    assert digest == "205f405a2352c527b920cd251ec3de85dd4a0fd47f76d4410864a960bb44dfc5"
