@@ -146,13 +146,15 @@ def _edge_scales(params: BaselineParams, node_count: int, src: np.ndarray, dst: 
 
 
 # Expected live edges (m * p) from which ``_live_edges`` draws its gaps by
-# its own exponential inversion; below it numpy's ``geometric`` is faster,
-# by the inversion's fixed cost of a few us. Best of 7 x 500 calls (2 vCPUs,
-# numpy 2.4): m = 1,200 and p = 0.077 (m * p = 92), geometric 7.3 against
-# 9.8 us; m * p = 308, 11.0 against 12.1; m * p = 600, 16.0 against 15.7;
-# m = 40,000 and p = 0.081, 91 against 58 us; m = 20,000 and p = 0.3, 195
-# against 95 us.
-_EXPONENTIAL_GAPS_FROM = 600
+# its own exponential inversion; below it numpy's ``geometric`` is as fast
+# or faster, by the inversion's fixed cost of a few us. Best of 15 x 1,000
+# calls, numpy's geometric against the inversion (2 vCPUs, numpy 2.4):
+# m = 1,200 and p = 0.077 (m * p = 93, learn-dense's cascades), 8.9 against
+# 11.2 us; m = 6,000 and p = 0.1 (600, rw-dense's), 17.8 against 17.1 us;
+# m = 40,000 and p = 0.081 (3,228, forecast-sparse's), 70 against 53 us;
+# at p = 0.3, m * p = 1,000, 28 against 22 us and m * p = 6,000, 220
+# against 107 us.
+_EXPONENTIAL_GAPS_FROM = 1000
 
 
 def _live_edges(rng: np.random.Generator, m: int, p: float) -> np.ndarray:
@@ -170,22 +172,28 @@ def _live_edges(rng: np.random.Generator, m: int, p: float) -> np.ndarray:
     on numpy searches instead, and the draws differ but keep their law.
     """
     block = int(m * p + 4 * math.sqrt(m * p)) + 1
-    rate = -math.log1p(-p) if p < 1.0 else math.inf  # at p = 1 every gap is 1
-
-    def gaps() -> np.ndarray:
-        if m * p < _EXPONENTIAL_GAPS_FROM:
-            return rng.geometric(p, size=block)
-        e = rng.standard_exponential(block)
-        e /= rate
-        # Any gap past m ends the draw, so clipping there keeps the int cast in range.
-        gap = np.minimum(e, m, out=e).astype(np.int64)
-        gap += 1
-        return gap
-
-    ends = np.cumsum(gaps()) - 1
+    if m * p < _EXPONENTIAL_GAPS_FROM:
+        gaps, args = rng.geometric, (p, block)
+    else:
+        gaps, args = _exponential_gaps, (rng, block, -math.log1p(-p) if p < 1.0 else math.inf, m)
+    ends = np.cumsum(gaps(*args)) - 1
     while ends[-1] < m:
-        ends = np.concatenate((ends, ends[-1] + np.cumsum(gaps())))
+        ends = np.concatenate((ends, ends[-1] + np.cumsum(gaps(*args))))
     return ends[: np.searchsorted(ends, m)]
+
+
+def _exponential_gaps(rng: np.random.Generator, size: int, rate: float, m: int) -> np.ndarray:
+    """``size`` Geometric gaps 1 + floor(E / rate), E ~ Exp(1) and rate = -log(1 - p), each at most m + 1.
+
+    A gap past m ends ``_live_edges``' draw whatever its size, so clipping
+    there keeps the int cast in range; at p = 1 the rate is inf and every
+    gap is 1.
+    """
+    e = rng.standard_exponential(size)
+    e /= rate
+    gap = np.minimum(e, m, out=e).astype(np.int64)
+    gap += 1
+    return gap
 
 
 def _arrivals(
