@@ -394,12 +394,13 @@ class _InfluenceTable:
         """Profile logL and its slope d logL / d log tau, from one pass.
 
         The value is logL at alpha_hat(tau), computed with alpha_hat * H =
-        n_events exactly, so where every influence is floored it is flat to the last
-        bit and the search's tie rule holds. With
+        n_events exactly, so where every influence is floored it is flat to
+        the last bit and the search's tie rule holds. With
         H = tau * S, S = sum_k r_k (1 - exp(-E_k / tau)) and
-        Q = sum_k r_k E_k exp(-E_k / tau), both over every action, each event
-        whose influence is not floored adds k_i / (tau h_i) - (1 - Q / H) to the slope; a floored one
-        adds nothing, so a fully floored profile has slope exactly 0.
+        Q = sum_k r_k E_k exp(-E_k / tau), both over every action, each
+        event whose influence is not floored adds k_i / (tau h_i) -
+        (1 - Q / H) to the slope; a floored one adds nothing, so a fully
+        floored profile has slope exactly 0.
         """
         h_total, alpha_closed = self._closed_alpha(tau)
         h, k = (x[self.events :] for x in self._influences(tau))

@@ -526,7 +526,7 @@ def test_random_walk_forecasts_and_synth_build_no_row():
     runs = []
     predict(trend, graph.node_count, prox, params, SimConfig(t_star, grid.t_end, runs=20, seed=3), grid,
             run_dump=runs)
-    synth, manifest = generate_synthetic(graph.node_count, prox, params, 3, 6.0, seed=4)
+    _, manifest = generate_synthetic(graph.node_count, prox, params, 3, 6.0, seed=4)
     assert sum(len(run) for run in runs) > 0 and manifest["child_events"] > 0
     assert len(prox.stored_sources()) == 0
 
