@@ -145,40 +145,25 @@ def _edge_scales(params: BaselineParams, node_count: int, src: np.ndarray, dst: 
     return 1.0 / rates
 
 
-# Expected live edges (m * p) from which ``_live_edges`` draws its gaps by
-# its own exponential inversion; below it numpy's ``geometric`` is as fast
-# or faster, by the inversion's fixed cost of a few us. Best of 15 x 1,000
-# calls, numpy's geometric against the inversion (2 vCPUs, numpy 2.4):
-# m = 1,200 and p = 0.077 (m * p = 93, learn-dense's cascades), 8.9 against
-# 11.2 us; m = 6,000 and p = 0.1 (600, rw-dense's), 17.8 against 17.1 us;
-# m = 40,000 and p = 0.081 (3,228, forecast-sparse's), 70 against 53 us;
-# at p = 0.3, m * p = 1,000, 28 against 22 us and m * p = 6,000, 220
-# against 107 us.
-_EXPONENTIAL_GAPS_FROM = 1000
-
-
 def _live_edges(rng: np.random.Generator, m: int, p: float) -> np.ndarray:
     """Ascending indices of the live edges among ``m``, each live alone with probability ``p``.
 
     The gaps between consecutive live edges of a Bernoulli(p) sequence are
     Geometric(p), so the indices are cumulative sums of geometric gaps, drawn
     in blocks of about m * p plus four standard deviations until they pass m.
-    From ``_EXPONENTIAL_GAPS_FROM`` expected live edges on, a gap is
-    1 + floor(E / -log(1 - p)) for E ~ Exp(1), one exponential draw and no
-    logarithm per gap; below it, numpy's ``geometric``. For p < 1/3 numpy
-    inverts one exponential draw as ceil(E / -log(1 - p)), a logarithm per
-    gap, so both give the same gaps from the same stream (they part only
-    where E / -log(1 - p) is an integer, with probability 0); from p = 1/3
-    on numpy searches instead, and the draws differ but keep their law.
+    A gap is 1 + floor(E / -log(1 - p)) for E ~ Exp(1), the logarithm taken
+    once per call, so a gap costs one exponential draw. For p < 1/3 numpy's
+    ``geometric`` inverts the same exponential draw as ceil(E / -log(1 - p)),
+    with a logarithm per gap, so both give the same gaps from the same stream
+    (they part only where E / -log(1 - p) is an integer, with probability 0);
+    from p = 1/3 on numpy searches instead, and the draws differ but keep
+    their law.
     """
     block = int(m * p + 4 * math.sqrt(m * p)) + 1
-    if m * p < _EXPONENTIAL_GAPS_FROM:
-        gaps, args = rng.geometric, (p, block)
-    else:
-        gaps, args = _exponential_gaps, (rng, block, -math.log1p(-p) if p < 1.0 else math.inf, m)
-    ends = np.cumsum(gaps(*args)) - 1
+    rate = -math.log1p(-p) if p < 1.0 else math.inf
+    ends = np.cumsum(_exponential_gaps(rng, block, rate, m)) - 1
     while ends[-1] < m:
-        ends = np.concatenate((ends, ends[-1] + np.cumsum(gaps(*args))))
+        ends = np.concatenate((ends, ends[-1] + np.cumsum(_exponential_gaps(rng, block, rate, m))))
     return ends[: np.searchsorted(ends, m)]
 
 

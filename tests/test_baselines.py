@@ -233,6 +233,8 @@ def test_live_edges_at_the_extremes():
         assert np.array_equal(baselines._live_edges(rng, m, 1.0), np.arange(m))
     for p in (0.001, 0.3, 1.0):
         assert baselines._live_edges(rng, 0, p).size == 0
+    # A gap of E / -log(1 - p) past the int64 range is clipped, not wrapped.
+    assert baselines._live_edges(rng, 700, 1e-300).size == 0
 
 
 @settings(derandomize=True, database=None, deadline=None, max_examples=300)
@@ -246,22 +248,6 @@ def test_live_edges_are_ascending_distinct_and_in_range(m, p, seed):
 
 @pytest.mark.parametrize("p", [0.01, 0.08, 0.5])
 def test_live_edges_are_independent_bernoulli(p):
-    _check_independent_bernoulli(p)
-
-
-@pytest.mark.parametrize("p", [0.01, 0.08, 0.5])
-def test_exponential_gaps_are_independent_bernoulli(monkeypatch, p):
-    # The same law checks with every gap drawn by exponential inversion,
-    # which the 50 edges here would otherwise leave to ``geometric``.
-    monkeypatch.setattr(baselines, "_EXPONENTIAL_GAPS_FROM", 0)
-    _check_independent_bernoulli(p)
-    rng = np.random.default_rng(3)
-    assert np.array_equal(baselines._live_edges(rng, 700, 1.0), np.arange(700))
-    # A gap of E / -log(1 - p) past the int64 range is clipped, not wrapped.
-    assert baselines._live_edges(rng, 700, 1e-300).size == 0
-
-
-def _check_independent_bernoulli(p):
     # 20k draws over m = 50 edges: every edge's live frequency, the joint
     # frequency of the adjacent pair (20, 21), and the mean and variance of
     # the live count, each within 5 standard errors of Bernoulli(p) edges.
