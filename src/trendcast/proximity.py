@@ -66,7 +66,7 @@ KIND_ALIASES = {"sp": "shortest_path", "rw": "random_walk"}
 
 CACHE_FORMAT = "trendcast-prox-cache-v2"
 _CACHE_ARRAYS = {"sources": np.int64, "row_start": np.int64, "targets": np.int64, "scores": np.float64}
-_RW_MAX_ITERATIONS = 10_000  # cap on the random-walk fixed-point iteration
+_RW_MAX_ITERATIONS = 10_000  # cap on the random-walk fixed-point iteration and on a sampled walk's steps
 
 
 class ConvergenceError(RuntimeError):
@@ -306,10 +306,22 @@ def random_walk_ends(graph: Graph, starts: np.ndarray, config: ProximityConfig,
     walk tolerance and no floor (the Monte Carlo "fingerprints" of Fogaras
     et al., Internet Mathematics 2005). All walks step together, one draw
     per live walk and step, after one geometric draw of every walk's length.
+    A walk drawn longer than ``_RW_MAX_ITERATIONS`` steps raises
+    ConvergenceError before any walk moves, as the fixed-point iteration
+    does past the same cap: a walk passes it with probability
+    (1 - p)^10,001, about 2e-9 at p = 0.002 and 0 in double precision at
+    p = 0.1. So the cap bites only at tiny p, where a loose ``rw_tolerance``
+    lets the fixed-point iteration stop early but the walks would take
+    about ln(walks) / p rounds.
     """
     starts = np.asarray(starts, dtype=np.int64)
     ends = starts.copy()
     steps = rng.geometric(config.p, len(ends)) - 1
+    longest = int(steps.max(initial=0))
+    if longest > _RW_MAX_ITERATIONS:
+        raise ConvergenceError(
+            f"a restart walk drew {longest} steps, past the cap of {_RW_MAX_ITERATIONS} (p {config.p:g})"
+        )
     degree = np.diff(graph.indptr)
     live = np.flatnonzero(steps)
     while len(live):

@@ -170,8 +170,8 @@ def simulate(
     proportion to score, from one ``gather`` of the generation's rows. Over
     random-walk rows row_sum(v) is the walk law's mass 1, and each event
     lands where one restart walk from v stops (``random_walk_ends``); no row
-    is built. A drawn count past ``config.max_events`` raises ExplosionError
-    first.
+    is built, and a walk drawn past the step cap raises ConvergenceError. A
+    drawn count past ``config.max_events`` raises ExplosionError first.
     """
     if not 0 <= run_index < _SEED_PICK_KEY:
         raise ValueError("run_index must lie in [0, 2**61)")

@@ -13,7 +13,7 @@ from scipy import linalg
 from trendcast.activeness import ActivenessParams
 from trendcast.core import AggregateSeries, Graph, IntervalGrid, Trend, write_aggregate_csv
 from trendcast.evaluation import evaluate_prediction
-from trendcast.proximity import ProximityConfig, ProximityMap
+from trendcast.proximity import ConvergenceError, ProximityConfig, ProximityMap
 from trendcast.simulation import (
     ExplosionError,
     PredictionReport,
@@ -529,6 +529,21 @@ def test_random_walk_forecasts_and_synth_build_no_row():
     _, manifest = generate_synthetic(graph.node_count, prox, params, 3, 6.0, seed=4)
     assert sum(len(run) for run in runs) > 0 and manifest["child_events"] > 0
     assert len(prox.stored_sources()) == 0
+
+
+def test_a_tiny_restart_probability_raises_at_the_walk_cap_not_after_it():
+    # A loose tolerance lets the prefix spread stop after one step, but the
+    # walks would take about ln(walks) / p rounds: the sampler refuses them.
+    graph, _, trend = random_instance(seed=6, max_nodes=40, max_actions=30)
+    prox = ProximityMap(graph, ProximityConfig(kind="rw", p=1e-7, rw_tolerance=1.0))
+    t_star = float(trend.times[-1])
+    params = ActivenessParams(0.6, 1.0, 1e-3, float(trend.times[0]))
+    init_streams(trend, prox, params, t_star, graph.node_count)
+    grid = IntervalGrid(t_star, 1.0, 4)
+    started = time.perf_counter()
+    with pytest.raises(ConvergenceError, match="past the cap of 10000"):
+        predict(trend, graph.node_count, prox, params, SimConfig(t_star, grid.t_end, runs=20, seed=3), grid)
+    assert time.perf_counter() - started < 5.0
 
 
 def test_random_walk_forecast_mean_lies_within_the_first_generation_bounds():
