@@ -115,15 +115,19 @@ def _finite_theta(value: object, where: str) -> float:
     return float(value)
 
 
-def _apply_jitter(trend: Trend, width: float, seed: int) -> Trend:
+def _apply_jitter(trend: Trend, width: float, seed: int, after: float | None = None) -> Trend:
     # Optional tie breaking: timestamps keep their recorded values by
-    # default; a uniform jitter in [0, width) separates exact ties.
+    # default; a uniform jitter in [0, width) separates exact ties. Given
+    # ``after``, only the actions after it move.
     if not 0 <= width < math.inf:
         raise ValueError(f"--jitter must be finite and non-negative, got {width!r}")
     if width == 0:
         return trend
     rng = simulation.derived_rng(seed, simulation._JITTER_KEY)
-    return Trend(trend.nodes.copy(), trend.times + rng.uniform(0.0, width, size=len(trend)))
+    times = trend.times.copy()
+    moved = times > (-math.inf if after is None else after)
+    times[moved] += rng.uniform(0.0, width, size=int(moved.sum()))
+    return Trend(trend.nodes.copy(), times)
 
 
 def cmd_learn(args: argparse.Namespace) -> int:
@@ -132,18 +136,20 @@ def cmd_learn(args: argparse.Namespace) -> int:
         raise ValueError(f"--t0 {args.t0!r} follows --t-star {args.t_star!r}")
     graph = load_graph(args.graph, args.directed)
     trend = load_trend(args.actions, graph)
+    # t0 is fixed before any jitter, so the actions the fit conditions on stay at or before it.
+    t0 = args.t0
+    if t0 is None and len(trend):
+        t0 = float(trend.times[0])
     if args.jitter:
-        trend = _apply_jitter(trend, args.jitter, _resolve_seed(args))
+        trend = _apply_jitter(trend, args.jitter, _resolve_seed(args), after=t0)
     prox_config = _prox_config(args)
     prox = _proximity(args, graph, prox_config)
     config = learning.LearnConfig(_parse_tau_range(args.tau_range) if args.tau_range else None)
     with warnings.catch_warnings(record=True) as caught:
         warnings.simplefilter("always")
-        result = learning.fit(trend, prox, args.t_star, config, epsilon=args.epsilon, t0=args.t0)
+        result = learning.fit(trend, prox, args.t_star, config, epsilon=args.epsilon, t0=t0)
     for warning in caught:
         print(f"warning: {warning.message}", file=sys.stderr)
-    prefix = trend.prefix(args.t_star)
-    t0 = args.t0 if args.t0 is not None else float(prefix.times[0])
     params = ActivenessParams(result.alpha, result.tau, args.epsilon, t0)
     save_params(args.out, params, prox_config)
     with open(args.out + ".report.csv", "w", encoding="utf-8") as fh:
@@ -385,7 +391,8 @@ def build_parser() -> argparse.ArgumentParser:
     p.add_argument("--t0", type=float, default=None,
                    help="trend start: actions at or before it are the initial condition the fit is "
                    "conditioned on, not scored as events (default: first action)")
-    p.add_argument("--jitter", type=float, default=0.0, help="uniform tie-breaking jitter width")
+    p.add_argument("--jitter", type=float, default=0.0,
+                   help="uniform tie-breaking jitter width for the actions after t0")
     p.add_argument("--seed", type=int, default=None, help="seeds --jitter only; the fit draws nothing")
     p.add_argument("--out", required=True, help="parameter JSON output path")
     p.set_defaults(func=cmd_learn)

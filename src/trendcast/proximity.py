@@ -5,7 +5,8 @@ reachable node. Two kernels are provided: an exponentially decaying
 shortest-path kernel and a restart random walk. Entries below a configurable
 floor are dropped, which keeps rows sparse and bounds traversal depth. Every
 row is a pair of aligned ``targets`` and ``scores`` arrays in entry order:
-BFS order for shortest-path rows, ascending node for random-walk rows.
+hop, then ascending node, for shortest-path rows, ascending node for
+random-walk rows.
 
 ``ProximityMap`` keeps its rows in one CSR store, a growable pair of
 ``targets`` and ``scores`` arrays that per-node ``start`` and ``stop``
@@ -18,13 +19,17 @@ none of these makes an object per row. The scalar kernels return one
 
 Shortest-path rows are built two ways. ``ProximityMap.gather`` builds all
 of its missing rows, a lone one included, with ``_sp_rows``, one
-level-synchronous BFS for many sources over the CSR arrays, which shares
-the per-level numpy work among them. ``row`` uses the scalar BFS
+level-synchronous BFS for many sources, which shares the per-level numpy
+work among them. It lists each level's out-edges from the CSR arrays while
+levels are small, and once a level would list more than the graph's
+``E + N`` entries per 64 rows it pulls the rest in bits, 64 rows to a
+uint64 word, over the in-edge CSR. ``row`` uses the scalar BFS
 ``shortest_path_row`` over ``Graph.adjacency``, the graph's CSR arrays as
-Python sequences, built once per graph. For one row it costs a sixth of a
-batched pass on a sparse graph and about half on a dense one, but building
-the adjacency costs about 1 ms on a 10k-node graph, so a gather does not
-pay for it. Both give the same row, entry for entry and in the same order.
+Python sequences, built once per graph. For one row it costs about a
+quarter of a batched pass on a sparse graph and about as much on a dense
+one, but building the adjacency costs about 1 ms on a 10k-node graph, so a
+gather does not pay for it. Both give the same row, entry for entry and in
+the same order.
 Random-walk rows are built two ways as well. A fill that misses
 ``_RW_BLOCK_ROWS`` or more of them walks them together with ``_rw_rows``,
 one fixed-point iteration over a nodes x sources block; fewer, and ``row``,
@@ -64,7 +69,7 @@ from .core import Graph
 KINDS = ("shortest_path", "random_walk")
 KIND_ALIASES = {"sp": "shortest_path", "rw": "random_walk"}
 
-CACHE_FORMAT = "trendcast-prox-cache-v2"
+CACHE_FORMAT = "trendcast-prox-cache-v3"
 _CACHE_ARRAYS = {"sources": np.int64, "row_start": np.int64, "targets": np.int64, "scores": np.float64}
 _RW_MAX_ITERATIONS = 10_000  # cap on the random-walk fixed-point iteration and on a sampled walk's steps
 
@@ -148,7 +153,9 @@ def shortest_path_row(graph: Graph, source: int, config: ProximityConfig) -> Row
     """Scores exp(-b * hops) along out-edges; BFS stops once a hop level floors out.
 
     It also stops once every node is in the row, where a further level
-    could add nothing.
+    could add nothing. Entries run by hop, then by ascending node: hop 1
+    is the source's CSR row, already ascending, and each later level is
+    sorted.
     """
     indptr, indices = graph.adjacency()
     targets, scores = [source], [1.0]
@@ -168,6 +175,8 @@ def shortest_path_row(graph: Graph, source: int, config: ProximityConfig) -> Row
                 if v not in seen:
                     add(v)
                     append(v)
+        if hops > 1:
+            next_frontier.sort()
         targets += next_frontier
         scores += [weight] * len(next_frontier)
         frontier = next_frontier
@@ -178,11 +187,70 @@ def shortest_path_row(graph: Graph, source: int, config: ProximityConfig) -> Row
 # sources are searched CELLS // node_count at a time, which bounds the
 # kernel's scratch memory on large graphs. Each chunk pays a fixed numpy
 # cost per BFS level. At 2^20 (a 1 MB bitmap) the 1,811 learn rows of the
-# forecast-sparse benchmark (9,832 nodes) run as 18 chunks and take 3.8-4.1
-# ms, against 70 chunks and 7.0-7.4 ms at 2^18 (best of 60 builds, 2 vCPUs);
-# 2^22 (5 chunks, 3.2 ms) made the benchmark's learn and predict no faster
-# and raised its peak RSS by 2.6 MB.
+# forecast-sparse benchmark (9,832 nodes) run as 18 chunks and take 1.8 ms,
+# against 70 chunks and 3.5 ms at 2^18 and 5 chunks and 1.7 ms at 2^22
+# (best of 60 builds, 2 vCPUs); an earlier kernel's 2^22 made the
+# benchmark's learn and predict no faster and raised its peak RSS by 2.6 MB.
 _SP_CHUNK_CELLS = 1 << 20
+
+
+def _in_edges(graph: Graph) -> tuple[np.ndarray, np.ndarray]:
+    """The in-edge CSR ``(indptr, sources)``: v's in-neighbours, ascending, are ``sources[indptr[v]:indptr[v + 1]]``.
+
+    An undirected graph's CSR is symmetric, so it is its own; a directed
+    graph's is the transpose, by one sorted key per edge as ``_csr`` builds
+    the CSR.
+    """
+    if not graph.directed:
+        return graph.indptr, graph.indices
+    n = graph.node_count
+    key = graph.indices * n
+    key += np.repeat(np.arange(n), np.diff(graph.indptr))
+    key.sort()
+    indptr = np.zeros(n + 1, dtype=np.int64)
+    np.cumsum(np.bincount(graph.indices, minlength=n), out=indptr[1:])
+    return indptr, key % n
+
+
+def _bit_matrix(cells: np.ndarray, size: int, n: int) -> np.ndarray:
+    """A chunk's ``size * n`` row-major bool cells as n x words uint64: row r is bit r % 64 of word r // 64."""
+    words = -(-size // 64)
+    packed = np.zeros((n, 8 * words), dtype=np.uint8)
+    packed[:, : -(-size // 8)] = np.packbits(cells.reshape(size, n).T, axis=1, bitorder="little")
+    return packed.view(_WORD)
+
+
+_WORD = np.dtype("<u8")  # little-endian, so bit b of a word's byte k is row 8 * k + b
+
+
+def _pieces(in_indptr: np.ndarray, budget: int) -> list:
+    """The in-edge CSR cut into node ranges of at most ``budget`` in-edges, or one node with more.
+
+    Each piece is ``(lo, hi, nodes, starts)``: its in-edges span
+    ``lo:hi``, and ``nodes``, its nodes with an in-edge, start theirs at
+    ``starts``, offsets from ``lo``. Ranges with no in-edge are left out.
+    """
+    n = len(in_indptr) - 1
+    pieces, a = [], 0
+    while a < n:
+        b = int(np.searchsorted(in_indptr, in_indptr[a] + budget, side="right")) - 1
+        b = min(n, max(b, a + 1))
+        lo, hi = int(in_indptr[a]), int(in_indptr[b])
+        if hi > lo:
+            nodes = a + np.flatnonzero(in_indptr[a + 1 : b + 1] > in_indptr[a:b])
+            pieces.append((lo, hi, nodes, in_indptr[nodes] - lo))
+        a = b
+    return pieces
+
+
+def _pull_level(frontier: np.ndarray, seen: np.ndarray, in_source: np.ndarray, pieces: list) -> np.ndarray:
+    """The next BFS level as a bit matrix: each node's in-neighbours' frontier words, ORed, less ``seen``."""
+    new = np.zeros_like(frontier)
+    for lo, hi, nodes, starts in pieces:
+        pulled = np.bitwise_or.reduceat(frontier[in_source[lo:hi]], starts, axis=0)
+        pulled &= ~seen[nodes]
+        new[nodes] = pulled
+    return new
 
 
 def _sp_rows(graph: Graph, sources: np.ndarray, config: ProximityConfig) -> tuple[np.ndarray, list, list]:
@@ -190,68 +258,118 @@ def _sp_rows(graph: Graph, sources: np.ndarray, config: ProximityConfig) -> tupl
 
     ``lengths`` holds each row's entry count; ``targets`` and ``scores``
     hold one array per chunk of sources, whose concatenation is the rows'
-    entries in order. Each row equals ``shortest_path_row`` entry for entry.
+    entries in order. Each row equals ``shortest_path_row`` entry for entry:
+    hop, then ascending node, each scored ``math.exp(-b * hops)``.
 
-    One level-synchronous BFS runs for a chunk of sources at once over the
-    CSR arrays (a multi-source BFS as in Then et al., VLDB 2014). A
-    candidate is keyed ``row * n + node``. At each hop the frontier's
-    out-edges are listed in the order the scalar BFS walks them (frontier
-    position, then neighbour order), candidates already seen are dropped,
-    and a sort of the keys keeps each key's first discovery, so every row
-    keeps the scalar BFS's entry order and its ``math.exp(-b * hops)`` score.
+    One level-synchronous BFS runs for a chunk of sources at once (a
+    multi-source BFS as in Then et al., VLDB 2014), with each reached node
+    keyed ``row * n + node``. While levels are small it lists them: the
+    frontier's out-edges from the CSR arrays, less the keys already
+    ``seen``, sorted and deduplicated, which puts each level in (row, node)
+    order. Once a level would list more out-edges than ``(E + N) *
+    words``, where ``words = ceil(rows / 64)``, the chunk turns to bits
+    for the rest of its search (the direction-optimizing switch of Beamer,
+    Asanovic and Patterson, SC 2012): its seen set and frontier become
+    N x words matrices of uint64, one bit per row, and a level is each
+    node's in-neighbours' frontier words ORed by one ``reduceat`` over the
+    in-edge CSR, less ``seen``. Its new bits unpack to (row, node)-sorted
+    keys. A stable sort by row of all levels' keys gives the rows.
     """
     n = graph.node_count
     indptr, indices = graph.indptr, graph.indices
     degree = np.diff(indptr)
-    weight = [1.0]
+    edges = len(indices)
     chunk = max(1, _SP_CHUNK_CELLS // max(n, 1))
     seen = np.zeros(min(len(sources), chunk) * n, dtype=bool)
+    in_edges = None  # built when a chunk first turns to bits
     lengths, row_targets, row_scores = [], [], []
     for lo in range(0, len(sources), chunk):
         f_node = np.asarray(sources[lo : lo + chunk], dtype=np.int64)
         size = len(f_node)
+        words = -(-size // 64)
         f_key = np.arange(size) * n + f_node
-        keys, scores = [], []
+        listed = []  # the keys marked in ``seen``, one array per listed level
+        keys, weights = [f_key], [1.0]
+        reached = size
         hop = 0
-        while True:
-            seen[f_key] = True
-            keys.append(f_key)
-            scores.append(np.full(len(f_key), weight[hop]))
+        while reached < size * n:
             hop += 1
-            if hop == len(weight):
-                if (next_weight := math.exp(-config.b * hop)) < config.floor:
-                    break
-                weight.append(next_weight)
+            if (weight := math.exp(-config.b * hop)) < config.floor:
+                break
+            seen[f_key] = True
+            listed.append(f_key)
             count = degree[f_node]
-            first_edge = np.cumsum(count) - count
-            edge = np.repeat(indptr[f_node] - first_edge, count)
+            listed_end = np.cumsum(count)  # where each frontier node's out-edges end in the listing
+            if listed_end[-1] > (edges + n) * words:
+                if in_edges is None:
+                    in_edges = _in_edges(graph)
+                _bit_levels(in_edges, seen[: size * n], keys, weights, size, hop, config)
+                break
+            edge = np.repeat(indptr[f_node] - (listed_end - count), count)
             edge += np.arange(len(edge))
             c_node = indices[edge]
             del edge
             c_key = np.repeat(f_key - f_node, count)
             c_key += c_node
-            fresh = np.flatnonzero(~seen[c_key])
-            m = len(fresh)
-            if not m:
+            del c_node
+            c_key = c_key[~seen[c_key]]
+            if not len(c_key):
                 break
-            # Sorting key * m + position puts each key's first discovery in
-            # front of its group; the kept positions, sorted, are the
-            # discovery order.
-            packed = np.sort(c_key[fresh] * m + np.arange(m))
-            group = packed // m
-            first = np.empty(m, dtype=bool)
+            c_key.sort()
+            first = np.empty(len(c_key), dtype=bool)
             first[0] = True
-            np.not_equal(group[1:], group[:-1], out=first[1:])
-            keep = fresh[np.sort(packed[first] - group[first] * m)]
-            f_node, f_key = c_node[keep], c_key[keep]
-        key = np.concatenate(keys)
-        seen[key] = False
-        row, node = np.divmod(key, n)
+            np.not_equal(c_key[1:], c_key[:-1], out=first[1:])
+            f_key = c_key[first]
+            f_node = f_key % n
+            keys.append(f_key)
+            weights.append(weight)
+            reached += len(f_key)
+        for key in listed:
+            seen[key] = False
+        level = np.fromiter(map(len, keys), dtype=np.int64, count=len(keys))
+        row, node = np.divmod(np.concatenate(keys), n)
         order = np.argsort(row, kind="stable")
         lengths.append(np.bincount(row, minlength=size))
         row_targets.append(node[order])
-        row_scores.append(np.concatenate(scores)[order])
+        row_scores.append(np.repeat(weights, level)[order])
     return np.concatenate(lengths), row_targets, row_scores
+
+
+def _bit_levels(in_edges: tuple, seen: np.ndarray, keys: list, weights: list, size: int, hop: int,
+                config: ProximityConfig) -> None:
+    """Run the rest of one chunk's BFS in bits from hop ``hop``, appending each level to ``keys`` and ``weights``.
+
+    ``seen`` is the chunk's ``seen`` bitmap and ``keys`` holds its levels
+    so far, the frontier last. The seen set, the frontier and the next
+    level are n x words matrices, each n * words * 8 bytes, about an eighth
+    of the bitmap; the in-edges gathered at once hold at most
+    ``_SP_CHUNK_CELLS`` bytes, and a level's unpacked bits, one byte per
+    cell, are the bitmap's size twice.
+    """
+    in_indptr, in_source = in_edges
+    n = len(in_indptr) - 1
+    words = -(-size // 64)
+    frontier = np.zeros(size * n, dtype=bool)
+    frontier[keys[-1]] = True
+    frontier = _bit_matrix(frontier, size, n)
+    seen = _bit_matrix(seen, size, n)
+    pieces = _pieces(in_indptr, max(1, _SP_CHUNK_CELLS // (8 * words)))
+    reached = sum(map(len, keys))
+    while True:
+        new = _pull_level(frontier, seen, in_source, pieces)
+        if not new.any():
+            return
+        seen |= new
+        bits = np.unpackbits(new.view(np.uint8), axis=1, count=size, bitorder="little")  # nodes x rows
+        f_key = np.flatnonzero(bits.T)  # row * n + node, in (row, node) order
+        del bits
+        keys.append(f_key)
+        weights.append(math.exp(-config.b * hop))
+        reached += len(f_key)
+        hop += 1
+        if reached == size * n or math.exp(-config.b * hop) < config.floor:
+            return
+        frontier = new
 
 
 def random_walk_row(graph: Graph, source: int, config: ProximityConfig) -> Row:
@@ -372,20 +490,12 @@ def _rw_rows(graph: Graph, sources: np.ndarray, config: ProximityConfig) -> tupl
     if not len(graph.indices):
         return np.ones(len(sources), dtype=np.int64), [sources.copy()], [np.ones(len(sources))]
     degree = np.diff(graph.indptr)
-    if graph.directed:
-        # The transpose, by one sorted key per edge as ``_csr`` builds the CSR.
-        key = graph.indices * n
-        key += np.repeat(np.arange(n), degree)
-        key.sort()
-        in_source = key % n
-        in_degree = np.bincount(graph.indices, minlength=n)
-    else:
-        # The CSR is symmetric, so node v's row lists its in-edges ascending by source.
-        in_source, in_degree = graph.indices, degree
+    in_indptr, in_source = _in_edges(graph)
+    in_degree = np.diff(in_indptr)
     node = np.argsort(-in_degree, kind="stable")  # block row i holds node[i]
     position = np.empty(n, dtype=np.int64)
     position[node] = np.arange(n)
-    first_in = (np.cumsum(in_degree) - in_degree)[node]
+    first_in = in_indptr[node]
     at_least = np.bincount(in_degree)[::-1].cumsum()[::-1]  # nodes of in-degree d or more, by d
     columns = [position[in_source[first_in[:c] + j]] for j, c in enumerate(at_least[1:].tolist())]
     dangling = degree == 0
@@ -803,7 +913,7 @@ def _cache_header(header: np.ndarray | None) -> tuple[ProximityConfig, object]:
         is_text = header is not None and header.shape == () and header.dtype.kind == "U"
         meta = json.loads(header.item()) if is_text else None
         if not isinstance(meta, dict) or meta.get("format") != CACHE_FORMAT:
-            raise ValueError(f"not a {CACHE_FORMAT} header")
+            raise ValueError(f"not a {CACHE_FORMAT} header; rebuild it with 'trendcast prox-cache'")
         stored = dict(meta["fingerprint"])
         stored_graph = stored.pop("graph", None)
         return ProximityConfig.from_dict(stored), stored_graph

@@ -426,15 +426,21 @@ _CAP_MARGIN = 1e-9
 def branching_bound(prox: ProximityMap, params: ActivenessParams, node_count: int) -> float:
     """Upper bound on the expected offspring per event: alpha * tau * C.
 
-    C is ``prox.row_sum_cap()``, a cap on every row sum from the kernel and
-    the max degree that builds no row. The verdict ``bound >= 1`` is the
-    one the exact rows give: when alpha * tau * C comes within _CAP_MARGIN
-    of 1, and alpha * tau times ``prox.row_sum_low()``, a lower bound on
-    every row sum, does not reach 1 + _CAP_MARGIN, C is replaced by the
-    exact max row sum over nodes 0..node_count-1. The value depends on the
-    graph, kernel and params only, never on which rows are cached.
+    Over random-walk rows an event's offspring carry mass alpha exactly
+    (``simulate`` draws them from the walk law, which sums to 1), so the
+    bound is alpha * tau, the exact branching ratio, and no row is built.
+    Over shortest-path rows C is ``prox.row_sum_cap()``, a cap on every row
+    sum from the kernel and the max degree that builds no row. The verdict
+    ``bound >= 1`` is the one the exact rows give: when alpha * tau * C
+    comes within _CAP_MARGIN of 1, and alpha * tau times
+    ``prox.row_sum_low()``, a lower bound on every row sum, does not reach
+    1 + _CAP_MARGIN, C is replaced by the exact max row sum over nodes
+    0..node_count-1. The value depends on the graph, kernel and params
+    only, never on which rows are cached.
     """
     scale = params.alpha * params.tau
+    if prox.config.kind == "random_walk":
+        return scale
     capped = scale * prox.row_sum_cap()
     if capped < 1.0 - _CAP_MARGIN or scale * prox.row_sum_low() >= 1.0 + _CAP_MARGIN:
         return capped
@@ -456,7 +462,8 @@ def generate_synthetic(
     Supercritical parameter sets (alpha * tau * max row sum >= 1, decided by
     ``branching_bound``) are refused unless explicitly allowed; the event
     cap still bounds allowed runs. The manifest's ``branching_bound`` is
-    that function's value: the degree cap when it is safely below 1 or the
+    that function's value: alpha * tau over random-walk rows; over
+    shortest-path rows the degree cap when it is safely below 1 or the
     kernel's low bound is safely above 1, else the exact alpha * tau * max
     row sum.
     Returns the seeded-plus-generated trend and a manifest dict.

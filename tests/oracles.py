@@ -21,7 +21,6 @@ from __future__ import annotations
 import heapq
 import math
 from bisect import bisect_right
-from collections import deque
 from dataclasses import dataclass
 from typing import Mapping
 
@@ -393,25 +392,20 @@ def time_step_self_excited_counts(
 
 
 def dict_shortest_path_row(graph: Graph, source: int, config: ProximityConfig) -> dict[int, float]:
-    """The shortest-path row as a dict in BFS order, from a deque BFS over ``graph.neighbors``."""
+    """The shortest-path row as a dict by hop, then ascending node, from a level BFS over ``graph.neighbors``."""
     scores = {source: 1.0}
     seen = {source}
-    frontier = deque([source])
+    frontier = [source]
     hops = 0
     while frontier:
         hops += 1
         weight = math.exp(-config.b * hops)
         if weight < config.floor:
             break
-        next_frontier: deque[int] = deque()
-        while frontier:
-            u = frontier.popleft()
-            for v in graph.neighbors(u).tolist():
-                if v not in seen:
-                    seen.add(v)
-                    scores[v] = weight
-                    next_frontier.append(v)
-        frontier = next_frontier
+        level = {v for u in frontier for v in graph.neighbors(u).tolist()} - seen
+        seen |= level
+        frontier = sorted(level)
+        scores.update(dict.fromkeys(frontier, weight))
     return scores
 
 

@@ -33,6 +33,8 @@ from trendcast.core import (
 from trendcast.evaluation import threshold_from_last_observed
 from trendcast.proximity import ProximityConfig, ProximityMap
 
+from study import PROBE, planted_trend, probe_setup
+
 
 @pytest.fixture()
 def tiny_files(tmp_path):
@@ -1026,8 +1028,11 @@ def _write(data):
     pytest.param(_write(lambda data: b""), "rebuild it with 'trendcast prox-cache'", id="empty"),
     pytest.param(_write(lambda data: b'{"format": "trendcast-prox-cache-v1", "fingerprint": {}}\n'),
                  "rebuild it with 'trendcast prox-cache'", id="v1-json-lines"),
-    pytest.param(_header('{"format": "x"}'), "array 'header': not a trendcast-prox-cache-v2 header",
+    pytest.param(_header('{"format": "x"}'), "array 'header': not a trendcast-prox-cache-v3 header",
                  id="header-format-x"),
+    # v2 caches hold shortest-path rows in BFS discovery order, not by hop and then node
+    pytest.param(_replace("header", lambda a: np.asarray(str(a["header"]).replace("-v3", "-v2"))),
+                 "not a trendcast-prox-cache-v3 header; rebuild it with 'trendcast prox-cache'", id="v2-cache"),
     pytest.param(_header("{not json"), "array 'header': Expecting property name", id="header-not-json"),
 ])
 def test_predict_rejects_malformed_prox_cache(pipeline, tmp_path, capsys, edit, message):
@@ -1129,6 +1134,33 @@ def test_jitter_is_deterministic_and_validated(tiny_files, tmp_path, capsys):
     ])
     assert code == 1
     assert "non-negative" in capsys.readouterr().err
+
+
+def test_learn_jitter_keeps_the_actions_the_fit_conditions_on(tmp_path):
+    # The probe trends hold 150 seeds tied at t0 = 0. Jittered with them,
+    # all but one seed were scored as events and the fit gave alpha about
+    # 3.9 and tau about 0.18; jittering only the actions after t0 keeps the
+    # seeds as the conditioning set, so the fit moves by much less than 1%.
+    prox = probe_setup()
+    graph = drop_edgeless_nodes(prox.graph)  # a graph file names no edgeless node
+    graph_path = tmp_path / "graph.tsv"
+    write_graph(str(graph_path), graph)
+    prox = ProximityMap(graph, prox.config)
+    for seed in (1000, 1001):
+        trend = planted_trend(prox, PROBE["alpha"], PROBE["tau"], PROBE["n_seeds"], PROBE["t_star"], seed)
+        actions = tmp_path / f"actions-{seed}.tsv"
+        write_trend(str(actions), trend, graph)
+        fits = []
+        for jitter in ("0", "1e-6"):
+            out = tmp_path / f"params-{seed}-{jitter}.json"
+            assert main(["learn", "--graph", str(graph_path), "--actions", str(actions), "--b", "3",
+                         "--t-star", str(PROBE["t_star"]), "--jitter", jitter, "--seed", "5", "--out", str(out)]) == 0
+            fits.append(json.loads(out.read_text(encoding="utf-8")))
+        plain, jittered = fits
+        assert plain["t0"] == jittered["t0"] == 0.0
+        assert jittered["alpha"] == pytest.approx(plain["alpha"], rel=0.01)
+        assert jittered["tau"] == pytest.approx(plain["tau"], rel=0.01)
+        assert 0.3 < plain["alpha"] < 0.5
 
 
 def test_module_entry_point(tiny_files, tmp_path):

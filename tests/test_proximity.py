@@ -262,19 +262,29 @@ def test_gather_matches_row_entry_for_entry(seed, kind, picks):
         assert scores[row_start[k]:row_start[k + 1]].tolist() == list(row.values())
 
 
-def _sp_instance(seed: int, directed: bool, isolated: int, b: float, on_floor: bool):
-    """A random_instance graph, directed by keeping a random half of its arcs, plus isolated nodes.
+def _sp_instance(seed: int, directed: bool, isolated: int, b: float, floor: str, dense: bool):
+    """A random_instance graph with self-loops and repeated edges, directed by keeping a random half of its arcs.
 
-    With ``on_floor`` the floor is exp(-2b), so hop 2 scores exactly the
-    floor and is kept.
+    ``dense`` adds four random edges per node, so small b reaches most of
+    the graph within a few hops and the batched BFS turns to bits. The
+    graph ends in ``isolated`` nodes. ``floor`` is "on" for exp(-2b), a
+    floor that hop 2 scores exactly and keeps, "between" for exp(-2.5b),
+    which keeps hop 2 and drops hop 3, and else the default.
     """
     graph, _, _ = random_instance(seed, max_nodes=40, max_actions=2)
-    src = np.repeat(np.arange(graph.node_count), np.diff(graph.indptr))
+    n = graph.node_count
+    rng = np.random.default_rng(seed)
+    src = np.repeat(np.arange(n), np.diff(graph.indptr))
     edges = np.column_stack([src, graph.indices])
+    if dense:
+        edges = np.concatenate([edges, rng.integers(0, n, size=(4 * n, 2))])
+    loops = rng.integers(0, n, size=3)
+    edges = np.concatenate([edges, np.column_stack([loops, loops]), edges[: rng.integers(0, 5)]])
     if directed:
-        edges = edges[np.random.default_rng(seed).random(len(edges)) < 0.5]
-    graph = Graph.from_edges(edges, graph.node_count + isolated, directed=directed)
-    return graph, ProximityConfig(kind="sp", b=b, floor=math.exp(-2 * b) if on_floor else 1e-12)
+        edges = edges[rng.random(len(edges)) < 0.5]
+    graph = Graph.from_edges(edges, n + isolated, directed=directed)
+    hops = {"on": 2.0, "between": 2.5}.get(floor)
+    return graph, ProximityConfig(kind="sp", b=b, floor=math.exp(-hops * b) if hops else 1e-12)
 
 
 def _assert_batched_rows_match_scalar_bfs(graph, config, sources):
@@ -291,34 +301,86 @@ def _assert_batched_rows_match_scalar_bfs(graph, config, sources):
     assert ProximityMap(graph, config).row_sums(sources).tolist() == sums
 
 
-@settings(derandomize=True, database=None, deadline=None, max_examples=150)
+@settings(derandomize=True, database=None, deadline=None, max_examples=200)
 @given(
     seed=st.integers(0, 2**16),
     directed=st.booleans(),
     isolated=st.integers(0, 3),
     b=st.floats(0.3, 10.0),
-    on_floor=st.booleans(),
+    floor=st.sampled_from(["default", "on", "between"]),
+    dense=st.booleans(),
     picks=st.lists(st.integers(0, 2**16), max_size=60),
-    cells=st.sampled_from([1, 5, 64, 1 << 18]),
+    cells=st.sampled_from([1, 5, 64, 600, 1 << 18]),
 )
-@example(seed=7, directed=False, isolated=2, b=0.3, on_floor=False, picks=[44, 3, 44, 41, 0, 3, 1], cells=1)
-@example(seed=7, directed=True, isolated=1, b=1.0, on_floor=True, picks=[9, 9, 2, 0], cells=5)
-def test_batched_gather_matches_the_scalar_bfs(seed, directed, isolated, b, on_floor, picks, cells):
+@example(seed=7, directed=False, isolated=2, b=0.3, floor="default", dense=False, picks=[44, 3, 44, 41, 0, 3, 1],
+         cells=1)
+@example(seed=7, directed=True, isolated=1, b=1.0, floor="on", dense=False, picks=[9, 9, 2, 0], cells=5)
+@example(seed=7, directed=False, isolated=1, b=0.3, floor="default", dense=True, picks=list(range(40)),
+         cells=1 << 18)
+@example(seed=8, directed=True, isolated=2, b=0.3, floor="between", dense=True, picks=list(range(0, 80, 2)),
+         cells=600)
+def test_batched_gather_matches_the_scalar_bfs(seed, directed, isolated, b, floor, dense, picks, cells):
     # ``cells`` shrinks the kernel's chunk budget, so the sources are
-    # searched in chunks down to one row each.
-    graph, config = _sp_instance(seed, directed, isolated, b, on_floor)
+    # searched in chunks down to one row each; on dense graphs at small b
+    # most chunks of many rows turn to bits.
+    graph, config = _sp_instance(seed, directed, isolated, b, floor, dense)
     sources = np.asarray(picks, dtype=np.int64) % graph.node_count
     with mock.patch.object(proximity, "_SP_CHUNK_CELLS", cells):
         _assert_batched_rows_match_scalar_bfs(graph, config, sources)
 
 
-def test_batched_gather_crosses_the_chunk_budget():
-    n = 2100
-    sources = np.random.default_rng(5).permutation(n)[:520]
-    assert len(sources) * n > proximity._SP_CHUNK_CELLS
-    for directed in (False, True):
-        graph = random_graph(n, 1500, seed=5, directed=directed)
-        _assert_batched_rows_match_scalar_bfs(graph, ProximityConfig(kind="sp", b=0.3), sources)
+def _bit_phase_graph(directed: bool) -> Graph:
+    """120 nodes and about 1,500 random edges, with self-loops, repeated edges and 3 isolated nodes."""
+    rng = np.random.default_rng(4)
+    edges = rng.integers(0, 117, size=(1500, 2))
+    edges = np.concatenate([edges, edges[:40], np.column_stack([np.arange(10), np.arange(10)])])
+    return Graph.from_edges(edges, 120, directed=directed)
+
+
+@pytest.mark.parametrize("directed", [False, True])
+@pytest.mark.parametrize("cells, floor, chunks", [
+    (1 << 20, 1e-12, 1),  # one chunk of all 120 rows, two words per node
+    (60 * 120, 1e-12, 2),  # a budget of 60 rows splits the sources
+    (40 * 120, math.exp(-2 * 0.3), 3),  # the floor lies on hop 2's score, which is kept
+    (40 * 120, math.exp(-2.5 * 0.3), 3),  # the floor lies between hops 2 and 3
+])
+def test_the_bit_phase_runs_and_matches_the_scalar_bfs(directed, cells, floor, chunks):
+    # Every chunk lists hop 1 and turns to bits partway, from hop 2 on.
+    graph = _bit_phase_graph(directed)
+    config = ProximityConfig(kind="sp", b=0.3, floor=floor)
+    sources = np.random.default_rng(5).permutation(120)
+    with mock.patch.object(proximity, "_SP_CHUNK_CELLS", cells), \
+         mock.patch.object(proximity, "_bit_levels", wraps=proximity._bit_levels) as bits:
+        _assert_batched_rows_match_scalar_bfs(graph, config, sources)
+    # each chunk turns once per build, and the test builds every row twice
+    assert [c.args[5] for c in bits.call_args_list] == [2] * (2 * chunks)
+
+
+def test_the_bit_phase_keeps_its_scratch_within_the_chunk_budget():
+    # 64 rows on a 1,024-node graph of 400,000 CSR entries: hop 1 is
+    # listed, hop 2 runs in bits and reaches every node. Gathering all
+    # in-edges at once would take 3.2 MB, 49 budgets of 64 KB; in pieces
+    # the bit phase holds about 3 budgets besides the keys it returns.
+    graph = random_graph(1024, 200_000, seed=2)
+    cells = 1 << 16
+    build, peaks = proximity._bit_levels, []
+
+    def traced(in_edges, seen, keys, *args):
+        before = len(keys)
+        tracemalloc.start()
+        try:
+            build(in_edges, seen, keys, *args)
+            peak = tracemalloc.get_traced_memory()[1]
+        finally:
+            tracemalloc.stop()
+        peaks.append(peak - sum(key.nbytes for key in keys[before:]))
+
+    with mock.patch.object(proximity, "_SP_CHUNK_CELLS", cells), \
+         mock.patch.object(proximity, "_bit_levels", side_effect=traced):
+        lengths, _, _ = proximity._sp_rows(graph, np.arange(128), ProximityConfig(kind="sp", b=1.0))
+    assert lengths.tolist() == [1024] * 128
+    assert len(peaks) == 2
+    assert max(peaks) < 4 * cells < graph.edge_count * 8 // 10  # the whole gather: over 10 times the bound
 
 
 def _walk_graph(seed: int, directed: bool, isolated: int) -> Graph:

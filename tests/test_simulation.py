@@ -9,9 +9,10 @@ import pytest
 from hypothesis import example, given, settings
 from hypothesis import strategies as st
 from scipy import linalg
+from scipy.stats import chisquare
 
 from trendcast.activeness import ActivenessParams
-from trendcast.core import AggregateSeries, Graph, IntervalGrid, Trend, write_aggregate_csv
+from trendcast.core import AggregateSeries, Graph, IntervalGrid, Trend, random_graph, write_aggregate_csv
 from trendcast.evaluation import evaluate_prediction
 from trendcast.proximity import ConvergenceError, ProximityConfig, ProximityMap
 from trendcast.simulation import (
@@ -34,6 +35,7 @@ from trendcast.simulation import (
 from oracles import (
     ActivenessModel,
     brute_force_longest_run,
+    dict_shortest_path_row,
     exact_random_walk_rows,
     random_instance,
     time_step_self_excited_counts,
@@ -449,6 +451,23 @@ def bound_cases(draw):
 def test_branching_bound_gives_the_exact_rows_verdict(case):
     graph, config, reference, ratio = case
     n = graph.node_count
+    if config.kind == "random_walk":
+        # Offspring over random-walk rows carry mass alpha, the walk law's
+        # total, so the bound is alpha * tau, the exact branching ratio, and
+        # neither the bound nor synth builds a row.
+        params = ActivenessParams(ratio / 0.75, 0.75, 0.0, 0.0)
+        cold = ProximityMap(graph, config)
+        bound = branching_bound(cold, params, n)
+        assert bound == params.alpha * params.tau
+        assert len(cold.stored_sources()) == 0
+        if bound >= 1.0:
+            with pytest.raises(ValueError, match="supercritical"):
+                generate_synthetic(n, cold, params, 1, 1e-6, seed=0)
+        else:
+            _, manifest = generate_synthetic(n, cold, params, 1, 1e-6, seed=0)
+            assert manifest["branching_bound"] == bound
+        assert len(cold.stored_sources()) == 0
+        return
     warm = ProximityMap(graph, config)
     exact = max(warm.row_sum(v) for v in range(n))
     cap = ProximityMap(graph, config).row_sum_cap()
@@ -569,9 +588,9 @@ def test_random_walk_forecast_mean_lies_within_the_first_generation_bounds():
 
 
 def test_a_shortest_path_forecast_keeps_its_bytes():
-    # The digest of this forecast's CSV, the same before random-walk
-    # offspring came to be drawn by walks: shortest-path runs still mark
-    # their children on gathered rows.
+    # The digest of this forecast's CSV. Shortest-path runs mark their
+    # children on gathered rows, so the digest pins the rows' entry order,
+    # hop then ascending node, as well as the sampler's stream.
     graph, prox, trend = random_instance(seed=14, max_nodes=60, max_actions=40, b=1.0)
     t_star = float(trend.times[-1])
     params = ActivenessParams(0.3, 1.0, 1e-3, float(trend.times[0]))
@@ -579,4 +598,37 @@ def test_a_shortest_path_forecast_keeps_its_bytes():
     out = io.StringIO()
     predict(trend, graph.node_count, prox, params, SimConfig(t_star, grid.t_end, runs=20, seed=5), grid).write_csv(out)
     digest = hashlib.sha256(out.getvalue().encode()).hexdigest()
-    assert digest == "205f405a2352c527b920cd251ec3de85dd4a0fd47f76d4410864a960bb44dfc5"
+    assert digest == "58ed79f52a605443221f410de69656007d8f81eb061b915ac5e48f116faf669c"
+
+
+@pytest.mark.parametrize("seed", [0, 1, 2])
+def test_a_child_lands_on_its_parent_row_in_proportion_to_score(seed):
+    # One stream at v makes generation 0, every event at v. Each gather after
+    # the first hands out zero scores, so generation 1, drawn from v's row,
+    # has no children of its own and holds all the child events. Its targets
+    # must follow score(v, w) / row_sum(v), by a chi-square over the row. The
+    # run's trend is sorted by time, so generation 0 is taken off v's count.
+    graph = random_graph(40, 70, seed=3)
+    config = ProximityConfig(kind="sp", b=0.5)
+    row = dict_shortest_path_row(graph, 0, config)
+    scores = np.asarray(list(row.values()))
+    assert (np.unique(scores, return_counts=True)[1] >= 4).sum() == 4  # hops 1-4 hold 4 to 15 nodes each
+    prox = ProximityMap(graph, config)
+    gather, calls = prox.gather, []
+
+    def first_gather_only(sources):
+        row_start, targets, row_scores = gather(sources)
+        calls.append(sources)
+        return row_start, targets, row_scores if len(calls) == 1 else np.zeros_like(row_scores)
+
+    params = ActivenessParams(alpha=1.0, tau=1.0, epsilon=0.0, t0=0.0)
+    streams = Streams(np.asarray([0]), np.asarray([2000.0]), np.zeros(1), np.ones(1))
+    with mock.patch.object(prox, "gather", side_effect=first_gather_only):
+        trend, stats = simulate(streams, prox, params, SimConfig(0.0, 6.0, seed=seed))
+    assert len(calls) == 2 and calls[0].tolist() == [0]
+    assert stats.child_events > 5_000
+    observed = np.bincount(trend.nodes, minlength=graph.node_count)
+    observed[0] -= stats.events - stats.child_events
+    assert observed.sum() == observed[list(row)].sum() == stats.child_events  # every child lands in the row
+    expected = stats.child_events * scores / scores.sum()
+    assert chisquare(observed[list(row)], expected).pvalue > 1e-3
