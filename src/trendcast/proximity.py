@@ -212,15 +212,15 @@ def _in_edges(graph: Graph) -> tuple[np.ndarray, np.ndarray]:
     return indptr, key % n
 
 
+_WORD = np.dtype("<u8")  # little-endian, so bit b of a word's byte k is row 8 * k + b
+
+
 def _bit_matrix(cells: np.ndarray, size: int, n: int) -> np.ndarray:
     """A chunk's ``size * n`` row-major bool cells as n x words uint64: row r is bit r % 64 of word r // 64."""
     words = -(-size // 64)
     packed = np.zeros((n, 8 * words), dtype=np.uint8)
     packed[:, : -(-size // 8)] = np.packbits(cells.reshape(size, n).T, axis=1, bitorder="little")
     return packed.view(_WORD)
-
-
-_WORD = np.dtype("<u8")  # little-endian, so bit b of a word's byte k is row 8 * k + b
 
 
 def _pieces(in_indptr: np.ndarray, budget: int) -> list:
@@ -241,16 +241,6 @@ def _pieces(in_indptr: np.ndarray, budget: int) -> list:
             pieces.append((lo, hi, nodes, in_indptr[nodes] - lo))
         a = b
     return pieces
-
-
-def _pull_level(frontier: np.ndarray, seen: np.ndarray, in_source: np.ndarray, pieces: list) -> np.ndarray:
-    """The next BFS level as a bit matrix: each node's in-neighbours' frontier words, ORed, less ``seen``."""
-    new = np.zeros_like(frontier)
-    for lo, hi, nodes, starts in pieces:
-        pulled = np.bitwise_or.reduceat(frontier[in_source[lo:hi]], starts, axis=0)
-        pulled &= ~seen[nodes]
-        new[nodes] = pulled
-    return new
 
 
 def _sp_rows(graph: Graph, sources: np.ndarray, config: ProximityConfig) -> tuple[np.ndarray, list, list]:
@@ -356,7 +346,12 @@ def _bit_levels(in_edges: tuple, seen: np.ndarray, keys: list, weights: list, si
     pieces = _pieces(in_indptr, max(1, _SP_CHUNK_CELLS // (8 * words)))
     reached = sum(map(len, keys))
     while True:
-        new = _pull_level(frontier, seen, in_source, pieces)
+        # the next level: each node's in-neighbours' frontier words, ORed, less ``seen``
+        new = np.zeros_like(frontier)
+        for lo, hi, nodes, starts in pieces:
+            pulled = np.bitwise_or.reduceat(frontier[in_source[lo:hi]], starts, axis=0)
+            pulled &= ~seen[nodes]
+            new[nodes] = pulled
         if not new.any():
             return
         seen |= new

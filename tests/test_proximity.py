@@ -329,6 +329,15 @@ def test_batched_gather_matches_the_scalar_bfs(seed, directed, isolated, b, floo
         _assert_batched_rows_match_scalar_bfs(graph, config, sources)
 
 
+def test_batched_gather_crosses_the_chunk_budget():
+    n = 2100
+    sources = np.random.default_rng(5).permutation(n)[:520]
+    assert len(sources) * n > proximity._SP_CHUNK_CELLS
+    for directed in (False, True):
+        graph = random_graph(n, 1500, seed=5, directed=directed)
+        _assert_batched_rows_match_scalar_bfs(graph, ProximityConfig(kind="sp", b=0.3), sources)
+
+
 def _bit_phase_graph(directed: bool) -> Graph:
     """120 nodes and about 1,500 random edges, with self-loops, repeated edges and 3 isolated nodes."""
     rng = np.random.default_rng(4)
