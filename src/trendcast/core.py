@@ -16,7 +16,8 @@ line by line, and both forms give the same fields. Labels are interned by
 sorting their bytes packed into 8-byte words. A loaded graph keeps only its
 distinct labels' packed keys: ``Graph.labels`` is decoded from them on the
 first read, and the ``label -> index`` dict is built on first use, so the
-commands that never name a node (learn, predict, eval) decode no label. A
+commands that never name a node (learn, predict, eval) decode no label.
+``write_trend`` decodes the labels of the nodes it writes and no other. A
 trend's node fields are packed the same way and found among the graph's
 keys in numpy, so no label of a trend is looked up as a ``str``. A
 malformed file is read again line by line to report its first bad line as
@@ -146,6 +147,13 @@ class Graph:
         except KeyError:
             raise UnknownNodeError(f"unknown node label {label!r}") from None
 
+    def _labels_of(self, nodes: np.ndarray) -> list[str]:
+        """The labels of the distinct ``nodes``, in order; packed labels not yet decoded stay packed."""
+        if "labels" in self.__dict__:
+            labels = self.labels
+            return [labels[u] for u in nodes.tolist()]
+        return self._keys.decode(nodes)
+
     def neighbors(self, node: int) -> np.ndarray:
         """Out-neighbors of ``node`` (all neighbors when undirected)."""
         return self.indices[self.indptr[node] : self.indptr[node + 1]]
@@ -189,11 +197,11 @@ def _csr(edges: np.ndarray, node_count: int, directed: bool) -> tuple[np.ndarray
     np.not_equal(key[1:], key[:-1], out=fresh[1:])
     key = key[fresh]
     del fresh
-    dst = key % node_count
-    key //= node_count
+    src = key // node_count
+    key -= src * node_count  # each edge's target
     indptr = np.zeros(node_count + 1, dtype=np.int64)
-    np.cumsum(np.bincount(key, minlength=node_count), out=indptr[1:])
-    return indptr, dst
+    np.cumsum(np.bincount(src, minlength=node_count), out=indptr[1:])
+    return indptr, key
 
 
 @dataclass
@@ -296,11 +304,6 @@ class AggregateSeries:
 # the str cleaning, and so does a line that starts with one or with '#'.
 _UNCLEAN_END = np.array([b >= 0x80 or chr(b).isspace() for b in range(256)])
 _UNCLEAN_START = _UNCLEAN_END | (np.arange(256) == ord("#"))
-
-# _LOW_BYTES[k] keeps the low k < 8 bytes of a little-endian 8-byte word,
-# and _TOP_BYTE[k] puts k in its top byte.
-_LOW_BYTES = np.array([(1 << 8 * k) - 1 for k in range(8)], dtype=np.int64)
-_TOP_BYTE = np.arange(8, dtype=np.int64) << 56
 
 
 def _split_lines(text: str) -> list[str]:
@@ -408,16 +411,27 @@ def _field_keys(buf: np.ndarray, starts: np.ndarray, lengths: np.ndarray):
     # package's other int64 keys use: a uint64 sort maps about 0.1 MB more
     # of numpy's code into every process.
     windows = np.ndarray((buf.size - 7,), dtype="<i8", buffer=buf, strides=(1,))
-    words = (lengths >> 3) + 1
-    counts = np.bincount(words)
-    for w in np.flatnonzero(counts).tolist():
-        sel = np.flatnonzero(words == w) if counts[w] < words.size else None
+    if lengths.max() < 8:
+        # Every field fits one word, as short labels do: no count to take.
+        words = counts = None
+        sizes = [1]
+    else:
+        words = (lengths >> 3) + 1
+        counts = np.bincount(words)
+        sizes = np.flatnonzero(counts).tolist()
+    for w in sizes:
+        sel = np.flatnonzero(words == w) if counts is not None and counts[w] < words.size else None
         s, n = (starts, lengths) if sel is None else (starts[sel], lengths[sel])
         keys = [windows[s + 8 * j] for j in range(w)]
-        rem = n & 7
-        keys[-1] &= _LOW_BYTES[rem]
-        keys[-1] |= _TOP_BYTE[rem]
-        del s, n, rem
+        # The last word keeps its low ``n % 8`` bytes and holds that count in its top byte.
+        bits = np.bitwise_and(n, 7, dtype=np.int64)
+        bits <<= 3
+        low = np.left_shift(1, bits)
+        low -= 1
+        keys[-1] &= low
+        bits <<= 53
+        keys[-1] |= bits
+        del s, n, bits, low
         yield w, sel, keys
 
 
@@ -428,7 +442,7 @@ def _intern(buf: np.ndarray, starts: np.ndarray, lengths: np.ndarray) -> tuple[n
     one word, or lexsort of several) groups the fields by label, in memory
     about the size of the file.
     """
-    order_parts, group_parts, known, done = [], [], {}, 0
+    order_parts, fresh_parts, known = [], [], {}
     for w, sel, keys in _field_keys(buf, starts, lengths):
         order = np.argsort(keys[0]) if w == 1 else np.lexsort(keys)
         fresh = np.zeros(order.size, dtype=bool)
@@ -437,21 +451,22 @@ def _intern(buf: np.ndarray, starts: np.ndarray, lengths: np.ndarray) -> tuple[n
             key = key[order]
             fresh[1:] |= key[1:] != key[:-1]
         del key
-        known[w] = [key[order[fresh]] for key in keys]
+        known[w] = [key[order[np.flatnonzero(fresh)]] for key in keys]
         order_parts.append(order if sel is None else sel[order])
-        group_parts.append(np.flatnonzero(fresh) + done)
-        done += order.size
+        fresh_parts.append(fresh)
     order = np.concatenate(order_parts)
-    groups = np.concatenate(group_parts)
-    del order_parts, group_parts
-    first = np.minimum.reduceat(order, groups)
+    # group[k]: the label of the field at order[k], labels numbered in key order
+    group = np.concatenate(fresh_parts).astype(np.int64)
+    del order_parts, fresh_parts
+    np.cumsum(group, out=group)
+    group -= 1
+    first = np.full(int(group[-1]) + 1, order.size, dtype=np.int64)
+    np.minimum.at(first, group, order)
     # Fields where a label first appears, in file order, are ids 0, 1, ...
-    is_first = np.zeros(order.size, dtype=bool)
-    is_first[first] = True
-    label = np.cumsum(is_first, dtype=np.int64)[first]
-    label -= 1
+    label = np.empty(first.size, dtype=np.int64)
+    label[np.argsort(first)] = np.arange(first.size)
     ids = np.empty(order.size, dtype=np.int64)
-    ids[order] = np.repeat(label, np.diff(groups, append=order.size))
+    ids[order] = label[group]
     # The groups run word count by word count, in key order within each.
     bounds = np.cumsum([0] + [keys[0].size for keys in known.values()]).tolist()
     packed = {w: (keys, label[a:b]) for (w, keys), a, b in zip(known.items(), bounds, bounds[1:])}
@@ -488,19 +503,28 @@ class _LabelKeys:
         buf = np.frombuffer(b"".join(encoded) + bytes(8), dtype=np.uint8)
         return _intern(buf, starts, lengths)[1]
 
-    def decode(self) -> list[str]:
-        """The labels as strings, in node order."""
-        if not self.count:
+    def decode(self, nodes: np.ndarray | None = None) -> list[str]:
+        """The labels of the distinct ``nodes`` as strings, in order; every label, in node order, when None."""
+        count = self.count if nodes is None else len(nodes)
+        if not count:
             return []
+        if nodes is not None:
+            slot = np.full(self.count, -1, dtype=np.int64)
+            slot[nodes] = np.arange(count)
         parts, done = [], 0
-        starts = np.empty(self.count, dtype=np.int64)
-        lengths = np.empty(self.count, dtype=np.int64)
-        for w, (keys, nodes) in self.groups.items():
+        starts = np.empty(count, dtype=np.int64)
+        lengths = np.empty(count, dtype=np.int64)
+        for w, (keys, ids) in self.groups.items():
+            # ids: each key's place in the output
+            if nodes is not None:
+                ids = slot[ids]
+                picked = np.flatnonzero(ids >= 0)
+                keys, ids = [key[picked] for key in keys], ids[picked]
             # Row r of the (n, w) stack holds label r's bytes, then its padding.
             parts.append(np.stack(keys, axis=1).astype("<i8", copy=False).view(np.uint8).reshape(-1))
-            starts[nodes] = np.arange(done, done + 8 * w * nodes.size, 8 * w)
-            lengths[nodes] = (keys[-1] >> 56) + 8 * (w - 1)
-            done += 8 * w * nodes.size
+            starts[ids] = np.arange(done, done + 8 * w * ids.size, 8 * w)
+            lengths[ids] = (keys[-1] >> 56) + 8 * (w - 1)
+            done += 8 * w * ids.size
         return _decode(np.concatenate(parts), starts, lengths)
 
     def find(self, buf: np.ndarray, starts: np.ndarray, lengths: np.ndarray) -> np.ndarray | None:
@@ -514,14 +538,15 @@ class _LabelKeys:
                 known, keys = known[0], keys[0]
             else:
                 known, keys = _sortable_rows(known), _sortable_rows(keys)
+            # Sorted needles search in about half the time of a trend's own order.
+            order = np.argsort(keys)
+            keys = keys[order]
             # The only key that can equal a field's is the first one not
             # below it; past the next-to-last key, that is the last.
             at = known[:-1].searchsorted(keys)
             if not (known[at] == keys).all():
                 return None
-            if sel is None:
-                return ids[at]
-            nodes[sel] = ids[at]
+            nodes[order if sel is None else sel[order]] = ids[at]
         return nodes
 
 
@@ -621,10 +646,23 @@ def load_trend(path: str, graph: Graph) -> Trend:
     return Trend(nodes, times)
 
 
+_WRITE_LINES = 1 << 16
+
+
 def write_trend(path: str, trend: Trend, graph: Graph) -> None:
+    """Write one ``label<TAB>timestamp`` line per action, the timestamp exactly, with ``repr``.
+
+    Only the labels of the acting nodes are looked up: a loaded graph whose
+    labels are still packed decodes just these (``Graph._labels_of``).
+    """
+    nodes, inverse = np.unique(trend.nodes, return_inverse=True)
+    labels = graph._labels_of(nodes)
     with open(path, "w", encoding="utf-8") as fh:
-        for node, t in trend:
-            fh.write(f"{graph.labels[node]}\t{t!r}\n")
+        # One write per block of lines keeps a long run's text, and its
+        # Python objects, to a block at a time.
+        for lo in range(0, len(trend), _WRITE_LINES):
+            hi = lo + _WRITE_LINES
+            fh.write("".join(f"{labels[k]}\t{t!r}\n" for k, t in zip(inverse[lo:hi].tolist(), trend.times[lo:hi].tolist())))
 
 
 def write_graph(path: str, graph: Graph) -> None:

@@ -223,6 +223,21 @@ def _bit_matrix(cells: np.ndarray, size: int, n: int) -> np.ndarray:
     return packed.view(_WORD)
 
 
+def _spans(ends: np.ndarray, budget: int):
+    """Yield consecutive item ranges ``(a, b)`` of at most ``budget`` in size, or one item of more.
+
+    ``ends`` holds the items' running size total, so item i ends at ``ends[i]``.
+    """
+    if ends[-1] <= budget:
+        yield 0, len(ends)
+        return
+    a, done = 0, 0
+    while a < len(ends):
+        b = max(a + 1, int(np.searchsorted(ends, done + budget, side="right")))
+        yield a, b
+        a, done = b, int(ends[b - 1])
+
+
 def _pieces(in_indptr: np.ndarray, budget: int) -> list:
     """The in-edge CSR cut into node ranges of at most ``budget`` in-edges, or one node with more.
 
@@ -230,16 +245,12 @@ def _pieces(in_indptr: np.ndarray, budget: int) -> list:
     ``lo:hi``, and ``nodes``, its nodes with an in-edge, start theirs at
     ``starts``, offsets from ``lo``. Ranges with no in-edge are left out.
     """
-    n = len(in_indptr) - 1
-    pieces, a = [], 0
-    while a < n:
-        b = int(np.searchsorted(in_indptr, in_indptr[a] + budget, side="right")) - 1
-        b = min(n, max(b, a + 1))
+    pieces = []
+    for a, b in _spans(in_indptr[1:], budget):
         lo, hi = int(in_indptr[a]), int(in_indptr[b])
         if hi > lo:
             nodes = a + np.flatnonzero(in_indptr[a + 1 : b + 1] > in_indptr[a:b])
             pieces.append((lo, hi, nodes, in_indptr[nodes] - lo))
-        a = b
     return pieces
 
 
@@ -247,82 +258,149 @@ def _sp_rows(graph: Graph, sources: np.ndarray, config: ProximityConfig) -> tupl
     """The shortest-path rows of ``sources``: (lengths, targets, scores).
 
     ``lengths`` holds each row's entry count; ``targets`` and ``scores``
-    hold one array per chunk of sources, whose concatenation is the rows'
-    entries in order. Each row equals ``shortest_path_row`` entry for entry:
-    hop, then ascending node, each scored ``math.exp(-b * hops)``.
+    hold one array per chunk of sources (``_sp_chunks``), whose
+    concatenation is the rows' entries in order.
+    """
+    lengths, targets, scores = zip(*_sp_chunks(graph, sources, config))
+    return np.concatenate(lengths), list(targets), list(scores)
+
+
+def max_row_sum(graph: Graph, sources: np.ndarray, config: ProximityConfig) -> float:
+    """The largest shortest-path row sum of ``sources``, by ``csr_row_sums``' rule; stores no row.
+
+    The rows come from ``_sp_chunks`` one chunk at a time, each dropped
+    once summed, so memory stays that of one chunk however many rows there
+    are.
+    """
+    best = -math.inf
+    for lengths, targets, scores in _sp_chunks(graph, sources, config):
+        row_start = np.zeros(len(lengths) + 1, dtype=np.int64)
+        np.cumsum(lengths, out=row_start[1:])
+        best = max(best, float(csr_row_sums(row_start, scores).max()))
+    return best
+
+
+def _sp_chunks(graph: Graph, sources: np.ndarray, config: ProximityConfig):
+    """Yield the shortest-path rows of ``sources`` a chunk of sources at a time: (lengths, targets, scores).
+
+    ``lengths`` holds each row's entry count, and ``targets`` and
+    ``scores`` the rows' entries in order. Each row equals
+    ``shortest_path_row`` entry for entry: hop, then ascending node, each
+    scored ``math.exp(-b * hops)``.
 
     One level-synchronous BFS runs for a chunk of sources at once (a
     multi-source BFS as in Then et al., VLDB 2014), with each reached node
     keyed ``row * n + node``. While levels are small it lists them: the
     frontier's out-edges from the CSR arrays, less the keys already
     ``seen``, sorted and deduplicated, which puts each level in (row, node)
-    order. Once a level would list more out-edges than ``(E + N) *
-    words``, where ``words = ceil(rows / 64)``, the chunk turns to bits
-    for the rest of its search (the direction-optimizing switch of Beamer,
-    Asanovic and Patterson, SC 2012): its seen set and frontier become
-    N x words matrices of uint64, one bit per row, and a level is each
-    node's in-neighbours' frontier words ORed by one ``reduceat`` over the
-    in-edge CSR, less ``seen``. Its new bits unpack to (row, node)-sorted
-    keys. A stable sort by row of all levels' keys gives the rows.
+    order. A level whose out-edges pass ``_SP_CHUNK_CELLS`` bytes as int64
+    is listed in parts of the frontier, each part's new keys marked
+    ``seen`` before the next part is listed. Once a level would list more
+    out-edges than ``(E + N) * words``, where ``words = ceil(rows / 64)``,
+    the chunk turns to bits for the rest of its search (the
+    direction-optimizing switch of Beamer, Asanovic and Patterson, SC
+    2012): its seen set and frontier become N x words matrices of uint64,
+    one bit per row, and a level is each node's in-neighbours' frontier
+    words ORed by one ``reduceat`` over the in-edge CSR, less ``seen``. Its
+    new bits unpack to (row, node)-sorted keys. A stable sort by row of all
+    levels' keys gives the rows.
     """
     n = graph.node_count
-    indptr, indices = graph.indptr, graph.indices
-    degree = np.diff(indptr)
-    edges = len(indices)
     chunk = max(1, _SP_CHUNK_CELLS // max(n, 1))
     seen = np.zeros(min(len(sources), chunk) * n, dtype=bool)
-    in_edges = None  # built when a chunk first turns to bits
-    lengths, row_targets, row_scores = [], [], []
+    degree = np.diff(graph.indptr)
+    in_edges = []  # the in-edge CSR, built when a chunk first turns to bits
     for lo in range(0, len(sources), chunk):
         f_node = np.asarray(sources[lo : lo + chunk], dtype=np.int64)
         size = len(f_node)
-        words = -(-size // 64)
-        f_key = np.arange(size) * n + f_node
-        listed = []  # the keys marked in ``seen``, one array per listed level
-        keys, weights = [f_key], [1.0]
-        reached = size
-        hop = 0
-        while reached < size * n:
-            hop += 1
-            if (weight := math.exp(-config.b * hop)) < config.floor:
-                break
-            seen[f_key] = True
-            listed.append(f_key)
-            count = degree[f_node]
-            listed_end = np.cumsum(count)  # where each frontier node's out-edges end in the listing
-            if listed_end[-1] > (edges + n) * words:
-                if in_edges is None:
-                    in_edges = _in_edges(graph)
-                _bit_levels(in_edges, seen[: size * n], keys, weights, size, hop, config)
-                break
-            edge = np.repeat(indptr[f_node] - (listed_end - count), count)
-            edge += np.arange(len(edge))
-            c_node = indices[edge]
-            del edge
-            c_key = np.repeat(f_key - f_node, count)
-            c_key += c_node
-            del c_node
-            c_key = c_key[~seen[c_key]]
-            if not len(c_key):
-                break
-            c_key.sort()
-            first = np.empty(len(c_key), dtype=bool)
-            first[0] = True
-            np.not_equal(c_key[1:], c_key[:-1], out=first[1:])
-            f_key = c_key[first]
-            f_node = f_key % n
-            keys.append(f_key)
-            weights.append(weight)
-            reached += len(f_key)
-        for key in listed:
-            seen[key] = False
+        keys, weights = _sp_levels(graph, degree, f_node, seen, in_edges, config)
         level = np.fromiter(map(len, keys), dtype=np.int64, count=len(keys))
-        row, node = np.divmod(np.concatenate(keys), n)
+        key = np.concatenate(keys)
+        # Each array is dropped once used, so the sort by row holds about
+        # three copies of the chunk's keys, one per entry, besides the rows.
+        del keys
+        row = key // n
+        lengths = np.bincount(row, minlength=size)
         order = np.argsort(row, kind="stable")
-        lengths.append(np.bincount(row, minlength=size))
-        row_targets.append(node[order])
-        row_scores.append(np.repeat(weights, level)[order])
-    return np.concatenate(lengths), row_targets, row_scores
+        del row
+        targets = key[order]
+        del key
+        targets %= n
+        yield lengths, targets, np.repeat(weights, level)[order]
+
+
+def _sp_levels(graph: Graph, degree: np.ndarray, f_node: np.ndarray, seen: np.ndarray, in_edges: list,
+               config: ProximityConfig) -> tuple[list, list]:
+    """One chunk's BFS from sources ``f_node``: each level's keys, in (row, node) order, and its score.
+
+    ``degree`` holds the nodes' out-degrees. ``seen`` is the chunk's
+    bitmap, all False, and is left so. ``in_edges`` caches the in-edge CSR
+    for the chunks that turn to bits; see ``_sp_chunks``.
+    """
+    n = graph.node_count
+    size = len(f_node)
+    words = -(-size // 64)
+    part = max(1, _SP_CHUNK_CELLS // 8)  # out-edges listed at once
+    f_key = np.arange(size) * n + f_node
+    listed = []  # the keys marked in ``seen``, one array per listed level or part
+    keys, weights = [f_key], [1.0]
+    reached = size
+    hop = 0
+    while reached < size * n:
+        hop += 1
+        if (weight := math.exp(-config.b * hop)) < config.floor:
+            break
+        seen[f_key] = True
+        listed.append(f_key)
+        count = degree[f_node]
+        listed_end = np.cumsum(count)  # where each frontier node's out-edges end in the listing
+        if listed_end[-1] > (graph.edge_count + n) * words:
+            if not in_edges:
+                in_edges.append(_in_edges(graph))
+            _bit_levels(in_edges[0], seen[: size * n], keys, weights, size, hop, config)
+            break
+        level = []
+        for a, b in _spans(listed_end, part):
+            c_key = _listed_level(graph, seen, f_key[a:b], f_node[a:b], count[a:b],
+                                  listed_end[a:b] - listed_end[a - 1] if a else listed_end[:b])
+            if not len(c_key):
+                continue
+            if b < len(f_node):
+                # the level's later parts must not list these keys again
+                seen[c_key] = True
+                listed.append(c_key)
+            level.append(c_key)
+        if not level:
+            break
+        f_key = level[0] if len(level) == 1 else np.sort(np.concatenate(level))
+        f_node = f_key % n
+        keys.append(f_key)
+        weights.append(weight)
+        reached += len(f_key)
+    for key in listed:
+        seen[key] = False
+    return keys, weights
+
+
+def _listed_level(graph: Graph, seen: np.ndarray, f_key: np.ndarray, f_node: np.ndarray, count: np.ndarray,
+                  listed_end: np.ndarray) -> np.ndarray:
+    """The keys one out-edge past frontier keys ``f_key`` and not ``seen``: ascending and distinct.
+
+    ``count`` holds the frontier nodes' out-degrees and ``listed_end`` their running total.
+    """
+    edge = np.repeat(graph.indptr[f_node] - (listed_end - count), count)
+    edge += np.arange(len(edge))
+    c_node = graph.indices[edge]
+    del edge
+    c_key = np.repeat(f_key - f_node, count)
+    c_key += c_node
+    del c_node
+    c_key = c_key[~seen[c_key]]
+    c_key.sort()
+    first = np.empty(len(c_key), dtype=bool)
+    first[:1] = True
+    np.not_equal(c_key[1:], c_key[:-1], out=first[1:])
+    return c_key[first]
 
 
 def _bit_levels(in_edges: tuple, seen: np.ndarray, keys: list, weights: list, size: int, hop: int,

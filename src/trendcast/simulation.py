@@ -37,7 +37,7 @@ from typing import Sequence
 import numpy as np
 
 from .core import IntervalGrid, Trend, _read_lines, aggregate, check_measure, longest_run_above
-from .proximity import ProximityMap, csr_row_sums, random_walk_ends
+from .proximity import ProximityMap, csr_row_sums, max_row_sum, random_walk_ends
 from .activeness import ActivenessParams
 
 _CSV_HEADER = "interval_index,t_min,t_max,intensity_mean,intensity_cv,coverage_mean,coverage_cv"
@@ -435,8 +435,9 @@ def branching_bound(prox: ProximityMap, params: ActivenessParams, node_count: in
     comes within _CAP_MARGIN of 1, and alpha * tau times
     ``prox.row_sum_low()``, a lower bound on every row sum, does not reach
     1 + _CAP_MARGIN, C is replaced by the exact max row sum over nodes
-    0..node_count-1. The value depends on the graph, kernel and params
-    only, never on which rows are cached.
+    0..node_count-1, taken chunk by chunk (``max_row_sum``), so no row is
+    stored. The value depends on the graph, kernel and params only, never
+    on which rows are cached.
     """
     scale = params.alpha * params.tau
     if prox.config.kind == "random_walk":
@@ -444,7 +445,7 @@ def branching_bound(prox: ProximityMap, params: ActivenessParams, node_count: in
     capped = scale * prox.row_sum_cap()
     if capped < 1.0 - _CAP_MARGIN or scale * prox.row_sum_low() >= 1.0 + _CAP_MARGIN:
         return capped
-    return scale * float(prox.row_sums(np.arange(node_count)).max())
+    return scale * max_row_sum(prox.graph, np.arange(node_count), prox.config)
 
 
 def generate_synthetic(

@@ -665,7 +665,7 @@ def test_loading_decodes_no_label_until_one_is_read(tmp_path, monkeypatch):
     trend_path.write_text("".join(f"{label}\t{i}\n" for i, label in enumerate(eager.labels[::2])), encoding="utf-8")
     decoded = []
     decode = core._LabelKeys.decode
-    monkeypatch.setattr(core._LabelKeys, "decode", lambda keys: decoded.append(keys) or decode(keys))
+    monkeypatch.setattr(core._LabelKeys, "decode", lambda keys, *nodes: decoded.append(keys) or decode(keys, *nodes))
     graph = load_graph(path)
     trend = load_trend(str(trend_path), graph)
     ProximityMap(graph, ProximityConfig()).gather(np.unique(trend.nodes))
@@ -673,6 +673,37 @@ def test_loading_decodes_no_label_until_one_is_read(tmp_path, monkeypatch):
     assert trend.nodes.tolist() == list(range(0, eager.node_count, 2))
     assert graph.labels == eager.labels and len(decoded) == 1
     assert graph.labels is graph.labels and len(decoded) == 1
+
+
+@pytest.mark.parametrize("acting", ["one-word", "several-word", "non-ascii", "every", "none"])
+def test_write_trend_decodes_only_the_written_labels(tmp_path, monkeypatch, acting):
+    # A loaded graph writes the bytes of the eager one, line by line as
+    # ``label<TAB>repr(t)``, in blocks of 5 lines here, and decodes the
+    # acting nodes' labels only, in one ``_decode``; its full label list
+    # stays undecoded.
+    path, eager = _loaded_pair(tmp_path)
+    picks = {
+        "one-word": lambda label: len(label.encode("utf-8")) < 8,
+        "several-word": lambda label: len(label.encode("utf-8")) >= 8 and label.isascii(),
+        "non-ascii": lambda label: not label.isascii(),
+        "every": lambda label: True,
+        "none": lambda label: False,
+    }[acting]
+    nodes = [u for u, label in enumerate(eager.labels) if picks(label)]
+    rng = np.random.default_rng(3)
+    trend = Trend(rng.permutation(np.repeat(np.asarray(nodes, dtype=np.int64), 2)), rng.random(2 * len(nodes)) * 1e3)
+    want = "".join(f"{eager.labels[u]}\t{t!r}\n" for u, t in trend).encode("utf-8")
+    decoded = []
+    decode = core._decode
+    monkeypatch.setattr(core, "_decode", lambda buf, starts, lengths: decoded.append(len(starts)) or decode(buf, starts, lengths))
+    monkeypatch.setattr(core, "_WRITE_LINES", 5)
+    graph = load_graph(path)
+    write_trend(str(tmp_path / "lazy.tsv"), trend, graph)
+    assert decoded == ([len(nodes)] if nodes else []) and "labels" not in graph.__dict__
+    write_trend(str(tmp_path / "eager.tsv"), trend, eager)
+    assert (tmp_path / "lazy.tsv").read_bytes() == (tmp_path / "eager.tsv").read_bytes() == want
+    back = load_trend(str(tmp_path / "lazy.tsv"), graph)
+    assert back.nodes.tolist() == trend.nodes.tolist() and back.times.tolist() == trend.times.tolist()
 
 
 @pytest.mark.parametrize("held_out", [False, True])

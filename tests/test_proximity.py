@@ -392,6 +392,36 @@ def test_the_bit_phase_keeps_its_scratch_within_the_chunk_budget():
     assert max(peaks) < 4 * cells < graph.edge_count * 8 // 10  # the whole gather: over 10 times the bound
 
 
+def test_the_list_phase_keeps_its_scratch_within_the_chunk_budget():
+    # Node 0 reaches 300 middle nodes, each joined to the same 300 far
+    # nodes. From 0, from a middle and from a far node, hop 2 lists about
+    # 90,000 out-edges for about 300 new nodes, and the graph's 180,600 CSR
+    # entries keep that level listed rather than in bits. At a budget of
+    # 512 cells, one row per chunk, the level is listed a middle node's
+    # out-edges at a time: listing it whole took 722 KB per array, and
+    # 1.56 MB of scratch in all.
+    mid, far = np.arange(1, 301), np.arange(301, 601)
+    edges = np.concatenate([np.column_stack([np.zeros(300, dtype=np.int64), mid]),
+                            np.stack(np.meshgrid(mid, far), axis=-1).reshape(-1, 2)])
+    graph = Graph.from_edges(edges, 601)
+    config = ProximityConfig(kind="sp", b=1.0)
+    with mock.patch.object(proximity, "_SP_CHUNK_CELLS", 1 << 9), \
+         mock.patch.object(proximity, "_bit_levels") as bits:
+        tracemalloc.start()
+        try:
+            lengths, targets, scores = proximity._sp_rows(graph, np.array([0, 1, 301]), config)
+            peak = tracemalloc.get_traced_memory()[1]
+        finally:
+            tracemalloc.stop()
+    bits.assert_not_called()
+    for k, u in enumerate([0, 1, 301]):
+        row = shortest_path_row(graph, u, config)
+        assert targets[k].tolist() == row.targets.tolist() and scores[k].tolist() == row.scores.tolist()
+    assert lengths.tolist() == [601] * 3
+    listing = 90_000 * 8
+    assert peak - sum(a.nbytes for a in targets + scores) < listing // 20
+
+
 def _walk_graph(seed: int, directed: bool, isolated: int) -> Graph:
     """A random graph with ``isolated`` edgeless nodes appended.
 

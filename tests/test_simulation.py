@@ -11,6 +11,7 @@ from hypothesis import strategies as st
 from scipy import linalg
 from scipy.stats import chisquare
 
+from trendcast import proximity
 from trendcast.activeness import ActivenessParams
 from trendcast.core import AggregateSeries, Graph, IntervalGrid, Trend, random_graph, write_aggregate_csv
 from trendcast.evaluation import evaluate_prediction
@@ -444,6 +445,24 @@ def bound_cases(draw):
     return graph, config, draw(st.sampled_from(["cap", "exact"])), draw(st.sampled_from(RATIOS))
 
 
+def test_the_exact_fallback_takes_the_rows_chunk_by_chunk_and_stores_none():
+    # At b = 3 the degree cap of this graph lies above its exact max row
+    # sum, so alpha * tau at the cap's inverse takes the exact fallback,
+    # which reads the rows in chunks of 16 and keeps none of them.
+    graph = random_graph(300, 900, seed=3)
+    config = ProximityConfig(kind="sp", b=3.0)
+    prox = ProximityMap(graph, config)
+    cap = prox.row_sum_cap()
+    params = ActivenessParams(1.0 / cap, 1.0, 0.0, 0.0)
+    assert params.alpha * params.tau * cap >= 1.0 - _CAP_MARGIN
+    with mock.patch.object(proximity, "_SP_CHUNK_CELLS", 16 * 300), \
+         mock.patch.object(proximity, "_sp_chunks", wraps=proximity._sp_chunks) as chunks:
+        bound = branching_bound(prox, params, graph.node_count)
+    exact = max(ProximityMap(graph, config).row_sum(v) for v in range(graph.node_count))
+    assert bound == params.alpha * params.tau * exact < 1.0
+    assert chunks.call_count == 1 and len(prox.stored_sources()) == 0
+
+
 @settings(derandomize=True, database=None, deadline=None, max_examples=300)
 @given(bound_cases())
 @example((Graph.from_edges([], 1), ProximityConfig(kind="sp", b=0.05), "exact", 1.0))
@@ -479,8 +498,9 @@ def test_branching_bound_gives_the_exact_rows_verdict(case):
     low = cold.row_sum_low()
     assert low <= exact * (1 + 1e-9)
     scale = params.alpha * params.tau
+    # neither the caps nor the exact fallback store a row
+    assert len(cold.stored_sources()) == 0
     if scale * cap < 1 - _CAP_MARGIN or scale * low >= 1 + _CAP_MARGIN:
-        assert len(cold.stored_sources()) == 0
         assert bound == scale * cap
     assert bound == branching_bound(warm, params, n)
     supercritical = params.alpha * params.tau * exact >= 1.0
