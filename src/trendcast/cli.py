@@ -80,7 +80,8 @@ def _add_prox_flags(p: argparse.ArgumentParser) -> None:
     p.add_argument("--prox", default="sp", choices=["sp", "rw"], help="proximity kernel")
     p.add_argument("--b", type=float, default=10.0, help="shortest-path decay per hop")
     p.add_argument("--p", type=float, default=0.4, help="random-walk restart probability")
-    p.add_argument("--floor", type=float, default=1e-12, help="drop proximity scores below this")
+    p.add_argument("--floor", type=float, default=1e-12,
+                   help="drop shortest-path scores below this (random-walk rows keep every entry)")
     p.add_argument("--rw-tolerance", type=float, default=1e-8, help="random-walk stop tolerance")
 
 

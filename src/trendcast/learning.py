@@ -17,9 +17,8 @@ The influence table has one layout. Only its in-block pairs, reached slots
 and slot fill take one of two forms: every action's proximity row entries
 or, when the acting nodes are few enough, one dense acting x acting
 proximity matrix; ``_dense_slots`` states the rule. The dense form's product
-takes, for blocks that act at few of the acting nodes, only those nodes'
-matrix rows, one ``einsum`` per group of consecutive blocks
-(``_dense_layout``).
+takes only the matrix rows of the nodes each block acts at, one ``einsum``
+per group of consecutive blocks (``_dense_layout``).
 """
 
 from __future__ import annotations
@@ -43,11 +42,6 @@ _EPS = float(np.finfo(np.float64).eps)
 # once a bracket is narrower than this width in log tau.
 _SUBRANGES = 4
 _TOLERANCE = 1e-6
-# The cost of one np.einsum call in multiply-adds of its inner loop: about
-# 5 us at 0.3 ns each (Python 3.11, numpy 2.4, 2 vCPUs). With it, a block of
-# the learn-dense shape (m = 200) is gathered up to about K = 0.5 m, the
-# width at which gathering was measured to stop paying.
-_EINSUM_CALL = 2**14
 
 
 @dataclass(frozen=True)
@@ -137,15 +131,14 @@ def _dense_pairs(p: np.ndarray, act: np.ndarray, size: int) -> tuple[np.ndarray,
 
 
 def _groups(width: np.ndarray, m: int) -> list[tuple[int, int, int]]:
-    """Runs (c0, c1, k) of consecutive blocks of widths ``width``: blocks of
-    width m share one run, and narrower blocks share a run while k, their
-    widest, times their number stays within m."""
+    """Runs (c0, c1, k) of consecutive blocks of widths ``width``: blocks
+    share a run while k, their widest, times their number stays within m."""
     groups = []
     for c, k in enumerate(width.tolist()):
         if groups:
             c0, _, k0 = groups[-1]
             widest = max(k0, k)
-            if k0 == k == m or (widest < m and widest * (c + 1 - c0) <= m):
+            if widest * (c + 1 - c0) <= m:
                 groups[-1] = (c0, c + 1, widest)
                 continue
         groups.append((c, c + 1, k))
@@ -162,12 +155,7 @@ def _dense_layout(
     order in which a product over all m nodes sums them, and row c of
     ``rows`` lists them, padded with P's zero row m. Consecutive blocks
     form groups (c0, c1, k) that gather the rows rows[c0:c1, :k] of P, at
-    most m of them, padding included. Gathering costs one einsum call plus
-    about 3 k m multiply-adds per block (a row copy and two row sums per
-    row) against 2 m^2 in place, so a group that saves less than one call
-    is whole instead: each node u of its blocks sits at position u, and
-    consecutive whole blocks form one group of width k = m that reads P in
-    place.
+    most m of them, padding included.
 
     Returns each feeder's cell c * width + position in ``rows``, ``rows``,
     the groups, and whether each cell (c, a) is reached: P[u, a] > 0 at
@@ -177,12 +165,8 @@ def _dense_layout(
     key, feed_key = np.unique(block * m + node, return_inverse=True)
     key_block, key_node = key // m, key % m
     count = np.bincount(key_block, minlength=blocks)
-    whole = np.zeros(blocks, dtype=bool)
-    for c0, c1, k in _groups(count, m):
-        whole[c0:c1] = (c1 - c0) * m * (2 * m - 3 * k) < _EINSUM_CALL
-    groups = _groups(np.where(whole, m, count), m)
-    position = np.where(whole[key_block], key_node, _ragged(count)[1])
-    rows = np.full((blocks, m if whole.any() else int(count.max(initial=0))), m)
+    position = _ragged(count)[1]
+    rows = np.full((blocks, int(count.max(initial=0))), m)
     rows[key_block, position] = key_node
     # Block c reaches a where one of its own nodes' rows does: at most m rows at a time.
     reached = np.zeros((blocks, m), dtype=bool)
@@ -190,7 +174,7 @@ def _dense_layout(
         at = key_block[k0 : k0 + m]
         first = np.flatnonzero(np.diff(at, prepend=-1))
         reached[at[first]] |= np.maximum.reduceat(p.take(key_node[k0 : k0 + m], axis=0), first, axis=0) > 0.0
-    return (key_block * rows.shape[1] + position)[feed_key], rows, groups, reached.ravel()
+    return (key_block * rows.shape[1] + position)[feed_key], rows, _groups(count, m), reached.ravel()
 
 
 def _feeds(
@@ -246,11 +230,11 @@ class _InfluenceTable:
     n * B. The dense form scatters the cut rows into one m x m matrix P over
     the m acting nodes and computes U_c = W_c P, where W_c[u] sums the
     decays of block c's actions at node u. W_c is zero outside the nodes
-    block c acts at, so a group of consecutive blocks that act at few nodes
-    gathers only their rows of P, at most m rows at a time; blocks where
-    that would save less than it costs read P in place. Each group is one
-    ``np.einsum``, which sums each block's nodes in ascending order, as a
-    product over all m nodes does, so the bits are the same.
+    block c acts at, so each group of consecutive blocks gathers only
+    their rows of P, at most m rows at a time (a row-wise sparse times
+    dense product, Gustavson 1978). Each group is one ``np.einsum``, which
+    sums each block's nodes in ascending order, as a product over all m
+    nodes does, so the bits are the same.
     Its memory grows with m^2 plus n * B, and a pass gathers at most m^2
     cells at a time. ``np.einsum`` calls no BLAS routine, so a fit gives
     the same bits at any BLAS thread count. Neither form grows with the
@@ -371,10 +355,7 @@ class _InfluenceTable:
         w = w.reshape(2, *rows.shape)
         u = np.empty((2, len(rows), m))
         for c0, c1, k in self._groups:
-            if k == m:  # whole blocks: each node at its own position, P read in place
-                np.einsum("sck,ka->sca", w[:, c0:c1], p[:m], out=u[:, c0:c1])
-            else:
-                np.einsum("sck,cka->sca", w[:, c0:c1, :k], p.take(rows[c0:c1, :k], axis=0), out=u[:, c0:c1])
+            np.einsum("sck,cka->sca", w[:, c0:c1, :k], p.take(rows[c0:c1, :k], axis=0), out=u[:, c0:c1])
         u = u.reshape(2, -1).take(self._slot_cell, axis=1)
         return u[0], u[1]
 

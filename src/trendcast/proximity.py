@@ -2,11 +2,12 @@
 
 A proximity row maps a source node to the influence weight it exerts on each
 reachable node. Two kernels are provided: an exponentially decaying
-shortest-path kernel and a restart random walk. Entries below a configurable
-floor are dropped, which keeps rows sparse and bounds traversal depth. Every
-row is a pair of aligned ``targets`` and ``scores`` arrays in entry order:
-hop, then ascending node, for shortest-path rows, ascending node for
-random-walk rows.
+shortest-path kernel and a restart random walk. Shortest-path entries
+below a configurable floor are dropped, which keeps rows sparse and bounds
+traversal depth; a random-walk row keeps every positive entry. Every row is
+a pair of aligned ``targets`` and ``scores`` arrays in entry order: hop,
+then ascending node, for shortest-path rows, ascending node for random-walk
+rows.
 
 ``ProximityMap`` keeps its rows in one CSR store, a growable pair of
 ``targets`` and ``scores`` arrays that per-node ``start`` and ``stop``
@@ -30,18 +31,17 @@ quarter of a batched pass on a sparse graph and about as much on a dense
 one, but building the adjacency costs about 1 ms on a 10k-node graph, so a
 gather does not pay for it. Both give the same row, entry for entry and in
 the same order.
-Random-walk rows are built two ways as well. A fill that misses
-``_RW_BLOCK_ROWS`` or more of them walks them together with ``_rw_rows``,
-one fixed-point iteration over a nodes x sources block; fewer, and ``row``,
-take the scalar walk ``random_walk_row``. The block adds every node's
-in-neighbour shares in the order the scalar walk's ``bincount`` adds them,
-so both give the same row bit for bit.
+Random-walk rows are built two ways as well. A gather walks every missing
+row in one block with ``_rw_rows``, one fixed-point iteration over a
+nodes x sources block; ``row`` takes the scalar walk ``random_walk_row``.
+The block adds every node's in-neighbour shares in the order the scalar
+walk's ``bincount`` adds them, so both give the same row bit for bit.
 
 ``random_walk_ends`` draws from random-walk rows without building them: a
 restart walk from v that stops with probability p before each step ends
 at w with probability prox(v, w) exactly, the fixed point that
-``random_walk_row`` iterates towards, with no tolerance and no floor (the
-walk "fingerprints" of Fogaras et al., Internet Mathematics 2005). The
+``random_walk_row`` iterates towards, with no tolerance (the walk
+"fingerprints" of Fogaras et al., Internet Mathematics 2005). The
 forecast and ``synth`` draw offspring with it.
 
 ``ProximityMap.spread`` gives the dense vector ``sum_u w[u] * row(u)``, the
@@ -49,8 +49,7 @@ stacked influence of weighted sources. Over shortest-path rows it is a
 ``gather`` and one ``bincount``. Over random-walk rows it is one walk whose
 restart vector is the weights (with one reverse walk first on a graph with
 dangling nodes), and it neither reads nor builds a row: it is the walk's
-fixed point, equal to the summed rows up to the walk tolerance, and it keeps
-the entries below ``floor``.
+fixed point, equal to the summed rows up to the walk tolerance.
 """
 
 from __future__ import annotations
@@ -69,7 +68,7 @@ from .core import Graph
 KINDS = ("shortest_path", "random_walk")
 KIND_ALIASES = {"sp": "shortest_path", "rw": "random_walk"}
 
-CACHE_FORMAT = "trendcast-prox-cache-v3"
+CACHE_FORMAT = "trendcast-prox-cache-v4"
 _CACHE_ARRAYS = {"sources": np.int64, "row_start": np.int64, "targets": np.int64, "scores": np.float64}
 _RW_MAX_ITERATIONS = 10_000  # cap on the random-walk fixed-point iteration and on a sampled walk's steps
 
@@ -84,7 +83,8 @@ class ProximityConfig:
 
     ``b`` is the per-hop decay of the shortest-path kernel, ``p`` the restart
     probability of the random walk. ``floor`` trims negligible scores from
-    rows and must stay below 1 so a source always keeps its own entry.
+    shortest-path rows and must stay below 1 so a source always keeps its
+    own entry; random-walk rows take no floor.
     """
 
     kind: str = "shortest_path"
@@ -121,7 +121,7 @@ class ProximityConfig:
 
     def row_fields(self) -> dict:
         """``kind`` and the fields its kernel reads: configs that agree here build the same rows."""
-        read = ("b", "floor") if self.kind == "shortest_path" else ("p", "floor", "rw_tolerance")
+        read = ("b", "floor") if self.kind == "shortest_path" else ("p", "rw_tolerance")
         return {"kind": self.kind, **{name: getattr(self, name) for name in read}}
 
 
@@ -450,9 +450,10 @@ def random_walk_row(graph: Graph, source: int, config: ProximityConfig) -> Row:
 
     Synchronous fixed-point iteration starting from all mass at the source.
     Dangling nodes hand their continuation mass back to the source, so the
-    vector stays a probability distribution throughout. Each edge carries
-    its source's share; CSR lists a node's out-edges together, so repeating
-    every share by its out-degree lays the shares out in edge order.
+    vector stays a probability distribution throughout; the row keeps every
+    positive entry. Each edge carries its source's share; CSR lists a
+    node's out-edges together, so repeating every share by its out-degree
+    lays the shares out in edge order.
     """
     n = graph.node_count
     if not len(graph.indices):
@@ -481,7 +482,7 @@ def random_walk_row(graph: Graph, source: int, config: ProximityConfig) -> Row:
             f"random walk from node {source} did not converge within "
             f"{_RW_MAX_ITERATIONS} iterations (tolerance {config.rw_tolerance:g})"
         )
-    keep = np.flatnonzero(pi >= config.floor)
+    keep = np.flatnonzero(pi > 0.0)
     return Row(keep.astype(np.int64), pi[keep])
 
 
@@ -494,8 +495,8 @@ def random_walk_ends(graph: Graph, starts: np.ndarray, config: ProximityConfig,
     own start, ``random_walk_row``'s dangling rule. So it takes k steps with
     probability p * q^k, and its end has law p * sum_k q^k e_s M^k, the
     fixed point ``random_walk_row`` iterates towards: the row's law with no
-    walk tolerance and no floor (the Monte Carlo "fingerprints" of Fogaras
-    et al., Internet Mathematics 2005). All walks step together, one draw
+    walk tolerance (the Monte Carlo "fingerprints" of Fogaras et al.,
+    Internet Mathematics 2005). All walks step together, one draw
     per live walk and step, after one geometric draw of every walk's length.
     A walk drawn longer than ``_RW_MAX_ITERATIONS`` steps raises
     ConvergenceError before any walk moves, as the fixed-point iteration
@@ -537,12 +538,6 @@ def random_walk_ends(graph: Graph, starts: np.ndarray, config: ProximityConfig,
 # 1.0-1.1 s at 2^18 to 2^20 and 1.6 s at 2^17, where blocks hold 13 sources
 # (2 vCPUs, numpy 2.4).
 _RW_BLOCK_CELLS = 1 << 18
-# Missing random-walk rows from which ``ProximityMap._fill`` builds them with
-# _rw_rows; fewer come from random_walk_row, one walk each. The block pays
-# from 9 or 10 rows on: it is 1.1x the scalar walks' time at 8 and 0.75-0.85x
-# at 12 on the rw-dense benchmark graph, and 0.72-0.74x at 12 on the
-# learn-dense and forecast-sparse graphs.
-_RW_BLOCK_ROWS = 12
 
 
 def _rw_rows(graph: Graph, sources: np.ndarray, config: ProximityConfig) -> tuple[np.ndarray, list, list]:
@@ -620,7 +615,7 @@ def _rw_rows(graph: Graph, sources: np.ndarray, config: ProximityConfig) -> tupl
                 f"random walk from node {block[live[0]]} did not converge within "
                 f"{_RW_MAX_ITERATIONS} iterations (tolerance {config.rw_tolerance:g})"
             )
-        keep = done >= config.floor
+        keep = done > 0.0
         lengths.append(np.count_nonzero(keep, axis=1))
         row_scores.append(done[keep])
         del done
@@ -640,7 +635,7 @@ def _rw_spread(graph: Graph, weights: np.ndarray, config: ProximityConfig) -> np
     mass (by its largest entry first, so no sum overflows), and the fixed
     point stops by the rows' rule tightened by a factor p, then is scaled
     back. An isolated source u has ``delta[u] = p`` and spreads
-    ``weights[u]`` onto itself alone. No entry is floored.
+    ``weights[u]`` onto itself alone.
     """
     n = graph.node_count
     top = float(weights.max(initial=0.0))
@@ -761,15 +756,11 @@ class ProximityMap:
         if self._size and (a := self._start[source]) >= 0:
             b = self._stop[source]
             return Row(self._targets[a:b], self._scores[a:b])
-        row = self._fresh[source] = self._build(source)
+        build = shortest_path_row if self.config.kind == "shortest_path" else random_walk_row
+        row = self._fresh[source] = build(self.graph, source, self.config)
         if len(self._fresh) >= _FRESH_ROWS:
             self._merge()
         return row
-
-    def _build(self, source: int) -> Row:
-        """``source``'s row from the scalar kernel of the config's kind."""
-        build = shortest_path_row if self.config.kind == "shortest_path" else random_walk_row
-        return build(self.graph, source, self.config)
 
     def _append(self, sources: np.ndarray, lengths: np.ndarray, targets: list, scores: list) -> None:
         """Store the rows of distinct, unstored ``sources``, of ``lengths`` entries each.
@@ -816,11 +807,8 @@ class ProximityMap:
     def _fill(self, sources: np.ndarray) -> None:
         """Store the rows of ``sources`` not stored yet, and every fresh row.
 
-        Missing shortest-path rows, a lone one included, come from one
-        ``_sp_rows`` pass, which needs no ``Graph.adjacency``. Missing
-        random-walk rows come from one ``_rw_rows`` block when they are
-        ``_RW_BLOCK_ROWS`` or more, else from the scalar walk, one row each,
-        and join the store with one ``_merge``.
+        Missing rows, a lone one included, come from one batched build:
+        ``_sp_rows``, which needs no ``Graph.adjacency``, or ``_rw_rows``.
         """
         self._merge()
         missing = sources[self._start[sources] < 0]
@@ -828,10 +816,6 @@ class ProximityMap:
             return
         missing = np.fromiter(dict.fromkeys(missing.tolist()), dtype=np.int64)
         batch = _sp_rows if self.config.kind == "shortest_path" else _rw_rows
-        if batch is _rw_rows and len(missing) < _RW_BLOCK_ROWS:
-            self._fresh = {u: self._build(u) for u in missing.tolist()}
-            self._merge()
-            return
         self._append(missing, *batch(self.graph, missing, self.config))
 
     def stored_sources(self) -> np.ndarray:
@@ -873,9 +857,8 @@ class ProximityMap:
         add their weighted scores with one ``bincount``. Random-walk maps
         run one walk (``_rw_spread``) and neither read nor build a row:
         the result is the walk's fixed point, which equals the summed rows
-        up to the walk tolerance and keeps the entries below ``floor``, so
-        it does not depend on which rows are stored. A zero total gives
-        zeros without a walk.
+        up to the walk tolerance, so it does not depend on which rows are
+        stored. A zero total gives zeros without a walk.
         """
         weights = np.asarray(weights, dtype=np.float64)
         if self.config.kind == "random_walk":
@@ -913,19 +896,6 @@ class ProximityMap:
             left -= placed
             reach = min(reach * growth, graph.node_count)
         return total
-
-    def row_sum_low(self) -> float:
-        """Lower bound on every row sum from the kernel alone; builds no row.
-
-        A shortest-path row holds its source at 1, so it sums to at least 1.
-        A random-walk row is a probability vector less its entries below
-        ``floor``; when ``floor <= p`` the source, at least p, keeps its
-        entry, so at most N - 1 entries are dropped, else at most N.
-        """
-        if self.config.kind == "shortest_path":
-            return 1.0
-        n, floor = self.graph.node_count, self.config.floor
-        return 1.0 - (n - 1 if floor <= self.config.p else n) * floor
 
     def fingerprint(self) -> dict:
         return {**self.config.to_dict(), "graph": graph_fingerprint(self.graph)}

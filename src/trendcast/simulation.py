@@ -416,10 +416,11 @@ def predict(
     return summarize_runs(grid, intensity_rows, coverage_rows, theta, measure, ratio)
 
 
-# Float row sums can miss their analytic bounds by a few ulps (1 + 2.7e-15 on
-# random-walk rows of 1k nodes). Below 1 - _CAP_MARGIN the cap alone accepts,
-# at or above 1 + _CAP_MARGIN the low bound alone refuses, and the exact max
-# row sum would have given the same verdict.
+# Float row sums can miss their analytic bounds by a few ulps. Below
+# 1 - _CAP_MARGIN the degree cap alone accepts, at or above 1 + _CAP_MARGIN
+# alpha * tau alone refuses (every shortest-path row sums to at least 1, its
+# source's own score), and the exact max row sum would have given the same
+# verdict.
 _CAP_MARGIN = 1e-9
 
 
@@ -432,18 +433,18 @@ def branching_bound(prox: ProximityMap, params: ActivenessParams, node_count: in
     Over shortest-path rows C is ``prox.row_sum_cap()``, a cap on every row
     sum from the kernel and the max degree that builds no row. The verdict
     ``bound >= 1`` is the one the exact rows give: when alpha * tau * C
-    comes within _CAP_MARGIN of 1, and alpha * tau times
-    ``prox.row_sum_low()``, a lower bound on every row sum, does not reach
-    1 + _CAP_MARGIN, C is replaced by the exact max row sum over nodes
-    0..node_count-1, taken chunk by chunk (``max_row_sum``), so no row is
-    stored. The value depends on the graph, kernel and params only, never
-    on which rows are cached.
+    comes within _CAP_MARGIN of 1, and alpha * tau, a lower bound since
+    every row sum is at least 1, does not reach 1 + _CAP_MARGIN, C is
+    replaced by the exact max row sum over nodes 0..node_count-1, taken
+    chunk by chunk (``max_row_sum``), so no row is stored. The value
+    depends on the graph, kernel and params only, never on which rows are
+    cached.
     """
     scale = params.alpha * params.tau
     if prox.config.kind == "random_walk":
         return scale
     capped = scale * prox.row_sum_cap()
-    if capped < 1.0 - _CAP_MARGIN or scale * prox.row_sum_low() >= 1.0 + _CAP_MARGIN:
+    if capped < 1.0 - _CAP_MARGIN or scale >= 1.0 + _CAP_MARGIN:
         return capped
     return scale * max_row_sum(prox.graph, np.arange(node_count), prox.config)
 
@@ -464,9 +465,8 @@ def generate_synthetic(
     ``branching_bound``) are refused unless explicitly allowed; the event
     cap still bounds allowed runs. The manifest's ``branching_bound`` is
     that function's value: alpha * tau over random-walk rows; over
-    shortest-path rows the degree cap when it is safely below 1 or the
-    kernel's low bound is safely above 1, else the exact alpha * tau * max
-    row sum.
+    shortest-path rows the degree cap when it is safely below 1 or alpha *
+    tau alone is safely above 1, else the exact alpha * tau * max row sum.
     Returns the seeded-plus-generated trend and a manifest dict.
     """
     if not 1 <= n_seeds <= graph_node_count:

@@ -413,7 +413,8 @@ def dict_random_walk_row(graph: Graph, source: int, config: ProximityConfig) -> 
     """The random-walk row as a dict in ascending node order, by the library's own fixed point.
 
     The iteration is the library's, step for step, so the scores match
-    ``random_walk_row`` bit for bit; only the row's form differs.
+    ``random_walk_row`` bit for bit; only the row's form differs. Like the
+    library's, the row keeps every positive entry: it takes no floor.
     """
     n = graph.node_count
     out_deg = np.diff(graph.indptr).astype(np.float64)
@@ -429,7 +430,7 @@ def dict_random_walk_row(graph: Graph, source: int, config: ProximityConfig) -> 
         converged = np.max(np.abs(nxt - pi)) < config.rw_tolerance
         pi = nxt
         if converged:
-            return {int(v): float(pi[v]) for v in np.flatnonzero(pi >= config.floor)}
+            return {int(v): float(pi[v]) for v in np.flatnonzero(pi > 0.0)}
 
 
 def exact_random_walk_rows(graph: Graph, p: float) -> np.ndarray:

@@ -658,6 +658,21 @@ def test_learn_refuses_a_t0_after_t_star(pipeline, tmp_path, capsys):
     assert list(tmp_path.iterdir()) == []
 
 
+def test_learn_over_random_walk_rows_takes_no_floor(pipeline, tmp_path):
+    # Offspring follow the unfloored walk law, so the rows learn fits on
+    # take no floor either: a floor that would cut most of every row's
+    # entries fits the alpha and tau of the default floor.
+    d, graph, actions, _ = pipeline
+    fitted = []
+    for floor in ("1e-12", "1e-2"):
+        out = tmp_path / f"rw-{floor}.json"
+        assert main(["learn", "--graph", str(graph), "--actions", str(actions), "--t-star", "8.0",
+                     "--prox", "rw", "--floor", floor, "--seed", "1", "--out", str(out)]) == 0
+        saved = json.loads(out.read_text(encoding="utf-8"))
+        fitted.append((saved["alpha"], saved["tau"]))
+    assert fitted[0] == fitted[1]
+
+
 def test_learn_conditions_the_fit_on_the_actions_at_or_before_t0(tiny_files, tmp_path):
     # Actions a@0.5 and b@1.5 form the initial condition at --t0 1.5; the
     # fit scores a@1.7 and c@2.5 only, as learning.fit with that t0 does.
@@ -1028,11 +1043,14 @@ def _write(data):
     pytest.param(_write(lambda data: b""), "rebuild it with 'trendcast prox-cache'", id="empty"),
     pytest.param(_write(lambda data: b'{"format": "trendcast-prox-cache-v1", "fingerprint": {}}\n'),
                  "rebuild it with 'trendcast prox-cache'", id="v1-json-lines"),
-    pytest.param(_header('{"format": "x"}'), "array 'header': not a trendcast-prox-cache-v3 header",
+    pytest.param(_header('{"format": "x"}'), "array 'header': not a trendcast-prox-cache-v4 header",
                  id="header-format-x"),
     # v2 caches hold shortest-path rows in BFS discovery order, not by hop and then node
-    pytest.param(_replace("header", lambda a: np.asarray(str(a["header"]).replace("-v3", "-v2"))),
-                 "not a trendcast-prox-cache-v3 header; rebuild it with 'trendcast prox-cache'", id="v2-cache"),
+    pytest.param(_replace("header", lambda a: np.asarray(str(a["header"]).replace("-v4", "-v2"))),
+                 "not a trendcast-prox-cache-v4 header; rebuild it with 'trendcast prox-cache'", id="v2-cache"),
+    # v3 random-walk caches may hold rows cut at the floor
+    pytest.param(_replace("header", lambda a: np.asarray(str(a["header"]).replace("-v4", "-v3"))),
+                 "not a trendcast-prox-cache-v4 header; rebuild it with 'trendcast prox-cache'", id="v3-cache"),
     pytest.param(_header("{not json"), "array 'header': Expecting property name", id="header-not-json"),
 ])
 def test_predict_rejects_malformed_prox_cache(pipeline, tmp_path, capsys, edit, message):

@@ -472,17 +472,14 @@ def wide_cases(draw):
 @example(_dense_case([0] * 10, 1))  # m = 1 on a one-node graph
 @example(_dense_case([2] * 10, 5))  # every action at one node of five
 @example(_dense_case([0, 1, 2, 0, 0, 0, 1, 1, 1], 3))  # block 0 acts at all m = 3 nodes
-# With calls free, three blocks of width 2 over m = 4 nodes: 6 rows > m, two gathered groups.
+# Three blocks of width 2 over m = 4 nodes: 6 rows > m, two gathered groups.
 @example(_dense_case([0, 1, 0, 1, 2, 3, 2, 3, 0, 2, 0, 2, 1, 3, 1, 3], 4))
-# With calls free, gathered blocks, then blocks with 3K > 2m, read in place.
+# Blocks of width 2, then blocks of widths 3 and 4, each gathered alone.
 @example(_dense_case([0, 1, 0, 1, 0, 2, 3, 2, 3, 2, 0, 1, 2, 0, 1, 3, 0, 1, 2, 3, 0, 3, 0, 3, 0], 4))
-@pytest.mark.parametrize("call", [0, learning._EINSUM_CALL], ids=["free-calls", "default"])
-def test_dense_slot_fill_matches_one_einsum_bit_for_bit(call, case):
-    # With calls free, every group with 3k <= 2m gathers, however small.
+def test_dense_slot_fill_matches_one_einsum_bit_for_bit(case):
     prox, trend, tau, _ = case
     with pytest.MonkeyPatch.context() as patch:
         patch.setattr(learning, "_dense_slots", lambda acting, entries: True)
-        patch.setattr(learning, "_EINSUM_CALL", call)
         table = _table(trend, prox, 10.5)
     feeders = table._feeders
     decay = np.exp(table._neg_dt[:feeders] / tau)
@@ -493,7 +490,7 @@ def test_dense_slot_fill_matches_one_einsum_bit_for_bit(call, case):
     assert lags.tobytes() == v.tobytes()
 
 
-def test_dense_layout_groups_blocks_and_reaches_from_their_own_nodes(monkeypatch):
+def test_dense_layout_groups_blocks_and_reaches_from_their_own_nodes():
     # P over m = 4 acting nodes: nodes 0-2 reach each other, node 3 only
     # itself; row 4 is the zero row that padding points at.
     p = np.zeros((5, 4))
@@ -511,39 +508,32 @@ def test_dense_layout_groups_blocks_and_reaches_from_their_own_nodes(monkeypatch
         [True, True, True, False],
         [True, True, True, True],
     ]
-    # At this size a call costs more than any gathering saves: every block
-    # keeps each node at its own position, in one group that reads P in place.
-    feed_cell, rows, groups, hit = learning._dense_layout(p, block, nodes, 5)
-    assert rows.tolist() == [[0, 1, 4, 4], [4, 4, 2, 3], [0, 4, 2, 4], [0, 1, 2, 4], [0, 1, 2, 3]]
-    assert groups == [(0, 5, 4)]
-    assert feed_cell.tolist() == (block * 4 + nodes).tolist()
-    assert hit.reshape(5, 4).tolist() == reached
-    # With calls free, the first two blocks gather 2 x 2 <= m rows together,
-    # the third alone, and the last two, where 3k > 2m, still read in place.
-    monkeypatch.setattr(learning, "_EINSUM_CALL", 0)
+    # The first two blocks gather 2 x 2 <= m rows together; the third, the
+    # fourth (3 rows) and the fifth (all m) each gather alone.
     feed_cell, rows, groups, hit = learning._dense_layout(p, block, nodes, 5)
     assert rows.tolist() == [[0, 1, 4, 4], [2, 3, 4, 4], [0, 2, 4, 4], [0, 1, 2, 4], [0, 1, 2, 3]]
-    assert groups == [(0, 2, 2), (2, 3, 2), (3, 5, 4)]
+    assert groups == [(0, 2, 2), (2, 3, 2), (3, 4, 3), (4, 5, 4)]
     assert feed_cell.tolist() == [
         0, 1, 0, 1, 0, 4, 5, 4, 5, 4, 8, 9, 8, 9, 8, 12, 13, 14, 12, 13, 19, 16, 17, 18, 19
     ]
     assert hit.reshape(5, 4).tolist() == reached
 
 
-def test_dense_layout_gathers_only_where_it_saves_more_than_a_call():
+def test_no_dense_layout_group_gathers_more_than_m_rows():
     # Uniform actions over 200 nodes: blocks act at about 35 nodes at 1,500
-    # actions (learn-dense), 94 at 16k and 118 at 32k, where gathering was
-    # measured to cost more than reading P in place.
+    # actions (learn-dense), 94 at 16k and 118 at 32k, and at all 200 when
+    # every block acts everywhere. Every block is gathered, and the groups
+    # cover the blocks in order.
     m = 200
     p = np.ones((m + 1, m))
     p[m] = 0.0
-    for k, groups in (
-        (35, [(0, 5, 35), (5, 8, 35)]),
-        (94, [(0, 2, 94), (2, 4, 94), (4, 6, 94), (6, 8, 94)]),
-        (118, [(0, 8, m)]),
-    ):
+    for k in (35, 94, 118, 200):
         block, node = np.repeat(np.arange(8), k), np.tile(np.arange(k), 8)
-        assert learning._dense_layout(p, block, node, 8)[2] == groups
+        _, rows, groups, _ = learning._dense_layout(p, block, node, 8)
+        assert rows.shape == (8, k)
+        assert [c0 for c0, _, _ in groups] == [0] + [c1 for _, c1, _ in groups[:-1]] and groups[-1][1] == 8
+        assert all(kg == k and (c1 - c0) * kg <= m for c0, c1, kg in groups)
+        assert len(groups) == -(-8 // (m // k))
 
 
 @settings(derandomize=True, database=None, deadline=None, max_examples=60)
@@ -729,3 +719,17 @@ def test_fit_recovers_the_planted_params_on_the_probe_setup():
             fits.append(fit(trend, prox, PROBE["t_star"]))
     assert abs(np.median([r.alpha for r in fits]) / PROBE["alpha"] - 1.0) <= 0.15
     assert abs(np.median([r.tau for r in fits]) / PROBE["tau"] - 1.0) <= 0.25
+
+
+@pytest.mark.parametrize("seed", range(5))
+def test_fit_reaches_the_grid_maximum_of_the_profile_on_the_probe_setup(seed):
+    # The profile at 2,001 points, even in log tau over fit's default
+    # bracket [1e-3 * span, 1e3 * span]: fit's value is at least the best of
+    # them, up to 1e-9 relative.
+    prox = probe_setup()
+    trend = planted_trend(prox, PROBE["alpha"], PROBE["tau"], PROBE["n_seeds"], PROBE["t_star"], seed)
+    result = fit(trend, prox, PROBE["t_star"])
+    table = _table(trend, prox, PROBE["t_star"])
+    span = float(table.elapsed[0])
+    grid = max(table.profile(tau, 1e-9)[0] for tau in np.geomspace(1e-3 * span, 1e3 * span, 2001).tolist())
+    assert result.log_likelihood >= grid - 1e-9 * abs(grid)

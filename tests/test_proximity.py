@@ -132,18 +132,6 @@ def test_random_walk_convergence_cap_raises():
             random_walk_row(graph, 0, config)
 
 
-def test_row_sum_low_bounds_every_row_sum():
-    graph = random_graph(12, 20, seed=3)
-    for config in (ProximityConfig(kind="sp", b=0.5), ProximityConfig(kind="rw", p=0.2, floor=1e-3)):
-        prox = ProximityMap(graph, config)
-        assert prox.row_sum_low() <= prox.row_sums(np.arange(graph.node_count)).min() * (1 + 1e-12)
-    # Above p the floor can drop every entry, the source's included: no row sum is then above 0.
-    edge = Graph.from_edges([(0, 1)], 2)
-    prox = ProximityMap(edge, ProximityConfig(kind="rw", p=0.4, floor=0.7))
-    assert prox.row_sums(np.arange(2)).tolist() == [0.0, 0.0]
-    assert prox.row_sum_low() <= 0.0
-
-
 def test_row_sum_cap_is_attained_where_the_degree_bound_is_tight():
     star = Graph.from_edges([(0, v) for v in range(1, 6)], 6)
     cases = [(star, 0), (path_graph(9), 4), (path_graph(6, directed=True), 0)]
@@ -198,14 +186,15 @@ def test_cache_roundtrip_and_fingerprint(tmp_path):
     with pytest.raises(ValueError, match="different graph"):
         ProximityMap.load_cache(str(path), path_graph(5), config)
 
-    # Random-walk rows read p, floor and rw_tolerance, not b.
+    # Random-walk rows read p and rw_tolerance, not b or floor.
     rw = ProximityMap(graph, ProximityConfig(kind="rw", p=0.3))
     rw.row(1)
     rw.save_cache(str(path))
-    loaded = ProximityMap.load_cache(str(path), graph, ProximityConfig(kind="rw", p=0.3, b=2.0))
-    assert loaded.row(1).scores.tobytes() == rw.row(1).scores.tobytes()
+    for other in (ProximityConfig(kind="rw", p=0.3, b=2.0), ProximityConfig(kind="rw", p=0.3, floor=1e-3)):
+        loaded = ProximityMap.load_cache(str(path), graph, other)
+        assert loaded.row(1).scores.tobytes() == rw.row(1).scores.tobytes()
     for other in (ProximityConfig(kind="rw", p=0.4), ProximityConfig(kind="rw", p=0.3, rw_tolerance=1e-3),
-                  ProximityConfig(kind="rw", p=0.3, floor=1e-3), ProximityConfig(kind="sp", p=0.3)):
+                  ProximityConfig(kind="sp", p=0.3)):
         with pytest.raises(ValueError, match="different proximity config"):
             ProximityMap.load_cache(str(path), graph, other)
 
@@ -526,43 +515,51 @@ def test_block_walk_rows_are_the_scalar_rows_bit_for_bit(case, cells, cap):
 
 
 @pytest.mark.parametrize("directed", [False, True])
-def test_a_fill_walks_a_block_from_the_block_row_count_on(directed):
+@pytest.mark.parametrize("missing", [1, 2, 12])
+def test_a_fill_walks_every_missing_row_in_one_block(directed, missing):
     graph = _walk_graph(3, directed, 1)
-    assert graph.node_count > proximity._RW_BLOCK_ROWS + 1
+    assert graph.node_count > missing + 1
     config = ProximityConfig(kind="rw")
-    for missing in (proximity._RW_BLOCK_ROWS - 1, proximity._RW_BLOCK_ROWS):
-        prox = ProximityMap(graph, config)
-        prox.row(0)  # stored before the fill, so not missing
-        sources = np.asarray([0, *range(missing, 0, -1), 1])  # a repeated source is missing once
-        with mock.patch.object(proximity, "_rw_rows", wraps=proximity._rw_rows) as block, \
-                mock.patch.object(proximity, "random_walk_row", wraps=random_walk_row) as scalar:
-            prox.gather(sources)
-        if missing < proximity._RW_BLOCK_ROWS:
-            assert block.call_count == 0 and scalar.call_count == missing
-        else:
-            assert block.call_count == 1 and scalar.call_count == 0
-            assert block.call_args.args[1].tolist() == list(range(missing, 0, -1))
-        for u in range(missing + 1):
-            _assert_row_is_the_reference(prox.row(u), dict_random_walk_row(graph, u, config))
+    prox = ProximityMap(graph, config)
+    prox.row(0)  # stored before the fill, so not missing
+    sources = np.asarray([0, *range(missing, 0, -1), 1])  # a repeated source is missing once
+    with mock.patch.object(proximity, "_rw_rows", wraps=proximity._rw_rows) as block, \
+            mock.patch.object(proximity, "random_walk_row", wraps=random_walk_row) as scalar:
+        prox.gather(sources)
+    assert block.call_count == 1 and scalar.call_count == 0
+    assert block.call_args.args[1].tolist() == list(range(missing, 0, -1))
+    for u in range(missing + 1):
+        _assert_row_is_the_reference(prox.row(u), dict_random_walk_row(graph, u, config))
 
 
 def test_a_block_fill_keeps_its_scratch_within_the_cell_budget():
-    # A floor of 0.01 keeps each row to a few entries, so the peak is the
-    # block's scratch: about six float64 arrays of the cells a block walks,
-    # where the 300 sources in one block take about 14 MB.
+    # The block walk's peak less the rows it returns is its scratch: about
+    # six float64 arrays of the cells a block walks, where the 300 sources
+    # in one block take about 14 MB.
     graph = random_graph(1000, 2000, seed=6)
-    config = ProximityConfig(kind="rw", floor=0.01)
+    config = ProximityConfig(kind="rw")
     cells = 1 << 15
+    build = proximity._rw_rows
 
     def peak(budget: int) -> int:
-        prox = ProximityMap(graph, config)
-        with mock.patch.object(proximity, "_RW_BLOCK_CELLS", budget):
+        peaks = []
+
+        def traced(*args):
             tracemalloc.start()
             try:
-                prox.gather(np.arange(300))
-                return tracemalloc.get_traced_memory()[1]
+                lengths, targets, scores = rows = build(*args)
+                peak = tracemalloc.get_traced_memory()[1]
             finally:
                 tracemalloc.stop()
+            peaks.append(peak - lengths.nbytes - sum(a.nbytes for a in targets + scores))
+            return rows
+
+        prox = ProximityMap(graph, config)
+        with mock.patch.object(proximity, "_RW_BLOCK_CELLS", budget), \
+                mock.patch.object(proximity, "_rw_rows", side_effect=traced):
+            prox.gather(np.arange(300))
+        (result,) = peaks
+        return result
 
     assert peak(cells) < 8 * 8 * cells < peak(1 << 30)
 
