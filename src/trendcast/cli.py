@@ -70,6 +70,16 @@ def _parse_tau_range(text: str) -> tuple[float, float]:
     return lo, hi
 
 
+def _seed(text: str) -> int:
+    """A ``--seed`` value, checked as argparse reads it, so a bad one fails before any input is read."""
+    try:
+        if (seed := int(text)) >= 0:
+            return seed
+    except ValueError:
+        pass
+    raise argparse.ArgumentTypeError(f"expected a non-negative integer, got {text!r}")
+
+
 def _add_graph_flags(p: argparse.ArgumentParser, required: bool = True) -> None:
     p.add_argument("--graph", required=required, help="edge file, one 'src<TAB>dst' per line")
     p.add_argument("--directed", action="store_true", help="treat edges as directed")
@@ -394,7 +404,7 @@ def build_parser() -> argparse.ArgumentParser:
                    "conditioned on, not scored as events (default: first action)")
     p.add_argument("--jitter", type=float, default=0.0,
                    help="uniform tie-breaking jitter width for the actions after t0")
-    p.add_argument("--seed", type=int, default=None, help="seeds --jitter only; the fit draws nothing")
+    p.add_argument("--seed", type=_seed, default=None, help="seeds --jitter only; the fit draws nothing")
     p.add_argument("--out", required=True, help="parameter JSON output path")
     p.set_defaults(func=cmd_learn)
 
@@ -413,7 +423,7 @@ def build_parser() -> argparse.ArgumentParser:
     p.add_argument("--prox-cache", help="proximity cache file to load (da only; a random-walk forecast reads "
                    "no row, so only a shortest-path cache speeds it up)")
     p.add_argument("--runs", type=int, default=100)
-    p.add_argument("--seed", type=int, default=None)
+    p.add_argument("--seed", type=_seed, default=None)
     p.add_argument("--theta", type=float, default=0.0, help="duration threshold")
     p.add_argument("--measure", default="coverage", choices=["coverage", "intensity"])
     p.add_argument("--max-events", type=int, default=None,
@@ -456,7 +466,7 @@ def build_parser() -> argparse.ArgumentParser:
                    help="generate even when alpha*tau*max_row_sum >= 1 (checked against "
                         "a max-degree cap on the row sums; exact rows only near 1)")
     p.add_argument("--max-events", type=int, default=10_000_000)
-    p.add_argument("--seed", type=int, default=None)
+    p.add_argument("--seed", type=_seed, default=None)
     p.add_argument("--out", required=True, help="action file output path")
     p.set_defaults(func=cmd_synth)
 

@@ -27,7 +27,6 @@ malformed file is read again line by line to report its first bad line as
 from __future__ import annotations
 
 import array
-import io
 import math
 from dataclasses import dataclass, field
 from functools import cached_property
@@ -275,10 +274,6 @@ class IntervalGrid:
     @property
     def t_end(self) -> float:
         return float(self.edges[-1])
-
-    def bounds(self, i: int) -> tuple[float, float]:
-        e = self.edges
-        return float(e[i]), float(e[i + 1])
 
     def bin(self, times: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
         """``(keep, idx)``: which ``times`` lie in [t_start, t_end), and the interval of each kept one.
@@ -715,17 +710,13 @@ def duration(series: AggregateSeries, theta: float, measure: str = "coverage") -
     return longest_run_above(getattr(series, measure), theta)
 
 
-def write_aggregate_csv(out: str | io.TextIOBase, series: AggregateSeries) -> None:
+def write_aggregate_csv(path: str, series: AggregateSeries) -> None:
     """Write 'interval_index,t_min,t_max,intensity,coverage' rows; the bounds exactly, with ``repr``."""
-    fh = open(out, "w", encoding="utf-8") if isinstance(out, str) else out
-    try:
+    with open(path, "w", encoding="utf-8") as fh:
         fh.write("interval_index,t_min,t_max,intensity,coverage\n")
         edges = series.grid.edges.tolist()  # once: each ``edges`` read builds the whole array
         for i in range(series.grid.count):
             fh.write(f"{i},{edges[i]!r},{edges[i + 1]!r},{series.intensity[i]},{series.coverage[i]}\n")
-    finally:
-        if isinstance(out, str):
-            fh.close()
 
 
 def random_graph(

@@ -8,7 +8,6 @@ reported as NaN and excluded from averages rather than raising.
 
 from __future__ import annotations
 
-import io
 import math
 from dataclasses import dataclass
 from typing import Sequence
@@ -107,7 +106,7 @@ def evaluate_prediction(
     )
 
 
-def write_eval_csv(out: str | io.TextIOBase, reports: Sequence[EvalReport]) -> None:
+def write_eval_csv(path: str, reports: Sequence[EvalReport]) -> None:
     """Write per-interval rows, then a summary block as trailing comments.
 
     With several reports the rows concatenate in order and the summary adds
@@ -115,8 +114,7 @@ def write_eval_csv(out: str | io.TextIOBase, reports: Sequence[EvalReport]) -> N
     anything is written.
     """
     accuracy = duration_accuracy([(r.duration_predicted, r.duration_true) for r in reports])
-    fh = open(out, "w", encoding="utf-8") if isinstance(out, str) else out
-    try:
+    with open(path, "w", encoding="utf-8") as fh:
         fh.write("interval_index,measure,truth,prediction,error_ratio\n")
         for k, rep in enumerate(reports):
             if len(reports) > 1:
@@ -138,9 +136,6 @@ def write_eval_csv(out: str | io.TextIOBase, reports: Sequence[EvalReport]) -> N
                 f"mean_coverage_error={_fmt_nan(mean_defined(rep.coverage_error))}\n"
             )
         fh.write(f"# duration_accuracy={accuracy:.10g}\n")
-    finally:
-        if isinstance(out, str):
-            fh.close()
 
 
 def _fmt_nan(x: float) -> str:

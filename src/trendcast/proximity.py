@@ -50,6 +50,9 @@ stacked influence of weighted sources. Over shortest-path rows it is a
 restart vector is the weights (with one reverse walk first on a graph with
 dangling nodes), and it neither reads nor builds a row: it is the walk's
 fixed point, equal to the summed rows up to the walk tolerance.
+
+Row sums have one rule, ``csr_row_sums`` over ``gather``'s arrays. The
+branching bound reads ``row_sum_cap`` and ``max_row_sum``, which store no row.
 """
 
 from __future__ import annotations
@@ -263,6 +266,31 @@ def _sp_rows(graph: Graph, sources: np.ndarray, config: ProximityConfig) -> tupl
     """
     lengths, targets, scores = zip(*_sp_chunks(graph, sources, config))
     return np.concatenate(lengths), list(targets), list(scores)
+
+
+def row_sum_cap(graph: Graph, config: ProximityConfig) -> float:
+    """Upper bound on every shortest-path row sum from the kernel and the max degree; builds no row.
+
+    A row holds its source at 1 and each node at hop d at exp(-b*d). With
+    max out-degree D, at most D*(D-1)**(d-1) nodes lie at hop d (D**d when
+    directed), and at most N - 1 besides the source; filling the nearest
+    hops first gives the largest sum the kernel allows. The loop stops at
+    the floor depth or once N - 1 nodes are placed, so it runs at most
+    min(depth, N) times.
+    """
+    degree = int(np.diff(graph.indptr).max(initial=0))
+    growth = degree if graph.directed else degree - 1
+    total, left, reach, hops = 1.0, graph.node_count - 1, degree, 0
+    while left > 0 and reach > 0:
+        hops += 1
+        weight = math.exp(-config.b * hops)
+        if weight < config.floor:
+            break
+        placed = min(left, reach)
+        total += weight * placed
+        left -= placed
+        reach = min(reach * growth, graph.node_count)
+    return total
 
 
 def max_row_sum(graph: Graph, sources: np.ndarray, config: ProximityConfig) -> float:
@@ -730,7 +758,7 @@ class ProximityMap:
     Rows are computed on first demand and kept in one CSR store: row u spans
     ``start[u]:stop[u]`` of the aligned ``targets`` and ``scores`` arrays,
     which grow as rows are added, and ``start[u]`` is -1 until u's row is built.
-    ``gather`` and ``row_sums`` build all of their missing rows at once;
+    ``gather`` builds all of its missing rows at once;
     ``row`` and ``row_sum`` build one, which waits among the fresh rows
     until the next merge (see ``_FRESH_ROWS``).
     """
@@ -845,11 +873,6 @@ class ProximityMap:
         scores = self.row(source).scores
         return float(csr_row_sums(np.asarray([0, len(scores)]), scores)[0])
 
-    def row_sums(self, sources: np.ndarray) -> np.ndarray:
-        """The row sums of ``sources``, in order, from one ``gather``; see ``csr_row_sums``."""
-        row_start, _, scores = self.gather(sources)
-        return csr_row_sums(row_start, scores)
-
     def spread(self, weights: np.ndarray) -> np.ndarray:
         """The dense node vector ``sum_u weights[u] * row(u)``, for non-negative, finite ``weights``.
 
@@ -868,34 +891,6 @@ class ProximityMap:
         spread = np.repeat(weights[live], np.diff(row_start)) * scores
         # With no entries at all, bincount returns int64 zeros.
         return np.bincount(targets, spread, self.graph.node_count).astype(np.float64, copy=False)
-
-    def row_sum_cap(self) -> float:
-        """Upper bound on every row sum from the kernel and the max degree; builds no row.
-
-        Random-walk rows are probability vectors, so the cap is 1. A
-        shortest-path row holds its source at 1 and each node at hop d at
-        exp(-b*d). With max out-degree D, at most D*(D-1)**(d-1) nodes lie
-        at hop d (D**d when directed), and at most N - 1 besides the source;
-        filling the nearest hops first gives the largest sum the kernel
-        allows. The loop stops at the floor depth or once N - 1 nodes are
-        placed, so it runs at most min(depth, N) times.
-        """
-        if self.config.kind == "random_walk":
-            return 1.0
-        graph = self.graph
-        degree = int(np.diff(graph.indptr).max(initial=0))
-        growth = degree if graph.directed else degree - 1
-        total, left, reach, hops = 1.0, graph.node_count - 1, degree, 0
-        while left > 0 and reach > 0:
-            hops += 1
-            weight = math.exp(-self.config.b * hops)
-            if weight < self.config.floor:
-                break
-            placed = min(left, reach)
-            total += weight * placed
-            left -= placed
-            reach = min(reach * growth, graph.node_count)
-        return total
 
     def fingerprint(self) -> dict:
         return {**self.config.to_dict(), "graph": graph_fingerprint(self.graph)}

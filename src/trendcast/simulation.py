@@ -29,7 +29,6 @@ built or read, and the run's own generator is the only randomness.
 
 from __future__ import annotations
 
-import io
 import math
 from dataclasses import dataclass, field
 from typing import Sequence
@@ -37,7 +36,7 @@ from typing import Sequence
 import numpy as np
 
 from .core import IntervalGrid, Trend, _read_lines, aggregate, check_measure, longest_run_above
-from .proximity import ProximityMap, csr_row_sums, max_row_sum, random_walk_ends
+from .proximity import ProximityMap, csr_row_sums, max_row_sum, random_walk_ends, row_sum_cap
 from .activeness import ActivenessParams
 
 _CSV_HEADER = "interval_index,t_min,t_max,intensity_mean,intensity_cv,coverage_mean,coverage_cv"
@@ -237,9 +236,8 @@ class PredictionReport:
     # 'path:line' of the summary line, for a report read_csv read.
     summary_at: str = field(default="", compare=False)
 
-    def write_csv(self, out: str | io.TextIOBase) -> None:
-        fh = open(out, "w", encoding="utf-8") if isinstance(out, str) else out
-        try:
+    def write_csv(self, path: str) -> None:
+        with open(path, "w", encoding="utf-8") as fh:
             fh.write(_CSV_HEADER + "\n")
             edges = self.grid.edges.tolist()  # once: each ``edges`` read builds the whole array
             for i in range(self.grid.count):
@@ -254,9 +252,6 @@ class PredictionReport:
                 f"branching_ratio={_fmt(self.branching_ratio)} "
                 f"interval_length={self.grid.interval_length!r}\n"
             )
-        finally:
-            if isinstance(out, str):
-                fh.close()
 
     @classmethod
     def read_csv(cls, path: str) -> PredictionReport:
@@ -430,20 +425,16 @@ def branching_bound(prox: ProximityMap, params: ActivenessParams, node_count: in
     Over random-walk rows an event's offspring carry mass alpha exactly
     (``simulate`` draws them from the walk law, which sums to 1), so the
     bound is alpha * tau, the exact branching ratio, and no row is built.
-    Over shortest-path rows C is ``prox.row_sum_cap()``, a cap on every row
-    sum from the kernel and the max degree that builds no row. The verdict
-    ``bound >= 1`` is the one the exact rows give: when alpha * tau * C
-    comes within _CAP_MARGIN of 1, and alpha * tau, a lower bound since
-    every row sum is at least 1, does not reach 1 + _CAP_MARGIN, C is
-    replaced by the exact max row sum over nodes 0..node_count-1, taken
-    chunk by chunk (``max_row_sum``), so no row is stored. The value
-    depends on the graph, kernel and params only, never on which rows are
-    cached.
+    Over shortest-path rows C is the degree cap ``row_sum_cap``, unless its
+    verdict ``bound >= 1`` could differ from the exact rows' (see
+    ``_CAP_MARGIN``); then C is ``max_row_sum`` over nodes 0..node_count-1.
+    Neither stores a row, so the value depends on the graph, kernel and
+    params only.
     """
     scale = params.alpha * params.tau
     if prox.config.kind == "random_walk":
         return scale
-    capped = scale * prox.row_sum_cap()
+    capped = scale * row_sum_cap(prox.graph, prox.config)
     if capped < 1.0 - _CAP_MARGIN or scale >= 1.0 + _CAP_MARGIN:
         return capped
     return scale * max_row_sum(prox.graph, np.arange(node_count), prox.config)
@@ -464,9 +455,7 @@ def generate_synthetic(
     Supercritical parameter sets (alpha * tau * max row sum >= 1, decided by
     ``branching_bound``) are refused unless explicitly allowed; the event
     cap still bounds allowed runs. The manifest's ``branching_bound`` is
-    that function's value: alpha * tau over random-walk rows; over
-    shortest-path rows the degree cap when it is safely below 1 or alpha *
-    tau alone is safely above 1, else the exact alpha * tau * max row sum.
+    that function's value.
     Returns the seeded-plus-generated trend and a manifest dict.
     """
     if not 1 <= n_seeds <= graph_node_count:

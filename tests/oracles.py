@@ -13,7 +13,9 @@ only inside ``baselines.predict_baseline``, whose runs ``cascade_runs`` reads
 back from its run dump for the tests to compare. ``loop_simulate_baseline``
 takes its live edges from the shipped ``baselines._live_edges``, whose law
 ``test_baselines`` checks on its own, so that it consumes each run's stream
-as the package does; its delays and relaxation are its own.
+as the package does; its delays and relaxation are its own. The oracles
+read proximity rows through ``gathered_rows``, one ``gather`` and
+``csr_row_sums``, as the package reads them.
 """
 
 from __future__ import annotations
@@ -22,6 +24,7 @@ import heapq
 import math
 from bisect import bisect_right
 from dataclasses import dataclass
+from functools import cached_property
 from typing import Mapping
 
 import numpy as np
@@ -37,8 +40,23 @@ from trendcast.learning import (
     LearnResult,
     _table,
 )
-from trendcast.proximity import ProximityConfig, ProximityMap
+from trendcast.proximity import ProximityConfig, ProximityMap, csr_row_sums
 from trendcast.simulation import _BASELINE_RUN_KEY, PredictionReport, SimConfig, Streams, derived_rng, summarize_runs
+
+
+def gathered_rows(prox: ProximityMap, nodes) -> tuple[dict[int, dict[int, float]], dict[int, float]]:
+    """The rows of the distinct ``nodes`` as plain dicts in entry order, and their sums, from one ``gather``.
+
+    The sums follow the library's rule, ``csr_row_sums``. The loops below
+    look a score up per action pair; a plain dict keeps those lookups at
+    dict speed.
+    """
+    sources = np.unique(np.asarray(nodes, dtype=np.int64))
+    row_start, targets, scores = prox.gather(sources)
+    sums = csr_row_sums(row_start, scores)
+    bounds, targets, scores = row_start.tolist(), targets.tolist(), scores.tolist()
+    rows = {u: dict(zip(targets[a:b], scores[a:b])) for u, a, b in zip(sources.tolist(), bounds, bounds[1:])}
+    return rows, dict(zip(sources.tolist(), sums.tolist()))
 
 
 @dataclass
@@ -49,11 +67,15 @@ class ActivenessModel:
     prox: ProximityMap
     params: ActivenessParams
 
+    @cached_property
+    def _rows(self) -> dict[int, dict[int, float]]:
+        return gathered_rows(self.prox, self.trend.nodes)[0]
+
     def decayed_influence(self, node: int, t: float) -> float:
         """Sum of prox(u, node) * exp(-(t - t_i)/tau) over actions with t_i <= t."""
         total = 0.0
         for u, t_i in self.trend.prefix(t):
-            score = self.prox.row(u).get(node)
+            score = self._rows[u].get(node)
             if score:
                 total += score * math.exp(-(t - t_i) / self.params.tau)
         return total
@@ -63,7 +85,7 @@ class ActivenessModel:
         tau = self.params.tau
         total = 0.0
         for u, t_i in self.trend.prefix(t):
-            score = self.prox.row(u).get(node)
+            score = self._rows[u].get(node)
             if score:
                 total += score * (1.0 - math.exp(-(t - t_i) / tau))
         return tau * total
@@ -110,6 +132,7 @@ class PairTable:
 
     def __init__(self, prefix: Trend, prox: ProximityMap, t_star: float) -> None:
         nodes = prefix.nodes.tolist()
+        rows, sums = gathered_rows(prox, nodes)
         times = prefix.times.tolist()
         self.n = len(nodes)
         self.n_events = sum(t > times[0] for t in times)
@@ -120,7 +143,7 @@ class PairTable:
         pair_weight: list[float] = []
         pair_target: list[int] = []
         for j, (u, t_j) in enumerate(zip(nodes, times)):
-            for v, score in prox.row(u).items():
+            for v, score in rows[u].items():
                 targets = by_node.get(v)
                 if not targets:
                     continue
@@ -132,7 +155,7 @@ class PairTable:
         self.pair_weight = np.asarray(pair_weight, dtype=np.float64)
         self.pair_target = np.asarray(pair_target, dtype=np.int64)
         self.elapsed = t_star - prefix.times
-        self.row_sums = np.asarray([prox.row_sum(u) for u in nodes], dtype=np.float64)
+        self.row_sums = np.asarray([sums[u] for u in nodes], dtype=np.float64)
 
     def total_integral(self, tau: float) -> float:
         """Stacked all-nodes influence integral up to t_star."""
@@ -239,20 +262,11 @@ def golden_fit(
     return LearnResult(table._closed_alpha(tau_hat)[1], tau_hat, best_f, evaluations)
 
 
-def _dict_rows(prox: ProximityMap, nodes: list[int]) -> dict[int, dict[int, float]]:
-    """The rows of ``nodes`` as plain dicts, each read once through its mapping interface.
-
-    The double loops below look a score up per action pair; a plain dict
-    keeps those lookups at dict speed.
-    """
-    return {u: dict(prox.row(u)) for u in set(nodes)}
-
-
 def naive_total_integral(trend: Trend, prox: ProximityMap, tau: float, t_star: float, node_count: int) -> float:
     """All-nodes influence integral by the full node-by-node double loop."""
     prefix = trend.prefix(t_star)
     actions = list(prefix)
-    rows = _dict_rows(prox, prefix.nodes.tolist())
+    rows, _ = gathered_rows(prox, prefix.nodes)
     total = 0.0
     for v in range(node_count):
         s = 0.0
@@ -268,7 +282,7 @@ def naive_influences(prefix: Trend, prox: ProximityMap, tau: float) -> list[floa
     """Strict-predecessor influence at each action via the pairwise loop."""
     nodes = prefix.nodes.tolist()
     times = prefix.times.tolist()
-    rows = _dict_rows(prox, nodes)
+    rows, _ = gathered_rows(prox, nodes)
     out = []
     for i in range(len(nodes)):
         s = 0.0
@@ -335,12 +349,13 @@ def einsum_slot_fill(
     return slot_cell, u[0], u[1]
 
 
-def decayed_influence_at(prefix_actions: list[tuple[int, float]], prox: ProximityMap, node: int, t: float, tau: float) -> float:
-    """Pointwise influence sum, used as a quadrature integrand."""
+def decayed_influence_at(prefix_actions: list[tuple[int, float]], rows: Mapping[int, Mapping[int, float]], node: int,
+                         t: float, tau: float) -> float:
+    """Pointwise influence sum, used as a quadrature integrand; ``rows`` as ``gathered_rows`` gives them."""
     s = 0.0
     for u, t_i in prefix_actions:
         if t_i <= t:
-            w = prox.row(u).get(node)
+            w = rows[u].get(node)
             if w:
                 s += w * math.exp(-(t - t_i) / tau)
     return s

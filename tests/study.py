@@ -29,12 +29,13 @@ def planted_trend(prox: ProximityMap, alpha: float, tau: float, n_seeds: int, ho
     times = np.zeros(n_seeds)
     all_nodes, all_times = [nodes], [times]
     while len(nodes):
-        rows = [prox.row(int(v)) for v in nodes]
-        mass = np.asarray([row.scores.sum() for row in rows])
+        row_start, targets, scores = prox.gather(nodes)
+        rows = [slice(a, b) for a, b in zip(row_start[:-1].tolist(), row_start[1:].tolist())]
+        mass = np.asarray([scores[row].sum() for row in rows])
         counts = rng.poisson(alpha * tau * mass)
         parent = np.repeat(np.arange(len(nodes)), counts)
         child_times = times[parent] + rng.exponential(tau, len(parent))
-        child_nodes = np.asarray([rng.choice(rows[k].targets, p=rows[k].scores / mass[k]) for k in parent.tolist()],
+        child_nodes = np.asarray([rng.choice(targets[rows[k]], p=scores[rows[k]] / mass[k]) for k in parent.tolist()],
                                  dtype=np.int64)
         keep = child_times < horizon
         nodes, times = child_nodes[keep], child_times[keep]

@@ -40,6 +40,7 @@ from oracles import (
     ActivenessModel,
     cascade_runs,
     decayed_influence_at,
+    gathered_rows,
     naive_log_likelihood,
     naive_total_integral,
     random_instance,
@@ -130,8 +131,9 @@ def test_criterion_04_integrated_influence_quadrature():
         pre = trend.prefix(t)
         actions = list(zip(pre.nodes.tolist(), pre.times.tolist()))
         points = [t_i for _, t_i in actions]
+        rows, _ = gathered_rows(prox, pre.nodes)
         ref, _ = quad(
-            lambda s: decayed_influence_at(actions, prox, node, s, tau),
+            lambda s: decayed_influence_at(actions, rows, node, s, tau),
             points[0],
             t,
             points=points,
@@ -245,8 +247,7 @@ def test_criterion_08_stacked_evaluation_speedup():
     trend = Trend(nodes, times)
     prox = ProximityMap(graph, ProximityConfig(kind="sp", b=10.0))
     tau, alpha, t_star = 1.7, 0.6, 10.0
-    for u in set(nodes.tolist()):  # warm the rows
-        prox.row(u)
+    gathered_rows(prox, nodes)  # warm the rows
 
     t0 = time.perf_counter()
     naive_ll = naive_log_likelihood(trend, prox, tau, alpha, t_star, graph.node_count)

@@ -14,6 +14,7 @@ from trendcast.simulation import SimConfig
 from oracles import (
     ActivenessModel,
     decayed_influence_at,
+    gathered_rows,
     naive_total_integral,
     random_instance,
     total_integrated_influence,
@@ -75,8 +76,9 @@ def test_integrated_influence_matches_quadrature():
         value = model.integrated_influence(node, t)
         actions = list(trend.prefix(t))
         points = [t_i for _, t_i in actions]
+        rows, _ = gathered_rows(prox, trend.nodes)
         ref, err = quad(
-            lambda s: decayed_influence_at(actions, prox, node, s, tau),
+            lambda s: decayed_influence_at(actions, rows, node, s, tau),
             points[0] if points else t,
             t,
             points=points,
@@ -89,7 +91,7 @@ def test_total_integrated_influence_matches_naive_sum():
     for trial in range(5):
         graph, prox, trend = random_instance(seed=trial, max_nodes=60, max_actions=40)
         t_star = float(trend.times[-1])
-        row_sums = {int(u): prox.row_sum(int(u)) for u in set(trend.nodes.tolist())}
+        _, row_sums = gathered_rows(prox, trend.nodes)
         stacked = total_integrated_influence(trend, 1.3, t_star, row_sums)
         naive = naive_total_integral(trend, prox, 1.3, t_star, graph.node_count)
         assert stacked == pytest.approx(naive, rel=1e-9)

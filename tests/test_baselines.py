@@ -2,7 +2,6 @@
 
 from __future__ import annotations
 
-import io
 import math
 import tracemalloc
 
@@ -334,20 +333,20 @@ def _forecast_instance(seed: int, kind: str, directed: bool) -> tuple[Graph, Tre
     return graph, trend, params
 
 
-def _assert_same_report(report, reference) -> None:
+def _assert_same_report(report, reference, tmp_path) -> None:
     for name in ("intensity_mean", "intensity_cv", "coverage_mean", "coverage_cv"):
         assert np.array_equal(getattr(report, name), getattr(reference, name), equal_nan=True), name
     assert report.duration_covering_fraction == reference.duration_covering_fraction
     assert report.runs == reference.runs
-    written, expected = io.StringIO(), io.StringIO()
-    report.write_csv(written)
-    reference.write_csv(expected)
-    assert written.getvalue() == expected.getvalue()
+    written, expected = tmp_path / "written.csv", tmp_path / "expected.csv"
+    report.write_csv(str(written))
+    reference.write_csv(str(expected))
+    assert written.read_text(encoding="utf-8") == expected.read_text(encoding="utf-8")
 
 
 @pytest.mark.parametrize("directed", [False, True])
 @pytest.mark.parametrize("kind", ["tequ", "texp", "eexp"])
-def test_batched_forecast_matches_the_per_run_loop(kind, directed):
+def test_batched_forecast_matches_the_per_run_loop(tmp_path, kind, directed):
     # every run keeps its own stream, so batching changes no draw and no sum
     graph, trend, params = _forecast_instance(15 if directed else 12, kind, directed)
     grid = IntervalGrid(5.0, 1.25, 4)
@@ -358,7 +357,7 @@ def test_batched_forecast_matches_the_per_run_loop(kind, directed):
             for theta, measure in ((0.0, "coverage"), (1.0, "intensity")):
                 report = predict_baseline(params, graph, trend, config, grid, theta, measure, mult)
                 reference = loop_predict_baseline(params, graph, trend, config, grid, theta, measure, mult)
-                _assert_same_report(report, reference)
+                _assert_same_report(report, reference, tmp_path)
                 votes.append(report.duration_covering_fraction)
     # the runs activate nodes and, for some threshold, split the duration vote
     assert report.coverage_mean.sum() > 0 and any(0 < vote < 1 for vote in votes)
@@ -366,7 +365,7 @@ def test_batched_forecast_matches_the_per_run_loop(kind, directed):
 
 @pytest.mark.parametrize("per_batch", [1, 3])
 @pytest.mark.parametrize("kind", ["tequ", "texp", "eexp"])
-def test_batch_boundaries_change_no_run(monkeypatch, kind, per_batch):
+def test_batch_boundaries_change_no_run(tmp_path, monkeypatch, kind, per_batch):
     # 7 runs in batches of 1, or of 3, 3 and 1; the grid ends before the horizon
     graph, trend, params = _forecast_instance(21, kind, directed=False)
     monkeypatch.setattr(baselines, "BUDGET", per_batch * (graph.node_count + len(graph.indices)))
@@ -382,7 +381,7 @@ def test_batch_boundaries_change_no_run(monkeypatch, kind, per_batch):
         assert run.nodes.tolist() == ref.nodes.tolist() and run.times.tolist() == ref.times.tolist()
     for mult in (False, True):
         report = predict_baseline(params, graph, trend, config, grid, mult=mult)
-        _assert_same_report(report, loop_predict_baseline(params, graph, trend, config, grid, mult=mult))
+        _assert_same_report(report, loop_predict_baseline(params, graph, trend, config, grid, mult=mult), tmp_path)
 
 
 def test_forecast_memory_does_not_grow_with_runs():

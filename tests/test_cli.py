@@ -435,6 +435,38 @@ def test_non_utf8_input_names_the_file_and_line(tiny_files, tmp_path, capsys, na
     assert f"{bad}:{line}: not valid UTF-8" in _one_error_line(capsys)
 
 
+@pytest.mark.parametrize("command", ["learn", "predict-da", "predict-texp", "synth"])
+def test_a_negative_seed_fails_before_any_input_is_read(tiny_files, tmp_path, capsys, command):
+    # Each run would otherwise warn first: predict-da's params are
+    # supercritical, and predict-texp's lone prefix action leaves no
+    # attribution, so its cascade falls back.
+    graph, actions = tiny_files
+    params = tmp_path / "params.json"
+    save_params(str(params), ActivenessParams(2.0, 1.0, 1e-9, 0.0), ProximityConfig(kind="sp", b=10.0))
+    lone = tmp_path / "lone.tsv"
+    lone.write_text("a\t0.0\n", encoding="utf-8")
+    out = tmp_path / "out"
+    out.mkdir()
+    predict = ["predict", "--graph", str(graph), "--t-star", "3.0", "--grid", "3:0.1:2", "--runs", "5",
+               "--dump-runs", str(out / "runs")]
+    argv = {
+        "learn": ["learn", "--graph", str(graph), "--actions", str(actions), "--t-star", "3.0",
+                  "--jitter", "0.1"],
+        "predict-da": [*predict, "--actions", str(actions), "--model", "da", "--params", str(params)],
+        "predict-texp": [*predict, "--actions", str(lone), "--model", "texp"],
+        "synth": ["synth", "--random-graph", "30:60", "--graph-out", str(out / "graph.tsv"),
+                  "--alpha", "2.0", "--tau", "2.0", "--horizon", "8.0"],
+    }[command]
+    with pytest.raises(SystemExit) as exc:
+        main([*argv, "--seed", "-1", "--out", str(out / "result")])
+    assert exc.value.code == 1
+    err = capsys.readouterr().err
+    [line] = [line for line in err.splitlines() if line.startswith("error:")]
+    assert "--seed" in line and "'-1'" in line
+    assert "warning:" not in err
+    assert list(out.iterdir()) == []
+
+
 def test_predict_warns_when_the_params_are_supercritical(tiny_files, tmp_path, capsys):
     graph, actions = tiny_files
     params = tmp_path / "params.json"

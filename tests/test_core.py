@@ -1,5 +1,4 @@
 import dataclasses
-import io
 import tracemalloc
 
 import numpy as np
@@ -120,8 +119,9 @@ def test_aggregate_matches_per_interval_counts_on_boundary_stamps(steps, origin,
     trend = Trend(np.asarray([u for u, _ in steps]), np.asarray([origin + k * 0.25 for _, k in steps]))
     grid = IntervalGrid(origin + start * 0.25, length, count)
     series = aggregate(trend, grid)
+    edges = grid.edges.tolist()
     for i in range(grid.count):
-        lo, hi = grid.bounds(i)
+        lo, hi = edges[i], edges[i + 1]
         assert series.intensity[i] == intensity(trend, lo, hi)
         assert series.coverage[i] == coverage(trend, lo, hi)
 
@@ -150,16 +150,18 @@ def test_aggregate_matches_single_interval_ops():
         trend = Trend(rng.integers(0, 8, size=k), np.sort(rng.uniform(0, 10, size=k)))
         grid = IntervalGrid(float(rng.uniform(-1, 1)), float(rng.uniform(0.5, 2.0)), int(rng.integers(1, 8)))
         series = aggregate(trend, grid)
+        edges = grid.edges.tolist()
         for i in range(grid.count):
-            lo, hi = grid.bounds(i)
+            lo, hi = edges[i], edges[i + 1]
             assert series.intensity[i] == intensity(trend, lo, hi)
             assert series.coverage[i] == coverage(trend, lo, hi)
 
 
 def test_grid_intervals_share_edges_exactly():
     grid = IntervalGrid(0.1, 0.3, 7)
-    for i in range(grid.count - 1):
-        assert grid.bounds(i)[1] == grid.bounds(i + 1)[0]
+    # Interval i spans edges i and i + 1, so neighbours share an edge, and
+    # edge k is t_start + k * length, not a running sum of lengths.
+    assert grid.edges.tolist() == [grid.t_start + k * grid.interval_length for k in range(grid.count + 1)]
 
 
 def test_grid_validation():
@@ -177,21 +179,21 @@ def test_grid_edges_must_increase():
     assert np.all(np.diff(IntervalGrid(1e17, 16.0, 4).edges) == 16.0)
 
 
-def test_aggregate_csv_format(toy_trend):
-    buf = io.StringIO()
-    write_aggregate_csv(buf, aggregate(toy_trend, IntervalGrid(2007.0, 1.0, 5)))
-    lines = buf.getvalue().splitlines()
+def test_aggregate_csv_format(toy_trend, tmp_path):
+    out = tmp_path / "agg.csv"
+    write_aggregate_csv(str(out), aggregate(toy_trend, IntervalGrid(2007.0, 1.0, 5)))
+    lines = out.read_text(encoding="utf-8").splitlines()
     assert lines[0] == "interval_index,t_min,t_max,intensity,coverage"
     assert lines[1] == "0,2007.0,2008.0,1,1"
     assert lines[-1] == "4,2011.0,2012.0,0,0"
 
 
-def test_aggregate_csv_bounds_parse_back_to_the_grid_edges():
+def test_aggregate_csv_bounds_parse_back_to_the_grid_edges(tmp_path):
     # Unix-time bounds half a second apart agree in their first 10 digits.
     grid = IntervalGrid(1700000000.0, 0.5, 2)
-    buf = io.StringIO()
-    write_aggregate_csv(buf, aggregate(Trend(np.empty(0), np.empty(0)), grid))
-    rows = [line.split(",") for line in buf.getvalue().splitlines()[1:]]
+    out = tmp_path / "agg.csv"
+    write_aggregate_csv(str(out), aggregate(Trend(np.empty(0), np.empty(0)), grid))
+    rows = [line.split(",") for line in out.read_text(encoding="utf-8").splitlines()[1:]]
     assert [float(row[1]) for row in rows] == grid.edges[:-1].tolist()
     assert [float(row[2]) for row in rows] == grid.edges[1:].tolist()
 

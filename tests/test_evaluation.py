@@ -2,7 +2,6 @@
 
 from __future__ import annotations
 
-import io
 import math
 
 import numpy as np
@@ -147,14 +146,14 @@ def test_evaluate_prediction_duration_flag_requires_full_cover(toy_trend):
     assert duration_true(4, 0.0, "intensity") is True
 
 
-def test_write_eval_csv_single_trend_golden():
+def test_write_eval_csv_single_trend_golden(tmp_path):
     grid = IntervalGrid(0.0, 1.0, 3)
     report = stub_report(grid, [2.0, 0.5, 1.0], [1.0, 0.5, 0.0], fraction=0.6)
     truth = make_trend([0, 0, 1], [0.2, 0.4, 1.5])
     result = evaluate_prediction(report, truth, theta=0.0)
-    buf = io.StringIO()
-    write_eval_csv(buf, [result])
-    assert buf.getvalue().splitlines() == [
+    out = tmp_path / "eval.csv"
+    write_eval_csv(str(out), [result])
+    assert out.read_text(encoding="utf-8").splitlines() == [
         "interval_index,measure,truth,prediction,error_ratio",
         "0,intensity,2,2,0",
         "0,coverage,1,1,0",
@@ -176,14 +175,14 @@ def test_write_eval_csv_without_reports_writes_nothing(tmp_path):
     assert not out.exists()
 
 
-def test_write_eval_csv_multiple_trends():
+def test_write_eval_csv_multiple_trends(tmp_path):
     grid = IntervalGrid(0.0, 1.0, 1)
     truth = make_trend([0], [0.5])
     matching = evaluate_prediction(stub_report(grid, [1.0], [1.0], 0.9), truth, 0.0)
     missing = evaluate_prediction(stub_report(grid, [1.0], [1.0], 0.1), truth, 0.0)
-    buf = io.StringIO()
-    write_eval_csv(buf, [matching, missing])
-    text = buf.getvalue()
+    out = tmp_path / "eval.csv"
+    write_eval_csv(str(out), [matching, missing])
+    text = out.read_text(encoding="utf-8")
     assert "# trend 0\n" in text
     assert "# trend 1\n" in text
     assert "# duration_accuracy=0.5" in text

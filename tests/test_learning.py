@@ -399,7 +399,6 @@ def test_table_takes_its_row_sums_from_its_one_gather():
         with pytest.MonkeyPatch.context() as patch:
             patch.setattr(learning, "_dense_slots", lambda acting, entries: dense)
             patch.setattr(ProximityMap, "gather", counted)
-            patch.setattr(ProximityMap, "row_sums", refused)
             patch.setattr(ProximityMap, "row_sum", refused)
             table = _table(trend, prox, 10.0)
         assert (table._p is not None) == dense and len(calls) == 1
@@ -414,7 +413,7 @@ def test_dense_slots_peak_below_half_of_the_feeds_peak():
     rng = np.random.default_rng(0)
     trend = Trend(rng.integers(0, graph.node_count, 1500), np.sort(rng.uniform(0.0, 10.0, 1500)))
     prox = ProximityMap(graph, ProximityConfig(kind="sp", b=2.0))
-    prox.row_sums(np.unique(trend.nodes))  # build the rows outside the measurement
+    prox.gather(np.unique(trend.nodes))  # build the rows outside the measurement
     peaks = {}
     for dense in (False, True):
         with pytest.MonkeyPatch.context() as patch:
@@ -438,7 +437,9 @@ def test_dense_slots_peak_stays_within_one_scratch_matrix():
     rng = np.random.default_rng(0)
     trend = Trend(rng.integers(0, graph.node_count, 1500), np.sort(rng.uniform(0.0, 10.0, 1500)))
     prox = ProximityMap(graph, ProximityConfig(kind="sp", b=2.0))
-    m = len(prox.row_sums(np.unique(trend.nodes)))  # build the rows outside the measurement
+    acting = np.unique(trend.nodes)
+    prox.gather(acting)  # build the rows outside the measurement
+    m = len(acting)
     tracemalloc.start()
     try:
         table = _table(trend, prox, 10.0)

@@ -1,5 +1,4 @@
 import hashlib
-import io
 import math
 import time
 from unittest import mock
@@ -15,7 +14,7 @@ from trendcast import proximity
 from trendcast.activeness import ActivenessParams
 from trendcast.core import AggregateSeries, Graph, IntervalGrid, Trend, random_graph, write_aggregate_csv
 from trendcast.evaluation import evaluate_prediction
-from trendcast.proximity import ConvergenceError, ProximityConfig, ProximityMap
+from trendcast.proximity import ConvergenceError, ProximityConfig, ProximityMap, row_sum_cap
 from trendcast.simulation import (
     ExplosionError,
     PredictionReport,
@@ -38,6 +37,7 @@ from oracles import (
     brute_force_longest_run,
     dict_shortest_path_row,
     exact_random_walk_rows,
+    gathered_rows,
     random_instance,
     time_step_self_excited_counts,
 )
@@ -115,7 +115,6 @@ def test_simulate_takes_row_sums_from_its_one_gather(monkeypatch):
     def refuse(*args):
         raise AssertionError("simulate must read row sums off the rows it gathers")
 
-    monkeypatch.setattr(ProximityMap, "row_sums", refuse)
     monkeypatch.setattr(ProximityMap, "row_sum", refuse)
     config = SimConfig(t_start=0.0, t_end=3.0, runs=1, seed=31)
     children = sum(simulate(streams, prox, params, config, run_index=r)[1].child_events for r in range(50))
@@ -222,7 +221,8 @@ def _linear_mean_counts(edges, n, actors, kernel_config=ProximityConfig(kind="sp
     if kernel_config.kind == "random_walk":  # the walk's law: no tolerance, no floor
         kernel = exact_random_walk_rows(graph, kernel_config.p)
     else:
-        kernel = np.asarray([[prox.row(u).get(v, 0.0) for v in range(n)] for u in range(n)])
+        rows, _ = gathered_rows(prox, range(n))
+        kernel = np.asarray([[rows[u].get(v, 0.0) for v in range(n)] for u in range(n)])
     a = alpha * kernel.T - np.eye(n) / tau
     expected = np.linalg.solve(a, (linalg.expm(a * t_end) - np.eye(n)) @ (alpha * kernel[actors].sum(axis=0)))
     return counts.mean(axis=0), counts.std(axis=0, ddof=1) / math.sqrt(runs), expected
@@ -259,7 +259,7 @@ def test_streams_reject_arrays_of_unequal_length(short):
 
 def test_branching_ratio_stays_subcritical():
     graph, prox, trend = random_instance(seed=12, max_nodes=30, max_actions=10)
-    max_row = max(prox.row_sum(v) for v in range(graph.node_count))
+    max_row = max(gathered_rows(prox, range(graph.node_count))[1].values())
     params = ActivenessParams(alpha=0.5 / max_row, tau=1.0, epsilon=0.0, t0=float(trend.times[0]))
     config = SimConfig(t_start=float(trend.times[-1]), t_end=float(trend.times[-1]) + 20.0, seed=4)
     streams = init_streams(trend, prox, params, config.t_start, graph.node_count)
@@ -302,14 +302,15 @@ def test_predict_rejects_mismatched_grid_and_zero_runs():
         SimConfig(t_start=0.0, t_end=4.0, runs=0, seed=0)
 
 
-def test_each_csv_write_builds_the_grid_edges_once():
+def test_each_csv_write_builds_the_grid_edges_once(tmp_path):
     # Each ``edges`` read builds the whole array, so reading it per row made
     # a write quadratic in the interval count. The rows keep their bytes.
     grid = IntervalGrid(1700000000.0, 0.1, 50)
     values = np.linspace(0.0, 4.0, grid.count)
     report = PredictionReport(grid, 3, 1.0, "coverage", values, values / 3, values + 1, values / 7, 0.5, 0.25)
     series = AggregateSeries(grid, np.arange(grid.count), np.arange(grid.count) // 2)
-    bounds = [grid.bounds(i) for i in range(grid.count)]
+    edges = grid.edges.tolist()
+    bounds = list(zip(edges, edges[1:]))
     reads = []
     edges = IntervalGrid.edges
 
@@ -317,13 +318,14 @@ def test_each_csv_write_builds_the_grid_edges_once():
         reads.append(self)
         return edges.fget(self)
 
-    for write in (report.write_csv, lambda fh: write_aggregate_csv(fh, series)):
-        buf = io.StringIO()
+    out = str(tmp_path / "out.csv")
+    for write in (report.write_csv, lambda path: write_aggregate_csv(path, series)):
         with mock.patch.object(IntervalGrid, "edges", property(counted)):
-            write(buf)
+            write(out)
         assert len(reads) == 1
         reads.clear()
-        rows = [line.split(",") for line in buf.getvalue().splitlines()[1 : grid.count + 1]]
+        with open(out, encoding="utf-8") as fh:
+            rows = [line.split(",") for line in fh.read().splitlines()[1 : grid.count + 1]]
         assert [(row[1], row[2]) for row in rows] == [(repr(lo), repr(hi)) for lo, hi in bounds]
 
 
@@ -414,7 +416,7 @@ def test_generate_synthetic_names_both_numbers_of_a_bad_seed_count(n_seeds):
 
 def test_generate_synthetic_plants_seeds_and_is_deterministic():
     graph, prox, _ = random_instance(seed=20, max_nodes=40, max_actions=5)
-    max_row = max(prox.row_sum(v) for v in range(graph.node_count))
+    max_row = max(gathered_rows(prox, range(graph.node_count))[1].values())
     params = ActivenessParams(alpha=0.6 / max_row, tau=1.0, epsilon=1e-9, t0=0.0)
     a, manifest_a = generate_synthetic(graph.node_count, prox, params, 4, 10.0, seed=5)
     b, manifest_b = generate_synthetic(graph.node_count, prox, params, 4, 10.0, seed=5)
@@ -452,13 +454,13 @@ def test_the_exact_fallback_takes_the_rows_chunk_by_chunk_and_stores_none():
     graph = random_graph(300, 900, seed=3)
     config = ProximityConfig(kind="sp", b=3.0)
     prox = ProximityMap(graph, config)
-    cap = prox.row_sum_cap()
+    cap = row_sum_cap(graph, config)
     params = ActivenessParams(1.0 / cap, 1.0, 0.0, 0.0)
     assert params.alpha * params.tau * cap >= 1.0 - _CAP_MARGIN
     with mock.patch.object(proximity, "_SP_CHUNK_CELLS", 16 * 300), \
          mock.patch.object(proximity, "_sp_chunks", wraps=proximity._sp_chunks) as chunks:
         bound = branching_bound(prox, params, graph.node_count)
-    exact = max(ProximityMap(graph, config).row_sum(v) for v in range(graph.node_count))
+    exact = max(gathered_rows(ProximityMap(graph, config), range(graph.node_count))[1].values())
     assert bound == params.alpha * params.tau * exact < 1.0
     assert chunks.call_count == 1 and len(prox.stored_sources()) == 0
 
@@ -488,8 +490,8 @@ def test_branching_bound_gives_the_exact_rows_verdict(case):
         assert len(cold.stored_sources()) == 0
         return
     warm = ProximityMap(graph, config)
-    exact = max(warm.row_sum(v) for v in range(n))
-    cap = ProximityMap(graph, config).row_sum_cap()
+    exact = max(gathered_rows(warm, range(n))[1].values())
+    cap = row_sum_cap(graph, config)
     assert cap >= exact * (1 - 1e-9)
     tau = 0.75
     params = ActivenessParams(ratio / ((cap if reference == "cap" else exact) * tau), tau, 0.0, 0.0)
@@ -598,7 +600,8 @@ def test_random_walk_forecast_mean_lies_within_the_first_generation_bounds():
                          grid)
         window = -math.expm1(-(grid.t_end - t_star) / params.tau)
         decay = np.exp(-(t_star - trend.times) / params.tau)
-        sums = np.asarray([prox.row_sum(u) for u in trend.nodes.tolist()])
+        _, row_sums = gathered_rows(prox, trend.nodes)
+        sums = np.asarray([row_sums[u] for u in trend.nodes.tolist()])
         mass = params.alpha * float(np.sum(decay * sums)) * params.tau * window
         bound = params.alpha * params.tau
         mean = float(report.intensity_mean.sum())
@@ -607,7 +610,7 @@ def test_random_walk_forecast_mean_lies_within_the_first_generation_bounds():
         assert mean > mass * (1 + 0.2 * bound)  # the children add events: the mean sits well above m
 
 
-def test_a_shortest_path_forecast_keeps_its_bytes():
+def test_a_shortest_path_forecast_keeps_its_bytes(tmp_path):
     # The digest of this forecast's CSV. Shortest-path runs mark their
     # children on gathered rows, so the digest pins the rows' entry order,
     # hop then ascending node, as well as the sampler's stream.
@@ -615,9 +618,9 @@ def test_a_shortest_path_forecast_keeps_its_bytes():
     t_star = float(trend.times[-1])
     params = ActivenessParams(0.3, 1.0, 1e-3, float(trend.times[0]))
     grid = IntervalGrid(t_star, 0.5, 6)
-    out = io.StringIO()
-    predict(trend, graph.node_count, prox, params, SimConfig(t_star, grid.t_end, runs=20, seed=5), grid).write_csv(out)
-    digest = hashlib.sha256(out.getvalue().encode()).hexdigest()
+    out = tmp_path / "pred.csv"
+    predict(trend, graph.node_count, prox, params, SimConfig(t_star, grid.t_end, runs=20, seed=5), grid).write_csv(str(out))
+    digest = hashlib.sha256(out.read_bytes()).hexdigest()
     assert digest == "58ed79f52a605443221f410de69656007d8f81eb061b915ac5e48f116faf669c"
 
 
