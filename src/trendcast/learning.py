@@ -18,7 +18,10 @@ and slot fill take one of two forms: every action's proximity row entries
 or, when the acting nodes are few enough, one dense acting x acting
 proximity matrix; ``_dense_slots`` states the rule. The dense form's product
 takes only the matrix rows of the nodes each block acts at, one ``einsum``
-per group of consecutive blocks (``_dense_layout``).
+per group of consecutive blocks (``_dense_layout``). The table's entries
+run by source, not by target: each ``bincount`` add then seldom waits on
+the add before it to the same action, and each action still sums its own
+entries in the same order, so the bits do not change.
 """
 
 from __future__ import annotations
@@ -38,6 +41,7 @@ class DegeneratePrefixError(ValueError):
 
 
 _EPS = float(np.finfo(np.float64).eps)
+_TINY = float(np.finfo(np.float64).tiny)  # the smallest normal float
 # The search cuts the bracket into this many geometric subranges and stops
 # once a bracket is narrower than this width in log tau.
 _SUBRANGES = 4
@@ -122,9 +126,11 @@ def _dense_slots(acting: int, entries: int) -> bool:
 
 
 def _dense_pairs(p: np.ndarray, act: np.ndarray, size: int) -> tuple[np.ndarray, ...]:
-    """In-block pairs (j, i, score) from P: every j < i of i's block whose row reaches i's node."""
-    pair_i, k = _ragged(np.arange(len(act)) % size)
-    pair_j = pair_i - pair_i % size + k
+    """In-block pairs (j, i, score) from P, feeder by feeder: every i after j
+    in j's block at a node that j's row reaches."""
+    j = np.arange(len(act))
+    pair_j, k = _ragged(np.minimum(j - j % size + size, len(act)) - j - 1)
+    pair_i = pair_j + 1 + k
     score = p[act[pair_j], act[pair_i]]
     reach = score > 0.0
     return pair_j[reach], pair_i[reach], score[reach]
@@ -239,6 +245,14 @@ class _InfluenceTable:
     cells at a time. ``np.einsum`` calls no BLAS routine, so a fit gives
     the same bits at any BLAS thread count. Neither form grows with the
     number of action pairs.
+
+    The entries run by source: the pairs feeder by feeder (each j, then the
+    later actions of j's block), the reads slot by slot (a slot's readers
+    are its node's actions in the later blocks). Laid out target by target,
+    each of a pass's two ``bincount`` adds would wait for the add before it
+    to the same bin. Every target keeps its entries' order, pairs by j and
+    then reads by block, and ``bincount`` adds each bin in input order, so
+    the sums are those of a target-by-target layout to the bit.
     """
 
     def __init__(self, prefix: Trend, prox: ProximityMap, t_star: float, t0: float | None = None) -> None:
@@ -276,25 +290,28 @@ class _InfluenceTable:
             reached = np.zeros(cells, dtype=bool)
             reached[feed_cell] = True
 
-        # Slot reads: every action reads its own node's slot in each earlier
-        # block that reaches the node. The read cells are the slots, numbered
-        # in cell order.
-        reader, earlier = _ragged(block)
-        cell = earlier * m + act[reader]
-        exists = reached[cell]
-        reader, earlier, cell = reader[exists], earlier[exists], cell[exists]
-        read = np.zeros(cells, dtype=bool)
-        read[cell] = True
-        slot_id = np.cumsum(read) - 1
-        self._slots = int(read.sum())
-        self._read_slot = slot_id[cell]
+        # Slots: the reached cells (c, a) whose node a acts in a later block,
+        # numbered in cell order. Slot (c, a) is read by a's actions in the
+        # blocks after c, the last ``readers`` of a's actions.
+        count = np.bincount(block * m + act, minlength=blocks * m).reshape(blocks, m)
+        later = np.cumsum(count[:0:-1], axis=0)[::-1].ravel()
+        slot_cell = np.flatnonzero(reached & (later > 0))
+        readers = later[slot_cell]
+        by_node = np.argsort(act, kind="stable")
+        node_end = np.cumsum(count.sum(axis=0))
+        del row_start, tgt, score, reached, count, later
+        self._slots = len(slot_cell)
+        self._read_slot, k = _ragged(readers)
+        reader = by_node[(node_end[slot_cell % m] - readers)[self._read_slot] + k]
+        read_end = block_end[slot_cell // m][self._read_slot]
         if self._p is None:
-            self._feed_slot = slot_id[feed_cell]
+            # Every feed lands on a slot: its cell is reached, and its node acts later.
+            self._feed_slot = np.searchsorted(slot_cell, feed_cell)
             del feed_cell
         else:
-            self._slot_cell = np.flatnonzero(read)
+            self._slot_cell = slot_cell
         # Free what the concatenations below do not read, which keeps the build's peak down.
-        del row_start, tgt, score, reached, exists, cell, read, slot_id
+        del slot_cell, readers, by_node, k
 
         self._target = np.concatenate([pair_i, reader])
         # Negated elapsed times: [feeder to its block end | pairs | slot reads].
@@ -302,7 +319,7 @@ class _InfluenceTable:
             [
                 times[feeding] - block_end[block[feeding]],
                 times[pair_j] - times[pair_i],
-                block_end[earlier] - times[reader],
+                read_end - times[reader],
             ]
         )
 
@@ -406,7 +423,10 @@ class _InfluenceTable:
             raise DegeneratePrefixError(
                 "no action after t0; the prefix holds only the initial actions it is conditioned on"
             )
-        return h_total, self.n_events / h_total
+        alpha = self.n_events / h_total
+        if alpha == math.inf:
+            raise _span_error(float(self.elapsed[0]), f"alpha = n_events / H = inf at tau {tau!r}")
+        return h_total, alpha
 
     @staticmethod
     def _log_rates(alpha: float, h: np.ndarray, epsilon: float) -> tuple[float, np.ndarray]:
@@ -429,6 +449,13 @@ def _check_positive(name: str, value: float) -> None:
         raise ValueError(f"{name} must be positive and finite, got {value!r}")
 
 
+def _span_error(span: float, what: str) -> ValueError:
+    return ValueError(
+        f"observation span {span!r} (t_star minus the first action time) puts {what} outside the "
+        "float range; rescale the action times, or pass a --tau-range of normal floats"
+    )
+
+
 def _table(trend: Trend, prox: ProximityMap, t_star: float, t0: float | None = None) -> _InfluenceTable:
     if not math.isfinite(t_star):
         raise ValueError(f"t_star must be finite, got {t_star!r}")
@@ -437,6 +464,10 @@ def _table(trend: Trend, prox: ProximityMap, t_star: float, t0: float | None = N
     prefix = trend.prefix(t_star)
     if len(prefix) == 0:
         raise DegeneratePrefixError("no actions at or before t_star")
+    # Every time difference in the table is at most the span, so a finite span keeps them finite.
+    span = t_star - float(prefix.times[0])
+    if not math.isfinite(span):
+        raise _span_error(span, "the elapsed times")
     return _InfluenceTable(prefix, prox, t_star, t0)
 
 
@@ -536,20 +567,25 @@ def fit(
     reports the search's own best value and alpha = n_events / H(tau_hat).
     Deterministic: equal inputs give identical results. Warns when tau_hat
     lies within the stopping width of either end of the bracket, where the
-    maximum may lie outside it.
+    maximum may lie outside it. Raises ValueError, before any numpy warning,
+    when the observation span puts the elapsed times, a bracket end or the
+    closed-form alpha outside the normal float range.
     """
     config = config or LearnConfig()
     _check_epsilon(epsilon)
     table = _table(trend, prox, t_star, t0)
     if table.n < 2:
         raise DegeneratePrefixError("need at least two actions to fit")
+    span = float(table.elapsed[0])  # t_star minus the first action time
     if config.tau_range is not None:
         lo, hi = config.tau_range
     else:
-        span = float(table.elapsed[0])  # t_star minus the first action time
         if span <= 0.0:
             raise DegeneratePrefixError("all actions at t_star; tau bracket is empty")
         lo, hi = 1e-3 * span, 1e3 * span
+    # A subnormal tau loses bits, and exp(-E / tau) with an infinite one is 1 for every E.
+    if not _TINY <= lo < hi < math.inf:
+        raise _span_error(span, f"the tau bracket [{lo!r}, {hi!r}]")
 
     evaluations = 0
 

@@ -349,6 +349,31 @@ def einsum_slot_fill(
     return slot_cell, u[0], u[1]
 
 
+def target_ordered_influences(table, tau: float) -> tuple[np.ndarray, np.ndarray]:
+    """The table's influences h and lagged sums k, summed target by target.
+
+    The former entry layout put each target's entries side by side. This
+    forms the same per-entry terms as ``table._influences`` and sums them
+    after a stable sort by target, so each target still adds its own entries
+    in table order: in-block pairs, then slot reads.
+    """
+    decay = np.exp(table._neg_dt / tau)
+    feeders, pairs = table._feeders, len(table._pair_score)
+    neg_dt = table._neg_dt[feeders:]
+    terms = decay[feeders:].copy()
+    terms[:pairs] *= table._pair_score
+    lag_terms = terms * neg_dt
+    if table._slots:
+        slots, lags = table._slot_values(decay[:feeders])
+        read = table._read_slot
+        lag_terms[pairs:] = lag_terms[pairs:] * slots[read] + terms[pairs:] * lags[read]
+        terms[pairs:] *= slots[read]
+    order = np.argsort(table._target, kind="stable")
+    target = table._target[order]
+    h = np.bincount(target, weights=terms[order], minlength=table.n)
+    return h, -np.bincount(target, weights=lag_terms[order], minlength=table.n)
+
+
 def decayed_influence_at(prefix_actions: list[tuple[int, float]], rows: Mapping[int, Mapping[int, float]], node: int,
                          t: float, tau: float) -> float:
     """Pointwise influence sum, used as a quadrature integrand; ``rows`` as ``gathered_rows`` gives them."""

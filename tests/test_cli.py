@@ -33,6 +33,7 @@ from trendcast.core import (
 from trendcast.evaluation import threshold_from_last_observed
 from trendcast.proximity import ProximityConfig, ProximityMap
 
+from oracles import target_ordered_influences
 from study import PROBE, planted_trend, probe_setup
 
 
@@ -1266,6 +1267,63 @@ def test_learn_is_byte_identical_across_blas_thread_counts(tmp_path):
         assert proc.returncode == 0, proc.stderr
         outputs.append((out.read_bytes(), proc.stdout))
     assert outputs[0] == outputs[1]
+
+
+@pytest.mark.parametrize(
+    ("nodes", "edges", "actions", "b", "dense"),
+    [(200, 600, 1500, "2", True), (2000, 4000, 400, "10", False)],
+    ids=["dense-slots", "feed-slots"],
+)
+def test_learn_bytes_do_not_depend_on_entry_order(tmp_path, nodes, edges, actions, b, dense):
+    # The table lays its entries out by source; summing them target by
+    # target instead, as the oracle does, must write the same bytes. The
+    # dense input is the one of the BLAS thread-count test above.
+    graph = drop_edgeless_nodes(random_graph(nodes, edges, seed=3))
+    rng = np.random.default_rng(3)
+    trend = Trend(rng.integers(0, graph.node_count, actions), np.sort(rng.uniform(0.0, 10.0, actions)))
+    write_graph(str(tmp_path / "g.tsv"), graph)
+    write_trend(str(tmp_path / "a.tsv"), trend, graph)
+    prox = ProximityMap(graph, ProximityConfig(b=float(b)))
+    assert (learning._table(trend, prox, 10.0)._p is not None) == dense
+    outputs, calls = [], []
+
+    def oracle(table, tau):
+        calls.append(tau)
+        return target_ordered_influences(table, tau)
+
+    for patched in (False, True):
+        out = tmp_path / f"p-{patched}.json"
+        with pytest.MonkeyPatch.context() as patch:
+            if patched:
+                patch.setattr(learning._InfluenceTable, "_influences", oracle)
+            assert main(["learn", "--graph", str(tmp_path / "g.tsv"), "--actions", str(tmp_path / "a.tsv"),
+                         "--t-star", "10", "--b", b, "--seed", "1", "--out", str(out)]) == 0
+        outputs.append((out.read_bytes(), Path(f"{out}.report.csv").read_bytes()))
+    assert calls and outputs[0] == outputs[1]
+
+
+# Spans whose tau bracket [1e-3 * span, 1e3 * span], elapsed times or
+# closed-form alpha leave the float range, on the triangle a - b - c.
+_OUT_OF_RANGE_SPANS = {
+    "bracket-overflows": ("a\t0\nb\t1\nc\t2\na\t3\n", "1e306"),
+    "bracket-underflows-to-zero": ("a\t0\nb\t5e-324\nc\t5e-324\n", "5e-324"),
+    "bracket-subnormal": ("a\t0\nb\t1e-310\nc\t2e-310\n", "2e-310"),
+    "elapsed-overflows": ("a\t-1e308\nb\t0\nc\t1e308\n", "1e308"),
+    "alpha-overflows": ("a\t0\n" + "b\t3e-305\nc\t3e-305\n" * 20, "3e-305"),
+}
+
+
+@pytest.mark.parametrize("case", list(_OUT_OF_RANGE_SPANS))
+def test_learn_refuses_a_span_outside_the_float_range(tmp_path, capsys, case):
+    actions, t_star = _OUT_OF_RANGE_SPANS[case]
+    (tmp_path / "g.tsv").write_text("a\tb\nb\tc\nc\ta\n", encoding="utf-8")
+    (tmp_path / "a.tsv").write_text(actions, encoding="utf-8")
+    out = tmp_path / "p.json"
+    assert main(["learn", "--graph", str(tmp_path / "g.tsv"), "--actions", str(tmp_path / "a.tsv"),
+                 "--t-star", t_star, "--seed", "1", "--out", str(out)]) == 1
+    line = _one_error_line(capsys)
+    assert "observation span" in line and "--tau-range" in line
+    assert not out.exists() and not Path(f"{out}.report.csv").exists()
 
 
 def _one_error_line(capsys) -> str:

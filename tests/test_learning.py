@@ -33,6 +33,7 @@ from oracles import (
     naive_log_likelihood,
     naive_total_integral,
     random_instance,
+    target_ordered_influences,
 )
 from study import PROBE, planted_trend, probe_setup
 
@@ -225,6 +226,30 @@ def test_actions_at_t0_are_conditioned_on_not_scored():
         fit(Trend(trend.nodes[:2], trend.times[:2]), prox, 3.0)
 
 
+@pytest.mark.parametrize(
+    ("nodes", "times", "t_star", "what"),
+    [
+        ([0, 1, 2, 0], [0.0, 1.0, 2.0, 3.0], 1e306, "the tau bracket [1e+303, inf]"),
+        ([0, 1, 2], [0.0, 5e-324, 5e-324], 5e-324, "the tau bracket [0.0, "),
+        ([0, 1, 2], [0.0, 1e-310, 2e-310], 2e-310, "the tau bracket [2e-313, "),
+        ([0, 1, 2], [-1e308, 0.0, 1e308], 1e308, "the elapsed times"),
+        ([0] + [1, 2] * 20, [0.0] + [3e-305] * 40, 3e-305, "alpha = n_events / H = inf"),
+    ],
+    ids=["bracket-overflows", "bracket-underflows-to-zero", "bracket-subnormal", "elapsed-overflows",
+         "alpha-overflows"],
+)
+def test_fit_refuses_a_span_outside_the_float_range_before_any_warning(nodes, times, t_star, what):
+    # Every step from the span to the fitted alpha must stay a finite normal
+    # float; where one cannot, the fit raises one error naming the span.
+    prox = ProximityMap(Graph.from_edges([(0, 1), (1, 2), (2, 0)], 3), ProximityConfig(kind="sp"))
+    trend = Trend(np.asarray(nodes), np.asarray(times))
+    with warnings.catch_warnings():
+        warnings.simplefilter("error")
+        with pytest.raises(ValueError, match="observation span") as caught:
+            fit(trend, prox, t_star)
+    assert what in str(caught.value) and "--tau-range" in str(caught.value)
+
+
 def test_learn_config_validation():
     with pytest.raises(ValueError):
         LearnConfig(tau_range=(2.0, 1.0))
@@ -345,7 +370,8 @@ def test_size_rule_sends_benchmark_shapes_to_their_slot_path(nodes, edges, b, ac
 
 
 def _both_forms(trend, prox, t_star):
-    """Each slot form's table, with the in-block pairs its form part found as (j, i, score) triples."""
+    """Each slot form's table, with the in-block pairs its form part found as
+    (j, i, score) triples, in the table's order."""
     built = []
     for dense in (False, True):
         found = []
@@ -355,7 +381,7 @@ def _both_forms(trend, prox, t_star):
 
             def wrapper(*args):
                 result = make(*args)
-                found.append(set(zip(*(x.tolist() for x in pick(result)))))
+                found.append(list(zip(*(x.tolist() for x in pick(result)))))
                 return result
 
             patch.setattr(learning, name, wrapper)
@@ -380,7 +406,7 @@ def test_slot_forms_share_one_layout(seed):
     assert np.array_equal(*reads)
     assert feeds._feeders == dense._feeders
     assert feeds._neg_dt[: feeds._feeders].tobytes() == dense._neg_dt[: dense._feeders].tobytes()
-    assert feed_pairs == dense_pairs and len(feed_pairs) == len(feeds._pair_score)
+    assert set(feed_pairs) == set(dense_pairs) and len(set(feed_pairs)) == len(feeds._pair_score)
 
 
 def test_table_takes_its_row_sums_from_its_one_gather():
@@ -489,6 +515,25 @@ def test_dense_slot_fill_matches_one_einsum_bit_for_bit(case):
     slots, lags = table._slot_values(decay)
     assert slots.tobytes() == u.tobytes()
     assert lags.tobytes() == v.tobytes()
+
+
+@settings(derandomize=True, database=None, deadline=None, max_examples=150)
+@given(case=st.one_of(likelihood_cases(), wide_cases()))
+@example(_slot_case([0, 2, 2, 1, 1, 1, 1, 1, 1]))
+@example(_dense_case([0, 1, 2, 0, 0, 0, 1, 1, 1], 3))
+def test_entries_run_by_source_and_sum_as_target_ordered_entries(case):
+    # Pairs run feeder by feeder and reads slot by slot, so neighbouring
+    # entries seldom share a target. Each target keeps its entries' order,
+    # and bincount adds each bin in input order, so the sums keep their bits.
+    prox, trend, tau, _ = case
+    for table, pairs in _both_forms(trend, prox, 10.5):
+        feeder = np.asarray([j for j, _, _ in pairs], dtype=np.int64)
+        target = np.asarray([i for _, i, _ in pairs], dtype=np.int64)
+        assert np.all(np.diff(feeder) >= 0)
+        assert np.array_equal(target, table._target[: len(pairs)])
+        assert np.all(np.diff(table._read_slot) >= 0)
+        for shipped, oracle in zip(table._influences(tau), target_ordered_influences(table, tau)):
+            assert shipped.tobytes() == oracle.tobytes()
 
 
 def test_dense_layout_groups_blocks_and_reaches_from_their_own_nodes():
