@@ -3,9 +3,10 @@
 Every baseline activates a node at most once. When a node activates, each
 inactive out-neighbor is given a single chance to activate with a shared
 probability, after a delay that is constant (tequ), exponential with one
-trend-level rate (texp), or exponential with per-edge rates (eexp). The
-optional mult extension scales predicted coverage into an intensity
-estimate, compensating single activation against repeat actions.
+trend-level rate (texp, drawn as eexp with that rate on every edge), or
+exponential with per-edge rates (eexp, one array over the CSR edges). The
+mult factor, None unless ``--mult`` fits one, scales predicted coverage into
+intensity, compensating single activation against repeat actions.
 
 Since every edge is tried at most once and the earliest parent wins, a run
 is computed in its live-edge form (Kempe, Kleinberg & Tardos, KDD 2003; with
@@ -24,15 +25,14 @@ work on the graph's CSR edge arrays, with no loop per edge.
 together in batches of at most ``BUDGET`` nodes plus edges. R runs are R
 disjoint live-edge graphs, hence one earliest-arrival problem on
 R * node_count nodes, and one ``bincount`` over (run, interval) bins them.
-Each run still draws from its own stream, exactly what it would draw alone,
-so the batching changes no output; ``run_dump`` hands back each run's
-activations.
+Each run draws from its own stream, exactly what it would draw alone, so the
+batching changes no output; ``run_dump`` hands back each run's activations.
 """
 
 from __future__ import annotations
 
 import math
-from dataclasses import dataclass, field
+from dataclasses import dataclass, fields
 
 import numpy as np
 
@@ -57,8 +57,9 @@ class BaselineParams:
     kind: str
     activation_prob: float
     delay_equal: float
-    edge_delay_rates: dict[tuple[int, int], float] = field(default_factory=dict)
-    mult_factor: float = 1.0
+    # eexp's rate of each CSR edge, in ``_edges`` order; None puts ``delay_rate`` on every edge.
+    edge_delay_rates: np.ndarray | None = None
+    mult_factor: float | None = None
     fallback: bool = False
 
     def __post_init__(self) -> None:
@@ -66,6 +67,11 @@ class BaselineParams:
             raise ValueError(f"kind must be one of {BASELINE_KINDS}")
         if not 0 < self.activation_prob <= 1:
             raise ValueError("activation_prob must lie in (0, 1]")
+
+    def __eq__(self, other: object) -> bool:
+        if other.__class__ is not self.__class__:
+            return NotImplemented
+        return all(np.array_equal(getattr(self, f.name), getattr(other, f.name)) for f in fields(self))
 
     @property
     def delay_rate(self) -> float:
@@ -97,8 +103,6 @@ def fit_baseline(kind: str, trend: Trend, graph: Graph, t_star: float) -> Baseli
     parameters come from the attributed parent-child gaps. A prefix with no
     attributable pair falls back to fixed defaults and sets ``fallback``.
     """
-    if kind not in BASELINE_KINDS:
-        raise ValueError(f"kind must be one of {BASELINE_KINDS}")
     first = _first_activations(trend.prefix(t_star), graph.node_count)
     src, dst = _edges(graph)
     t_src, t_dst = first[src], first[dst]
@@ -110,39 +114,18 @@ def fit_baseline(kind: str, trend: Trend, graph: Graph, t_star: float) -> Baseli
     at = at[np.unique(dst[at], return_index=True)[1]]
     # Children in (time, node) order.
     at = at[np.lexsort((dst[at], t_dst[at]))]
-    parent, child = src[at], dst[at]
-    gaps = (t_dst[at] - t_src[at]).tolist()
+    gaps = t_dst[at] - t_src[at]
 
     # Every attributed edge is also an opportunity, and every gap is > 0.
-    if not gaps:
+    if gaps.size == 0:
         return BaselineParams(kind, FALLBACK_ACTIVATION_PROB, FALLBACK_MEAN_GAP, fallback=True)
-    mean_gap = sum(gaps) / len(gaps)
-    edge_rates = {}
+    mean_gap = sum(gaps.tolist()) / len(gaps)
+    rates = None
     if kind == "eexp":
-        # A child has one parent, so each edge's mean gap is its single gap.
-        edge_rates = dict(zip(zip(parent.tolist(), child.tolist()), (1.0 / np.asarray(gaps)).tolist()))
-    return BaselineParams(
-        kind=kind,
-        activation_prob=len(gaps) / opportunities,
-        delay_equal=mean_gap,
-        edge_delay_rates=edge_rates,
-    )
-
-
-def _edge_scales(params: BaselineParams, node_count: int, src: np.ndarray, dst: np.ndarray) -> np.ndarray:
-    """eexp: the mean delay of each (src, dst) edge, from its own fitted rate or else the trend's."""
-    rates = np.full(len(dst), params.delay_rate)
-    pairs = np.asarray(list(params.edge_delay_rates), dtype=np.int64).reshape(-1, 2)
-    values = np.fromiter(params.edge_delay_rates.values(), dtype=np.float64, count=len(pairs))
-    inside = np.all((pairs >= 0) & (pairs < node_count), axis=1)
-    key, values = pairs[inside, 0] * node_count + pairs[inside, 1], values[inside]
-    # Edge keys src*N + dst come sorted from the CSR arrays; keys that are not edges are ignored.
-    edge_key = src * node_count + dst
-    pos = np.searchsorted(edge_key, key)
-    hit = pos < len(edge_key)
-    hit[hit] = edge_key[pos[hit]] == key[hit]
-    rates[pos[hit]] = values[hit]
-    return 1.0 / rates
+        # A child has one parent, so each attributed edge's mean gap is its single gap.
+        rates = np.full(len(dst), 1.0 / mean_gap)
+        rates[at] = 1.0 / gaps
+    return BaselineParams(kind, len(gaps) / opportunities, mean_gap, rates)
 
 
 def _live_edges(rng: np.random.Generator, m: int, p: float) -> np.ndarray:
@@ -185,7 +168,7 @@ def _arrivals(
     params: BaselineParams,
     src: np.ndarray,
     dst: np.ndarray,
-    scales: np.ndarray | None,
+    rates: np.ndarray | None,
     first: np.ndarray,
     t_start: float,
     t_end: float,
@@ -194,7 +177,8 @@ def _arrivals(
     """Activation times of one run per generator, shape (runs, node_count).
 
     Run r draws from ``rngs[r]`` its live edges by ``_live_edges``, then
-    the delays of those edges (eexp: with the live edges' ``scales``). The
+    their delays: ``delay_equal`` if ``rates`` is None, else exponential at
+    the live edges' ``rates``. The
     live edges of all runs form one graph on runs * node_count nodes, run r
     owning nodes r * node_count onward, relaxed in one set of Bellman-Ford
     rounds from the seeds (the finite entries of ``first``). Runs never
@@ -205,12 +189,10 @@ def _arrivals(
     live_parts, delay_parts = [], []
     for rng in rngs:
         live = _live_edges(rng, len(dst), params.activation_prob)
-        if params.kind == "tequ":
+        if rates is None:
             delay = np.full(len(live), params.delay_equal)
-        elif params.kind == "texp":
-            delay = rng.exponential(1.0 / params.delay_rate, size=len(live))
         else:
-            delay = rng.exponential(scales[live])
+            delay = rng.exponential(1.0 / rates[live])
         live_parts.append(live)
         delay_parts.append(delay)
     offset = np.repeat(np.arange(len(rngs)) * n, [len(live) for live in live_parts])
@@ -249,7 +231,6 @@ def predict_baseline(
     grid: IntervalGrid,
     theta: float = 0.0,
     measure: str = "coverage",
-    mult: bool = False,
     run_dump: list[Trend] | None = None,
 ) -> PredictionReport:
     """Monte Carlo cascade forecast, mirroring the activeness predictor.
@@ -262,25 +243,29 @@ def predict_baseline(
     appends, in run order, its new activations in [t_start, t_end).
 
     A cascade activates each node once, so raw intensity equals coverage per
-    interval; with ``mult`` the per-run intensity becomes
-    mult_factor * coverage instead, and a factor that is not positive
-    raises ValueError. Run r draws from its own generator
+    interval; a ``mult_factor`` makes it mult_factor * coverage instead.
+    ValueError: a factor that is not positive, or eexp rates whose length
+    is not the graph's edge count. Run r draws from its own generator
     (spawn key ``_BASELINE_RUN_KEY + r``); runs are relaxed together in
     batches of ``BUDGET // (nodes + edges)``, at least one.
     """
     config.check_grid(grid)
-    if mult and params.mult_factor <= 0:
+    if params.mult_factor is not None and params.mult_factor <= 0:
         raise ValueError("mult_factor must be positive")
-    first = _first_activations(trend.prefix(config.t_start), graph.node_count)
     src, dst = _edges(graph)
-    scales = _edge_scales(params, graph.node_count, src, dst) if params.kind == "eexp" else None
+    rates = params.edge_delay_rates if params.kind == "eexp" else None
+    if rates is not None and len(rates) != len(dst):
+        raise ValueError(f"eexp has {len(rates)} edge delay rates for a graph of {len(dst)} edges")
+    if rates is None and params.kind != "tequ":
+        rates = np.full(len(dst), params.delay_rate)
+    first = _first_activations(trend.prefix(config.t_start), graph.node_count)
     new_node = ~np.isfinite(first)
     per_batch = max(1, BUDGET // (graph.node_count + len(dst)))
     coverage = np.empty((config.runs, grid.count))
     for lo in range(0, config.runs, per_batch):
         hi = min(lo + per_batch, config.runs)
         rngs = [derived_rng(config.seed, _BASELINE_RUN_KEY + r) for r in range(lo, hi)]
-        active = _arrivals(params, src, dst, scales, first, config.t_start, config.t_end, rngs)
+        active = _arrivals(params, src, dst, rates, first, config.t_start, config.t_end, rngs)
         run, node = np.nonzero(new_node & (active < config.t_end))
         times = active[run, node]
         if run_dump is not None:
@@ -291,5 +276,5 @@ def predict_baseline(
         keep, idx = grid.bin(times)
         cells = run[keep] * grid.count + idx
         coverage[lo:hi] = np.bincount(cells, minlength=(hi - lo) * grid.count).reshape(hi - lo, grid.count)
-    intensity = params.mult_factor * coverage if mult else coverage
+    intensity = coverage if params.mult_factor is None else params.mult_factor * coverage
     return summarize_runs(grid, intensity, coverage, theta, measure)

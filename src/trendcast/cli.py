@@ -158,7 +158,10 @@ def cmd_learn(args: argparse.Namespace) -> int:
     config = learning.LearnConfig(_parse_tau_range(args.tau_range) if args.tau_range else None)
     with warnings.catch_warnings(record=True) as caught:
         warnings.simplefilter("always")
-        result = learning.fit(trend, prox, args.t_star, config, epsilon=args.epsilon, t0=t0)
+        try:
+            result = learning.fit(trend, prox, args.t_star, config, epsilon=args.epsilon, t0=t0)
+        except learning.DegeneratePrefixError as exc:
+            raise learning.DegeneratePrefixError(f"{args.actions}: {exc}") from None
     for warning in caught:
         print(f"warning: {warning.message}", file=sys.stderr)
     params = ActivenessParams(result.alpha, result.tau, args.epsilon, t0)
@@ -220,11 +223,14 @@ def cmd_predict(args: argparse.Namespace) -> int:
         if params.fallback:
             print("warning: no attributable activations; using fallback cascade parameters", file=sys.stderr)
         if args.mult:
-            params.mult_factor = _training_mult_factor(trend, args.t_star, grid.interval_length)
+            try:
+                params.mult_factor = _training_mult_factor(trend, args.t_star, grid.interval_length)
+            except ValueError as exc:
+                raise ValueError(f"{args.actions}: {exc}") from None
         run_dump = _run_dump(args.dump_runs)
         report = baselines.predict_baseline(
             params, graph, trend, sim_config, grid,
-            theta=theta, measure=args.measure, mult=args.mult, run_dump=run_dump,
+            theta=theta, measure=args.measure, run_dump=run_dump,
         )
     if run_dump is not None:
         for i, run_trend in enumerate(run_dump):
@@ -306,8 +312,11 @@ def cmd_eval(args: argparse.Namespace) -> int:
     graph = load_graph(args.graph, args.directed)
     reports = []
     for k, entry in enumerate(entries):
-        report = simulation.PredictionReport.read_csv(entry["pred"])
-        trend = load_trend(entry["actions"], graph)
+        try:
+            report = simulation.PredictionReport.read_csv(entry["pred"])
+            trend = load_trend(entry["actions"], graph)
+        except OSError as exc:
+            raise ValueError(f"{args.manifest}: trends[{k}]: {exc}") if args.manifest else exc
         if "theta" in entry:
             theta = _finite_theta(entry["theta"], f"{args.manifest}: trends[{k}].theta")
         else:
@@ -337,6 +346,8 @@ def cmd_synth(args: argparse.Namespace) -> int:
     params = ActivenessParams(args.alpha, args.tau, args.epsilon, args.t0)
     if args.graph:
         graph = load_graph(args.graph, args.directed)
+        if args.n_seeds > graph.node_count:
+            raise ValueError(f"{args.graph}: --n-seeds {args.n_seeds} exceeds the graph's {graph.node_count} nodes")
     else:
         parts = args.random_graph.split(":")
         if len(parts) != 2:
@@ -398,7 +409,8 @@ def build_parser() -> argparse.ArgumentParser:
     _add_prox_flags(p)
     p.add_argument("--prox-cache", help="proximity cache file to load")
     p.add_argument("--tau-range", help="tau bracket 'lo:hi' (default derived from span)")
-    p.add_argument("--epsilon", type=float, default=1e-9)
+    p.add_argument("--epsilon", type=float, default=1e-9,
+                   help="background rate floor, in events per unit of the action file's time (see README)")
     p.add_argument("--t0", type=float, default=None,
                    help="trend start: actions at or before it are the initial condition the fit is "
                    "conditioned on, not scored as events (default: first action)")
@@ -458,7 +470,7 @@ def build_parser() -> argparse.ArgumentParser:
     _add_prox_flags(p)
     p.add_argument("--alpha", type=float, required=True)
     p.add_argument("--tau", type=float, required=True)
-    p.add_argument("--epsilon", type=float, default=1e-9)
+    p.add_argument("--epsilon", type=float, default=1e-9, help="residual rate from --t0, per unit of time")
     p.add_argument("--t0", type=float, default=0.0)
     p.add_argument("--horizon", type=float, required=True)
     p.add_argument("--n-seeds", type=int, default=5)

@@ -257,8 +257,8 @@ class PredictionReport:
     def read_csv(cls, path: str) -> PredictionReport:
         """Read a prediction CSV as ``write_csv`` writes it.
 
-        It needs the header, one row of 7 numeric fields per interval (an
-        empty mean or CV reads as NaN) and a summary line with every key
+        It needs the header, one row of 7 numeric fields per interval (finite
+        means; an empty CV reads as NaN) and a summary line with every key
         ``write_csv`` writes; an empty ``branching_ratio`` reads as NaN. Row
         k must hold interval k with exactly the grid's bounds, the grid
         starting at row 0's ``t_min`` with the summary's ``interval_length``.
@@ -285,6 +285,8 @@ class PredictionReport:
                 rows.append([float(f) if f or k < 3 else math.nan for k, f in enumerate(fields)])
             except ValueError as exc:
                 raise ValueError(f"{path}:{lineno}: {exc}") from None
+            if not (math.isfinite(rows[-1][3]) and math.isfinite(rows[-1][5])):
+                raise ValueError(f"{path}:{lineno}: the means must be finite, got {fields[3]!r} and {fields[5]!r}")
             row_lines.append(lineno)
         if not rows:
             raise ValueError(f"{path}: no interval rows")

@@ -607,12 +607,13 @@ def loop_fit_baseline(kind: str, trend: Trend, graph: Graph, t_star: float) -> B
             delay_equal=FALLBACK_MEAN_GAP,
             fallback=True,
         )
-    edge_rates = {}
+    edge_rates = None
     if kind == "eexp":
-        for edge, edge_gap in edge_gaps.items():
+        edge_rates = np.full(len(graph.indices), 1.0 / mean_gap)
+        for (u, w), edge_gap in edge_gaps.items():
             m = sum(edge_gap) / len(edge_gap)
             if m > 0:
-                edge_rates[edge] = 1.0 / m
+                edge_rates[int(graph.indptr[u]) + graph.neighbors(u).tolist().index(w)] = 1.0 / m
     return BaselineParams(
         kind=kind,
         activation_prob=min(1.0, len(gaps) / opportunities),
@@ -621,13 +622,13 @@ def loop_fit_baseline(kind: str, trend: Trend, graph: Graph, t_star: float) -> B
     )
 
 
-def _draw_delay(params: BaselineParams, edge: tuple[int, int], rng: np.random.Generator) -> float:
+def _draw_delay(params: BaselineParams, edge: int, rng: np.random.Generator) -> float:
+    """The delay of CSR edge ``edge``: eexp's own rate where it has rates, else the trend's."""
     if params.kind == "tequ":
         return params.delay_equal
-    if params.kind == "texp":
+    if params.kind == "texp" or params.edge_delay_rates is None:
         return rng.exponential(1.0 / params.delay_rate)
-    rate = params.edge_delay_rates.get(edge, params.delay_rate)
-    return rng.exponential(1.0 / rate)
+    return rng.exponential(1.0 / params.edge_delay_rates[edge])
 
 
 def heap_simulate_baseline(
@@ -658,11 +659,11 @@ def heap_simulate_baseline(
         if node not in seeds:
             ev_nodes.append(node)
             ev_times.append(t)
-        for w in graph.neighbors(node).tolist():
+        for edge, w in enumerate(graph.neighbors(node).tolist(), start=int(graph.indptr[node])):
             if activation.get(w, math.inf) <= t:
                 continue
             if rng.random() < params.activation_prob:
-                t_w = t + _draw_delay(params, (node, w), rng)
+                t_w = t + _draw_delay(params, edge, rng)
                 if t_start <= t_w < t_end and t_w < activation.get(w, math.inf):
                     activation[w] = t_w
                     heapq.heappush(heap, (t_w, w))
@@ -688,11 +689,10 @@ def loop_simulate_baseline(
     src, dst = src[live], dst[live]
     if params.kind == "tequ":
         delay = np.full(len(dst), params.delay_equal)
-    elif params.kind == "texp":
+    elif params.kind == "texp" or params.edge_delay_rates is None:
         delay = rng.exponential(1.0 / params.delay_rate, size=len(dst))
     else:
-        rates = [params.edge_delay_rates.get(edge, params.delay_rate) for edge in zip(src.tolist(), dst.tolist())]
-        delay = rng.exponential(1.0 / np.asarray(rates, dtype=np.float64))
+        delay = rng.exponential(1.0 / params.edge_delay_rates[live])
     fired = seed
     while True:
         at = np.flatnonzero(fired[src])
@@ -725,7 +725,6 @@ def loop_predict_baseline(
     grid: IntervalGrid,
     theta: float = 0.0,
     measure: str = "coverage",
-    mult: bool = False,
 ) -> PredictionReport:
     """``baselines.predict_baseline`` one run at a time: simulate, aggregate, then fold the rows."""
     intensity_rows: list[np.ndarray] = []
@@ -735,7 +734,7 @@ def loop_predict_baseline(
         run_trend = loop_simulate_baseline(params, graph, trend, config.t_start, config.t_end, rng)
         series = aggregate(run_trend, grid)
         cov = series.coverage
-        inten = params.mult_factor * cov if mult else series.intensity
+        inten = series.intensity if params.mult_factor is None else params.mult_factor * cov
         intensity_rows.append(np.asarray(inten, dtype=np.float64))
         coverage_rows.append(cov.astype(np.float64))
     return summarize_runs(grid, intensity_rows, coverage_rows, theta, measure)

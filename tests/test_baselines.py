@@ -4,6 +4,7 @@ from __future__ import annotations
 
 import math
 import tracemalloc
+from dataclasses import replace
 
 import numpy as np
 import pytest
@@ -37,6 +38,12 @@ def star_graph(leaves: int) -> Graph:
     return Graph.from_edges([(0, i) for i in range(1, leaves + 1)], leaves + 1)
 
 
+def rates_by_edge(params: BaselineParams, graph: Graph) -> dict[tuple[int, int], float]:
+    """eexp's rate array keyed by each CSR edge's (src, dst)."""
+    src = np.repeat(np.arange(graph.node_count), np.diff(graph.indptr))
+    return dict(zip(zip(src.tolist(), graph.indices.tolist()), params.edge_delay_rates.tolist()))
+
+
 def test_fit_counts_chain_attributions():
     # 0 at t=0 exposes 1 (one opportunity), 1 at t=1 exposes 2 (another);
     # both later activations attribute, so the probability is 2/2 = 1
@@ -46,7 +53,7 @@ def test_fit_counts_chain_attributions():
     assert params.activation_prob == 1.0
     assert params.delay_equal == 1.0
     assert params.delay_rate == 1.0
-    assert params.edge_delay_rates == {(0, 1): 1.0, (1, 2): 1.0}
+    assert rates_by_edge(params, graph) == {(0, 1): 1.0, (1, 0): 1.0, (1, 2): 1.0, (2, 1): 1.0}
     assert not params.fallback
 
 
@@ -64,7 +71,7 @@ def test_fit_breaks_parent_ties_by_node_index():
     params = fit_baseline("eexp", trend, graph, t_star=2.0)
     # two exposure opportunities (0 and 1 each exposed 2), one attribution
     assert params.activation_prob == 0.5
-    assert params.edge_delay_rates == {(0, 2): 1.0}
+    assert rates_by_edge(params, graph) == {(0, 2): 1.0, (1, 2): 1.0, (2, 0): 1.0, (2, 1): 1.0}
 
 
 def test_fit_averages_heterogeneous_gaps():
@@ -73,8 +80,30 @@ def test_fit_averages_heterogeneous_gaps():
     params = fit_baseline("eexp", trend, graph, t_star=5.0)
     assert params.delay_equal == pytest.approx(2.0)
     assert params.delay_rate == pytest.approx(0.5)
-    assert params.edge_delay_rates[(0, 1)] == pytest.approx(1.0)
-    assert params.edge_delay_rates[(1, 2)] == pytest.approx(1.0 / 3.0)
+    assert rates_by_edge(params, graph)[(0, 1)] == pytest.approx(1.0)
+    assert rates_by_edge(params, graph)[(1, 2)] == pytest.approx(1.0 / 3.0)
+
+
+def test_eexp_fits_compare_by_their_rates():
+    graph = chain_graph(3)
+    even = fit_baseline("eexp", make_trend([0, 1, 2], [0.0, 1.0, 2.0]), graph, t_star=5.0)
+    uneven = fit_baseline("eexp", make_trend([0, 1, 2], [0.0, 0.5, 2.0]), graph, t_star=5.0)
+    # the same activation probability and mean gap, so only the rates tell the fits apart
+    assert (even.activation_prob, even.delay_equal) == (uneven.activation_prob, uneven.delay_equal)
+    assert even != uneven
+    assert even == fit_baseline("eexp", make_trend([0, 1, 2], [0.0, 1.0, 2.0]), graph, t_star=5.0)
+    assert even != fit_baseline("texp", make_trend([0, 1, 2], [0.0, 1.0, 2.0]), graph, t_star=5.0)
+    assert even != replace(even, edge_delay_rates=None)
+
+
+def test_predict_rejects_eexp_rates_of_another_length():
+    graph = chain_graph(3)
+    trend = make_trend([0], [-0.5])
+    config = SimConfig(t_start=0.0, t_end=1.0, runs=2, seed=0)
+    for count in (0, 3, 5):
+        params = BaselineParams("eexp", 0.5, 1.0, edge_delay_rates=np.ones(count))
+        with pytest.raises(ValueError, match=f"{count} edge delay rates for a graph of 4 edges"):
+            predict_baseline(params, graph, trend, config, IntervalGrid(0.0, 1.0, 1))
 
 
 def test_fit_ignores_actions_at_or_after_t_star():
@@ -197,7 +226,8 @@ def test_texp_delays_have_the_fitted_mean():
 
 def test_eexp_uses_edge_rate_with_global_fallback():
     graph = Graph.from_edges([(0, 1), (0, 2)], 3)
-    params = BaselineParams("eexp", 1.0, 10.0, edge_delay_rates={(0, 1): 10.0})
+    # CSR edges (0, 1), (0, 2), (1, 0), (2, 0): (0, 1) has its own rate, the rest the trend's 1 / 10
+    params = BaselineParams("eexp", 1.0, 10.0, edge_delay_rates=np.array([10.0, 0.1, 0.1, 0.1]))
     trend = make_trend([0], [0.0])
     fast, slow = [], []
     for run in cascade_runs(params, graph, trend, 0.0, 1000.0, runs=2000):
@@ -274,7 +304,7 @@ def test_mult_scales_intensity_by_the_factor():
     trend = make_trend([0], [-0.5])
     config = SimConfig(t_start=0.0, t_end=1.0, runs=400, seed=5)
     grid = IntervalGrid(0.0, 0.5, 2)
-    report = predict_baseline(params, graph, trend, config, grid, mult=True)
+    report = predict_baseline(params, graph, trend, config, grid)
     np.testing.assert_allclose(report.intensity_mean, 2.5 * report.coverage_mean, rtol=1e-12)
     np.testing.assert_allclose(report.intensity_cv, report.coverage_cv, rtol=1e-12)
 
@@ -322,11 +352,10 @@ def _forecast_instance(seed: int, kind: str, directed: bool) -> tuple[Graph, Tre
         graph = Graph.from_edges(np.stack([src[up], graph.indices[up]], axis=1), graph.node_count, directed=True)
     fitted = fit_baseline(kind, trend, graph, 5.0)
     rng = np.random.default_rng(seed)
-    rates = {}
+    rates = None
     if kind == "eexp":
-        src = np.repeat(np.arange(graph.node_count), np.diff(graph.indptr))
-        edges = list(zip(src.tolist(), graph.indices.tolist()))[::2]
-        rates = dict(zip(edges, rng.choice([0.2, 1.0, 5.0], size=len(edges)).tolist()))
+        rates = np.full(len(graph.indices), 1.0 / fitted.delay_equal)
+        rates[::2] = rng.choice([0.2, 1.0, 5.0], size=len(rates[::2]))
     params = BaselineParams(
         kind, max(fitted.activation_prob, 0.3), fitted.delay_equal, edge_delay_rates=rates, mult_factor=1.7,
     )
@@ -353,10 +382,11 @@ def test_batched_forecast_matches_the_per_run_loop(tmp_path, kind, directed):
     votes = []
     for runs in (1, 7, 64):
         config = SimConfig(5.0, 10.0, runs=runs, seed=runs)
-        for mult in (False, True):
+        for factor in (None, params.mult_factor):
+            scaled = replace(params, mult_factor=factor)
             for theta, measure in ((0.0, "coverage"), (1.0, "intensity")):
-                report = predict_baseline(params, graph, trend, config, grid, theta, measure, mult)
-                reference = loop_predict_baseline(params, graph, trend, config, grid, theta, measure, mult)
+                report = predict_baseline(scaled, graph, trend, config, grid, theta, measure)
+                reference = loop_predict_baseline(scaled, graph, trend, config, grid, theta, measure)
                 _assert_same_report(report, reference, tmp_path)
                 votes.append(report.duration_covering_fraction)
     # the runs activate nodes and, for some threshold, split the duration vote
@@ -379,9 +409,10 @@ def test_batch_boundaries_change_no_run(tmp_path, monkeypatch, kind, per_batch):
         rng = derived_rng(config.seed, _BASELINE_RUN_KEY + r)
         ref = loop_simulate_baseline(params, graph, trend, config.t_start, config.t_end, rng)
         assert run.nodes.tolist() == ref.nodes.tolist() and run.times.tolist() == ref.times.tolist()
-    for mult in (False, True):
-        report = predict_baseline(params, graph, trend, config, grid, mult=mult)
-        _assert_same_report(report, loop_predict_baseline(params, graph, trend, config, grid, mult=mult), tmp_path)
+    for factor in (None, params.mult_factor):
+        scaled = replace(params, mult_factor=factor)
+        report = predict_baseline(scaled, graph, trend, config, grid)
+        _assert_same_report(report, loop_predict_baseline(scaled, graph, trend, config, grid), tmp_path)
 
 
 def test_forecast_memory_does_not_grow_with_runs():
@@ -410,14 +441,14 @@ def test_intensity_from_coverage_scales_elementwise():
     trend = make_trend([0], [-0.5])
     config = SimConfig(t_start=0.0, t_end=1.0, runs=50, seed=7)
     grid = IntervalGrid(0.0, 0.5, 2)
-    plain = predict_baseline(params, graph, trend, config, grid)
-    scaled = predict_baseline(params, graph, trend, config, grid, mult=True)
+    plain = predict_baseline(replace(params, mult_factor=None), graph, trend, config, grid)
+    scaled = predict_baseline(params, graph, trend, config, grid)
     np.testing.assert_array_equal(scaled.coverage_mean, plain.coverage_mean)
     np.testing.assert_array_equal(scaled.intensity_mean, 2.0 * plain.coverage_mean)
     for factor in (0.0, -1.0):
         params.mult_factor = factor
         with pytest.raises(ValueError, match="mult_factor must be positive"):
-            predict_baseline(params, graph, trend, config, grid, mult=True)
+            predict_baseline(params, graph, trend, config, grid)
 
 
 def test_fit_mult_factor_matches_hand_computed_slope():
@@ -497,16 +528,13 @@ def _z_scores(runs: list[Trend], refs: list[Trend], node_count: int) -> list[flo
 )
 def test_cascade_law_matches_the_activation_order_reference(instance, kind, prob, rate, edge_rates):
     # per-node activation frequency and mean time over 400 runs of each; for
-    # eexp the first 27 edges carry their own rate and the rest the trend's,
-    # and out-of-range keys (u - 1, v + n), whose flat index u*n + v is the
-    # edge's, carry delays that would never land in the window
+    # eexp the first 27 edges carry their own rate and the rest the trend's
     graph, trend = instance
     n = graph.node_count
-    edges = list(zip(np.repeat(np.arange(n), np.diff(graph.indptr)).tolist(), graph.indices.tolist()))
-    rates = {}
+    rates = None
     if kind == "eexp":
-        rates = dict(zip(edges, edge_rates))
-        rates.update({(u - 1, v + n): 1e-9 for u, v in edges})
+        rates = np.full(len(graph.indices), rate)
+        rates[:27] = edge_rates[: len(rates)]
     params = BaselineParams(kind, prob, 1.0 / rate, edge_delay_rates=rates)
     ref_rng = np.random.default_rng(2)
     runs = cascade_runs(params, graph, trend, 0.0, 3.0, runs=400, seed=1)

@@ -436,6 +436,37 @@ def test_non_utf8_input_names_the_file_and_line(tiny_files, tmp_path, capsys, na
     assert f"{bad}:{line}: not valid UTF-8" in _one_error_line(capsys)
 
 
+@pytest.mark.parametrize("case", ["learn-empty", "mult-late", "synth-seeds", "manifest-missing", "pred-inf"])
+def test_an_input_that_does_not_fit_the_command_is_named(tiny_files, tmp_path, capsys, case):
+    # Each input parses, but the command cannot use it; the one error line names it.
+    graph, actions = tiny_files
+    empty, pred, manifest = tmp_path / "empty.tsv", tmp_path / "pred.csv", tmp_path / "manifest.json"
+    empty.write_text("", encoding="utf-8")
+    pred.write_text(
+        "interval_index,t_min,t_max,intensity_mean,intensity_cv,coverage_mean,coverage_cv\n"
+        "0,1.0,2.0,inf,,0,\n1,2.0,3.0,0,,0,\n"
+        "# summary runs=2 theta=0 measure=coverage duration_covering_fraction=0 branching_ratio= "
+        "interval_length=1.0\n", encoding="utf-8")
+    manifest.write_text(json.dumps({"trends": [{"pred": str(tmp_path / "absent.csv"), "actions": str(actions)}]}))
+    g, out = ["--graph", str(graph)], ["--out", str(tmp_path / "out")]
+    argv, named = {
+        "learn-empty": (["learn", *g, "--actions", str(empty), "--t-star", "3", "--seed", "3", *out],
+                        f"{empty}: no actions"),
+        "mult-late": (["predict", *g, "--actions", str(actions), "--t-star", "0.1", "--grid", "0.1:1:2",
+                       "--model", "eexp", "--mult", "--seed", "3", *out],
+                      f"{actions}: no observed actions before t_star"),
+        "synth-seeds": (["synth", *g, "--alpha", "0.5", "--tau", "1", "--horizon", "2", "--n-seeds", "4",
+                         "--seed", "3", *out], f"{graph}: --n-seeds 4 exceeds the graph's 3 nodes"),
+        "manifest-missing": (["eval", *g, "--manifest", str(manifest), "--theta", "0", *out],
+                             f"{manifest}: trends[0]: [Errno 2] No such file or directory"),
+        "pred-inf": (["eval", *g, "--pred", str(pred), "--actions", str(actions), "--theta", "0", *out],
+                     f"{pred}:2: the means must be finite, got 'inf' and '0'"),
+    }[case]
+    assert main(argv) == 1
+    [line] = error_lines(capsys)
+    assert named in line
+
+
 @pytest.mark.parametrize("command", ["learn", "predict-da", "predict-texp", "synth"])
 def test_a_negative_seed_fails_before_any_input_is_read(tiny_files, tmp_path, capsys, command):
     # Each run would otherwise warn first: predict-da's params are

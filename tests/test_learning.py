@@ -779,3 +779,20 @@ def test_fit_reaches_the_grid_maximum_of_the_profile_on_the_probe_setup(seed):
     span = float(table.elapsed[0])
     grid = max(table.profile(tau, 1e-9)[0] for tau in np.geomspace(1e-3 * span, 1e3 * span, 2001).tolist())
     assert result.log_likelihood >= grid - 1e-9 * abs(grid)
+
+
+@settings(derandomize=True, database=None, deadline=None, max_examples=40)
+@given(st.integers(0, 149), st.sampled_from(["shortest_path", "random_walk"]))
+def test_fit_reaches_the_grid_maximum_of_the_profile_on_random_instances(seed, kind):
+    # Times in [0, 10): at this unit scale the epsilon floor binds nowhere
+    # inside the default bracket, and fit's value is at least the best of
+    # the profile at 801 points, even in log tau over [1e-3 * span, 1e3 * span].
+    graph, prox, trend = random_instance(seed, max_nodes=60, max_actions=80, kind=kind)
+    t_star = float(trend.times[-1])
+    with warnings.catch_warnings():
+        warnings.simplefilter("ignore")
+        result = fit(trend, prox, t_star)
+    table = _table(trend, prox, t_star)
+    span = float(table.elapsed[0])
+    grid = max(table.profile(tau, 1e-9)[0] for tau in np.geomspace(1e-3 * span, 1e3 * span, 801).tolist())
+    assert result.log_likelihood >= grid - 1e-9 * abs(grid)
